@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import eye, mat_inv, mat_mul, mat_trace
-from .mcg import DetectionResult, RepMatrix
+from .linalg import eye, is_identity, mat_mul
+from .mcg import DetectionResult, RepMatrix, is_projectively_identity, scan_levels
 from .recoupling import theta
 from .scalars import QuantumParams, Scalar
 from .skein import DomainError
@@ -197,13 +197,9 @@ def full_twist_scalar(params: QuantumParams, n: int, m: int) -> Scalar:
     equals (-1)^(m+n) A^(m(m+2) - 3n) -- the twist coefficient of m corrected
     by one curl factor -A^(-3) per strand (the unframed convention)."""
     rep = jones_sector_rep(params, full_twist_word(n), m).matrix
+    if not is_projectively_identity(rep):
+        raise DomainError("full twist did not act as a scalar")
     lam = rep[0][0]
-    ident = eye(params, len(rep))
-    for i in range(len(rep)):
-        for j in range(len(rep)):
-            want = lam if i == j else params.zero()
-            if rep[i][j] != want:
-                raise DomainError("full twist did not act as a scalar")
     expect = params.a_pow(m * (m + 2) - 3 * n)
     if (m + n) % 2:
         expect = -expect
@@ -219,29 +215,21 @@ def _cablings(n: int, bound: int):
     return out
 
 
-def braid_detect(braid: BraidWord, r_range, cabling_bound: int = 1, s: int = 1,
-                 make_params=None) -> DetectionResult:
+def braid_detect(braid: BraidWord, r_range, cabling_bound: int = 1,
+                 s: int = 1) -> DetectionResult:
     """Search (r ascending, cabling ascending by total then lex, sector m
     ascending) for a sector matrix of a cabling of the braid that is not the
-    identity matrix (exactly -- central elements separate by sector scalars)."""
-    from .scalars import make_params as default_make_params
-    mk = make_params or default_make_params
-    result = DetectionResult(r0=None)
-    cablings = _cablings(braid.n, cabling_bound)
-    cabled = [(c, cable(braid, c)) for c in cablings]
-    for r in sorted(r_range):
-        params = mk(r, s)
-        verdict = "trivial"
+    identity matrix (exactly -- central elements separate by sector scalars);
+    the witness is (cable multiplicities, m)."""
+    if cabling_bound < 1:
+        raise DomainError(f"cabling bound must be at least 1, got {cabling_bound}")
+    cabled = [(c, cable(braid, c)) for c in _cablings(braid.n, cabling_bound)]
+
+    def probe(params):
         for cab, word in cabled:
             for m in sector_labels(params, word.n):
-                rep = jones_sector_rep(params, word, m).matrix
-                if rep != eye(params, len(rep)):
-                    verdict = "nontrivial"
-                    result.witness[r] = (cab.multiplicities, m)
-                    break
-            if verdict == "nontrivial":
-                break
-        result.verdicts[r] = verdict
-        if verdict == "nontrivial" and result.r0 is None:
-            result.r0 = r
-    return result
+                if not is_identity(params, jones_sector_rep(params, word, m).matrix):
+                    return (cab.multiplicities, m)
+        return None
+
+    return scan_levels(r_range, s, probe)

@@ -5,7 +5,7 @@ heuristics beyond picking the first nonzero entry.
 """
 from __future__ import annotations
 
-from .scalars import QuantumParams, Scalar
+from .scalars import QuantumParams
 
 
 def zeros(params: QuantumParams, n: int, m: int):
@@ -52,26 +52,6 @@ def sum_scalars(vals):
     for v in vals[1:]:
         acc = acc + v
     return acc
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s: Scalar):
-    return [[s * x for x in row] for row in a]
-
-
-def mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def is_zero_matrix(a):
-    return all(x.is_zero() for row in a for x in row)
 
 
 def mat_trace(a):
@@ -127,21 +107,3 @@ def is_identity(params: QuantumParams, a):
             elif not a[i][j].is_zero():
                 return False
     return True
-
-
-def solve(params: QuantumParams, a, rhs):
-    """Solve a x = rhs exactly (a square nonsingular, rhs a vector)."""
-    n = len(a)
-    aug = [[a[i][j] for j in range(n)] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]

@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import tqft
-from .linalg import (eye, is_identity, mat_inv, mat_mul, mat_trace,
-                     scalar_multiple_of, zeros)
-from .recoupling import (admissible, encircle_eigenvalue, f_matrix,
-                         f_matrix_channels, hopf_pairing, tet, theta,
-                         twist_coefficient)
-from .scalars import QuantumParams, Scalar
+from .linalg import eye, mat_inv, mat_mul, mat_trace, zeros
+from .recoupling import (encircle_eigenvalue, f_matrix, f_matrix_channels,
+                         hopf_pairing, tet, theta, twist_coefficient)
+from .scalars import QuantumParams, Scalar, make_params
 from .skein import DomainError
+from .unionfind import UnionFind
 
 
 @dataclass
@@ -45,7 +44,29 @@ class RepMatrix:
 class DetectionResult:
     r0: object  # least r where projectively nontrivial, or None
     verdicts: dict = field(default_factory=dict)  # r -> "nontrivial"|"trivial"
-    witness: dict = field(default_factory=dict)  # r -> block labels tuple
+    witness: dict = field(default_factory=dict)  # r -> probe witness, e.g. block labels
+
+
+def scan_levels(r_range, s, probe) -> DetectionResult:
+    """The detection search shared by `detect` and `braids.braid_detect`:
+    walk r ascending and call probe(params) at each level; the probe returns
+    a witness of projective nontriviality, or None when the level is
+    trivial."""
+    result = DetectionResult(r0=None)
+    for r in sorted(r_range):
+        try:
+            params = make_params(r, s)
+        except ValueError as exc:
+            raise DomainError(f"r={r}: {exc}") from exc
+        witness = probe(params)
+        if witness is None:
+            result.verdicts[r] = "trivial"
+            continue
+        result.verdicts[r] = "nontrivial"
+        result.witness[r] = witness
+        if result.r0 is None:
+            result.r0 = r
+    return result
 
 
 def is_projectively_identity(matrix) -> bool:
@@ -68,22 +89,12 @@ def _support_blocks(cmat):
     """Connected components of the nonzero pattern (curve operators are
     banded or block diagonal; interpolating per block is much cheaper)."""
     n = len(cmat)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(range(n))
     for i in range(n):
         for j in range(n):
             if i != j and not cmat[i][j].is_zero():
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+                uf.union(i, j)
+    return uf.groups()
 
 
 def _interp_twist(params: QuantumParams, cmat):
@@ -113,9 +124,7 @@ def _interp_twist(params: QuantumParams, cmat):
             step = [[cmat[a][b] - (lams[j] if a == b else params.zero())
                      for b in range(n)] for a in range(n)]
             scale = (lams[k] - lams[j]).inverse()
-            term = [[sum((term[a][x] * step[x][b] for x in range(n)),
-                         params.zero()) * scale for b in range(n)]
-                    for a in range(n)]
+            term = [[x * scale for x in row] for row in mat_mul(term, step)]
         out = [[out[a][b] + mus[k] * term[a][b] for b in range(n)] for a in range(n)]
     return out
 
@@ -432,29 +441,21 @@ def _boundary_contexts(name, r):
     raise DomainError(f"unsupported surface {name!r}")
 
 
-def detect(name, word, r_range, s=1, make_params=None) -> DetectionResult:
+def detect(name, word, r_range, s=1) -> DetectionResult:
     """Scan r ascending; at each r, examine every boundary-label block of the
     surface and report 'nontrivial' when some block's matrix is not a Scalar
-    multiple of the identity."""
-    from .scalars import make_params as default_make_params
-    mk = make_params or default_make_params
-    result = DetectionResult(r0=None)
-    for r in sorted(r_range):
-        params = mk(r, s)
-        verdict = "trivial"
-        for ctx in _boundary_contexts(name, r):
+    multiple of the identity (the witness is that block's labels)."""
+
+    def probe(params):
+        for ctx in _boundary_contexts(name, params.r):
             model = surface_model(name, ctx)
             if model.dim(params) == 0:
                 continue
-            mat = model.represent(params, word)
-            if not is_projectively_identity(mat.matrix):
-                verdict = "nontrivial"
-                result.witness[r] = ctx
-                break
-        result.verdicts[r] = verdict
-        if verdict == "nontrivial" and result.r0 is None:
-            result.r0 = r
-    return result
+            if not is_projectively_identity(model.represent(params, word).matrix):
+                return ctx
+        return None
+
+    return scan_levels(r_range, s, probe)
 
 
 def mapping_torus_trace(model: SurfaceModel, params: QuantumParams, word) -> Scalar:

@@ -9,10 +9,7 @@ are spelled out in CONVENTIONS.md at the repository root.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .scalars import QuantumParams, Scalar
-from . import linalg
 from .tl import (
     TLElement,
     crossing_element,

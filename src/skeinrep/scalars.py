@@ -20,11 +20,20 @@ from math import gcd
 
 
 def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    """Integer coefficients (constant first) of the n-th cyclotomic polynomial."""
-    from sympy import Poly, cyclotomic_poly, symbols
-
-    x = symbols("x")
-    return tuple(int(v) for v in reversed(Poly(cyclotomic_poly(n, x), x).all_coeffs()))
+    """Integer coefficients (constant first) of the n-th cyclotomic
+    polynomial, built from Phi_1 = x - 1 one prime factor p of n at a time:
+    Phi_{mp}(x) = Phi_m(x^p) when p divides m, else the exact quotient
+    Phi_m(x^p) / Phi_m(x)."""
+    poly, m, p = (Fraction(-1), Fraction(1)), 1, 2
+    while m < n:
+        if (n // m) % p:
+            p += 1
+            continue
+        spread = [Fraction(0)] * ((len(poly) - 1) * p + 1)
+        spread[::p] = poly
+        poly = tuple(spread) if m % p == 0 else _poly_divmod(spread, poly)[0]
+        m *= p
+    return tuple(int(v) for v in poly)
 
 
 class QuantumParams:

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .scalars import QuantumParams, Scalar
 from .tl import jones_wenzl
+from .unionfind import UnionFind
 
 
 class LinkFormatError(ValueError):
@@ -110,27 +111,15 @@ class LabeledLink:
                 if a in comp_of:
                     raise LinkFormatError(f"arc {a} listed in two components")
                 comp_of[a] = i
-        parent = {a: a for a in counts}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
+        strands = UnionFind()
         for a, b, c, d in self.crossings:
-            union(a, c)
-            union(b, d)
+            strands.union(a, c)
+            strands.union(b, d)
         for a in counts:
-            if comp_of[find(a)] != comp_of[a]:
+            if comp_of[strands.find(a)] != comp_of[a]:
                 raise LinkFormatError("component arc lists do not match strand-following")
         for i, c in enumerate(self.components):
-            roots = {find(a) for a in c.arcs}
+            roots = {strands.find(a) for a in c.arcs}
             if len(roots) > 1:
                 raise LinkFormatError(f"component {i} arcs form {len(roots)} separate strands")
 
@@ -268,11 +257,37 @@ def omega_weights(params: QuantumParams):
     return [c * params.d_k(k) for k in range(params.r - 1)]
 
 
+def _head_occurrences(crossings, ob):
+    """Arc -> (t, s): the crossing t and slot s where the arc is incoming
+    (slot 0 for the under strand, 1 or 3 for the over strand)."""
+    occ_head = {}
+    for t, x in enumerate(crossings):
+        occ_head[x[0]] = (t, 0)
+        over_in = 1 if ob[t] else 3
+        occ_head[x[over_in]] = (t, over_in)
+    return occ_head
+
+
+def _braid_crossing(cur, g, fresh):
+    """The crossing of braid generator g (signed, 1-indexed) between the arcs
+    cur[|g|-1] (left) and cur[|g|] (right); both positions move on to fresh
+    arcs in `cur`."""
+    i = abs(g)
+    p, q = cur[i - 1], cur[i]
+    p2, q2 = next(fresh), next(fresh)
+    cur[i - 1], cur[i] = p2, q2
+    if g > 0:
+        # left strand under: p(SW) -> q2(NE); right strand over: q(SE) -> p2(NW)
+        return [p, q, q2, p2]
+    # right strand under: q(SE) -> p2(NW); left strand over: p(SW) -> q2(NE)
+    return [q, q2, p2, p]
+
+
 def _insert_kinks(crossings, occ_head, comp_arcs, framing, fresh):
     """Add |framing| kinks (sign of framing) to one arc of the component.
 
     Returns the extra crossings and the list of forced over-entry booleans
-    for them.  `occ_head` maps arc -> (t, s) of its head occurrence or None.
+    for them.  `occ_head` maps arc -> (t, s) of its head occurrence.
     Mutates `crossings` in place when rewiring the cut arc.
     """
     extra, extra_ob = [], []
@@ -316,13 +331,7 @@ def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):
     for t, (a, b, c, d) in enumerate(crossings):
         cross_comp.append((comp_of[a], comp_of[b]))
 
-    # head occurrence of each arc (where it is incoming)
-    occ_head = {a: None for a in comp_of}
-    for t, x in enumerate(crossings):
-        occ_head[x[0]] = (t, 0)
-        over_in = 1 if ob[t] else 3
-        occ_head[x[over_in]] = (t, over_in)
-
+    occ_head = _head_occurrences(crossings, ob)
     fresh = itertools.count(max([0] + [a for x in crossings for a in x]) + 1)
 
     # framing kinks (only for components that survive)
@@ -335,12 +344,7 @@ def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):
             crossings.append(x)
             ob.append(o)
             cross_comp.append((i, i))
-        # rebuild head map for safety (cut arcs rewired)
-        occ_head = {}
-        for t, x in enumerate(crossings):
-            occ_head[x[0]] = (t, 0)
-            over_in = 1 if ob[t] else 3
-            occ_head[x[over_in]] = (t, over_in)
+        occ_head = _head_occurrences(crossings, ob)  # cut arcs were rewired
 
     mult = list(labels)
 
@@ -364,19 +368,7 @@ def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):
 
     # ----- build nodes over cable sub-arcs -----
     # arc-name aliasing for straight-throughs past dropped components
-    alias_parent = {}
-
-    def find(x):
-        alias_parent.setdefault(x, x)
-        while alias_parent[x] != x:
-            alias_parent[x] = alias_parent[alias_parent[x]]
-            x = alias_parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            alias_parent[rx] = ry
+    alias = UnionFind()
 
     def arcname(u, i, head_side):
         if head_side and u in cut_arcs:
@@ -393,11 +385,11 @@ def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):
             continue
         if n == 0:
             for i in range(1, m + 1):
-                union(arcname(a, i, True), arcname(c, i, False))
+                alias.union(arcname(a, i, True), arcname(c, i, False))
             continue
         if m == 0:
             for j in range(1, n + 1):
-                union(arcname(bin_, j, True), arcname(dout, j, False))
+                alias.union(arcname(bin_, j, True), arcname(dout, j, False))
             continue
 
         def useg(i, step):
@@ -449,24 +441,17 @@ def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):
 
     # ----- pair up port occurrences -----
     occurrences = {}
-    port_list = []
     for idx, node in enumerate(nodes):
         ports = node[1] if node[0] == "X" else node[2] + node[3]
         for slot, name in enumerate(ports):
-            root = find(name)
+            root = alias.find(name)
             occurrences.setdefault(root, []).append((idx, slot))
     for root, occs in occurrences.items():
         if len(occs) != 2:
             raise LinkFormatError(f"internal: arc {root} has {len(occs)} ends")
 
     # aliased classes never touched by a node are closed loops
-    seen_roots = set(occurrences)
-    alias_loops = 0
-    for name in list(alias_parent):
-        root = find(name)
-        if root not in seen_roots:
-            seen_roots.add(root)
-            alias_loops += 1
+    alias_loops = sum(alias.find(g[0]) not in occurrences for g in alias.groups())
     # components of multiplicity >= 1 whose every crossing partner was
     # dropped (and have no kinks/box) close into alias loops per cable copy;
     # multiplicity-1 crossingless circles were counted in free_loop_count
@@ -535,7 +520,6 @@ def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):
             for joins, rcoeff in resolutions:
                 p2 = dict(pd)
                 loops = 0
-                ok = True
                 for x, y in joins:
                     px = p2.pop(x)
                     if px == y:
@@ -608,36 +592,19 @@ def closed_braid_link(word, n, labels=None, framings=None) -> LabeledLink:
         i = abs(g)
         if not 1 <= i <= n - 1:
             raise DomainError(f"generator {g} out of range for {n} strands")
-        p, q = cur[i - 1], cur[i]
-        p2, q2 = next(nxt), next(nxt)
-        if g > 0:
-            # left strand under: p(SW) -> q2(NE); right strand over: q(SE) -> p2(NW)
-            crossings.append([p, q, q2, p2])
-        else:
-            # right strand under: q(SE) -> p2(NW); left strand over: p(SW) -> q2(NE)
-            crossings.append([q, q2, p2, p])
-        cur[i - 1], cur[i] = p2, q2
+        crossings.append(_braid_crossing(cur, g, nxt))
         where[i], where[i + 1] = where[i + 1], where[i]
     for pos in range(1, n + 1):
         perm[where[pos]] = pos
     # close up: the final arc at each position merges with the starting arc there
     rename = {cur[p - 1]: start[p - 1] for p in range(1, n + 1) if cur[p - 1] != start[p - 1]}
     crossings = [[rename.get(a, a) for a in x] for x in crossings]
-    used = {a for x in crossings for a in x}
     # components = cycles of the closure permutation, ordered by smallest position
-    parent = {a: a for a in used}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    strands = UnionFind()
     for a, b, c, d in crossings:
-        ra, rc = find(a), find(c)
-        parent[ra] = rc
-        rb, rd = find(b), find(d)
-        parent[rb] = rd
+        strands.union(a, c)
+        strands.union(b, d)
+    strand_of = {a: g for g in strands.groups() for a in g}
     seen = set()
     comps = []
     j = 0
@@ -648,12 +615,8 @@ def closed_braid_link(word, n, labels=None, framings=None) -> LabeledLink:
         while p not in seen:
             seen.add(p)
             p = perm[p]
-        if start[p0 - 1] in used:
-            root = find(start[p0 - 1])
-            arcs = sorted(a for a in used if find(a) == root and a not in
-                          {x for c2 in comps for x in c2.arcs})
-        else:
-            arcs = []  # this strand never crosses anything: a bare circle
+        # a strand that never crosses anything is a bare circle
+        arcs = sorted(strand_of.get(start[p0 - 1], []))
         label = labels[j] if labels else 1
         fr = framings[j] if framings else 0
         comps.append(Component(label, fr, arcs))
@@ -720,12 +683,7 @@ def _clasp_after(link: LabeledLink, comp_idx: int, word_builder, new_comps):
     nstr = 1 + len(new_comps)
     word = word_builder(nstr)
 
-    ob = link.orientations() if link.crossings else []
-    occ_head = {}
-    for t, x in enumerate(link.crossings):
-        occ_head[x[0]] = (t, 0)
-        occ_head[x[1 if ob[t] else 3]] = (t, 1 if ob[t] else 3)
-
+    occ_head = _head_occurrences(link.crossings, link.orientations())
     if target.arcs:
         u = target.arcs[0]
         head = occ_head[u]
@@ -741,20 +699,14 @@ def _clasp_after(link: LabeledLink, comp_idx: int, word_builder, new_comps):
     where = list(range(nstr))
     for g in word:
         i = abs(g)
-        p, q = cur[i - 1], cur[i]
-        p2, q2 = next(fresh), next(fresh)
-        if g > 0:
-            crossings.append([p, q, q2, p2])
-        else:
-            crossings.append([q, q2, p2, p])
-        cur[i - 1], cur[i] = p2, q2
+        crossings.append(_braid_crossing(cur, g, fresh))
         where[i - 1], where[i] = where[i], where[i - 1]
-        for pos, newarc in ((i - 1, p2), (i, q2)):
+        for pos in (i - 1, i):
             s = where[pos]
             if s == 0:
-                strand1_arcs.append(newarc)
+                strand1_arcs.append(cur[pos])
             else:
-                new_arcs[s].add(newarc)
+                new_arcs[s].add(cur[pos])
     if where != list(range(nstr)):
         raise DomainError("tangle word must return side strands to their positions")
     # close strands 2..n back on themselves

@@ -17,6 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .scalars import QuantumParams, Scalar
+from .unionfind import UnionFind
 
 
 class TLDiagram:
@@ -336,23 +337,12 @@ class TLElement:
         p = self.params
         d = p.loop_d()
         total = p.zero()
+        n = self.nb
         for diag, coeff in self.terms.items():
-            parent = list(range(self.nb))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            loops = 0
-            for a, b in diag.pairs:
-                ra = find(a - self.nb if a >= self.nb else a)
-                rb = find(b - self.nb if b >= self.nb else b)
-                if ra == rb:
-                    loops += 1
-                else:
-                    parent[ra] = rb
+            # closing point p (top or bottom) lands on strand p mod n; a pair
+            # joining two already-connected strands closes a loop
+            uf = UnionFind()
+            loops = sum(not uf.union(a % n, b % n) for a, b in diag.pairs)
             total = total + coeff * d ** loops
         return total
 
@@ -520,7 +510,6 @@ def sector_projectors(params: QuantumParams, n: int):
         c = min(t, twor - t)
         classes.setdefault(c, []).append(m)
     labels = sorted(classes, key=lambda c: classes[c][0])
-    reps = {c: classes[c][0] for c in classes}
     E = encircle_element(params, n, 1)
     lams = {c: -(params.a_pow(2 * c) + params.a_pow(-2 * c)) for c in labels}
     for i, a in enumerate(labels):

@@ -106,7 +106,7 @@ def four_punctured_sphere_spine(labels, channel="h") -> Spine:
 def basis(params: QuantumParams, spine: Spine):
     """All admissible edge labelings, lexicographic in the order of
     spine.edges; each is a dict edge name -> label."""
-    for leg, lab in spine.boundary.items():
+    for lab in spine.boundary.values():
         check_label(params, lab)
     out = []
     names = list(spine.edges)

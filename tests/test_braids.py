@@ -255,6 +255,16 @@ def test_detect_full_twist_central():
     assert res.r0 == 3
 
 
+def test_detect_bad_level_is_domain_error():
+    with pytest.raises(DomainError, match="r=3"):
+        braid_detect(BraidWord(3, (1, 2)), range(3, 5), s=3)
+
+
+def test_detect_needs_a_cabling():
+    with pytest.raises(DomainError):
+        braid_detect(BraidWord(2, (1,)), range(3, 5), cabling_bound=0)
+
+
 def test_detect_with_cabling():
     # a commutator word: nontrivial braid detected within the search grid
     b = BraidWord(3, (1, 2, -1, -2))

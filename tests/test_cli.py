@@ -144,6 +144,17 @@ def test_exit_domain_bad_label(capsys):
     assert code == 3 and out["error"] == "domain"
 
 
+@pytest.mark.parametrize("argv", [
+    ("detect", "--surface", "torus", "--word", "a", "--rmin", "3", "--rmax", "5", "--s", "3"),
+    ("detect", "--surface", "torus", "--word", "a", "--rmin", "2", "--rmax", "4"),
+    ("braid-detect", "--n", "3", "--word", "1 2", "--rmin", "3", "--rmax", "4", "--s", "3"),
+    ("braid-detect", "--n", "2", "--word", "1", "--rmax", "4", "--cable-max", "0"),
+])
+def test_exit_domain_bad_scan(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 3 and out["error"] == "domain"
+
+
 def test_exit_domain_bad_curve(capsys):
     code, out = run_cli(capsys, "curve-op", "--r", "4", "--surface", "torus",
                         "--curve", "zz")

@@ -300,6 +300,27 @@ def test_detect_conjugation_consistency():
     assert res1.verdicts == res2.verdicts
 
 
+def test_scan_levels_records_falsy_witness():
+    # the torus and genus-2 witness is the empty block label tuple
+    seen = []
+
+    def probe(params):
+        seen.append(params.r)
+        return () if params.r >= 4 else None
+
+    res = mcg.scan_levels([5, 3, 4], 1, probe)
+    assert seen == [3, 4, 5]
+    assert res.r0 == 4
+    assert res.verdicts == {3: "trivial", 4: "nontrivial", 5: "nontrivial"}
+    assert res.witness == {4: (), 5: ()}
+
+
+@pytest.mark.parametrize("r_range, s", [(range(3, 6), 3), (range(2, 5), 1)])
+def test_detect_bad_level_is_domain_error(r_range, s):
+    with pytest.raises(DomainError, match=f"r={r_range[0]}"):
+        mcg.detect("torus", [("a", 1)], r_range, s=s)
+
+
 def test_detect_punctured_torus_blocks():
     res = mcg.detect("punctured_torus", [("a", 1), ("b", -1)], range(3, 5))
     assert res.r0 is not None

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from skeinrep.scalars import make_params, Scalar
+from skeinrep.scalars import _cyclotomic_coeffs, make_params, Scalar
 
 
 RS = [3, 4, 5, 6]
@@ -99,3 +99,11 @@ def test_d_k_values(r):
         if k % 2:
             expect = -expect
         assert p.d_k(k) == expect
+
+
+def test_cyclotomic_coeffs_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for n in range(1, 201):
+        poly = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+        assert _cyclotomic_coeffs(n) == tuple(int(v) for v in reversed(poly.all_coeffs())), n
