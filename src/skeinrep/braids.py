@@ -124,9 +124,6 @@ def _generator_matrix(params: QuantumParams, n: int, m: int, gen: int):
     return out
 
 
-_GEN_CACHE = {}
-
-
 def jones_sector_rep(params: QuantumParams, braid: BraidWord, m: int) -> RepMatrix:
     """The sector-m representation matrix of a braid word."""
     paths = path_basis(params, braid.n, m)
@@ -134,10 +131,9 @@ def jones_sector_rep(params: QuantumParams, braid: BraidWord, m: int) -> RepMatr
         raise DomainError(f"sector m={m} is empty for {braid.n} strands at r={params.r}")
     out = eye(params, len(paths))
     for g in braid.word:
-        key = (params.r, params.s, braid.n, m, g)
-        if key not in _GEN_CACHE:
-            _GEN_CACHE[key] = _generator_matrix(params, braid.n, m, g)
-        out = mat_mul(out, _GEN_CACHE[key])
+        gen = params.cached(("braid_gen", braid.n, m, g),
+                            lambda: _generator_matrix(params, braid.n, m, g))
+        out = mat_mul(out, gen)
     return RepMatrix(out, params.r, "braid_sector", (braid.n, m))
 
 

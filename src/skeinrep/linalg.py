@@ -23,7 +23,7 @@ def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0]) if b else 0
     if a and len(a[0]) != k:
         raise ValueError("shape mismatch")
-    zero = (a[0][0] if a and a[0] else b[0][0]).params.zero()
+    zero = a[0][0].params.zero() if n and m else None
     out = []
     for i in range(n):
         row_a = a[i]

@@ -176,11 +176,10 @@ class SurfaceModel:
     def twist_matrix(self, params, curve, power=1) -> RepMatrix:
         if curve not in self.curves():
             raise DomainError(f"unknown curve {curve!r} on {self.name}")
-        key = (params.r, params.s, curve)
-        cache = self._twist_cache
-        if key not in cache:
-            cache[key] = self._twist_base(params, curve)
-        m = cache[key]
+        # a model is fixed by its name and boundary labels, so its twist
+        # bases are shared by every model built alike at this root
+        m = params.cached(("twist", self.name, self._label_context(), curve),
+                          lambda: self._twist_base(params, curve))
         if power < 0:
             m = mat_inv(params, m)
             power = -power
@@ -201,9 +200,6 @@ class SurfaceModel:
 
     def _label_context(self):
         return ()
-
-    def __init__(self):
-        self._twist_cache = {}
 
 
 class Torus(SurfaceModel):
@@ -248,7 +244,6 @@ class PuncturedTorus(SurfaceModel):
     name = "punctured_torus"
 
     def __init__(self, boundary_label):
-        super().__init__()
         self.boundary_label = boundary_label
 
     def spine(self):
@@ -286,7 +281,6 @@ class FourPuncturedSphere(SurfaceModel):
     name = "four_punctured_sphere"
 
     def __init__(self, labels):
-        super().__init__()
         self.labels = tuple(labels)
 
     def spine(self):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 
@@ -37,15 +36,25 @@ def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
 
 
 class QuantumParams:
-    """Root-of-unity context: A = e^{2 pi i s / 4r} with gcd(s, 4r) = 1, r >= 3."""
+    """Root-of-unity context: A = e^{2 pi i s / 4r} with gcd(s, 4r) = 1, r >= 3.
 
-    def __init__(self, r: int, s: int = 1):
+    Interned: QuantumParams(r, s) is the one context for that pair, built on
+    first use and kept for the process, so identity is equality.  It owns
+    every memo that depends on (r, s) alone, through ``cached``."""
+
+    _interned: dict = {}
+
+    def __new__(cls, r: int, s: int = 1):
         if r < 3:
             raise ValueError(f"level parameter r must be >= 3, got {r}")
         if not (1 <= s < 4 * r):
             raise ValueError(f"root selector s must satisfy 1 <= s < 4r, got {s}")
         if gcd(s, 4 * r) != 1:
             raise ValueError(f"s = {s} is not coprime to 4r = {4 * r}; A would not be primitive")
+        self = cls._interned.get((r, s))
+        if self is not None:
+            return self
+        self = super().__new__(cls)
         self.r = r
         self.s = s
         self.order = 4 * r
@@ -55,7 +64,17 @@ class QuantumParams:
         self._cyclo = cyclo
         self._red = self._reduction_table()
         self._apow = self._a_power_table()
-        self._inv_d_total = None  # lazy: 1/D
+        self._memo = {}
+        cls._interned[(r, s)] = self
+        return self
+
+    def cached(self, key, build):
+        """The value memoized under key in this context, from build() on
+        first use."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     def _reduction_table(self):
         phi = self.phi
@@ -181,16 +200,15 @@ class QuantumParams:
         return acc
 
     def _inv_D(self):
-        if self._inv_d_total is None:
-            D = self.total_d_squared()
-            self._inv_d_total = self._poly_inv(D.base)
-        return self._inv_d_total
+        """1/D as a coefficient tuple (memoized by callers)."""
+        return self._poly_inv(self.total_d_squared().base)
 
-    def __eq__(self, other):
-        return isinstance(other, QuantumParams) and (self.r, self.s) == (other.r, other.s)
-
-    def __hash__(self):
-        return hash((self.r, self.s))
+    def _c_float(self) -> float:
+        """c as a float, the positive real root of 1/D (memoized by callers)."""
+        D = self.total_d_squared().embed()
+        if abs(D.imag) > 1e-9 or D.real <= 0:
+            raise ArithmeticError(f"D is not a positive real at r={self.r}, s={self.s}: {D}")
+        return 1.0 / math.sqrt(D.real)
 
     def __repr__(self):
         return f"QuantumParams(r={self.r}, s={self.s})"
@@ -247,15 +265,17 @@ def _poly_divmod(u, v):
     v = _poly_trim(v)
     if not v:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(u) - len(v) + 1, 1)
-    while len(u) >= len(v):
-        coef = u[-1] / v[-1]
-        deg = len(u) - len(v)
-        q[deg] = coef
-        for i, vi in enumerate(v):
-            u[deg + i] -= coef * vi
-        u = list(_poly_trim(u))
-    return tuple(q), tuple(u)
+    top = len(v) - 1
+    q = [Fraction(0)] * max(len(u) - top, 1)
+    # each step clears u[deg + top] exactly, so u is reduced in place and
+    # the remainder is what is left below degree top
+    for deg in range(len(u) - len(v), -1, -1):
+        coef = u[deg + top] / v[top]
+        if coef:
+            q[deg] = coef
+            for i in range(top):
+                u[deg + i] -= coef * v[i]
+    return tuple(q), _poly_trim(u[:top])
 
 
 class Scalar:
@@ -275,7 +295,7 @@ class Scalar:
     # ----- ring structure -----
 
     def _check(self, other: "Scalar"):
-        if self.params is not other.params and self.params != other.params:
+        if self.params is not other.params:
             raise ValueError("Scalars from different QuantumParams contexts")
 
     def __add__(self, other: "Scalar") -> "Scalar":
@@ -298,7 +318,7 @@ class Scalar:
         if a0 is not None and b0 is not None:
             base = p._poly_mul(a0, b0)
         if a1 is not None and b1 is not None:
-            cc = p._poly_mul(p._poly_mul(a1, b1), p._inv_D())
+            cc = p._poly_mul(p._poly_mul(a1, b1), p.cached("inv_D", p._inv_D))
             base = cc if base is None else _tadd_raw(base, cc)
         cpart = None
         if a0 is not None and b1 is not None:
@@ -374,7 +394,7 @@ class Scalar:
         if self.base is not None:
             val += _horner(self.base, a)
         if self.cpart is not None:
-            val += _horner(self.cpart, a) * _c_numeric(p)
+            val += _horner(self.cpart, a) * p.cached("c_float", p._c_float)
         return val
 
     def __repr__(self):
@@ -417,16 +437,3 @@ def _horner(coeffs, x):
     for ci in reversed(coeffs):
         acc = acc * x + complex(Fraction(ci))
     return acc
-
-
-@lru_cache(maxsize=None)
-def _c_numeric_cached(r: int, s: int) -> float:
-    p = QuantumParams(r, s)
-    D = p.total_d_squared().embed()
-    if abs(D.imag) > 1e-9 or D.real <= 0:
-        raise ArithmeticError(f"D is not a positive real at r={r}, s={s}: {D}")
-    return 1.0 / math.sqrt(D.real)
-
-
-def _c_numeric(params: QuantumParams) -> float:
-    return _c_numeric_cached(params.r, params.s)

@@ -9,8 +9,10 @@ Point numbering: bottom 0..nb-1 left to right, then top nb..nb+nt-1 left to
 right.  The circular boundary order (for planarity and the parenthesis
 encoding) walks the bottom left to right, then the top right to left.
 
-Diagram-pair composition results are memoized globally; they are independent
-of the root of unity, so the cache is shared across parameter contexts.
+The only global memos are the diagram-pair compositions and the diagram
+bases: they do not depend on the root of unity, so every parameter context
+shares them.  Jones-Wenzl projectors do depend on it, and live in the memo
+of their QuantumParams.
 """
 from __future__ import annotations
 
@@ -384,9 +386,6 @@ class TLElement:
 # ----- named operations -----
 
 
-_JW_CACHE: dict = {}
-
-
 def jones_wenzl(params: QuantumParams, k: int) -> TLElement:
     """The Jones-Wenzl projector P_k via the Wenzl recursion.
 
@@ -398,25 +397,20 @@ def jones_wenzl(params: QuantumParams, k: int) -> TLElement:
         raise ValueError("negative strand count")
     if k > params.r - 2:
         raise ValueError(f"P_{k} undefined at r={params.r}: labels stop at r-2={params.r - 2}")
-    key = (params.r, params.s, k)
-    hit = _JW_CACHE.get(key)
-    if hit is not None:
-        return hit
-    _JW_CACHE.setdefault((params.r, params.s, 0), TLElement.identity(params, 0))
+    proj = params.cached(("jw", 0), lambda: TLElement.identity(params, 0))
     for n in range(1, k + 1):
-        key_n = (params.r, params.s, n)
-        if key_n in _JW_CACHE:
-            continue
-        prev = _JW_CACHE[(params.r, params.s, n - 1)]
-        wide = prev.tensor(TLElement.identity(params, 1))
-        if n == 1:
-            proj = wide
-        else:
-            # Delta_{n-2}/Delta_{n-1} with Delta_k = (-1)^k [k+1] (loop d is negative)
-            ratio = params.d_k(n - 2) / params.d_k(n - 1)
-            proj = wide - (wide * TLElement.e(params, n, n - 1) * wide).scale(ratio)
-        _JW_CACHE[key_n] = proj
-    return _JW_CACHE[key]
+        proj = params.cached(("jw", n), lambda: _wenzl_step(params, proj, n))
+    return proj
+
+
+def _wenzl_step(params, prev, n):
+    """P_n from P_{n-1}."""
+    wide = prev.tensor(TLElement.identity(params, 1))
+    if n == 1:
+        return wide
+    # Delta_{n-2}/Delta_{n-1} with Delta_k = (-1)^k [k+1] (loop d is negative)
+    ratio = params.d_k(n - 2) / params.d_k(n - 1)
+    return wide - (wide * TLElement.e(params, n, n - 1) * wide).scale(ratio)
 
 
 def resolve_braid(params: QuantumParams, word, n: int) -> TLElement:

@@ -75,6 +75,13 @@ def test_rep_matrix(capsys):
     assert len(out["matrix"]) == 2
 
 
+def test_rep_matrix_zero_dimensional(capsys):
+    code, out = run_cli(capsys, "rep-matrix", "--r", "4", "--surface",
+                        "punctured_torus", "--labels", "1", "--word", "a")
+    assert code == 0
+    assert out["dim"] == 0 and out["matrix"] == []
+
+
 def test_curve_op(capsys):
     code, out = run_cli(capsys, "curve-op", "--r", "3", "--surface", "torus",
                         "--curve", "a")

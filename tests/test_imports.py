@@ -1,13 +1,23 @@
-"""Every import in the package is used: a stdlib-only unused-import check."""
+"""Package hygiene, checked on the source with the stdlib ``ast``: every
+import is used, and no module keeps a cache of its own (what depends on the
+root of unity is memoized by ``QuantumParams.cached``)."""
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "skeinrep"
 
+# the root-of-unity-independent memos of the TL composition engine
+SHARED_CACHES = {("tl.py", "_COMPOSE_CACHE"), ("tl.py", "_hom_basis")}
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+CACHE_DECORATORS = {"lru_cache", "cache"}
 
-def unused_imports(source: str):
+
+def package_trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def unused_imports(tree):
     """Names bound by import statements that the module never reads."""
-    tree = ast.parse(source)
     bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -20,13 +30,73 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+def _called_name(node):
+    """The last name of f, f(...), m.f or m.f(...)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def global_caches(tree):
+    """Module-level names bound to a dict, list or set, and functions under an
+    lru_cache or cache decorator."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if (isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp))
+                or (isinstance(value, ast.Call) and _called_name(value) in CONTAINER_CALLS)):
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _called_name(d) in CACHE_DECORATORS for d in node.decorator_list):
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
 def test_checker_flags_unused_names():
     src = ("from __future__ import annotations\n"
            "import os\nimport a.b\nfrom x import y, z as w\nprint(y)\n")
-    assert unused_imports(src) == [(2, "os"), (3, "a"), (4, "w")]
+    assert unused_imports(ast.parse(src)) == [(2, "os"), (3, "a"), (4, "w")]
 
 
 def test_package_has_no_unused_imports():
-    found = {path.name: unused_imports(path.read_text())
-             for path in sorted(SRC.glob("*.py"))}
+    found = {name: unused_imports(tree) for name, tree in package_trees().items()}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_checker_flags_global_caches():
+    src = ("import functools\n"
+           "from functools import cache, lru_cache\n"
+           "SIZE, NAMES = 3, ('a', 'b')\n"
+           "_A = {}\n"
+           "_B: dict = {}\n"
+           "_C = [1, 2]\n"
+           "_D = set()\n"
+           "_E = {k: k for k in NAMES}\n"
+           "@lru_cache(maxsize=None)\n"
+           "def f(x):\n"
+           "    return x\n"
+           "@functools.cache\n"
+           "def g(x):\n"
+           "    local = {}\n"
+           "    return local\n"
+           "class K:\n"
+           "    @cache\n"
+           "    def h(self):\n"
+           "        return self\n")
+    assert global_caches(ast.parse(src)) == [
+        (4, "_A"), (5, "_B"), (6, "_C"), (7, "_D"), (8, "_E"),
+        (10, "f"), (13, "g"), (18, "h")]
+
+
+def test_package_keeps_no_global_caches():
+    found = {(name, var) for name, tree in package_trees().items()
+             for _, var in global_caches(tree)}
+    assert found - SHARED_CACHES == set()

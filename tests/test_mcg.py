@@ -207,7 +207,32 @@ def test_four_punctured_needs_four_labels():
         mcg.surface_model("four_punctured_sphere", (1, 1))
 
 
+def test_zero_dimensional_block():
+    params = make_params(4)
+    model = mcg.surface_model("punctured_torus", (1,))
+    assert model.dim(params) == 0
+    assert mat_mul([], []) == []
+    assert model.represent(params, [("a", 1), ("b", -1)]).matrix == []
+
+
 # -------------------------------------------------------------- genus 2
+
+def test_genus2_twist_shared_across_models(monkeypatch):
+    # a root used by no other test, so the context's memo starts without b2
+    params = make_params(4, 13)
+    calls = []
+    build = mcg.GenusTwo._twist_base
+
+    def counted(self, p, curve):
+        calls.append(curve)
+        return build(self, p, curve)
+
+    monkeypatch.setattr(mcg.GenusTwo, "_twist_base", counted)
+    first = mcg.GenusTwo().twist_matrix(params, "b2")
+    second = mcg.GenusTwo().twist_matrix(params, "b2")
+    assert calls == ["b2"]
+    assert first.matrix == second.matrix
+
 
 def test_genus2_nested_curve_on_handlebody_vector(small_params):
     # C(b2) applied to the empty-handlebody vector is the fused expansion of

@@ -1,10 +1,12 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from skeinrep.scalars import _cyclotomic_coeffs, make_params, Scalar
+from skeinrep.scalars import (QuantumParams, Scalar, _cyclotomic_coeffs, _poly_divmod,
+                              _poly_mul_raw, _poly_sub, _poly_trim, make_params)
 
 
 RS = [3, 4, 5, 6]
@@ -17,6 +19,60 @@ def test_params_validation():
         make_params(5, s=2)  # s must be odd (A primitive 4r-th root)
     with pytest.raises(ValueError):
         make_params(5, s=5)  # gcd(s, 4r) must be 1
+
+
+def test_params_interned():
+    p = QuantumParams(5, 1)
+    assert make_params(5) is p
+    assert QuantumParams.from_json({"r": 5}) is p
+    assert QuantumParams(5, 3) is not p
+
+
+@pytest.mark.parametrize("r, s", [(2, 1), (5, 2), (5, 5), (5, 20)])
+def test_rejected_params_not_stored(r, s):
+    with pytest.raises(ValueError):
+        QuantumParams(r, s)
+    assert (r, s) not in QuantumParams._interned
+
+
+def test_cached_builds_once_per_key():
+    p = make_params(5)
+    builds = []
+
+    def build():
+        builds.append(1)
+        return object()
+
+    first = p.cached(("test-only", 1), build)
+    assert p.cached(("test-only", 1), build) is first
+    assert p.cached(("test-only", 2), build) is not first
+    assert len(builds) == 2
+
+
+def test_scalars_from_different_roots_do_not_mix():
+    a = make_params(5, 1).a_pow(1)
+    b = make_params(5, 3).a_pow(1)
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        a * b
+    with pytest.raises(ValueError):
+        a == b
+
+
+def test_poly_divmod_random():
+    rng = random.Random(20260)
+
+    def poly(deg):
+        return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg)) \
+            + (Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)),)
+
+    for _ in range(200):
+        u = poly(rng.randint(0, 12))
+        v = poly(rng.randint(0, 6))
+        q, rem = _poly_divmod(u, v)
+        assert len(rem) < len(v) and (not rem or rem[-1])  # deg rem < deg v
+        assert _poly_trim(_poly_sub(u, _poly_mul_raw(q, v))) == rem  # u = q*v + rem
 
 
 @pytest.mark.parametrize("r", RS)
