@@ -115,7 +115,7 @@ def _generator_matrix(params: QuantumParams, n: int, m: int, gen: int):
     for k, p in enumerate(paths):
         out[k][k] = a_diag
         if p[i - 1] == p[i + 1]:
-            bs, block = _e_block(params, p[i - 1])
+            bs, block = params.cached(("e_block", p[i - 1]), lambda: _e_block(params, p[i - 1]))
             bi = bs.index(p[i])
             for bj, b2 in enumerate(bs):
                 q = p[:i] + (b2,) + p[i + 1:]

@@ -178,10 +178,10 @@ class SurfaceModel:
             raise DomainError(f"unknown curve {curve!r} on {self.name}")
         # a model is fixed by its name and boundary labels, so its twist
         # bases are shared by every model built alike at this root
-        m = params.cached(("twist", self.name, self._label_context(), curve),
-                          lambda: self._twist_base(params, curve))
+        key = (self.name, self._label_context(), curve)
+        m = params.cached(("twist",) + key, lambda: self._twist_base(params, curve))
         if power < 0:
-            m = mat_inv(params, m)
+            m = params.cached(("twist_inv",) + key, lambda: mat_inv(params, m))
             power = -power
         out = eye(params, len(m))
         for _ in range(power):

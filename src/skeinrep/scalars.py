@@ -3,9 +3,19 @@ the formal normalization constant c with c^2 = 1/D, D = sum of squared loop
 values.
 
 Elements are pairs of polynomials in A with rational coefficients, reduced
-modulo the 4r-th cyclotomic polynomial: x = base + c * cpart.  The symbol c
-only ever enters computations to integer powers, so tracking a single formal
-c-part suffices; c^2 is rewritten to the explicit field element 1/D.
+modulo the 4r-th cyclotomic polynomial Phi: x = base + c * cpart.  The symbol
+c only ever enters computations to integer powers, so tracking a single
+formal c-part suffices; c^2 is rewritten to the explicit field element 1/D.
+
+Each part is a pair (nums, den): a tuple of phi integer numerators, constant
+first, over one positive integer denominator.  Parts are canonical -- the gcd
+of den and all nums is 1, and the zero part is None -- so equal elements have
+equal tuples and == and hash are plain tuple operations.  Phi is monic, so
+reduction modulo Phi and the powers of A stay integral.  A product packs each
+numerator vector into one integer (Kronecker substitution) and does one
+big-integer multiply; an inverse solves N w = 1 mod Phi by fraction-free
+(Bareiss) elimination.  Fraction is used only off the arithmetic path: to
+build Phi, and to convert from and to rationals, JSON and floats.
 
 All equality decisions are exact.  Floating point appears only in
 ``Scalar.embed`` (the numeric embedding A -> e^{2 pi i s/4r}, c -> positive
@@ -60,10 +70,10 @@ class QuantumParams:
         self.order = 4 * r
         cyclo = _cyclotomic_coeffs(self.order)
         self.phi = len(cyclo) - 1
-        # x^k mod Phi for k = phi .. 2*phi - 2, used to reduce products.
         self._cyclo = cyclo
         self._red = self._reduction_table()
         self._apow = self._a_power_table()
+        self._one = _const(self, 1)
         self._memo = {}
         cls._interned[(r, s)] = self
         return self
@@ -76,75 +86,97 @@ class QuantumParams:
             memo[key] = build()
         return memo[key]
 
+    def _times_x(self, u):
+        """x * u mod Phi for an integer coefficient vector u; Phi is monic, so
+        x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1})."""
+        top = u[-1]
+        out = [0] + list(u[:-1])
+        if top:
+            for i, c in enumerate(self._cyclo[:self.phi]):
+                out[i] -= top * c
+        return out
+
     def _reduction_table(self):
-        phi = self.phi
+        """x^k mod Phi for k = phi .. 2*phi - 2, as the nonzero (i, coefficient)
+        pairs of each row, used to reduce products."""
         rows = []
-        # x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1}) since Phi is monic
-        cur = [Fraction(-c) for c in self._cyclo[:phi]]
-        rows.append(tuple(cur))
-        for _ in range(phi - 2):
-            nxt = [Fraction(0)] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(phi):
-                    nxt[i] += top * rows[0][i]
-            rows.append(tuple(nxt))
-            cur = nxt
+        cur = [0] * (self.phi - 1) + [1]
+        for _ in range(self.phi - 1):
+            cur = self._times_x(cur)
+            rows.append(tuple((i, t) for i, t in enumerate(cur) if t))
         return rows
 
     def _a_power_table(self):
-        """Coefficient vectors for A^e, e = 0 .. 4r-1."""
-        phi = self.phi
+        """Parts for A^e, e = 0 .. 4r-1."""
         table = []
-        cur = [Fraction(0)] * phi
-        cur[0] = Fraction(1)
+        cur = [1] + [0] * (self.phi - 1)
         for _ in range(self.order):
-            table.append(tuple(cur))
-            # multiply by A
-            shifted = [Fraction(0)] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(phi):
-                    shifted[i] += top * self._red[0][i]
-            cur = shifted
+            table.append((tuple(cur), 1))
+            cur = self._times_x(cur)
         return table
 
     def _poly_mul(self, u, v):
+        """Product of two nonzero parts.  Each numerator vector is packed into
+        one integer, as signed digits of b bits with 2^(b-1) above every
+        coefficient of the product; one big-integer multiply gives the
+        2*phi - 1 product coefficients, which are reduced modulo Phi."""
+        (un, ud), (vn, vd) = u, v
         phi = self.phi
-        prod = [Fraction(0)] * (2 * phi - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    if vj:
-                        prod[i + j] += ui * vj
-        out = prod[:phi]
-        for k in range(phi, 2 * phi - 1):
-            ck = prod[k]
-            if ck:
-                row = self._red[k - phi]
-                for i in range(phi):
-                    out[i] += ck * row[i]
-        return tuple(out)
+        b = max(map(abs, un)).bit_length() + max(map(abs, vn)).bit_length() + phi.bit_length() + 1
+        x = y = 0
+        for c in reversed(un):
+            x = (x << b) + c
+        for c in reversed(vn):
+            y = (y << b) + c
+        z = x * y
+        mask, half, full = (1 << b) - 1, 1 << (b - 1), 1 << b
+        digits = []
+        for _ in range(2 * phi - 1):
+            d = z & mask
+            z >>= b
+            if d >= half:
+                d -= full
+                z += 1
+            digits.append(d)
+        out = digits[:phi]
+        for c, row in zip(digits[phi:], self._red):
+            if c:
+                for i, t in row:
+                    out[i] += c * t
+        return _part(out, ud * vd)
 
     def _poly_inv(self, u):
-        """Inverse of u in Q[x]/Phi via the extended Euclidean algorithm."""
-        if not any(u):
-            raise ZeroDivisionError("inverting zero in the cyclotomic field")
-        mod = tuple(Fraction(ci) for ci in self._cyclo)
-        r0, r1 = mod, tuple(u) + (Fraction(0),)
-        t0, t1 = (Fraction(0),), (Fraction(1),)
-        while any(r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _poly_sub(t0, _poly_mul_raw(q, t1))
-        lead = _poly_trim(r0)
-        if len(lead) != 1:
-            raise ZeroDivisionError("element is not invertible modulo the cyclotomic polynomial")
-        inv_lead = 1 / lead[0]
-        full = tuple(ci * inv_lead for ci in t0)
-        if len(_poly_trim(full)) > self.phi:
-            _, full = _poly_divmod(full, mod)
-        return tuple(full[i] if i < len(full) else Fraction(0) for i in range(self.phi))
+        """Inverse of the nonzero part u = N / den, as den * w with
+        N w = 1 mod Phi.  Fraction-free (Bareiss) elimination on the integer
+        matrix of multiplication by N, whose column j is x^j N mod Phi,
+        followed by back substitution gives det * w in integers."""
+        nums, den = u
+        phi = self.phi
+        cols = [list(nums)]
+        for _ in range(phi - 1):
+            cols.append(self._times_x(cols[-1]))
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(phi)]
+        prev = 1
+        for k in range(phi):
+            pivot = next((i for i in range(k, phi) if rows[i][k]), None)
+            if pivot is None:
+                raise ZeroDivisionError("element is not invertible modulo the "
+                                        "cyclotomic polynomial")
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            pk = rows[k]
+            akk = pk[k]
+            for i in range(k + 1, phi):
+                ri = rows[i]
+                aik = ri[k]
+                ri[k + 1:] = [(akk * a - aik * p) // prev for a, p in zip(ri[k + 1:], pk[k + 1:])]
+            prev = akk
+        # every entry is a minor of the augmented matrix, and det * w is integral
+        w = [0] * phi
+        for i in range(phi - 1, -1, -1):
+            ri = rows[i]
+            acc = prev * ri[phi] - sum(ri[j] * w[j] for j in range(i + 1, phi))
+            w[i] = acc // ri[i]
+        return _part([den * t for t in w], prev)
 
     # ----- element constructors -----
 
@@ -152,20 +184,21 @@ class QuantumParams:
         return Scalar(self, None, None)
 
     def one(self) -> "Scalar":
-        return self.from_int(1)
+        return Scalar(self, self._one, None)
 
     def from_int(self, n: int) -> "Scalar":
-        return self.from_rational(Fraction(n))
+        return Scalar(self, _const(self, n), None)
 
     def from_rational(self, q: Fraction) -> "Scalar":
-        return Scalar(self, _const(self, Fraction(q)), None)
+        q = Fraction(q)
+        return Scalar(self, _const(self, q.numerator, q.denominator), None)
 
     def a_pow(self, e: int) -> "Scalar":
         """A^e, exponent taken modulo 4r."""
         return Scalar(self, self._apow[e % self.order], None)
 
     def c_symbol(self) -> "Scalar":
-        return Scalar(self, None, _const(self, Fraction(1)))
+        return Scalar(self, None, self._one)
 
     def loop_d(self) -> "Scalar":
         """d = -A^2 - A^{-2}."""
@@ -200,7 +233,7 @@ class QuantumParams:
         return acc
 
     def _inv_D(self):
-        """1/D as a coefficient tuple (memoized by callers)."""
+        """1/D as a part (memoized by callers)."""
         return self._poly_inv(self.total_d_squared().base)
 
     def _c_float(self) -> float:
@@ -225,13 +258,27 @@ def make_params(r: int, s: int = 1) -> QuantumParams:
     return QuantumParams(r, s)
 
 
-def _const(params: QuantumParams, q: Fraction):
-    v = [Fraction(0)] * params.phi
-    v[0] = q
-    return tuple(v)
+def _const(params: QuantumParams, num: int, den: int = 1):
+    """The part of the rational num / den."""
+    return _part((num,) + (0,) * (params.phi - 1), den)
 
 
-# ----- raw polynomial helpers over Fraction sequences (no modular reduction) -----
+def _part(nums, den):
+    """The canonical part nums / den: den > 0 and gcd(den, *nums) == 1, or
+    None when every numerator is zero."""
+    if not any(nums):
+        return None
+    if den != 1:
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            return tuple(n // g for n in nums), den // g
+    return tuple(nums), den
+
+
+# ----- raw polynomial helpers over Fraction sequences (no modular reduction),
+# used to build Phi, off the arithmetic path -----
 
 def _poly_trim(u):
     u = list(u)
@@ -281,16 +328,17 @@ def _poly_divmod(u, v):
 class Scalar:
     """An element base + c * cpart of the extended cyclotomic ring.
 
-    Immutable.  ``base``/``cpart`` are coefficient tuples of length phi(4r)
-    (or None for zero).  Arithmetic demands a shared QuantumParams context.
+    Immutable.  ``base`` and ``cpart`` are canonical parts: a pair of phi(4r)
+    integer numerators and one positive denominator with no common factor,
+    or None for zero.  Arithmetic demands a shared QuantumParams context.
     """
 
     __slots__ = ("params", "base", "cpart")
 
     def __init__(self, params: QuantumParams, base, cpart):
         self.params = params
-        self.base = base if (base is not None and any(base)) else None
-        self.cpart = cpart if (cpart is not None and any(cpart)) else None
+        self.base = base
+        self.cpart = cpart
 
     # ----- ring structure -----
 
@@ -300,32 +348,27 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        return Scalar(self.params, _tadd(self.params, self.base, other.base),
-                      _tadd(self.params, self.cpart, other.cpart))
+        return Scalar(self.params, _tadd(self.base, other.base), _tadd(self.cpart, other.cpart))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        neg = lambda t: None if t is None else tuple(-x for x in t)
-        return Scalar(self.params, neg(self.base), neg(self.cpart))
+        return Scalar(self.params, _neg(self.base), _neg(self.cpart))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
         p = self.params
         a0, a1, b0, b1 = self.base, self.cpart, other.base, other.cpart
-        base = None
+        base = cpart = None
         if a0 is not None and b0 is not None:
             base = p._poly_mul(a0, b0)
         if a1 is not None and b1 is not None:
-            cc = p._poly_mul(p._poly_mul(a1, b1), p.cached("inv_D", p._inv_D))
-            base = cc if base is None else _tadd_raw(base, cc)
-        cpart = None
+            base = _tadd(base, p._poly_mul(p._poly_mul(a1, b1), p.cached("inv_D", p._inv_D)))
         if a0 is not None and b1 is not None:
             cpart = p._poly_mul(a0, b1)
         if a1 is not None and b0 is not None:
-            t = p._poly_mul(a1, b0)
-            cpart = t if cpart is None else _tadd_raw(cpart, t)
+            cpart = _tadd(cpart, p._poly_mul(a1, b0))
         return Scalar(p, base, cpart)
 
     def inverse(self) -> "Scalar":
@@ -340,7 +383,7 @@ class Scalar:
             D = p.total_d_squared()
             return Scalar(p, None, p._poly_mul(inv_u, D.base))
         # general: multiply by the conjugate base - c*cpart
-        conj = Scalar(p, self.base, tuple(-x for x in self.cpart))
+        conj = Scalar(p, self.base, _neg(self.cpart))
         norm = self * conj
         if norm.cpart is not None or norm.base is None:
             raise ZeroDivisionError("element is not invertible in the c-extended ring")
@@ -367,7 +410,7 @@ class Scalar:
         return self.base is None and self.cpart is None
 
     def is_one(self) -> bool:
-        return self == self.params.one()
+        return self.cpart is None and self.base == self.params._one
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -405,35 +448,44 @@ class Scalar:
 
     def to_json(self):
         cp = self.cpow() if not self.is_zero() else 0
-        coeffs = self.cpart if cp else self.base
-        if coeffs is None:
-            coeffs = _const(self.params, Fraction(0))
-        return {"cpow": cp, "coeffs": [str(q) for q in coeffs]}
+        part = self.cpart if cp else self.base
+        if part is None:
+            return {"cpow": cp, "coeffs": ["0"] * self.params.phi}
+        nums, den = part
+        return {"cpow": cp, "coeffs": [str(Fraction(n, den)) for n in nums]}
 
     @staticmethod
     def from_json(params: QuantumParams, obj) -> "Scalar":
-        coeffs = tuple(Fraction(t) for t in obj["coeffs"])
+        coeffs = [Fraction(t) for t in obj["coeffs"]]
         if len(coeffs) != params.phi:
             raise ValueError(f"expected {params.phi} coefficients, got {len(coeffs)}")
+        den = math.lcm(*(q.denominator for q in coeffs))
+        part = _part([q.numerator * (den // q.denominator) for q in coeffs], den)
         if int(obj["cpow"]) % 2:
-            return Scalar(params, None, coeffs)
-        return Scalar(params, coeffs, None)
+            return Scalar(params, None, part)
+        return Scalar(params, part, None)
 
 
-def _tadd(params, u, v):
+def _tadd(u, v):
+    """Sum of two parts; the denominators are multiplied only when they
+    differ."""
     if u is None:
         return v
     if v is None:
         return u
-    return _tadd_raw(u, v)
+    (un, ud), (vn, vd) = u, v
+    if ud == vd:
+        return _part([a + b for a, b in zip(un, vn)], ud)
+    return _part([a * vd + b * ud for a, b in zip(un, vn)], ud * vd)
 
 
-def _tadd_raw(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+def _neg(u):
+    return None if u is None else (tuple(-n for n in u[0]), u[1])
 
 
-def _horner(coeffs, x):
+def _horner(part, x):
+    nums, den = part
     acc = 0j
-    for ci in reversed(coeffs):
-        acc = acc * x + complex(Fraction(ci))
+    for n in reversed(nums):
+        acc = acc * x + complex(Fraction(n, den))
     return acc

@@ -234,6 +234,25 @@ def test_genus2_twist_shared_across_models(monkeypatch):
     assert first.matrix == second.matrix
 
 
+def test_inverse_twist_inverted_once(monkeypatch):
+    # a root used by no other test, so the context's memo starts without it
+    params = make_params(4, 5)
+    calls = []
+
+    def counted(p, m):
+        calls.append(len(m))
+        return mat_inv(p, m)
+
+    monkeypatch.setattr(mcg, "mat_inv", counted)
+    first = mcg.Torus().twist_matrix(params, "a", -1)
+    assert mcg.Torus().twist_matrix(params, "a", -1).matrix == first.matrix
+    cube = mcg.Torus().twist_matrix(params, "a", -3)
+    assert calls == [3]
+    assert cube.matrix == mat_mul(mat_mul(first.matrix, first.matrix), first.matrix)
+    forward = mcg.Torus().twist_matrix(params, "a", 1)
+    assert mat_mul(forward.matrix, first.matrix) == eye(params, 3)
+
+
 def test_genus2_nested_curve_on_handlebody_vector(small_params):
     # C(b2) applied to the empty-handlebody vector is the fused expansion of
     # a single curve through both handles: support {(1,0,1), (1,2,1)} with

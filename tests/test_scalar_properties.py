@@ -1,0 +1,78 @@
+"""Property tests of the scalar ring over random (r, s) and elements."""
+import json
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from skeinrep.scalars import Scalar, make_params
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+settings = hypothesis.settings(max_examples=40, deadline=None, database=None,
+                               derandomize=True)
+
+ROOTS = [(r, s) for r in range(3, 9) for s in range(1, 4 * r, 2) if gcd(s, 4 * r) == 1]
+
+rationals = st.builds(Fraction, st.integers(-2 ** 24, 2 ** 24), st.integers(1, 2 ** 12)) \
+    | st.integers(-3, 3).map(Fraction)
+
+
+@st.composite
+def coeffs(draw, params):
+    entries = rationals | st.just(Fraction(0))
+    return draw(st.lists(entries, min_size=params.phi, max_size=params.phi))
+
+
+@st.composite
+def elements(draw, params, pure=False):
+    cpow = draw(st.integers(0, 1)) if pure else None
+    parts = []
+    for cp in (0, 1):
+        vec = draw(coeffs(params)) if cpow in (None, cp) else [0] * params.phi
+        parts.append(Scalar.from_json(params, {"cpow": cp, "coeffs": [str(q) for q in vec]}))
+    return parts[0] + parts[1]
+
+
+@st.composite
+def context_and(draw, count, pure=False):
+    params = make_params(*draw(st.sampled_from(ROOTS)))
+    return (params,) + tuple(draw(elements(params, pure)) for _ in range(count))
+
+
+@settings
+@hypothesis.given(context_and(3))
+def test_ring_axioms(drawn):
+    p, x, y, z = drawn
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + p.zero() == x and x * p.one() == x
+    assert (x - x).is_zero() and (x * p.zero()).is_zero()
+
+
+@settings
+@hypothesis.given(context_and(1))
+def test_inverse(drawn):
+    p, x = drawn
+    hypothesis.assume(not x.is_zero())
+    assert (x * x.inverse()).is_one()
+
+
+@settings
+@hypothesis.given(st.sampled_from(ROOTS))
+def test_c_squared_is_inverse_of_total_d(rs):
+    p = make_params(*rs)
+    c = p.c_symbol()
+    assert (c * c * p.total_d_squared()).is_one()
+
+
+@settings
+@hypothesis.given(context_and(1, pure=True))
+def test_json_round_trip(drawn):
+    p, x = drawn
+    blob = json.dumps(x.to_json())
+    back = Scalar.from_json(p, json.loads(blob))
+    assert back == x and hash(back) == hash(x)
+    assert json.dumps(back.to_json()) == blob

@@ -163,3 +163,29 @@ def test_cyclotomic_coeffs_match_sympy():
     for n in range(1, 201):
         poly = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
         assert _cyclotomic_coeffs(n) == tuple(int(v) for v in reversed(poly.all_coeffs())), n
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    from skeinrep import scalars
+    p = make_params(7, 3)
+    c = p.c_symbol()
+    x = p.a_pow(3) + p.from_rational(Fraction(-2, 7))
+    y = c * p.a_pow(-1) + p.from_rational(Fraction(5, 3))
+    values = [x, y, c, c * x, p.one(), p.zero()]
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kw):
+            built.append(args)
+            return super().__new__(cls, *args, **kw)
+
+    monkeypatch.setattr(scalars, "Fraction", CountingFraction)
+    for u in values:
+        for v in values:
+            u + v, u * v, u - v
+        if not u.is_zero():
+            assert (u * u.inverse()).is_one()
+        u.is_one()
+    assert built == []
+    assert p.one().is_one() and not c.is_one() and not (p.one() + c).is_one()
+    assert x.to_json() and built  # the wrapper does count conversions
