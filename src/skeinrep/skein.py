@@ -10,11 +10,14 @@ Evaluation resolves crossings by the Kauffman relation (the A-smoothing of
 X[a,b,c,d] joins a-d and b-c), cables k-labeled components into k parallel
 copies through one Jones-Wenzl box, and replaces closed loops by
 d = -A^2 - A^{-2}.  The sweep over crossings keeps a linear combination of
-partial pairings with like states merged, which keeps desk-scale diagrams
-fast.  omega components expand as sum_k s_k (k-labeled), s_k = c d_k.
+frontier pairings with like states merged: a state is keyed by the ports
+still open whose diagram partner has been resolved, and maps each to its
+current partner.  omega components expand as sum_k s_k (k-labeled),
+s_k = c d_k.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -317,8 +320,14 @@ def _insert_kinks(crossings, occ_head, comp_arcs, framing, fresh):
     return extra, extra_ob
 
 
-def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):
-    """Evaluate with every component's label an integer (omega expanded)."""
+def _diagram_nodes(params: QuantumParams, link: LabeledLink, labels):
+    """The cabled diagram of `link` with every component's label an integer.
+
+    Returns (nodes, pairing, loops_upfront): nodes are ("X", ports) crossings
+    of cable strands and ("B", k, bottoms, tops) Jones-Wenzl boxes; `pairing`
+    maps each port (node index, slot) to the port at the other end of its
+    arc; loops_upfront counts the closed loops that touch no node.
+    """
     r = params.r
     for k in labels:
         if not 0 <= k <= r - 2:
@@ -457,33 +466,53 @@ def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):
     # multiplicity-1 crossingless circles were counted in free_loop_count
     loops_upfront = free_loop_count + alias_loops
 
-    # ----- sweep -----
-    dval = params.loop_d()
-    a_pos, a_neg = params.a_pow(1), params.a_pow(-1)
-
     pairing = {}
     for root, ((n1, s1), (n2, s2)) in occurrences.items():
         pairing[(n1, s1)] = (n2, s2)
         pairing[(n2, s2)] = (n1, s1)
+    return nodes, pairing, loops_upfront
 
-    # node processing order: greedy frontier minimization
-    node_ports = []
-    for idx, node in enumerate(nodes):
-        cnt = 4 if node[0] == "X" else 2 * node[1]
-        node_ports.append([(idx, s) for s in range(cnt)])
+
+def _port_count(node):
+    return 4 if node[0] == "X" else 2 * node[1]
+
+
+def _greedy_order(nodes, pairing):
+    """Sweep order: each step places the node with the most ports paired to
+    placed nodes or to itself, the lowest index among equals.  Scores only
+    grow, so a heap with stale entries skipped replaces a rescan per step."""
+    score = [0] * len(nodes)
+    for (idx, _), (other, _) in pairing.items():
+        if idx == other:
+            score[idx] += 1
+    heap = [(-sc, idx) for idx, sc in enumerate(score)]
+    heapq.heapify(heap)
+    placed = [False] * len(nodes)
     order = []
-    processed = set()
-    remaining = set(range(len(nodes)))
-    while remaining:
-        best, best_score = None, -1
-        for idx in remaining:
-            score = sum(1 for p in node_ports[idx]
-                        if pairing[p][0] in processed or pairing[p][0] == idx)
-            if score > best_score:
-                best, best_score = idx, score
-        order.append(best)
-        processed.add(best)
-        remaining.discard(best)
+    while heap:
+        neg, idx = heapq.heappop(heap)
+        if placed[idx] or -neg != score[idx]:
+            continue
+        placed[idx] = True
+        order.append(idx)
+        for slot in range(_port_count(nodes[idx])):
+            nb = pairing[(idx, slot)][0]
+            if not placed[nb]:
+                score[nb] += 1
+                heapq.heappush(heap, (-score[nb], nb))
+    return order
+
+
+def _sweep(params: QuantumParams, nodes, pairing, loops_upfront) -> Scalar:
+    """Resolve the nodes one at a time, keeping a linear combination of states.
+
+    A state records the current partner of each frontier port: an
+    unprocessed port whose `pairing` partner is processed.  Every other port
+    still has its `pairing` partner, so it is left out; a state is the tuple
+    of partners in the order of `frontier`.  Like states are merged.
+    """
+    dval = params.loop_d()
+    a_pos, a_neg = params.a_pow(1), params.a_pow(-1)
 
     # resolutions per node: list of (joins, coefficient)
     def node_resolutions(node, idx):
@@ -501,24 +530,32 @@ def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):
             out.append((joins, coeff))
         return out
 
-    states = {frozenset(frozenset(pr) for pr in
-                        ((p, q) for p, q in pairing.items() if p < q)): params.one()}
-
-    def key_of(pdict):
-        return frozenset(frozenset((p, q)) for p, q in pdict.items() if p < q)
-
-    for idx in order:
+    frontier = []
+    placed = set()
+    states = {(): params.one()}
+    for idx in _greedy_order(nodes, pairing):
         node = nodes[idx]
         resolutions = node_resolutions(node, idx)
+        ports = [(idx, s) for s in range(_port_count(node))]
+        placed.add(idx)
+        old_slot = {p: i for i, p in enumerate(frontier)}
+        kept = [i for i, p in enumerate(frontier) if p[0] != idx]
+        frontier = [frontier[i] for i in kept] + [
+            q for q in (pairing[p] for p in ports) if q[0] not in placed]
+        new_slot = {p: i for i, p in enumerate(frontier)}
+        opened = [None] * (len(frontier) - len(kept))
+        # the node's ports off the frontier have their `pairing` partner in
+        # every state; those on it take their partner from the state
+        fixed = {p: pairing[p] for p in ports if p not in old_slot}
+        on_frontier = [(p, old_slot[p]) for p in ports if p in old_slot]
         new_states = {}
         for key, coeff in states.items():
-            pd = {}
-            for pr in key:
-                p, q = tuple(pr)
-                pd[p] = q
-                pd[q] = p
+            local = dict(fixed)
+            for p, i in on_frontier:
+                local[p] = key[i]
+            untouched = [key[i] for i in kept] + opened
             for joins, rcoeff in resolutions:
-                p2 = dict(pd)
+                p2 = dict(local)
                 loops = 0
                 for x, y in joins:
                     px = p2.pop(x)
@@ -534,19 +571,28 @@ def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):
                 c2 = coeff * rcoeff
                 for _ in range(loops):
                     c2 = c2 * dval
-                k2 = key_of(p2)
+                # every port left in p2 is a frontier port: a partner of the node
+                row = untouched.copy()
+                for p, q in p2.items():
+                    row[new_slot[p]] = q
+                k2 = tuple(row)
                 acc = new_states.get(k2)
                 new_states[k2] = c2 if acc is None else acc + c2
         states = {k: v for k, v in new_states.items() if not v.is_zero()}
         if not states:
             return params.zero()
 
-    if set(states) != {frozenset()}:
+    if set(states) != {()}:
         raise AssertionError("sweep did not close all strands")
-    total = states[frozenset()]
+    total = states[()]
     for _ in range(loops_upfront):
         total = total * dval
     return total
+
+
+def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):
+    """Evaluate with every component's label an integer (omega expanded)."""
+    return _sweep(params, *_diagram_nodes(params, link, labels))
 
 
 def evaluate(params: QuantumParams, link: LabeledLink) -> Scalar:
@@ -580,7 +626,8 @@ def closed_braid_link(word, n, labels=None, framings=None) -> LabeledLink:
     Positive generator i: the strand arriving at position i passes under,
     (right strand over left).  Components are the cycles of the underlying
     permutation, ordered by smallest starting position; labels/framings are
-    assigned in that order (defaults: label 1, framing 0).
+    assigned in that order (defaults: label 1, framing 0).  A list given
+    must hold one entry per component, or DomainError is raised.
     """
     cur = list(range(1, n + 1))  # arc id at each position (1-indexed below)
     start = list(cur)
@@ -606,8 +653,7 @@ def closed_braid_link(word, n, labels=None, framings=None) -> LabeledLink:
         strands.union(b, d)
     strand_of = {a: g for g in strands.groups() for a in g}
     seen = set()
-    comps = []
-    j = 0
+    arc_lists = []
     for p0 in range(1, n + 1):
         if p0 in seen:
             continue
@@ -616,11 +662,15 @@ def closed_braid_link(word, n, labels=None, framings=None) -> LabeledLink:
             seen.add(p)
             p = perm[p]
         # a strand that never crosses anything is a bare circle
-        arcs = sorted(strand_of.get(start[p0 - 1], []))
-        label = labels[j] if labels else 1
-        fr = framings[j] if framings else 0
-        comps.append(Component(label, fr, arcs))
-        j += 1
+        arc_lists.append(sorted(strand_of.get(start[p0 - 1], [])))
+    count = len(arc_lists)
+    for name, given in (("labels", labels), ("framings", framings)):
+        if given is not None and len(given) != count:
+            raise DomainError(f"{len(given)} {name} given for a closure "
+                              f"with {count} components")
+    comps = [Component(1 if labels is None else labels[j],
+                       0 if framings is None else framings[j], arcs)
+             for j, arcs in enumerate(arc_lists)]
     link = LabeledLink(comps, crossings)
     link.validate()
     return link

@@ -56,6 +56,18 @@ def test_linking_matrix_and_signature():
     assert sk.linking_matrix(neg) == [[0, -1], [-1, 0]]
 
 
+@pytest.mark.parametrize("kwargs", [{"labels": [2]}, {"framings": [0, 1]},
+                                    {"labels": [1, 1, 1, 1]}, {"framings": [0] * 4},
+                                    {"labels": []}])
+def test_closure_needs_one_label_and_framing_per_component(kwargs):
+    word = [1, -2, 1, -2, 1, -2]  # three components
+    assert len(closed_braid_link(word, 3).components) == 3
+    with pytest.raises(sk.DomainError, match="with 3 components"):
+        closed_braid_link(word, 3, **kwargs)
+    link = closed_braid_link(word, 3, labels=[2, 1, "omega"], framings=[0, 1, -1])
+    assert [(c.label, c.framing) for c in link.components] == [(2, 0), (1, 1), ("omega", -1)]
+
+
 # ----- evaluation anchors -----
 
 def test_unknot_values(params):
