@@ -77,26 +77,6 @@ def mat_inv(params: QuantumParams, a):
     return [row[n:] for row in aug]
 
 
-def scalar_multiple_of(a, b):
-    """If a = s*b for a Scalar s (b nonzero), return s; else None.
-
-    Used for exact projective comparisons of representation matrices.
-    """
-    s = None
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if y.is_zero():
-                if not x.is_zero():
-                    return None
-                continue
-            ratio = x / y
-            if s is None:
-                s = ratio
-            elif s != ratio:
-                return None
-    return s
-
-
 def is_identity(params: QuantumParams, a):
     n = len(a)
     for i in range(n):

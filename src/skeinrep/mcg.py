@@ -232,7 +232,7 @@ class Torus(SurfaceModel):
         if curve == "b":
             return cb
         va = self.twist_matrix(params, "a", 1 if curve == "c" else -1).matrix
-        va_inv = mat_inv(params, va)
+        va_inv = self.twist_matrix(params, "a", -1 if curve == "c" else 1).matrix
         return mat_mul(va, mat_mul(cb, va_inv))
 
 

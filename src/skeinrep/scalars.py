@@ -17,9 +17,13 @@ big-integer multiply; an inverse solves N w = 1 mod Phi by fraction-free
 (Bareiss) elimination.  Fraction is used only off the arithmetic path: to
 build Phi, and to convert from and to rationals, JSON and floats.
 
-All equality decisions are exact.  Floating point appears only in
-``Scalar.embed`` (the numeric embedding A -> e^{2 pi i s/4r}, c -> positive
-real root of 1/D), which is never used on an equality-bearing path.
+The exact arithmetic depends on the level r alone: it is formal in A, with
+Phi = Phi_4r the minimal polynomial of every primitive 4r-th root, so a
+value computed at one root has the same parts at every other root of its
+level.  The root selector s only picks the numeric embedding.  All equality
+decisions are exact.  Floating point appears only in ``Scalar.embed`` (the
+embedding A -> e^{2 pi i s/4r}, c -> positive real root of 1/D), which is
+never used on an equality-bearing path.
 """
 from __future__ import annotations
 
@@ -49,8 +53,10 @@ class QuantumParams:
     """Root-of-unity context: A = e^{2 pi i s / 4r} with gcd(s, 4r) = 1, r >= 3.
 
     Interned: QuantumParams(r, s) is the one context for that pair, built on
-    first use and kept for the process, so identity is equality.  It owns
-    every memo that depends on (r, s) alone, through ``cached``."""
+    first use and kept for the process, so identity is equality.  Every root
+    of a level shares the cyclotomic tables and one level memo with
+    QuantumParams(r, 1); ``cached`` serves each root that memo's values bound
+    to itself, and s matters only to ``Scalar.embed``."""
 
     _interned: dict = {}
 
@@ -68,22 +74,34 @@ class QuantumParams:
         self.r = r
         self.s = s
         self.order = 4 * r
-        cyclo = _cyclotomic_coeffs(self.order)
-        self.phi = len(cyclo) - 1
-        self._cyclo = cyclo
-        self._red = self._reduction_table()
-        self._apow = self._a_power_table()
-        self._one = _const(self, 1)
+        if s == 1:
+            cyclo = _cyclotomic_coeffs(self.order)
+            self.phi = len(cyclo) - 1
+            self._cyclo = cyclo
+            self._red = self._reduction_table()
+            self._apow = self._a_power_table()
+            self._one = _const(self, 1)
+            self._level = {}
+        else:
+            level = cls(r, 1)
+            self.phi, self._cyclo, self._red, self._apow, self._one, self._level = (
+                level.phi, level._cyclo, level._red, level._apow, level._one, level._level)
         self._memo = {}
+        self._c = None
         cls._interned[(r, s)] = self
         return self
 
     def cached(self, key, build):
-        """The value memoized under key in this context, from build() on
-        first use."""
+        """The value memoized under key at this root.  A value first built at
+        another root of the level is rebound to this one, sharing its exact
+        parts; build() runs only for a key new to the level."""
         memo = self._memo
         if key not in memo:
-            memo[key] = build()
+            level = self._level
+            if key in level:
+                memo[key] = _rebind(level[key], self)
+            else:
+                memo[key] = level[key] = build()
         return memo[key]
 
     def _times_x(self, u):
@@ -237,11 +255,14 @@ class QuantumParams:
         return self._poly_inv(self.total_d_squared().base)
 
     def _c_float(self) -> float:
-        """c as a float, the positive real root of 1/D (memoized by callers)."""
-        D = self.total_d_squared().embed()
-        if abs(D.imag) > 1e-9 or D.real <= 0:
-            raise ArithmeticError(f"D is not a positive real at r={self.r}, s={self.s}: {D}")
-        return 1.0 / math.sqrt(D.real)
+        """c as a float, the positive real root of 1/D at this root; it
+        depends on s, so it is kept on the root, not in the level memo."""
+        if self._c is None:
+            D = self.total_d_squared().embed()
+            if abs(D.imag) > 1e-9 or D.real <= 0:
+                raise ArithmeticError(f"D is not a positive real at r={self.r}, s={self.s}: {D}")
+            self._c = 1.0 / math.sqrt(D.real)
+        return self._c
 
     def __repr__(self):
         return f"QuantumParams(r={self.r}, s={self.s})"
@@ -285,26 +306,6 @@ def _poly_trim(u):
     while u and not u[-1]:
         u.pop()
     return tuple(u)
-
-
-def _poly_sub(u, v):
-    n = max(len(u), len(v))
-    return tuple(
-        (u[i] if i < len(u) else Fraction(0)) - (v[i] if i < len(v) else Fraction(0))
-        for i in range(n)
-    )
-
-
-def _poly_mul_raw(u, v):
-    if not u or not v:
-        return ()
-    out = [Fraction(0)] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                if vj:
-                    out[i + j] += ui * vj
-    return tuple(out)
 
 
 def _poly_divmod(u, v):
@@ -437,7 +438,7 @@ class Scalar:
         if self.base is not None:
             val += _horner(self.base, a)
         if self.cpart is not None:
-            val += _horner(self.cpart, a) * p.cached("c_float", p._c_float)
+            val += _horner(self.cpart, a) * p._c_float()
         return val
 
     def __repr__(self):
@@ -477,6 +478,17 @@ def _tadd(u, v):
     if ud == vd:
         return _part([a + b for a, b in zip(un, vn)], ud)
     return _part([a * vd + b * ud for a, b in zip(un, vn)], ud * vd)
+
+
+def _rebind(value, params):
+    """A memoized value bound to params, another root of the level it was
+    built at: a new Scalar over the same parts per entry, walking lists and
+    tuples and anything with a ``rebind`` method; the rest is shared."""
+    if isinstance(value, Scalar):
+        return Scalar(params, value.base, value.cpart)
+    if isinstance(value, (list, tuple)):
+        return type(value)(_rebind(v, params) for v in value)
+    return value.rebind(params) if hasattr(value, "rebind") else value
 
 
 def _neg(u):

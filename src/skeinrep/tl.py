@@ -10,9 +10,9 @@ right.  The circular boundary order (for planarity and the parenthesis
 encoding) walks the bottom left to right, then the top right to left.
 
 The only global memos are the diagram-pair compositions and the diagram
-bases: they do not depend on the root of unity, so every parameter context
-shares them.  Jones-Wenzl projectors do depend on it, and live in the memo
-of their QuantumParams.
+bases: they do not depend on the level, so every parameter context shares
+them.  Jones-Wenzl projectors do depend on it, and live in the level memo
+of QuantumParams.cached, rebound to each root by ``TLElement.rebind``.
 """
 from __future__ import annotations
 
@@ -239,6 +239,13 @@ class TLElement:
     def caps(params, k):
         """2k -> 0 morphism of k nested caps."""
         return TLElement.from_diagram(params, TLDiagram(2 * k, 0, [(i, 2 * k - 1 - i) for i in range(k)]))
+
+    def rebind(self, params):
+        """This element over params, another root of its level: one new
+        Scalar per term over the same exact parts."""
+        out = TLElement(params, self.nb, self.nt)
+        out.terms = {diag: Scalar(params, c.base, c.cpart) for diag, c in self.terms.items()}
+        return out
 
     # ----- linear structure -----
 

@@ -8,11 +8,12 @@ for r in {3, 4, 5, 6}.
 import itertools
 import random
 
+from helpers import scalar_multiple_of
 from skeinrep import linalg, mcg, recoupling as rc, skein as sk, tqft
 from skeinrep.braids import (BraidWord, Cabling, braid_detect, cable,
                              full_twist_scalar, full_twist_word,
                              jones_sector_rep, sector_labels)
-from skeinrep.linalg import eye, mat_mul, mat_trace, scalar_multiple_of
+from skeinrep.linalg import eye, mat_mul, mat_trace
 from skeinrep.scalars import make_params
 from skeinrep.skein import (BalancedStabilization, CircumcisionPair,
                             HandleSlide, LabeledLink, closed_braid_link,

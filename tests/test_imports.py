@@ -1,6 +1,6 @@
 """Package hygiene, checked on the source with the stdlib ``ast``: every
 import is used, and no module keeps a cache of its own (what depends on the
-root of unity is memoized by ``QuantumParams.cached``)."""
+level is memoized once per level by ``QuantumParams.cached``)."""
 import ast
 from pathlib import Path
 

@@ -1,12 +1,19 @@
 """Mapping-class-group representations: twist matrices, relations, detection."""
+import json
+import math
+import random
+
 import pytest
 
-from skeinrep import mcg, tqft
-from skeinrep.linalg import eye, mat_inv, mat_mul, mat_vec, scalar_multiple_of
+from helpers import scalar_multiple_of
+from skeinrep import mcg, skein, tqft
+from skeinrep.braids import BraidWord, jones_sector_rep, sector_labels
+from skeinrep.linalg import eye, mat_inv, mat_mul, mat_vec
 from skeinrep.recoupling import (encircle_eigenvalue, hopf_pairing,
                                  twist_coefficient)
 from skeinrep.scalars import make_params
-from skeinrep.skein import DomainError
+from skeinrep.skein import DomainError, closed_braid_link
+from skeinrep.tl import TLDiagram, TLElement, jones_wenzl
 
 
 @pytest.fixture(params=[3, 4, 5, 6])
@@ -217,8 +224,8 @@ def test_zero_dimensional_block():
 
 # -------------------------------------------------------------- genus 2
 
-def test_genus2_twist_shared_across_models(monkeypatch):
-    # a root used by no other test, so the context's memo starts without b2
+def test_genus2_twist_shared_across_models(monkeypatch, fresh_contexts):
+    # fresh contexts, so the level memo starts without b2
     params = make_params(4, 13)
     calls = []
     build = mcg.GenusTwo._twist_base
@@ -234,8 +241,8 @@ def test_genus2_twist_shared_across_models(monkeypatch):
     assert first.matrix == second.matrix
 
 
-def test_inverse_twist_inverted_once(monkeypatch):
-    # a root used by no other test, so the context's memo starts without it
+def test_inverse_twist_inverted_once(monkeypatch, fresh_contexts):
+    # fresh contexts, so the level memo starts without the inverse
     params = make_params(4, 5)
     calls = []
 
@@ -412,3 +419,100 @@ def test_unknown_curve_rejected(params):
         mcg.Torus().twist_matrix(params, "nope")
     with pytest.raises(DomainError):
         mcg.surface_model("klein_bottle")
+
+
+# ------------------------------------------------ one memo per level
+#
+# The exact parts of a value do not depend on which primitive 4r-th root A
+# is: every root of a level shares one memo, and s only picks the embedding.
+
+
+def units(r):
+    return [s for s in range(1, 4 * r) if math.gcd(s, 4 * r) == 1]
+
+
+def level_objects(params):
+    """Memoized and derived values at one root: twist matrices (+-1) on the
+    torus and the punctured torus, genus-2 b2 at r = 4, every Jones-Wenzl
+    projector, the B_3 sector matrices, those of a B_4 word drawn per root
+    (so a root may build generators whose blocks another root built) and an
+    omega-labeled framed closure."""
+    out = []
+    models = [mcg.Torus()] + [mcg.PuncturedTorus(l) for l in range(0, params.r - 1, 2)]
+    for model in models:
+        for curve in model.curves():
+            for power in (1, -1):
+                out.append(model.twist_matrix(params, curve, power).matrix)
+    if params.r == 4:
+        out.append(mcg.GenusTwo().twist_matrix(params, "b2").matrix)
+    out += [jones_wenzl(params, k) for k in range(params.r - 1)]
+    rng = random.Random(100 * params.r + params.s)
+    for braid in (BraidWord(3, (1, -2, 1, 2)),
+                  BraidWord(4, [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(4)])):
+        out += [jones_sector_rep(params, braid, m).matrix for m in sector_labels(params, braid.n)]
+    out.append(skein.evaluate(params, closed_braid_link(
+        [1, 1, -2], 3, labels=[skein.OMEGA, 1], framings=[1, -1])))
+    return out
+
+
+def digest(params, obj):
+    """The to_json and rounded embedding of every scalar in obj, which must
+    all be bound to params."""
+    if isinstance(obj, list):
+        return [digest(params, x) for x in obj]
+    if isinstance(obj, TLElement):
+        return digest(params, [obj.terms[d] for d in sorted(obj.terms, key=TLDiagram.parens)])
+    assert obj.params is params
+    v = obj.embed()
+    return [obj.to_json(), round(v.real, 9), round(v.imag, 9)]
+
+
+def fingerprint(r, s):
+    params = make_params(r, s)
+    return json.dumps(digest(params, level_objects(params)))
+
+
+def test_shared_level_memo_matches_per_root_builds(fresh_contexts):
+    rng = random.Random(6)
+    roots = [(r, s) for r in (4, 5, 6) for s in rng.sample(units(r), 4)]
+    rng.shuffle(roots)
+    shared = {rs: fingerprint(*rs) for rs in roots}
+    for rs in roots:
+        fresh_contexts()  # the reference builds every value at its own root
+        assert fingerprint(*rs) == shared[rs], rs
+
+
+def test_level_memo_builds_twist_once(monkeypatch, fresh_contexts):
+    first = mcg.GenusTwo().twist_matrix(make_params(4, 1), "b2").matrix
+    calls = []
+    build = mcg.GenusTwo._twist_base
+
+    def counted(self, p, curve):
+        calls.append((p.s, curve))
+        return build(self, p, curve)
+
+    monkeypatch.setattr(mcg.GenusTwo, "_twist_base", counted)
+    p3 = make_params(4, 3)
+    other = mcg.GenusTwo().twist_matrix(p3, "b2").matrix
+    assert calls == []
+    assert all(x.params is p3 for row in other for x in row)
+    assert [[x.base for x in row] for row in other] == [[x.base for x in row] for row in first]
+
+
+HYPERELLIPTIC = "b0 b1 b2 b3 b4 b4 b3 b2 b1 b0"
+
+
+@pytest.mark.parametrize("surface, word, levels", [
+    ("torus", "a b", (4, 5, 6)),
+    ("torus", "a -a", (4, 5, 6)),
+    ("genus2", "b0 b1", (4, 5)),
+    ("genus2", HYPERELLIPTIC, (4, 5)),
+])
+def test_verdicts_do_not_depend_on_the_root(surface, word, levels):
+    # the paper's detection holds for every primitive 4r-th root A
+    word = mcg.parse_word(word)
+    for r in levels:
+        ref = mcg.detect(surface, word, [r], s=1)
+        for s in units(r):
+            res = mcg.detect(surface, word, [r], s=s)
+            assert (res.verdicts, res.r0, res.witness) == (ref.verdicts, ref.r0, ref.witness), (r, s)

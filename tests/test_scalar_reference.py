@@ -8,7 +8,8 @@ from math import gcd
 
 import pytest
 
-from skeinrep.scalars import Scalar, _poly_divmod, _poly_mul_raw, _poly_sub, _poly_trim, make_params
+from helpers import poly_mul_raw, poly_sub
+from skeinrep.scalars import Scalar, _poly_divmod, _poly_trim, make_params
 
 
 class Reference:
@@ -24,7 +25,7 @@ class Reference:
         self.inv_d = self.inv(vec(params.total_d_squared().base, self.phi))
 
     def mul(self, u, v):
-        prod = list(_poly_mul_raw(u, v))
+        prod = list(poly_mul_raw(u, v))
         for k in range(self.phi, len(prod)):
             prod[:self.phi] = [a + prod[k] * b for a, b in zip(prod, self.red[k - self.phi])]
         return tuple(prod[:self.phi])
@@ -33,7 +34,7 @@ class Reference:
         r0, r1, t0, t1 = self.mod, u, (Fraction(0),), (Fraction(1),)
         while _poly_trim(r1):
             q, rem = _poly_divmod(r0, r1)
-            r0, r1, t0, t1 = r1, rem, t1, _poly_sub(t0, _poly_mul_raw(q, t1))
+            r0, r1, t0, t1 = r1, rem, t1, poly_sub(t0, poly_mul_raw(q, t1))
         full = _poly_divmod(tuple(t / _poly_trim(r0)[0] for t in t0), self.mod)[1]
         return full + (Fraction(0),) * (self.phi - len(full))
 

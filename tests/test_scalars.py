@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import poly_mul_raw, poly_sub
 from skeinrep.scalars import (QuantumParams, Scalar, _cyclotomic_coeffs, _poly_divmod,
-                              _poly_mul_raw, _poly_sub, _poly_trim, make_params)
+                              _poly_trim, make_params)
 
 
 RS = [3, 4, 5, 6]
@@ -60,6 +61,15 @@ def test_scalars_from_different_roots_do_not_mix():
         a == b
 
 
+def test_c_embeds_at_its_own_root(fresh_contexts):
+    # (5, 3) shares the level memo of (5, 1), which has embedded a c-part
+    # first; c is a float of its own root, not a memoized exact value
+    assert make_params(5, 1).c_symbol().embed().real > 0
+    p3 = make_params(5, 3)
+    D = p3.total_d_squared().embed()
+    assert p3.c_symbol().embed() == pytest.approx(1 / math.sqrt(D.real), rel=1e-12)
+
+
 def test_poly_divmod_random():
     rng = random.Random(20260)
 
@@ -72,7 +82,7 @@ def test_poly_divmod_random():
         v = poly(rng.randint(0, 6))
         q, rem = _poly_divmod(u, v)
         assert len(rem) < len(v) and (not rem or rem[-1])  # deg rem < deg v
-        assert _poly_trim(_poly_sub(u, _poly_mul_raw(q, v))) == rem  # u = q*v + rem
+        assert _poly_trim(poly_sub(u, poly_mul_raw(q, v))) == rem  # u = q*v + rem
 
 
 @pytest.mark.parametrize("r", RS)
