@@ -1,26 +1,25 @@
 """Projective mapping-class-group representations on spine bases.
 
-Supported surfaces carry a hand-built curve dictionary.  Every dictionary
-curve gets an exact curve operator C(gamma) (the skein operator inserting the
-curve in Y x I); its Dehn-twist matrix is the polynomial in C(gamma) that
-maps each encircling eigenvalue lambda_k to the twist coefficient mu_k --
-both operators are diagonalized by the same curve decomposition, so one
-exact Lagrange interpolation turns curve operators into twist matrices.
-
-Curve operators come in three kinds:
-  * spine-diagonal: the curve encircles one spine edge; C = diag(lambda_label)
-  * parallel insertion: the curve is parallel to a spine cycle; C is the
-    tridiagonal fusion operator with tetrahedral coefficients
-  * conjugated: C = M (diagonal) M^{-1} for a fixed change-of-basis matrix M
-    (the Hopf S-matrix on the torus; an F-move for the 4-punctured sphere
-    and the genus-2 middle curve)
+Supported surfaces carry a hand-built curve dictionary, and a model gives
+each curve once, by its frame (left, core, right).  core is the labels of
+the spine edge the curve encircles, one per basis vector, or the matrix of
+the curve's parallel insertion (a fusion operator with tetrahedral
+coefficients).  left and right are a change of basis and its inverse in
+closed form -- the Hopf S-matrix with S^{-1} = S/D, or an F-move with
+F(a,b,c,d)^{-1} = F(b,c,d,a) -- or None.  `SurfaceModel` turns a frame into
+the curve operator left . C(core) . right and the twist pair
+left . f(core) . right, where f(lambda_k) = mu_k^{+-1}: read off a label core,
+and one exact Lagrange pass shared by both signs on a matrix core.  No
+matrix is inverted by elimination.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from math import prod
 
 from . import tqft
-from .linalg import eye, mat_inv, mat_mul, mat_trace, zeros
+from .linalg import eye, mat_mul, mat_trace, zeros
 from .recoupling import (encircle_eigenvalue, f_matrix, f_matrix_channels,
                          hopf_pairing, tet, theta, twist_coefficient)
 from .scalars import QuantumParams, Scalar, make_params
@@ -97,36 +96,39 @@ def _support_blocks(cmat):
     return uf.groups()
 
 
-def _interp_twist(params: QuantumParams, cmat):
-    """The twist matrix of a curve from its curve operator: the unique
-    polynomial sending encircle_eigenvalue(k) -> twist_coefficient(k),
-    applied to the operator blockwise by exact Lagrange interpolation."""
-    blocks = _support_blocks(cmat)
-    if len(blocks) > 1:
-        out = zeros(params, len(cmat), len(cmat))
-        for idxs in blocks:
-            sub = [[cmat[i][j] for j in idxs] for i in idxs]
-            tw = _interp_twist(params, sub)
-            for a, i in enumerate(idxs):
-                for b, j in enumerate(idxs):
-                    out[i][j] = tw[a][b]
-        return out
-    r = params.r
-    lams = [encircle_eigenvalue(params, k) for k in range(r - 1)]
-    mus = [twist_coefficient(params, k) for k in range(r - 1)]
+def _interp_pair(params: QuantumParams, cmat):
+    """The twist matrix of a curve and its inverse from its curve operator
+    C: the polynomials sending encircle_eigenvalue(k) to
+    twist_coefficient(k)^{+-1}, applied blockwise.  One exact Lagrange pass
+    builds each term prod_{j != k} (C - lambda_j) once and weights it by
+    mu_k^{+-1} / prod_{j != k} (lambda_k - lambda_j) for both signs."""
+    labels = range(params.r - 1)
+    lams = [encircle_eigenvalue(params, k) for k in labels]
+    weights = []
+    for k in labels:
+        inv = prod((lams[k] - lams[j] for j in labels if j != k), start=params.one()).inverse()
+        weights.append([twist_coefficient(params, k, e) * inv for e in (1, -1)])
     n = len(cmat)
-    out = zeros(params, n, n)
-    for k in range(r - 1):
-        term = eye(params, n)
-        for j in range(r - 1):
-            if j == k:
-                continue
-            step = [[cmat[a][b] - (lams[j] if a == b else params.zero())
-                     for b in range(n)] for a in range(n)]
-            scale = (lams[k] - lams[j]).inverse()
-            term = [[x * scale for x in row] for row in mat_mul(term, step)]
-        out = [[out[a][b] + mus[k] * term[a][b] for b in range(n)] for a in range(n)]
-    return out
+    pair = (zeros(params, n, n), zeros(params, n, n))
+    for idxs in _support_blocks(cmat):
+        steps = [[[cmat[a][b] - (lam if a == b else params.zero()) for b in idxs]
+                  for a in idxs] for lam in lams]
+        for k in labels:
+            term = reduce(mat_mul, [steps[j] for j in labels if j != k])
+            for out, w in zip(pair, weights[k]):
+                for a, i in enumerate(idxs):
+                    for b, j in enumerate(idxs):
+                        out[i][j] = out[i][j] + w * term[a][b]
+    return pair
+
+
+def _is_labels(core):
+    """A frame core is a label list or a matrix (a list of rows)."""
+    return all(isinstance(k, int) for k in core)
+
+
+def _conjugate(left, core, right):
+    return core if left is None else mat_mul(left, mat_mul(core, right))
 
 
 def _diag(params, values):
@@ -137,18 +139,27 @@ def _diag(params, values):
     return m
 
 
-def _parallel_coeff(params, x, xp, m) -> Scalar:
-    """Coefficient of |x'> in C(cycle)|x> for a 1-labeled curve parallel to a
-    loop edge labeled x whose vertex is (x, x, m): fuse the curve into the
-    loop and replace the triangle at the vertex by a tetrahedron."""
-    num = params.d_k(xp) * tet(params, x, x, xp, xp, m, 1)
-    den = theta(params, x, 1, xp) * theta(params, xp, xp, m)
-    return num / den
+def _loop_insertion(params, tup, pos):
+    """C of a 1-labeled curve parallel to a loop edge, on basis tuples that
+    hold the loop's label at `pos` and the third label at its vertex at 1:
+    fuse the curve into the loop and replace the triangle at the vertex by a
+    tetrahedron."""
+    idx = {t: i for i, t in enumerate(tup)}
+    out = zeros(params, len(tup), len(tup))
+    for i, t in enumerate(tup):
+        x, m = t[pos], t[1]
+        for xp in (x - 1, x + 1):
+            t2 = t[:pos] + (xp,) + t[pos + 1:]
+            if t2 in idx:
+                num = params.d_k(xp) * tet(params, x, x, xp, xp, m, 1)
+                out[idx[t2]][i] = num / (theta(params, x, 1, xp) * theta(params, xp, xp, m))
+    return out
 
 
 class SurfaceModel:
     """A supported surface: a reference spine, a basis, and a curve
-    dictionary mapping curve names to curve-operator constructions."""
+    dictionary; `_frame` describes each curve, and this class alone turns a
+    frame into its curve operator and twist matrices."""
 
     name = None
 
@@ -156,6 +167,11 @@ class SurfaceModel:
         raise NotImplementedError
 
     def curves(self):
+        raise NotImplementedError
+
+    def _frame(self, params, curve):
+        """(left, core, right) of a dictionary curve, as the module
+        docstring describes."""
         raise NotImplementedError
 
     def basis(self, params):
@@ -170,26 +186,36 @@ class SurfaceModel:
     def curve_operator(self, params, curve) -> RepMatrix:
         if curve not in self.curves():
             raise DomainError(f"unknown curve {curve!r} on {self.name}")
-        return RepMatrix(self._curve_operator(params, curve), params.r,
-                         self.name, self._label_context())
+        left, core, right = self._frame(params, curve)
+        if _is_labels(core):
+            core = _diag(params, [encircle_eigenvalue(params, k) for k in core])
+        return RepMatrix(_conjugate(left, core, right), params.r, self.name,
+                         self._label_context())
+
+    def _twist_pair(self, params, curve):
+        """(T, T^{-1}) for a curve, both conjugated from its frame's core."""
+        left, core, right = self._frame(params, curve)
+        if _is_labels(core):
+            pair = [_diag(params, [twist_coefficient(params, k, e) for k in core])
+                    for e in (1, -1)]
+        else:
+            pair = _interp_pair(params, core)
+        return tuple(_conjugate(left, m, right) for m in pair)
+
+    def _twists(self, params, curve):
+        # a model is fixed by its name and boundary labels, so its twist
+        # pairs are shared by every model built alike at this level
+        key = ("twist", self.name, self._label_context(), curve)
+        return params.cached(key, lambda: self._twist_pair(params, curve))
 
     def twist_matrix(self, params, curve, power=1) -> RepMatrix:
         if curve not in self.curves():
             raise DomainError(f"unknown curve {curve!r} on {self.name}")
-        # a model is fixed by its name and boundary labels, so its twist
-        # bases are shared by every model built alike at this root
-        key = (self.name, self._label_context(), curve)
-        m = params.cached(("twist",) + key, lambda: self._twist_base(params, curve))
-        if power < 0:
-            m = params.cached(("twist_inv",) + key, lambda: mat_inv(params, m))
-            power = -power
+        m = self._twists(params, curve)[0 if power >= 0 else 1]
         out = eye(params, len(m))
-        for _ in range(power):
+        for _ in range(abs(power)):
             out = mat_mul(out, m)
         return RepMatrix(out, params.r, self.name, self._label_context())
-
-    def _twist_base(self, params, curve):
-        return _interp_twist(params, self._curve_operator(params, curve))
 
     def represent(self, params, word) -> RepMatrix:
         """word: sequence of (curve name, exponent)."""
@@ -221,19 +247,19 @@ class Torus(SurfaceModel):
         r = params.r
         return [[hopf_pairing(params, j, k) for k in range(r - 1)] for j in range(r - 1)]
 
-    def _curve_operator(self, params, curve):
-        r = params.r
-        lam = _diag(params, [encircle_eigenvalue(params, k) for k in range(r - 1)])
+    def _frame(self, params, curve):
+        labels = list(range(params.r - 1))
         if curve == "a":
-            return lam
+            return None, labels, None
         s = self.s_matrix(params)
-        s_inv = mat_inv(params, s)
-        cb = mat_mul(s, mat_mul(lam, s_inv))
+        inv_d = params.total_d_squared().inverse()  # S S = D I
+        s_inv = [[x * inv_d for x in row] for row in s]
         if curve == "b":
-            return cb
-        va = self.twist_matrix(params, "a", 1 if curve == "c" else -1).matrix
-        va_inv = self.twist_matrix(params, "a", -1 if curve == "c" else 1).matrix
-        return mat_mul(va, mat_mul(cb, va_inv))
+            return s, labels, s_inv
+        va, va_inv = self._twists(params, "a")
+        if curve == "d":
+            va, va_inv = va_inv, va
+        return mat_mul(va, s), labels, mat_mul(s_inv, va_inv)
 
 
 class PuncturedTorus(SurfaceModel):
@@ -256,27 +282,18 @@ class PuncturedTorus(SurfaceModel):
     def _label_context(self):
         return (self.boundary_label,)
 
-    def _curve_operator(self, params, curve):
-        bas = self.basis(params)
-        xs = [b["x"] for b in bas]
+    def _frame(self, params, curve):
+        tup = [(b["x"], self.boundary_label) for b in self.basis(params)]
         if curve == "a":
-            return _diag(params, [encircle_eigenvalue(params, x) for x in xs])
-        n = len(xs)
-        idx = {x: i for i, x in enumerate(xs)}
-        out = zeros(params, n, n)
-        l = self.boundary_label
-        for i, x in enumerate(xs):
-            for xp in (x - 1, x + 1):
-                if xp in idx:
-                    out[idx[xp]][i] = _parallel_coeff(params, x, xp, l)
-        return out
+            return None, [x for x, l in tup], None
+        return None, _loop_insertion(params, tup, 0), None
 
 
 class FourPuncturedSphere(SurfaceModel):
     """4-punctured sphere with boundary labels (l1,l2,l3,l4): basis = middle
     labels of the horizontal channel.  Curve 'g12' surrounds punctures 1,2
     (diagonal); 'g23' surrounds 2,3 (diagonal in the vertical channel,
-    conjugated back by the F-matrix); 'g34' surrounds 3,4 (diagonal)."""
+    reached by the F-matrix); 'g34' surrounds 3,4 (diagonal)."""
 
     name = "four_punctured_sphere"
 
@@ -292,27 +309,28 @@ class FourPuncturedSphere(SurfaceModel):
     def _label_context(self):
         return self.labels
 
-    def _curve_operator(self, params, curve):
-        l1, l2, l3, l4 = self.labels
-        es, fs = f_matrix_channels(params, l1, l2, l3, l4)
+    def _frame(self, params, curve):
+        es = [b["m"] for b in self.basis(params)]
         if curve in ("g12", "g34"):
-            return _diag(params, [encircle_eigenvalue(params, e) for e in es])
+            return None, es, None
+        l1, l2, l3, l4 = self.labels
+        _, fs = f_matrix_channels(params, l1, l2, l3, l4)
         if len(es) != len(fs):
             raise DomainError("channel bases have different dimensions")
-        f = f_matrix(params, l1, l2, l3, l4)
-        # coordinates transform covariantly: w_f = sum_e six_j(.., e, f) v_e
-        k = [[f[ei][fi] for ei in range(len(es))] for fi in range(len(fs))]
-        k_inv = mat_inv(params, k)
-        lam = _diag(params, [encircle_eigenvalue(params, x) for x in fs])
-        return mat_mul(k_inv, mat_mul(lam, k))
+        # coordinates transform covariantly, w_f = sum_e six_j(.., e, f) v_e,
+        # so K = F^T, and F(l1,l2,l3,l4) F(l2,l3,l4,l1) = I inverts it
+        k = [list(col) for col in zip(*f_matrix(params, l1, l2, l3, l4))]
+        k_inv = [list(col) for col in zip(*f_matrix(params, l2, l3, l4, l1))]
+        return k_inv, fs, k
 
 
 class GenusTwo(SurfaceModel):
     """Closed genus-2 surface, dumbbell spine with loop labels x, y and bar
     label m; basis ordered lexicographically on (x, m, y).  The chain curves:
     b1, b3 are the handle meridians (diagonal); b0, b4 are the handle
-    longitudes (parallel insertion); b2 runs through both handles and is
-    computed in the theta-spine coordinates reached by one F-move on the bar.
+    longitudes (parallel insertion); b2 runs through both handles and is a
+    parallel insertion in the theta-spine coordinates reached by one F-move
+    on the bar.
     """
 
     name = "genus2"
@@ -323,63 +341,40 @@ class GenusTwo(SurfaceModel):
     def curves(self):
         return ("b0", "b1", "b2", "b3", "b4")
 
-    def _curve_operator(self, params, curve):
-        bas = self.basis(params)
-        tup = [(b["x"], b["m"], b["y"]) for b in bas]
-        idx = {t: i for i, t in enumerate(tup)}
-        n = len(tup)
+    def _frame(self, params, curve):
+        tup = [(b["x"], b["m"], b["y"]) for b in self.basis(params)]
         if curve == "b1":
-            return _diag(params, [encircle_eigenvalue(params, x) for x, m, y in tup])
+            return None, [x for x, m, y in tup], None
         if curve == "b3":
-            return _diag(params, [encircle_eigenvalue(params, y) for x, m, y in tup])
-        if curve in ("b0", "b4"):
-            out = zeros(params, n, n)
-            for i, (x, m, y) in enumerate(tup):
-                z = x if curve == "b0" else y
-                for zp in (z - 1, z + 1):
-                    t2 = (zp, m, y) if curve == "b0" else (x, m, zp)
-                    if t2 in idx:
-                        out[idx[t2]][i] = _parallel_coeff(params, z, zp, m)
-            return out
-        # b2: change to theta coordinates by the F-move on the bar, apply the
-        # double parallel insertion, change back
-        k = self._theta_change(params, tup, idx)
-        k_inv = mat_inv(params, k)
-        ct = self._theta_parallel(params)
-        return mat_mul(k_inv, mat_mul(ct, k))
-
-    def _twist_base(self, params, curve):
-        if curve != "b2":
-            return super()._twist_base(params, curve)
-        # interpolate in theta coordinates, where the operator is block
-        # diagonal over the middle label, then conjugate back
-        bas = self.basis(params)
-        tup = [(b["x"], b["m"], b["y"]) for b in bas]
-        idx = {t: i for i, t in enumerate(tup)}
-        k = self._theta_change(params, tup, idx)
-        k_inv = mat_inv(params, k)
-        tw = _interp_twist(params, self._theta_parallel(params))
-        return mat_mul(k_inv, mat_mul(tw, k))
+            return None, [y for x, m, y in tup], None
+        if curve == "b2":
+            k, k_inv = self._theta_change(params, tup)
+            return k_inv, self._theta_parallel(params), k
+        return None, _loop_insertion(params, tup, 0 if curve == "b0" else 2), None
 
     def theta_basis(self, params):
         return [(b["x"], b["y"], b["z"])
                 for b in tqft.basis(params, tqft.theta_spine())]
 
-    def _theta_change(self, params, tup, idx):
-        """Matrix K with |x,m,y>_dumbbell = sum_f K[(x,y,f),(x,m,y)]
-        |x,y,f>_theta: one F-move on the bar edge."""
-        tb = self.theta_basis(params)
-        tidx = {t: i for i, t in enumerate(tb)}
-        k = zeros(params, len(tb), len(tup))
+    def _theta_change(self, params, tup):
+        """K with |x,m,y>_dumbbell = sum_f K[(x,y,f),(x,m,y)] |x,y,f>_theta,
+        one F-move on the bar edge, and its inverse: blockwise over (x, y),
+        K is F(x,x,y,y)^T and K^{-1} is F(x,y,y,x)^T."""
+        tidx = {t: i for i, t in enumerate(self.theta_basis(params))}
+        k = zeros(params, len(tidx), len(tup))
+        k_inv = zeros(params, len(tup), len(tidx))
+        blocks = {}
         for j, (x, m, y) in enumerate(tup):
-            es, fs = f_matrix_channels(params, x, x, y, y)
-            f = f_matrix(params, x, x, y, y)
+            if (x, y) not in blocks:
+                blocks[x, y] = (f_matrix_channels(params, x, x, y, y),
+                                f_matrix(params, x, x, y, y), f_matrix(params, x, y, y, x))
+            (es, fs), f, f_rot = blocks[x, y]
             ei = es.index(m)
             for fi, fv in enumerate(fs):
-                t2 = (x, y, fv)
-                if t2 in tidx:
-                    k[tidx[t2]][j] = f[ei][fi]
-        return k
+                i = tidx[x, y, fv]
+                k[i][j] = f[ei][fi]
+                k_inv[j][i] = f_rot[fi][ei]
+        return k, k_inv
 
     def _theta_parallel(self, params):
         """C(b2) in theta coordinates: the curve parallel to the cycle

@@ -175,12 +175,13 @@ def f_matrix(params: QuantumParams, a: int, b: int, c: int, d: int):
     return [[six_j(params, a, b, c, d, e, f) for f in fs] for e in es]
 
 
-def twist_coefficient(params: QuantumParams, k: int) -> Scalar:
+def twist_coefficient(params: QuantumParams, k: int, power: int = 1) -> Scalar:
     """Scalar by which a positive kink acts on a k-labeled strand:
-    (-1)^k A^{k(k+2)}.  The sign is the oracle-determined one (a single
-    positive kink on an unlabeled strand resolves to -A^3)."""
+    mu_k = (-1)^k A^{k(k+2)}, raised to `power`.  The sign is the
+    oracle-determined one (a single positive kink on an unlabeled strand
+    resolves to -A^3)."""
     check_label(params, k)
-    return _sign(params, k) * params.a_pow(k * (k + 2))
+    return _sign(params, k * power) * params.a_pow(power * k * (k + 2))
 
 
 def _block_cross_word(k1: int, k2: int):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from . import skein as sk
-from .linalg import mat_inv, mat_vec
-from .recoupling import admissible, check_label, hopf_pairing
+from .linalg import mat_vec
+from .recoupling import admissible, hopf_pairing, valid_label
 from .scalars import QuantumParams
 
 SPINE_SCHEMA_VERSION = 1
@@ -107,7 +107,8 @@ def basis(params: QuantumParams, spine: Spine):
     """All admissible edge labelings, lexicographic in the order of
     spine.edges; each is a dict edge name -> label."""
     for lab in spine.boundary.values():
-        check_label(params, lab)
+        if not valid_label(params, lab):
+            raise sk.DomainError(f"boundary label {lab} outside 0..{params.r - 2}")
     out = []
     names = list(spine.edges)
     for combo in itertools.product(range(params.r - 1), repeat=len(names)):
@@ -165,11 +166,13 @@ def torus_curve_link(p: int, q: int, axis_label) -> sk.LabeledLink:
 def expand_solid_torus(params: QuantumParams, p: int, q: int):
     """Coordinates of the pushed-in (p,q) curve in the core-projector basis
     b_0..b_{r-2} of the solid torus, extracted by pairing with the dual
-    solid torus (Hopf pairing Gram matrix, inverted exactly)."""
+    solid torus (the Hopf pairing Gram matrix S has inverse S/D, as
+    S S = D I)."""
     r = params.r
     pairings = [sk.evaluate(params, torus_curve_link(p, q, j)) for j in range(r - 1)]
     gram = [[hopf_pairing(params, j, k) for k in range(r - 1)] for j in range(r - 1)]
-    return mat_vec(mat_inv(params, gram), pairings)
+    inv_d = params.total_d_squared().inverse()
+    return [inv_d * x for x in mat_vec(gram, pairings)]
 
 
 @dataclass

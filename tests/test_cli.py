@@ -152,6 +152,25 @@ def test_exit_domain_bad_label(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("rep-matrix", "--r", "4", "--surface", "punctured_torus", "--labels", "7", "--word", "a"),
+    ("curve-op", "--r", "4", "--surface", "punctured_torus", "--labels", "-2", "--curve", "a"),
+    ("curve-op", "--r", "4", "--surface", "four_punctured_sphere", "--labels", "1,1,1,9",
+     "--curve", "g23"),
+    ("dims", "--r", "4", "--surface", "four_punctured_sphere", "--labels", "1,1,1,9"),
+])
+def test_exit_domain_bad_boundary_label(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 3 and out["error"] == "domain"
+
+
+def test_exit_domain_bad_spine_boundary_label(capsys, tmp_path):
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(tqft.four_punctured_sphere_spine((1, 1, 1, 9)).to_json()))
+    code, out = run_cli(capsys, "dims", "--r", "4", "--spine", str(path))
+    assert code == 3 and out["error"] == "domain"
+
+
+@pytest.mark.parametrize("argv", [
     ("detect", "--surface", "torus", "--word", "a", "--rmin", "3", "--rmax", "5", "--s", "3"),
     ("detect", "--surface", "torus", "--word", "a", "--rmin", "2", "--rmax", "4"),
     ("braid-detect", "--n", "3", "--word", "1 2", "--rmin", "3", "--rmax", "4", "--s", "3"),

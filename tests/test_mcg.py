@@ -8,7 +8,7 @@ import pytest
 from helpers import scalar_multiple_of
 from skeinrep import mcg, skein, tqft
 from skeinrep.braids import BraidWord, jones_sector_rep, sector_labels
-from skeinrep.linalg import eye, mat_inv, mat_mul, mat_vec
+from skeinrep.linalg import eye, mat_mul, mat_vec
 from skeinrep.recoupling import (encircle_eigenvalue, hopf_pairing,
                                  twist_coefficient)
 from skeinrep.scalars import make_params
@@ -224,17 +224,26 @@ def test_zero_dimensional_block():
 
 # -------------------------------------------------------------- genus 2
 
-def test_genus2_twist_shared_across_models(monkeypatch, fresh_contexts):
-    # fresh contexts, so the level memo starts without b2
-    params = make_params(4, 13)
+def count_twist_pairs(monkeypatch, record):
+    """Calls of the builder of a curve's (T, T^{-1}) pair, as record(params,
+    curve, pair) values."""
     calls = []
-    build = mcg.GenusTwo._twist_base
+    build = mcg.SurfaceModel._twist_pair
 
     def counted(self, p, curve):
-        calls.append(curve)
-        return build(self, p, curve)
+        pair = build(self, p, curve)
+        calls.append(record(p, curve, pair))
+        return pair
 
-    monkeypatch.setattr(mcg.GenusTwo, "_twist_base", counted)
+    monkeypatch.setattr(mcg.SurfaceModel, "_twist_pair", counted)
+    return calls
+
+
+def test_genus2_twist_shared_across_models(monkeypatch, fresh_contexts):
+    # fresh contexts, so the level memo starts without b2; the pair builder
+    # is counted, one build serving both signs
+    params = make_params(4, 13)
+    calls = count_twist_pairs(monkeypatch, lambda p, curve, pair: curve)
     first = mcg.GenusTwo().twist_matrix(params, "b2")
     second = mcg.GenusTwo().twist_matrix(params, "b2")
     assert calls == ["b2"]
@@ -242,21 +251,17 @@ def test_genus2_twist_shared_across_models(monkeypatch, fresh_contexts):
 
 
 def test_inverse_twist_inverted_once(monkeypatch, fresh_contexts):
-    # fresh contexts, so the level memo starts without the inverse
+    # fresh contexts, so the level memo starts without the inverse; the
+    # inverse comes with the forward twist from one pair build
     params = make_params(4, 5)
-    calls = []
-
-    def counted(p, m):
-        calls.append(len(m))
-        return mat_inv(p, m)
-
-    monkeypatch.setattr(mcg, "mat_inv", counted)
+    calls = count_twist_pairs(monkeypatch, lambda p, curve, pair: len(pair[1]))
     first = mcg.Torus().twist_matrix(params, "a", -1)
     assert mcg.Torus().twist_matrix(params, "a", -1).matrix == first.matrix
     cube = mcg.Torus().twist_matrix(params, "a", -3)
     assert calls == [3]
     assert cube.matrix == mat_mul(mat_mul(first.matrix, first.matrix), first.matrix)
     forward = mcg.Torus().twist_matrix(params, "a", 1)
+    assert calls == [3]  # the forward twist came with the inverse
     assert mat_mul(forward.matrix, first.matrix) == eye(params, 3)
 
 
@@ -484,14 +489,7 @@ def test_shared_level_memo_matches_per_root_builds(fresh_contexts):
 
 def test_level_memo_builds_twist_once(monkeypatch, fresh_contexts):
     first = mcg.GenusTwo().twist_matrix(make_params(4, 1), "b2").matrix
-    calls = []
-    build = mcg.GenusTwo._twist_base
-
-    def counted(self, p, curve):
-        calls.append((p.s, curve))
-        return build(self, p, curve)
-
-    monkeypatch.setattr(mcg.GenusTwo, "_twist_base", counted)
+    calls = count_twist_pairs(monkeypatch, lambda p, curve, pair: (p.s, curve))
     p3 = make_params(4, 3)
     other = mcg.GenusTwo().twist_matrix(p3, "b2").matrix
     assert calls == []

@@ -90,8 +90,11 @@ def test_tet_zero_label_reduces_to_theta(r):
 
 @pytest.mark.parametrize("r", RS)
 def test_f_matrix_inverse_pairs(r):
+    # 6j orthogonality, F(a,b,c,d)^{-1} = F(b,c,d,a): the closed-form inverse
+    # of every F-move in mcg, on every quadruple with nonempty channels
     p = make_params(r)
     labels = range(r - 1)
+    seen = 0
     for a, b, c, d in itertools.product(labels, repeat=4):
         es, fs = rc.f_matrix_channels(p, a, b, c, d)
         if not es:
@@ -100,6 +103,19 @@ def test_f_matrix_inverse_pairs(r):
         F1 = rc.f_matrix(p, a, b, c, d)
         F2 = rc.f_matrix(p, b, c, d, a)
         assert linalg.is_identity(p, linalg.mat_mul(F1, F2)), (a, b, c, d)
+        seen += 1
+    assert seen == {3: 8, 4: 33, 5: 96, 6: 225}[r]
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 8])
+def test_hopf_matrix_squares_to_total_d_squared(r):
+    # S S = D I: the closed-form inverse S/D of the torus S-matrix and of the
+    # Gram matrix in tqft.expand_solid_torus
+    p = make_params(r)
+    labels = range(r - 1)
+    s = [[rc.hopf_pairing(p, j, k) for k in labels] for j in labels]
+    d = p.total_d_squared()
+    assert linalg.mat_mul(s, s) == [[d if i == j else p.zero() for j in labels] for i in labels]
 
 
 def test_f_matrix_unitarity_numeric():

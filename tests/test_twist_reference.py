@@ -1,0 +1,117 @@
+"""Differential test of the twist matrices and curve operators against the
+elimination route: every change of basis inverted by Gauss-Jordan
+(`linalg.mat_inv`), every twist matrix a dense Lagrange interpolation on the
+whole curve operator, and every inverse twist the Gauss-Jordan inverse of the
+twist."""
+import json
+
+import pytest
+
+from skeinrep import mcg
+from skeinrep.linalg import eye, mat_inv, mat_mul, zeros
+from skeinrep.recoupling import (encircle_eigenvalue, f_matrix,
+                                 f_matrix_channels, hopf_pairing,
+                                 twist_coefficient)
+from skeinrep.scalars import make_params
+
+
+def diag(params, values):
+    out = zeros(params, len(values), len(values))
+    for i, v in enumerate(values):
+        out[i][i] = v
+    return out
+
+
+def conjugate(params, m, c):
+    return mat_mul(m, mat_mul(c, mat_inv(params, m)))
+
+
+def lagrange(params, cmat):
+    """The polynomial in cmat sending lambda_k to mu_k, by the Lagrange form
+    on the dense operator."""
+    labels = range(params.r - 1)
+    lams = [encircle_eigenvalue(params, k) for k in labels]
+    n = len(cmat)
+    out = zeros(params, n, n)
+    for k in labels:
+        term = eye(params, n)
+        for j in labels:
+            if j != k:
+                step = [[cmat[a][b] - (lams[j] if a == b else params.zero())
+                         for b in range(n)] for a in range(n)]
+                scale = (lams[k] - lams[j]).inverse()
+                term = [[x * scale for x in row] for row in mat_mul(term, step)]
+        mu = twist_coefficient(params, k)
+        out = [[out[a][b] + mu * term[a][b] for b in range(n)] for a in range(n)]
+    return out
+
+
+def theta_change(params, model):
+    """The genus-2 F-move on the bar, one six_j row per dumbbell vector."""
+    tup = [(b["x"], b["m"], b["y"]) for b in model.basis(params)]
+    tb = model.theta_basis(params)
+    k = zeros(params, len(tb), len(tup))
+    for j, (x, m, y) in enumerate(tup):
+        es, fs = f_matrix_channels(params, x, x, y, y)
+        f = f_matrix(params, x, x, y, y)
+        for fi, fv in enumerate(fs):
+            k[tb.index((x, y, fv))][j] = f[es.index(m)][fi]
+    return k
+
+
+def reference_operator(params, model, curve):
+    """C(curve); a curve simple in the model's own basis takes the model's
+    operator, since no change of basis enters it."""
+    if isinstance(model, mcg.Torus) and curve != "a":
+        lam = diag(params, [encircle_eigenvalue(params, k) for k in range(params.r - 1)])
+        s = [[hopf_pairing(params, j, k) for k in range(params.r - 1)]
+             for j in range(params.r - 1)]
+        cb = mat_mul(s, mat_mul(lam, mat_inv(params, s)))
+        if curve == "b":
+            return cb
+        va = lagrange(params, reference_operator(params, model, "a"))
+        return conjugate(params, va if curve == "c" else mat_inv(params, va), cb)
+    if isinstance(model, mcg.FourPuncturedSphere) and curve == "g23":
+        es, fs = f_matrix_channels(params, *model.labels)
+        f = f_matrix(params, *model.labels)
+        k = [[f[ei][fi] for ei in range(len(es))] for fi in range(len(fs))]
+        lam = diag(params, [encircle_eigenvalue(params, x) for x in fs])
+        return conjugate(params, mat_inv(params, k), lam)
+    if isinstance(model, mcg.GenusTwo) and curve == "b2":
+        k = theta_change(params, model)
+        return conjugate(params, mat_inv(params, k), model._theta_parallel(params))
+    return model.curve_operator(params, curve).matrix
+
+
+def reference_twists(params, model, curve):
+    """{power: T^power} for power in +-1, +-2."""
+    t = lagrange(params, reference_operator(params, model, curve))
+    t_inv = mat_inv(params, t)
+    return {1: t, -1: t_inv, 2: mat_mul(t, t), -2: mat_mul(t_inv, t_inv)}
+
+
+def as_json(matrix):
+    return json.dumps([[x.to_json() for x in row] for row in matrix])
+
+
+# every surface at r = 3..6 (genus 2 up to r = 5) and one root with s != 1
+CASES = [(r, s, surface) for r, s in ((3, 1), (4, 1), (5, 1), (6, 1), (5, 3))
+         for surface in ("torus", "punctured_torus", "four_punctured_sphere", "genus2")
+         if surface != "genus2" or r <= 5]
+
+
+@pytest.mark.parametrize("r, s, surface", CASES)
+def test_twists_and_operators_match_elimination_route(r, s, surface):
+    params = make_params(r, s)
+    checked = 0
+    for ctx in mcg._boundary_contexts(surface, r):
+        model = mcg.surface_model(surface, ctx)
+        for curve in model.curves():
+            where = (ctx, curve)
+            assert as_json(model.curve_operator(params, curve).matrix) == \
+                as_json(reference_operator(params, model, curve)), where
+            for power, ref in reference_twists(params, model, curve).items():
+                assert as_json(model.twist_matrix(params, curve, power).matrix) == \
+                    as_json(ref), where + (power,)
+            checked += model.dim(params) > 0
+    assert checked
