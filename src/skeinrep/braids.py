@@ -21,6 +21,7 @@ from .mcg import DetectionResult, RepMatrix, is_projectively_identity, scan_leve
 from .recoupling import theta
 from .scalars import QuantumParams, Scalar
 from .skein import DomainError
+from .tl import block_crossing
 
 
 @dataclass(frozen=True)
@@ -153,18 +154,6 @@ class Cabling:
         return sum(self.multiplicities)
 
 
-def _block_crossing(offset: int, p: int, q: int, positive: bool):
-    """Word crossing a left block of p strands over/under a right block of q,
-    both starting after `offset` strands."""
-    word = []
-    for a in range(p):
-        for b in range(q):
-            word.append(offset + p - a + b)
-    if positive:
-        return word
-    return [-g for g in reversed(word)]
-
-
 def cable(braid: BraidWord, cabling: Cabling) -> BraidWord:
     """Replace strand i by c_i parallel strands (blackboard framing)."""
     if len(cabling.multiplicities) != braid.n:
@@ -176,9 +165,9 @@ def cable(braid: BraidWord, cabling: Cabling) -> BraidWord:
         offset = sum(widths[:i - 1])
         p, q = widths[i - 1], widths[i]
         if g > 0:
-            out.extend(_block_crossing(offset, p, q, True))
+            out.extend(block_crossing(offset, p, q, True))
         else:
-            out.extend(_block_crossing(offset, q, p, False))
+            out.extend(block_crossing(offset, q, p, False))
         widths[i - 1], widths[i] = widths[i], widths[i - 1]
     return BraidWord(cabling.total, tuple(out))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from .scalars import QuantumParams, Scalar
 from .tl import (
     TLElement,
+    block_crossing,
     crossing_element,
     encircle_element,
     encircle_eigenvalue_scalar,
@@ -184,21 +185,11 @@ def twist_coefficient(params: QuantumParams, k: int, power: int = 1) -> Scalar:
     return _sign(params, k * power) * params.a_pow(power * k * (k + 2))
 
 
-def _block_cross_word(k1: int, k2: int):
-    """Braid word (on k1+k2 strands) moving the first k1-block past the
-    next k2-block, all positive crossings."""
-    word = []
-    for i in range(k1, 0, -1):
-        for j in range(k2):
-            word.append(i + j)
-    return word
-
-
 def curl_element(params: QuantumParams, k: int, positive: bool = True) -> TLElement:
     """Endomorphism of a k-cable given by one kink of the whole cable."""
     m = 3 * k
     cur = TLElement.identity(params, k).tensor(TLElement.cups(params, k))
-    for g in _block_cross_word(k, k):
+    for g in block_crossing(0, k, k, True):
         cur = cur * crossing_element(params, m, g, positive=positive)
     cur = cur * TLElement.identity(params, k).tensor(TLElement.caps(params, k))
     return cur

@@ -37,6 +37,17 @@ class DomainError(ValueError):
 
 OMEGA = "omega"
 
+
+def json_int(value) -> int:
+    """value as a JSON Schema ``integer``: an int, or a float with no
+    fractional part; bools, strings and fractions raise ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 LINK_SCHEMA_VERSION = 1
 
 
@@ -71,10 +82,10 @@ class LabeledLink:
             for c in obj["components"]:
                 label = c["label"]
                 if label != OMEGA:
-                    label = int(label)
-                comps.append(Component(label, int(c.get("framing", 0)),
-                                       [int(a) for a in c.get("arcs", [])]))
-            crossings = [[int(a) for a in x] for x in obj["crossings"]]
+                    label = json_int(label)
+                comps.append(Component(label, json_int(c.get("framing", 0)),
+                                       [json_int(a) for a in c.get("arcs", [])]))
+            crossings = [[json_int(a) for a in x] for x in obj["crossings"]]
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, LinkFormatError):
                 raise

@@ -9,14 +9,21 @@ Point numbering: bottom 0..nb-1 left to right, then top nb..nb+nt-1 left to
 right.  The circular boundary order (for planarity and the parenthesis
 encoding) walks the bottom left to right, then the top right to left.
 
+Every gluing is one union-find over point numbers (the package's
+``UnionFind``): stacking two diagrams joins the lower top points to the
+upper bottom points, and the Markov trace joins top point i to bottom
+point i.  A group with two outer points is a pair of the result, and a
+union inside one group closes a loop, worth a factor d.
+
 The only global memos are the diagram-pair compositions and the diagram
 bases: they do not depend on the level, so every parameter context shares
-them.  Jones-Wenzl projectors do depend on it, and live in the level memo
-of QuantumParams.cached, rebound to each root by ``TLElement.rebind``.
+them.  Jones-Wenzl projectors and the loop powers d^k (``loop_power``) do
+depend on it, and live in the level memo of QuantumParams.cached, rebound
+to each root by ``TLElement.rebind``.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .scalars import QuantumParams, Scalar
 from .unionfind import UnionFind
@@ -136,7 +143,11 @@ _COMPOSE_CACHE: dict = {}
 def _compose_diagrams(lo: TLDiagram, hi: TLDiagram):
     """Stack hi on top of lo (lo's top glued to hi's bottom).
 
-    Returns (composed TLDiagram, number of closed loops).
+    Returns (composed TLDiagram, number of closed loops).  hi's points are
+    shifted by lo.nb, so its bottom point k and lo's top point lo.nb + k are
+    one item of a union-find; a group with two outer points is a pair of the
+    result, and a group with none is a closed loop, counted as the union that
+    closes it (the rule of ``markov_trace``).
     """
     key = (lo, hi)
     hit = _COMPOSE_CACHE.get(key)
@@ -144,54 +155,29 @@ def _compose_diagrams(lo: TLDiagram, hi: TLDiagram):
         return hit
     if lo.nt != hi.nb:
         raise ValueError("strand-count mismatch in composition")
-    n_mid = lo.nt
-    # Node labels: ('b', i) new bottom, ('t', j) new top, ('m', k) interface.
-    adj = {}
-
-    def link(u, v):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
+    shift, top = lo.nb, lo.nb + hi.nb
+    uf = UnionFind()
     for a, b in lo.pairs:
-        ua = ("b", a) if a < lo.nb else ("m", a - lo.nb)
-        ub = ("b", b) if b < lo.nb else ("m", b - lo.nb)
-        link(ua, ub)
-    for a, b in hi.pairs:
-        ua = ("m", a) if a < hi.nb else ("t", a - hi.nb)
-        ub = ("m", b) if b < hi.nb else ("t", b - hi.nb)
-        link(ua, ub)
-    seen = set()
-    pairs = []
-    loops = 0
-    # Walk open paths from boundary nodes, then count leftover interior cycles.
-    for start in [("b", i) for i in range(lo.nb)] + [("t", j) for j in range(hi.nt)]:
-        if start in seen:
-            continue
-        seen.add(start)
-        prev, cur = start, adj[start][0]
-        while cur[0] == "m":
-            seen.add(cur)
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-        seen.add(cur)
-        ea = start[1] if start[0] == "b" else lo.nb + start[1]
-        eb = cur[1] if cur[0] == "b" else lo.nb + cur[1]
-        if ea < eb or (ea == eb and start != cur):
-            pairs.append((ea, eb))
-    for k in range(n_mid):
-        node = ("m", k)
-        if node in seen:
-            continue
-        loops += 1
-        prev, cur = node, adj[node][0]
-        seen.add(node)
-        while cur != node:
-            seen.add(cur)
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-    result = (TLDiagram(lo.nb, hi.nt, pairs), loops)
+        uf.union(a, b)
+    loops = sum(not uf.union(a + shift, b + shift) for a, b in hi.pairs)
+    ends = {}
+    for q in list(range(lo.nb)) + list(range(top, top + hi.nt)):
+        ends.setdefault(uf.find(q), []).append(q if q < lo.nb else q - hi.nb)
+    result = (TLDiagram(lo.nb, hi.nt, ends.values()), loops)
     _COMPOSE_CACHE[key] = result
     return result
+
+
+def loop_power(params: QuantumParams, k: int) -> Scalar:
+    """d^k, the factor of k closed loops, memoized in the level memo."""
+    return params.cached(("loop_power", k), lambda: params.loop_d() ** k)
+
+
+def block_crossing(offset: int, p: int, q: int, positive: bool):
+    """Word crossing a left block of p strands over/under a right block of q,
+    both starting after `offset` strands."""
+    word = [offset + p - a + b for a in range(p) for b in range(q)]
+    return word if positive else [-g for g in reversed(word)]
 
 
 class TLElement:
@@ -276,15 +262,13 @@ class TLElement:
         if self.nt != other.nb:
             raise ValueError(f"strand-count mismatch: {self.nt} vs {other.nb}")
         p = self.params
-        d = p.loop_d()
-        dpow = {0: p.one()}
         terms = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
                 diag, loops = _compose_diagrams(d1, d2)
-                while len(dpow) <= loops:
-                    dpow[len(dpow)] = dpow[len(dpow) - 1] * d
-                coeff = c1 * c2 * dpow[loops]
+                coeff = c1 * c2
+                if loops:
+                    coeff = coeff * loop_power(p, loops)
                 acc = terms.get(diag)
                 terms[diag] = coeff if acc is None else acc + coeff
         return TLElement(p, self.nb, other.nt, terms)
@@ -294,57 +278,44 @@ class TLElement:
         return self.then(other)
 
     def tensor(self, other: "TLElement") -> "TLElement":
+        """other placed to the right of self.  Distinct diagram pairs give
+        distinct diagrams, so no two terms merge."""
         nb, nt = self.nb + other.nb, self.nt + other.nt
-        terms = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                def sh(p):
-                    if p < d2.nb:
-                        return self.nb + p
-                    return self.nb + other.nb + self.nt + (p - d2.nb)
 
-                def sl(p):
-                    return p if p < self.nb else p + other.nb
+        def left(q):
+            return q if q < self.nb else q + other.nb
 
-                pairs = [(sl(a), sl(b)) for a, b in d1.pairs]
-                pairs += [(sh(a), sh(b)) for a, b in d2.pairs]
-                diag = TLDiagram(nb, nt, pairs)
-                coeff = c1 * c2
-                acc = terms.get(diag)
-                terms[diag] = coeff if acc is None else acc + coeff
-        return TLElement(self.params, nb, nt, terms)
+        def right(q):
+            return self.nb + q if q < other.nb else nb + self.nt + q - other.nb
+
+        return TLElement(self.params, nb, nt, {
+            TLDiagram(nb, nt, [(left(a), left(b)) for a, b in d1.pairs]
+                      + [(right(a), right(b)) for a, b in d2.pairs]): c1 * c2
+            for d1, c1 in self.terms.items() for d2, c2 in other.terms.items()})
+
+    def _relabel(self, nb, nt, move):
+        """Every diagram's points renamed by move into an (nb, nt) diagram.
+        move is a bijection of the points, so no two terms merge."""
+        out = TLElement(self.params, nb, nt)
+        out.terms = {TLDiagram(nb, nt, [(move(a), move(b)) for a, b in diag.pairs]): coeff
+                     for diag, coeff in self.terms.items()}
+        return out
 
     def flip(self) -> "TLElement":
         """Vertical mirror: swap bottom and top (the adjoint diagram)."""
-        terms = {}
-        for diag, coeff in self.terms.items():
-            def mp(p):
-                return p + diag.nt if p < diag.nb else p - diag.nb
-            fd = TLDiagram(diag.nt, diag.nb, [(mp(a), mp(b)) for a, b in diag.pairs])
-            acc = terms.get(fd)
-            terms[fd] = coeff if acc is None else acc + coeff
-        return TLElement(self.params, self.nt, self.nb, terms)
+        nb, nt = self.nb, self.nt
+        return self._relabel(nt, nb, lambda q: q + nt if q < nb else q - nb)
 
     def rotate180(self) -> "TLElement":
         """Half-turn rotation of every diagram."""
-        terms = {}
-        for diag, coeff in self.terms.items():
-            def mp(p):
-                if p < diag.nb:
-                    return diag.nt + (diag.nb - 1 - p)
-                return (diag.nb + diag.nt - 1 - p)
-            rd = TLDiagram(diag.nt, diag.nb, [(mp(a), mp(b)) for a, b in diag.pairs])
-
-            acc = terms.get(rd)
-            terms[rd] = coeff if acc is None else acc + coeff
-        return TLElement(self.params, self.nt, self.nb, terms)
+        last = self.nb + self.nt - 1
+        return self._relabel(self.nt, self.nb, lambda q: last - q)
 
     def markov_trace(self) -> Scalar:
         """Close top point i to bottom point i; each closed loop contributes d."""
         if self.nb != self.nt:
             raise ValueError("Markov trace requires an endomorphism")
         p = self.params
-        d = p.loop_d()
         total = p.zero()
         n = self.nb
         for diag, coeff in self.terms.items():
@@ -352,7 +323,7 @@ class TLElement:
             # joining two already-connected strands closes a loop
             uf = UnionFind()
             loops = sum(not uf.union(a % n, b % n) for a, b in diag.pairs)
-            total = total + coeff * d ** loops
+            total = total + (coeff * loop_power(p, loops) if loops else coeff)
         return total
 
     # ----- queries -----
@@ -461,9 +432,9 @@ def encircle_element(params: QuantumParams, n: int, label: int = 1) -> TLElement
     """Endomorphism of n strands given by a closed label-`label` loop around them.
 
     Built as: nested cups on the right, pass the inner new cable leftward over
-    the n strands, back rightward underneath, then nested caps.  With label 0
-    this is d^0 = the identity times d_0... (a vacuous loop); label k cables
-    the loop by k and inserts P_k.
+    the n strands, back rightward underneath, then nested caps.  Label k
+    cables the loop by k and inserts P_k; label 0 is the empty loop, so the
+    element is the identity.
     """
     k = label
     if k == 0:
@@ -490,13 +461,21 @@ def encircle_element(params: QuantumParams, n: int, label: int = 1) -> TLElement
 
 
 def sector_projectors(params: QuantumParams, n: int):
-    """Central idempotents z_m of TL_n, m the through-label, via Lagrange
-    interpolation in the encircling-loop element.
+    """Central idempotents z_m of TL_n, m the through-label, as polynomials
+    in the encircling-loop element E.
 
     Returns the list [z_m] for m = n mod 2, ..., min(n, r-1) (step 2).
     Labels m > r-1 fold back onto lower ones (the loop eigenvalues satisfy
     lambda_m = lambda_{2r-2-m}), and when n >= r-1 the top entry z_{r-1} is
     the projector onto the trace-zero part of the algebra.
+
+    A class c of labels with one eigenvalue lambda_c, e_c labels in all,
+    gets z_c = 1 - (1 - p_c(E))^{e_c} with
+    p_c = prod_{j != c} ((E - lambda_j) / (lambda_c - lambda_j))^{e_j}.
+    Since prod_j (E - lambda_j)^{e_j} = 0, p_c(E) vanishes on every other
+    generalized eigenspace of E and is 1 plus a nilpotent of depth at most
+    e_c on class c's, so z_c is the idempotent onto that eigenspace (zero
+    when lambda_c is not an eigenvalue).
     """
     if n == 0:
         return [TLElement.identity(params, 0)]
@@ -505,99 +484,37 @@ def sector_projectors(params: QuantumParams, n: int):
     # fold m+1 into c in 0..2r and group.  The first classes are the honest
     # sectors m <= r-2; later ones are trace-zero (negligible) sectors.
     twor = 2 * params.r
-    classes = {}  # fold class -> list of generic labels
+    classes = {}  # fold class -> list of generic labels, by first label
     for m in range(n % 2, n + 1, 2):
         t = (m + 1) % twor
-        c = min(t, twor - t)
-        classes.setdefault(c, []).append(m)
-    labels = sorted(classes, key=lambda c: classes[c][0])
-    E = encircle_element(params, n, 1)
-    lams = {c: -(params.a_pow(2 * c) + params.a_pow(-2 * c)) for c in labels}
+        classes.setdefault(min(t, twor - t), []).append(m)
+    lams = {c: encircle_eigenvalue_scalar(params, ms[0]) for c, ms in classes.items()}
+    labels = list(classes)
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
             if lams[a] == lams[b]:
                 raise ValueError(f"loop eigenvalues collide for classes {a},{b} at r={params.r}, s={params.s}")
     ident = TLElement.identity(params, n)
+    E = encircle_element(params, n, 1)
 
-    def apply_poly(coeffs):
-        """Evaluate a Scalar-coefficient polynomial at E (Horner)."""
-        acc = TLElement.zero(params, n, n)
-        for c in reversed(coeffs):
-            acc = acc * E + ident.scale(c)
+    def power(x, e):
+        acc = x
+        for _ in range(e - 1):
+            acc = acc * x
         return acc
 
-    def product_elt(exps):
-        acc = ident
-        for m in labels:
-            factor = E - ident.scale(lams[m])
-            for _ in range(exps[m]):
-                acc = acc * factor
-        return acc
-
-    # Folded classes can carry a nilpotent part of E; the Jordan depth is at
-    # most the number of generic labels in the class.  Start there and refine
-    # the minimal-polynomial multiplicities downward.
-    exps = {c: len(classes[c]) for c in labels}
-    if not product_elt(exps).is_zero():
-        raise AssertionError("encircling element minimal polynomial not found")
-    for c in labels:
-        while exps[c] > 0:
-            trial = dict(exps)
-            trial[c] -= 1
-            if product_elt(trial).is_zero():
-                exps = trial
-            else:
-                break
-
-    # Hermite interpolation: z_m = q_m(x) * g_m(x) evaluated at E, where
-    # q_m = prod_{j != m} (x - lambda_j)^{e_j} and g_m is the power-series
-    # inverse of q_m around lambda_m, truncated to order e_m.
+    factors = {c: power(E - ident.scale(lams[c]), len(classes[c])) for c in labels}
+    if not reduce(TLElement.then, factors.values()).is_zero():
+        raise AssertionError("prod_j (E - lambda_j)^{e_j} is not zero: E has a Jordan block "
+                             "deeper than its class or an eigenvalue outside the classes")
     out = []
-    one, zero = params.one(), params.zero()
-    for m in labels:
-        if exps[m] == 0:
-            out.append(TLElement.zero(params, n, n))
-            continue
-        e_m = exps[m]
-        # q_m expanded in y = x - lambda_m, truncated to degree e_m - 1
-        q = [one]
+    for c in labels:
+        p_c, denom = ident, params.one()
         for j in labels:
-            if j == m:
-                continue
-            root = lams[m] - lams[j]  # (x - lambda_j) = y + (lambda_m - lambda_j)
-            for _ in range(exps[j]):
-                q = [(q[i] if i < len(q) else zero) * root +
-                     (q[i - 1] if 0 < i <= len(q) else zero)
-                     for i in range(min(len(q) + 1, e_m))]
-        # g = 1/q as a truncated power series in y
-        g = [q[0].inverse()]
-        for i in range(1, e_m):
-            acc = zero
-            for t in range(1, i + 1):
-                if t < len(q):
-                    acc = acc + q[t] * g[i - t]
-            g.append(-(acc) * g[0])
-        # h(y) = g(y) * prod_{j != m} (y + lambda_m - lambda_j)^{e_j}, full degree
-        h = list(g)
-        for j in labels:
-            if j == m:
-                continue
-            root = lams[m] - lams[j]
-            for _ in range(exps[j]):
-                h = [(h[i] if i < len(h) else zero) * root +
-                     (h[i - 1] if 0 < i <= len(h) else zero)
-                     for i in range(len(h) + 1)]
-        # shift back: coefficients in x of h(x - lambda_m)
-        coeffs = [zero] * len(h)
-        shift = [one]  # (x - lambda_m)^t coefficients
-        for t, ht in enumerate(h):
-            for i, sc in enumerate(shift):
-                coeffs[i] = coeffs[i] + ht * sc
-            # multiply shift by (x - lambda_m)
-            shift = [(-lams[m]) * shift[0]] + \
-                    [shift[i - 1] - lams[m] * shift[i] if i < len(shift) else shift[i - 1]
-                     for i in range(1, len(shift) + 1)]
-        out.append(apply_poly(coeffs))
+            if j != c:
+                p_c = p_c * factors[j]
+                denom = denom * (lams[c] - lams[j]) ** len(classes[j])
+        out.append(ident - power(ident - p_c.scale(denom.inverse()), len(classes[c])))
     return out
 
 

@@ -68,7 +68,7 @@ class Spine:
                 raise SpineFormatError(f"unsupported spine schema version {obj.get('version')}")
             return Spine([str(e) for e in obj["edges"]],
                          [[str(x) for x in t] for t in obj["vertices"]],
-                         {str(k): int(v) for k, v in obj.get("boundary", {}).items()})
+                         {str(k): sk.json_int(v) for k, v in obj.get("boundary", {}).items()})
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, SpineFormatError):
                 raise

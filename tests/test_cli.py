@@ -170,6 +170,55 @@ def test_exit_domain_bad_spine_boundary_label(capsys, tmp_path):
     assert code == 3 and out["error"] == "domain"
 
 
+def _hopf_with_arc(arc):
+    """The Hopf link's JSON with its arc 1 renamed to arc, everywhere."""
+    blob = closed_braid_link([1, 1], 2).to_json()
+    swap = lambda a: arc if a == 1 else a  # noqa: E731
+    for comp in blob["components"]:
+        comp["arcs"] = [swap(a) for a in comp["arcs"]]
+    blob["crossings"] = [[swap(a) for a in x] for x in blob["crossings"]]
+    return blob
+
+
+@pytest.mark.parametrize("blob", [
+    {"version": 1, "components": [{"label": 1.7, "framing": 0.9, "arcs": []}], "crossings": []},
+    {"version": 1, "components": [{"label": 1, "framing": 0.5}], "crossings": []},
+    {"version": 1, "components": [{"label": True}], "crossings": []},
+    {"version": 1, "components": [{"label": "1"}], "crossings": []},
+    {"version": 1, "components": [{"label": 1, "framing": "2"}], "crossings": []},
+    _hopf_with_arc(1.2),
+    _hopf_with_arc("1"),
+])
+def test_exit_parse_non_integer_link_field(capsys, tmp_path, blob):
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps(blob))
+    code, out = run_cli(capsys, "eval-link", "--r", "4", "--link", str(path))
+    assert code == 2 and out["error"] == "parse"
+
+
+def test_eval_link_integral_floats_are_integers(capsys, tmp_path):
+    """JSON Schema's integer holds 1.0, so it reads as 1."""
+    exact = {}
+    for label, framing in ((1, 2), (1.0, 2.0)):
+        path = tmp_path / "link.json"
+        path.write_text(json.dumps({"version": 1, "components": [
+            {"label": label, "framing": framing}], "crossings": []}))
+        code, out = run_cli(capsys, "eval-link", "--r", "4", "--link", str(path))
+        assert code == 0
+        exact[label] = out["value"]["exact"]
+    assert exact[1] == exact[1.0]
+
+
+@pytest.mark.parametrize("label", [1.5, True, "1"])
+def test_exit_parse_non_integer_spine_boundary_label(capsys, tmp_path, label):
+    blob = tqft.four_punctured_sphere_spine((1, 1, 1, 1)).to_json()
+    blob["boundary"]["p1"] = label
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(blob))
+    code, out = run_cli(capsys, "dims", "--r", "4", "--spine", str(path))
+    assert code == 2 and out["error"] == "parse"
+
+
 @pytest.mark.parametrize("argv", [
     ("detect", "--surface", "torus", "--word", "a", "--rmin", "3", "--rmax", "5", "--s", "3"),
     ("detect", "--surface", "torus", "--word", "a", "--rmin", "2", "--rmax", "4"),
