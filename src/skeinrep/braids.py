@@ -130,11 +130,15 @@ def jones_sector_rep(params: QuantumParams, braid: BraidWord, m: int) -> RepMatr
     paths = path_basis(params, braid.n, m)
     if not paths:
         raise DomainError(f"sector m={m} is empty for {braid.n} strands at r={params.r}")
-    out = eye(params, len(paths))
+    out = None
     for g in braid.word:
         gen = params.cached(("braid_gen", braid.n, m, g),
                             lambda: _generator_matrix(params, braid.n, m, g))
-        out = mat_mul(out, gen)
+        # the first factor is copied by rows: a memoized generator never
+        # leaves in a RepMatrix
+        out = [list(row) for row in gen] if out is None else mat_mul(out, gen)
+    if out is None:
+        out = eye(params, len(paths))
     return RepMatrix(out, params.r, "braid_sector", (braid.n, m))
 
 

@@ -212,16 +212,23 @@ class SurfaceModel:
         if curve not in self.curves():
             raise DomainError(f"unknown curve {curve!r} on {self.name}")
         m = self._twists(params, curve)[0 if power >= 0 else 1]
-        out = eye(params, len(m))
-        for _ in range(abs(power)):
-            out = mat_mul(out, m)
+        if power == 0:
+            out = eye(params, len(m))
+        else:
+            # a row copy: the memoized twist never leaves in a RepMatrix
+            out = [list(row) for row in m]
+            for _ in range(abs(power) - 1):
+                out = mat_mul(out, m)
         return RepMatrix(out, params.r, self.name, self._label_context())
 
     def represent(self, params, word) -> RepMatrix:
         """word: sequence of (curve name, exponent)."""
-        out = eye(params, self.dim(params))
+        out = None
         for curve, exp in word:
-            out = mat_mul(out, self.twist_matrix(params, curve, exp).matrix)
+            t = self.twist_matrix(params, curve, exp).matrix
+            out = t if out is None else mat_mul(out, t)
+        if out is None:
+            out = eye(params, self.dim(params))
         return RepMatrix(out, params.r, self.name, self._label_context())
 
     def _label_context(self):

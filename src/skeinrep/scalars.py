@@ -12,10 +12,14 @@ first, over one positive integer denominator.  Parts are canonical -- the gcd
 of den and all nums is 1, and the zero part is None -- so equal elements have
 equal tuples and == and hash are plain tuple operations.  Phi is monic, so
 reduction modulo Phi and the powers of A stay integral.  A product packs each
-numerator vector into one integer (Kronecker substitution) and does one
-big-integer multiply; an inverse solves N w = 1 mod Phi by fraction-free
-(Bareiss) elimination.  Fraction is used only off the arithmetic path: to
-build Phi, and to convert from and to rationals, JSON and floats.
+numerator vector into one integer with one struct call (Kronecker
+substitution, A -> 2^b), does one big-integer multiply and reduces it
+modulo Phi(2^b), which is reduction modulo Phi in packed form, so the phi
+coefficients of the reduced product come out of one unpack; the width b is
+picked per product from a bound on the reduced coefficients.  An inverse
+solves N w = 1 mod Phi by fraction-free (Bareiss) elimination.  Fraction
+is used only off the arithmetic path: to build Phi, and to convert from and
+to rationals, JSON and floats.
 
 The exact arithmetic depends on the level r alone: it is formal in A, with
 Phi = Phi_4r the minimal polynomial of every primitive 4r-th root, so a
@@ -28,6 +32,7 @@ never used on an equality-bearing path.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from math import gcd
 
@@ -78,14 +83,18 @@ class QuantumParams:
             cyclo = _cyclotomic_coeffs(self.order)
             self.phi = len(cyclo) - 1
             self._cyclo = cyclo
-            self._red = self._reduction_table()
+            self._rho = self._growth_bound()
+            widths = {nb: self._kernel(nb, code) for nb, code in zip((1, 2, 4, 8), "bhiq")}
+            self._kernels = tuple(widths[next(nb for nb in widths if bits <= 8 * nb - 2)]
+                                  for bits in range(63))
             self._apow = self._a_power_table()
             self._one = _const(self, 1)
             self._level = {}
         else:
             level = cls(r, 1)
-            self.phi, self._cyclo, self._red, self._apow, self._one, self._level = (
-                level.phi, level._cyclo, level._red, level._apow, level._one, level._level)
+            self.phi, self._cyclo, self._rho, self._kernels, self._apow, self._one, self._level = (
+                level.phi, level._cyclo, level._rho, level._kernels, level._apow, level._one,
+                level._level)
         self._memo = {}
         self._c = None
         cls._interned[(r, s)] = self
@@ -114,15 +123,32 @@ class QuantumParams:
                 out[i] -= top * c
         return out
 
-    def _reduction_table(self):
-        """x^k mod Phi for k = phi .. 2*phi - 2, as the nonzero (i, coefficient)
-        pairs of each row, used to reduce products."""
-        rows = []
+    def _growth_bound(self):
+        """rho = phi * max_i (1 + sum_k |R[k][i]|), R[k] = x^(phi+k) mod Phi
+        for k = 0 .. phi-2.  A product of numerator vectors u and v has
+        2*phi - 1 raw coefficients of absolute value at most
+        phi * max|u| * max|v|, and reducing row phi+k adds R[k] times it, so
+        every reduced coefficient is at most max|u| * max|v| * rho."""
+        weight = [1] * self.phi
         cur = [0] * (self.phi - 1) + [1]
         for _ in range(self.phi - 1):
             cur = self._times_x(cur)
-            rows.append(tuple((i, t) for i, t in enumerate(cur) if t))
-        return rows
+            weight = [w + abs(t) for w, t in zip(weight, cur)]
+        return self.phi * max(weight)
+
+    def _kernel(self, nb, code=None):
+        """(packer, bias, N, N >> 1) for phi signed digits of b = 8 nb bits:
+        packer is the Struct of format code, or has its interface when nb > 8
+        and there is no code; bias sets the sign bit of every digit and
+        N = Phi(2^b).  Raises AssertionError unless N > bias; bias is twice
+        the largest |c(2^b)| with every |c_i| <= 2^(b-2)."""
+        b = 8 * nb
+        bias = sum(1 << (b * i + b - 1) for i in range(self.phi))
+        n = sum(c << (b * i) for i, c in enumerate(self._cyclo))
+        if n <= bias:
+            raise AssertionError(f"Phi_{self.order}(2^{b}) is too small for the packed product")
+        packer = struct.Struct(f"<{self.phi}{code}") if code else _WideDigits(nb, self.phi)
+        return packer, bias, n, n >> 1
 
     def _a_power_table(self):
         """Parts for A^e, e = 0 .. 4r-1."""
@@ -134,34 +160,34 @@ class QuantumParams:
         return table
 
     def _poly_mul(self, u, v):
-        """Product of two nonzero parts.  Each numerator vector is packed into
-        one integer, as signed digits of b bits with 2^(b-1) above every
-        coefficient of the product; one big-integer multiply gives the
-        2*phi - 1 product coefficients, which are reduced modulo Phi."""
+        """Product of two nonzero parts by Kronecker substitution, reduced in
+        the packed integer.  x -> 2^b maps Z[x] onto Z and Z[x]/Phi into
+        Z/N, N = Phi(2^b): with X and Y the numerator vectors of u and v
+        packed as signed b-bit digits, their product reduced modulo Phi,
+        c(x), has c(2^b) = X * Y mod N.  b = 8 nb takes the smallest nb of
+        1, 2, 4, 8, else of the multiples of 8, with
+        max|u| * max|v| * rho < 2^(b-2), so every |c_i| < 2^(b-2)
+        (``_growth_bound``), and N exceeds twice every such |c(2^b)|
+        (``_kernel``): the symmetric residue of X * Y in (-N/2, N/2] is
+        c(2^b) itself, and its b-bit digits are the c_i.
+
+        Digits are packed and unpacked as bytes: adding bias, the sign bit
+        of every digit, turns signed digits into offset ones with no carry,
+        and XOR with bias maps these to and from two's complement.  Up to 8
+        bytes a digit, one Struct call packs or unpacks a whole vector; wider
+        digits, a multiple of 8 bytes, are converted one at a time
+        (``_WideDigits``)."""
         (un, ud), (vn, vd) = u, v
-        phi = self.phi
-        b = max(map(abs, un)).bit_length() + max(map(abs, vn)).bit_length() + phi.bit_length() + 1
-        x = y = 0
-        for c in reversed(un):
-            x = (x << b) + c
-        for c in reversed(vn):
-            y = (y << b) + c
-        z = x * y
-        mask, half, full = (1 << b) - 1, 1 << (b - 1), 1 << b
-        digits = []
-        for _ in range(2 * phi - 1):
-            d = z & mask
-            z >>= b
-            if d >= half:
-                d -= full
-                z += 1
-            digits.append(d)
-        out = digits[:phi]
-        for c, row in zip(digits[phi:], self._red):
-            if c:
-                for i, t in row:
-                    out[i] += c * t
-        return _part(out, ud * vd)
+        bits = (max(map(abs, un)) * max(map(abs, vn)) * self._rho).bit_length()
+        if bits < 63:
+            packer, bias, n, half = self._kernels[bits]
+        else:
+            packer, bias, n, half = self._kernel((bits + 65) // 64 * 8)
+        z = ((int.from_bytes(packer.pack(*un), "little") ^ bias) - bias) * (
+            (int.from_bytes(packer.pack(*vn), "little") ^ bias) - bias) % n
+        if z > half:
+            z -= n
+        return _part(packer.unpack(((z + bias) ^ bias).to_bytes(packer.size, "little")), ud * vd)
 
     def _poly_inv(self, u):
         """Inverse of the nonzero part u = N / den, as den * w with
@@ -273,6 +299,21 @@ class QuantumParams:
     @staticmethod
     def from_json(obj) -> "QuantumParams":
         return QuantumParams(int(obj["r"]), int(obj.get("s", 1)))
+
+
+class _WideDigits:
+    """The Struct interface for phi signed digits of nb > 8 bytes, which
+    struct has no format for: digits are converted one at a time."""
+
+    def __init__(self, nb, phi):
+        self.nb, self.size = nb, nb * phi
+
+    def pack(self, *digits):
+        return b"".join(c.to_bytes(self.nb, "little", signed=True) for c in digits)
+
+    def unpack(self, data):
+        nb = self.nb
+        return [int.from_bytes(data[i:i + nb], "little", signed=True) for i in range(0, self.size, nb)]
 
 
 def make_params(r: int, s: int = 1) -> QuantumParams:

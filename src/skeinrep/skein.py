@@ -48,7 +48,28 @@ def json_int(value) -> int:
     return value
 
 
+def json_str(value) -> str:
+    """value as a JSON Schema ``string``; anything else raises ValueError."""
+    if type(value) is not str:
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
+def json_object(value, keys=None) -> dict:
+    """value as a JSON object; with keys given, the object may hold no other
+    key (the schema's ``"additionalProperties": false``).  Anything else
+    raises ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{value!r} is not an object")
+    extra = [k for k in value if keys is not None and k not in keys]
+    if extra:
+        raise ValueError(f"unknown keys {extra}; allowed are {list(keys)}")
+    return value
+
+
 LINK_SCHEMA_VERSION = 1
+LINK_KEYS = ("version", "components", "crossings")
+COMPONENT_KEYS = ("label", "framing", "arcs")
 
 
 @dataclass
@@ -76,11 +97,11 @@ class LabeledLink:
     @staticmethod
     def from_json(obj) -> "LabeledLink":
         try:
-            if obj.get("version", LINK_SCHEMA_VERSION) != LINK_SCHEMA_VERSION:
+            if json_object(obj, LINK_KEYS).get("version", LINK_SCHEMA_VERSION) != LINK_SCHEMA_VERSION:
                 raise LinkFormatError(f"unsupported link schema version {obj.get('version')}")
             comps = []
             for c in obj["components"]:
-                label = c["label"]
+                label = json_object(c, COMPONENT_KEYS)["label"]
                 if label != OMEGA:
                     label = json_int(label)
                 comps.append(Component(label, json_int(c.get("framing", 0)),
@@ -93,14 +114,6 @@ class LabeledLink:
         link = LabeledLink(comps, crossings)
         link.validate()
         return link
-
-    def pretty(self) -> str:
-        lines = []
-        for i, c in enumerate(self.components):
-            lines.append(f"component {i}: label={c.label} framing={c.framing} arcs={c.arcs}")
-        for t, x in enumerate(self.crossings):
-            lines.append(f"X{t}[{x[0]},{x[1]},{x[2]},{x[3]}]")
-        return "\n".join(lines)
 
     # ----- structure -----
 

@@ -18,6 +18,7 @@ from .recoupling import admissible, hopf_pairing, valid_label
 from .scalars import QuantumParams
 
 SPINE_SCHEMA_VERSION = 1
+SPINE_KEYS = ("version", "edges", "vertices", "boundary")
 
 
 class SpineFormatError(ValueError):
@@ -64,11 +65,12 @@ class Spine:
     @staticmethod
     def from_json(obj) -> "Spine":
         try:
-            if obj.get("version", SPINE_SCHEMA_VERSION) != SPINE_SCHEMA_VERSION:
+            if sk.json_object(obj, SPINE_KEYS).get("version", SPINE_SCHEMA_VERSION) != SPINE_SCHEMA_VERSION:
                 raise SpineFormatError(f"unsupported spine schema version {obj.get('version')}")
-            return Spine([str(e) for e in obj["edges"]],
-                         [[str(x) for x in t] for t in obj["vertices"]],
-                         {str(k): sk.json_int(v) for k, v in obj.get("boundary", {}).items()})
+            return Spine([sk.json_str(e) for e in obj["edges"]],
+                         [[sk.json_str(x) for x in t] for t in obj["vertices"]],
+                         {sk.json_str(k): sk.json_int(v)
+                          for k, v in sk.json_object(obj.get("boundary", {})).items()})
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, SpineFormatError):
                 raise

@@ -1,6 +1,8 @@
 """Helpers shared by the tests and used by nothing in the package."""
 from fractions import Fraction
 
+from skeinrep.scalars import _part
+
 
 def poly_sub(u, v):
     """u - v for raw Fraction coefficient sequences (no modular reduction)."""
@@ -42,3 +44,49 @@ def scalar_multiple_of(a, b):
             elif s != ratio:
                 return None
     return s
+
+
+def reduction_table(self):
+    """x^k mod Phi for k = phi .. 2*phi - 2, as the nonzero (i, coefficient)
+    pairs of each row, used to reduce products."""
+    rows = []
+    cur = [0] * (self.phi - 1) + [1]
+    for _ in range(self.phi - 1):
+        cur = self._times_x(cur)
+        rows.append(tuple((i, t) for i, t in enumerate(cur) if t))
+    return rows
+
+
+def poly_mul_reference(self, u, v):
+    """Product of two nonzero parts.  Each numerator vector is packed into
+    one integer, as signed digits of b bits with 2^(b-1) above every
+    coefficient of the product; one big-integer multiply gives the
+    2*phi - 1 product coefficients, which are reduced modulo Phi.
+
+    The product kernel of ``QuantumParams`` before it reduced in the packed
+    integer, kept as the reference of ``tests/test_scalar_kernel.py``; self
+    is a QuantumParams."""
+    (un, ud), (vn, vd) = u, v
+    phi = self.phi
+    b = max(map(abs, un)).bit_length() + max(map(abs, vn)).bit_length() + phi.bit_length() + 1
+    x = y = 0
+    for c in reversed(un):
+        x = (x << b) + c
+    for c in reversed(vn):
+        y = (y << b) + c
+    z = x * y
+    mask, half, full = (1 << b) - 1, 1 << (b - 1), 1 << b
+    digits = []
+    for _ in range(2 * phi - 1):
+        d = z & mask
+        z >>= b
+        if d >= half:
+            d -= full
+            z += 1
+        digits.append(d)
+    out = digits[:phi]
+    for c, row in zip(digits[phi:], reduction_table(self)):
+        if c:
+            for i, t in row:
+                out[i] += c * t
+    return _part(out, ud * vd)

@@ -274,3 +274,14 @@ def test_detect_with_cabling():
     cabled = cable(b, Cabling(cab))
     rep = jones_sector_rep(make_params(res.r0), cabled, m).matrix
     assert rep != eye(make_params(res.r0), len(rep))
+
+
+def test_one_generator_rep_does_not_alias_the_memo():
+    """A one-letter sector matrix starts from the memoized generator; writing
+    into it leaves the next call's result as it was."""
+    p, b = make_params(5), BraidWord(3, (1,))
+    first = jones_sector_rep(p, b, 1).matrix
+    expected = [list(row) for row in first]
+    first[0][0] = p.from_int(7)
+    assert jones_sector_rep(p, b, 1).matrix == expected
+    assert jones_sector_rep(p, BraidWord(3, ()), 1).matrix == eye(p, len(expected))

@@ -219,6 +219,37 @@ def test_exit_parse_non_integer_spine_boundary_label(capsys, tmp_path, label):
     assert code == 2 and out["error"] == "parse"
 
 
+@pytest.mark.parametrize("blob", [
+    {"version": 1, "components": [{"label": 1}], "crossings": [], "name": "unknot"},
+    {"version": 1, "components": [{"label": 1, "colour": 2}], "crossings": []},
+    {"version": 1, "components": [[1]], "crossings": []},
+    [{"label": 1}],
+])
+def test_exit_parse_link_outside_schema(capsys, tmp_path, blob):
+    """Unknown keys (the schema forbids additional properties) and
+    non-objects where the schema asks for an object."""
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps(blob))
+    code, out = run_cli(capsys, "eval-link", "--r", "4", "--link", str(path))
+    assert code == 2 and out["error"] == "parse"
+
+
+@pytest.mark.parametrize("blob", [
+    {"version": 1, "edges": [7], "vertices": []},
+    {"version": 1, "edges": ["x", "y", "z"], "vertices": [["x", "y", "z"], ["x", "y", 0]]},
+    {"version": 1, "edges": ["a"], "vertices": [], "genus": 1},
+    {"version": 1, "edges": ["a"], "vertices": [], "boundary": [1]},
+    ["a"],
+])
+def test_exit_parse_spine_outside_schema(capsys, tmp_path, blob):
+    """Edge names that are not strings, unknown keys, and non-objects where
+    the schema asks for an object."""
+    path = tmp_path / "spine.json"
+    path.write_text(json.dumps(blob))
+    code, out = run_cli(capsys, "dims", "--r", "4", "--spine", str(path))
+    assert code == 2 and out["error"] == "parse"
+
+
 @pytest.mark.parametrize("argv", [
     ("detect", "--surface", "torus", "--word", "a", "--rmin", "3", "--rmax", "5", "--s", "3"),
     ("detect", "--surface", "torus", "--word", "a", "--rmin", "2", "--rmax", "4"),

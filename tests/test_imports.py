@@ -1,13 +1,18 @@
 """Package hygiene, checked on the source with the stdlib ``ast``: every
-import is used, and no module keeps a cache of its own (what depends on the
-level is memoized once per level by ``QuantumParams.cached``)."""
+import is used, every function is read somewhere, and no module keeps a
+cache of its own (what depends on the level is memoized once per level by
+``QuantumParams.cached``)."""
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "skeinrep"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "skeinrep"
 
 # the root-of-unity-independent memos of the TL composition engine
 SHARED_CACHES = {("tl.py", "_COMPOSE_CACHE"), ("tl.py", "_hom_basis")}
+# methods that a library calls: argparse.ArgumentParser reports a bad
+# command line through ``error``
+LIBRARY_HOOKS = {("cli.py", "error")}
 CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
 CACHE_DECORATORS = {"lru_cache", "cache"}
 
@@ -28,6 +33,22 @@ def unused_imports(tree):
                 bound[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def dead_definitions(tree, readers):
+    """Non-dunder functions and methods defined in tree whose name no tree
+    in readers loads, as a variable or an attribute."""
+    read = set()
+    for reader in readers:
+        for node in ast.walk(reader):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted((node.lineno, node.name) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__"))
+                  and node.name not in read)
 
 
 def _called_name(node):
@@ -100,3 +121,27 @@ def test_package_keeps_no_global_caches():
     found = {(name, var) for name, tree in package_trees().items()
              for _, var in global_caches(tree)}
     assert found - SHARED_CACHES == set()
+
+
+def test_checker_flags_dead_definitions():
+    src = ("def used(x):\n"
+           "    return x\n"
+           "def unused():\n"
+           "    return 1\n"
+           "class K:\n"
+           "    def __init__(self):\n"
+           "        self.dead = 0\n"
+           "    def method(self):\n"
+           "        return used(self)\n"
+           "    def dead(self):\n"
+           "        return K\n")
+    reader = ast.parse("from m import K\nK().method()\n")
+    assert dead_definitions(ast.parse(src), [ast.parse(src), reader]) == [(3, "unused"), (10, "dead")]
+
+
+def test_package_has_no_dead_definitions():
+    trees = package_trees()
+    readers = list(trees.values()) + [ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))]
+    found = {(name, func) for name, tree in trees.items()
+             for _, func in dead_definitions(tree, readers)}
+    assert found - LIBRARY_HOOKS == set()

@@ -514,3 +514,29 @@ def test_verdicts_do_not_depend_on_the_root(surface, word, levels):
         for s in units(r):
             res = mcg.detect(surface, word, [r], s=s)
             assert (res.verdicts, res.r0, res.witness) == (ref.verdicts, ref.r0, ref.witness), (r, s)
+
+
+@pytest.mark.parametrize("build", [
+    lambda model, p: model.twist_matrix(p, "b"),
+    lambda model, p: model.twist_matrix(p, "b", -1),
+    lambda model, p: model.represent(p, [("b", 1)]),
+])
+def test_one_letter_results_do_not_alias_the_memo(build):
+    """A one-letter result starts from the memoized twist; writing into it
+    leaves the next call's result as it was."""
+    p, model = make_params(4), mcg.Torus()
+    first = build(model, p).matrix
+    expected = [list(row) for row in first]
+    first[0][0] = p.from_int(7)
+    first[1] = [p.zero()] * len(first[1])
+    assert build(model, p).matrix == expected
+
+
+def test_empty_word_and_zero_power_are_the_identity():
+    p, model = make_params(4), mcg.Torus()
+    identity = eye(p, model.dim(p))
+    assert model.represent(p, []).matrix == identity
+    assert model.twist_matrix(p, "b", 0).matrix == identity
+    assert model.represent(p, [("b", 2), ("b", -2)]).matrix == identity
+    with pytest.raises(DomainError):
+        model.twist_matrix(p, "z", 0)
