@@ -21,6 +21,14 @@ solves N w = 1 mod Phi by fraction-free (Bareiss) elimination.  Fraction
 is used only off the arithmetic path: to build Phi, and to convert from and
 to rationals, JSON and floats.
 
+The same map x -> 2^b is a ring homomorphism Z[x]/Phi -> Z/N, N = Phi(2^b),
+so a long computation can run on residues alone (``PackedRing``): plain
+integer sums and products modulo N, one decode at the end.  That is exact
+when a bound B on every reduced coefficient of every intermediate value
+satisfies B < 2^(b-2).  For images of Laurent polynomials P in x,
+B = mu |P|_1 holds, mu = max_e |A^e mod Phi|_inf, because x^(4r) = 1
+modulo Phi; the skein sweep runs this way.
+
 The exact arithmetic depends on the level r alone: it is formal in A, with
 Phi = Phi_4r the minimal polynomial of every primitive 4r-th root, so a
 value computed at one root has the same parts at every other root of its
@@ -88,13 +96,14 @@ class QuantumParams:
             self._kernels = tuple(widths[next(nb for nb in widths if bits <= 8 * nb - 2)]
                                   for bits in range(63))
             self._apow = self._a_power_table()
+            self._mu = max(max(map(abs, nums)) for nums, _ in self._apow)
             self._one = _const(self, 1)
             self._level = {}
         else:
             level = cls(r, 1)
-            self.phi, self._cyclo, self._rho, self._kernels, self._apow, self._one, self._level = (
-                level.phi, level._cyclo, level._rho, level._kernels, level._apow, level._one,
-                level._level)
+            (self.phi, self._cyclo, self._rho, self._kernels, self._apow, self._mu, self._one,
+             self._level) = (level.phi, level._cyclo, level._rho, level._kernels, level._apow,
+                             level._mu, level._one, level._level)
         self._memo = {}
         self._c = None
         cls._interned[(r, s)] = self
@@ -159,35 +168,29 @@ class QuantumParams:
             cur = self._times_x(cur)
         return table
 
+    def _packing(self, bound):
+        """The kernel of the narrowest digits that hold bound: b = 8 nb with
+        bound < 2^(b-2), nb the smallest of 1, 2, 4, 8, else of the multiples
+        of 8."""
+        bits = bound.bit_length()
+        return self._kernels[bits] if bits < 63 else self._kernel((bits + 65) // 64 * 8)
+
     def _poly_mul(self, u, v):
         """Product of two nonzero parts by Kronecker substitution, reduced in
         the packed integer.  x -> 2^b maps Z[x] onto Z and Z[x]/Phi into
         Z/N, N = Phi(2^b): with X and Y the numerator vectors of u and v
         packed as signed b-bit digits, their product reduced modulo Phi,
-        c(x), has c(2^b) = X * Y mod N.  b = 8 nb takes the smallest nb of
-        1, 2, 4, 8, else of the multiples of 8, with
-        max|u| * max|v| * rho < 2^(b-2), so every |c_i| < 2^(b-2)
-        (``_growth_bound``), and N exceeds twice every such |c(2^b)|
-        (``_kernel``): the symmetric residue of X * Y in (-N/2, N/2] is
-        c(2^b) itself, and its b-bit digits are the c_i.
-
-        Digits are packed and unpacked as bytes: adding bias, the sign bit
-        of every digit, turns signed digits into offset ones with no carry,
-        and XOR with bias maps these to and from two's complement.  Up to 8
-        bytes a digit, one Struct call packs or unpacks a whole vector; wider
-        digits, a multiple of 8 bytes, are converted one at a time
-        (``_WideDigits``)."""
+        c(x), has c(2^b) = X * Y mod N.  The width holds
+        max|u| * max|v| * rho, so every |c_i| < 2^(b-2) (``_growth_bound``),
+        and N exceeds twice every such |c(2^b)| (``_kernel``): the symmetric
+        residue of X * Y is c(2^b) itself, and its b-bit digits are the c_i
+        (``_decode``)."""
         (un, ud), (vn, vd) = u, v
-        bits = (max(map(abs, un)) * max(map(abs, vn)) * self._rho).bit_length()
-        if bits < 63:
-            packer, bias, n, half = self._kernels[bits]
-        else:
-            packer, bias, n, half = self._kernel((bits + 65) // 64 * 8)
-        z = ((int.from_bytes(packer.pack(*un), "little") ^ bias) - bias) * (
-            (int.from_bytes(packer.pack(*vn), "little") ^ bias) - bias) % n
-        if z > half:
-            z -= n
-        return _part(packer.unpack(((z + bias) ^ bias).to_bytes(packer.size, "little")), ud * vd)
+        kernel = self._packing(max(map(abs, un)) * max(map(abs, vn)) * self._rho)
+        packer, bias = kernel[0], kernel[1]
+        # PackedRing.pack of each vector, inlined: the hot path of every product
+        return _decode(kernel, ((int.from_bytes(packer.pack(*un), "little") ^ bias) - bias) * (
+            (int.from_bytes(packer.pack(*vn), "little") ^ bias) - bias), ud * vd)
 
     def _poly_inv(self, u):
         """Inverse of the nonzero part u = N / den, as den * w with
@@ -314,6 +317,66 @@ class _WideDigits:
     def unpack(self, data):
         nb = self.nb
         return [int.from_bytes(data[i:i + nb], "little", signed=True) for i in range(0, self.size, nb)]
+
+
+def _decode(kernel, z, den):
+    """The part c / den whose packed value is congruent to z modulo N: the
+    symmetric residue of z in (-N/2, N/2], unpacked into its phi signed
+    digits.  Exact when every |c_i| < 2^(b-2)."""
+    packer, bias, n, half = kernel
+    z %= n
+    if z > half:
+        z -= n
+    return _part(packer.unpack(((z + bias) ^ bias).to_bytes(packer.size, "little")), den)
+
+
+class PackedRing:
+    """Z[x]/Phi inside Z/N, N = Phi(2^b): x -> 2^b is a ring homomorphism
+    Z[x]/Phi -> Z/N, so sums and products of packed values are plain integer
+    + and * reduced modulo N.
+
+    The width is chosen for values that are images of Laurent polynomials
+    in x of total l1 mass at most ``mass``.  x^(4r) = 1 modulo Phi, so
+    reducing such a polynomial P sends each term x^e to A^e mod Phi, and its
+    reduced coefficients are at most mu * |P|_1 with
+    mu = max_e |A^e mod Phi|_inf.  b is the narrowest width with
+    bound = mu * mass < 2^(b-2); every such value then decodes exactly, and
+    is zero exactly when its residue is."""
+
+    __slots__ = ("params", "bound", "n", "_kernel")
+
+    def __init__(self, params: QuantumParams, mass: int):
+        self.params = params
+        self.bound = params._mu * mass
+        self._kernel = params._packing(self.bound)
+        self.n = self._kernel[2]
+
+    def pack(self, nums) -> int:
+        """The residue of the element with numerator vector nums: the
+        integer sum_i nums[i] 2^(b i) of signed b-bit digits.  Digits go
+        through bytes: adding bias, the sign bit of every digit, turns
+        signed digits into offset ones with no carry, and XOR with bias maps
+        these to and from two's complement.  Up to 8 bytes a digit, one
+        Struct call packs or unpacks a whole vector; wider digits, a
+        multiple of 8 bytes, are converted one at a time (``_WideDigits``)."""
+        packer, bias = self._kernel[0], self._kernel[1]
+        return (int.from_bytes(packer.pack(*nums), "little") ^ bias) - bias
+
+    def decode(self, z: int, den: int) -> "Scalar":
+        """The c-free element c / den with c the element packed as z mod N."""
+        return Scalar(self.params, _decode(self._kernel, z, den), None)
+
+
+def common_denominator(values):
+    """(L, numerator vectors) of c-free elements over L, the lcm of their
+    denominators.  An element with a c-part raises AssertionError: the
+    packed residues carry the c-free part alone."""
+    values = list(values)
+    if any(v.cpart is not None for v in values):
+        raise AssertionError("element with a c-part has no packed residue")
+    parts = [v.base for v in values]
+    den = math.lcm(*(d for _, d in parts))
+    return den, [tuple(n * (den // d) for n in nums) for nums, d in parts]
 
 
 def make_params(r: int, s: int = 1) -> QuantumParams:

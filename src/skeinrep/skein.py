@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import QuantumParams, Scalar
+from .scalars import PackedRing, QuantumParams, Scalar, common_denominator
 from .tl import jones_wenzl
 from .unionfind import UnionFind
 
@@ -97,8 +97,9 @@ class LabeledLink:
     @staticmethod
     def from_json(obj) -> "LabeledLink":
         try:
-            if json_object(obj, LINK_KEYS).get("version", LINK_SCHEMA_VERSION) != LINK_SCHEMA_VERSION:
-                raise LinkFormatError(f"unsupported link schema version {obj.get('version')}")
+            if json_object(obj, LINK_KEYS).get("version") != LINK_SCHEMA_VERSION:
+                raise LinkFormatError(f"link schema version must be {LINK_SCHEMA_VERSION}, "
+                                      f"got {obj.get('version', 'none')!r}")
             comps = []
             for c in obj["components"]:
                 label = json_object(c, COMPONENT_KEYS)["label"]
@@ -527,6 +528,46 @@ def _greedy_order(nodes, pairing):
     return order
 
 
+def _node_terms(params: QuantumParams, kind):
+    """The resolutions of a crossing (kind "X") or a Jones-Wenzl box of k
+    strands (kind k) as (L, mass, terms): terms are (pairs, nums), the slots
+    each resolution joins and its multiplier's numerators over the node's
+    one denominator L, and mass = sum_j |nums_j|_1 2^|pairs_j| bounds the l1
+    mass the node multiplies a state by, each join closing at most one loop
+    of mass |d|_1 = 2.  The A-smoothing of X[a,b,c,d] joins a-d and b-c."""
+    def build():
+        if kind == "X":
+            terms = {((0, 3), (1, 2)): params.a_pow(1), ((0, 1), (2, 3)): params.a_pow(-1)}
+        else:
+            terms = {diag.pairs: coeff for diag, coeff in jones_wenzl(params, kind).terms.items()}
+        den, nums = common_denominator(terms.values())
+        mass = sum(sum(map(abs, m)) << len(pairs) for pairs, m in zip(terms, nums))
+        return den, mass, list(zip(terms, nums))
+    return params.cached(("sweep_terms", kind), build)
+
+
+def _loop_residue(params: QuantumParams, ring: PackedRing) -> int:
+    """The residue of d = -A^2 - A^{-2} in `ring`."""
+    return params.cached(("sweep_loop", ring.n),
+                         lambda: ring.pack(common_denominator([params.loop_d()])[1][0]))
+
+
+def _node_residues(params: QuantumParams, ring: PackedRing, kind):
+    """The terms of `_node_terms` in `ring`: (pairs, scaled) with scaled[j]
+    the residue of the multiplier times d^j, for j up to the number of
+    joins."""
+    def build():
+        dval = _loop_residue(params, ring)
+        out = []
+        for pairs, nums in _node_terms(params, kind)[2]:
+            scaled = [ring.pack(nums)]
+            for _ in pairs:
+                scaled.append(scaled[-1] * dval % ring.n)
+            out.append((pairs, tuple(scaled)))
+        return out
+    return params.cached(("sweep_residues", kind, ring.n), build)
+
+
 def _sweep(params: QuantumParams, nodes, pairing, loops_upfront) -> Scalar:
     """Resolve the nodes one at a time, keeping a linear combination of states.
 
@@ -534,32 +575,35 @@ def _sweep(params: QuantumParams, nodes, pairing, loops_upfront) -> Scalar:
     unprocessed port whose `pairing` partner is processed.  Every other port
     still has its `pairing` partner, so it is left out; a state is the tuple
     of partners in the order of `frontier`.  Like states are merged.
-    """
-    dval = params.loop_d()
-    a_pos, a_neg = params.a_pow(1), params.a_pow(-1)
 
-    # resolutions per node: list of (joins, coefficient)
-    def node_resolutions(node, idx):
-        if node[0] == "X":
-            return [
-                ([( (idx, 0), (idx, 3) ), ( (idx, 1), (idx, 2) )], a_pos),
-                ([( (idx, 0), (idx, 1) ), ( (idx, 2), (idx, 3) )], a_neg),
-            ]
-        k = node[1]
-        out = []
-        for diag, coeff in jones_wenzl(params, k).terms.items():
-            joins = []
-            for p, q in diag.pairs:
-                joins.append(((idx, p), (idx, q)))
-            out.append((joins, coeff))
-        return out
+    A state's coefficient is one integer modulo N = Phi_4r(2^b): x -> 2^b
+    is a ring homomorphism Z[x]/Phi_4r -> Z/N (`scalars.PackedRing`), so the
+    product with a resolution's multiplier, the merge of like states and
+    the drop of zero states are integer *, + and % N.  Each box's multipliers
+    are scaled to its lcm denominator L, and the value is decoded once, over
+    the product of the L.  Every state is a sum of Laurent products in A
+    whose l1 mass is at most 2^loops_upfront times the product of the
+    nodes' masses (`_node_terms`); reduction modulo Phi_4r grows that by at
+    most mu, and b is chosen so that this bound B is below 2^(b-2).  Every
+    state's reduced coefficients are then at most B: the zero test on the
+    residue and the decode are exact.
+    """
+    kinds = [node[0] if node[0] == "X" else node[1] for node in nodes]
+    mass, den = 1 << loops_upfront, 1
+    for kind in kinds:
+        node_den, node_mass, _ = _node_terms(params, kind)
+        mass *= node_mass
+        den *= node_den
+    ring = PackedRing(params, mass)
+    n = ring.n
 
     frontier = []
     placed = set()
-    states = {(): params.one()}
+    states = {(): 1}
     for idx in _greedy_order(nodes, pairing):
         node = nodes[idx]
-        resolutions = node_resolutions(node, idx)
+        resolutions = [([((idx, p), (idx, q)) for p, q in pairs], scaled)
+                       for pairs, scaled in _node_residues(params, ring, kinds[idx])]
         ports = [(idx, s) for s in range(_port_count(node))]
         placed.add(idx)
         old_slot = {p: i for i, p in enumerate(frontier)}
@@ -578,7 +622,7 @@ def _sweep(params: QuantumParams, nodes, pairing, loops_upfront) -> Scalar:
             for p, i in on_frontier:
                 local[p] = key[i]
             untouched = [key[i] for i in kept] + opened
-            for joins, rcoeff in resolutions:
+            for joins, scaled in resolutions:
                 p2 = dict(local)
                 loops = 0
                 for x, y in joins:
@@ -592,26 +636,20 @@ def _sweep(params: QuantumParams, nodes, pairing, loops_upfront) -> Scalar:
                     p2.pop(py, None)
                     p2[px] = py
                     p2[py] = px
-                c2 = coeff * rcoeff
-                for _ in range(loops):
-                    c2 = c2 * dval
                 # every port left in p2 is a frontier port: a partner of the node
                 row = untouched.copy()
                 for p, q in p2.items():
                     row[new_slot[p]] = q
                 k2 = tuple(row)
-                acc = new_states.get(k2)
-                new_states[k2] = c2 if acc is None else acc + c2
-        states = {k: v for k, v in new_states.items() if not v.is_zero()}
+                new_states[k2] = new_states.get(k2, 0) + coeff * scaled[loops]
+        states = {k: v for k, w in new_states.items() if (v := w % n)}
         if not states:
-            return params.zero()
+            break
 
-    if set(states) != {()}:
+    if set(states) - {()}:
         raise AssertionError("sweep did not close all strands")
-    total = states[()]
-    for _ in range(loops_upfront):
-        total = total * dval
-    return total
+    total = states.get((), 0) * pow(_loop_residue(params, ring), loops_upfront, n)
+    return ring.decode(total, den)
 
 
 def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):

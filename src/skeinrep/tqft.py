@@ -65,8 +65,9 @@ class Spine:
     @staticmethod
     def from_json(obj) -> "Spine":
         try:
-            if sk.json_object(obj, SPINE_KEYS).get("version", SPINE_SCHEMA_VERSION) != SPINE_SCHEMA_VERSION:
-                raise SpineFormatError(f"unsupported spine schema version {obj.get('version')}")
+            if sk.json_object(obj, SPINE_KEYS).get("version") != SPINE_SCHEMA_VERSION:
+                raise SpineFormatError(f"spine schema version must be {SPINE_SCHEMA_VERSION}, "
+                                       f"got {obj.get('version', 'none')!r}")
             return Spine([sk.json_str(e) for e in obj["edges"]],
                          [[sk.json_str(x) for x in t] for t in obj["vertices"]],
                          {sk.json_str(k): sk.json_int(v)

@@ -224,10 +224,11 @@ def test_exit_parse_non_integer_spine_boundary_label(capsys, tmp_path, label):
     {"version": 1, "components": [{"label": 1, "colour": 2}], "crossings": []},
     {"version": 1, "components": [[1]], "crossings": []},
     [{"label": 1}],
+    {"components": [{"label": 1}], "crossings": []},
 ])
 def test_exit_parse_link_outside_schema(capsys, tmp_path, blob):
-    """Unknown keys (the schema forbids additional properties) and
-    non-objects where the schema asks for an object."""
+    """Unknown keys (the schema forbids additional properties), non-objects
+    where the schema asks for an object, and a missing (required) version."""
     path = tmp_path / "link.json"
     path.write_text(json.dumps(blob))
     code, out = run_cli(capsys, "eval-link", "--r", "4", "--link", str(path))
@@ -240,10 +241,11 @@ def test_exit_parse_link_outside_schema(capsys, tmp_path, blob):
     {"version": 1, "edges": ["a"], "vertices": [], "genus": 1},
     {"version": 1, "edges": ["a"], "vertices": [], "boundary": [1]},
     ["a"],
+    {"edges": ["a"], "vertices": []},
 ])
 def test_exit_parse_spine_outside_schema(capsys, tmp_path, blob):
-    """Edge names that are not strings, unknown keys, and non-objects where
-    the schema asks for an object."""
+    """Edge names that are not strings, unknown keys, non-objects where the
+    schema asks for an object, and a missing (required) version."""
     path = tmp_path / "spine.json"
     path.write_text(json.dumps(blob))
     code, out = run_cli(capsys, "dims", "--r", "4", "--spine", str(path))

@@ -1,18 +1,22 @@
-"""The frontier-keyed skein sweep against the full-pairing sweep it replaced.
+"""The packed, frontier-keyed skein sweep against a plain `Scalar` sweep.
 
 The reference below keys every state by the pairing of all unprocessed
-ports and picks the node order by rescanning every remaining node per step.
-Both sweeps run on the same nodes from `skein._diagram_nodes`; their values
-must have identical `to_json` bytes, and the node orders must agree.
+ports, picks the node order by rescanning every remaining node per step,
+and keeps every coefficient a `Scalar`.  Both sweeps run on the same nodes
+from `skein._diagram_nodes`; their values must have identical `to_json`
+bytes, and the node orders must agree.  The packed sweep's width is checked
+against its bound B, computed here from its definition.
 """
 import itertools
 import json
+import math
 import random
+import sys
 
 import pytest
 
 from skeinrep import skein as sk
-from skeinrep.scalars import make_params
+from skeinrep.scalars import PackedRing, _decode, common_denominator, make_params
 from skeinrep.skein import (CircumcisionPair, HandleSlide, apply_move, closed_braid_link,
                             split_union, unknot_link)
 from skeinrep.tl import jones_wenzl
@@ -140,3 +144,114 @@ def test_move_outputs_match_reference(r, s):
                        unknot_link(sk.OMEGA, 1))
     for i in (0, 1):
         check_link(params, apply_move(slid, HandleSlide(i, 2)))
+
+
+# ----- the packed residues: width, bound, zero drop and c-parts -----
+
+def expected_bound(params, nodes, loops_upfront):
+    """B = mu 2^loops_upfront prod_nodes sum_j |m_j|_1 2^|joins_j|, with
+    mu = max_e |A^e mod Phi|_inf and m_j a node's multipliers over its lcm
+    denominator."""
+    mu = max(abs(c) for e in range(params.order) for c in params.a_pow(e).base[0])
+    bound = mu << loops_upfront
+    for node in nodes:
+        if node[0] == "X":
+            coeffs, joins = [params.a_pow(1), params.a_pow(-1)], 2
+        else:
+            coeffs, joins = list(jones_wenzl(params, node[1]).terms.values()), node[1]
+        den = math.lcm(*(c.base[1] for c in coeffs))
+        bound *= sum(abs(n) * den // c.base[1] for c in coeffs for n in c.base[0]) << joins
+    return bound
+
+
+def traced_sweep(params, nodes, pairing, loops_upfront):
+    """The value of `skein._sweep` and its local variables as it returns."""
+    seen = {}
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is sk._sweep.__code__:
+            seen.update(frame.f_locals)
+    sys.setprofile(profile)
+    try:
+        value = sk._sweep(params, nodes, pairing, loops_upfront)
+    finally:
+        sys.setprofile(None)
+    return value, seen
+
+
+def digit_bits(params, ring):
+    return 8 * ring._kernel[0].size // params.phi
+
+
+def check_width(params, link, labels):
+    """The sweep's B is the defined bound, its width b the narrowest with
+    B < 2^(b-2), every decoded coefficient is at most B, and the value
+    matches the reference.  Returns b."""
+    nodes, pairing, loops_upfront = sk._diagram_nodes(params, link, labels)
+    value, seen = traced_sweep(params, nodes, pairing, loops_upfront)
+    ring = seen["ring"]
+    b = digit_bits(params, ring)
+    assert ring.bound == expected_bound(params, nodes, loops_upfront)
+    assert ring.bound < 2 ** (b - 2)
+    if b > 8:
+        narrower = b // 2 if b <= 128 else b - 64
+        assert ring.bound >= 2 ** (narrower - 2)
+    part = _decode(ring._kernel, seen["total"], 1)
+    assert part is None or max(map(abs, part[0])) <= ring.bound
+    assert as_bytes(value) == as_bytes(reference_sweep(params, nodes, pairing, loops_upfront))
+    return b
+
+
+def test_width_covers_every_decoded_coefficient():
+    widths = set()
+    for r, s in LEVELS:
+        params = make_params(r, s)
+        rng = random.Random(7 * r + s)
+        for _ in range(2):
+            link = random_closed_braid(rng, r)
+            choices = [range(r - 1) if c.label == sk.OMEGA else [c.label] for c in link.components]
+            for labels in itertools.product(*choices):
+                widths.add(check_width(params, link, list(labels)))
+    widths.add(check_width(make_params(4), unknot_link(1, 0), [1]))
+    widths.add(check_width(make_params(6), closed_braid_link([1, 1], 2), [4, 4]))
+    assert 8 in widths and max(widths) > 64
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 105])
+def test_ring_width_at_each_bound(r):
+    """mu * mass just below 2^(b-2) packs in b-bit digits, just above in the
+    next width, and a vector of coefficients at the bound decodes exactly."""
+    params = make_params(r)
+    for b, wider in ((8, 16), (16, 32), (32, 64), (64, 128), (128, 192)):
+        below = (2 ** (b - 2) - 1) // params._mu
+        assert digit_bits(params, PackedRing(params, below)) == b
+        assert digit_bits(params, PackedRing(params, below + 1)) == wider
+        ring = PackedRing(params, below)
+        nums = [ring.bound * (-1) ** i for i in range(params.phi)]
+        assert ring.decode(ring.pack(nums) + 3 * ring.n, 1).base == (tuple(nums), 1)
+
+
+@pytest.mark.parametrize("s", [1, 5])
+def test_exact_zero_is_dropped_and_decoded(s):
+    """The Hopf link labelled (1, 2) at r = 6 evaluates to [6] = 0: every
+    state is dropped, and the decode reads the zero residue."""
+    params = make_params(6, s)
+    nodes, pairing, loops_upfront = sk._diagram_nodes(
+        params, closed_braid_link([1, 1], 2), [1, 2])
+    value, seen = traced_sweep(params, nodes, pairing, loops_upfront)
+    assert value.is_zero() and reference_sweep(params, nodes, pairing, loops_upfront).is_zero()
+    assert seen["states"] == {} and seen["total"] == 0
+
+
+def test_box_term_with_c_part_raises(fresh_contexts, monkeypatch):
+    """A Jones-Wenzl coefficient with a c-part has no packed residue: it
+    raises instead of being dropped."""
+    params = make_params(5)
+    with pytest.raises(AssertionError):
+        common_denominator([params.one() + params.c_symbol()])
+    projector = sk.jones_wenzl
+    monkeypatch.setattr(sk, "jones_wenzl",
+                        lambda p, k: projector(p, k).scale(p.one() + p.c_symbol()))
+    with pytest.raises(AssertionError, match="c-part"):
+        sk.evaluate(params, closed_braid_link([1, 1], 2, labels=[2, 1]))
+
