@@ -171,9 +171,12 @@ class QuantumParams:
     def _packing(self, bound):
         """The kernel of the narrowest digits that hold bound: b = 8 nb with
         bound < 2^(b-2), nb the smallest of 1, 2, 4, 8, else of the multiples
-        of 8."""
+        of 8.  A wider kernel is built once per width, in the level memo."""
         bits = bound.bit_length()
-        return self._kernels[bits] if bits < 63 else self._kernel((bits + 65) // 64 * 8)
+        if bits < 63:
+            return self._kernels[bits]
+        nb = (bits + 65) // 64 * 8
+        return self.cached(("kernel", nb), lambda: self._kernel(nb))
 
     def _poly_mul(self, u, v):
         """Product of two nonzero parts by Kronecker substitution, reduced in

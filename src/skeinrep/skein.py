@@ -3,8 +3,10 @@
 Diagrams are extended PD codes: crossings X[a,b,c,d] list the four incident
 arcs counterclockwise starting from the incoming under-strand, so the under
 strand runs a -> c.  Components carry a label (an integer in 0..r-2, or
-"omega") and an integer framing; the diagram itself is blackboard-framed and
-the framing integer is realized as explicit kinks at evaluation time.
+"omega") and an integer framing; the diagram itself is blackboard-framed.  A
+kink slides onto a component's Jones-Wenzl box and acts there as the scalar
+mu_k = (-1)^k A^{k(k+2)}, so framing f on a k-labeled component multiplies
+the blackboard value by mu_k^f and is never drawn.
 
 Evaluation resolves crossings by the Kauffman relation (the A-smoothing of
 X[a,b,c,d] joins a-d and b-c), cables k-labeled components into k parallel
@@ -22,6 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .recoupling import twist_coefficient
 from .scalars import PackedRing, QuantumParams, Scalar, common_denominator
 from .tl import jones_wenzl
 from .unionfind import UnionFind
@@ -280,9 +283,10 @@ def signature(matrix) -> int:
 
 
 def omega_weights(params: QuantumParams):
-    """s_k = c d_k for k = 0..r-2; sum s_k^2 = 1 exactly."""
-    c = params.c_symbol()
-    return [c * params.d_k(k) for k in range(params.r - 1)]
+    """s_k = c d_k for k = 0..r-2; sum s_k^2 = 1 exactly.  The list is the
+    level memo's: callers read it and never change it."""
+    return params.cached(("omega_weights",), lambda: [
+        params.c_symbol() * params.d_k(k) for k in range(params.r - 1)])
 
 
 def _head_occurrences(crossings, ob):
@@ -311,40 +315,6 @@ def _braid_crossing(cur, g, fresh):
     return [q, q2, p2, p]
 
 
-def _insert_kinks(crossings, occ_head, comp_arcs, framing, fresh):
-    """Add |framing| kinks (sign of framing) to one arc of the component.
-
-    Returns the extra crossings and the list of forced over-entry booleans
-    for them.  `occ_head` maps arc -> (t, s) of its head occurrence.
-    Mutates `crossings` in place when rewiring the cut arc.
-    """
-    extra, extra_ob = [], []
-    if framing == 0:
-        return extra, extra_ob
-    positive = framing > 0
-    if comp_arcs:
-        u = comp_arcs[0]
-        head = occ_head[u]
-    else:
-        u, head = next(fresh), None
-    cur = u
-    for step in range(abs(framing)):
-        v = next(fresh)
-        last = step == abs(framing) - 1
-        nxt = next(fresh) if (head is not None or not last) else u
-        if positive:
-            extra.append([cur, v, v, nxt])
-            extra_ob.append(True)
-        else:
-            extra.append([cur, nxt, v, v])
-            extra_ob.append(False)
-        cur = nxt
-    if head is not None:
-        t, s = head
-        crossings[t][s] = cur
-    return extra, extra_ob
-
-
 def _diagram_nodes(params: QuantumParams, link: LabeledLink, labels):
     """The cabled diagram of `link` with every component's label an integer.
 
@@ -357,30 +327,10 @@ def _diagram_nodes(params: QuantumParams, link: LabeledLink, labels):
     for k in labels:
         if not 0 <= k <= r - 2:
             raise DomainError(f"label {k} outside 0..{r - 2}")
-    base_ob = link.orientations()
+    ob = link.orientations()
     comp_of = link.arc_component()
-    crossings = [list(x) for x in link.crossings]
-    ob = list(base_ob)
-    cross_comp = []  # (under component, over component) per crossing
-    for t, (a, b, c, d) in enumerate(crossings):
-        cross_comp.append((comp_of[a], comp_of[b]))
-
-    occ_head = _head_occurrences(crossings, ob)
-    fresh = itertools.count(max([0] + [a for x in crossings for a in x]) + 1)
-
-    # framing kinks (only for components that survive)
-    for i, comp in enumerate(link.components):
-        if labels[i] == 0:
-            continue
-        extra, extra_ob = _insert_kinks(crossings, occ_head,
-                                        comp.arcs, comp.framing, fresh)
-        for x, o in zip(extra, extra_ob):
-            crossings.append(x)
-            ob.append(o)
-            cross_comp.append((i, i))
-        occ_head = _head_occurrences(crossings, ob)  # cut arcs were rewired
-
-    mult = list(labels)
+    crossings = link.crossings
+    cross_comp = [(comp_of[a], comp_of[b]) for a, b, c, d in crossings]  # (under, over)
 
     # choose box sites: one arc per component with multiplicity >= 2
     box_site = {}
@@ -390,11 +340,10 @@ def _diagram_nodes(params: QuantumParams, link: LabeledLink, labels):
         arcs_of[cu].append(x[0])
         arcs_of[co].append(x[1 if ob[t] else 3])
     virtual_boxes = []  # crossingless loops of multiplicity >= 2
-    for i, comp in enumerate(link.components):
-        if mult[i] >= 2:
-            cand = arcs_of[i] or comp.arcs
-            if cand:
-                box_site[i] = cand[0]
+    for i, k in enumerate(labels):
+        if k >= 2:
+            if arcs_of[i]:
+                box_site[i] = arcs_of[i][0]
             else:
                 virtual_boxes.append(i)
 
@@ -413,7 +362,7 @@ def _diagram_nodes(params: QuantumParams, link: LabeledLink, labels):
     for t, x in enumerate(crossings):
         a, b, c, d = x
         cu, co = cross_comp[t]
-        m, n = mult[cu], mult[co]
+        m, n = labels[cu], labels[co]
         bin_, dout = (b, d) if ob[t] else (d, b)
         if m == 0 and n == 0:
             continue
@@ -455,8 +404,7 @@ def _diagram_nodes(params: QuantumParams, link: LabeledLink, labels):
                 nodes.append(("X", (pa, pb, pc, pd)))
 
     free_loop_count = 0
-    for i, comp in enumerate(link.components):
-        k = mult[i]
+    for i, k in enumerate(labels):
         if k == 0:
             continue
         if i in box_site:
@@ -469,8 +417,8 @@ def _diagram_nodes(params: QuantumParams, link: LabeledLink, labels):
             # giving the closed-loop value d_k of the projector
             vb = [("vbox", i, j) for j in range(1, k + 1)]
             nodes.append(("B", k, vb, vb))
-        elif k == 1 and not arcs_of[i] and not comp.arcs:
-            # crossingless loop, multiplicity 1, no kinks: bare circle
+        elif not arcs_of[i]:
+            # crossingless loop of multiplicity 1: a bare circle
             free_loop_count += 1
 
     # ----- pair up port occurrences -----
@@ -486,9 +434,9 @@ def _diagram_nodes(params: QuantumParams, link: LabeledLink, labels):
 
     # aliased classes never touched by a node are closed loops
     alias_loops = sum(alias.find(g[0]) not in occurrences for g in alias.groups())
-    # components of multiplicity >= 1 whose every crossing partner was
-    # dropped (and have no kinks/box) close into alias loops per cable copy;
-    # multiplicity-1 crossingless circles were counted in free_loop_count
+    # components of multiplicity 1 whose every crossing partner was dropped
+    # close into alias loops; crossingless ones were counted in
+    # free_loop_count
     loops_upfront = free_loop_count + alias_loops
 
     pairing = {}
@@ -653,8 +601,14 @@ def _sweep(params: QuantumParams, nodes, pairing, loops_upfront) -> Scalar:
 
 
 def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):
-    """Evaluate with every component's label an integer (omega expanded)."""
-    return _sweep(params, *_diagram_nodes(params, link, labels))
+    """Evaluate with every component's label an integer (omega expanded):
+    the blackboard-framed sweep times mu_k^f for each k-labeled component
+    of framing f."""
+    value = _sweep(params, *_diagram_nodes(params, link, labels))
+    for k, comp in zip(labels, link.components):
+        if k and comp.framing:
+            value = value * twist_coefficient(params, k, comp.framing)
+    return value
 
 
 def evaluate(params: QuantumParams, link: LabeledLink) -> Scalar:

@@ -106,3 +106,22 @@ def test_packed_constants():
     assert packer.size == 4 and bias == sum(1 << (8 * i + 7) for i in range(4))
     assert n == 256 ** 4 - 256 ** 2 + 1 and half == n >> 1
     assert QuantumParams(3, 5)._kernels is params._kernels
+
+
+def test_wide_kernels_are_kept_per_width(fresh_contexts, monkeypatch):
+    """A kernel wider than 8-byte digits is built once per width and level:
+    two bounds of one width get the same kernel, another root of the level
+    shares its parts, and the next width builds another one."""
+    params = QuantumParams(5)
+    builds = []
+    build = QuantumParams._kernel
+    monkeypatch.setattr(QuantumParams, "_kernel",
+                        lambda self, nb, code=None: builds.append(nb) or build(self, nb, code))
+    kernel = params._packing(2 ** 70)
+    assert kernel[0].size == 16 * params.phi
+    assert params._packing(2 ** 100) is kernel
+    other = QuantumParams(5, 3)._packing(2 ** 80)
+    assert other == kernel and other[0] is kernel[0]
+    wider = params._packing(2 ** 130)
+    assert wider[0].size == 24 * params.phi
+    assert builds == [16, 24]

@@ -6,6 +6,11 @@ and keeps every coefficient a `Scalar`.  Both sweeps run on the same nodes
 from `skein._diagram_nodes`; their values must have identical `to_json`
 bytes, and the node orders must agree.  The packed sweep's width is checked
 against its bound B, computed here from its definition.
+
+`skein.evaluate` draws no framing: it multiplies the blackboard value by
+mu_k^f.  The reference draws it, splicing |f| kinks into the diagram
+(`insert_kinks`), and sums its sweeps over the omega labelings with weights
+c d_k; the two values must have identical `to_json` bytes.
 """
 import itertools
 import json
@@ -86,16 +91,93 @@ def as_bytes(value):
     return json.dumps(value.to_json(), sort_keys=True).encode()
 
 
-def check_link(params, link):
-    """Both sweeps on every integer labeling of `link` (omega expanded)."""
+def insert_kinks(crossings, occ_head, comp_arcs, framing, fresh):
+    """Add |framing| kinks (sign of framing) to one arc of the component.
+
+    Returns the extra crossings and the list of forced over-entry booleans
+    for them.  `occ_head` maps arc -> (t, s) of its head occurrence.
+    Mutates `crossings` in place when rewiring the cut arc.
+    """
+    extra, extra_ob = [], []
+    if framing == 0:
+        return extra, extra_ob
+    positive = framing > 0
+    if comp_arcs:
+        u = comp_arcs[0]
+        head = occ_head[u]
+    else:
+        u, head = next(fresh), None
+    cur = u
+    for step in range(abs(framing)):
+        v = next(fresh)
+        last = step == abs(framing) - 1
+        nxt = next(fresh) if (head is not None or not last) else u
+        if positive:
+            extra.append([cur, v, v, nxt])
+            extra_ob.append(True)
+        else:
+            extra.append([cur, nxt, v, v])
+            extra_ob.append(False)
+        cur = nxt
+    if head is not None:
+        t, s = head
+        crossings[t][s] = cur
+    return extra, extra_ob
+
+
+def kinked_link(link, labels):
+    """`link` labelled by the integers `labels`, with the framing f of each
+    component of nonzero label drawn as |f| kinks and every framing then 0."""
+    crossings = [list(x) for x in link.crossings]
+    ob = link.orientations()
+    comps = [sk.Component(k, 0, list(c.arcs)) for k, c in zip(labels, link.components)]
+    fresh = itertools.count(max([0] + [a for x in crossings for a in x]) + 1)
+    for k, comp, out in zip(labels, link.components, comps):
+        if k == 0:
+            continue
+        extra, extra_ob = insert_kinks(crossings, sk._head_occurrences(crossings, ob),
+                                       comp.arcs, comp.framing, fresh)
+        crossings += extra
+        ob += extra_ob
+        out.arcs = sorted(set(out.arcs).union(*extra))
+    kinked = sk.LabeledLink(comps, crossings)
+    kinked.validate()
+    assert kinked.orientations() == ob
+    return kinked
+
+
+def labelings(params, link):
+    """Every integer labeling of `link`: omega expanded over 0..r-2."""
     choices = [range(params.r - 1) if c.label == sk.OMEGA else [c.label]
                for c in link.components]
-    for labels in itertools.product(*choices):
-        nodes, pairing, loops_upfront = sk._diagram_nodes(params, link, list(labels))
+    return [list(labels) for labels in itertools.product(*choices)]
+
+
+def kinked_value(params, link):
+    """The value of `link` from `reference_sweep` over its kinked diagrams,
+    summed over the omega labelings with weights c d_k."""
+    c, total = params.c_symbol(), params.zero()
+    for labels in labelings(params, link):
+        weight = params.one()
+        for comp, k in zip(link.components, labels):
+            if comp.label == sk.OMEGA:
+                weight = weight * c * params.d_k(k)
+        nodes = sk._diagram_nodes(params, kinked_link(link, labels), labels)
+        total = total + weight * reference_sweep(params, *nodes)
+    return total
+
+
+def check_link(params, link):
+    """Both sweeps on the blackboard diagram of every integer labeling of
+    `link`, and `skein.evaluate` against the kinked reference."""
+    for labels in labelings(params, link):
+        nodes, pairing, loops_upfront = sk._diagram_nodes(params, link, labels)
         assert sk._greedy_order(nodes, pairing) == reference_order(nodes, pairing)
         got = sk._sweep(params, nodes, pairing, loops_upfront)
         want = reference_sweep(params, nodes, pairing, loops_upfront)
         assert as_bytes(got) == as_bytes(want), (link.to_json(), labels)
+    assert as_bytes(sk.evaluate(params, link)) == as_bytes(kinked_value(params, link)), \
+        link.to_json()
 
 
 LEVELS = [(r, s) for r in (4, 5, 6) for s in ((1, 3) if r < 6 else (1, 5))]
@@ -132,6 +214,36 @@ def test_unknots_and_split_unions_match_reference(r, s):
             check_link(params, unknot_link(label, framing))
     hopf = closed_braid_link([1, 1], 2, labels=[2, 1], framings=[1, -1])
     check_link(params, split_union(hopf, unknot_link(2, -1), unknot_link(1, 0)))
+
+
+@pytest.mark.parametrize("r,s", LEVELS)
+def test_framed_unknots_match_kinked_reference(r, s):
+    """A framed crossingless loop has no arc of its own: the kinked
+    reference draws all of its crossings."""
+    params = make_params(r, s)
+    for label in (0, 1, 2, r - 2, sk.OMEGA):
+        for framing in range(-3, 4):
+            check_link(params, unknot_link(label, framing))
+
+
+def test_cable_crossings_do_not_depend_on_framing():
+    """The cabled diagram is the blackboard one: a crossing of a k-labelled
+    under strand and an l-labelled over strand gives k l crossing nodes,
+    whatever the framings, and a framed crossingless loop gives none."""
+    rng = random.Random(11)
+    params = make_params(6)
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        word = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 6))]
+        count = len(closed_braid_link(word, n).components)
+        labels = [rng.randint(0, 4) for _ in range(count)]
+        framings = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(count)]
+        link = closed_braid_link(word, n, labels=labels, framings=framings)
+        comp_of = link.arc_component()
+        cabled = sum(labels[comp_of[a]] * labels[comp_of[b]] for a, b, _, _ in link.crossings)
+        for framed in (link, closed_braid_link(word, n, labels=labels)):
+            nodes = sk._diagram_nodes(params, framed, labels)[0]
+            assert sum(node[0] == "X" for node in nodes) == cabled
 
 
 @pytest.mark.parametrize("r,s", [(4, 1), (5, 3)])
