@@ -169,25 +169,26 @@ def cmd_braid_detect(args):
 
 
 def _move_from_json(obj):
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ParseFailure("each move needs a 'type' field")
-    t = obj["type"]
-    if t == "handle_slide":
-        try:
-            return skein.HandleSlide(int(obj["slide"]), int(obj["over"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseFailure("handle_slide needs integer 'slide' and 'over'") from exc
-    if t == "balanced_stabilization":
-        return skein.BalancedStabilization()
-    if t == "circumcision_pair":
+    """One entry of a moves list: an object holding only its type's keys,
+    with component indices JSON integers ('around' may be null or absent)."""
+    try:
+        t = skein.json_str(skein.json_object(obj).get("type"))
+        keys = {"handle_slide": ("type", "slide", "over"),
+                "balanced_stabilization": ("type",),
+                "circumcision_pair": ("type", "around")}.get(t)
+        if keys is None:
+            raise ValueError(f"unknown move type {t!r}")
+        skein.json_object(obj, keys)
+        if t == "handle_slide":
+            return skein.HandleSlide(skein.json_int(obj["slide"]), skein.json_int(obj["over"]))
+        if t == "balanced_stabilization":
+            return skein.BalancedStabilization()
         around = obj.get("around")
-        if around is not None:
-            try:
-                around = int(around)
-            except (TypeError, ValueError) as exc:
-                raise ParseFailure("'around' must be a component index") from exc
-        return skein.CircumcisionPair(around)
-    raise ParseFailure(f"unknown move type {t!r}")
+        return skein.CircumcisionPair(None if around is None else skein.json_int(around))
+    except KeyError as exc:
+        raise ParseFailure(f"move {obj!r} lacks the key {exc}") from exc
+    except ValueError as exc:
+        raise ParseFailure(f"bad move {obj!r}: {exc}") from exc
 
 
 def cmd_verify_moves(args):

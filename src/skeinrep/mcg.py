@@ -259,7 +259,7 @@ class Torus(SurfaceModel):
         if curve == "a":
             return None, labels, None
         s = self.s_matrix(params)
-        inv_d = params.total_d_squared().inverse()  # S S = D I
+        inv_d = params.inverse_total_d_squared()  # S S = D I
         s_inv = [[x * inv_d for x in row] for row in s]
         if curve == "b":
             return s, labels, s_inv

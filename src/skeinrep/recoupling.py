@@ -51,10 +51,6 @@ def loop_value_oracle(params: QuantumParams, k: int) -> Scalar:
     return jones_wenzl(params, k).markov_trace()
 
 
-def _sign(params: QuantumParams, n: int) -> Scalar:
-    return params.one() if n % 2 == 0 else -params.one()
-
-
 def theta(params: QuantumParams, a: int, b: int, c: int) -> Scalar:
     """Theta network with edge labels a, b, c.
 
@@ -68,7 +64,8 @@ def theta(params: QuantumParams, a: int, b: int, c: int) -> Scalar:
     f = params.quantum_factorial
     num = f(x + y + z + 1) * f(x) * f(y) * f(z)
     den = f(x + y) * f(y + z) * f(z + x)
-    return _sign(params, x + y + z) * num / den
+    value = num / den
+    return -value if (x + y + z) % 2 else value
 
 
 def vertex_morphism(params: QuantumParams, a: int, b: int, c: int) -> TLElement:
@@ -121,7 +118,7 @@ def tet(params: QuantumParams, a: int, b: int, c: int, d: int, e: int, f: int) -
         pref_den = pref_den * fq(edge)
     total = params.zero()
     for s in range(max(av), min(bv) + 1):
-        term = _sign(params, s) * fq(s + 1)
+        term = -fq(s + 1) if s % 2 else fq(s + 1)
         den = params.one()
         for ai in av:
             den = den * fq(s - ai)
@@ -182,7 +179,8 @@ def twist_coefficient(params: QuantumParams, k: int, power: int = 1) -> Scalar:
     oracle-determined one (a single positive kink on an unlabeled strand
     resolves to -A^3)."""
     check_label(params, k)
-    return _sign(params, k * power) * params.a_pow(power * k * (k + 2))
+    value = params.a_pow(power * k * (k + 2))
+    return -value if k * power % 2 else value
 
 
 def curl_element(params: QuantumParams, k: int, positive: bool = True) -> TLElement:
@@ -231,7 +229,8 @@ def hopf_pairing(params: QuantumParams, j: int, k: int) -> Scalar:
     S~_{jk} = (-1)^{j+k} [(j+1)(k+1)]."""
     check_label(params, j)
     check_label(params, k)
-    return _sign(params, j + k) * params.quantum_int((j + 1) * (k + 1))
+    value = params.quantum_int((j + 1) * (k + 1))
+    return -value if (j + k) % 2 else value
 
 
 def hopf_pairing_oracle(params: QuantumParams, j: int, k: int) -> Scalar:

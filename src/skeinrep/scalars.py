@@ -2,12 +2,14 @@
 the formal normalization constant c with c^2 = 1/D, D = sum of squared loop
 values.
 
-Elements are pairs of polynomials in A with rational coefficients, reduced
-modulo the 4r-th cyclotomic polynomial Phi: x = base + c * cpart.  The symbol
-c only ever enters computations to integer powers, so tracking a single
-formal c-part suffices; c^2 is rewritten to the explicit field element 1/D.
+An element is c^odd * part: a parity bit and one polynomial in A with
+rational coefficients, reduced modulo the 4r-th cyclotomic polynomial Phi.
+The symbol c enters only through the omega weights c d_k, so every value
+computed is a power of c times a c-free element; c^2 is rewritten to the
+explicit field element 1/D, and a sum of nonzero elements of different
+parity raises.
 
-Each part is a pair (nums, den): a tuple of phi integer numerators, constant
+A part is a pair (nums, den): a tuple of phi integer numerators, constant
 first, over one positive integer denominator.  Parts are canonical -- the gcd
 of den and all nums is 1, and the zero part is None -- so equal elements have
 equal tuples and == and hash are plain tuple operations.  Phi is monic, so
@@ -231,24 +233,24 @@ class QuantumParams:
     # ----- element constructors -----
 
     def zero(self) -> "Scalar":
-        return Scalar(self, None, None)
+        return Scalar(self, None)
 
     def one(self) -> "Scalar":
-        return Scalar(self, self._one, None)
+        return Scalar(self, self._one)
 
     def from_int(self, n: int) -> "Scalar":
-        return Scalar(self, _const(self, n), None)
+        return Scalar(self, _const(self, n))
 
     def from_rational(self, q: Fraction) -> "Scalar":
         q = Fraction(q)
-        return Scalar(self, _const(self, q.numerator, q.denominator), None)
+        return Scalar(self, _const(self, q.numerator, q.denominator))
 
     def a_pow(self, e: int) -> "Scalar":
         """A^e, exponent taken modulo 4r."""
-        return Scalar(self, self._apow[e % self.order], None)
+        return Scalar(self, self._apow[e % self.order])
 
     def c_symbol(self) -> "Scalar":
-        return Scalar(self, None, self._one)
+        return Scalar(self, self._one, 1)
 
     def loop_d(self) -> "Scalar":
         """d = -A^2 - A^{-2}."""
@@ -275,16 +277,13 @@ class QuantumParams:
         return -v if k % 2 else v
 
     def total_d_squared(self) -> "Scalar":
-        """D = sum_{k=0}^{r-2} d_k^2."""
-        acc = self.zero()
-        for k in range(self.r - 1):
-            dk = self.d_k(k)
-            acc = acc + dk * dk
-        return acc
+        """D = sum_{k=0}^{r-2} d_k^2, built once per level."""
+        return self.cached(("D",), lambda: sum(
+            (dk * dk for dk in map(self.d_k, range(self.r - 1))), self.zero()))
 
-    def _inv_D(self):
-        """1/D as a part (memoized by callers)."""
-        return self._poly_inv(self.total_d_squared().base)
+    def inverse_total_d_squared(self) -> "Scalar":
+        """1/D = c^2, built once per level."""
+        return self.cached(("1/D",), lambda: self.total_d_squared().inverse())
 
     def _c_float(self) -> float:
         """c as a float, the positive real root of 1/D at this root; it
@@ -367,17 +366,17 @@ class PackedRing:
 
     def decode(self, z: int, den: int) -> "Scalar":
         """The c-free element c / den with c the element packed as z mod N."""
-        return Scalar(self.params, _decode(self._kernel, z, den), None)
+        return Scalar(self.params, _decode(self._kernel, z, den))
 
 
 def common_denominator(values):
     """(L, numerator vectors) of c-free elements over L, the lcm of their
-    denominators.  An element with a c-part raises AssertionError: the
-    packed residues carry the c-free part alone."""
+    denominators.  A c-odd element raises AssertionError: the packed
+    residues carry c-free values alone."""
     values = list(values)
-    if any(v.cpart is not None for v in values):
-        raise AssertionError("element with a c-part has no packed residue")
-    parts = [v.base for v in values]
+    if any(v.odd for v in values):
+        raise AssertionError("c-odd element has no packed residue")
+    parts = [v.part for v in values]
     den = math.lcm(*(d for _, d in parts))
     return den, [tuple(n * (den // d) for n in nums) for nums, d in parts]
 
@@ -434,19 +433,20 @@ def _poly_divmod(u, v):
 
 
 class Scalar:
-    """An element base + c * cpart of the extended cyclotomic ring.
+    """An element c^odd * part of the extended cyclotomic ring.
 
-    Immutable.  ``base`` and ``cpart`` are canonical parts: a pair of phi(4r)
-    integer numerators and one positive denominator with no common factor,
-    or None for zero.  Arithmetic demands a shared QuantumParams context.
+    Immutable.  ``part`` is canonical: a pair of phi(4r) integer numerators
+    and one positive denominator with no common factor, or None for zero,
+    whose parity ``odd`` is 0.  Arithmetic demands a shared QuantumParams
+    context, and a sum demands one parity among its nonzero summands.
     """
 
-    __slots__ = ("params", "base", "cpart")
+    __slots__ = ("params", "part", "odd")
 
-    def __init__(self, params: QuantumParams, base, cpart):
+    def __init__(self, params: QuantumParams, part, odd=0):
         self.params = params
-        self.base = base
-        self.cpart = cpart
+        self.part = part
+        self.odd = odd
 
     # ----- ring structure -----
 
@@ -456,46 +456,42 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        return Scalar(self.params, _tadd(self.base, other.base), _tadd(self.cpart, other.cpart))
+        if other.part is None:
+            return self
+        if self.part is None:
+            return other
+        if self.odd != other.odd:
+            raise ValueError("sum of nonzero Scalars of different c-parity")
+        part = _tadd(self.part, other.part)
+        return Scalar(self.params, part, self.odd if part else 0)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.params, _neg(self.base), _neg(self.cpart))
+        if self.part is None:
+            return self
+        nums, den = self.part
+        return Scalar(self.params, (tuple(-n for n in nums), den), self.odd)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
         p = self.params
-        a0, a1, b0, b1 = self.base, self.cpart, other.base, other.cpart
-        base = cpart = None
-        if a0 is not None and b0 is not None:
-            base = p._poly_mul(a0, b0)
-        if a1 is not None and b1 is not None:
-            base = _tadd(base, p._poly_mul(p._poly_mul(a1, b1), p.cached("inv_D", p._inv_D)))
-        if a0 is not None and b1 is not None:
-            cpart = p._poly_mul(a0, b1)
-        if a1 is not None and b0 is not None:
-            cpart = _tadd(cpart, p._poly_mul(a1, b0))
-        return Scalar(p, base, cpart)
+        if self.part is None or other.part is None:
+            return Scalar(p, None)
+        part = p._poly_mul(self.part, other.part)
+        if self.odd and other.odd:
+            part = p._poly_mul(part, p.inverse_total_d_squared().part)  # c^2 = 1/D
+        return Scalar(p, part, self.odd ^ other.odd)
 
     def inverse(self) -> "Scalar":
         p = self.params
-        if self.is_zero():
+        if self.part is None:
             raise ZeroDivisionError("division by zero Scalar")
-        if self.cpart is None:
-            return Scalar(p, p._poly_inv(self.base), None)
-        if self.base is None:
-            # (c*u)^{-1} = c * D / u  since c^2 = 1/D
-            inv_u = p._poly_inv(self.cpart)
-            D = p.total_d_squared()
-            return Scalar(p, None, p._poly_mul(inv_u, D.base))
-        # general: multiply by the conjugate base - c*cpart
-        conj = Scalar(p, self.base, _neg(self.cpart))
-        norm = self * conj
-        if norm.cpart is not None or norm.base is None:
-            raise ZeroDivisionError("element is not invertible in the c-extended ring")
-        return conj * Scalar(p, p._poly_inv(norm.base), None)
+        part = p._poly_inv(self.part)
+        if self.odd:
+            part = p._poly_mul(part, p.total_d_squared().part)  # (c u)^-1 = c D / u
+        return Scalar(p, part, self.odd)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
@@ -512,41 +508,35 @@ class Scalar:
             n >>= 1
         return acc
 
+    def rebind(self, params: QuantumParams) -> "Scalar":
+        """This value over params, another root of its level: the same part."""
+        return Scalar(params, self.part, self.odd)
+
     # ----- predicates and conversions -----
 
     def is_zero(self) -> bool:
-        return self.base is None and self.cpart is None
+        return self.part is None
 
     def is_one(self) -> bool:
-        return self.cpart is None and self.base == self.params._one
+        return not self.odd and self.part == self.params._one
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        return self.base == other.base and self.cpart == other.cpart
+        return self.part == other.part and self.odd == other.odd
 
     def __hash__(self):
-        return hash((self.base, self.cpart))
-
-    def cpow(self) -> int:
-        """Parity of the formal symbol c, for pure elements."""
-        if self.cpart is None:
-            return 0
-        if self.base is None:
-            return 1
-        raise ValueError("Scalar mixes c-parities; cpow is undefined")
+        return hash((self.part, self.odd))
 
     def embed(self) -> complex:
         """Numeric value at A = e^{2 pi i s/4r}, c = positive real root of 1/D."""
         p = self.params
+        if self.part is None:
+            return 0j
         a = complex(math.cos(2 * math.pi * p.s / p.order), math.sin(2 * math.pi * p.s / p.order))
-        val = 0j
-        if self.base is not None:
-            val += _horner(self.base, a)
-        if self.cpart is not None:
-            val += _horner(self.cpart, a) * p._c_float()
-        return val
+        val = _horner(self.part, a)
+        return val * p._c_float() if self.odd else val
 
     def __repr__(self):
         if self.is_zero():
@@ -555,12 +545,10 @@ class Scalar:
         return f"Scalar(~{v.real:+.6f}{v.imag:+.6f}i)"
 
     def to_json(self):
-        cp = self.cpow() if not self.is_zero() else 0
-        part = self.cpart if cp else self.base
-        if part is None:
-            return {"cpow": cp, "coeffs": ["0"] * self.params.phi}
-        nums, den = part
-        return {"cpow": cp, "coeffs": [str(Fraction(n, den)) for n in nums]}
+        if self.part is None:
+            return {"cpow": 0, "coeffs": ["0"] * self.params.phi}
+        nums, den = self.part
+        return {"cpow": self.odd, "coeffs": [str(Fraction(n, den)) for n in nums]}
 
     @staticmethod
     def from_json(params: QuantumParams, obj) -> "Scalar":
@@ -569,18 +557,12 @@ class Scalar:
             raise ValueError(f"expected {params.phi} coefficients, got {len(coeffs)}")
         den = math.lcm(*(q.denominator for q in coeffs))
         part = _part([q.numerator * (den // q.denominator) for q in coeffs], den)
-        if int(obj["cpow"]) % 2:
-            return Scalar(params, None, part)
-        return Scalar(params, part, None)
+        return Scalar(params, part, int(obj["cpow"]) % 2 if part else 0)
 
 
 def _tadd(u, v):
-    """Sum of two parts; the denominators are multiplied only when they
-    differ."""
-    if u is None:
-        return v
-    if v is None:
-        return u
+    """Sum of two nonzero parts; the denominators are multiplied only when
+    they differ."""
     (un, ud), (vn, vd) = u, v
     if ud == vd:
         return _part([a + b for a, b in zip(un, vn)], ud)
@@ -589,17 +571,11 @@ def _tadd(u, v):
 
 def _rebind(value, params):
     """A memoized value bound to params, another root of the level it was
-    built at: a new Scalar over the same parts per entry, walking lists and
-    tuples and anything with a ``rebind`` method; the rest is shared."""
-    if isinstance(value, Scalar):
-        return Scalar(params, value.base, value.cpart)
+    built at: lists and tuples are walked, anything with a ``rebind`` method
+    (a Scalar, a TLElement) is rebound, and the rest is shared."""
     if isinstance(value, (list, tuple)):
         return type(value)(_rebind(v, params) for v in value)
     return value.rebind(params) if hasattr(value, "rebind") else value
-
-
-def _neg(u):
-    return None if u is None else (tuple(-n for n in u[0]), u[1])
 
 
 def _horner(part, x):

@@ -315,8 +315,25 @@ def _braid_crossing(cur, g, fresh):
     return [q, q2, p2, p]
 
 
-def _diagram_nodes(params: QuantumParams, link: LabeledLink, labels):
-    """The cabled diagram of `link` with every component's label an integer.
+def _strands(link: LabeledLink):
+    """The label-free data of the cabled diagram, shared by every labelling:
+    (ob, cross_comp, arcs_of) with ob the orientations, cross_comp[t] the
+    (under, over) components of crossing t, and arcs_of[i] the incoming
+    arcs of component i, one per crossing it passes."""
+    ob = link.orientations()
+    comp_of = link.arc_component()
+    cross_comp = [(comp_of[a], comp_of[b]) for a, b, c, d in link.crossings]
+    arcs_of = {i: [] for i in range(len(link.components))}
+    for t, x in enumerate(link.crossings):
+        cu, co = cross_comp[t]
+        arcs_of[cu].append(x[0])
+        arcs_of[co].append(x[1 if ob[t] else 3])
+    return ob, cross_comp, arcs_of
+
+
+def _diagram_nodes(params: QuantumParams, link: LabeledLink, labels, strands):
+    """The cabled diagram of `link` with every component's label an integer,
+    over its label-free data `strands` (``_strands(link)``).
 
     Returns (nodes, pairing, loops_upfront): nodes are ("X", ports) crossings
     of cable strands and ("B", k, bottoms, tops) Jones-Wenzl boxes; `pairing`
@@ -327,18 +344,11 @@ def _diagram_nodes(params: QuantumParams, link: LabeledLink, labels):
     for k in labels:
         if not 0 <= k <= r - 2:
             raise DomainError(f"label {k} outside 0..{r - 2}")
-    ob = link.orientations()
-    comp_of = link.arc_component()
+    ob, cross_comp, arcs_of = strands
     crossings = link.crossings
-    cross_comp = [(comp_of[a], comp_of[b]) for a, b, c, d in crossings]  # (under, over)
 
     # choose box sites: one arc per component with multiplicity >= 2
     box_site = {}
-    arcs_of = {i: [] for i in range(len(link.components))}
-    for t, x in enumerate(crossings):
-        cu, co = cross_comp[t]
-        arcs_of[cu].append(x[0])
-        arcs_of[co].append(x[1 if ob[t] else 3])
     virtual_boxes = []  # crossingless loops of multiplicity >= 2
     for i, k in enumerate(labels):
         if k >= 2:
@@ -600,11 +610,11 @@ def _sweep(params: QuantumParams, nodes, pairing, loops_upfront) -> Scalar:
     return ring.decode(total, den)
 
 
-def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):
+def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels, strands):
     """Evaluate with every component's label an integer (omega expanded):
     the blackboard-framed sweep times mu_k^f for each k-labeled component
-    of framing f."""
-    value = _sweep(params, *_diagram_nodes(params, link, labels))
+    of framing f.  `strands` is ``_strands(link)``."""
+    value = _sweep(params, *_diagram_nodes(params, link, labels, strands))
     for k, comp in zip(labels, link.components):
         if k and comp.framing:
             value = value * twist_coefficient(params, k, comp.framing)
@@ -620,15 +630,16 @@ def evaluate(params: QuantumParams, link: LabeledLink) -> Scalar:
         if c.label != OMEGA and not 0 <= c.label <= params.r - 2:
             raise DomainError(f"component {i} label {c.label} outside 0..{params.r - 2}")
     weights = omega_weights(params)
+    strands = _strands(link)
     total = params.zero()
-    base = [c.label for c in link.components]
+    given = [c.label for c in link.components]
     for combo in itertools.product(range(params.r - 1), repeat=len(omega_idx)):
-        labels = list(base)
+        labels = list(given)
         w = params.one()
         for i, k in zip(omega_idx, combo):
             labels[i] = k
             w = w * weights[k]
-        total = total + w * _evaluate_labeled(params, link, labels)
+        total = total + w * _evaluate_labeled(params, link, labels, strands)
     return total
 
 
@@ -858,16 +869,16 @@ def apply_move(link: LabeledLink, move) -> LabeledLink:
         # f2 times through `over`
         comps = [Component(c.label, c.framing, list(c.arcs)) for c in link.components]
         comps[i].framing += f2
-        base = LabeledLink(comps, [list(x) for x in link.crossings])
+        slid = LabeledLink(comps, [list(x) for x in link.crossings])
         if f2 == 0:
-            base.validate()
-            return base
+            slid.validate()
+            return slid
         # remove the crossingless `over` and re-create it clasped to `slide`
         over_proto = Component(over.label, over.framing)
-        del base.components[j]
+        del slid.components[j]
         i2 = i if i < j else i - 1
         word = [1] * (2 * f2) if f2 > 0 else [-1] * (-2 * f2)
-        out = _clasp_after(base, i2, lambda n: word, [over_proto])
+        out = _clasp_after(slid, i2, lambda n: word, [over_proto])
         # restore original component order
         newc = out.components.pop()
         out.components.insert(j, newc)

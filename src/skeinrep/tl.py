@@ -228,9 +228,9 @@ class TLElement:
 
     def rebind(self, params):
         """This element over params, another root of its level: one new
-        Scalar per term over the same exact parts."""
+        Scalar per term over the same exact part."""
         out = TLElement(params, self.nb, self.nt)
-        out.terms = {diag: Scalar(params, c.base, c.cpart) for diag, c in self.terms.items()}
+        out.terms = {diag: c.rebind(params) for diag, c in self.terms.items()}
         return out
 
     # ----- linear structure -----

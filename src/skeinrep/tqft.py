@@ -174,7 +174,7 @@ def expand_solid_torus(params: QuantumParams, p: int, q: int):
     r = params.r
     pairings = [sk.evaluate(params, torus_curve_link(p, q, j)) for j in range(r - 1)]
     gram = [[hopf_pairing(params, j, k) for k in range(r - 1)] for j in range(r - 1)]
-    inv_d = params.total_d_squared().inverse()
+    inv_d = params.inverse_total_d_squared()
     return [inv_d * x for x in mat_vec(gram, pairings)]
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from skeinrep import cli, tqft
-from skeinrep.skein import closed_braid_link, unknot_link
+from skeinrep.skein import OMEGA, closed_braid_link, split_union, unknot_link
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +128,49 @@ def test_verify_moves(capsys, unknot_file, tmp_path):
                         "--link", unknot_file, "--moves", str(moves))
     assert code == 0 and out["all_preserved"] is True
     assert len(out["results"]) == 3
+
+
+@pytest.fixture
+def slide_file(tmp_path):
+    """A split omega loop (component 0) beside a 1-labelled unknot."""
+    path = tmp_path / "slide.json"
+    path.write_text(json.dumps(split_union(unknot_link(OMEGA, 1), unknot_link(1, 0)).to_json()))
+    return str(path)
+
+
+def run_moves(capsys, tmp_path, link_file, moves):
+    path = tmp_path / "moves.json"
+    path.write_text(json.dumps(moves))
+    return run_cli(capsys, "verify-moves", "--r", "3", "--link", link_file, "--moves", str(path))
+
+
+def test_verify_moves_integral_indices(capsys, tmp_path, slide_file):
+    """Component indices are JSON integers, which hold 1.0; 'around' may
+    be null."""
+    code, out = run_moves(capsys, tmp_path, slide_file, [
+        {"type": "handle_slide", "slide": 1, "over": 0},
+        {"type": "handle_slide", "slide": 1.0, "over": 0.0},
+        {"type": "circumcision_pair", "around": None},
+    ])
+    assert code == 0 and out["all_preserved"] is True
+
+
+@pytest.mark.parametrize("move", [
+    {"type": "handle_slide", "slide": 1.9, "over": "0"},
+    {"type": "handle_slide", "slide": True, "over": 0},
+    {"type": "circumcision_pair", "around": 0.5},
+    {"type": "handle_slide", "slide": 1, "over": 0, "note": "slide"},
+    {"type": "balanced_stabilization", "around": 0},
+    {"type": "handle_slide", "slide": 1},
+    {"slide": 1, "over": 0},
+    {"type": "twist"},
+    [1],
+])
+def test_exit_parse_bad_move(capsys, tmp_path, slide_file, move):
+    """Non-integer indices, keys outside the move's type, a missing key and
+    a missing or unknown type."""
+    code, out = run_moves(capsys, tmp_path, slide_file, [move])
+    assert code == 2 and out["error"] == "parse"
 
 
 def test_exit_parse_missing_file(capsys):

@@ -1,7 +1,8 @@
 """Package hygiene, checked on the source with the stdlib ``ast``: every
-import is used, every function is read somewhere, and no module keeps a
-cache of its own (what depends on the level is memoized once per level by
-``QuantumParams.cached``)."""
+import is used, every function is read somewhere, no module keeps a cache
+of its own (what depends on the level is memoized once per level by
+``QuantumParams.cached``), and only ``scalars.py`` touches a Scalar's
+fields."""
 import ast
 from pathlib import Path
 
@@ -15,6 +16,8 @@ SHARED_CACHES = {("tl.py", "_COMPOSE_CACHE"), ("tl.py", "_hom_basis")}
 LIBRARY_HOOKS = {("cli.py", "error")}
 CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
 CACHE_DECORATORS = {"lru_cache", "cache"}
+# a Scalar is c^odd * part; scalars.py alone reads or writes these fields
+SCALAR_FIELDS = {"part", "odd"}
 
 
 def package_trees():
@@ -145,3 +148,22 @@ def test_package_has_no_dead_definitions():
     found = {(name, func) for name, tree in trees.items()
              for _, func in dead_definitions(tree, readers)}
     assert found - LIBRARY_HOOKS == set()
+
+
+def scalar_field_uses(tree):
+    """(line, name) of every attribute access named like a Scalar field."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in SCALAR_FIELDS)
+
+
+def test_checker_flags_scalar_field_uses():
+    src = ("def f(x, y):\n"
+           "    y.odd = x.part\n"
+           "    return x.params, x.rebind(y)\n")
+    assert scalar_field_uses(ast.parse(src)) == [(2, "odd"), (2, "part")]
+
+
+def test_only_scalars_uses_scalar_fields():
+    found = {name: scalar_field_uses(tree) for name, tree in package_trees().items()
+             if name != "scalars.py"}
+    assert {name: uses for name, uses in found.items() if uses} == {}

@@ -494,7 +494,8 @@ def test_level_memo_builds_twist_once(monkeypatch, fresh_contexts):
     other = mcg.GenusTwo().twist_matrix(p3, "b2").matrix
     assert calls == []
     assert all(x.params is p3 for row in other for x in row)
-    assert [[x.base for x in row] for row in other] == [[x.base for x in row] for row in first]
+    assert [[(x.part, x.odd) for x in row] for row in other] == \
+        [[(x.part, x.odd) for x in row] for row in first]
 
 
 HYPERELLIPTIC = "b0 b1 b2 b3 b4 b4 b3 b2 b1 b0"

@@ -25,31 +25,29 @@ def coeffs(draw, params):
 
 
 @st.composite
-def elements(draw, params, pure=False):
-    cpow = draw(st.integers(0, 1)) if pure else None
-    parts = []
-    for cp in (0, 1):
-        vec = draw(coeffs(params)) if cpow in (None, cp) else [0] * params.phi
-        parts.append(Scalar.from_json(params, {"cpow": cp, "coeffs": [str(q) for q in vec]}))
-    return parts[0] + parts[1]
-
-
-@st.composite
-def context_and(draw, count, pure=False):
+def context_and(draw, count):
+    """A root and count elements c^odd * part of one drawn parity."""
     params = make_params(*draw(st.sampled_from(ROOTS)))
-    return (params,) + tuple(draw(elements(params, pure)) for _ in range(count))
+    odd = draw(st.integers(0, 1))
+    return (params,) + tuple(
+        Scalar.from_json(params, {"cpow": odd, "coeffs": [str(q) for q in draw(coeffs(params))]})
+        for _ in range(count))
 
 
 @settings
 @hypothesis.given(context_and(3))
 def test_ring_axioms(drawn):
+    """x, y and z share a parity; w = c x has the other one."""
     p, x, y, z = drawn
-    assert x + y == y + x and x * y == y * x
+    w = p.c_symbol() * x
+    assert x + y == y + x
     assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x + p.zero() == x and x * p.one() == x
-    assert (x - x).is_zero() and (x * p.zero()).is_zero()
+    for u in (x, w):
+        assert u * y == y * u
+        assert (u * y) * z == u * (y * z)
+        assert u * (y + z) == u * y + u * z
+        assert u + p.zero() == u and u * p.one() == u
+        assert (u - u).is_zero() and (u * p.zero()).is_zero()
 
 
 @settings
@@ -57,7 +55,8 @@ def test_ring_axioms(drawn):
 def test_inverse(drawn):
     p, x = drawn
     hypothesis.assume(not x.is_zero())
-    assert (x * x.inverse()).is_one()
+    for u in (x, p.c_symbol() * x):
+        assert (u * u.inverse()).is_one()
 
 
 @settings
@@ -69,7 +68,7 @@ def test_c_squared_is_inverse_of_total_d(rs):
 
 
 @settings
-@hypothesis.given(context_and(1, pure=True))
+@hypothesis.given(context_and(1))
 def test_json_round_trip(drawn):
     p, x = drawn
     blob = json.dumps(x.to_json())

@@ -13,7 +13,8 @@ from skeinrep.scalars import Scalar, _poly_divmod, _poly_trim, make_params
 
 
 class Reference:
-    """Q[x]/Phi on Fraction vectors; an element is a pair (base, cpart)."""
+    """Q[x]/Phi on Fraction vectors; an element c^odd * v is a pair (odd, v),
+    with c^2 = 1/D."""
 
     def __init__(self, params):
         self.phi, self.mod = params.phi, tuple(Fraction(c) for c in params._cyclo)
@@ -22,7 +23,8 @@ class Reference:
             self.red.append(cur)
             cur = [Fraction(0)] + cur[:-1]
             cur = [a + self.red[-1][-1] * b for a, b in zip(cur, self.red[0])]
-        self.inv_d = self.inv(vec(params.total_d_squared().base, self.phi))
+        self.d = vec(params.total_d_squared().part, self.phi)
+        self.inv_d = self.inv(self.d)
 
     def mul(self, u, v):
         prod = list(poly_mul_raw(u, v))
@@ -39,22 +41,23 @@ class Reference:
         return full + (Fraction(0),) * (self.phi - len(full))
 
     def times(self, x, y):
-        (a0, a1), (b0, b1) = x, y
-        return (add(self.mul(a0, b0), self.mul(self.mul(a1, b1), self.inv_d)),
-                add(self.mul(a0, b1), self.mul(a1, b0)))
+        (a, u), (b, v) = x, y
+        uv = self.mul(u, v)
+        return a ^ b, self.mul(uv, self.inv_d) if a and b else uv
 
     def inverse(self, x):
-        a0, a1 = x  # (a0 + c a1)^-1 = (a0 - c a1) / (a0^2 - a1^2 / D)
-        norm = add(self.mul(a0, a0), neg(self.mul(self.mul(a1, a1), self.inv_d)))
-        return self.times((a0, neg(a1)), (self.inv(norm), (Fraction(0),) * self.phi))
+        odd, u = x  # (c u)^-1 = c D / u
+        return odd, self.mul(self.inv(u), self.d) if odd else self.inv(u)
 
 
-def add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+def add(x, y):
+    """Sum of two elements of one parity."""
+    assert x[0] == y[0]
+    return x[0], tuple(a + b for a, b in zip(x[1], y[1]))
 
 
-def neg(u):
-    return tuple(-a for a in u)
+def neg(x):
+    return x[0], tuple(-a for a in x[1])
 
 
 def vec(part, phi):
@@ -65,20 +68,20 @@ def vec(part, phi):
 
 
 def as_pair(x: Scalar):
-    return vec(x.base, x.params.phi), vec(x.cpart, x.params.phi)
+    return x.odd, vec(x.part, x.params.phi)
 
 
 def from_pair(params, pair):
-    base, cpart = (Scalar.from_json(params, {"cpow": cp, "coeffs": [str(q) for q in v]})
-                   for cp, v in enumerate(pair))
-    return base + cpart
+    odd, v = pair
+    return Scalar.from_json(params, {"cpow": odd, "coeffs": [str(q) for q in v]})
 
 
 def assert_canonical(x: Scalar):
-    for part in (x.base, x.cpart):
-        if part is not None:
-            nums, den = part
-            assert den > 0 and gcd(den, *nums) == 1 and any(nums), part
+    if x.part is None:
+        assert x.odd == 0
+    else:
+        nums, den = x.part
+        assert den > 0 and gcd(den, *nums) == 1 and any(nums), x.part
 
 
 def random_vec(rng, phi):
@@ -97,29 +100,34 @@ def random_vec(rng, phi):
     return tuple(out)
 
 
-def random_pair(rng, phi):
-    pair = (random_vec(rng, phi), random_vec(rng, phi))
-    return pair if any(pair[0]) or any(pair[1]) else ((Fraction(1, 3),) + pair[0][1:], pair[1])
+def random_pair(rng, phi, odd):
+    """A nonzero element of parity odd."""
+    v = random_vec(rng, phi)
+    return odd, v if any(v) else (Fraction(1, 3),) + v[1:]
 
 
 @pytest.mark.parametrize("r", range(3, 9))
 def test_core_matches_fraction_reference(r):
+    """Sums and differences of two elements of one parity, products with
+    either parity, and inverses of both parities."""
     rng = random.Random(7919 * r)
     for s in (1, 2 * r + 1):
         params = make_params(r, s)
         ref = Reference(params)
         for _ in range(6):
-            px, py = random_pair(rng, params.phi), random_pair(rng, params.phi)
-            x, y = from_pair(params, px), from_pair(params, py)
-            assert as_pair(x) == px
-            cases = [(x + y, (add(px[0], py[0]), add(px[1], py[1]))),
-                     (x - y, (add(px[0], neg(py[0])), add(px[1], neg(py[1])))),
+            odd = rng.randint(0, 1)
+            px, py, pw = (random_pair(rng, params.phi, o) for o in (odd, odd, 1 - odd))
+            x, y, w = (from_pair(params, p) for p in (px, py, pw))
+            assert as_pair(x) == px and as_pair(w) == pw
+            cases = [(x + y, add(px, py)),
+                     (x - y, add(px, neg(py))),
                      (x * y, ref.times(px, py)),
-                     (x.inverse(), ref.inverse(px))]
-            for got, want in cases:
+                     (x * w, ref.times(px, pw)),
+                     (x.inverse(), ref.inverse(px)),
+                     (w.inverse(), ref.inverse(pw))]
+            for got, (cp, v) in cases:
                 assert_canonical(got)
+                want = (cp if any(v) else 0, v)
                 assert as_pair(got) == want
-                for cp, v in enumerate(want):
-                    if not any(want[1 - cp]):  # pure elements have a JSON form
-                        want_json = {"cpow": cp if any(v) else 0, "coeffs": [str(q) for q in v]}
-                        assert json.dumps(got.to_json()) == json.dumps(want_json)
+                want_json = {"cpow": want[0], "coeffs": [str(q) for q in v]}
+                assert json.dumps(got.to_json()) == json.dumps(want_json)

@@ -62,7 +62,7 @@ def test_scalars_from_different_roots_do_not_mix():
 
 
 def test_c_embeds_at_its_own_root(fresh_contexts):
-    # (5, 3) shares the level memo of (5, 1), which has embedded a c-part
+    # (5, 3) shares the level memo of (5, 1), which has embedded a c-odd value
     # first; c is a float of its own root, not a memoized exact value
     assert make_params(5, 1).c_symbol().embed().real > 0
     p3 = make_params(5, 3)
@@ -126,14 +126,19 @@ def test_c_symbol(r):
 
 @pytest.mark.parametrize("r", RS)
 def test_field_ops(r):
+    """Inverses, cancellation and distributivity for every pair of
+    parities; a product's parity is the sum of its factors'."""
     p = make_params(r)
+    c = p.c_symbol()
     x = p.a_pow(3) + p.from_rational(Fraction(2, 7))
-    y = p.c_symbol() * p.a_pow(-1) + p.from_int(1)
-    for v in (x, y, x * y, x + y):
-        if not v.is_zero():
-            assert (v * v.inverse()).is_one()
-    assert (x - x).is_zero()
-    assert x * (y + y) == x * y + x * y
+    y = p.a_pow(-1) + p.from_int(1)
+    for u, v in ((x, y), (c * x, y), (x, c * y), (c * x, c * y)):
+        for w in (u, v, u * v):
+            assert (w * w.inverse()).is_one() and (w / w).is_one()
+        assert (u - u).is_zero() and (u - u) == p.zero()
+        assert u * (v + v) == u * v + u * v
+        assert (u * v).to_json()["cpow"] == (u.to_json()["cpow"] + v.to_json()["cpow"]) % 2
+    assert (c * x) * (c * y) == x * y * p.total_d_squared().inverse()
 
 
 @pytest.mark.parametrize("r", RS)
@@ -145,13 +150,22 @@ def test_json_roundtrip(r):
         assert Scalar.from_json(p, json.loads(blob)) == v
 
 
-def test_cpow_mixed_rejected():
+def test_mixed_parity_sum_raises():
+    """A sum of nonzero elements of different c-parity has no Scalar; zero
+    plus an element of either parity is that element, and a difference that
+    cancels is the even zero."""
     p = make_params(5)
-    mixed = p.one() + p.c_symbol()
-    with pytest.raises(ValueError):
-        mixed.cpow()
-    assert p.c_symbol().cpow() == 1
-    assert p.one().cpow() == 0
+    c = p.c_symbol()
+    for even, odd in ((p.one(), c), (p.a_pow(3), c * p.a_pow(-2))):
+        with pytest.raises(ValueError):
+            even + odd
+        with pytest.raises(ValueError):
+            odd - even
+        for x in (even, odd):
+            assert p.zero() + x == x and x + p.zero() == x
+            assert (x + p.zero()).to_json() == x.to_json()
+    assert c.to_json()["cpow"] == 1 and p.one().to_json()["cpow"] == 0
+    assert c - c == p.zero() and (c - c).to_json()["cpow"] == 0
 
 
 @pytest.mark.parametrize("r", RS)
@@ -180,8 +194,8 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
     p = make_params(7, 3)
     c = p.c_symbol()
     x = p.a_pow(3) + p.from_rational(Fraction(-2, 7))
-    y = c * p.a_pow(-1) + p.from_rational(Fraction(5, 3))
-    values = [x, y, c, c * x, p.one(), p.zero()]
+    y = p.a_pow(-1) + p.from_rational(Fraction(5, 3))
+    evens, odds = [x, y, p.one(), p.zero()], [c, c * x, c * y, p.zero()]
     built = []
 
     class CountingFraction(Fraction):
@@ -190,12 +204,16 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
             return super().__new__(cls, *args, **kw)
 
     monkeypatch.setattr(scalars, "Fraction", CountingFraction)
-    for u in values:
-        for v in values:
-            u + v, u * v, u - v
+    for same in (evens, odds):
+        for u in same:
+            for v in same:
+                u + v, u - v
+    for u in evens + odds:
+        for v in evens + odds:
+            u * v
         if not u.is_zero():
             assert (u * u.inverse()).is_one()
         u.is_one()
     assert built == []
-    assert p.one().is_one() and not c.is_one() and not (p.one() + c).is_one()
+    assert p.one().is_one() and not c.is_one() and not (c * c).is_one()
     assert x.to_json() and built  # the wrapper does count conversions

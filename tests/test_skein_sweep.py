@@ -162,7 +162,8 @@ def kinked_value(params, link):
         for comp, k in zip(link.components, labels):
             if comp.label == sk.OMEGA:
                 weight = weight * c * params.d_k(k)
-        nodes = sk._diagram_nodes(params, kinked_link(link, labels), labels)
+        kinked = kinked_link(link, labels)
+        nodes = sk._diagram_nodes(params, kinked, labels, sk._strands(kinked))
         total = total + weight * reference_sweep(params, *nodes)
     return total
 
@@ -170,8 +171,9 @@ def kinked_value(params, link):
 def check_link(params, link):
     """Both sweeps on the blackboard diagram of every integer labeling of
     `link`, and `skein.evaluate` against the kinked reference."""
+    strands = sk._strands(link)
     for labels in labelings(params, link):
-        nodes, pairing, loops_upfront = sk._diagram_nodes(params, link, labels)
+        nodes, pairing, loops_upfront = sk._diagram_nodes(params, link, labels, strands)
         assert sk._greedy_order(nodes, pairing) == reference_order(nodes, pairing)
         got = sk._sweep(params, nodes, pairing, loops_upfront)
         want = reference_sweep(params, nodes, pairing, loops_upfront)
@@ -242,7 +244,7 @@ def test_cable_crossings_do_not_depend_on_framing():
         comp_of = link.arc_component()
         cabled = sum(labels[comp_of[a]] * labels[comp_of[b]] for a, b, _, _ in link.crossings)
         for framed in (link, closed_braid_link(word, n, labels=labels)):
-            nodes = sk._diagram_nodes(params, framed, labels)[0]
+            nodes = sk._diagram_nodes(params, framed, labels, sk._strands(framed))[0]
             assert sum(node[0] == "X" for node in nodes) == cabled
 
 
@@ -258,21 +260,21 @@ def test_move_outputs_match_reference(r, s):
         check_link(params, apply_move(slid, HandleSlide(i, 2)))
 
 
-# ----- the packed residues: width, bound, zero drop and c-parts -----
+# ----- the packed residues: width, bound, zero drop and c-odd values -----
 
 def expected_bound(params, nodes, loops_upfront):
     """B = mu 2^loops_upfront prod_nodes sum_j |m_j|_1 2^|joins_j|, with
     mu = max_e |A^e mod Phi|_inf and m_j a node's multipliers over its lcm
     denominator."""
-    mu = max(abs(c) for e in range(params.order) for c in params.a_pow(e).base[0])
+    mu = max(abs(c) for e in range(params.order) for c in params.a_pow(e).part[0])
     bound = mu << loops_upfront
     for node in nodes:
         if node[0] == "X":
             coeffs, joins = [params.a_pow(1), params.a_pow(-1)], 2
         else:
             coeffs, joins = list(jones_wenzl(params, node[1]).terms.values()), node[1]
-        den = math.lcm(*(c.base[1] for c in coeffs))
-        bound *= sum(abs(n) * den // c.base[1] for c in coeffs for n in c.base[0]) << joins
+        den = math.lcm(*(c.part[1] for c in coeffs))
+        bound *= sum(abs(n) * den // c.part[1] for c in coeffs for n in c.part[0]) << joins
     return bound
 
 
@@ -299,7 +301,7 @@ def check_width(params, link, labels):
     """The sweep's B is the defined bound, its width b the narrowest with
     B < 2^(b-2), every decoded coefficient is at most B, and the value
     matches the reference.  Returns b."""
-    nodes, pairing, loops_upfront = sk._diagram_nodes(params, link, labels)
+    nodes, pairing, loops_upfront = sk._diagram_nodes(params, link, labels, sk._strands(link))
     value, seen = traced_sweep(params, nodes, pairing, loops_upfront)
     ring = seen["ring"]
     b = digit_bits(params, ring)
@@ -340,7 +342,7 @@ def test_ring_width_at_each_bound(r):
         assert digit_bits(params, PackedRing(params, below + 1)) == wider
         ring = PackedRing(params, below)
         nums = [ring.bound * (-1) ** i for i in range(params.phi)]
-        assert ring.decode(ring.pack(nums) + 3 * ring.n, 1).base == (tuple(nums), 1)
+        assert ring.decode(ring.pack(nums) + 3 * ring.n, 1).part == (tuple(nums), 1)
 
 
 @pytest.mark.parametrize("s", [1, 5])
@@ -348,22 +350,24 @@ def test_exact_zero_is_dropped_and_decoded(s):
     """The Hopf link labelled (1, 2) at r = 6 evaluates to [6] = 0: every
     state is dropped, and the decode reads the zero residue."""
     params = make_params(6, s)
-    nodes, pairing, loops_upfront = sk._diagram_nodes(
-        params, closed_braid_link([1, 1], 2), [1, 2])
+    hopf = closed_braid_link([1, 1], 2)
+    nodes, pairing, loops_upfront = sk._diagram_nodes(params, hopf, [1, 2], sk._strands(hopf))
     value, seen = traced_sweep(params, nodes, pairing, loops_upfront)
     assert value.is_zero() and reference_sweep(params, nodes, pairing, loops_upfront).is_zero()
     assert seen["states"] == {} and seen["total"] == 0
 
 
-def test_box_term_with_c_part_raises(fresh_contexts, monkeypatch):
-    """A Jones-Wenzl coefficient with a c-part has no packed residue: it
-    raises instead of being dropped."""
+def test_odd_value_raises_in_common_denominator(fresh_contexts, monkeypatch):
+    """A c-odd value has no packed residue: common_denominator raises on it,
+    and a c-odd Jones-Wenzl coefficient raises instead of being dropped."""
     params = make_params(5)
-    with pytest.raises(AssertionError):
-        common_denominator([params.one() + params.c_symbol()])
+    c = params.c_symbol()
+    for values in ([c], [params.one(), c * params.a_pow(3)]):
+        with pytest.raises(AssertionError, match="c-odd"):
+            common_denominator(values)
+    assert common_denominator([params.one(), params.zero() + params.a_pow(1)])[0] == 1
     projector = sk.jones_wenzl
-    monkeypatch.setattr(sk, "jones_wenzl",
-                        lambda p, k: projector(p, k).scale(p.one() + p.c_symbol()))
-    with pytest.raises(AssertionError, match="c-part"):
+    monkeypatch.setattr(sk, "jones_wenzl", lambda p, k: projector(p, k).scale(p.c_symbol()))
+    with pytest.raises(AssertionError, match="c-odd"):
         sk.evaluate(params, closed_braid_link([1, 1], 2, labels=[2, 1]))
 
