@@ -63,6 +63,13 @@ def _parse_braid_word(text) -> tuple:
         raise ParseFailure(f"bad braid word {text!r}: generators are signed integers") from exc
 
 
+def _parse_twist_word(text) -> list:
+    try:
+        return mcg.parse_word(text)
+    except ValueError as exc:
+        raise ParseFailure(str(exc)) from exc
+
+
 def _parse_labels(text):
     if not text:
         return ()
@@ -113,7 +120,7 @@ def cmd_dims(args):
 def cmd_rep_matrix(args):
     params = _make_params(args)
     model = mcg.surface_model(args.surface, _parse_labels(args.labels))
-    word = mcg.parse_word(args.word)
+    word = _parse_twist_word(args.word)
     rep = model.represent(params, word)
     return {"r": params.r, "s": params.s, "surface": rep.surface,
             "labels": list(rep.labels), "dim": rep.dim,
@@ -132,14 +139,14 @@ def cmd_curve_op(args):
 def cmd_trace(args):
     params = _make_params(args)
     model = mcg.surface_model(args.surface, _parse_labels(args.labels))
-    word = mcg.parse_word(args.word)
+    word = _parse_twist_word(args.word)
     value = mcg.mapping_torus_trace(model, params, word)
     return {"r": params.r, "s": params.s, "surface": model.name,
             "trace": _scalar_json(value)}
 
 
 def cmd_detect(args):
-    word = mcg.parse_word(args.word)
+    word = _parse_twist_word(args.word)
     res = mcg.detect(args.surface, word, range(args.rmin, args.rmax + 1), s=args.s)
     return {"r0": res.r0,
             "verdicts": {str(r): v for r, v in sorted(res.verdicts.items())},

@@ -9,14 +9,13 @@ closed form -- the Hopf S-matrix with S^{-1} = S/D, or an F-move with
 F(a,b,c,d)^{-1} = F(b,c,d,a) -- or None.  `SurfaceModel` turns a frame into
 the curve operator left . C(core) . right and the twist pair
 left . f(core) . right, where f(lambda_k) = mu_k^{+-1}: read off a label core,
-and one exact Lagrange pass shared by both signs on a matrix core.  No
+and one exact Newton prefix pass shared by both signs on a matrix core.  No
 matrix is inverted by elimination.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from math import prod
+from itertools import product
 
 from . import tqft
 from .linalg import eye, mat_mul, mat_trace, zeros
@@ -24,7 +23,6 @@ from .recoupling import (encircle_eigenvalue, f_matrix, f_matrix_channels,
                          hopf_pairing, tet, theta, twist_coefficient)
 from .scalars import QuantumParams, Scalar, make_params
 from .skein import DomainError
-from .unionfind import UnionFind
 
 
 @dataclass
@@ -84,41 +82,43 @@ def is_projectively_identity(matrix) -> bool:
     return not lam.is_zero()
 
 
-def _support_blocks(cmat):
-    """Connected components of the nonzero pattern (curve operators are
-    banded or block diagonal; interpolating per block is much cheaper)."""
-    n = len(cmat)
-    uf = UnionFind(range(n))
-    for i in range(n):
-        for j in range(n):
-            if i != j and not cmat[i][j].is_zero():
-                uf.union(i, j)
-    return uf.groups()
+def _newton_coefficients(params: QuantumParams):
+    """The nodes lambda_k = encircle_eigenvalue(k) and, for each sign, the
+    divided differences of lambda_k -> twist_coefficient(k)^{+-1}, the
+    coefficients of the Newton form; each inverse of a node difference
+    serves both signs."""
+    n = params.r - 1
+    lams = [encircle_eigenvalue(params, k) for k in range(n)]
+    tables = [[twist_coefficient(params, k, e) for k in range(n)] for e in (1, -1)]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            inv = (lams[i] - lams[i - j]).inverse()
+            for d in tables:
+                d[i] = (d[i] - d[i - 1]) * inv
+    return lams, tables
 
 
 def _interp_pair(params: QuantumParams, cmat):
     """The twist matrix of a curve and its inverse from its curve operator
     C: the polynomials sending encircle_eigenvalue(k) to
-    twist_coefficient(k)^{+-1}, applied blockwise.  One exact Lagrange pass
-    builds each term prod_{j != k} (C - lambda_j) once and weights it by
-    mu_k^{+-1} / prod_{j != k} (lambda_k - lambda_j) for both signs."""
-    labels = range(params.r - 1)
-    lams = [encircle_eigenvalue(params, k) for k in labels]
-    weights = []
-    for k in labels:
-        inv = prod((lams[k] - lams[j] for j in labels if j != k), start=params.one()).inverse()
-        weights.append([twist_coefficient(params, k, e) * inv for e in (1, -1)])
+    twist_coefficient(k)^{+-1}, in Newton form
+    f(C) = sum_k c_k prod_{j<k} (C - lambda_j).  The coefficients come from
+    the level memo, and each prefix product is built once, by the
+    zero-skipping mat_mul, for both signs."""
+    lams, coeffs = params.cached(("newton",), lambda: _newton_coefficients(params))
     n = len(cmat)
-    pair = (zeros(params, n, n), zeros(params, n, n))
-    for idxs in _support_blocks(cmat):
-        steps = [[[cmat[a][b] - (lam if a == b else params.zero()) for b in idxs]
-                  for a in idxs] for lam in lams]
-        for k in labels:
-            term = reduce(mat_mul, [steps[j] for j in labels if j != k])
-            for out, w in zip(pair, weights[k]):
-                for a, i in enumerate(idxs):
-                    for b, j in enumerate(idxs):
-                        out[i][j] = out[i][j] + w * term[a][b]
+    pair = tuple(_diag(params, [c[0]] * n) for c in coeffs)
+    prefix = None
+    for k in range(1, len(lams)):
+        step = [list(row) for row in cmat]
+        for a in range(n):
+            step[a][a] = step[a][a] - lams[k - 1]
+        prefix = step if prefix is None else mat_mul(prefix, step)
+        for out, c in zip(pair, coeffs):
+            for a, row in enumerate(prefix):
+                for b, x in enumerate(row):
+                    if not x.is_zero():
+                        out[a][b] = out[a][b] + c[k] * x
     return pair
 
 
@@ -139,20 +139,37 @@ def _diag(params, values):
     return m
 
 
-def _loop_insertion(params, tup, pos):
-    """C of a 1-labeled curve parallel to a loop edge, on basis tuples that
-    hold the loop's label at `pos` and the third label at its vertex at 1:
-    fuse the curve into the loop and replace the triangle at the vertex by a
-    tetrahedron."""
-    idx = {t: i for i, t in enumerate(tup)}
-    out = zeros(params, len(tup), len(tup))
-    for i, t in enumerate(tup):
-        x, m = t[pos], t[1]
-        for xp in (x - 1, x + 1):
-            t2 = t[:pos] + (xp,) + t[pos + 1:]
-            if t2 in idx:
-                num = params.d_k(xp) * tet(params, x, x, xp, xp, m, 1)
-                out[idx[t2]][i] = num / (theta(params, x, 1, xp) * theta(params, xp, xp, m))
+def _parallel_insertion(params, tuples, vertices):
+    """C of a 1-labeled curve parallel to a cycle of the spine, on basis
+    tuples of edge labels.  vertices lists each spine vertex the cycle
+    passes as the tuple positions (a, b, c) of its two cycle edges and its
+    third edge.  Fusing the curve into the cycle moves each cycle edge e to
+    e' = e +- 1, weighted d_{e'} / theta(e, 1, e'), and replaces the triangle
+    at each vertex by a tetrahedron, weighted
+    tet(a, b, a', b', c, 1) / theta(a', b', c) (Kauffman-Lins)."""
+    idx = {t: i for i, t in enumerate(tuples)}
+    cycle = sorted({p for a, b, _ in vertices for p in (a, b)})
+    out = zeros(params, len(tuples), len(tuples))
+    for i, t in enumerate(tuples):
+        for moved in product(*[(t[p] - 1, t[p] + 1) for p in cycle]):
+            t2 = list(t)
+            for p, v in zip(cycle, moved):
+                t2[p] = v
+            j = idx.get(tuple(t2))
+            if j is None:
+                continue
+            num = den = params.one()
+            for p in cycle:
+                num = num * params.d_k(t2[p])
+                den = den * theta(params, t[p], 1, t2[p])
+            # a vertex listed twice (the theta cycle's pair) is computed once
+            corners = {(a, b, c): (tet(params, t[a], t[b], t2[a], t2[b], t[c], 1),
+                                   theta(params, t2[a], t2[b], t[c]))
+                       for a, b, c in set(vertices)}
+            for v in vertices:
+                num = num * corners[v][0]
+                den = den * corners[v][1]
+            out[j][i] = num / den
     return out
 
 
@@ -293,7 +310,7 @@ class PuncturedTorus(SurfaceModel):
         tup = [(b["x"], self.boundary_label) for b in self.basis(params)]
         if curve == "a":
             return None, [x for x, l in tup], None
-        return None, _loop_insertion(params, tup, 0), None
+        return None, _parallel_insertion(params, tup, [(0, 0, 1)]), None
 
 
 class FourPuncturedSphere(SurfaceModel):
@@ -335,9 +352,10 @@ class GenusTwo(SurfaceModel):
     """Closed genus-2 surface, dumbbell spine with loop labels x, y and bar
     label m; basis ordered lexicographically on (x, m, y).  The chain curves:
     b1, b3 are the handle meridians (diagonal); b0, b4 are the handle
-    longitudes (parallel insertion); b2 runs through both handles and is a
-    parallel insertion in the theta-spine coordinates reached by one F-move
-    on the bar.
+    longitudes (parallel insertion along a loop edge); b2 runs through both
+    handles and is a parallel insertion along the cycle of edges x, y in the
+    theta-spine coordinates reached by one F-move on the bar, passing both
+    theta vertices (x, y, f).
     """
 
     name = "genus2"
@@ -356,8 +374,9 @@ class GenusTwo(SurfaceModel):
             return None, [y for x, m, y in tup], None
         if curve == "b2":
             k, k_inv = self._theta_change(params, tup)
-            return k_inv, self._theta_parallel(params), k
-        return None, _loop_insertion(params, tup, 0 if curve == "b0" else 2), None
+            return k_inv, _parallel_insertion(params, self.theta_basis(params), [(0, 1, 2)] * 2), k
+        pos = 0 if curve == "b0" else 2
+        return None, _parallel_insertion(params, tup, [(pos, pos, 1)]), None
 
     def theta_basis(self, params):
         return [(b["x"], b["y"], b["z"])
@@ -383,58 +402,30 @@ class GenusTwo(SurfaceModel):
                 k_inv[j][i] = f_rot[fi][ei]
         return k, k_inv
 
-    def _theta_parallel(self, params):
-        """C(b2) in theta coordinates: the curve parallel to the cycle
-        through edges x and y; fusion changes both by +-1, with one
-        tetrahedral vertex replacement at each theta vertex."""
-        tb = self.theta_basis(params)
-        tidx = {t: i for i, t in enumerate(tb)}
-        out = zeros(params, len(tb), len(tb))
-        for i, (x, y, f) in enumerate(tb):
-            for xp in (x - 1, x + 1):
-                for yp in (y - 1, y + 1):
-                    if (xp, yp, f) not in tidx:
-                        continue
-                    t = tet(params, x, y, xp, yp, f, 1)
-                    num = params.d_k(xp) * params.d_k(yp) * t * t
-                    den = (theta(params, x, 1, xp) * theta(params, y, 1, yp)
-                           * theta(params, xp, yp, f) ** 2)
-                    out[tidx[(xp, yp, f)]][i] = num / den
-        return out
+
+def _boundary_count(name):
+    """The number of boundary labels a supported surface takes."""
+    counts = {"torus": 0, "punctured_torus": 1, "four_punctured_sphere": 4, "genus2": 0}
+    if name not in counts:
+        raise DomainError(f"unsupported surface {name!r}")
+    return counts[name]
 
 
 def surface_model(name, labels=()) -> SurfaceModel:
-    if name == "torus":
-        return Torus()
+    count = _boundary_count(name)
+    if len(labels) != count:
+        raise DomainError(f"{name} takes {count} boundary label(s), got {len(labels)}")
     if name == "punctured_torus":
-        if len(labels) != 1:
-            raise DomainError("punctured_torus needs one boundary label")
         return PuncturedTorus(labels[0])
     if name == "four_punctured_sphere":
-        if len(labels) != 4:
-            raise DomainError("four_punctured_sphere needs four boundary labels")
         return FourPuncturedSphere(labels)
-    if name == "genus2":
-        return GenusTwo()
-    raise DomainError(f"unsupported surface {name!r}")
+    return Torus() if name == "torus" else GenusTwo()
 
 
 def _boundary_contexts(name, r):
-    """All boundary-label choices of a surface at level r."""
-    if name in ("torus", "genus2"):
-        return [()]
-    if name == "punctured_torus":
-        return [(l,) for l in range(0, r - 1, 2)]
-    if name == "four_punctured_sphere":
-        out = []
-        for l1 in range(r - 1):
-            for l2 in range(r - 1):
-                for l3 in range(r - 1):
-                    for l4 in range(r - 1):
-                        if (l1 + l2 + l3 + l4) % 2 == 0:
-                            out.append((l1, l2, l3, l4))
-        return out
-    raise DomainError(f"unsupported surface {name!r}")
+    """All boundary-label choices of a surface at level r, lexicographic:
+    labels 0..r-2 with even sum, the parity every admissible basis needs."""
+    return [ls for ls in product(range(r - 1), repeat=_boundary_count(name)) if sum(ls) % 2 == 0]
 
 
 def detect(name, word, r_range, s=1) -> DetectionResult:
@@ -463,13 +454,12 @@ def mapping_torus_trace(model: SurfaceModel, params: QuantumParams, word) -> Sca
 
 
 def parse_word(text):
-    """'b0 b1 -b2' -> [('b0', 1), ('b1', 1), ('b2', -1)]."""
+    """'b0 b1 -b2' -> [('b0', 1), ('b1', 1), ('b2', -1)]; raises ValueError
+    on a token that is a bare sign."""
     out = []
     for token in text.split():
-        if token.startswith("-"):
-            out.append((token[1:], -1))
-        elif token.startswith("+"):
-            out.append((token[1:], 1))
-        else:
-            out.append((token, 1))
+        curve = token[1:] if token[0] in "+-" else token
+        if not curve:
+            raise ValueError(f"bad twist word {text!r}: {token!r} names no curve")
+        out.append((curve, -1 if token[0] == "-" else 1))
     return out

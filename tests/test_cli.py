@@ -189,6 +189,13 @@ def test_exit_parse_bad_word(capsys):
     assert code == 2 and out["error"] == "parse"
 
 
+@pytest.mark.parametrize("word", ["-", "a +"])
+def test_exit_parse_bare_sign_in_twist_word(capsys, word):
+    code, out = run_cli(capsys, "rep-matrix", "--r", "4", "--surface", "torus",
+                        "--word", word)
+    assert code == 2 and out["error"] == "parse"
+
+
 def test_exit_domain_bad_label(capsys):
     code, out = run_cli(capsys, "projector", "--r", "4", "--k", "7")
     assert code == 3 and out["error"] == "domain"
@@ -200,6 +207,9 @@ def test_exit_domain_bad_label(capsys):
     ("curve-op", "--r", "4", "--surface", "four_punctured_sphere", "--labels", "1,1,1,9",
      "--curve", "g23"),
     ("dims", "--r", "4", "--surface", "four_punctured_sphere", "--labels", "1,1,1,9"),
+    ("rep-matrix", "--r", "4", "--surface", "genus2", "--labels", "2", "--word", "b0"),
+    ("trace", "--r", "4", "--surface", "genus2", "--labels", "1", "--word", "b0"),
+    ("curve-op", "--r", "4", "--surface", "torus", "--labels", "0", "--curve", "a"),
 ])
 def test_exit_domain_bad_boundary_label(capsys, argv):
     code, out = run_cli(capsys, *argv)

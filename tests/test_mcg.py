@@ -388,6 +388,12 @@ def test_parse_word():
         ("b0", 1), ("b1", 1), ("b2", -1), ("a", 1)]
 
 
+@pytest.mark.parametrize("text", ["-", "a +", "+ b"])
+def test_parse_word_rejects_bare_sign(text):
+    with pytest.raises(ValueError, match="names no curve"):
+        mcg.parse_word(text)
+
+
 # --------------------------------------------------- mapping torus trace
 
 def test_mapping_torus_trace_identity(params):
@@ -488,14 +494,23 @@ def test_shared_level_memo_matches_per_root_builds(fresh_contexts):
 
 
 def test_level_memo_builds_twist_once(monkeypatch, fresh_contexts):
+    # one Newton table per level: the second root rebinds the first's, for
+    # a twist it shares and for one it builds itself
+    tables = []
+    build = mcg._newton_coefficients
+    monkeypatch.setattr(mcg, "_newton_coefficients",
+                        lambda p: tables.append(p.s) or build(p))
     first = mcg.GenusTwo().twist_matrix(make_params(4, 1), "b2").matrix
     calls = count_twist_pairs(monkeypatch, lambda p, curve, pair: (p.s, curve))
-    p3 = make_params(4, 3)
-    other = mcg.GenusTwo().twist_matrix(p3, "b2").matrix
+    last = make_params(4, 15)
+    other = mcg.GenusTwo().twist_matrix(last, "b2").matrix
     assert calls == []
-    assert all(x.params is p3 for row in other for x in row)
+    assert all(x.params is last for row in other for x in row)
     assert [[(x.part, x.odd) for x in row] for row in other] == \
         [[(x.part, x.odd) for x in row] for row in first]
+    mcg.GenusTwo().twist_matrix(last, "b0")
+    assert calls == [(15, "b0")]
+    assert tables == [1]
 
 
 HYPERELLIPTIC = "b0 b1 b2 b3 b4 b4 b3 b2 b1 b0"

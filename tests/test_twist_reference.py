@@ -1,8 +1,9 @@
 """Differential test of the twist matrices and curve operators against the
 elimination route: every change of basis inverted by Gauss-Jordan
-(`linalg.mat_inv`), every twist matrix a dense Lagrange interpolation on the
-whole curve operator, and every inverse twist the Gauss-Jordan inverse of the
-twist."""
+(`linalg.mat_inv`), every parallel insertion written out for its own cycle
+(a loop edge, or the theta spine's cycle through x and y), every twist
+matrix a dense Lagrange interpolation on the whole curve operator, and
+every inverse twist the Gauss-Jordan inverse of the twist."""
 import json
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from skeinrep import mcg
 from skeinrep.linalg import eye, mat_inv, mat_mul, zeros
 from skeinrep.recoupling import (encircle_eigenvalue, f_matrix,
-                                 f_matrix_channels, hopf_pairing,
+                                 f_matrix_channels, hopf_pairing, tet, theta,
                                  twist_coefficient)
 from skeinrep.scalars import make_params
 
@@ -46,6 +47,40 @@ def lagrange(params, cmat):
     return out
 
 
+def loop_insertion(params, tup, pos):
+    """C of a 1-labeled curve parallel to a loop edge, on basis tuples that
+    hold the loop's label at pos and the third label at its vertex at 1."""
+    idx = {t: i for i, t in enumerate(tup)}
+    out = zeros(params, len(tup), len(tup))
+    for i, t in enumerate(tup):
+        x, m = t[pos], t[1]
+        for xp in (x - 1, x + 1):
+            t2 = t[:pos] + (xp,) + t[pos + 1:]
+            if t2 in idx:
+                num = params.d_k(xp) * tet(params, x, x, xp, xp, m, 1)
+                out[idx[t2]][i] = num / (theta(params, x, 1, xp) * theta(params, xp, xp, m))
+    return out
+
+
+def theta_parallel(params, tb):
+    """C of the curve parallel to the theta spine's cycle through x and y,
+    on theta tuples (x, y, f): both edges move by +-1, with one tetrahedral
+    vertex replacement at each of the two vertices."""
+    tidx = {t: i for i, t in enumerate(tb)}
+    out = zeros(params, len(tb), len(tb))
+    for i, (x, y, f) in enumerate(tb):
+        for xp in (x - 1, x + 1):
+            for yp in (y - 1, y + 1):
+                if (xp, yp, f) not in tidx:
+                    continue
+                t = tet(params, x, y, xp, yp, f, 1)
+                num = params.d_k(xp) * params.d_k(yp) * t * t
+                den = (theta(params, x, 1, xp) * theta(params, y, 1, yp)
+                       * theta(params, xp, yp, f) ** 2)
+                out[tidx[(xp, yp, f)]][i] = num / den
+    return out
+
+
 def theta_change(params, model):
     """The genus-2 F-move on the bar, one six_j row per dumbbell vector."""
     tup = [(b["x"], b["m"], b["y"]) for b in model.basis(params)]
@@ -60,8 +95,8 @@ def theta_change(params, model):
 
 
 def reference_operator(params, model, curve):
-    """C(curve); a curve simple in the model's own basis takes the model's
-    operator, since no change of basis enters it."""
+    """C(curve); a curve diagonal in the model's own basis takes the model's
+    operator, since neither a change of basis nor an insertion enters it."""
     if isinstance(model, mcg.Torus) and curve != "a":
         lam = diag(params, [encircle_eigenvalue(params, k) for k in range(params.r - 1)])
         s = [[hopf_pairing(params, j, k) for k in range(params.r - 1)]
@@ -79,7 +114,14 @@ def reference_operator(params, model, curve):
         return conjugate(params, mat_inv(params, k), lam)
     if isinstance(model, mcg.GenusTwo) and curve == "b2":
         k = theta_change(params, model)
-        return conjugate(params, mat_inv(params, k), model._theta_parallel(params))
+        tb = model.theta_basis(params)
+        return conjugate(params, mat_inv(params, k), theta_parallel(params, tb))
+    if isinstance(model, mcg.GenusTwo) and curve in ("b0", "b4"):
+        tup = [(b["x"], b["m"], b["y"]) for b in model.basis(params)]
+        return loop_insertion(params, tup, 0 if curve == "b0" else 2)
+    if isinstance(model, mcg.PuncturedTorus) and curve == "b":
+        tup = [(b["x"], model.boundary_label) for b in model.basis(params)]
+        return loop_insertion(params, tup, 0)
     return model.curve_operator(params, curve).matrix
 
 
