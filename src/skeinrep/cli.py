@@ -70,6 +70,14 @@ def _parse_twist_word(text) -> list:
         raise ParseFailure(str(exc)) from exc
 
 
+def _level_range(args) -> range:
+    """The scanned levels rmin..rmax; an empty range is a parse error, since
+    a scan that ran no level would read as never detected."""
+    if args.rmin > args.rmax:
+        raise ParseFailure(f"--rmin {args.rmin} exceeds --rmax {args.rmax}")
+    return range(args.rmin, args.rmax + 1)
+
+
 def _parse_labels(text):
     if not text:
         return ()
@@ -147,7 +155,7 @@ def cmd_trace(args):
 
 def cmd_detect(args):
     word = _parse_twist_word(args.word)
-    res = mcg.detect(args.surface, word, range(args.rmin, args.rmax + 1), s=args.s)
+    res = mcg.detect(args.surface, word, _level_range(args), s=args.s)
     return {"r0": res.r0,
             "verdicts": {str(r): v for r, v in sorted(res.verdicts.items())},
             "witness": {str(r): list(w) for r, w in sorted(res.witness.items())}}
@@ -166,7 +174,7 @@ def cmd_braid_rep(args):
 
 def cmd_braid_detect(args):
     braid = braids.BraidWord(args.n, _parse_braid_word(args.word))
-    res = braids.braid_detect(braid, range(args.rmin, args.rmax + 1),
+    res = braids.braid_detect(braid, _level_range(args),
                               cabling_bound=args.cable_max, s=args.s)
     witness = {str(r): {"cabling": list(c), "m": m}
                for r, (c, m) in sorted(res.witness.items())}

@@ -499,13 +499,19 @@ class Scalar:
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
             return self.inverse() ** (-n)
-        acc = self.params.one()
+        if n == 0:
+            return self.params.one()
+        # from the lowest set bit, no squaring past the top bit:
+        # floor(log2 n) + popcount(n) - 1 products
         b = self
-        while n:
-            if n & 1:
-                acc = acc * b
+        while not n & 1:
             b = b * b
             n >>= 1
+        acc = b
+        while n := n >> 1:
+            b = b * b
+            if n & 1:
+                acc = acc * b
         return acc
 
     def rebind(self, params: QuantumParams) -> "Scalar":

@@ -8,6 +8,11 @@ kink slides onto a component's Jones-Wenzl box and acts there as the scalar
 mu_k = (-1)^k A^{k(k+2)}, so framing f on a k-labeled component multiplies
 the blackboard value by mu_k^f and is never drawn.
 
+How strands run through the crossings is answered by one walk, ``_walk``: a
+strand entering a crossing at slot s leaves it at slot s + 2.  It gives the
+orientations, the check that each component's arcs are one strand, the
+components of a braid closure and the arcs of a clasp splice.
+
 Evaluation resolves crossings by the Kauffman relation (the A-smoothing of
 X[a,b,c,d] joins a-d and b-c), cables k-labeled components into k parallel
 copies through one Jones-Wenzl box, and replaces closed loops by
@@ -58,6 +63,13 @@ def json_str(value) -> str:
     return value
 
 
+def json_list(value) -> list:
+    """value as a JSON Schema ``array``; anything else raises ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{value!r} is not an array")
+    return value
+
+
 def json_object(value, keys=None) -> dict:
     """value as a JSON object; with keys given, the object may hold no other
     key (the schema's ``"additionalProperties": false``).  Anything else
@@ -80,6 +92,45 @@ class Component:
     label: object  # int label or the string "omega"
     framing: int = 0
     arcs: list = field(default_factory=list)  # arc ids; empty = crossingless loop
+
+
+def _walk(crossings):
+    """Follow each strand of the diagram once: a strand that enters a
+    crossing at slot s leaves it at slot s + 2 (mod 4).  Every arc must
+    appear exactly twice.
+
+    A strand that passes under somewhere is oriented to enter its first
+    under-pass, in crossing order, at slot a; a strand that passes only over
+    enters its lowest-index crossing at slot b.  Returns (strands, ob,
+    consistent): strands[j] lists a strand's arcs in running order from the
+    arc it enters that crossing by, ob[t] is True when the over strand enters
+    crossing t at slot b, and consistent is False when some strand enters an
+    under-pass at slot c.
+    """
+    occ = {}
+    for t, x in enumerate(crossings):
+        for s, a in enumerate(x):
+            occ.setdefault(a, []).append((t, s))
+    n = len(crossings)
+    ob = [None] * n
+    strands, seen, consistent = [], set(), True
+    # under-passes in crossing order, then the over-passes left
+    for s0, t0 in itertools.product((0, 1), range(n)):
+        if crossings[t0][s0] in seen:
+            continue
+        arcs, t, s = [], t0, s0
+        while not arcs or (t, s) != (t0, s0):
+            arcs.append(crossings[t][s])
+            if s % 2:
+                ob[t] = s == 1
+            elif s == 2:
+                consistent = False
+            out = (t, (s + 2) % 4)
+            p, q = occ[crossings[t][out[1]]]
+            t, s = q if p == out else p
+        seen.update(arcs)
+        strands.append(arcs)
+    return strands, ob, consistent
 
 
 @dataclass
@@ -135,24 +186,12 @@ class LabeledLink:
         declared = [a for c in self.components for a in c.arcs]
         if sorted(declared) != sorted(counts):
             raise LinkFormatError("component arc lists do not partition the crossing arcs")
-        # each component's arcs must form the orbits of strand-following
-        comp_of = {}
-        for i, c in enumerate(self.components):
-            for a in c.arcs:
-                if a in comp_of:
-                    raise LinkFormatError(f"arc {a} listed in two components")
-                comp_of[a] = i
-        strands = UnionFind()
-        for a, b, c, d in self.crossings:
-            strands.union(a, c)
-            strands.union(b, d)
-        for a in counts:
-            if comp_of[strands.find(a)] != comp_of[a]:
-                raise LinkFormatError("component arc lists do not match strand-following")
-        for i, c in enumerate(self.components):
-            roots = {strands.find(a) for a in c.arcs}
-            if len(roots) > 1:
-                raise LinkFormatError(f"component {i} arcs form {len(roots)} separate strands")
+        # each strand's arcs must be one component's complete arc list
+        comp_of = self.arc_component()
+        for arcs in _walk(self.crossings)[0]:
+            i = comp_of[arcs[0]]
+            if len(arcs) != len(self.components[i].arcs) or any(comp_of[a] != i for a in arcs):
+                raise LinkFormatError(f"component {i} arcs do not match strand-following")
 
     def arc_component(self):
         out = {}
@@ -162,52 +201,15 @@ class LabeledLink:
         return out
 
     def orientations(self):
-        """For each crossing t, decide whether the over strand enters at slot
-        b (True) or slot d (False); consistent strand orientations exist.
+        """For each crossing t, whether the over strand enters at slot b
+        (True) or slot d (False), under the orientation rule of ``_walk``.
 
-        The under strand always runs a -> c.  Returns the list ob[t].
+        The under strand always runs a -> c; LinkFormatError is raised when
+        no orientation of some strand makes it do so at every under-pass.
         """
-        occ = {}
-        for t, x in enumerate(self.crossings):
-            for s, a in enumerate(x):
-                occ.setdefault(a, []).append((t, s))
-        ob = [None] * len(self.crossings)
-
-        def occ_role(t, s):
-            """'head' if the arc ends at this occurrence, 'tail' if it
-            starts here; None if still undecided."""
-            if s == 0:
-                return "head"
-            if s == 2:
-                return "tail"
-            if ob[t] is None:
-                return None
-            if s == 1:
-                return "head" if ob[t] else "tail"
-            return "tail" if ob[t] else "head"
-
-        changed = True
-        while changed:
-            changed = False
-            for a, places in occ.items():
-                (t1, s1), (t2, s2) = places
-                r1, r2 = occ_role(t1, s1), occ_role(t2, s2)
-                if r1 is not None and r2 is not None:
-                    if r1 == r2 and (t1, s1) != (t2, s2):
-                        raise LinkFormatError(f"arc {a} has two {r1}s: inconsistent orientations")
-                    continue
-                if r1 is None and r2 is None:
-                    continue
-                # exactly one undecided; it sits at an over slot
-                (tu, su), known = ((t1, s1), r2) if r1 is None else ((t2, s2), r1)
-                want = "tail" if known == "head" else "head"
-                ob[tu] = (want == "head") if su == 1 else (want == "tail")
-                changed = True
-            if not changed:
-                rest = [t for t in range(len(self.crossings)) if ob[t] is None]
-                if rest:
-                    ob[rest[0]] = True
-                    changed = True
+        _, ob, consistent = _walk(self.crossings)
+        if not consistent:
+            raise LinkFormatError("a strand enters an under-pass at c: inconsistent orientations")
         return ob
 
     def crossing_signs(self):
@@ -651,45 +653,29 @@ def closed_braid_link(word, n, labels=None, framings=None) -> LabeledLink:
     """The closure of a braid word on n strands as a LabeledLink.
 
     Positive generator i: the strand arriving at position i passes under,
-    (right strand over left).  Components are the cycles of the underlying
-    permutation, ordered by smallest starting position; labels/framings are
-    assigned in that order (defaults: label 1, framing 0).  A list given
-    must hold one entry per component, or DomainError is raised.
+    (right strand over left).  Start arc p is the arc at position p where
+    the closure joins the top to the bottom.  Components are the strands of
+    start arcs 1..n, each taken at its first start arc, with sorted arc
+    lists; a start arc that crosses nothing is a bare circle.  Labels and
+    framings are assigned in that order (defaults: label 1, framing 0).  A
+    list given must hold one entry per component, or DomainError is raised.
     """
-    cur = list(range(1, n + 1))  # arc id at each position (1-indexed below)
-    start = list(cur)
+    cur = list(range(1, n + 1))  # arc id at each position
     nxt = itertools.count(n + 1)
     crossings = []
-    perm = list(range(n + 1))  # perm[p] = position where the strand starting at p ends
-    where = list(range(n + 1))  # where[pos] = starting position of the strand now there
     for g in word:
-        i = abs(g)
-        if not 1 <= i <= n - 1:
+        if not 1 <= abs(g) <= n - 1:
             raise DomainError(f"generator {g} out of range for {n} strands")
         crossings.append(_braid_crossing(cur, g, nxt))
-        where[i], where[i + 1] = where[i + 1], where[i]
-    for pos in range(1, n + 1):
-        perm[where[pos]] = pos
-    # close up: the final arc at each position merges with the starting arc there
-    rename = {cur[p - 1]: start[p - 1] for p in range(1, n + 1) if cur[p - 1] != start[p - 1]}
+    # close up: the final arc at each position merges with the start arc there
+    rename = {a: p for p, a in enumerate(cur, start=1) if a != p}
     crossings = [[rename.get(a, a) for a in x] for x in crossings]
-    # components = cycles of the closure permutation, ordered by smallest position
-    strands = UnionFind()
-    for a, b, c, d in crossings:
-        strands.union(a, c)
-        strands.union(b, d)
-    strand_of = {a: g for g in strands.groups() for a in g}
-    seen = set()
-    arc_lists = []
-    for p0 in range(1, n + 1):
-        if p0 in seen:
-            continue
-        p = p0
-        while p not in seen:
-            seen.add(p)
-            p = perm[p]
-        # a strand that never crosses anything is a bare circle
-        arc_lists.append(sorted(strand_of.get(start[p0 - 1], [])))
+    strands = _walk(crossings)[0]
+    strand_of = {a: j for j, arcs in enumerate(strands) for a in arcs}
+    # one component per strand, at its first start arc; a start arc that
+    # crosses nothing (key -p) is a bare circle
+    order = dict.fromkeys(strand_of.get(p, -p) for p in range(1, n + 1))
+    arc_lists = [sorted(strands[j]) if j >= 0 else [] for j in order]
     count = len(arc_lists)
     for name, given in (("labels", labels), ("framings", framings)):
         if given is not None and len(given) != count:
@@ -744,71 +730,45 @@ def _fresh_counter(link: LabeledLink):
     return itertools.count(max(arcs) + 1 if arcs else 1)
 
 
-def _clasp_after(link: LabeledLink, comp_idx: int, word_builder, new_comps):
-    """Rebuild `link` with a local braid tangle spliced into one arc of
-    component `comp_idx`; strand 1 of the tangle is that arc, the remaining
-    strands close up into the fresh components `new_comps` (list of
-    Component prototypes, arcs filled in here).
+def _clasp_after(link: LabeledLink, comp_idx: int, word, new_comps):
+    """Rebuild `link` with the braid `word` on 1 + len(new_comps) strands
+    spliced into one arc of component `comp_idx`: strand 1 of the tangle is
+    that arc, and the remaining strands close up into the fresh components
+    `new_comps` (Component prototypes; arcs filled in here).
 
-    `word_builder(nstrands)` returns the braid word; strands 2..nstrands
-    must return to their own positions.
+    The target keeps its old arcs first, so its first arc, where the next
+    splice goes, is unchanged, then gains its strand's new arcs sorted (a
+    bare-circle target starts at its fresh arc u); each new component gets
+    its strand's sorted arcs.  A word that does not return strands 2.. to
+    their own positions puts an arc in two components, and the final
+    validate() raises LinkFormatError.
     """
     fresh = _fresh_counter(link)
     crossings = [list(x) for x in link.crossings]
     comps = [Component(c.label, c.framing, list(c.arcs)) for c in link.components]
     target = comps[comp_idx]
-    nstr = 1 + len(new_comps)
-    word = word_builder(nstr)
-
-    occ_head = _head_occurrences(link.crossings, link.orientations())
     if target.arcs:
         u = target.arcs[0]
-        head = occ_head[u]
+        head = _head_occurrences(link.crossings, link.orientations())[u]
     else:
-        u = next(fresh)
-        head = None
-        target.arcs.append(u)
-
-    cur = [u] + [next(fresh) for _ in range(nstr - 1)]
-    startc = list(cur)
-    new_arcs = {i: {cur[i]} for i in range(1, nstr)}
-    strand1_arcs = []
-    where = list(range(nstr))
+        u, head = next(fresh), None
+    cur = [u] + [next(fresh) for _ in new_comps]
+    start = list(cur)
     for g in word:
-        i = abs(g)
         crossings.append(_braid_crossing(cur, g, fresh))
-        where[i - 1], where[i] = where[i], where[i - 1]
-        for pos in (i - 1, i):
-            s = where[pos]
-            if s == 0:
-                strand1_arcs.append(cur[pos])
-            else:
-                new_arcs[s].add(cur[pos])
-    if where != list(range(nstr)):
-        raise DomainError("tangle word must return side strands to their positions")
-    # close strands 2..n back on themselves
-    rename = {}
-    for i in range(1, nstr):
-        if cur[i] != startc[i]:
-            rename[cur[i]] = startc[i]
-    # strand 1: reconnect its far end into the original component
-    if head is not None:
+    # strands 2.. close on themselves; strand 1's far end takes the place
+    # where u entered its next crossing (or closes on u for a bare circle)
+    rename = {a: s for a, s in zip(cur[1:], start[1:]) if a != s}
+    if head is None:
+        rename[cur[0]] = u
+    else:
         t, s = head
         crossings[t][s] = cur[0]
-        if cur[0] != u:
-            target.arcs.append(cur[0])
-    else:
-        rename[cur[0]] = u
     crossings = [[rename.get(a, a) for a in x] for x in crossings]
-    for a in strand1_arcs:
-        a = rename.get(a, a)
-        if a not in target.arcs:
-            target.arcs.append(a)
-    used = {a for x in crossings for a in x}
-    target.arcs = [a for a in dict.fromkeys(target.arcs) if a in used]
-    for i, proto in enumerate(new_comps, start=1):
-        arcs = sorted({rename.get(a, a) for a in new_arcs[i]} & used)
-        comps.append(Component(proto.label, proto.framing, arcs))
+    strand_of = {a: arcs for arcs in _walk(crossings)[0] for a in arcs}
+    target.arcs += sorted(set(strand_of.get(u, [])) - set(target.arcs))
+    for a, proto in zip(start[1:], new_comps):
+        comps.append(Component(proto.label, proto.framing, sorted(strand_of.get(a, []))))
     out = LabeledLink(comps, crossings)
     out.validate()
     return out
@@ -852,7 +812,7 @@ def apply_move(link: LabeledLink, move) -> LabeledLink:
             raise DomainError(f"no component {i}")
         # chain: strand -- C1 -- C2; C1 encircles the strand, C2 is a
         # meridian of C1
-        return _clasp_after(link, i, lambda n: [1, 1, 2, 2], pair_protos)
+        return _clasp_after(link, i, [1, 1, 2, 2], pair_protos)
     if isinstance(move, HandleSlide):
         i, j = move.slide, move.over
         if i == j or not (0 <= i < len(link.components)) or not (0 <= j < len(link.components)):
@@ -878,7 +838,7 @@ def apply_move(link: LabeledLink, move) -> LabeledLink:
         del slid.components[j]
         i2 = i if i < j else i - 1
         word = [1] * (2 * f2) if f2 > 0 else [-1] * (-2 * f2)
-        out = _clasp_after(slid, i2, lambda n: word, [over_proto])
+        out = _clasp_after(slid, i2, word, [over_proto])
         # restore original component order
         newc = out.components.pop()
         out.components.insert(j, newc)

@@ -68,8 +68,9 @@ class Spine:
             if sk.json_object(obj, SPINE_KEYS).get("version") != SPINE_SCHEMA_VERSION:
                 raise SpineFormatError(f"spine schema version must be {SPINE_SCHEMA_VERSION}, "
                                        f"got {obj.get('version', 'none')!r}")
-            return Spine([sk.json_str(e) for e in obj["edges"]],
-                         [[sk.json_str(x) for x in t] for t in obj["vertices"]],
+            return Spine([sk.json_str(e) for e in sk.json_list(obj["edges"])],
+                         [[sk.json_str(x) for x in sk.json_list(t)]
+                          for t in sk.json_list(obj["vertices"])],
                          {sk.json_str(k): sk.json_int(v)
                           for k, v in sk.json_object(obj.get("boundary", {})).items()})
         except (KeyError, TypeError, ValueError) as exc:

@@ -189,6 +189,16 @@ def test_exit_parse_bad_word(capsys):
     assert code == 2 and out["error"] == "parse"
 
 
+@pytest.mark.parametrize("argv", [
+    ("detect", "--surface", "torus", "--word", "a", "--rmin", "6", "--rmax", "4"),
+    ("braid-detect", "--n", "3", "--word", "1 2", "--rmin", "6", "--rmax", "4"),
+])
+def test_exit_parse_empty_level_range(capsys, argv):
+    """A scan over no level would read as never detected."""
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and out["error"] == "parse"
+
+
 @pytest.mark.parametrize("word", ["-", "a +"])
 def test_exit_parse_bare_sign_in_twist_word(capsys, word):
     code, out = run_cli(capsys, "rep-matrix", "--r", "4", "--surface", "torus",
@@ -295,10 +305,13 @@ def test_exit_parse_link_outside_schema(capsys, tmp_path, blob):
     {"version": 1, "edges": ["a"], "vertices": [], "boundary": [1]},
     ["a"],
     {"edges": ["a"], "vertices": []},
+    {"version": 1, "edges": "xmy", "vertices": [["x", "x", "m"], ["y", "y", "m"]]},
+    {"version": 1, "edges": ["x", "m", "y"], "vertices": ["xxm", "yym"]},
 ])
 def test_exit_parse_spine_outside_schema(capsys, tmp_path, blob):
     """Edge names that are not strings, unknown keys, non-objects where the
-    schema asks for an object, and a missing (required) version."""
+    schema asks for an object, a missing (required) version, and strings
+    where the schema asks for an array of edges or of a vertex's edges."""
     path = tmp_path / "spine.json"
     path.write_text(json.dumps(blob))
     code, out = run_cli(capsys, "dims", "--r", "4", "--spine", str(path))

@@ -141,6 +141,31 @@ def test_field_ops(r):
     assert (c * x) * (c * y) == x * y * p.total_d_squared().inverse()
 
 
+def test_pow_product_count(monkeypatch):
+    """x ** e costs floor(log2 e) + popcount(e) - 1 products, x ** 0 none,
+    and equals the repeated product."""
+    p = make_params(5)
+    x = p.a_pow(3) + p.from_rational(Fraction(2, 7))
+    calls = []
+    poly_mul = QuantumParams._poly_mul
+
+    def counting(self, u, v):
+        calls.append(1)
+        return poly_mul(self, u, v)
+
+    want = p.one()
+    powers = []
+    for e in range(9):
+        powers.append(want)
+        want = want * x
+    monkeypatch.setattr(QuantumParams, "_poly_mul", counting)
+    for e, products in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3)):
+        calls.clear()
+        assert x ** e == powers[e]
+        assert len(calls) == products, e
+    assert (x ** -3) * powers[3] == p.one()
+
+
 @pytest.mark.parametrize("r", RS)
 def test_json_roundtrip(r):
     p = make_params(r)
