@@ -10,17 +10,18 @@ the blackboard value by mu_k^f and is never drawn.
 
 How strands run through the crossings is answered by one walk, ``_walk``: a
 strand entering a crossing at slot s leaves it at slot s + 2.  It gives the
-orientations, the check that each component's arcs are one strand, the
-components of a braid closure and the arcs of a clasp splice.
+orientations, the check that each component's arcs are one strand
+(``validate`` returns the walk, so ``evaluate`` walks once), the components
+of a braid closure, the arcs of a clasp splice and the cabled diagram.
 
-Evaluation resolves crossings by the Kauffman relation (the A-smoothing of
-X[a,b,c,d] joins a-d and b-c), cables k-labeled components into k parallel
-copies through one Jones-Wenzl box, and replaces closed loops by
-d = -A^2 - A^{-2}.  The sweep over crossings keeps a linear combination of
-frontier pairings with like states merged: a state is keyed by the ports
-still open whose diagram partner has been resolved, and maps each to its
-current partner.  omega components expand as sum_k s_k (k-labeled),
-s_k = c d_k.
+Evaluation cables k-labeled components into k parallel copies through one
+Jones-Wenzl box, read off each component's strand (``_cabled_diagram``),
+resolves crossings by the Kauffman relation (the A-smoothing of X[a,b,c,d]
+joins a-d and b-c), and replaces closed loops by d = -A^2 - A^{-2}.  The
+sweep over crossings keeps a linear combination of frontier pairings with
+like states merged: a state is keyed by the ports still open whose diagram
+partner has been resolved, and maps each to its current partner.  omega
+components expand as sum_k s_k (k-labeled), s_k = c d_k.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from fractions import Fraction
 from .recoupling import twist_coefficient
 from .scalars import PackedRing, QuantumParams, Scalar, common_denominator
 from .tl import jones_wenzl
-from .unionfind import UnionFind
 
 
 class LinkFormatError(ValueError):
@@ -133,6 +133,15 @@ def _walk(crossings):
     return strands, ob, consistent
 
 
+def _oriented(walk):
+    """The strands and orientations of a ``_walk``; LinkFormatError when
+    some strand enters an under-pass at c."""
+    strands, ob, consistent = walk
+    if not consistent:
+        raise LinkFormatError("a strand enters an under-pass at c: inconsistent orientations")
+    return strands, ob
+
+
 @dataclass
 class LabeledLink:
     components: list
@@ -173,6 +182,9 @@ class LabeledLink:
     # ----- structure -----
 
     def validate(self):
+        """Check the diagram code and return its ``_walk``: every crossing
+        lists four arcs, every arc appears twice, and each component's arcs
+        are exactly one strand's."""
         for x in self.crossings:
             if len(x) != 4:
                 raise LinkFormatError(f"crossing {x} must have 4 arcs")
@@ -188,10 +200,12 @@ class LabeledLink:
             raise LinkFormatError("component arc lists do not partition the crossing arcs")
         # each strand's arcs must be one component's complete arc list
         comp_of = self.arc_component()
-        for arcs in _walk(self.crossings)[0]:
+        walk = _walk(self.crossings)
+        for arcs in walk[0]:
             i = comp_of[arcs[0]]
             if len(arcs) != len(self.components[i].arcs) or any(comp_of[a] != i for a in arcs):
                 raise LinkFormatError(f"component {i} arcs do not match strand-following")
+        return walk
 
     def arc_component(self):
         out = {}
@@ -207,10 +221,7 @@ class LabeledLink:
         The under strand always runs a -> c; LinkFormatError is raised when
         no orientation of some strand makes it do so at every under-pass.
         """
-        _, ob, consistent = _walk(self.crossings)
-        if not consistent:
-            raise LinkFormatError("a strand enters an under-pass at c: inconsistent orientations")
-        return ob
+        return _oriented(_walk(self.crossings))[1]
 
     def crossing_signs(self):
         """Sign of each crossing: +1 when the over strand enters at slot b."""
@@ -317,162 +328,91 @@ def _braid_crossing(cur, g, fresh):
     return [q, q2, p2, p]
 
 
-def _strands(link: LabeledLink):
-    """The label-free data of the cabled diagram, shared by every labelling:
-    (ob, cross_comp, arcs_of) with ob the orientations, cross_comp[t] the
-    (under, over) components of crossing t, and arcs_of[i] the incoming
-    arcs of component i, one per crossing it passes."""
-    ob = link.orientations()
-    comp_of = link.arc_component()
-    cross_comp = [(comp_of[a], comp_of[b]) for a, b, c, d in link.crossings]
-    arcs_of = {i: [] for i in range(len(link.components))}
-    for t, x in enumerate(link.crossings):
-        cu, co = cross_comp[t]
-        arcs_of[cu].append(x[0])
-        arcs_of[co].append(x[1 if ob[t] else 3])
-    return ob, cross_comp, arcs_of
+def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels, walk):
+    """The blackboard-framed cabled diagram of `link` with every component's
+    label an integer, read off `walk` (the ``_walk`` that ``link.validate()``
+    returns).
 
+    Returns (kinds, pairing, loops_upfront).  kinds lists the nodes: "X"
+    for each crossing of two cable strands, then k for the Jones-Wenzl box
+    of each component labelled k >= 2, in component order.  `pairing` maps
+    each port (node index, slot) to the port at the other end of its strand;
+    a box's slots are its k bottoms, then its k tops.  loops_upfront counts
+    the closed loops that touch no node.
 
-def _diagram_nodes(params: QuantumParams, link: LabeledLink, labels, strands):
-    """The cabled diagram of `link` with every component's label an integer,
-    over its label-free data `strands` (``_strands(link)``).
-
-    Returns (nodes, pairing, loops_upfront): nodes are ("X", ports) crossings
-    of cable strands and ("B", k, bottoms, tops) Jones-Wenzl boxes; `pairing`
-    maps each port (node index, slot) to the port at the other end of its
-    arc; loops_upfront counts the closed loops that touch no node.
+    A crossing whose under and over labels m, n are both nonzero is an
+    m x n grid of "X" nodes, in crossing order; node (i, j), at offset
+    i n + j, crosses under copy i with over copy j.  Each component of
+    nonzero label k is wired copy by copy through its kept passes in
+    running order, from its box site: the arc entering the lowest-index
+    crossing it passes, its under-pass first.  Its box (k >= 2) sits on
+    that arc, and a pass whose partner is labelled 0 is run straight
+    through.  A component with no kept pass is its box closed on itself
+    (k >= 2) or one loop (k = 1).
     """
-    r = params.r
     for k in labels:
-        if not 0 <= k <= r - 2:
-            raise DomainError(f"label {k} outside 0..{r - 2}")
-    ob, cross_comp, arcs_of = strands
-    crossings = link.crossings
+        if not 0 <= k <= params.r - 2:
+            raise DomainError(f"label {k} outside 0..{params.r - 2}")
+    strands, ob = _oriented(walk)
+    comp_of = link.arc_component()
+    kinds, grid = [], {}  # grid[t] = (first node, m, n) of a kept crossing
+    for t, (a, b, _, _) in enumerate(link.crossings):
+        m, n = labels[comp_of[a]], labels[comp_of[b]]
+        if m and n:
+            grid[t] = (len(kinds), m, n)
+            kinds += ["X"] * (m * n)
 
-    # choose box sites: one arc per component with multiplicity >= 2
-    box_site = {}
-    virtual_boxes = []  # crossingless loops of multiplicity >= 2
+    def through(t, s, copy):
+        """The (in, out) ports, in running order, of cable copy `copy` on
+        its pass through crossing t entered at slot s."""
+        first, m, n = grid[t]
+        if s == 0:
+            nodes = range(first + copy * n, first + (copy + 1) * n)
+            nodes = nodes if ob[t] else reversed(nodes)
+        else:
+            nodes = range(first + copy, first + m * n, n)
+            nodes = reversed(nodes) if s == 1 else nodes
+        return [((x, s), (x, (s + 2) % 4)) for x in nodes]
+
+    head = _head_occurrences(link.crossings, ob)
+    strand_of = {comp_of[arcs[0]]: arcs for arcs in strands}
+    pairing, loops_upfront = {}, 0
     for i, k in enumerate(labels):
+        if not k:
+            continue
+        passes = [head[a] for a in strand_of.get(i, ())]
+        site = passes.index(min(passes)) if passes else 0
+        kept = [(t, s) for t, s in passes[site:] + passes[:site] if t in grid]
+        if k == 1 and not kept:
+            loops_upfront += 1
+            continue
+        box = len(kinds)
         if k >= 2:
-            if arcs_of[i]:
-                box_site[i] = arcs_of[i][0]
-            else:
-                virtual_boxes.append(i)
-
-    cut_arcs = set(box_site.values())
-
-    # ----- build nodes over cable sub-arcs -----
-    # arc-name aliasing for straight-throughs past dropped components
-    alias = UnionFind()
-
-    def arcname(u, i, head_side):
-        if head_side and u in cut_arcs:
-            return ("arcH", u, i)
-        return ("arc", u, i)
-
-    nodes = []  # ("X", (pa, pb, pc, pd)) or ("B", k, bottoms, tops)
-    for t, x in enumerate(crossings):
-        a, b, c, d = x
-        cu, co = cross_comp[t]
-        m, n = labels[cu], labels[co]
-        bin_, dout = (b, d) if ob[t] else (d, b)
-        if m == 0 and n == 0:
-            continue
-        if n == 0:
-            for i in range(1, m + 1):
-                alias.union(arcname(a, i, True), arcname(c, i, False))
-            continue
-        if m == 0:
-            for j in range(1, n + 1):
-                alias.union(arcname(bin_, j, True), arcname(dout, j, False))
-            continue
-
-        def useg(i, step):
-            if step == 0:
-                return arcname(a, i, True)
-            if step == n:
-                return arcname(c, i, False)
-            return ("useg", t, i, step)
-
-        def oseg(j, step):
-            if step == 0:
-                return arcname(bin_, j, True)
-            if step == m:
-                return arcname(dout, j, False)
-            return ("oseg", t, j, step)
-
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                if ob[t]:
-                    pa = useg(i, j - 1)
-                    pb = oseg(j, m - i)
-                    pc = useg(i, j)
-                    pd = oseg(j, m - i + 1)
-                else:
-                    pa = useg(i, n - j)
-                    pb = oseg(j, i)
-                    pc = useg(i, n - j + 1)
-                    pd = oseg(j, i - 1)
-                nodes.append(("X", (pa, pb, pc, pd)))
-
-    free_loop_count = 0
-    for i, k in enumerate(labels):
-        if k == 0:
-            continue
-        if i in box_site:
-            u = box_site[i]
-            bottoms = [("arc", u, j) for j in range(1, k + 1)]
-            tops = [("arcH", u, j) for j in range(1, k + 1)]
-            nodes.append(("B", k, bottoms, tops))
-        elif i in virtual_boxes:
-            # crossingless loop of multiplicity k: close the box on itself,
-            # giving the closed-loop value d_k of the projector
-            vb = [("vbox", i, j) for j in range(1, k + 1)]
-            nodes.append(("B", k, vb, vb))
-        elif not arcs_of[i]:
-            # crossingless loop of multiplicity 1: a bare circle
-            free_loop_count += 1
-
-    # ----- pair up port occurrences -----
-    occurrences = {}
-    for idx, node in enumerate(nodes):
-        ports = node[1] if node[0] == "X" else node[2] + node[3]
-        for slot, name in enumerate(ports):
-            root = alias.find(name)
-            occurrences.setdefault(root, []).append((idx, slot))
-    for root, occs in occurrences.items():
-        if len(occs) != 2:
-            raise LinkFormatError(f"internal: arc {root} has {len(occs)} ends")
-
-    # aliased classes never touched by a node are closed loops
-    alias_loops = sum(alias.find(g[0]) not in occurrences for g in alias.groups())
-    # components of multiplicity 1 whose every crossing partner was dropped
-    # close into alias loops; crossingless ones were counted in
-    # free_loop_count
-    loops_upfront = free_loop_count + alias_loops
-
-    pairing = {}
-    for root, ((n1, s1), (n2, s2)) in occurrences.items():
-        pairing[(n1, s1)] = (n2, s2)
-        pairing[(n2, s2)] = (n1, s1)
-    return nodes, pairing, loops_upfront
+            kinds.append(k)
+        for copy in range(k):
+            chain = [((box, copy), (box, k + copy))] if k >= 2 else []
+            for t, s in kept:
+                chain += through(t, s, copy)
+            for (_, out), (inp, _) in zip(chain, chain[1:] + chain[:1]):
+                pairing[out], pairing[inp] = inp, out
+    return kinds, pairing, loops_upfront
 
 
-def _port_count(node):
-    return 4 if node[0] == "X" else 2 * node[1]
+def _port_count(kind):
+    return 4 if kind == "X" else 2 * kind
 
 
-def _greedy_order(nodes, pairing):
+def _greedy_order(kinds, pairing):
     """Sweep order: each step places the node with the most ports paired to
     placed nodes or to itself, the lowest index among equals.  Scores only
     grow, so a heap with stale entries skipped replaces a rescan per step."""
-    score = [0] * len(nodes)
+    score = [0] * len(kinds)
     for (idx, _), (other, _) in pairing.items():
         if idx == other:
             score[idx] += 1
     heap = [(-sc, idx) for idx, sc in enumerate(score)]
     heapq.heapify(heap)
-    placed = [False] * len(nodes)
+    placed = [False] * len(kinds)
     order = []
     while heap:
         neg, idx = heapq.heappop(heap)
@@ -480,7 +420,7 @@ def _greedy_order(nodes, pairing):
             continue
         placed[idx] = True
         order.append(idx)
-        for slot in range(_port_count(nodes[idx])):
+        for slot in range(_port_count(kinds[idx])):
             nb = pairing[(idx, slot)][0]
             if not placed[nb]:
                 score[nb] += 1
@@ -528,7 +468,7 @@ def _node_residues(params: QuantumParams, ring: PackedRing, kind):
     return params.cached(("sweep_residues", kind, ring.n), build)
 
 
-def _sweep(params: QuantumParams, nodes, pairing, loops_upfront) -> Scalar:
+def _sweep(params: QuantumParams, kinds, pairing, loops_upfront) -> Scalar:
     """Resolve the nodes one at a time, keeping a linear combination of states.
 
     A state records the current partner of each frontier port: an
@@ -548,7 +488,6 @@ def _sweep(params: QuantumParams, nodes, pairing, loops_upfront) -> Scalar:
     state's reduced coefficients are then at most B: the zero test on the
     residue and the decode are exact.
     """
-    kinds = [node[0] if node[0] == "X" else node[1] for node in nodes]
     mass, den = 1 << loops_upfront, 1
     for kind in kinds:
         node_den, node_mass, _ = _node_terms(params, kind)
@@ -560,11 +499,10 @@ def _sweep(params: QuantumParams, nodes, pairing, loops_upfront) -> Scalar:
     frontier = []
     placed = set()
     states = {(): 1}
-    for idx in _greedy_order(nodes, pairing):
-        node = nodes[idx]
+    for idx in _greedy_order(kinds, pairing):
         resolutions = [([((idx, p), (idx, q)) for p, q in pairs], scaled)
                        for pairs, scaled in _node_residues(params, ring, kinds[idx])]
-        ports = [(idx, s) for s in range(_port_count(node))]
+        ports = [(idx, s) for s in range(_port_count(kinds[idx]))]
         placed.add(idx)
         old_slot = {p: i for i, p in enumerate(frontier)}
         kept = [i for i, p in enumerate(frontier) if p[0] != idx]
@@ -612,11 +550,11 @@ def _sweep(params: QuantumParams, nodes, pairing, loops_upfront) -> Scalar:
     return ring.decode(total, den)
 
 
-def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels, strands):
+def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels, walk):
     """Evaluate with every component's label an integer (omega expanded):
     the blackboard-framed sweep times mu_k^f for each k-labeled component
-    of framing f.  `strands` is ``_strands(link)``."""
-    value = _sweep(params, *_diagram_nodes(params, link, labels, strands))
+    of framing f.  `walk` is ``link.validate()``."""
+    value = _sweep(params, *_cabled_diagram(params, link, labels, walk))
     for k, comp in zip(labels, link.components):
         if k and comp.framing:
             value = value * twist_coefficient(params, k, comp.framing)
@@ -626,13 +564,12 @@ def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels, strands)
 def evaluate(params: QuantumParams, link: LabeledLink) -> Scalar:
     """Kauffman evaluation of a labeled framed link; omega components are
     expanded as sum_k s_k (component labeled k)."""
-    link.validate()
+    walk = link.validate()
     omega_idx = [i for i, c in enumerate(link.components) if c.label == OMEGA]
     for i, c in enumerate(link.components):
         if c.label != OMEGA and not 0 <= c.label <= params.r - 2:
             raise DomainError(f"component {i} label {c.label} outside 0..{params.r - 2}")
     weights = omega_weights(params)
-    strands = _strands(link)
     total = params.zero()
     given = [c.label for c in link.components]
     for combo in itertools.product(range(params.r - 1), repeat=len(omega_idx)):
@@ -641,7 +578,7 @@ def evaluate(params: QuantumParams, link: LabeledLink) -> Scalar:
         for i, k in zip(omega_idx, combo):
             labels[i] = k
             w = w * weights[k]
-        total = total + w * _evaluate_labeled(params, link, labels, strands)
+        total = total + w * _evaluate_labeled(params, link, labels, walk)
     return total
 
 
@@ -839,10 +776,8 @@ def apply_move(link: LabeledLink, move) -> LabeledLink:
         i2 = i if i < j else i - 1
         word = [1] * (2 * f2) if f2 > 0 else [-1] * (-2 * f2)
         out = _clasp_after(slid, i2, word, [over_proto])
-        # restore original component order
-        newc = out.components.pop()
-        out.components.insert(j, newc)
-        out.validate()
+        # restore original component order; no arc list changes
+        out.components.insert(j, out.components.pop())
         return out
     raise DomainError(f"unknown move {move!r}")
 

@@ -3,7 +3,7 @@
 The reference below keys every state by the pairing of all unprocessed
 ports, picks the node order by rescanning every remaining node per step,
 and keeps every coefficient a `Scalar`.  Both sweeps run on the same nodes
-from `skein._diagram_nodes`; their values must have identical `to_json`
+from `skein._cabled_diagram`; their values must have identical `to_json`
 bytes, and the node orders must agree.  The packed sweep's width is checked
 against its bound B, computed here from its definition.
 
@@ -27,12 +27,12 @@ from skeinrep.skein import (CircumcisionPair, HandleSlide, apply_move, closed_br
 from skeinrep.tl import jones_wenzl
 
 
-def reference_order(nodes, pairing):
-    processed, remaining, order = set(), set(range(len(nodes))), []
+def reference_order(kinds, pairing):
+    processed, remaining, order = set(), set(range(len(kinds))), []
     while remaining:
         best, best_score = None, -1
         for idx in sorted(remaining):
-            score = sum(1 for s in range(sk._port_count(nodes[idx]))
+            score = sum(1 for s in range(sk._port_count(kinds[idx]))
                         if pairing[(idx, s)][0] in processed or pairing[(idx, s)][0] == idx)
             if score > best_score:
                 best, best_score = idx, score
@@ -42,21 +42,20 @@ def reference_order(nodes, pairing):
     return order
 
 
-def reference_sweep(params, nodes, pairing, loops_upfront):
+def reference_sweep(params, kinds, pairing, loops_upfront):
     dval = params.loop_d()
 
     def key_of(pdict):
         return frozenset(frozenset((p, q)) for p, q in pdict.items() if p < q)
 
     states = {key_of(pairing): params.one()}
-    for idx in reference_order(nodes, pairing):
-        node = nodes[idx]
-        if node[0] == "X":
+    for idx in reference_order(kinds, pairing):
+        if kinds[idx] == "X":
             resolutions = [([((idx, 0), (idx, 3)), ((idx, 1), (idx, 2))], params.a_pow(1)),
                            ([((idx, 0), (idx, 1)), ((idx, 2), (idx, 3))], params.a_pow(-1))]
         else:
             resolutions = [([((idx, p), (idx, q)) for p, q in diag.pairs], coeff)
-                           for diag, coeff in jones_wenzl(params, node[1]).terms.items()]
+                           for diag, coeff in jones_wenzl(params, kinds[idx]).terms.items()]
         new_states = {}
         for key, coeff in states.items():
             pd = {}
@@ -163,20 +162,20 @@ def kinked_value(params, link):
             if comp.label == sk.OMEGA:
                 weight = weight * c * params.d_k(k)
         kinked = kinked_link(link, labels)
-        nodes = sk._diagram_nodes(params, kinked, labels, sk._strands(kinked))
-        total = total + weight * reference_sweep(params, *nodes)
+        diagram = sk._cabled_diagram(params, kinked, labels, kinked.validate())
+        total = total + weight * reference_sweep(params, *diagram)
     return total
 
 
 def check_link(params, link):
     """Both sweeps on the blackboard diagram of every integer labeling of
     `link`, and `skein.evaluate` against the kinked reference."""
-    strands = sk._strands(link)
+    walk = link.validate()
     for labels in labelings(params, link):
-        nodes, pairing, loops_upfront = sk._diagram_nodes(params, link, labels, strands)
-        assert sk._greedy_order(nodes, pairing) == reference_order(nodes, pairing)
-        got = sk._sweep(params, nodes, pairing, loops_upfront)
-        want = reference_sweep(params, nodes, pairing, loops_upfront)
+        kinds, pairing, loops_upfront = sk._cabled_diagram(params, link, labels, walk)
+        assert sk._greedy_order(kinds, pairing) == reference_order(kinds, pairing)
+        got = sk._sweep(params, kinds, pairing, loops_upfront)
+        want = reference_sweep(params, kinds, pairing, loops_upfront)
         assert as_bytes(got) == as_bytes(want), (link.to_json(), labels)
     assert as_bytes(sk.evaluate(params, link)) == as_bytes(kinked_value(params, link)), \
         link.to_json()
@@ -244,8 +243,8 @@ def test_cable_crossings_do_not_depend_on_framing():
         comp_of = link.arc_component()
         cabled = sum(labels[comp_of[a]] * labels[comp_of[b]] for a, b, _, _ in link.crossings)
         for framed in (link, closed_braid_link(word, n, labels=labels)):
-            nodes = sk._diagram_nodes(params, framed, labels, sk._strands(framed))[0]
-            assert sum(node[0] == "X" for node in nodes) == cabled
+            kinds = sk._cabled_diagram(params, framed, labels, framed.validate())[0]
+            assert kinds.count("X") == cabled
 
 
 @pytest.mark.parametrize("r,s", [(4, 1), (5, 3)])
@@ -262,23 +261,23 @@ def test_move_outputs_match_reference(r, s):
 
 # ----- the packed residues: width, bound, zero drop and c-odd values -----
 
-def expected_bound(params, nodes, loops_upfront):
+def expected_bound(params, kinds, loops_upfront):
     """B = mu 2^loops_upfront prod_nodes sum_j |m_j|_1 2^|joins_j|, with
     mu = max_e |A^e mod Phi|_inf and m_j a node's multipliers over its lcm
     denominator."""
     mu = max(abs(c) for e in range(params.order) for c in params.a_pow(e).part[0])
     bound = mu << loops_upfront
-    for node in nodes:
-        if node[0] == "X":
+    for kind in kinds:
+        if kind == "X":
             coeffs, joins = [params.a_pow(1), params.a_pow(-1)], 2
         else:
-            coeffs, joins = list(jones_wenzl(params, node[1]).terms.values()), node[1]
+            coeffs, joins = list(jones_wenzl(params, kind).terms.values()), kind
         den = math.lcm(*(c.part[1] for c in coeffs))
         bound *= sum(abs(n) * den // c.part[1] for c in coeffs for n in c.part[0]) << joins
     return bound
 
 
-def traced_sweep(params, nodes, pairing, loops_upfront):
+def traced_sweep(params, kinds, pairing, loops_upfront):
     """The value of `skein._sweep` and its local variables as it returns."""
     seen = {}
 
@@ -287,7 +286,7 @@ def traced_sweep(params, nodes, pairing, loops_upfront):
             seen.update(frame.f_locals)
     sys.setprofile(profile)
     try:
-        value = sk._sweep(params, nodes, pairing, loops_upfront)
+        value = sk._sweep(params, kinds, pairing, loops_upfront)
     finally:
         sys.setprofile(None)
     return value, seen
@@ -301,18 +300,18 @@ def check_width(params, link, labels):
     """The sweep's B is the defined bound, its width b the narrowest with
     B < 2^(b-2), every decoded coefficient is at most B, and the value
     matches the reference.  Returns b."""
-    nodes, pairing, loops_upfront = sk._diagram_nodes(params, link, labels, sk._strands(link))
-    value, seen = traced_sweep(params, nodes, pairing, loops_upfront)
+    kinds, pairing, loops_upfront = sk._cabled_diagram(params, link, labels, link.validate())
+    value, seen = traced_sweep(params, kinds, pairing, loops_upfront)
     ring = seen["ring"]
     b = digit_bits(params, ring)
-    assert ring.bound == expected_bound(params, nodes, loops_upfront)
+    assert ring.bound == expected_bound(params, kinds, loops_upfront)
     assert ring.bound < 2 ** (b - 2)
     if b > 8:
         narrower = b // 2 if b <= 128 else b - 64
         assert ring.bound >= 2 ** (narrower - 2)
     part = _decode(ring._kernel, seen["total"], 1)
     assert part is None or max(map(abs, part[0])) <= ring.bound
-    assert as_bytes(value) == as_bytes(reference_sweep(params, nodes, pairing, loops_upfront))
+    assert as_bytes(value) == as_bytes(reference_sweep(params, kinds, pairing, loops_upfront))
     return b
 
 
@@ -351,9 +350,9 @@ def test_exact_zero_is_dropped_and_decoded(s):
     state is dropped, and the decode reads the zero residue."""
     params = make_params(6, s)
     hopf = closed_braid_link([1, 1], 2)
-    nodes, pairing, loops_upfront = sk._diagram_nodes(params, hopf, [1, 2], sk._strands(hopf))
-    value, seen = traced_sweep(params, nodes, pairing, loops_upfront)
-    assert value.is_zero() and reference_sweep(params, nodes, pairing, loops_upfront).is_zero()
+    kinds, pairing, loops_upfront = sk._cabled_diagram(params, hopf, [1, 2], hopf.validate())
+    value, seen = traced_sweep(params, kinds, pairing, loops_upfront)
+    assert value.is_zero() and reference_sweep(params, kinds, pairing, loops_upfront).is_zero()
     assert seen["states"] == {} and seen["total"] == 0
 
 
