@@ -79,10 +79,9 @@ def _level_range(args) -> range:
 
 
 def _parse_labels(text):
-    if not text:
-        return ()
+    """Labels separated by commas or by spaces; an empty field is an error."""
     try:
-        return tuple(int(t) for t in text.replace(",", " ").split())
+        return tuple(int(t) for t in (text.split(",") if "," in text else text.split()))
     except ValueError as exc:
         raise ParseFailure(f"bad label list {text!r}") from exc
 

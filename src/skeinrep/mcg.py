@@ -1,16 +1,18 @@
 """Projective mapping-class-group representations on spine bases.
 
-Supported surfaces carry a hand-built curve dictionary, and a model gives
-each curve once, by its frame (left, core, right).  core is the labels of
-the spine edge the curve encircles, one per basis vector, or the matrix of
-the curve's parallel insertion (a fusion operator with tetrahedral
-coefficients).  left and right are a change of basis and its inverse in
-closed form -- the Hopf S-matrix with S^{-1} = S/D, or an F-move with
-F(a,b,c,d)^{-1} = F(b,c,d,a) -- or None.  `SurfaceModel` turns a frame into
-the curve operator left . C(core) . right and the twist pair
-left . f(core) . right, where f(lambda_k) = mu_k^{+-1}: read off a label core,
-and one exact Newton prefix pass shared by both signs on a matrix core.  No
-matrix is inverted by elimination.
+Each supported surface is one entry of a table (`_surface`): its number of
+boundary labels, a reference spine from `tqft`, and each curve as (edges to
+F-move, target).  The target is the spine edge the curve encircles, whose
+labels are a diagonal core, or a cycle of spine edges, whose core is the
+curve's parallel insertion (a fusion operator with tetrahedral
+coefficients).  The F-moves give the frame (left, core, right) around the
+core: `_f_move` changes basis blockwise by K = F(a,b,c,d)^T, with
+K^{-1} = F(b,c,d,a)^T.  The torus curves b, c, d are the one special case,
+framed by the Hopf S-matrix with S^{-1} = S/D.  `SurfaceModel` turns a frame
+into the curve operator left . C(core) . right and the twist pair
+left . f(core) . right, where f(lambda_k) = mu_k^{+-1}: read off a label
+core, and one exact Newton prefix pass shared by both signs on a matrix
+core.  No matrix is inverted by elimination.
 """
 from __future__ import annotations
 
@@ -173,35 +175,154 @@ def _parallel_insertion(params, tuples, vertices):
     return out
 
 
+def _surface(name):
+    """(boundary-label count, spine builder, curves) of a supported surface.
+    The builder takes the boundary labels.  Each curve is (edges to F-move,
+    target), the moves applied in order; the target is the spine edge the
+    curve encircles (a diagonal core) or the tuple of edges of the spine
+    cycle it runs along (a parallel insertion).  None marks the torus curves
+    framed by the Hopf S-matrix."""
+    table = {
+        # the meridian a bounds a disk in the solid torus; the longitude b
+        # and the (1, +-1) curves c, d are reached from it by S and by V_a
+        "torus": (0, lambda ls: tqft.torus_spine(),
+                  {"a": ((), "a"), "b": None, "c": None, "d": None}),
+        # the meridian a encircles the loop x, the longitude b runs along it
+        "punctured_torus": (1, lambda ls: tqft.Spine(edges=["x"], vertices=[["x", "x", "p"]],
+                                                     boundary={"p": ls[0]}),
+                            {"a": ((), "x"), "b": ((), ("x",))}),
+        # g_ij surrounds punctures i, j: the h channel's middle edge for g12
+        # and g34, the v channel's for g23
+        "four_punctured_sphere": (4, lambda ls: tqft.four_punctured_sphere_spine(ls, "h"),
+                                  {"g12": ((), "m"), "g23": (("m",), "m"), "g34": ((), "m")}),
+        # the chain: handle longitudes b0, b4 and meridians b1, b3 on the
+        # dumbbell; b2 runs through both handles, the x, y cycle of the
+        # theta spine that the bar's F-move reaches
+        "genus2": (0, lambda ls: tqft.dumbbell_spine(),
+                   {"b0": ((), ("x",)), "b1": ((), "x"), "b2": (("m",), ("x", "y")),
+                    "b3": ((), "y"), "b4": ((), ("y",))}),
+    }
+    if name not in table:
+        raise DomainError(f"unsupported surface {name!r}")
+    return table[name]
+
+
+def s_matrix(params):
+    """The Hopf S-matrix on the torus basis; S S = D I."""
+    r = params.r
+    return [[hopf_pairing(params, j, k) for k in range(r - 1)] for j in range(r - 1)]
+
+
+def _f_move(params, names, vertices, tuples, edge):
+    """One F-move on the internal edge that joins the vertices (a, b, edge)
+    and (c, d, edge).  tuples are basis vectors as labels of `names`.
+    Returns the new vertices (b, c, edge) and (d, a, edge), the new basis
+    tuples (blocks of the labels the move keeps in first-seen order, the new
+    edge label ascending in each), and K = F(a,b,c,d)^T, which takes old
+    coordinates to new, with K^{-1} = F(b,c,d,a)^T."""
+    at = [v for v in vertices if edge in v]
+    (a, b), (c, d) = [[x for x in v if x != edge] for v in at]
+    moved = [v for v in vertices if edge not in v] + [[b, c, edge], [d, a, edge]]
+    pos = [names.index(x) for x in (a, b, c, d)]
+    pe = names.index(edge)
+    blocks = {}
+    for j, t in enumerate(tuples):
+        blocks.setdefault(t[:pe] + t[pe + 1:], []).append(j)
+    new = []
+    k = zeros(params, len(tuples), len(tuples))
+    k_inv = zeros(params, len(tuples), len(tuples))
+    for js in blocks.values():
+        t = tuples[js[0]]
+        la, lb, lc, ld = (t[p] for p in pos)
+        es, fs = f_matrix_channels(params, la, lb, lc, ld)
+        if len(es) != len(fs):
+            raise DomainError("channel bases have different dimensions")
+        # coordinates transform covariantly, w_f = sum_e six_j(.., e, f) v_e
+        f, f_rot = f_matrix(params, la, lb, lc, ld), f_matrix(params, lb, lc, ld, la)
+        for fi, fv in enumerate(fs):
+            i = len(new)
+            new.append(t[:pe] + (fv,) + t[pe + 1:])
+            for j in js:
+                ei = es.index(tuples[j][pe])
+                k[i][j] = f[ei][fi]
+                k_inv[j][i] = f_rot[fi][ei]
+    return moved, new, k, k_inv
+
+
+def _cycle_vertices(names, vertices, cycle):
+    """The (a, b, c) tuple positions `_parallel_insertion` takes for each
+    vertex a cycle of edges passes: a <= b its two cycle edges, c the third."""
+    out = []
+    for v in vertices:
+        ends = sorted(names.index(x) for x in v if x in cycle)
+        if len(ends) == 2:
+            (third,) = [names.index(x) for x in v if x not in cycle]
+            out.append((ends[0], ends[1], third))
+    return out
+
+
 class SurfaceModel:
-    """A supported surface: a reference spine, a basis, and a curve
-    dictionary; `_frame` describes each curve, and this class alone turns a
-    frame into its curve operator and twist matrices."""
+    """A supported surface with its boundary labels, read from `_surface`:
+    a reference spine, its basis, and the curves.  `_frame` turns a curve's
+    table entry into its frame, and this class turns a frame into the curve
+    operator and the twist matrices."""
 
-    name = None
-
-    def spine(self):
-        raise NotImplementedError
+    def __init__(self, name, labels=()):
+        count, spine, curves = _surface(name)
+        if len(labels) != count:
+            raise DomainError(f"{name} takes {count} boundary label(s), got {len(labels)}")
+        self.name, self.labels = name, tuple(labels)
+        self.spine = spine(self.labels)
+        self._curves = curves
 
     def curves(self):
-        raise NotImplementedError
-
-    def _frame(self, params, curve):
-        """(left, core, right) of a dictionary curve, as the module
-        docstring describes."""
-        raise NotImplementedError
+        return tuple(self._curves)
 
     def basis(self, params):
-        return tqft.basis(params, self.spine())
+        return tqft.basis(params, self.spine)
 
     def dim(self, params):
         return len(self.basis(params))
 
-    def closed(self):
-        return not self.spine().boundary
+    def _frame(self, params, curve):
+        """(left, core, right) of a curve, as the module docstring describes:
+        the table's F-moves give left and right, and its target the core."""
+        if self._curves[curve] is None:
+            return self._hopf_frame(params, curve)
+        moves, target = self._curves[curve]
+        names = list(self.spine.edges) + list(self.spine.boundary)
+        vertices = self.spine.vertices
+        tuples = [tuple(b[x] for x in self.spine.edges) + tuple(self.spine.boundary.values())
+                  for b in self.basis(params)]
+        left = right = None
+        for edge in moves:
+            vertices, tuples, k, k_inv = _f_move(params, names, vertices, tuples, edge)
+            left = k_inv if left is None else mat_mul(left, k_inv)
+            right = k if right is None else mat_mul(k, right)
+        if isinstance(target, str):
+            pos = names.index(target)
+            core = [t[pos] for t in tuples]
+        else:
+            core = _parallel_insertion(params, tuples, _cycle_vertices(names, vertices, target))
+        return left, core, right
+
+    def _hopf_frame(self, params, curve):
+        """The torus longitude b is the meridian a conjugated by the Hopf
+        S-matrix, S^{-1} = S/D; the (1, +-1) curves c and d are b conjugated
+        by the meridian twist and its inverse."""
+        labels = list(range(params.r - 1))
+        s = s_matrix(params)
+        inv_d = params.inverse_total_d_squared()
+        s_inv = [[x * inv_d for x in row] for row in s]
+        if curve == "b":
+            return s, labels, s_inv
+        va, va_inv = self._twists(params, "a")
+        if curve == "d":
+            va, va_inv = va_inv, va
+        return mat_mul(va, s), labels, mat_mul(s_inv, va_inv)
 
     def curve_operator(self, params, curve) -> RepMatrix:
-        if curve not in self.curves():
+        if curve not in self._curves:
             raise DomainError(f"unknown curve {curve!r} on {self.name}")
         left, core, right = self._frame(params, curve)
         if _is_labels(core):
@@ -226,7 +347,7 @@ class SurfaceModel:
         return params.cached(key, lambda: self._twist_pair(params, curve))
 
     def twist_matrix(self, params, curve, power=1) -> RepMatrix:
-        if curve not in self.curves():
+        if curve not in self._curves:
             raise DomainError(f"unknown curve {curve!r} on {self.name}")
         m = self._twists(params, curve)[0 if power >= 0 else 1]
         if power == 0:
@@ -249,183 +370,17 @@ class SurfaceModel:
         return RepMatrix(out, params.r, self.name, self._label_context())
 
     def _label_context(self):
-        return ()
-
-
-class Torus(SurfaceModel):
-    """Closed torus: basis b_0..b_{r-2} (core projectors of the solid torus).
-    Curve 'a' is the meridian (bounds a disk in the handlebody; its twist
-    extends over the solid torus as a framing change, so it is diagonal);
-    'b' is the longitude, conjugate to 'a' by the Hopf S-matrix; 'c' and 'd'
-    are the (1,1) and (1,-1) curves, images of b under the meridian twist."""
-
-    name = "torus"
-
-    def spine(self):
-        return tqft.torus_spine()
-
-    def curves(self):
-        return ("a", "b", "c", "d")
-
-    def s_matrix(self, params):
-        r = params.r
-        return [[hopf_pairing(params, j, k) for k in range(r - 1)] for j in range(r - 1)]
-
-    def _frame(self, params, curve):
-        labels = list(range(params.r - 1))
-        if curve == "a":
-            return None, labels, None
-        s = self.s_matrix(params)
-        inv_d = params.inverse_total_d_squared()  # S S = D I
-        s_inv = [[x * inv_d for x in row] for row in s]
-        if curve == "b":
-            return s, labels, s_inv
-        va, va_inv = self._twists(params, "a")
-        if curve == "d":
-            va, va_inv = va_inv, va
-        return mat_mul(va, s), labels, mat_mul(s_inv, va_inv)
-
-
-class PuncturedTorus(SurfaceModel):
-    """Once-punctured torus with boundary label l: basis = loop labels x with
-    (x, x, l) admissible.  Curve 'a' = meridian (diagonal), 'b' = longitude
-    (parallel insertion along the loop)."""
-
-    name = "punctured_torus"
-
-    def __init__(self, boundary_label):
-        self.boundary_label = boundary_label
-
-    def spine(self):
-        return tqft.Spine(edges=["x"], vertices=[["x", "x", "p"]],
-                          boundary={"p": self.boundary_label})
-
-    def curves(self):
-        return ("a", "b")
-
-    def _label_context(self):
-        return (self.boundary_label,)
-
-    def _frame(self, params, curve):
-        tup = [(b["x"], self.boundary_label) for b in self.basis(params)]
-        if curve == "a":
-            return None, [x for x, l in tup], None
-        return None, _parallel_insertion(params, tup, [(0, 0, 1)]), None
-
-
-class FourPuncturedSphere(SurfaceModel):
-    """4-punctured sphere with boundary labels (l1,l2,l3,l4): basis = middle
-    labels of the horizontal channel.  Curve 'g12' surrounds punctures 1,2
-    (diagonal); 'g23' surrounds 2,3 (diagonal in the vertical channel,
-    reached by the F-matrix); 'g34' surrounds 3,4 (diagonal)."""
-
-    name = "four_punctured_sphere"
-
-    def __init__(self, labels):
-        self.labels = tuple(labels)
-
-    def spine(self):
-        return tqft.four_punctured_sphere_spine(self.labels, "h")
-
-    def curves(self):
-        return ("g12", "g23", "g34")
-
-    def _label_context(self):
         return self.labels
-
-    def _frame(self, params, curve):
-        es = [b["m"] for b in self.basis(params)]
-        if curve in ("g12", "g34"):
-            return None, es, None
-        l1, l2, l3, l4 = self.labels
-        _, fs = f_matrix_channels(params, l1, l2, l3, l4)
-        if len(es) != len(fs):
-            raise DomainError("channel bases have different dimensions")
-        # coordinates transform covariantly, w_f = sum_e six_j(.., e, f) v_e,
-        # so K = F^T, and F(l1,l2,l3,l4) F(l2,l3,l4,l1) = I inverts it
-        k = [list(col) for col in zip(*f_matrix(params, l1, l2, l3, l4))]
-        k_inv = [list(col) for col in zip(*f_matrix(params, l2, l3, l4, l1))]
-        return k_inv, fs, k
-
-
-class GenusTwo(SurfaceModel):
-    """Closed genus-2 surface, dumbbell spine with loop labels x, y and bar
-    label m; basis ordered lexicographically on (x, m, y).  The chain curves:
-    b1, b3 are the handle meridians (diagonal); b0, b4 are the handle
-    longitudes (parallel insertion along a loop edge); b2 runs through both
-    handles and is a parallel insertion along the cycle of edges x, y in the
-    theta-spine coordinates reached by one F-move on the bar, passing both
-    theta vertices (x, y, f).
-    """
-
-    name = "genus2"
-
-    def spine(self):
-        return tqft.dumbbell_spine()
-
-    def curves(self):
-        return ("b0", "b1", "b2", "b3", "b4")
-
-    def _frame(self, params, curve):
-        tup = [(b["x"], b["m"], b["y"]) for b in self.basis(params)]
-        if curve == "b1":
-            return None, [x for x, m, y in tup], None
-        if curve == "b3":
-            return None, [y for x, m, y in tup], None
-        if curve == "b2":
-            k, k_inv = self._theta_change(params, tup)
-            return k_inv, _parallel_insertion(params, self.theta_basis(params), [(0, 1, 2)] * 2), k
-        pos = 0 if curve == "b0" else 2
-        return None, _parallel_insertion(params, tup, [(pos, pos, 1)]), None
-
-    def theta_basis(self, params):
-        return [(b["x"], b["y"], b["z"])
-                for b in tqft.basis(params, tqft.theta_spine())]
-
-    def _theta_change(self, params, tup):
-        """K with |x,m,y>_dumbbell = sum_f K[(x,y,f),(x,m,y)] |x,y,f>_theta,
-        one F-move on the bar edge, and its inverse: blockwise over (x, y),
-        K is F(x,x,y,y)^T and K^{-1} is F(x,y,y,x)^T."""
-        tidx = {t: i for i, t in enumerate(self.theta_basis(params))}
-        k = zeros(params, len(tidx), len(tup))
-        k_inv = zeros(params, len(tup), len(tidx))
-        blocks = {}
-        for j, (x, m, y) in enumerate(tup):
-            if (x, y) not in blocks:
-                blocks[x, y] = (f_matrix_channels(params, x, x, y, y),
-                                f_matrix(params, x, x, y, y), f_matrix(params, x, y, y, x))
-            (es, fs), f, f_rot = blocks[x, y]
-            ei = es.index(m)
-            for fi, fv in enumerate(fs):
-                i = tidx[x, y, fv]
-                k[i][j] = f[ei][fi]
-                k_inv[j][i] = f_rot[fi][ei]
-        return k, k_inv
-
-
-def _boundary_count(name):
-    """The number of boundary labels a supported surface takes."""
-    counts = {"torus": 0, "punctured_torus": 1, "four_punctured_sphere": 4, "genus2": 0}
-    if name not in counts:
-        raise DomainError(f"unsupported surface {name!r}")
-    return counts[name]
 
 
 def surface_model(name, labels=()) -> SurfaceModel:
-    count = _boundary_count(name)
-    if len(labels) != count:
-        raise DomainError(f"{name} takes {count} boundary label(s), got {len(labels)}")
-    if name == "punctured_torus":
-        return PuncturedTorus(labels[0])
-    if name == "four_punctured_sphere":
-        return FourPuncturedSphere(labels)
-    return Torus() if name == "torus" else GenusTwo()
+    return SurfaceModel(name, labels)
 
 
 def _boundary_contexts(name, r):
     """All boundary-label choices of a surface at level r, lexicographic:
     labels 0..r-2 with even sum, the parity every admissible basis needs."""
-    return [ls for ls in product(range(r - 1), repeat=_boundary_count(name)) if sum(ls) % 2 == 0]
+    return [ls for ls in product(range(r - 1), repeat=_surface(name)[0]) if sum(ls) % 2 == 0]
 
 
 def detect(name, word, r_range, s=1) -> DetectionResult:
@@ -448,7 +403,7 @@ def detect(name, word, r_range, s=1) -> DetectionResult:
 def mapping_torus_trace(model: SurfaceModel, params: QuantumParams, word) -> Scalar:
     """Trace of the monodromy representation: the invariant of the mapping
     torus (well-defined up to the root-of-unity phase of represent)."""
-    if not model.closed():
+    if model.spine.boundary:
         raise DomainError("mapping torus trace needs a closed surface")
     return mat_trace(model.represent(params, word).matrix)
 

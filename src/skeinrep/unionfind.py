@@ -1,8 +1,6 @@
 """Disjoint sets over hashable items: the one union-find of the package.
 
-Items join on first touch (``find`` of an unseen item makes it a singleton),
-so callers that need isolated items in ``groups`` pass them to the
-constructor.
+Items join on first touch: ``find`` of an unseen item makes it a singleton.
 """
 from __future__ import annotations
 
@@ -10,8 +8,8 @@ from __future__ import annotations
 class UnionFind:
     __slots__ = ("_parent",)
 
-    def __init__(self, items=()):
-        self._parent = {x: x for x in items}
+    def __init__(self):
+        self._parent = {}
 
     def find(self, x):
         parent = self._parent
@@ -28,11 +26,3 @@ class UnionFind:
             return False
         self._parent[rx] = ry
         return True
-
-    def groups(self):
-        """The classes as lists, ordered by their first-seen member, each
-        list in first-seen order."""
-        out = {}
-        for x in self._parent:
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())

@@ -46,6 +46,15 @@ def scalar_multiple_of(a, b):
     return s
 
 
+def groups(uf, items):
+    """The classes of a UnionFind among items, as lists in first-seen order,
+    ordered by their first-seen member."""
+    out = {}
+    for x in dict.fromkeys(items):
+        out.setdefault(uf.find(x), []).append(x)
+    return list(out.values())
+
+
 def reduction_table(self):
     """x^k mod Phi for k = phi .. 2*phi - 2, as the nonzero (i, coefficient)
     pairs of each row, used to reduce products."""

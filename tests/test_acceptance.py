@@ -226,8 +226,8 @@ def test_criterion_07_dimensions():
 def test_criterion_08_representation_relations():
     for r in RS:
         p = make_params(r)
-        model = mcg.Torus()
-        s = model.s_matrix(p)
+        model = mcg.surface_model("torus")
+        s = mcg.s_matrix(p)
         t = model.twist_matrix(p, "a").matrix
         s2 = mat_mul(s, s)
         assert proportional(mat_mul(s2, s2), eye(p, len(s))), r
@@ -235,7 +235,7 @@ def test_criterion_08_representation_relations():
         assert proportional(mat_mul(ts, mat_mul(ts, ts)), s2), r
     for r in (3, 4):
         p = make_params(r)
-        g2 = mcg.GenusTwo()
+        g2 = mcg.surface_model("genus2")
         tw = {c: g2.twist_matrix(p, c).matrix for c in g2.curves()}
         chain = ["b0", "b1", "b2", "b3", "b4"]
         for i, ci in enumerate(chain):
@@ -255,7 +255,7 @@ def test_criterion_08_representation_relations():
 def test_criterion_09_curve_operator_conjugation():
     for r in (3, 4):
         p = make_params(r)
-        torus = mcg.Torus()
+        torus = mcg.surface_model("torus")
         op = {c: torus.curve_operator(p, c).matrix for c in torus.curves()}
         va = torus.twist_matrix(p, "a").matrix
         va_inv = linalg.mat_inv(p, va)
@@ -267,7 +267,7 @@ def test_criterion_09_curve_operator_conjugation():
             v = torus.twist_matrix(p, curve).matrix
             c = op[curve]
             assert mat_mul(v, c) == mat_mul(c, v), (r, curve)
-        g2 = mcg.GenusTwo()
+        g2 = mcg.surface_model("genus2")
         gop = {c: g2.curve_operator(p, c).matrix for c in g2.curves()}
         gtw = {c: g2.twist_matrix(p, c).matrix for c in g2.curves()}
         disjoint = [("b0", "b2"), ("b0", "b3"), ("b0", "b4"),
@@ -297,7 +297,7 @@ def test_criterion_10_detection():
              for _ in range(rng.randint(2, 5))]
         if mcg.parse_word(" ".join(("" if e > 0 else "-") + c for c, e in w)) == w:
             words.append(w)
-    g2 = mcg.GenusTwo()
+    g2 = mcg.surface_model("genus2")
     for w in words:
         detected_at = None
         for r in range(3, 9):
@@ -332,8 +332,8 @@ def test_criterion_10_detection():
 # 11. Mapping-torus trace: for each detected word in (10)'s style,
 #     |embed(trace)| < dim - 1e-6; the identity word has trace = dim exactly.
 def test_criterion_11_mapping_torus_trace():
-    torus = mcg.Torus()
-    g2 = mcg.GenusTwo()
+    torus = mcg.surface_model("torus")
+    g2 = mcg.surface_model("genus2")
     for model, words in ((torus, [[("a", 1)], [("b", 1)], [("a", 1), ("b", -1)]]),
                          (g2, [[("b0", 1)], [("b2", 1), ("b3", 1)],
                                [("b1", -1), ("b4", 1), ("b0", 1)]])):

@@ -285,3 +285,80 @@ def test_one_generator_rep_does_not_alias_the_memo():
     first[0][0] = p.from_int(7)
     assert jones_sector_rep(p, b, 1).matrix == expected
     assert jones_sector_rep(p, BraidWord(3, ()), 1).matrix == eye(p, len(expected))
+
+
+# ------------------------------------------- Bigelow's Burau-kernel braid
+#
+# S. Bigelow, "The Burau representation is not faithful for n = 5",
+# Geom. Topol. 3 (1999): the commutator [a, b] = a^-1 b^-1 a b of
+# a = psi1^-1 s4 psi1 and b = psi2^-1 s4 s3 s2 s1^2 s2 s3 s4 psi2 is a
+# nontrivial braid that the Burau representation sends to the identity.
+
+def _inverse(word):
+    return [-g for g in reversed(word)]
+
+
+def bigelow_braid():
+    psi1 = [-3, 2, 1, 1, 2, 4, 4, 4, 3, 2]
+    psi2 = [-4, 3, 2, -1, -1, 2, 1, 1, 2, 2, 1, 4, 4, 4, 4, 4]
+    a = _inverse(psi1) + [4] + psi1
+    b = _inverse(psi2) + [4, 3, 2, 1, 1, 2, 3, 4] + psi2
+    return BraidWord(5, _inverse(a) + _inverse(b) + a + b).free_reduce()
+
+
+def _laurent_add(u, v):
+    out = dict(u)
+    for k, x in v.items():
+        out[k] = out.get(k, 0) + x
+    return {k: x for k, x in out.items() if x}
+
+
+def _laurent_mul(u, v):
+    out = {}
+    for i, x in u.items():
+        for j, y in v.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {k: x for k, x in out.items() if x}
+
+
+def burau(braid):
+    """The unreduced Burau matrix over Z[t, 1/t], entries {exponent:
+    coefficient}: s_i acts as [[1 - t, t], [1, 0]] on rows and columns
+    i, i + 1, and s_i^-1 as its inverse [[0, 1], [1/t, 1 - 1/t]]."""
+    out = [[{0: 1} if i == j else {} for j in range(braid.n)] for i in range(braid.n)]
+    for g in braid.word:
+        i = abs(g) - 1
+        block = ([[{0: 1, 1: -1}, {1: 1}], [{0: 1}, {}]] if g > 0
+                 else [[{}, {0: 1}], [{-1: 1}, {0: 1, -1: -1}]])
+        for row in out:
+            x, y = row[i], row[i + 1]
+            row[i] = _laurent_add(_laurent_mul(x, block[0][0]), _laurent_mul(y, block[1][0]))
+            row[i + 1] = _laurent_add(_laurent_mul(x, block[0][1]), _laurent_mul(y, block[1][1]))
+    return out
+
+
+def test_bigelow_word_is_in_the_burau_kernel():
+    # checks the transcription: 118 letters after free reduction, and an
+    # exact Burau product equal to the identity
+    c = bigelow_braid()
+    assert len(c.word) == 118
+    identity = [[{0: 1} if i == j else {} for j in range(5)] for i in range(5)]
+    assert burau(c) == identity
+    assert burau(BraidWord(5, c.word[:-1])) != identity
+
+
+def test_bigelow_braid_uncabled_verdicts():
+    res = braid_detect(bigelow_braid(), range(3, 12))
+    assert res.r0 == 5
+    nontrivial = (5, 7, 8, 9, 11)
+    assert res.verdicts == {r: "nontrivial" if r in nontrivial else "trivial"
+                            for r in range(3, 12)}
+    assert res.witness == {r: ((1, 1, 1, 1, 1), 1) for r in nontrivial}
+
+
+def test_bigelow_braid_cabling_detects_where_uncabled_fails():
+    # the paper's cabling theorem at r = 6, where every uncabled sector
+    # matrix is the identity
+    res = braid_detect(bigelow_braid(), range(6, 7), cabling_bound=2)
+    assert res.r0 == 6
+    assert res.witness == {6: ((1, 1, 1, 1, 2), 2)}

@@ -206,6 +206,22 @@ def test_exit_parse_bare_sign_in_twist_word(capsys, word):
     assert code == 2 and out["error"] == "parse"
 
 
+@pytest.mark.parametrize("labels", ["1,,1,1,1", "2,", ",2", "1,1,1,1,", "1 1,1 1", "1,x,1,1"])
+def test_exit_parse_empty_or_bad_label_field(capsys, labels):
+    """An empty field between commas is not skipped: "1,,1,1,1" would
+    otherwise read as four labels."""
+    code, out = run_cli(capsys, "dims", "--r", "4", "--surface", "four_punctured_sphere",
+                        "--labels", labels)
+    assert code == 2 and out["error"] == "parse"
+
+
+@pytest.mark.parametrize("labels", ["1,1,1,1", "1, 1, 1, 1", "1 1 1 1"])
+def test_label_lists_by_commas_or_spaces(capsys, labels):
+    code, out = run_cli(capsys, "dims", "--r", "4", "--surface", "four_punctured_sphere",
+                        "--labels", labels)
+    assert code == 0 and out == {"dim": 2}
+
+
 def test_exit_domain_bad_label(capsys):
     code, out = run_cli(capsys, "projector", "--r", "4", "--k", "7")
     assert code == 3 and out["error"] == "domain"

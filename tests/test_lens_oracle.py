@@ -7,7 +7,7 @@ normalisation
 
     z_invariant(chain)[0] == c^k (S T^{a_1} S T^{a_2} ... T^{a_k} S)[0][0]
 
-with S = Torus().s_matrix and T^a = Torus().twist_matrix("a", a).  The left
+with S = s_matrix and T^a = surface_model("torus").twist_matrix("a", a).  The left
 side runs the cabling, the Jones-Wenzl boxes, the framing scalars, the Kirby
 colour and the packed sweep; the right side runs only `hopf_pairing` and the
 twist eigenvalues.  Equality is exact.
@@ -17,7 +17,7 @@ import random
 import pytest
 
 from skeinrep.linalg import mat_mul
-from skeinrep.mcg import Torus
+from skeinrep.mcg import s_matrix, surface_model
 from skeinrep.scalars import make_params
 from skeinrep.skein import closed_braid_link, z_invariant
 
@@ -32,8 +32,8 @@ def chain(framings):
 
 def tqft_value(params, framings):
     """c^k (S T^{a_1} S ... T^{a_k} S)[0][0] from the torus matrices."""
-    torus = Torus()
-    s = torus.s_matrix(params)
+    torus = surface_model("torus")
+    s = s_matrix(params)
     product = s
     for a in framings:
         product = mat_mul(mat_mul(product, torus.twist_matrix(params, "a", a).matrix), s)

@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from helpers import groups
 from skeinrep import cli
 from skeinrep import skein as sk
 from skeinrep.scalars import make_params
@@ -95,7 +96,7 @@ def reference_closure(word, n):
     for a, b, c, d in crossings:
         strands.union(a, c)
         strands.union(b, d)
-    strand_of = {a: g for g in strands.groups() for a in g}
+    strand_of = {a: g for g in groups(strands, [a for x in crossings for a in x]) for a in g}
     seen = set()
     arc_lists = []
     for p0 in range(1, n + 1):
@@ -265,7 +266,11 @@ def reference_diagram_nodes(params, link, labels, strands):
 
     # ----- build nodes over cable sub-arcs -----
     # arc-name aliasing for straight-throughs past dropped components
-    alias = UnionFind()
+    alias, aliased = UnionFind(), []
+
+    def join(u, v):
+        aliased.extend((u, v))
+        alias.union(u, v)
 
     def arcname(u, i, head_side):
         if head_side and u in cut_arcs:
@@ -282,11 +287,11 @@ def reference_diagram_nodes(params, link, labels, strands):
             continue
         if n == 0:
             for i in range(1, m + 1):
-                alias.union(arcname(a, i, True), arcname(c, i, False))
+                join(arcname(a, i, True), arcname(c, i, False))
             continue
         if m == 0:
             for j in range(1, n + 1):
-                alias.union(arcname(bin_, j, True), arcname(dout, j, False))
+                join(arcname(bin_, j, True), arcname(dout, j, False))
             continue
 
         def useg(i, step):
@@ -347,7 +352,7 @@ def reference_diagram_nodes(params, link, labels, strands):
             raise LinkFormatError(f"internal: arc {root} has {len(occs)} ends")
 
     # aliased classes never touched by a node are closed loops
-    alias_loops = sum(alias.find(g[0]) not in occurrences for g in alias.groups())
+    alias_loops = sum(alias.find(g[0]) not in occurrences for g in groups(alias, aliased))
     # components of multiplicity 1 whose every crossing partner was dropped
     # close into alias loops; crossingless ones were counted in
     # free_loop_count

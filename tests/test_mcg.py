@@ -47,7 +47,7 @@ def braid_relation(t1, t2):
 # ---------------------------------------------------------------- torus
 
 def test_torus_meridian_twist_is_diagonal(params):
-    model = mcg.Torus()
+    model = mcg.surface_model("torus")
     t = model.twist_matrix(params, "a").matrix
     for i in range(len(t)):
         for j in range(len(t)):
@@ -59,7 +59,7 @@ def test_torus_meridian_twist_is_diagonal(params):
 
 def test_torus_meridian_twist_r3_nontrivial():
     params = make_params(3)
-    t = mcg.Torus().twist_matrix(params, "a").matrix
+    t = mcg.surface_model("torus").twist_matrix(params, "a").matrix
     a = params.a_pow(1)
     assert t[0][0] == params.one()
     assert t[1][1] == -(a ** 3)
@@ -67,8 +67,8 @@ def test_torus_meridian_twist_r3_nontrivial():
 
 
 def test_torus_modular_relations(params):
-    model = mcg.Torus()
-    s = model.s_matrix(params)
+    model = mcg.surface_model("torus")
+    s = mcg.s_matrix(params)
     t = model.twist_matrix(params, "a").matrix
     n = len(s)
     s2 = mat_mul(s, s)
@@ -78,7 +78,7 @@ def test_torus_modular_relations(params):
 
 
 def test_torus_curve_operator_spectra(params):
-    model = mcg.Torus()
+    model = mcg.surface_model("torus")
     n = model.dim(params)
     for curve in model.curves():
         c = model.curve_operator(params, curve).matrix
@@ -92,15 +92,15 @@ def test_torus_curve_operator_spectra(params):
 
 
 def test_torus_longitude_conjugate_by_s(params):
-    model = mcg.Torus()
-    s = model.s_matrix(params)
+    model = mcg.surface_model("torus")
+    s = mcg.s_matrix(params)
     ca = model.curve_operator(params, "a").matrix
     cb = model.curve_operator(params, "b").matrix
     assert mat_mul(cb, s) == mat_mul(s, ca)
 
 
 def test_torus_c_is_twisted_b(params):
-    model = mcg.Torus()
+    model = mcg.surface_model("torus")
     va = model.twist_matrix(params, "a").matrix
     cb = model.curve_operator(params, "b").matrix
     cc = model.curve_operator(params, "c").matrix
@@ -108,7 +108,7 @@ def test_torus_c_is_twisted_b(params):
 
 
 def test_torus_meridian_operator_on_empty_column(params):
-    model = mcg.Torus()
+    model = mcg.surface_model("torus")
     ca = model.curve_operator(params, "a").matrix
     v = mat_vec(ca, unit_vector(params, model, 0))
     assert v[0] == params.loop_d()
@@ -116,7 +116,7 @@ def test_torus_meridian_operator_on_empty_column(params):
 
 
 def test_torus_longitude_operator_matches_solid_torus_expansion(params):
-    model = mcg.Torus()
+    model = mcg.surface_model("torus")
     cb = model.curve_operator(params, "b").matrix
     v = mat_vec(cb, unit_vector(params, model, 0))
     expansion = tqft.expand_solid_torus(params, 0, 1)
@@ -126,7 +126,7 @@ def test_torus_longitude_operator_matches_solid_torus_expansion(params):
 def test_torus_diagonal_curve_operator_is_framed_longitude(params):
     # C((1,+-1)) e_0 equals the (+-1,1)-curve expansion up to the framing
     # phase mu_1^{+-1} the twist conjugation carries.
-    model = mcg.Torus()
+    model = mcg.surface_model("torus")
     for curve, p in (("c", 1), ("d", -1)):
         cm = model.curve_operator(params, curve).matrix
         v = mat_vec(cm, unit_vector(params, model, 0))
@@ -137,7 +137,7 @@ def test_torus_diagonal_curve_operator_is_framed_longitude(params):
 
 
 def test_torus_braid_and_commutation(params):
-    model = mcg.Torus()
+    model = mcg.surface_model("torus")
     ta = model.twist_matrix(params, "a").matrix
     tb = model.twist_matrix(params, "b").matrix
     tc = model.twist_matrix(params, "c").matrix
@@ -148,7 +148,7 @@ def test_torus_braid_and_commutation(params):
 
 def test_torus_twist_order(params):
     # The twist coefficients are 4r-th roots of unity, so T^(4r) = 1 exactly.
-    model = mcg.Torus()
+    model = mcg.surface_model("torus")
     ta = model.twist_matrix(params, "a", 4 * params.r).matrix
     assert ta == eye(params, model.dim(params))
 
@@ -158,7 +158,7 @@ def test_torus_twist_order(params):
 def test_punctured_torus_braid_relation(small_params):
     params = small_params
     for l in range(0, params.r - 1, 2):
-        model = mcg.PuncturedTorus(l)
+        model = mcg.surface_model("punctured_torus", (l,))
         if model.dim(params) == 0:
             continue
         ta = model.twist_matrix(params, "a").matrix
@@ -169,9 +169,9 @@ def test_punctured_torus_braid_relation(small_params):
 def test_punctured_torus_zero_label_matches_torus():
     # boundary label 0: same loop basis and same twist eigenvalues as the torus
     params = make_params(5)
-    model = mcg.PuncturedTorus(0)
+    model = mcg.surface_model("punctured_torus", (0,))
     ta = model.twist_matrix(params, "a").matrix
-    torus_ta = mcg.Torus().twist_matrix(params, "a").matrix
+    torus_ta = mcg.surface_model("torus").twist_matrix(params, "a").matrix
     assert ta == torus_ta
 
 
@@ -179,7 +179,7 @@ def test_punctured_torus_zero_label_matches_torus():
 
 def test_four_punctured_disjoint_curves_commute(small_params):
     params = small_params
-    model = mcg.FourPuncturedSphere((1, 1, 1, 1))
+    model = mcg.surface_model("four_punctured_sphere", (1, 1, 1, 1))
     t12 = model.twist_matrix(params, "g12").matrix
     t34 = model.twist_matrix(params, "g34").matrix
     assert commute(t12, t34)
@@ -187,7 +187,7 @@ def test_four_punctured_disjoint_curves_commute(small_params):
 
 def test_four_punctured_g23_spectrum(small_params):
     params = small_params
-    model = mcg.FourPuncturedSphere((1, 1, 1, 1))
+    model = mcg.surface_model("four_punctured_sphere", (1, 1, 1, 1))
     c = model.curve_operator(params, "g23").matrix
     n = len(c)
     prod = eye(params, n)
@@ -203,7 +203,7 @@ def test_four_punctured_nested_channel_action():
     # with labels (1,1,1,1) the g23 operator sends the e=0 channel vector to
     # the fused expansion over f in {0, 2}
     params = make_params(4)
-    model = mcg.FourPuncturedSphere((1, 1, 1, 1))
+    model = mcg.surface_model("four_punctured_sphere", (1, 1, 1, 1))
     c = model.curve_operator(params, "g23").matrix
     assert not c[1][0].is_zero()  # mixes the channels
     assert not c[0][1].is_zero()
@@ -244,8 +244,8 @@ def test_genus2_twist_shared_across_models(monkeypatch, fresh_contexts):
     # is counted, one build serving both signs
     params = make_params(4, 13)
     calls = count_twist_pairs(monkeypatch, lambda p, curve, pair: curve)
-    first = mcg.GenusTwo().twist_matrix(params, "b2")
-    second = mcg.GenusTwo().twist_matrix(params, "b2")
+    first = mcg.surface_model("genus2").twist_matrix(params, "b2")
+    second = mcg.surface_model("genus2").twist_matrix(params, "b2")
     assert calls == ["b2"]
     assert first.matrix == second.matrix
 
@@ -255,12 +255,12 @@ def test_inverse_twist_inverted_once(monkeypatch, fresh_contexts):
     # inverse comes with the forward twist from one pair build
     params = make_params(4, 5)
     calls = count_twist_pairs(monkeypatch, lambda p, curve, pair: len(pair[1]))
-    first = mcg.Torus().twist_matrix(params, "a", -1)
-    assert mcg.Torus().twist_matrix(params, "a", -1).matrix == first.matrix
-    cube = mcg.Torus().twist_matrix(params, "a", -3)
+    first = mcg.surface_model("torus").twist_matrix(params, "a", -1)
+    assert mcg.surface_model("torus").twist_matrix(params, "a", -1).matrix == first.matrix
+    cube = mcg.surface_model("torus").twist_matrix(params, "a", -3)
     assert calls == [3]
     assert cube.matrix == mat_mul(mat_mul(first.matrix, first.matrix), first.matrix)
-    forward = mcg.Torus().twist_matrix(params, "a", 1)
+    forward = mcg.surface_model("torus").twist_matrix(params, "a", 1)
     assert calls == [3]  # the forward twist came with the inverse
     assert mat_mul(forward.matrix, first.matrix) == eye(params, 3)
 
@@ -271,7 +271,7 @@ def test_genus2_nested_curve_on_handlebody_vector(small_params):
     # coefficients d_c / theta(1,1,c).
     from skeinrep.recoupling import loop_value, theta
     params = small_params
-    model = mcg.GenusTwo()
+    model = mcg.surface_model("genus2")
     bas = model.basis(params)
     tuples = [(b["x"], b["m"], b["y"]) for b in bas]
     e0 = [params.one() if t == (0, 0, 0) else params.zero() for t in tuples]
@@ -287,7 +287,7 @@ def test_genus2_nested_curve_on_handlebody_vector(small_params):
 
 def test_genus2_longitude_on_handlebody_vector(small_params):
     params = small_params
-    model = mcg.GenusTwo()
+    model = mcg.surface_model("genus2")
     bas = model.basis(params)
     tuples = [(b["x"], b["m"], b["y"]) for b in bas]
     e0 = [params.one() if t == (0, 0, 0) else params.zero() for t in tuples]
@@ -301,7 +301,7 @@ def test_genus2_longitude_on_handlebody_vector(small_params):
 
 def test_genus2_chain_relations(small_params):
     params = small_params
-    model = mcg.GenusTwo()
+    model = mcg.surface_model("genus2")
     t = {c: model.twist_matrix(params, c).matrix for c in model.curves()}
     chain = ["b0", "b1", "b2", "b3", "b4"]
     for i, a in enumerate(chain):
@@ -315,7 +315,7 @@ def test_genus2_chain_relations(small_params):
 def test_genus2_hyperelliptic_relation(small_params):
     # (t_b0 t_b1 t_b2 t_b3 t_b4)^6 is projectively trivial
     params = small_params
-    model = mcg.GenusTwo()
+    model = mcg.surface_model("genus2")
     word = [(c, 1) for c in ("b0", "b1", "b2", "b3", "b4")] * 6
     m = model.represent(params, word).matrix
     assert mcg.is_projectively_identity(m)
@@ -397,14 +397,14 @@ def test_parse_word_rejects_bare_sign(text):
 # --------------------------------------------------- mapping torus trace
 
 def test_mapping_torus_trace_identity(params):
-    model = mcg.Torus()
+    model = mcg.surface_model("torus")
     tr = mcg.mapping_torus_trace(model, params, [])
     assert tr == params.from_int(params.r - 1)
 
 
 def test_mapping_torus_trace_single_twist():
     params = make_params(3)
-    model = mcg.Torus()
+    model = mcg.surface_model("torus")
     tr = mcg.mapping_torus_trace(model, params, [("a", 1)])
     a = params.a_pow(1)
     assert tr == params.one() - a ** 3
@@ -412,7 +412,7 @@ def test_mapping_torus_trace_single_twist():
 
 def test_mapping_torus_trace_conjugation_invariant(small_params):
     params = small_params
-    model = mcg.Torus()
+    model = mcg.surface_model("torus")
     w = [("a", 1), ("b", 1)]
     conj = [("b", -1)] + w + [("b", 1)]
     assert mcg.mapping_torus_trace(model, params, w) == \
@@ -422,12 +422,12 @@ def test_mapping_torus_trace_conjugation_invariant(small_params):
 def test_mapping_torus_trace_needs_closed_surface():
     params = make_params(4)
     with pytest.raises(DomainError):
-        mcg.mapping_torus_trace(mcg.PuncturedTorus(0), params, [])
+        mcg.mapping_torus_trace(mcg.surface_model("punctured_torus", (0,)), params, [])
 
 
 def test_unknown_curve_rejected(params):
     with pytest.raises(DomainError):
-        mcg.Torus().twist_matrix(params, "nope")
+        mcg.surface_model("torus").twist_matrix(params, "nope")
     with pytest.raises(DomainError):
         mcg.surface_model("klein_bottle")
 
@@ -449,13 +449,14 @@ def level_objects(params):
     (so a root may build generators whose blocks another root built) and an
     omega-labeled framed closure."""
     out = []
-    models = [mcg.Torus()] + [mcg.PuncturedTorus(l) for l in range(0, params.r - 1, 2)]
+    models = [mcg.surface_model("torus")] + [mcg.surface_model("punctured_torus", (l,))
+                                             for l in range(0, params.r - 1, 2)]
     for model in models:
         for curve in model.curves():
             for power in (1, -1):
                 out.append(model.twist_matrix(params, curve, power).matrix)
     if params.r == 4:
-        out.append(mcg.GenusTwo().twist_matrix(params, "b2").matrix)
+        out.append(mcg.surface_model("genus2").twist_matrix(params, "b2").matrix)
     out += [jones_wenzl(params, k) for k in range(params.r - 1)]
     rng = random.Random(100 * params.r + params.s)
     for braid in (BraidWord(3, (1, -2, 1, 2)),
@@ -500,15 +501,15 @@ def test_level_memo_builds_twist_once(monkeypatch, fresh_contexts):
     build = mcg._newton_coefficients
     monkeypatch.setattr(mcg, "_newton_coefficients",
                         lambda p: tables.append(p.s) or build(p))
-    first = mcg.GenusTwo().twist_matrix(make_params(4, 1), "b2").matrix
+    first = mcg.surface_model("genus2").twist_matrix(make_params(4, 1), "b2").matrix
     calls = count_twist_pairs(monkeypatch, lambda p, curve, pair: (p.s, curve))
     last = make_params(4, 15)
-    other = mcg.GenusTwo().twist_matrix(last, "b2").matrix
+    other = mcg.surface_model("genus2").twist_matrix(last, "b2").matrix
     assert calls == []
     assert all(x.params is last for row in other for x in row)
     assert [[(x.part, x.odd) for x in row] for row in other] == \
         [[(x.part, x.odd) for x in row] for row in first]
-    mcg.GenusTwo().twist_matrix(last, "b0")
+    mcg.surface_model("genus2").twist_matrix(last, "b0")
     assert calls == [(15, "b0")]
     assert tables == [1]
 
@@ -540,7 +541,7 @@ def test_verdicts_do_not_depend_on_the_root(surface, word, levels):
 def test_one_letter_results_do_not_alias_the_memo(build):
     """A one-letter result starts from the memoized twist; writing into it
     leaves the next call's result as it was."""
-    p, model = make_params(4), mcg.Torus()
+    p, model = make_params(4), mcg.surface_model("torus")
     first = build(model, p).matrix
     expected = [list(row) for row in first]
     first[0][0] = p.from_int(7)
@@ -549,10 +550,52 @@ def test_one_letter_results_do_not_alias_the_memo(build):
 
 
 def test_empty_word_and_zero_power_are_the_identity():
-    p, model = make_params(4), mcg.Torus()
+    p, model = make_params(4), mcg.surface_model("torus")
     identity = eye(p, model.dim(p))
     assert model.represent(p, []).matrix == identity
     assert model.twist_matrix(p, "b", 0).matrix == identity
     assert model.represent(p, [("b", 2), ("b", -2)]).matrix == identity
     with pytest.raises(DomainError):
         model.twist_matrix(p, "z", 0)
+
+
+# ------------------------------------------------------------ F-moves
+
+def spine_tuples(params, spine):
+    """names (edges, then legs), vertices and basis tuples of a spine, as
+    `SurfaceModel._frame` hands them to `_f_move`."""
+    names = list(spine.edges) + list(spine.boundary)
+    tuples = [tuple(b[x] for x in spine.edges) + tuple(spine.boundary.values())
+              for b in tqft.basis(params, spine)]
+    return names, spine.vertices, tuples
+
+
+def check_f_move(params, spine, edge):
+    """The new vertices, the new basis tuples and K K^{-1} = K^{-1} K = I."""
+    names, vertices, tuples = spine_tuples(params, spine)
+    moved, new, k, k_inv = mcg._f_move(params, names, vertices, tuples, edge)
+    identity = eye(params, len(tuples))
+    assert mat_mul(k, k_inv) == identity
+    assert mat_mul(k_inv, k) == identity
+    return names, moved, new
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
+def test_f_move_on_the_h_spine_gives_the_v_channel(r):
+    params = make_params(r)
+    for labels in mcg._boundary_contexts("four_punctured_sphere", r):
+        h = tqft.four_punctured_sphere_spine(labels, "h")
+        names, moved, new = check_f_move(params, h, "m")
+        assert sorted(map(sorted, moved)) == sorted(
+            map(sorted, tqft.four_punctured_sphere_spine(labels, "v").vertices))
+        v = spine_tuples(params, tqft.four_punctured_sphere_spine(labels, "v"))[2]
+        assert set(new) == set(v), labels
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
+def test_f_move_on_the_dumbbell_bar_gives_the_theta_spine(r):
+    params = make_params(r)
+    names, moved, new = check_f_move(params, tqft.dumbbell_spine(), "m")
+    assert sorted(map(sorted, moved)) == [["m", "x", "y"]] * 2
+    theta = {(b["x"], b["y"], b["z"]) for b in tqft.basis(params, tqft.theta_spine())}
+    assert {(x, y, f) for x, f, y in new} == theta

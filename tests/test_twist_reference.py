@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from skeinrep import mcg
+from skeinrep import mcg, tqft
 from skeinrep.linalg import eye, mat_inv, mat_mul, zeros
 from skeinrep.recoupling import (encircle_eigenvalue, f_matrix,
                                  f_matrix_channels, hopf_pairing, tet, theta,
@@ -81,10 +81,15 @@ def theta_parallel(params, tb):
     return out
 
 
+def theta_basis(params):
+    """The theta spine's basis as (x, y, z) tuples."""
+    return [(b["x"], b["y"], b["z"]) for b in tqft.basis(params, tqft.theta_spine())]
+
+
 def theta_change(params, model):
     """The genus-2 F-move on the bar, one six_j row per dumbbell vector."""
     tup = [(b["x"], b["m"], b["y"]) for b in model.basis(params)]
-    tb = model.theta_basis(params)
+    tb = theta_basis(params)
     k = zeros(params, len(tb), len(tup))
     for j, (x, m, y) in enumerate(tup):
         es, fs = f_matrix_channels(params, x, x, y, y)
@@ -97,7 +102,7 @@ def theta_change(params, model):
 def reference_operator(params, model, curve):
     """C(curve); a curve diagonal in the model's own basis takes the model's
     operator, since neither a change of basis nor an insertion enters it."""
-    if isinstance(model, mcg.Torus) and curve != "a":
+    if model.name == "torus" and curve != "a":
         lam = diag(params, [encircle_eigenvalue(params, k) for k in range(params.r - 1)])
         s = [[hopf_pairing(params, j, k) for k in range(params.r - 1)]
              for j in range(params.r - 1)]
@@ -106,21 +111,21 @@ def reference_operator(params, model, curve):
             return cb
         va = lagrange(params, reference_operator(params, model, "a"))
         return conjugate(params, va if curve == "c" else mat_inv(params, va), cb)
-    if isinstance(model, mcg.FourPuncturedSphere) and curve == "g23":
+    if model.name == "four_punctured_sphere" and curve == "g23":
         es, fs = f_matrix_channels(params, *model.labels)
         f = f_matrix(params, *model.labels)
         k = [[f[ei][fi] for ei in range(len(es))] for fi in range(len(fs))]
         lam = diag(params, [encircle_eigenvalue(params, x) for x in fs])
         return conjugate(params, mat_inv(params, k), lam)
-    if isinstance(model, mcg.GenusTwo) and curve == "b2":
+    if model.name == "genus2" and curve == "b2":
         k = theta_change(params, model)
-        tb = model.theta_basis(params)
+        tb = theta_basis(params)
         return conjugate(params, mat_inv(params, k), theta_parallel(params, tb))
-    if isinstance(model, mcg.GenusTwo) and curve in ("b0", "b4"):
+    if model.name == "genus2" and curve in ("b0", "b4"):
         tup = [(b["x"], b["m"], b["y"]) for b in model.basis(params)]
         return loop_insertion(params, tup, 0 if curve == "b0" else 2)
-    if isinstance(model, mcg.PuncturedTorus) and curve == "b":
-        tup = [(b["x"], model.boundary_label) for b in model.basis(params)]
+    if model.name == "punctured_torus" and curve == "b":
+        tup = [(b["x"], model.labels[0]) for b in model.basis(params)]
         return loop_insertion(params, tup, 0)
     return model.curve_operator(params, curve).matrix
 

@@ -1,4 +1,5 @@
-"""The package's union-find helper."""
+"""The package's union-find helper, and the tests' grouping of its classes."""
+from helpers import groups
 from skeinrep.unionfind import UnionFind
 
 
@@ -12,7 +13,7 @@ def test_union_reports_merges():
 
 
 def test_groups_in_first_seen_order():
-    uf = UnionFind(range(5))
+    uf = UnionFind()
     uf.union(3, 1)
     uf.union(4, 0)
-    assert uf.groups() == [[0, 4], [1, 3], [2]]
+    assert groups(uf, [0, 1, 2, 3, 4, 1]) == [[0, 4], [1, 3], [2]]
