@@ -82,7 +82,7 @@ def path_basis(params: QuantumParams, n: int, m: int):
         for p in paths:
             for step in (-1, 1):
                 v = p[-1] + step
-                if 0 <= v <= top and v + (n - i) >= m - (n - i) and abs(m - v) <= n - i:
+                if 0 <= v <= top and abs(m - v) <= n - i:
                     nxt.append(p + (v,))
         paths = nxt
     return [p for p in paths if p[-1] == m]

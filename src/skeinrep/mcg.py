@@ -1,18 +1,22 @@
 """Projective mapping-class-group representations on spine bases.
 
 Each supported surface is one entry of a table (`_surface`): its number of
-boundary labels, a reference spine from `tqft`, and each curve as (edges to
-F-move, target).  The target is the spine edge the curve encircles, whose
-labels are a diagonal core, or a cycle of spine edges, whose core is the
-curve's parallel insertion (a fusion operator with tetrahedral
-coefficients).  The F-moves give the frame (left, core, right) around the
-core: `_f_move` changes basis blockwise by K = F(a,b,c,d)^T, with
-K^{-1} = F(b,c,d,a)^T.  The torus curves b, c, d are the one special case,
-framed by the Hopf S-matrix with S^{-1} = S/D.  `SurfaceModel` turns a frame
-into the curve operator left . C(core) . right and the twist pair
-left . f(core) . right, where f(lambda_k) = mu_k^{+-1}: read off a label
-core, and one exact Newton prefix pass shared by both signs on a matrix
-core.  No matrix is inverted by elimination.
+boundary labels, a reference spine from `tqft`, and each curve as (moves,
+target).  The target is the spine edge the curve encircles, whose labels are
+a diagonal core, or a cycle of spine edges, whose core is the curve's
+parallel insertion (a fusion operator with tetrahedral coefficients).  The
+moves, a word in the changes of spine basis (Moore-Seiberg), give the frame
+(left, core, right) around the core, each move a pair (K^{-1}, K) with
+left = K_1^{-1} K_2^{-1} ... and right = ... K_2 K_1:
+- a spine edge: the F-move `_f_move`, blockwise K = F(a,b,c,d)^T with
+  K^{-1} = F(b,c,d,a)^T;
+- "S": the Hopf S-matrix, K^{-1} = S and K = S/D;
+- "+c" / "-c": the twist of curve c of the same surface, K^{-1} = T_c^{+-1},
+  so the frame of a curve moved by a twist V is V . frame . V^{-1}.
+`SurfaceModel` turns a frame into the curve operator left . C(core) . right
+and the twist pair left . f(core) . right, where f(lambda_k) = mu_k^{+-1}:
+read off a label core, and one exact Newton prefix pass shared by both signs
+on a matrix core.  No matrix is inverted by elimination.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from itertools import product
 from . import tqft
 from .linalg import eye, mat_mul, mat_trace, zeros
 from .recoupling import (encircle_eigenvalue, f_matrix, f_matrix_channels,
-                         hopf_pairing, tet, theta, twist_coefficient)
+                         s_matrix, tet, theta, twist_coefficient)
 from .scalars import QuantumParams, Scalar, make_params
 from .skein import DomainError
 
@@ -177,16 +181,16 @@ def _parallel_insertion(params, tuples, vertices):
 
 def _surface(name):
     """(boundary-label count, spine builder, curves) of a supported surface.
-    The builder takes the boundary labels.  Each curve is (edges to F-move,
-    target), the moves applied in order; the target is the spine edge the
-    curve encircles (a diagonal core) or the tuple of edges of the spine
-    cycle it runs along (a parallel insertion).  None marks the torus curves
-    framed by the Hopf S-matrix."""
+    The builder takes the boundary labels.  Each curve is (moves, target) as
+    the module docstring describes: the moves applied in order, the target
+    an encircled edge name or a tuple of the cycle's edges."""
     table = {
-        # the meridian a bounds a disk in the solid torus; the longitude b
-        # and the (1, +-1) curves c, d are reached from it by S and by V_a
+        # the meridian a bounds a disk in the solid torus; S takes it to the
+        # longitude b, and the meridian twist V_a^{+-1} takes b to the
+        # (1, +-1) curves c, d
         "torus": (0, lambda ls: tqft.torus_spine(),
-                  {"a": ((), "a"), "b": None, "c": None, "d": None}),
+                  {"a": ((), "a"), "b": (("S",), "a"), "c": (("+a", "S"), "a"),
+                   "d": (("-a", "S"), "a")}),
         # the meridian a encircles the loop x, the longitude b runs along it
         "punctured_torus": (1, lambda ls: tqft.Spine(edges=["x"], vertices=[["x", "x", "p"]],
                                                      boundary={"p": ls[0]}),
@@ -205,12 +209,6 @@ def _surface(name):
     if name not in table:
         raise DomainError(f"unsupported surface {name!r}")
     return table[name]
-
-
-def s_matrix(params):
-    """The Hopf S-matrix on the torus basis; S S = D I."""
-    r = params.r
-    return [[hopf_pairing(params, j, k) for k in range(r - 1)] for j in range(r - 1)]
 
 
 def _f_move(params, names, vertices, tuples, edge):
@@ -286,17 +284,25 @@ class SurfaceModel:
 
     def _frame(self, params, curve):
         """(left, core, right) of a curve, as the module docstring describes:
-        the table's F-moves give left and right, and its target the core."""
-        if self._curves[curve] is None:
-            return self._hopf_frame(params, curve)
+        the table's moves give left and right, and its target the core.  S
+        and the twists keep the basis; an F-move changes it."""
         moves, target = self._curves[curve]
         names = list(self.spine.edges) + list(self.spine.boundary)
         vertices = self.spine.vertices
         tuples = [tuple(b[x] for x in self.spine.edges) + tuple(self.spine.boundary.values())
                   for b in self.basis(params)]
         left = right = None
-        for edge in moves:
-            vertices, tuples, k, k_inv = _f_move(params, names, vertices, tuples, edge)
+        for move in moves:
+            if move == "S":
+                k_inv = s_matrix(params)
+                inv_d = params.inverse_total_d_squared()
+                k = [[x * inv_d for x in row] for row in k_inv]
+            elif move[0] in "+-":
+                k_inv, k = self._twists(params, move[1:])
+                if move[0] == "-":
+                    k_inv, k = k, k_inv
+            else:
+                vertices, tuples, k, k_inv = _f_move(params, names, vertices, tuples, move)
             left = k_inv if left is None else mat_mul(left, k_inv)
             right = k if right is None else mat_mul(k, right)
         if isinstance(target, str):
@@ -305,21 +311,6 @@ class SurfaceModel:
         else:
             core = _parallel_insertion(params, tuples, _cycle_vertices(names, vertices, target))
         return left, core, right
-
-    def _hopf_frame(self, params, curve):
-        """The torus longitude b is the meridian a conjugated by the Hopf
-        S-matrix, S^{-1} = S/D; the (1, +-1) curves c and d are b conjugated
-        by the meridian twist and its inverse."""
-        labels = list(range(params.r - 1))
-        s = s_matrix(params)
-        inv_d = params.inverse_total_d_squared()
-        s_inv = [[x * inv_d for x in row] for row in s]
-        if curve == "b":
-            return s, labels, s_inv
-        va, va_inv = self._twists(params, "a")
-        if curve == "d":
-            va, va_inv = va_inv, va
-        return mat_mul(va, s), labels, mat_mul(s_inv, va_inv)
 
     def curve_operator(self, params, curve) -> RepMatrix:
         if curve not in self._curves:

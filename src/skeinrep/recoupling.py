@@ -1,6 +1,6 @@
 """Recoupling data at a 4r-th root of unity: loop values, theta and
-tetrahedral coefficients, 6j symbols / F-matrices, twist coefficients, and
-encirclement eigenvalues.
+tetrahedral coefficients, 6j symbols / F-matrices, twist coefficients,
+encirclement eigenvalues, and the Hopf pairing with its S-matrix.
 
 Every closed form here has a brute-force oracle built from honest
 Temperley-Lieb diagram calculus (the *_oracle functions); the test suite
@@ -231,6 +231,12 @@ def hopf_pairing(params: QuantumParams, j: int, k: int) -> Scalar:
     check_label(params, k)
     value = params.quantum_int((j + 1) * (k + 1))
     return -value if (j + k) % 2 else value
+
+
+def s_matrix(params: QuantumParams):
+    """The Hopf S-matrix S_jk = hopf_pairing(j, k); S S = D I, so S^{-1} = S/D."""
+    labels = range(params.r - 1)
+    return [[hopf_pairing(params, j, k) for k in labels] for j in labels]
 
 
 def hopf_pairing_oracle(params: QuantumParams, j: int, k: int) -> Scalar:

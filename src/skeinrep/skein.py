@@ -11,8 +11,9 @@ the blackboard value by mu_k^f and is never drawn.
 How strands run through the crossings is answered by one walk, ``_walk``: a
 strand entering a crossing at slot s leaves it at slot s + 2.  It gives the
 orientations, the check that each component's arcs are one strand
-(``validate`` returns the walk, so ``evaluate`` walks once), the components
-of a braid closure, the arcs of a clasp splice and the cabled diagram.
+(``validate`` returns the walk, or checks one already made), the components
+of a braid closure, the arcs of a clasp splice and the cabled diagram; no
+diagram is walked twice.
 
 Evaluation cables k-labeled components into k parallel copies through one
 Jones-Wenzl box, read off each component's strand (``_cabled_diagram``),
@@ -181,10 +182,11 @@ class LabeledLink:
 
     # ----- structure -----
 
-    def validate(self):
+    def validate(self, walk=None):
         """Check the diagram code and return its ``_walk``: every crossing
         lists four arcs, every arc appears twice, and each component's arcs
-        are exactly one strand's."""
+        are exactly one strand's.  `walk`, when given, is the ``_walk`` of
+        these crossings, already made."""
         for x in self.crossings:
             if len(x) != 4:
                 raise LinkFormatError(f"crossing {x} must have 4 arcs")
@@ -200,7 +202,7 @@ class LabeledLink:
             raise LinkFormatError("component arc lists do not partition the crossing arcs")
         # each strand's arcs must be one component's complete arc list
         comp_of = self.arc_component()
-        walk = _walk(self.crossings)
+        walk = walk or _walk(self.crossings)
         for arcs in walk[0]:
             i = comp_of[arcs[0]]
             if len(arcs) != len(self.components[i].arcs) or any(comp_of[a] != i for a in arcs):
@@ -214,31 +216,31 @@ class LabeledLink:
                 out[a] = i
         return out
 
-    def orientations(self):
+    def orientations(self, walk=None):
         """For each crossing t, whether the over strand enters at slot b
         (True) or slot d (False), under the orientation rule of ``_walk``.
 
         The under strand always runs a -> c; LinkFormatError is raised when
         no orientation of some strand makes it do so at every under-pass.
         """
-        return _oriented(_walk(self.crossings))[1]
+        return _oriented(walk or _walk(self.crossings))[1]
 
-    def crossing_signs(self):
+    def crossing_signs(self, walk=None):
         """Sign of each crossing: +1 when the over strand enters at slot b."""
-        return [1 if o else -1 for o in self.orientations()]
+        return [1 if o else -1 for o in self.orientations(walk)]
 
 
 # ----------------------------------------------------------------------------
 # linking matrix and signature
 
 
-def linking_matrix(link: LabeledLink):
+def linking_matrix(link: LabeledLink, walk=None):
     """Integer linking matrix: off-diagonal lk(i,j), diagonal = framing field
-    plus diagram self-writhe."""
+    plus diagram self-writhe; `walk` as in ``LabeledLink.validate``."""
     comp_of = link.arc_component()
     n = len(link.components)
     raw = [[0] * n for _ in range(n)]
-    signs = link.crossing_signs()
+    signs = link.crossing_signs(walk)
     for t, (a, b, c, d) in enumerate(link.crossings):
         i, j = comp_of[a], comp_of[b]
         raw[i][j] += signs[t]
@@ -561,10 +563,11 @@ def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels, walk):
     return value
 
 
-def evaluate(params: QuantumParams, link: LabeledLink) -> Scalar:
+def evaluate(params: QuantumParams, link: LabeledLink, walk=None) -> Scalar:
     """Kauffman evaluation of a labeled framed link; omega components are
-    expanded as sum_k s_k (component labeled k)."""
-    walk = link.validate()
+    expanded as sum_k s_k (component labeled k).  `walk` is
+    ``link.validate()`` when the caller has already made it."""
+    walk = walk or link.validate()
     omega_idx = [i for i, c in enumerate(link.components) if c.label == OMEGA]
     for i, c in enumerate(link.components):
         if c.label != OMEGA and not 0 <= c.label <= params.r - 2:
@@ -607,12 +610,12 @@ def closed_braid_link(word, n, labels=None, framings=None) -> LabeledLink:
     # close up: the final arc at each position merges with the start arc there
     rename = {a: p for p, a in enumerate(cur, start=1) if a != p}
     crossings = [[rename.get(a, a) for a in x] for x in crossings]
-    strands = _walk(crossings)[0]
-    strand_of = {a: j for j, arcs in enumerate(strands) for a in arcs}
+    walk = _walk(crossings)
+    strand_of = {a: j for j, arcs in enumerate(walk[0]) for a in arcs}
     # one component per strand, at its first start arc; a start arc that
     # crosses nothing (key -p) is a bare circle
     order = dict.fromkeys(strand_of.get(p, -p) for p in range(1, n + 1))
-    arc_lists = [sorted(strands[j]) if j >= 0 else [] for j in order]
+    arc_lists = [sorted(walk[0][j]) if j >= 0 else [] for j in order]
     count = len(arc_lists)
     for name, given in (("labels", labels), ("framings", framings)):
         if given is not None and len(given) != count:
@@ -622,7 +625,7 @@ def closed_braid_link(word, n, labels=None, framings=None) -> LabeledLink:
                        0 if framings is None else framings[j], arcs)
              for j, arcs in enumerate(arc_lists)]
     link = LabeledLink(comps, crossings)
-    link.validate()
+    link.validate(walk)
     return link
 
 
@@ -650,8 +653,9 @@ def z_invariant(params: QuantumParams, link: LabeledLink):
     value_1 * C^{m} == value_2 * C^{n}  for C = unknot_value_plus.
     """
     colored = kirby_color_link(link)
-    sig = signature(linking_matrix(link))
-    return evaluate(params, colored), sig
+    walk = colored.validate()
+    sig = signature(linking_matrix(link, walk))
+    return evaluate(params, colored, walk), sig
 
 
 def same_manifold_invariant(params: QuantumParams, link1, link2) -> bool:
@@ -702,12 +706,13 @@ def _clasp_after(link: LabeledLink, comp_idx: int, word, new_comps):
         t, s = head
         crossings[t][s] = cur[0]
     crossings = [[rename.get(a, a) for a in x] for x in crossings]
-    strand_of = {a: arcs for arcs in _walk(crossings)[0] for a in arcs}
+    walk = _walk(crossings)
+    strand_of = {a: arcs for arcs in walk[0] for a in arcs}
     target.arcs += sorted(set(strand_of.get(u, [])) - set(target.arcs))
     for a, proto in zip(start[1:], new_comps):
         comps.append(Component(proto.label, proto.framing, sorted(strand_of.get(a, []))))
     out = LabeledLink(comps, crossings)
-    out.validate()
+    out.validate(walk)
     return out
 
 

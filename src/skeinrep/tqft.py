@@ -14,7 +14,7 @@ from math import gcd
 
 from . import skein as sk
 from .linalg import mat_vec
-from .recoupling import admissible, hopf_pairing, valid_label
+from .recoupling import admissible, s_matrix, valid_label
 from .scalars import QuantumParams
 
 SPINE_SCHEMA_VERSION = 1
@@ -170,13 +170,10 @@ def torus_curve_link(p: int, q: int, axis_label) -> sk.LabeledLink:
 def expand_solid_torus(params: QuantumParams, p: int, q: int):
     """Coordinates of the pushed-in (p,q) curve in the core-projector basis
     b_0..b_{r-2} of the solid torus, extracted by pairing with the dual
-    solid torus (the Hopf pairing Gram matrix S has inverse S/D, as
-    S S = D I)."""
-    r = params.r
-    pairings = [sk.evaluate(params, torus_curve_link(p, q, j)) for j in range(r - 1)]
-    gram = [[hopf_pairing(params, j, k) for k in range(r - 1)] for j in range(r - 1)]
+    solid torus (the Hopf pairing Gram matrix is S, with inverse S/D)."""
+    pairings = [sk.evaluate(params, torus_curve_link(p, q, j)) for j in range(params.r - 1)]
     inv_d = params.inverse_total_d_squared()
-    return [inv_d * x for x in mat_vec(gram, pairings)]
+    return [inv_d * x for x in mat_vec(s_matrix(params), pairings)]
 
 
 @dataclass

@@ -227,7 +227,7 @@ def test_criterion_08_representation_relations():
     for r in RS:
         p = make_params(r)
         model = mcg.surface_model("torus")
-        s = mcg.s_matrix(p)
+        s = rc.s_matrix(p)
         t = model.twist_matrix(p, "a").matrix
         s2 = mat_mul(s, s)
         assert proportional(mat_mul(s2, s2), eye(p, len(s))), r

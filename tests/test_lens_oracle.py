@@ -17,7 +17,8 @@ import random
 import pytest
 
 from skeinrep.linalg import mat_mul
-from skeinrep.mcg import s_matrix, surface_model
+from skeinrep.mcg import surface_model
+from skeinrep.recoupling import s_matrix
 from skeinrep.scalars import make_params
 from skeinrep.skein import closed_braid_link, z_invariant
 

@@ -410,19 +410,22 @@ def test_cabled_diagram_matches_reference():
 
 
 def test_walk_counts(monkeypatch):
-    """`evaluate` walks its diagram once, `z_invariant` twice (the linking
-    matrix's signs and the evaluation), a framed handle slide three times
-    (its input's orientations, the spliced strands and the output's
-    validation)."""
+    """Each diagram is walked once: a braid closure (the walk it reads its
+    components from is the one it validates), `evaluate`, `z_invariant` (one
+    walk for the linking matrix's signs and the evaluation); a framed handle
+    slide and a circumcision pair walk twice (their input's orientations, and
+    the spliced strands that the output's validation reuses)."""
     walks = []
     walk = sk._walk
     monkeypatch.setattr(sk, "_walk", lambda crossings: walks.append(1) or walk(crossings))
     params = make_params(4)
     link = closed_braid_link([1, 1, 1, 2], 3, labels=[1], framings=[1])
     slid = split_union(link, unknot_link(sk.OMEGA, 2))
-    for count, run in ((1, lambda: sk.evaluate(params, link)),
-                       (2, lambda: sk.z_invariant(params, link)),
-                       (3, lambda: apply_move(slid, HandleSlide(0, 1)))):
+    for count, run in ((1, lambda: closed_braid_link([1, 1, 1, 2], 3)),
+                       (1, lambda: sk.evaluate(params, link)),
+                       (1, lambda: sk.z_invariant(params, link)),
+                       (2, lambda: apply_move(slid, HandleSlide(0, 1))),
+                       (2, lambda: apply_move(link, CircumcisionPair(0)))):
         walks.clear()
         run()
         assert len(walks) == count

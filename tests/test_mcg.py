@@ -9,8 +9,7 @@ from helpers import scalar_multiple_of
 from skeinrep import mcg, skein, tqft
 from skeinrep.braids import BraidWord, jones_sector_rep, sector_labels
 from skeinrep.linalg import eye, mat_mul, mat_vec
-from skeinrep.recoupling import (encircle_eigenvalue, hopf_pairing,
-                                 twist_coefficient)
+from skeinrep.recoupling import encircle_eigenvalue, s_matrix, twist_coefficient
 from skeinrep.scalars import make_params
 from skeinrep.skein import DomainError, closed_braid_link
 from skeinrep.tl import TLDiagram, TLElement, jones_wenzl
@@ -68,7 +67,7 @@ def test_torus_meridian_twist_r3_nontrivial():
 
 def test_torus_modular_relations(params):
     model = mcg.surface_model("torus")
-    s = mcg.s_matrix(params)
+    s = s_matrix(params)
     t = model.twist_matrix(params, "a").matrix
     n = len(s)
     s2 = mat_mul(s, s)
@@ -93,7 +92,7 @@ def test_torus_curve_operator_spectra(params):
 
 def test_torus_longitude_conjugate_by_s(params):
     model = mcg.surface_model("torus")
-    s = mcg.s_matrix(params)
+    s = s_matrix(params)
     ca = model.curve_operator(params, "a").matrix
     cb = model.curve_operator(params, "b").matrix
     assert mat_mul(cb, s) == mat_mul(s, ca)
@@ -173,6 +172,28 @@ def test_punctured_torus_zero_label_matches_torus():
     ta = model.twist_matrix(params, "a").matrix
     torus_ta = mcg.surface_model("torus").twist_matrix(params, "a").matrix
     assert ta == torus_ta
+
+
+@pytest.mark.parametrize("r, s", [(r, 1) for r in range(3, 9)] + [(8, 3)])
+def test_torus_equals_punctured_torus_at_label_zero(r, s):
+    """Capping the puncture labelled 0 gives the torus, in the same loop
+    basis.  The routes share no code: the torus frames b by the Hopf S, the
+    one-holed torus fuses b into its loop by parallel insertion.  The torus
+    c and d are b moved by the meridian twist V_a^{+-1}."""
+    params = make_params(r, s)
+    torus = mcg.surface_model("torus")
+    holed = mcg.surface_model("punctured_torus", (0,))
+
+    def matrices(model, curve):
+        return [model.curve_operator(params, curve).matrix] + \
+            [model.twist_matrix(params, curve, e).matrix for e in (1, -1)]
+
+    for curve in ("a", "b"):
+        assert matrices(torus, curve) == matrices(holed, curve)
+    va, va_inv = (holed.twist_matrix(params, "a", e).matrix for e in (1, -1))
+    for curve, left, right in (("c", va, va_inv), ("d", va_inv, va)):
+        assert matrices(torus, curve) == [mat_mul(left, mat_mul(m, right))
+                                          for m in matrices(holed, "b")]
 
 
 # ------------------------------------------------ four-punctured sphere
