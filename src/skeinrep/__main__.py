@@ -1,0 +1,5 @@
+"""`python -m skeinrep` runs the command-line interface."""
+from .cli import main
+
+if __name__ == "__main__":
+    main()

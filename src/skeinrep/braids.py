@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import eye, is_identity, mat_mul
+from . import tqft
+from .linalg import eye, is_identity, mat_mul, zeros
 from .mcg import DetectionResult, RepMatrix, is_projectively_identity, scan_levels
 from .recoupling import theta
 from .scalars import QuantumParams, Scalar
@@ -72,20 +73,19 @@ class BraidWord:
 
 
 def path_basis(params: QuantumParams, n: int, m: int):
-    """Admissible paths 0 = m_0, ..., m_n = m with steps +-1, labels 0..r-2."""
-    top = params.r - 2
-    if not 0 <= m <= top:
+    """Admissible paths 0 = m_0, ..., m_n = m with steps +-1, labels 0..r-2:
+    the basis of the comb spine with legs (0, 1, ..., 1, m), whose internal
+    edges are m_1..m_{n-1}.  Memoized in the level memo."""
+    if n < 1:
+        raise DomainError("strand count must be positive")
+    if not 0 <= m <= params.r - 2:
         return []
-    paths = [(0,)]
-    for i in range(1, n + 1):
-        nxt = []
-        for p in paths:
-            for step in (-1, 1):
-                v = p[-1] + step
-                if 0 <= v <= top and abs(m - v) <= n - i:
-                    nxt.append(p + (v,))
-        paths = nxt
-    return [p for p in paths if p[-1] == m]
+
+    def build():
+        spine = tqft.comb_spine((0,) + (1,) * n + (m,))
+        return tuple((0, *b.values(), m) for b in tqft.basis(params, spine))
+
+    return list(params.cached(("paths", n, m), build))
 
 
 def sector_labels(params: QuantumParams, n: int):
@@ -111,8 +111,7 @@ def _generator_matrix(params: QuantumParams, n: int, m: int, gen: int):
     i = abs(gen)
     a_diag = params.a_pow(1 if gen > 0 else -1)
     a_off = params.a_pow(-1 if gen > 0 else 1)
-    size = len(paths)
-    out = [[params.zero() for _ in range(size)] for _ in range(size)]
+    out = zeros(params, len(paths), len(paths))
     for k, p in enumerate(paths):
         out[k][k] = a_diag
         if p[i - 1] == p[i + 1]:
@@ -212,12 +211,15 @@ def braid_detect(braid: BraidWord, r_range, cabling_bound: int = 1,
     the witness is (cable multiplicities, m)."""
     if cabling_bound < 1:
         raise DomainError(f"cabling bound must be at least 1, got {cabling_bound}")
-    cabled = [(c, cable(braid, c)) for c in _cablings(braid.n, cabling_bound)]
+    cablings = _cablings(braid.n, cabling_bound)
+    cabled = {}  # each cabled word is built when the scan first reaches it
 
     def probe(params):
-        for cab, word in cabled:
-            for m in sector_labels(params, word.n):
-                if not is_identity(params, jones_sector_rep(params, word, m).matrix):
+        for cab in cablings:
+            if cab not in cabled:
+                cabled[cab] = cable(braid, cab)
+            for m in sector_labels(params, cabled[cab].n):
+                if not is_identity(params, jones_sector_rep(params, cabled[cab], m).matrix):
                     return (cab.multiplicities, m)
         return None
 

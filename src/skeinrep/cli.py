@@ -233,60 +233,56 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="skeinrep", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, level=True, **kw):
+        """A subcommand; one at a single level takes --r."""
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
         p.add_argument("--s", type=int, default=1, help="root-of-unity twist s")
+        if level:
+            p.add_argument("--r", type=int, required=True)
         return p
 
     p = add("eval-link", cmd_eval_link, help="evaluate a labeled link diagram")
-    p.add_argument("--r", type=int, required=True)
     p.add_argument("--link", required=True, help="link JSON file ('-' = stdin)")
 
     p = add("projector", cmd_projector, help="dump a Jones-Wenzl projector")
-    p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("dump-recoupling", cmd_dump_recoupling, help="dump recoupling tables")
-    p.add_argument("--r", type=int, required=True)
+    add("dump-recoupling", cmd_dump_recoupling, help="dump recoupling tables")
 
     p = add("dims", cmd_dims, help="dimension of a TQFT space")
-    p.add_argument("--r", type=int, required=True)
     p.add_argument("--spine", help="spine JSON file")
     p.add_argument("--surface", help="named surface")
     p.add_argument("--labels", default="", help="boundary labels")
 
     p = add("rep-matrix", cmd_rep_matrix, help="representation matrix of a twist word")
-    p.add_argument("--r", type=int, required=True)
     p.add_argument("--surface", required=True)
     p.add_argument("--labels", default="")
     p.add_argument("--word", required=True, help="e.g. 'b0 b1 -b2'")
 
     p = add("curve-op", cmd_curve_op, help="curve operator matrix")
-    p.add_argument("--r", type=int, required=True)
     p.add_argument("--surface", required=True)
     p.add_argument("--labels", default="")
     p.add_argument("--curve", required=True)
 
     p = add("trace", cmd_trace, help="mapping-torus trace of a twist word")
-    p.add_argument("--r", type=int, required=True)
     p.add_argument("--surface", required=True)
     p.add_argument("--labels", default="")
     p.add_argument("--word", required=True)
 
-    p = add("detect", cmd_detect, help="least r detecting a mapping class")
+    p = add("detect", cmd_detect, level=False, help="least r detecting a mapping class")
     p.add_argument("--surface", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--rmin", type=int, default=3)
     p.add_argument("--rmax", type=int, required=True)
 
     p = add("braid-rep", cmd_braid_rep, help="Jones sector matrices of a braid")
-    p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--word", required=True, help="e.g. '1 2 -1'")
     p.add_argument("--m", type=int, default=None, help="one sector only")
 
-    p = add("braid-detect", cmd_braid_detect, help="detection search for a braid")
+    p = add("braid-detect", cmd_braid_detect, level=False,
+            help="detection search for a braid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--rmin", type=int, default=3)
@@ -294,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cable-max", type=int, default=1)
 
     p = add("verify-moves", cmd_verify_moves, help="check moves preserve the bracket")
-    p.add_argument("--r", type=int, required=True)
     p.add_argument("--link", required=True)
     p.add_argument("--moves", required=True, help="JSON list of move descriptions")
 
@@ -304,23 +299,17 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-        out = args.fn(args)
+        out, code = args.fn(args), 0
     except ParseFailure as exc:
-        json.dump({"error": "parse", "message": str(exc)}, sys.stdout)
-        sys.stdout.write("\n")
-        return EXIT_PARSE
+        out, code = {"error": "parse", "message": str(exc)}, EXIT_PARSE
     except (DomainError, LinkFormatError, SpineFormatError) as exc:
-        json.dump({"error": "domain", "message": str(exc)}, sys.stdout)
-        sys.stdout.write("\n")
-        return EXIT_DOMAIN
+        out, code = {"error": "domain", "message": str(exc)}, EXIT_DOMAIN
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        json.dump({"error": "internal", "message": f"{type(exc).__name__}: {exc}"},
-                  sys.stdout)
-        sys.stdout.write("\n")
-        return EXIT_INTERNAL
+        out = {"error": "internal", "message": f"{type(exc).__name__}: {exc}"}
+        code = EXIT_INTERNAL
     json.dump(out, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
-    return 0
+    return code
 
 
 def main():

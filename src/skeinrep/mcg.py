@@ -195,10 +195,11 @@ def _surface(name):
         "punctured_torus": (1, lambda ls: tqft.Spine(edges=["x"], vertices=[["x", "x", "p"]],
                                                      boundary={"p": ls[0]}),
                             {"a": ((), "x"), "b": ((), ("x",))}),
-        # g_ij surrounds punctures i, j: the h channel's middle edge for g12
-        # and g34, the v channel's for g23
-        "four_punctured_sphere": (4, lambda ls: tqft.four_punctured_sphere_spine(ls, "h"),
-                                  {"g12": ((), "m"), "g23": (("m",), "m"), "g34": ((), "m")}),
+        # g_ij surrounds punctures i, j: the comb's middle edge for g12 and
+        # g34, and after its F-move (pairing legs (2,3)(4,1)) for g23
+        "four_punctured_sphere": (4, tqft.comb_spine,
+                                  {"g12": ((), "m1"), "g23": (("m1",), "m1"),
+                                   "g34": ((), "m1")}),
         # the chain: handle longitudes b0, b4 and meridians b1, b3 on the
         # dumbbell; b2 runs through both handles, the x, y cycle of the
         # theta spine that the bar's F-move reaches

@@ -8,7 +8,6 @@ spine, whose basis vector b_k is the core curve carrying the k-th projector.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -93,38 +92,39 @@ def dumbbell_spine() -> Spine:
     return Spine(edges=["x", "m", "y"], vertices=[["x", "x", "m"], ["y", "y", "m"]])
 
 
-def four_punctured_sphere_spine(labels, channel="h") -> Spine:
-    """H-shaped spine for the 4-punctured sphere: legs 1..4, one internal
-    edge.  channel='h' pairs legs (1,2)(3,4); channel='v' pairs (2,3)(1,4)."""
-    l1, l2, l3, l4 = labels
-    if channel == "h":
-        verts = [["p1", "p2", "m"], ["p3", "p4", "m"]]
-    elif channel == "v":
-        verts = [["p2", "p3", "m"], ["p4", "p1", "m"]]
-    else:
-        raise SpineFormatError(f"unknown channel {channel!r}")
-    return Spine(edges=["m"], vertices=verts,
-                 boundary={"p1": l1, "p2": l2, "p3": l3, "p4": l4})
+def comb_spine(labels) -> Spine:
+    """Comb spine of the sphere with k >= 3 punctures labeled `labels`: legs
+    p1..pk, internal edges m1..m(k-3); p1 and p2 meet m1, each m_i meets the
+    next leg and m_(i+1), the last two legs meet the last edge (k = 3: one
+    vertex).  At k = 4 it is the H spine pairing legs (1,2)(3,4).  Fewer
+    legs raise SpineFormatError: a vertex would not be trivalent."""
+    k = len(labels)
+    legs = [f"p{i}" for i in range(1, k + 1)]
+    edges = [f"m{i}" for i in range(1, k - 2)]
+    middle = [[edges[i], legs[i + 2], edges[i + 1]] for i in range(k - 4)]
+    verts = [legs] if k == 3 else [legs[:2] + edges[:1]] + middle + [legs[-2:] + edges[-1:]]
+    return Spine(edges=edges, vertices=verts, boundary=dict(zip(legs, labels)))
 
 
 def basis(params: QuantumParams, spine: Spine):
     """All admissible edge labelings, lexicographic in the order of
-    spine.edges; each is a dict edge name -> label."""
+    spine.edges; each is a dict edge name -> label, keyed in that order.
+    Each vertex is checked once its last edge is labeled (legs only: on the
+    empty labeling), and a labeling that fails is never extended."""
     for lab in spine.boundary.values():
         if not valid_label(params, lab):
             raise sk.DomainError(f"boundary label {lab} outside 0..{params.r - 2}")
-    out = []
     names = list(spine.edges)
-    for combo in itertools.product(range(params.r - 1), repeat=len(names)):
-        labeling = dict(zip(names, combo))
-        ok = True
-        for tri in spine.vertices:
-            vals = [labeling.get(x, spine.boundary.get(x)) for x in tri]
-            if not admissible(params, *vals):
-                ok = False
-                break
-        if ok:
-            out.append(labeling)
+    checks = [[] for _ in range(len(names) + 1)]
+    for tri in spine.vertices:
+        checks[max((names.index(x) + 1 for x in tri if x in names), default=0)].append(tri)
+    out = [{}]
+    for depth, tris in enumerate(checks):
+        if depth:
+            out = [{**lab, names[depth - 1]: k} for lab in out for k in range(params.r - 1)]
+        for tri in tris:
+            out = [lab for lab in out
+                   if admissible(params, *[lab.get(x, spine.boundary.get(x)) for x in tri])]
     return out
 
 

@@ -214,8 +214,9 @@ def test_criterion_07_dimensions():
         for labels in itertools.product(range(r - 1), repeat=4):
             if sum(labels) % 2:
                 continue
-            dh = tqft.dim(p, tqft.four_punctured_sphere_spine(labels, "h"))
-            dv = tqft.dim(p, tqft.four_punctured_sphere_spine(labels, "v"))
+            l1, l2, l3, l4 = labels
+            dh = tqft.dim(p, tqft.comb_spine(labels))
+            dv = tqft.dim(p, tqft.comb_spine((l2, l3, l4, l1)))
             assert dh == dv, (r, labels)
 
 

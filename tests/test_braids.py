@@ -55,10 +55,49 @@ def test_path_basis_small(params):
         assert path_basis(params, 2, 2) == []
 
 
+def reference_path_basis(params, n, m):
+    """The +-1 recurrence that built path bases before the comb spine."""
+    top = params.r - 2
+    if not 0 <= m <= top:
+        return []
+    paths = [(0,)]
+    for i in range(1, n + 1):
+        nxt = []
+        for p in paths:
+            for step in (-1, 1):
+                v = p[-1] + step
+                if 0 <= v <= top and abs(m - v) <= n - i:
+                    nxt.append(p + (v,))
+        paths = nxt
+    return [p for p in paths if p[-1] == m]
+
+
+def test_path_basis_matches_the_recurrence():
+    cases = 0
+    for r in range(3, 10):
+        p = make_params(r)
+        for n in range(1, 11):
+            for m in range(-1, n + 2):
+                assert path_basis(p, n, m) == reference_path_basis(p, n, m), (r, n, m)
+                cases += 1
+    assert cases == 595
+
+
+def test_path_basis_is_memoized_and_needs_a_strand():
+    p = make_params(6)
+    assert path_basis(p, 1, 1) == [(0, 1)]
+    assert path_basis(p, 1, 0) == []
+    paths = [(0, 1, 0, 1, 2), (0, 1, 2, 1, 2), (0, 1, 2, 3, 2)]
+    assert path_basis(p, 4, 2) == paths
+    assert p.cached(("paths", 4, 2), None) == tuple(paths)
+    with pytest.raises(DomainError):
+        path_basis(p, 0, 0)
+
+
 def test_sector_dims_match_punctured_sphere(params):
     # 3 strands: V_{1,1,1,m} is the 4-punctured sphere space (1,1,1,m)
     for m in sector_labels(params, 3):
-        spine = tqft.four_punctured_sphere_spine((1, 1, 1, m))
+        spine = tqft.comb_spine((1, 1, 1, m))
         assert len(path_basis(params, 3, m)) == len(tqft.basis(params, spine))
 
 
@@ -265,6 +304,24 @@ def test_detect_needs_a_cabling():
         braid_detect(BraidWord(2, (1,)), range(3, 5), cabling_bound=0)
 
 
+def test_detect_cables_only_what_the_scan_reaches(monkeypatch):
+    built = []
+
+    def counted(braid, cabling):
+        built.append(cabling.multiplicities)
+        return cable(braid, cabling)
+
+    monkeypatch.setattr(braids, "cable", counted)
+    # sigma_1 is detected by the first cabling at every level
+    res = braid_detect(BraidWord(2, (1,)), range(3, 7), cabling_bound=3)
+    assert res.witness == {r: ((1, 1), 0) for r in range(3, 7)}
+    assert built == [(1, 1)]
+    # the identity braid reaches every cabling once, however many levels
+    built.clear()
+    braid_detect(BraidWord(2, ()), range(3, 6), cabling_bound=2)
+    assert built == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
 def test_detect_with_cabling():
     # a commutator word: nontrivial braid detected within the search grid
     b = BraidWord(3, (1, 2, -1, -2))
@@ -335,6 +392,44 @@ def burau(braid):
             row[i] = _laurent_add(_laurent_mul(x, block[0][0]), _laurent_mul(y, block[1][0]))
             row[i + 1] = _laurent_add(_laurent_mul(x, block[0][1]), _laurent_mul(y, block[1][1]))
     return out
+
+
+def burau_trace(params, braid, power):
+    """tr Burau(braid) at t = A^power."""
+    out = params.zero()
+    for i, row in enumerate(burau(braid)):
+        for k, c in row[i].items():
+            out = out + params.from_int(c) * params.a_pow(power * k)
+    return out
+
+
+def burau_identity_holds(params, braid, power):
+    """tr rho_{n-2}(braid) = A^writhe (tr Burau(braid)|_{t = A^power} - 1)."""
+    lhs = mat_trace(jones_sector_rep(params, braid, braid.n - 2).matrix)
+    return lhs == params.a_pow(braid.writhe()) * (burau_trace(params, braid, power) - params.one())
+
+
+def seeded_words(r, n):
+    rng = random.Random(f"burau:{r}:{n}")
+    return [BraidWord(n, random_word(rng, n, rng.randint(1, 10))) for _ in range(15)]
+
+
+@pytest.mark.parametrize("r", [4, 5, 6, 7, 8])
+def test_sector_n_minus_2_is_reduced_burau_below_truncation(r):
+    # below truncation the m = n - 2 sector is A * reduced Burau at t = A^-4
+    # (the reduced trace is the unreduced one less 1); t = A^4 is not it
+    params = make_params(r)
+    for n in range(2, min(5, r - 1) + 1):
+        words = seeded_words(r, n)
+        assert all(burau_identity_holds(params, b, -4) for b in words), n
+        assert not all(burau_identity_holds(params, b, 4) for b in words), n
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_sector_n_minus_2_is_not_burau_when_truncated(r):
+    # at n = r the top sector m = r - 2 is truncated and the identity fails
+    params = make_params(r)
+    assert not any(burau_identity_holds(params, b, -4) for b in seeded_words(r, r))
 
 
 def test_bigelow_word_is_in_the_burau_kernel():

@@ -1,6 +1,10 @@
 """CLI subcommands: output shapes, determinism, and exit codes."""
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,15 @@ def test_dump_recoupling(capsys):
 def test_dims_surface(capsys):
     code, out = run_cli(capsys, "dims", "--r", "5", "--surface", "torus")
     assert code == 0 and out == {"dim": 4}
+
+
+def test_python_m_skeinrep_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "skeinrep", "dims", "--r", "3",
+                           "--surface", "torus"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"dim": 2}
 
 
 def test_dims_spine_file(capsys, tmp_path):
@@ -244,7 +257,7 @@ def test_exit_domain_bad_boundary_label(capsys, argv):
 
 def test_exit_domain_bad_spine_boundary_label(capsys, tmp_path):
     path = tmp_path / "sphere.json"
-    path.write_text(json.dumps(tqft.four_punctured_sphere_spine((1, 1, 1, 9)).to_json()))
+    path.write_text(json.dumps(tqft.comb_spine((1, 1, 1, 9)).to_json()))
     code, out = run_cli(capsys, "dims", "--r", "4", "--spine", str(path))
     assert code == 3 and out["error"] == "domain"
 
@@ -290,7 +303,7 @@ def test_eval_link_integral_floats_are_integers(capsys, tmp_path):
 
 @pytest.mark.parametrize("label", [1.5, True, "1"])
 def test_exit_parse_non_integer_spine_boundary_label(capsys, tmp_path, label):
-    blob = tqft.four_punctured_sphere_spine((1, 1, 1, 1)).to_json()
+    blob = tqft.comb_spine((1, 1, 1, 1)).to_json()
     blob["boundary"]["p1"] = label
     path = tmp_path / "sphere.json"
     path.write_text(json.dumps(blob))

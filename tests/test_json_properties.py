@@ -38,8 +38,7 @@ def test_link_json_round_trip(link):
 
 
 spines = (st.sampled_from([tqft.torus_spine(), tqft.theta_spine(), tqft.dumbbell_spine()])
-          | st.builds(tqft.four_punctured_sphere_spine,
-                      st.tuples(*[st.integers(0, 9)] * 4), st.sampled_from("hv")))
+          | st.builds(tqft.comb_spine, st.lists(st.integers(0, 9), min_size=3, max_size=8)))
 
 
 @settings

@@ -605,11 +605,12 @@ def check_f_move(params, spine, edge):
 def test_f_move_on_the_h_spine_gives_the_v_channel(r):
     params = make_params(r)
     for labels in mcg._boundary_contexts("four_punctured_sphere", r):
-        h = tqft.four_punctured_sphere_spine(labels, "h")
-        names, moved, new = check_f_move(params, h, "m")
-        assert sorted(map(sorted, moved)) == sorted(
-            map(sorted, tqft.four_punctured_sphere_spine(labels, "v").vertices))
-        v = spine_tuples(params, tqft.four_punctured_sphere_spine(labels, "v"))[2]
+        # the v channel pairs legs (2,3)(4,1)
+        v_spine = tqft.Spine(edges=["m1"], vertices=[["p2", "p3", "m1"], ["p4", "p1", "m1"]],
+                             boundary=dict(zip(("p1", "p2", "p3", "p4"), labels)))
+        names, moved, new = check_f_move(params, tqft.comb_spine(labels), "m1")
+        assert sorted(map(sorted, moved)) == sorted(map(sorted, v_spine.vertices))
+        v = spine_tuples(params, v_spine)[2]
         assert set(new) == set(v), labels
 
 
