@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import tqft
 from .linalg import eye, is_identity, mat_mul, zeros
 from .mcg import DetectionResult, RepMatrix, is_projectively_identity, scan_levels
-from .recoupling import theta
+from .recoupling import theta, theta_inverse
 from .scalars import QuantumParams, Scalar
 from .skein import DomainError
 from .tl import block_crossing
@@ -96,11 +96,12 @@ def sector_labels(params: QuantumParams, n: int):
 
 def _e_block(params: QuantumParams, a: int):
     """Matrix of the cup-cap e over neighbour value a: channels b in {a-1,a+1}
-    (clipped to valid labels), entries theta(a,1,b) d_{b'} / (d_a theta(a,1,b'))."""
+    (clipped to valid labels), entries theta(a,1,b) d_{b'} / (d_a theta(a,1,b')),
+    products with 1/d_a and the memoized 1/theta(a,1,b')."""
     bs = [b for b in (a - 1, a + 1) if 0 <= b <= params.r - 2]
-    da = params.d_k(a)
-    col = [theta(params, a, 1, b) / da for b in bs]
-    row = [params.d_k(b) / theta(params, a, 1, b) for b in bs]
+    inv_da = params.inverse_d_k(a)
+    col = [theta(params, a, 1, b) * inv_da for b in bs]
+    row = [params.d_k(b) * theta_inverse(params, a, 1, b) for b in bs]
     return bs, [[row[i] * col[j] for j in range(len(bs))] for i in range(len(bs))]
 
 

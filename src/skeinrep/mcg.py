@@ -9,7 +9,7 @@ moves, a word in the changes of spine basis (Moore-Seiberg), give the frame
 (left, core, right) around the core, each move a pair (K^{-1}, K) with
 left = K_1^{-1} K_2^{-1} ... and right = ... K_2 K_1:
 - a spine edge: the F-move `_f_move`, blockwise K = F(a,b,c,d)^T with
-  K^{-1} = F(b,c,d,a)^T;
+  K^{-1} = F(b,c,d,a)^T, read off the same F-matrix by 6j orthogonality;
 - "S": the Hopf S-matrix, K^{-1} = S and K = S/D;
 - "+c" / "-c": the twist of curve c of the same surface, K^{-1} = T_c^{+-1},
   so the frame of a curve moved by a twist V is V . frame . V^{-1}.
@@ -21,12 +21,14 @@ on a matrix core.  No matrix is inverted by elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
+from operator import mul
 
 from . import tqft
 from .linalg import eye, mat_mul, mat_trace, zeros
 from .recoupling import (encircle_eigenvalue, f_matrix, f_matrix_channels,
-                         s_matrix, tet, theta, twist_coefficient)
+                         s_matrix, tet, theta, theta_inverse, twist_coefficient)
 from .scalars import QuantumParams, Scalar, make_params
 from .skein import DomainError
 
@@ -152,7 +154,9 @@ def _parallel_insertion(params, tuples, vertices):
     third edge.  Fusing the curve into the cycle moves each cycle edge e to
     e' = e +- 1, weighted d_{e'} / theta(e, 1, e'), and replaces the triangle
     at each vertex by a tetrahedron, weighted
-    tet(a, b, a', b', c, 1) / theta(a', b', c) (Kauffman-Lins)."""
+    tet(a, b, a', b', c, 1) / theta(a', b', c) (Kauffman-Lins).  Each weight
+    is a product with a memoized theta inverse, and an entry the product of
+    its weights."""
     idx = {t: i for i, t in enumerate(tuples)}
     cycle = sorted({p for a, b, _ in vertices for p in (a, b)})
     out = zeros(params, len(tuples), len(tuples))
@@ -164,18 +168,12 @@ def _parallel_insertion(params, tuples, vertices):
             j = idx.get(tuple(t2))
             if j is None:
                 continue
-            num = den = params.one()
-            for p in cycle:
-                num = num * params.d_k(t2[p])
-                den = den * theta(params, t[p], 1, t2[p])
             # a vertex listed twice (the theta cycle's pair) is computed once
-            corners = {(a, b, c): (tet(params, t[a], t[b], t2[a], t2[b], t[c], 1),
-                                   theta(params, t2[a], t2[b], t[c]))
+            corners = {(a, b, c): tet(params, t[a], t[b], t2[a], t2[b], t[c], 1)
+                       * theta_inverse(params, t2[a], t2[b], t[c])
                        for a, b, c in set(vertices)}
-            for v in vertices:
-                num = num * corners[v][0]
-                den = den * corners[v][1]
-            out[j][i] = num / den
+            out[j][i] = reduce(mul, [params.d_k(t2[p]) * theta_inverse(params, t[p], 1, t2[p])
+                                     for p in cycle] + [corners[v] for v in vertices])
     return out
 
 
@@ -218,7 +216,11 @@ def _f_move(params, names, vertices, tuples, edge):
     Returns the new vertices (b, c, edge) and (d, a, edge), the new basis
     tuples (blocks of the labels the move keeps in first-seen order, the new
     edge label ascending in each), and K = F(a,b,c,d)^T, which takes old
-    coordinates to new, with K^{-1} = F(b,c,d,a)^T."""
+    coordinates to new, with K^{-1} = F(b,c,d,a)^T.  K^{-1} is read off the
+    same F-matrix by 6j orthogonality (Kauffman-Lins):
+      F(b,c,d,a)[f][e] = F(a,b,c,d)[e][f] d_e theta(b,c,f) theta(a,d,f)
+                         / (d_f theta(a,b,e) theta(c,d,e)),
+    a row factor in e times a column factor in f."""
     at = [v for v in vertices if edge in v]
     (a, b), (c, d) = [[x for x in v if x != edge] for v in at]
     moved = [v for v in vertices if edge not in v] + [[b, c, edge], [d, a, edge]]
@@ -237,14 +239,18 @@ def _f_move(params, names, vertices, tuples, edge):
         if len(es) != len(fs):
             raise DomainError("channel bases have different dimensions")
         # coordinates transform covariantly, w_f = sum_e six_j(.., e, f) v_e
-        f, f_rot = f_matrix(params, la, lb, lc, ld), f_matrix(params, lb, lc, ld, la)
+        f = f_matrix(params, la, lb, lc, ld)
+        row = [params.d_k(e) * theta_inverse(params, la, lb, e) * theta_inverse(params, lc, ld, e)
+               for e in es]
+        col = [theta(params, lb, lc, fv) * theta(params, la, ld, fv) * params.inverse_d_k(fv)
+               for fv in fs]
         for fi, fv in enumerate(fs):
             i = len(new)
             new.append(t[:pe] + (fv,) + t[pe + 1:])
             for j in js:
                 ei = es.index(tuples[j][pe])
                 k[i][j] = f[ei][fi]
-                k_inv[j][i] = f_rot[fi][ei]
+                k_inv[j][i] = f[ei][fi] * row[ei] * col[fi]
     return moved, new, k, k_inv
 
 

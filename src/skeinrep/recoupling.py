@@ -9,6 +9,9 @@ are spelled out in CONVENTIONS.md at the repository root.
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
+
 from .scalars import QuantumParams, Scalar
 from .tl import (
     TLElement,
@@ -51,21 +54,38 @@ def loop_value_oracle(params: QuantumParams, k: int) -> Scalar:
     return jones_wenzl(params, k).markov_trace()
 
 
-def theta(params: QuantumParams, a: int, b: int, c: int) -> Scalar:
-    """Theta network with edge labels a, b, c.
+def _theta_product(a, b, c, f, g):
+    """(-1)^{x+y+z} f(x+y+z+1) f(x) f(y) f(z) g(a) g(b) g(c) with
+    x=(a+b-c)/2, y=(b+c-a)/2, z=(c+a-b)/2, so that a=z+x, b=x+y, c=y+z;
+    f and g are the level's factorial and inverse factorial tables, in
+    either order."""
+    x, y, z = (a + b - c) // 2, (b + c - a) // 2, (c + a - b) // 2
+    value = reduce(mul, (f(x + y + z + 1), f(x), f(y), f(z), g(a), g(b), g(c)))
+    return -value if (x + y + z) % 2 else value
 
-    With x=(a+b-c)/2, y=(b+c-a)/2, z=(c+a-b)/2:
-      theta = (-1)^{x+y+z} [x+y+z+1]! [x]! [y]! [z]! / ([x+y]! [y+z]! [z+x]!)
+
+def theta(params: QuantumParams, a: int, b: int, c: int) -> Scalar:
+    """Theta network with edge labels a, b, c, built once per level:
+      theta = (-1)^{x+y+z} [x+y+z+1]! [x]! [y]! [z]! / ([a]! [b]! [c]!)
+    a product of the level's factorial tables (``_theta_product``).
     Returns the zero Scalar on an inadmissible triple.
     """
-    if not admissible(params, a, b, c):
-        return params.zero()
-    x, y, z = (a + b - c) // 2, (b + c - a) // 2, (c + a - b) // 2
-    f = params.quantum_factorial
-    num = f(x + y + z + 1) * f(x) * f(y) * f(z)
-    den = f(x + y) * f(y + z) * f(z + x)
-    value = num / den
-    return -value if (x + y + z) % 2 else value
+    def build():
+        if not admissible(params, a, b, c):
+            return params.zero()
+        return _theta_product(a, b, c, params.quantum_factorial, params.inverse_quantum_factorial)
+    return params.cached(("theta", a, b, c), build)
+
+
+def theta_inverse(params: QuantumParams, a: int, b: int, c: int) -> Scalar:
+    """1/theta(a, b, c), built once per level with no inverse of its own:
+    theta's product with the two factorial tables swapped.  Raises
+    ZeroDivisionError on an inadmissible triple, whose theta is 0."""
+    def build():
+        if not admissible(params, a, b, c):
+            raise ZeroDivisionError(f"theta({a}, {b}, {c}) is zero: the triple is inadmissible")
+        return _theta_product(a, b, c, params.inverse_quantum_factorial, params.quantum_factorial)
+    return params.cached(("1/theta", a, b, c), build)
 
 
 def vertex_morphism(params: QuantumParams, a: int, b: int, c: int) -> TLElement:
@@ -93,7 +113,7 @@ def theta_oracle(params: QuantumParams, a: int, b: int, c: int) -> Scalar:
 
 def tet(params: QuantumParams, a: int, b: int, c: int, d: int, e: int, f: int) -> Scalar:
     """Tetrahedral network with vertex triples (a,b,e), (c,d,e), (a,c,f),
-    (b,d,f); closed form per the convention document.
+    (b,d,f); closed form per the convention document, built once per level.
 
     With vertex half-sums a_i and quadrilateral half-sums b_j:
       a_1=(a+b+e)/2, a_2=(c+d+e)/2, a_3=(a+c+f)/2, a_4=(b+d+f)/2
@@ -101,31 +121,23 @@ def tet(params: QuantumParams, a: int, b: int, c: int, d: int, e: int, f: int) -
       tet = (prod_{i,j} [b_j - a_i]! / prod of edge factorials)
             * sum_{s=max a_i}^{min b_j} (-1)^s [s+1]! /
               (prod_i [s - a_i]! prod_j [b_j - s]!)
+    Every quotient is a product with the level's inverse factorial table.
     Returns the zero Scalar if any vertex is inadmissible.
     """
-    triples = [(a, b, e), (c, d, e), (a, c, f), (b, d, f)]
-    if not all(admissible(params, *t) for t in triples):
-        return params.zero()
-    av = [(a + b + e) // 2, (c + d + e) // 2, (a + c + f) // 2, (b + d + f) // 2]
-    bv = [(a + d + e + f) // 2, (b + c + e + f) // 2, (a + b + c + d) // 2]
-    fq = params.quantum_factorial
-    pref_num = params.one()
-    for bj in bv:
-        for ai in av:
-            pref_num = pref_num * fq(bj - ai)
-    pref_den = params.one()
-    for edge in (a, b, c, d, e, f):
-        pref_den = pref_den * fq(edge)
-    total = params.zero()
-    for s in range(max(av), min(bv) + 1):
-        term = -fq(s + 1) if s % 2 else fq(s + 1)
-        den = params.one()
-        for ai in av:
-            den = den * fq(s - ai)
-        for bj in bv:
-            den = den * fq(bj - s)
-        total = total + term / den
-    return pref_num / pref_den * total
+    def build():
+        triples = [(a, b, e), (c, d, e), (a, c, f), (b, d, f)]
+        if not all(admissible(params, *t) for t in triples):
+            return params.zero()
+        av = [(a + b + e) // 2, (c + d + e) // 2, (a + c + f) // 2, (b + d + f) // 2]
+        bv = [(a + d + e + f) // 2, (b + c + e + f) // 2, (a + b + c + d) // 2]
+        fq, gq = params.quantum_factorial, params.inverse_quantum_factorial
+        total = params.zero()
+        for s in range(max(av), min(bv) + 1):
+            term = reduce(mul, [fq(s + 1)] + [gq(s - ai) for ai in av] + [gq(bj - s) for bj in bv])
+            total = total + (-term if s % 2 else term)
+        return reduce(mul, [fq(bj - ai) for bj in bv for ai in av]
+                      + [gq(edge) for edge in (a, b, c, d, e, f)], total)
+    return params.cached(("tet", a, b, c, d, e, f), build)
 
 
 def tet_oracle(params: QuantumParams, a: int, b: int, c: int, d: int, e: int, f: int) -> Scalar:
@@ -149,12 +161,13 @@ def six_j(params: QuantumParams, a: int, b: int, c: int, d: int, e: int, f: int)
     fusion channel e to the (b,c)(a,d) channel f:
 
       {a b e; c d f} = tet(b,a,c,d,e,f) * d_f / (theta(b,c,f) theta(a,d,f))
+
+    a product with the two memoized theta inverses.
     """
-    tf = theta(params, b, c, f)
-    ta = theta(params, a, d, f)
-    if tf.is_zero() or ta.is_zero():
+    if not (admissible(params, b, c, f) and admissible(params, a, d, f)):
         return params.zero()
-    return tet(params, b, a, c, d, e, f) * loop_value(params, f) / (tf * ta)
+    return (tet(params, b, a, c, d, e, f) * loop_value(params, f)
+            * theta_inverse(params, b, c, f) * theta_inverse(params, a, d, f))
 
 
 def f_matrix_channels(params: QuantumParams, a: int, b: int, c: int, d: int):

@@ -257,23 +257,31 @@ class QuantumParams:
         return -(self.a_pow(2) + self.a_pow(-2))
 
     def quantum_int(self, n: int) -> "Scalar":
-        """[n] = (A^{2n} - A^{-2n}) / (A^2 - A^{-2}) = sum_i A^{2(n-1-2i)}."""
+        """[n] = (A^{2n} - A^{-2n}) / (A^2 - A^{-2}) = sum_i A^{2(n-1-2i)},
+        built once per level."""
         if n < 0:
             return -self.quantum_int(-n)
-        acc = self.zero()
-        for i in range(n):
-            acc = acc + self.a_pow(2 * (n - 1 - 2 * i))
-        return acc
+        return self.cached(("[n]", n), lambda: sum(
+            (self.a_pow(2 * (n - 1 - 2 * i)) for i in range(n)), self.zero()))
 
     def quantum_factorial(self, n: int) -> "Scalar":
-        acc = self.one()
-        for i in range(2, n + 1):
-            acc = acc * self.quantum_int(i)
-        return acc
+        """[n]! = [n-1]! [n], built once per level."""
+        return self.cached(("[n]!", n), lambda: self.quantum_factorial(n - 1) * self.quantum_int(n)
+                           if n > 1 else self.one())
+
+    def inverse_quantum_factorial(self, n: int) -> "Scalar":
+        """1/[n]!, one inverse per level; [n]! = 0 for n >= r, whose inverse
+        raises ZeroDivisionError."""
+        return self.cached(("1/[n]!", n), lambda: self.quantum_factorial(n).inverse())
 
     def d_k(self, k: int) -> "Scalar":
         """Loop value of a k-labeled unknot: (-1)^k [k+1]."""
         v = self.quantum_int(k + 1)
+        return -v if k % 2 else v
+
+    def inverse_d_k(self, k: int) -> "Scalar":
+        """1/d_k = (-1)^k [k]! / [k+1]!, a product of the factorial tables."""
+        v = self.quantum_factorial(k) * self.inverse_quantum_factorial(k + 1)
         return -v if k % 2 else v
 
     def total_d_squared(self) -> "Scalar":

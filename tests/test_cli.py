@@ -1,4 +1,5 @@
 """CLI subcommands: output shapes, determinism, and exit codes."""
+import hashlib
 import io
 import json
 import os
@@ -52,6 +53,29 @@ def test_dump_recoupling(capsys):
     code, out = run_cli(capsys, "dump-recoupling", "--r", "3")
     assert code == 0
     assert "0,0,0" in out["theta"] or any("theta" in k for k in out)
+
+
+# sha256 of the dump-recoupling stdout, recorded while theta, tet and six_j
+# were still computed by division; the values are exact, so the memoized
+# products must print the same bytes
+DUMP_DIGESTS = {
+    (3, 1): "2a4f2ac65d9c1691a62bf644c683c68f0dcce147759f7eb56d06327422155ecc",
+    (3, 7): "c6147859f6bc849e90307673b1d9f788f04d72fc3a829b9a9ce9d198387bb3be",
+    (4, 1): "c9eb88a673e15d048d1cec71d9f5a2aa75eb9f5320cd6cbbb1c6ee67df3d6ff4",
+    (4, 7): "74512fe8f2e53dac6ef2b2cf2160e460c9173db27be0237959ed5af69c637010",
+    (5, 1): "603d79d6d517b5abfb18cc35908d77f483b1bbc5b2a3da0c386871f19594198e",
+    (5, 7): "62be6cac897f9bece2dacd18e5063b6d43b55251f11420524af8533723094ffe",
+    (6, 1): "8d917f79109a23c9881413bea26db900705b85be3fcccac0df8f2d2acd39d7ca",
+    (6, 7): "508cb1336aae87f6905c4f1fb61bd9d8603b7998f042833902ef2d4722a9cd26",
+}
+
+
+@pytest.mark.parametrize("r, s", sorted(DUMP_DIGESTS))
+def test_dump_recoupling_pinned(capsys, r, s):
+    code = cli.run(["dump-recoupling", "--r", str(r), "--s", str(s)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_DIGESTS[(r, s)]
 
 
 def test_dims_surface(capsys):

@@ -10,7 +10,7 @@ from skeinrep import mcg, skein, tqft
 from skeinrep.braids import BraidWord, jones_sector_rep, sector_labels
 from skeinrep.linalg import eye, mat_mul, mat_vec
 from skeinrep.recoupling import encircle_eigenvalue, s_matrix, twist_coefficient
-from skeinrep.scalars import make_params
+from skeinrep.scalars import Scalar, make_params
 from skeinrep.skein import DomainError, closed_braid_link
 from skeinrep.tl import TLDiagram, TLElement, jones_wenzl
 
@@ -535,6 +535,19 @@ def test_level_memo_builds_twist_once(monkeypatch, fresh_contexts):
     assert tables == [1]
 
 
+def test_cold_genus2_twists_invert_once_per_denominator(monkeypatch, fresh_contexts):
+    # every recoupling value is a product of the level's tables, so a cold
+    # build of the five genus-2 twist pairs at r = 5 inverts the factorials
+    # [0]! .. [4]! once each and the Newton node differences once each (6)
+    calls = []
+    inverse = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse", lambda x: calls.append(x) or inverse(x))
+    params, model = make_params(5), mcg.surface_model("genus2")
+    for curve in model.curves():
+        model.twist_matrix(params, curve)
+    assert len(calls) == 11
+
+
 HYPERELLIPTIC = "b0 b1 b2 b3 b4 b4 b3 b2 b1 b0"
 
 
@@ -621,3 +634,15 @@ def test_f_move_on_the_dumbbell_bar_gives_the_theta_spine(r):
     assert sorted(map(sorted, moved)) == [["m", "x", "y"]] * 2
     theta = {(b["x"], b["y"], b["z"]) for b in tqft.basis(params, tqft.theta_spine())}
     assert {(x, y, f) for x, f, y in new} == theta
+
+
+def test_f_move_reads_one_f_matrix_per_block(monkeypatch):
+    # K^{-1} comes from K's own F-matrix by 6j orthogonality, not from the
+    # rotated F(b,c,d,a)
+    calls = []
+    build = mcg.f_matrix
+    monkeypatch.setattr(mcg, "f_matrix", lambda p, *labels: calls.append(labels) or build(p, *labels))
+    params = make_params(5)
+    names, vertices, tuples = spine_tuples(params, tqft.dumbbell_spine())
+    mcg._f_move(params, names, vertices, tuples, "m")
+    assert calls == list(dict.fromkeys((x, x, y, y) for x, _, y in tuples))

@@ -11,6 +11,79 @@ from skeinrep.scalars import make_params
 RS = [3, 4, 5, 6]
 
 
+# The division forms of theta, tet and six_j from before the recoupling
+# values became products of the level's factorial tables, kept verbatim as
+# the references of test_recoupling_matches_division_forms.
+
+def theta_division(params, a, b, c):
+    if not rc.admissible(params, a, b, c):
+        return params.zero()
+    x, y, z = (a + b - c) // 2, (b + c - a) // 2, (c + a - b) // 2
+    f = params.quantum_factorial
+    num = f(x + y + z + 1) * f(x) * f(y) * f(z)
+    den = f(x + y) * f(y + z) * f(z + x)
+    value = num / den
+    return -value if (x + y + z) % 2 else value
+
+
+def tet_division(params, a, b, c, d, e, f):
+    triples = [(a, b, e), (c, d, e), (a, c, f), (b, d, f)]
+    if not all(rc.admissible(params, *t) for t in triples):
+        return params.zero()
+    av = [(a + b + e) // 2, (c + d + e) // 2, (a + c + f) // 2, (b + d + f) // 2]
+    bv = [(a + d + e + f) // 2, (b + c + e + f) // 2, (a + b + c + d) // 2]
+    fq = params.quantum_factorial
+    pref_num = params.one()
+    for bj in bv:
+        for ai in av:
+            pref_num = pref_num * fq(bj - ai)
+    pref_den = params.one()
+    for edge in (a, b, c, d, e, f):
+        pref_den = pref_den * fq(edge)
+    total = params.zero()
+    for s in range(max(av), min(bv) + 1):
+        term = -fq(s + 1) if s % 2 else fq(s + 1)
+        den = params.one()
+        for ai in av:
+            den = den * fq(s - ai)
+        for bj in bv:
+            den = den * fq(bj - s)
+        total = total + term / den
+    return pref_num / pref_den * total
+
+
+def six_j_division(params, a, b, c, d, e, f):
+    tf = theta_division(params, b, c, f)
+    ta = theta_division(params, a, d, f)
+    if tf.is_zero() or ta.is_zero():
+        return params.zero()
+    return tet_division(params, b, a, c, d, e, f) * rc.loop_value(params, f) / (tf * ta)
+
+
+def exact(x):
+    return x.part, x.odd
+
+
+@pytest.mark.parametrize("r, s", [(r, s) for r in RS for s in (1, 7)])
+def test_recoupling_matches_division_forms(r, s, fresh_contexts):
+    # a cold level at each root, so the memoized values are built at s
+    p = make_params(r, s)
+    labels = range(r - 1)
+    for tri in itertools.product(labels, repeat=3):
+        value = rc.theta(p, *tri)
+        assert exact(value) == exact(theta_division(p, *tri)), tri
+        if rc.admissible(p, *tri):
+            assert exact(rc.theta_inverse(p, *tri)) == exact(value.inverse()), tri
+        else:
+            with pytest.raises(ZeroDivisionError):
+                rc.theta_inverse(p, *tri)
+    for tup in itertools.product(labels, repeat=6):
+        assert exact(rc.tet(p, *tup)) == exact(tet_division(p, *tup)), tup
+        assert exact(rc.six_j(p, *tup)) == exact(six_j_division(p, *tup)), tup
+    for k in labels:
+        assert exact(p.inverse_d_k(k)) == exact(p.d_k(k).inverse()), k
+
+
 @pytest.mark.parametrize("r", RS)
 def test_admissible(r):
     p = make_params(r)
@@ -92,9 +165,13 @@ def test_tet_zero_label_reduces_to_theta(r):
 def test_f_matrix_inverse_pairs(r):
     # 6j orthogonality, F(a,b,c,d)^{-1} = F(b,c,d,a): the closed-form inverse
     # of every F-move in mcg, on every quadruple with nonempty channels
+    # entrywise, the inverse is the F-matrix itself rescaled, the identity
+    # mcg._f_move reads K^{-1} by:
+    # F(b,c,d,a)[f][e] = F(a,b,c,d)[e][f] d_e theta(b,c,f) theta(a,d,f)
+    #                    / (d_f theta(a,b,e) theta(c,d,e))
     p = make_params(r)
     labels = range(r - 1)
-    seen = 0
+    seen = entries = 0
     for a, b, c, d in itertools.product(labels, repeat=4):
         es, fs = rc.f_matrix_channels(p, a, b, c, d)
         if not es:
@@ -104,7 +181,13 @@ def test_f_matrix_inverse_pairs(r):
         F2 = rc.f_matrix(p, b, c, d, a)
         assert linalg.is_identity(p, linalg.mat_mul(F1, F2)), (a, b, c, d)
         seen += 1
-    assert seen == {3: 8, 4: 33, 5: 96, 6: 225}[r]
+        for i, e in enumerate(es):
+            for j, f in enumerate(fs):
+                ratio = (p.d_k(e) * rc.theta(p, b, c, f) * rc.theta(p, a, d, f)
+                         / (p.d_k(f) * rc.theta(p, a, b, e) * rc.theta(p, c, d, e)))
+                assert F2[j][i] == F1[i][j] * ratio, (a, b, c, d, e, f)
+                entries += 1
+    assert (seen, entries) == {3: (8, 8), 4: (33, 36), 5: (96, 120), 6: (225, 329)}[r]
 
 
 @pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 8])
