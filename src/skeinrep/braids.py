@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 from . import tqft
-from .linalg import eye, is_identity, mat_mul, zeros
-from .mcg import DetectionResult, RepMatrix, is_projectively_identity, scan_levels
+from .linalg import eye, mat_mul, scalar_of, zeros
+from .mcg import DetectionResult, RepMatrix, scan_levels
 from .recoupling import theta, theta_inverse
 from .scalars import QuantumParams, Scalar
 from .skein import DomainError
@@ -125,20 +126,31 @@ def _generator_matrix(params: QuantumParams, n: int, m: int, gen: int):
     return out
 
 
-def jones_sector_rep(params: QuantumParams, braid: BraidWord, m: int) -> RepMatrix:
-    """The sector-m representation matrix of a braid word."""
-    paths = path_basis(params, braid.n, m)
+def _sector_dim(params: QuantumParams, n: int, m: int) -> int:
+    """The dimension of sector m of B_n; an empty sector raises."""
+    paths = path_basis(params, n, m)
     if not paths:
-        raise DomainError(f"sector m={m} is empty for {braid.n} strands at r={params.r}")
-    out = None
-    for g in braid.word:
-        gen = params.cached(("braid_gen", braid.n, m, g),
-                            lambda: _generator_matrix(params, braid.n, m, g))
-        # the first factor is copied by rows: a memoized generator never
-        # leaves in a RepMatrix
-        out = [list(row) for row in gen] if out is None else mat_mul(out, gen)
-    if out is None:
-        out = eye(params, len(paths))
+        raise DomainError(f"sector m={m} is empty for {n} strands at r={params.r}")
+    return len(paths)
+
+
+def _sector_generators(params: QuantumParams, braid: BraidWord, m: int):
+    """The sector-m matrices of the braid's letters, leftmost first, each
+    memoized in the level memo."""
+    return [params.cached(("braid_gen", braid.n, m, g),
+                          lambda: _generator_matrix(params, braid.n, m, g))
+            for g in braid.word]
+
+
+def jones_sector_rep(params: QuantumParams, braid: BraidWord, m: int) -> RepMatrix:
+    """The sector-m representation matrix of a braid word: the dense product
+    of its generators, which detection probes by columns instead."""
+    dim = _sector_dim(params, braid.n, m)
+    gens = _sector_generators(params, braid, m)
+    # the first factor is copied by rows: a memoized generator never leaves
+    # in a RepMatrix
+    out = (reduce(mat_mul, gens[1:], [list(row) for row in gens[0]]) if gens
+           else eye(params, dim))
     return RepMatrix(out, params.r, "braid_sector", (braid.n, m))
 
 
@@ -185,10 +197,10 @@ def full_twist_scalar(params: QuantumParams, n: int, m: int) -> Scalar:
     """Scalar action of the full twist on the sector (central, so a scalar);
     equals (-1)^(m+n) A^(m(m+2) - 3n) -- the twist coefficient of m corrected
     by one curl factor -A^(-3) per strand (the unframed convention)."""
-    rep = jones_sector_rep(params, full_twist_word(n), m).matrix
-    if not is_projectively_identity(rep):
+    dim = _sector_dim(params, n, m)
+    lam = scalar_of(params, _sector_generators(params, full_twist_word(n), m), dim)
+    if lam is None or lam.is_zero():
         raise DomainError("full twist did not act as a scalar")
-    lam = rep[0][0]
     expect = params.a_pow(m * (m + 2) - 3 * n)
     if (m + n) % 2:
         expect = -expect
@@ -208,8 +220,9 @@ def braid_detect(braid: BraidWord, r_range, cabling_bound: int = 1,
                  s: int = 1) -> DetectionResult:
     """Search (r ascending, cabling ascending by total then lex, sector m
     ascending) for a sector matrix of a cabling of the braid that is not the
-    identity matrix (exactly -- central elements separate by sector scalars);
-    the witness is (cable multiplicities, m)."""
+    identity matrix (exactly -- central elements separate by sector scalars),
+    probed column by column (`linalg.scalar_of`); the witness is
+    (cable multiplicities, m)."""
     if cabling_bound < 1:
         raise DomainError(f"cabling bound must be at least 1, got {cabling_bound}")
     cablings = _cablings(braid.n, cabling_bound)
@@ -219,8 +232,11 @@ def braid_detect(braid: BraidWord, r_range, cabling_bound: int = 1,
         for cab in cablings:
             if cab not in cabled:
                 cabled[cab] = cable(braid, cab)
-            for m in sector_labels(params, cabled[cab].n):
-                if not is_identity(params, jones_sector_rep(params, cabled[cab], m).matrix):
+            word = cabled[cab]
+            for m in sector_labels(params, word.n):
+                dim = _sector_dim(params, word.n, m)
+                lam = scalar_of(params, _sector_generators(params, word, m), dim)
+                if lam is None or not lam.is_one():
                     return (cab.multiplicities, m)
         return None
 

@@ -44,7 +44,40 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum_scalars([a[i][j] * v[j] for j in range(len(v))]) for i in range(len(a))]
+    # as in mat_mul, zeros are skipped: of v once per call, of a per row
+    live = [j for j, x in enumerate(v) if not x.is_zero()]
+    zero = v[0].params.zero() if v else None
+    out = []
+    for row in a:
+        acc = None
+        for j in live:
+            x = row[j]
+            if x.is_zero():
+                continue
+            term = x * v[j]
+            acc = term if acc is None else acc + term
+        out.append(acc if acc is not None else zero)
+    return out
+
+
+def scalar_of(params: QuantumParams, factors, n: int):
+    """lambda when the product of the n x n factors (leftmost first) is
+    exactly lambda * I, else None.  Column j of the product is
+    F_1(F_2(...(F_L e_j))), one mat_vec per factor, and the scan stops at
+    the first column that is not lambda e_j for the lambda of column 0; so a
+    product that is not scalar is usually decided by its first column.  An
+    empty product is I, and n = 0 gives one, as an empty matrix is."""
+    lam = params.one()
+    for j in range(n):
+        col = [params.zero()] * n
+        col[j] = params.one()
+        for f in reversed(factors):
+            col = mat_vec(f, col)
+        if j == 0:
+            lam = col[0]
+        if col[j] != lam or any(not x.is_zero() for i, x in enumerate(col) if i != j):
+            return None
+    return lam
 
 
 def sum_scalars(vals):

@@ -26,7 +26,7 @@ from itertools import product
 from operator import mul
 
 from . import tqft
-from .linalg import eye, mat_mul, mat_trace, zeros
+from .linalg import eye, mat_mul, mat_trace, scalar_of, zeros
 from .recoupling import (encircle_eigenvalue, f_matrix, f_matrix_channels,
                          s_matrix, tet, theta, theta_inverse, twist_coefficient)
 from .scalars import QuantumParams, Scalar, make_params
@@ -357,14 +357,21 @@ class SurfaceModel:
                 out = mat_mul(out, m)
         return RepMatrix(out, params.r, self.name, self._label_context())
 
-    def represent(self, params, word) -> RepMatrix:
-        """word: sequence of (curve name, exponent)."""
-        out = None
+    def factors(self, params, word):
+        """The twist matrices whose product represents a word, a sequence of
+        (curve name, exponent), leftmost first: twist_matrix(curve, +-1)
+        repeated |exponent| times.  Each term reads its twist, so an unknown
+        curve raises even under exponent 0."""
+        out = []
         for curve, exp in word:
-            t = self.twist_matrix(params, curve, exp).matrix
-            out = t if out is None else mat_mul(out, t)
-        if out is None:
-            out = eye(params, self.dim(params))
+            out += [self.twist_matrix(params, curve, -1 if exp < 0 else 1).matrix] * abs(exp)
+        return out
+
+    def represent(self, params, word) -> RepMatrix:
+        """The dense product of the word's factors; detection probes them by
+        columns instead (`linalg.scalar_of`)."""
+        factors = self.factors(params, word)
+        out = reduce(mat_mul, factors) if factors else eye(params, self.dim(params))
         return RepMatrix(out, params.r, self.name, self._label_context())
 
     def _label_context(self):
@@ -383,15 +390,19 @@ def _boundary_contexts(name, r):
 
 def detect(name, word, r_range, s=1) -> DetectionResult:
     """Scan r ascending; at each r, examine every boundary-label block of the
-    surface and report 'nontrivial' when some block's matrix is not a Scalar
-    multiple of the identity (the witness is that block's labels)."""
+    surface and report 'nontrivial' when some block's matrix is not a nonzero
+    Scalar multiple of the identity (the witness is that block's labels).
+    Each block is probed column by column (`linalg.scalar_of`), so a
+    nontrivial block is usually decided by its first column."""
 
     def probe(params):
         for ctx in _boundary_contexts(name, params.r):
             model = surface_model(name, ctx)
-            if model.dim(params) == 0:
+            n = model.dim(params)
+            if n == 0:
                 continue
-            if not is_projectively_identity(model.represent(params, word).matrix):
+            lam = scalar_of(params, model.factors(params, word), n)
+            if lam is None or lam.is_zero():
                 return ctx
         return None
 

@@ -140,6 +140,47 @@ def test_detect(capsys):
     assert out["verdicts"]["3"] == "nontrivial"
 
 
+# stdout and exit code of detection runs, recorded while each level was
+# still decided on the dense product (`represent`, `jones_sector_rep`): the
+# column probe must print the same bytes
+BIGELOW = ("-2 -3 -4 -4 -4 -2 -1 -1 -2 3 -4 -3 2 1 1 2 4 4 4 3 2 -4 -4 -4 -4 -4 -1 -2 -2 "
+           "-1 -1 -2 1 1 -2 -3 -3 -2 -1 -1 -2 -3 -4 -4 3 2 -1 -1 2 1 1 2 2 1 4 4 4 4 4 "
+           "-2 -3 -4 -4 -4 -2 -1 -1 -2 3 4 -3 2 1 1 2 4 4 4 3 2 -4 -4 -4 -4 -4 -1 -2 -2 "
+           "-1 -1 -2 1 1 -2 -3 4 4 3 2 1 1 2 3 3 2 -1 -1 2 1 1 2 2 1 4 4 4 4 4")
+DETECTION_PINS = [
+    (("detect", "--surface", "torus", "--word", "a", "--rmax", "8"), 0,
+     '{"r0": 3, "verdicts": {"3": "nontrivial", "4": "nontrivial", "5": "nontrivial", '
+     '"6": "nontrivial", "7": "nontrivial", "8": "nontrivial"}, "witness": {"3": [], '
+     '"4": [], "5": [], "6": [], "7": [], "8": []}}\n'),
+    (("detect", "--surface", "genus2", "--word", " ".join(["b0 b1 b2 b3 b4"] * 6),
+      "--rmin", "3", "--rmax", "5"), 0,
+     '{"r0": null, "verdicts": {"3": "trivial", "4": "trivial", "5": "trivial"}, '
+     '"witness": {}}\n'),
+    (("detect", "--surface", "four_punctured_sphere", "--word", "g12 -g23 g34 g23",
+      "--rmin", "3", "--rmax", "5"), 0,
+     '{"r0": 5, "verdicts": {"3": "trivial", "4": "trivial", "5": "nontrivial"}, '
+     '"witness": {"5": [1, 1, 1, 1]}}\n'),
+    (("detect", "--surface", "torus", "--word", "zz", "--rmax", "5"), 3,
+     '{"error": "domain", "message": "unknown curve \'zz\' on torus"}\n'),
+    (("braid-detect", "--n", "5", "--word", BIGELOW, "--rmin", "3", "--rmax", "7"), 0,
+     '{"r0": 5, "verdicts": {"3": "trivial", "4": "trivial", "5": "nontrivial", '
+     '"6": "trivial", "7": "nontrivial"}, "witness": {"5": {"cabling": [1, 1, 1, 1, 1], '
+     '"m": 1}, "7": {"cabling": [1, 1, 1, 1, 1], "m": 1}}}\n'),
+    (("braid-detect", "--n", "5", "--word", BIGELOW, "--rmin", "6", "--rmax", "6",
+      "--cable-max", "2"), 0,
+     '{"r0": 6, "verdicts": {"6": "nontrivial"}, "witness": {"6": {"cabling": '
+     '[1, 1, 1, 1, 2], "m": 2}}}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", DETECTION_PINS,
+                         ids=["torus-a", "genus2-hyperelliptic", "four-punctured-sphere",
+                              "unknown-curve", "bigelow", "bigelow-cabled"])
+def test_detection_output_pinned(capsys, argv, code, stdout):
+    assert cli.run(list(argv)) == code
+    assert capsys.readouterr().out == stdout
+
+
 def test_braid_rep(capsys):
     code, out = run_cli(capsys, "braid-rep", "--r", "5", "--n", "2",
                         "--word", "1", "--m", "2")

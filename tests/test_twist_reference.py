@@ -4,7 +4,9 @@ elimination route: every change of basis inverted by Gauss-Jordan
 (a loop edge, or the theta spine's cycle through x and y), every twist
 matrix a dense Lagrange interpolation on the whole curve operator, and
 every inverse twist the Gauss-Jordan inverse of the twist."""
+import hashlib
 import json
+from math import gcd
 
 import pytest
 
@@ -162,3 +164,35 @@ def test_twists_and_operators_match_elimination_route(r, s, surface):
                     as_json(ref), where + (power,)
             checked += model.dim(params) > 0
     assert checked
+
+
+# sha256 of every twist matrix and curve operator, recorded before detection
+# moved to the column probe (`linalg.scalar_of`) and `represent` became a
+# fold over `SurfaceModel.factors`.  The serialization is `twist_digest`
+# below: one line per (surface, labels, r, s, curve), the json.dumps (sorted
+# keys) of [surface, labels, r, s, curve, T, T^-1, C], each matrix a list of
+# rows of Scalar.to_json, in the loop order of `twist_digest`.
+TWIST_DIGEST = "1efc9bf00bb0d7214c83d128b3062702d41b6670876a2c6b9a9196ba983b182e"
+
+
+def twist_digest():
+    h = hashlib.sha256()
+    for surface in ("torus", "punctured_torus", "four_punctured_sphere", "genus2"):
+        for r in (3, 4, 5):
+            # the two least roots of the level
+            for s in [s for s in range(1, 4 * r) if gcd(s, 4 * r) == 1][:2]:
+                params = make_params(r, s)
+                for ctx in mcg._boundary_contexts(surface, r):
+                    model = mcg.surface_model(surface, ctx)
+                    for curve in model.curves():
+                        mats = [model.twist_matrix(params, curve, 1).matrix,
+                                model.twist_matrix(params, curve, -1).matrix,
+                                model.curve_operator(params, curve).matrix]
+                        record = [surface, list(ctx), r, s, curve] + [
+                            [[x.to_json() for x in row] for row in m] for m in mats]
+                        h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_twist_digest_pinned():
+    assert twist_digest() == TWIST_DIGEST
