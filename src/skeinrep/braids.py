@@ -21,7 +21,7 @@ from . import tqft
 from .linalg import eye, mat_mul, scalar_of, zeros
 from .mcg import DetectionResult, RepMatrix, scan_levels
 from .recoupling import theta, theta_inverse
-from .scalars import QuantumParams, Scalar
+from .scalars import QuantumParams
 from .skein import DomainError
 from .tl import block_crossing
 
@@ -48,29 +48,6 @@ class BraidWord:
 
     def inverse(self) -> "BraidWord":
         return BraidWord(self.n, tuple(-g for g in reversed(self.word)))
-
-    def writhe(self) -> int:
-        return sum(1 if g > 0 else -1 for g in self.word)
-
-    def permutation(self) -> tuple:
-        """perm[i] = top position of the strand entering at bottom position i."""
-        pos = list(range(self.n))
-        for g in self.word:
-            i = abs(g) - 1
-            pos[i], pos[i + 1] = pos[i + 1], pos[i]
-        out = [0] * self.n
-        for top, bottom in enumerate(pos):
-            out[bottom] = top
-        return tuple(out)
-
-    def free_reduce(self) -> "BraidWord":
-        out = []
-        for g in self.word:
-            if out and out[-1] == -g:
-                out.pop()
-            else:
-                out.append(g)
-        return BraidWord(self.n, tuple(out))
 
 
 def path_basis(params: QuantumParams, n: int, m: int):
@@ -186,27 +163,6 @@ def cable(braid: BraidWord, cabling: Cabling) -> BraidWord:
             out.extend(block_crossing(offset, q, p, False))
         widths[i - 1], widths[i] = widths[i], widths[i - 1]
     return BraidWord(cabling.total, tuple(out))
-
-
-def full_twist_word(n: int) -> BraidWord:
-    """The full twist Delta^2 = (sigma_1 ... sigma_{n-1})^n."""
-    return BraidWord(n, tuple(range(1, n)) * n)
-
-
-def full_twist_scalar(params: QuantumParams, n: int, m: int) -> Scalar:
-    """Scalar action of the full twist on the sector (central, so a scalar);
-    equals (-1)^(m+n) A^(m(m+2) - 3n) -- the twist coefficient of m corrected
-    by one curl factor -A^(-3) per strand (the unframed convention)."""
-    dim = _sector_dim(params, n, m)
-    lam = scalar_of(params, _sector_generators(params, full_twist_word(n), m), dim)
-    if lam is None or lam.is_zero():
-        raise DomainError("full twist did not act as a scalar")
-    expect = params.a_pow(m * (m + 2) - 3 * n)
-    if (m + n) % 2:
-        expect = -expect
-    if lam != expect:
-        raise DomainError("full twist scalar does not match its closed form")
-    return lam
 
 
 def _cablings(n: int, bound: int):

@@ -27,8 +27,8 @@ from operator import mul
 
 from . import tqft
 from .linalg import eye, mat_mul, mat_trace, scalar_of, zeros
-from .recoupling import (encircle_eigenvalue, f_matrix, f_matrix_channels,
-                         s_matrix, tet, theta, theta_inverse, twist_coefficient)
+from .recoupling import (encircle_eigenvalue, f_matrix, s_matrix, tet, theta,
+                         theta_inverse, twist_coefficient)
 from .scalars import QuantumParams, Scalar, make_params
 from .skein import DomainError
 
@@ -235,11 +235,10 @@ def _f_move(params, names, vertices, tuples, edge):
     for js in blocks.values():
         t = tuples[js[0]]
         la, lb, lc, ld = (t[p] for p in pos)
-        es, fs = f_matrix_channels(params, la, lb, lc, ld)
+        # coordinates transform covariantly, w_f = sum_e six_j(.., e, f) v_e
+        es, fs, f = f_matrix(params, la, lb, lc, ld)
         if len(es) != len(fs):
             raise DomainError("channel bases have different dimensions")
-        # coordinates transform covariantly, w_f = sum_e six_j(.., e, f) v_e
-        f = f_matrix(params, la, lb, lc, ld)
         row = [params.d_k(e) * theta_inverse(params, la, lb, e) * theta_inverse(params, lc, ld, e)
                for e in es]
         col = [theta(params, lb, lc, fv) * theta(params, la, ld, fv) * params.inverse_d_k(fv)

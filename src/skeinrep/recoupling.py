@@ -2,9 +2,9 @@
 tetrahedral coefficients, 6j symbols / F-matrices, twist coefficients,
 encirclement eigenvalues, and the Hopf pairing with its S-matrix.
 
-Every closed form here has a brute-force oracle built from honest
-Temperley-Lieb diagram calculus (the *_oracle functions); the test suite
-checks them against each other exactly.  Sign and normalization conventions
+Every value is a closed form over the level's memoized tables; the test
+suite checks each against a brute-force evaluation in Temperley-Lieb
+diagram calculus (tests/oracles.py).  Sign and normalization conventions
 are spelled out in CONVENTIONS.md at the repository root.
 """
 from __future__ import annotations
@@ -13,14 +13,6 @@ from functools import reduce
 from operator import mul
 
 from .scalars import QuantumParams, Scalar
-from .tl import (
-    TLElement,
-    block_crossing,
-    crossing_element,
-    encircle_element,
-    encircle_eigenvalue_scalar,
-    jones_wenzl,
-)
 
 
 def valid_label(params: QuantumParams, k: int) -> bool:
@@ -48,10 +40,6 @@ def loop_value(params: QuantumParams, k: int) -> Scalar:
     """d_k = (-1)^k [k+1], the value of a closed k-labeled loop."""
     check_label(params, k)
     return params.d_k(k)
-
-
-def loop_value_oracle(params: QuantumParams, k: int) -> Scalar:
-    return jones_wenzl(params, k).markov_trace()
 
 
 def _theta_product(a, b, c, f, g):
@@ -88,29 +76,6 @@ def theta_inverse(params: QuantumParams, a: int, b: int, c: int) -> Scalar:
     return params.cached(("1/theta", a, b, c), build)
 
 
-def vertex_morphism(params: QuantumParams, a: int, b: int, c: int) -> TLElement:
-    """The trivalent vertex as a TL morphism a(+)b -> c.
-
-    The rightmost x = (a+b-c)/2 strands of the a-block turn back into the
-    leftmost x strands of the b-block; projectors sit on all three cables.
-    """
-    if not admissible(params, a, b, c):
-        raise ValueError(f"inadmissible vertex ({a},{b},{c})")
-    x = (a + b - c) // 2
-    bottom = jones_wenzl(params, a).tensor(jones_wenzl(params, b))
-    mid = TLElement.identity(params, a - x) \
-        .tensor(TLElement.caps(params, x)) \
-        .tensor(TLElement.identity(params, b - x))
-    return bottom * mid * jones_wenzl(params, c)
-
-
-def theta_oracle(params: QuantumParams, a: int, b: int, c: int) -> Scalar:
-    if not admissible(params, a, b, c):
-        raise ValueError("oracle needs an admissible triple")
-    v = vertex_morphism(params, a, b, c)
-    return (v.flip() * v).markov_trace()
-
-
 def tet(params: QuantumParams, a: int, b: int, c: int, d: int, e: int, f: int) -> Scalar:
     """Tetrahedral network with vertex triples (a,b,e), (c,d,e), (a,c,f),
     (b,d,f); closed form per the convention document, built once per level.
@@ -140,22 +105,6 @@ def tet(params: QuantumParams, a: int, b: int, c: int, d: int, e: int, f: int) -
     return params.cached(("tet", a, b, c, d, e, f), build)
 
 
-def tet_oracle(params: QuantumParams, a: int, b: int, c: int, d: int, e: int, f: int) -> Scalar:
-    """Brute-force tetrahedron: compose four vertex morphisms and close."""
-    triples = [(a, b, e), (c, d, e), (a, c, f), (b, d, f)]
-    if not all(admissible(params, *t) for t in triples):
-        return params.zero()
-    v1bar = vertex_morphism(params, a, b, e).flip()          # e -> a(+)b
-    v3 = vertex_morphism(params, a, f, c)                    # a(+)f -> c
-    v4 = vertex_morphism(params, f, b, d)                    # f(+)b -> d
-    mid = TLElement.identity(params, a) \
-        .tensor(TLElement.cups(params, f)) \
-        .tensor(TLElement.identity(params, b))
-    v2 = vertex_morphism(params, c, d, e)                    # c(+)d -> e
-    x = v1bar * mid * v3.tensor(v4) * v2
-    return x.markov_trace()
-
-
 def six_j(params: QuantumParams, a: int, b: int, c: int, d: int, e: int, f: int) -> Scalar:
     """Normalized 6j symbol: the F-matrix entry taking the (a,b)(c,d)
     fusion channel e to the (b,c)(a,d) channel f:
@@ -170,71 +119,33 @@ def six_j(params: QuantumParams, a: int, b: int, c: int, d: int, e: int, f: int)
             * theta_inverse(params, b, c, f) * theta_inverse(params, a, d, f))
 
 
-def f_matrix_channels(params: QuantumParams, a: int, b: int, c: int, d: int):
-    """Admissible middle labels for the two pants decompositions of the
-    4-holed sphere with boundary (a,b,c,d): (e rows, f columns)."""
+def f_matrix(params: QuantumParams, a: int, b: int, c: int, d: int):
+    """The F-matrix of the 4-holed sphere with boundary (a,b,c,d), as
+    (es, fs, rows): es the admissible middle labels of the (a,b)(c,d)
+    decomposition, fs those of the (b,c)(a,d) one, and rows[i][j] the 6j
+    symbol taking channel es[i] to channel fs[j]."""
     es = [e for e in range(params.r - 1)
           if admissible(params, a, b, e) and admissible(params, c, d, e)]
     fs = [f for f in range(params.r - 1)
           if admissible(params, b, c, f) and admissible(params, a, d, f)]
-    return es, fs
-
-
-def f_matrix(params: QuantumParams, a: int, b: int, c: int, d: int):
-    """F-matrix rows indexed by channel e, columns by channel f."""
-    es, fs = f_matrix_channels(params, a, b, c, d)
-    return [[six_j(params, a, b, c, d, e, f) for f in fs] for e in es]
+    return es, fs, [[six_j(params, a, b, c, d, e, f) for f in fs] for e in es]
 
 
 def twist_coefficient(params: QuantumParams, k: int, power: int = 1) -> Scalar:
     """Scalar by which a positive kink acts on a k-labeled strand:
-    mu_k = (-1)^k A^{k(k+2)}, raised to `power`.  The sign is the
-    oracle-determined one (a single positive kink on an unlabeled strand
-    resolves to -A^3)."""
+    mu_k = (-1)^k A^{k(k+2)}, raised to `power`.  The sign is the one a
+    kinked P_k gives in diagram calculus (a single positive kink on an
+    unlabeled strand resolves to -A^3)."""
     check_label(params, k)
     value = params.a_pow(power * k * (k + 2))
     return -value if k * power % 2 else value
-
-
-def curl_element(params: QuantumParams, k: int, positive: bool = True) -> TLElement:
-    """Endomorphism of a k-cable given by one kink of the whole cable."""
-    m = 3 * k
-    cur = TLElement.identity(params, k).tensor(TLElement.cups(params, k))
-    for g in block_crossing(0, k, k, True):
-        cur = cur * crossing_element(params, m, g, positive=positive)
-    cur = cur * TLElement.identity(params, k).tensor(TLElement.caps(params, k))
-    return cur
-
-
-def twist_coefficient_oracle(params: QuantumParams, k: int) -> Scalar:
-    """Kink a P_k-cabled strand in honest diagram calculus and read off the
-    eigenvalue."""
-    check_label(params, k)
-    if k == 0:
-        return params.one()
-    pk = jones_wenzl(params, k)
-    kinked = pk * curl_element(params, k, positive=True) * pk
-    # kinked = mu_k * P_k; read the identity-diagram coefficient
-    mu = kinked.identity_coefficient()
-    if not (kinked - pk.scale(mu)).is_zero():
-        raise AssertionError("kinked projector is not proportional to the projector")
-    return mu
 
 
 def encircle_eigenvalue(params: QuantumParams, k: int) -> Scalar:
     """Eigenvalue of an unlabeled loop around a k-labeled strand:
     -(A^{2(k+1)} + A^{-2(k+1)})."""
     check_label(params, k)
-    return encircle_eigenvalue_scalar(params, k)
-
-
-def encircle_eigenvalue_oracle(params: QuantumParams, k: int) -> Scalar:
-    pk = jones_wenzl(params, k)
-    hit = pk * encircle_element(params, k, 1) * pk
-    lam = hit.identity_coefficient()
-    if not (hit - pk.scale(lam)).is_zero():
-        raise AssertionError("encircled projector is not proportional to the projector")
-    return lam
+    return -(params.a_pow(2 * (k + 1)) + params.a_pow(-2 * (k + 1)))
 
 
 def hopf_pairing(params: QuantumParams, j: int, k: int) -> Scalar:
@@ -252,12 +163,6 @@ def s_matrix(params: QuantumParams):
     return [[hopf_pairing(params, j, k) for k in labels] for j in labels]
 
 
-def hopf_pairing_oracle(params: QuantumParams, j: int, k: int) -> Scalar:
-    """Close a j-cable through a k-labeled encircling loop."""
-    x = jones_wenzl(params, j) * encircle_element(params, j, k)
-    return x.markov_trace()
-
-
 def dump_tables(params: QuantumParams):
     """All recoupling data for one (r, s), JSON-ready; used by the CLI."""
     r = params.r
@@ -273,10 +178,9 @@ def dump_tables(params: QuantumParams):
         for b in labels:
             for c in labels:
                 for d in labels:
-                    es, fs = f_matrix_channels(params, a, b, c, d)
-                    for e in es:
-                        for f in fs:
-                            v = six_j(params, a, b, c, d, e, f)
+                    es, fs, rows = f_matrix(params, a, b, c, d)
+                    for e, row in zip(es, rows):
+                        for f, v in zip(fs, row):
                             if not v.is_zero():
                                 sixjs[f"{a},{b},{c},{d};{e},{f}"] = v.to_json()
     return {

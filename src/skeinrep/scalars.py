@@ -238,13 +238,6 @@ class QuantumParams:
     def one(self) -> "Scalar":
         return Scalar(self, self._one)
 
-    def from_int(self, n: int) -> "Scalar":
-        return Scalar(self, _const(self, n))
-
-    def from_rational(self, q: Fraction) -> "Scalar":
-        q = Fraction(q)
-        return Scalar(self, _const(self, q.numerator, q.denominator))
-
     def a_pow(self, e: int) -> "Scalar":
         """A^e, exponent taken modulo 4r."""
         return Scalar(self, self._apow[e % self.order])

@@ -639,31 +639,19 @@ def kirby_color_link(link: LabeledLink) -> LabeledLink:
                        [list(x) for x in link.crossings])
 
 
-def unknot_value_plus(params: QuantumParams) -> Scalar:
-    """C: the evaluation of a +1-framed omega-labeled unknot."""
-    return evaluate(params, unknot_link(OMEGA, 1))
-
-
 def z_invariant(params: QuantumParams, link: LabeledLink):
     """Evaluate the all-omega labeling of a surgery presentation.
 
     Returns (value, signature).  The value depends only on the surgered
     3-manifold and the signature of the linking matrix; presentations of the
     same manifold with signatures n and m satisfy
-    value_1 * C^{m} == value_2 * C^{n}  for C = unknot_value_plus.
+    value_1 * C^{m} == value_2 * C^{n}  for C the value of a +1-framed
+    omega-labeled unknot.
     """
     colored = kirby_color_link(link)
     walk = colored.validate()
     sig = signature(linking_matrix(link, walk))
     return evaluate(params, colored, walk), sig
-
-
-def same_manifold_invariant(params: QuantumParams, link1, link2) -> bool:
-    """Whether two surgery presentations have equal normalized invariants."""
-    v1, n1 = z_invariant(params, link1)
-    v2, n2 = z_invariant(params, link2)
-    C = unknot_value_plus(params)
-    return v1 * C ** n2 == v2 * C ** n1
 
 
 def _fresh_counter(link: LabeledLink):

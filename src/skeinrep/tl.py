@@ -6,8 +6,8 @@ d = -A^2 - A^{-2}.  Endomorphism diagrams (nb = nt = n) form the algebra
 TL_n with basis the Catalan(n) crossingless matchings.
 
 Point numbering: bottom 0..nb-1 left to right, then top nb..nb+nt-1 left to
-right.  The circular boundary order (for planarity and the parenthesis
-encoding) walks the bottom left to right, then the top right to left.
+right.  The circular boundary order (for the parenthesis encoding) walks
+the bottom left to right, then the top right to left.
 
 Every gluing is one union-find over point numbers (the package's
 ``UnionFind``): stacking two diagrams joins the lower top points to the
@@ -15,15 +15,13 @@ upper bottom points, and the Markov trace joins top point i to bottom
 point i.  A group with two outer points is a pair of the result, and a
 union inside one group closes a loop, worth a factor d.
 
-The only global memos are the diagram-pair compositions and the diagram
-bases: they do not depend on the level, so every parameter context shares
-them.  Jones-Wenzl projectors and the loop powers d^k (``loop_power``) do
-depend on it, and live in the level memo of QuantumParams.cached, rebound
-to each root by ``TLElement.rebind``.
+The only global memo is the diagram-pair compositions: they do not depend
+on the level, so every parameter context shares them.  Jones-Wenzl
+projectors and the loop powers d^k (``loop_power``) do depend on it, and
+live in the level memo of QuantumParams.cached, rebound to each root by
+``TLElement.rebind``.
 """
 from __future__ import annotations
-
-from functools import lru_cache, reduce
 
 from .scalars import QuantumParams, Scalar
 from .unionfind import UnionFind
@@ -53,19 +51,6 @@ class TLDiagram:
 
     def circular_order(self):
         return list(range(self.nb)) + list(range(self.nb + self.nt - 1, self.nb - 1, -1))
-
-    def is_planar(self) -> bool:
-        """Standard nesting criterion in the circular boundary order."""
-        pos = {p: i for i, p in enumerate(self.circular_order())}
-        spans = sorted((min(pos[a], pos[b]), max(pos[a], pos[b])) for a, b in self.pairs)
-        stack = []
-        for lo, hi in spans:
-            while stack and stack[-1] < lo:
-                stack.pop()
-            if stack and stack[-1] < hi:
-                return False
-            stack.append(hi)
-        return True
 
     def parens(self) -> str:
         """Balanced-parenthesis encoding along the circular boundary order."""
@@ -108,33 +93,6 @@ class TLDiagram:
         pairs = [(i - 1, i), (n + i - 1, n + i)]
         pairs += [(j, n + j) for j in range(n) if j not in (i - 1, i)]
         return TLDiagram(n, n, pairs)
-
-
-def _noncrossing_matchings(points):
-    """All noncrossing perfect matchings of an ordered point list."""
-    if not points:
-        yield ()
-        return
-    first, rest = points[0], points[1:]
-    for idx in range(0, len(rest), 2):
-        left, right = rest[:idx], rest[idx + 1:]
-        for m1 in _noncrossing_matchings(left):
-            for m2 in _noncrossing_matchings(right):
-                yield ((first, rest[idx]),) + m1 + m2
-
-
-@lru_cache(maxsize=None)
-def _hom_basis(nb: int, nt: int):
-    if (nb + nt) % 2:
-        return ()
-    order = list(range(nb)) + list(range(nb + nt - 1, nb - 1, -1))
-    diags = [TLDiagram(nb, nt, m) for m in _noncrossing_matchings(order)]
-    return tuple(sorted(diags, key=lambda d: d.parens()))
-
-
-def tl_basis(n: int):
-    """The Catalan(n) diagrams of TL_n in canonical (parenthesis-lex) order."""
-    return list(_hom_basis(n, n))
 
 
 _COMPOSE_CACHE: dict = {}
@@ -211,21 +169,6 @@ class TLElement:
     def e(params, n, i):
         return TLElement(params, n, n, {TLDiagram.e_gen(n, i): params.one()})
 
-    @staticmethod
-    def from_diagram(params, diag, coeff=None):
-        return TLElement(params, diag.nb, diag.nt,
-                         {diag: coeff if coeff is not None else params.one()})
-
-    @staticmethod
-    def cups(params, k):
-        """0 -> 2k morphism of k nested cups."""
-        return TLElement.from_diagram(params, TLDiagram(0, 2 * k, [(i, 2 * k - 1 - i) for i in range(k)]))
-
-    @staticmethod
-    def caps(params, k):
-        """2k -> 0 morphism of k nested caps."""
-        return TLElement.from_diagram(params, TLDiagram(2 * k, 0, [(i, 2 * k - 1 - i) for i in range(k)]))
-
     def rebind(self, params):
         """This element over params, another root of its level: one new
         Scalar per term over the same exact part."""
@@ -293,24 +236,6 @@ class TLElement:
                       + [(right(a), right(b)) for a, b in d2.pairs]): c1 * c2
             for d1, c1 in self.terms.items() for d2, c2 in other.terms.items()})
 
-    def _relabel(self, nb, nt, move):
-        """Every diagram's points renamed by move into an (nb, nt) diagram.
-        move is a bijection of the points, so no two terms merge."""
-        out = TLElement(self.params, nb, nt)
-        out.terms = {TLDiagram(nb, nt, [(move(a), move(b)) for a, b in diag.pairs]): coeff
-                     for diag, coeff in self.terms.items()}
-        return out
-
-    def flip(self) -> "TLElement":
-        """Vertical mirror: swap bottom and top (the adjoint diagram)."""
-        nb, nt = self.nb, self.nt
-        return self._relabel(nt, nb, lambda q: q + nt if q < nb else q - nb)
-
-    def rotate180(self) -> "TLElement":
-        """Half-turn rotation of every diagram."""
-        last = self.nb + self.nt - 1
-        return self._relabel(self.nt, self.nb, lambda q: last - q)
-
     def markov_trace(self) -> Scalar:
         """Close top point i to bottom point i; each closed loop contributes d."""
         if self.nb != self.nt:
@@ -327,12 +252,6 @@ class TLElement:
         return total
 
     # ----- queries -----
-
-    def coefficient(self, diag: TLDiagram) -> Scalar:
-        return self.terms.get(diag, self.params.zero())
-
-    def identity_coefficient(self) -> Scalar:
-        return self.coefficient(TLDiagram.identity(self.nb))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -407,121 +326,6 @@ def resolve_braid(params: QuantumParams, word, n: int) -> TLElement:
         gen = TLElement.identity(params, n).scale(a) + TLElement.e(params, n, i).scale(ainv)
         out = out * gen
     return out
-
-
-def crossing_element(params: QuantumParams, n: int, i: int, positive: bool = True) -> TLElement:
-    return resolve_braid(params, [i if positive else -i], n)
-
-
-def braid_absorption_check(params: QuantumParams, word, k: int) -> Scalar:
-    """Return the scalar lambda with braid * P_k = lambda * P_k.
-
-    Raises if the product is not proportional to P_k or if lambda differs
-    from A^{c(word)} (signed crossing count) -- either would be a bug.
-    """
-    pk = jones_wenzl(params, k)
-    prod = resolve_braid(params, word, k) * pk
-    writhe = sum(1 if g > 0 else -1 for g in word)
-    lam = params.a_pow(writhe)
-    if not (prod - pk.scale(lam)).is_zero():
-        raise AssertionError("braid absorption failed: product is not A^c(b) * P_k")
-    return lam
-
-
-def encircle_element(params: QuantumParams, n: int, label: int = 1) -> TLElement:
-    """Endomorphism of n strands given by a closed label-`label` loop around them.
-
-    Built as: nested cups on the right, pass the inner new cable leftward over
-    the n strands, back rightward underneath, then nested caps.  Label k
-    cables the loop by k and inserts P_k; label 0 is the empty loop, so the
-    element is the identity.
-    """
-    k = label
-    if k == 0:
-        return TLElement.identity(params, n)
-    ident_n = TLElement.identity(params, n)
-    m = n + 2 * k
-    cur = ident_n.tensor(TLElement.cups(params, k))
-    for j in range(k):
-        # strand currently at position n + j (0-indexed) must travel to position j
-        src = n + j
-        for pos in range(src, j, -1):
-            cur = cur * crossing_element(params, m, pos, positive=True)
-    # insert P_k on the loop cable now sitting at positions 0..k-1
-    cur = cur * jones_wenzl(params, k).tensor(TLElement.identity(params, m - k))
-    # return pass uses the same crossing type: the loop goes over on one side
-    # of the cable and under on the other, which is two like-signed crossings
-    for j in range(k - 1, -1, -1):
-        src = j
-        dst = n + j
-        for pos in range(src + 1, dst + 1):
-            cur = cur * crossing_element(params, m, pos, positive=True)
-    cur = cur * ident_n.tensor(TLElement.caps(params, k))
-    return cur
-
-
-def sector_projectors(params: QuantumParams, n: int):
-    """Central idempotents z_m of TL_n, m the through-label, as polynomials
-    in the encircling-loop element E.
-
-    Returns the list [z_m] for m = n mod 2, ..., min(n, r-1) (step 2).
-    Labels m > r-1 fold back onto lower ones (the loop eigenvalues satisfy
-    lambda_m = lambda_{2r-2-m}), and when n >= r-1 the top entry z_{r-1} is
-    the projector onto the trace-zero part of the algebra.
-
-    A class c of labels with one eigenvalue lambda_c, e_c labels in all,
-    gets z_c = 1 - (1 - p_c(E))^{e_c} with
-    p_c = prod_{j != c} ((E - lambda_j) / (lambda_c - lambda_j))^{e_j}.
-    Since prod_j (E - lambda_j)^{e_j} = 0, p_c(E) vanishes on every other
-    generalized eigenspace of E and is 1 plus a nilpotent of depth at most
-    e_c on class c's, so z_c is the idempotent onto that eigenspace (zero
-    when lambda_c is not an eigenvalue).
-    """
-    if n == 0:
-        return [TLElement.identity(params, 0)]
-    # Group generic through-labels m = n%2, n%2+2, ..., n into eigenvalue
-    # classes: lambda_m depends only on +/-(m+1) mod 4r (via A^{2(m+1)}), so
-    # fold m+1 into c in 0..2r and group.  The first classes are the honest
-    # sectors m <= r-2; later ones are trace-zero (negligible) sectors.
-    twor = 2 * params.r
-    classes = {}  # fold class -> list of generic labels, by first label
-    for m in range(n % 2, n + 1, 2):
-        t = (m + 1) % twor
-        classes.setdefault(min(t, twor - t), []).append(m)
-    lams = {c: encircle_eigenvalue_scalar(params, ms[0]) for c, ms in classes.items()}
-    labels = list(classes)
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            if lams[a] == lams[b]:
-                raise ValueError(f"loop eigenvalues collide for classes {a},{b} at r={params.r}, s={params.s}")
-    ident = TLElement.identity(params, n)
-    E = encircle_element(params, n, 1)
-
-    def power(x, e):
-        acc = x
-        for _ in range(e - 1):
-            acc = acc * x
-        return acc
-
-    factors = {c: power(E - ident.scale(lams[c]), len(classes[c])) for c in labels}
-    if not reduce(TLElement.then, factors.values()).is_zero():
-        raise AssertionError("prod_j (E - lambda_j)^{e_j} is not zero: E has a Jordan block "
-                             "deeper than its class or an eigenvalue outside the classes")
-    out = []
-    for c in labels:
-        p_c, denom = ident, params.one()
-        for j in labels:
-            if j != c:
-                p_c = p_c * factors[j]
-                denom = denom * (lams[c] - lams[j]) ** len(classes[j])
-        out.append(ident - power(ident - p_c.scale(denom.inverse()), len(classes[c])))
-    return out
-
-
-def encircle_eigenvalue_scalar(params: QuantumParams, k: int) -> Scalar:
-    """Eigenvalue of an unlabeled loop encircling a k-labeled strand:
-    -(A^{2(k+1)} + A^{-2(k+1)})."""
-    return -(params.a_pow(2 * (k + 1)) + params.a_pow(-2 * (k + 1)))
 
 
 def markov_trace(x: TLElement) -> Scalar:

@@ -9,11 +9,9 @@ spine, whose basis vector b_k is the core curve carrying the k-th projector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 from . import skein as sk
-from .linalg import mat_vec
-from .recoupling import admissible, s_matrix, valid_label
+from .recoupling import admissible, valid_label
 from .scalars import QuantumParams
 
 SPINE_SCHEMA_VERSION = 1
@@ -82,11 +80,6 @@ def torus_spine() -> Spine:
     return Spine(edges=["a"], vertices=[])
 
 
-def theta_spine() -> Spine:
-    """Genus-2 spine: two vertices joined by three edges."""
-    return Spine(edges=["x", "y", "z"], vertices=[["x", "y", "z"], ["x", "y", "z"]])
-
-
 def dumbbell_spine() -> Spine:
     """Genus-2 spine: two loops joined by a bar."""
     return Spine(edges=["x", "m", "y"], vertices=[["x", "x", "m"], ["y", "y", "m"]])
@@ -130,62 +123,3 @@ def basis(params: QuantumParams, spine: Spine):
 
 def dim(params: QuantumParams, spine: Spine) -> int:
     return len(basis(params, spine))
-
-
-def handlebody_vector(params: QuantumParams, spine: Spine):
-    """Z(H) in the spine basis: the indicator of the all-zero labeling."""
-    if spine.boundary:
-        raise SpineFormatError("handlebody vector needs a closed boundary surface")
-    bas = basis(params, spine)
-    zero = {e: 0 for e in spine.edges}
-    return [params.one() if lab == zero else params.zero() for lab in bas]
-
-
-# ----------------------------------------------------------------------------
-# solid torus expansions
-
-
-def _axis_word(q: int):
-    """Braid word on q+1 strands taking strand q+1 once around strands 1..q
-    (over on the way out, under on the way back)."""
-    return list(range(q, 0, -1)) + list(range(1, q + 1))
-
-
-def torus_curve_link(p: int, q: int, axis_label) -> sk.LabeledLink:
-    """The (p,q) curve of the boundary torus pushed into the solid torus,
-    together with the core of the complementary solid torus labeled
-    `axis_label`; as a link in S^3."""
-    if gcd(p, q) != 1:
-        raise sk.DomainError(f"({p},{q}) is not coprime")
-    if q < 0:
-        p, q = -p, -q
-    if q == 0:
-        # meridian: a contractible circle split from the axis
-        return sk.split_union(sk.unknot_link(1, 0), sk.unknot_link(axis_label, 0))
-    word = [i if p > 0 else -i for _ in range(abs(p)) for i in range(1, q)]
-    word += _axis_word(q)
-    return sk.closed_braid_link(word, q + 1, labels=[1, axis_label], framings=[0, 0])
-
-
-def expand_solid_torus(params: QuantumParams, p: int, q: int):
-    """Coordinates of the pushed-in (p,q) curve in the core-projector basis
-    b_0..b_{r-2} of the solid torus, extracted by pairing with the dual
-    solid torus (the Hopf pairing Gram matrix is S, with inverse S/D)."""
-    pairings = [sk.evaluate(params, torus_curve_link(p, q, j)) for j in range(params.r - 1)]
-    inv_d = params.inverse_total_d_squared()
-    return [inv_d * x for x in mat_vec(s_matrix(params), pairings)]
-
-
-@dataclass
-class CurveOnSpine:
-    """A curve on the boundary surface recorded by unsigned edge weights."""
-    weights: dict
-
-    def check_realizable(self, spine: Spine):
-        for tri in spine.vertices:
-            w = [self.weights.get(x, 0) for x in tri]
-            if sum(w) % 2:
-                raise SpineFormatError(f"odd weight sum at vertex {tri}")
-            if w[0] > w[1] + w[2] or w[1] > w[0] + w[2] or w[2] > w[0] + w[1]:
-                raise SpineFormatError(f"weights at vertex {tri} violate triangle bound")
-        return True

@@ -1,7 +1,11 @@
-"""Helpers shared by the tests and used by nothing in the package."""
+"""Small helpers shared by the tests: raw polynomial arithmetic, rational
+constants as Scalars, projective comparison of matrices, union-find
+classes, and the reference product kernel of ``tests/test_scalar_kernel.py``.
+The brute-force references of the paper's objects are in ``oracles.py``.
+Nothing in the package imports this module."""
 from fractions import Fraction
 
-from skeinrep.scalars import _part
+from skeinrep.scalars import Scalar, _part
 
 
 def poly_sub(u, v):
@@ -24,6 +28,18 @@ def poly_mul_raw(u, v):
                 if vj:
                     out[i + j] += ui * vj
     return tuple(out)
+
+
+def from_rational(params, q):
+    """The rational constant q as a Scalar of params, read from its JSON
+    form (coefficient q on A^0)."""
+    coeffs = [str(Fraction(q))] + ["0"] * (params.phi - 1)
+    return Scalar.from_json(params, {"cpow": 0, "coeffs": coeffs})
+
+
+def from_int(params, n: int):
+    """The integer constant n as a Scalar of params."""
+    return from_rational(params, n)
 
 
 def scalar_multiple_of(a, b):

@@ -1,16 +1,18 @@
 """Package hygiene, checked on the source with the stdlib ``ast``: every
-import is used, every function is read somewhere, no module keeps a cache
-of its own (what depends on the level is memoized once per level by
-``QuantumParams.cached``), and only ``scalars.py`` touches a Scalar's
-fields."""
+import is used, every function, method and class is read by the package or
+the benchmark (a test is not a reader), the closed forms do not import the
+diagram engines that check them, no module keeps a cache of its own (what
+depends on the level is memoized once per level by ``QuantumParams.cached``),
+and only ``scalars.py`` touches a Scalar's fields."""
 import ast
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "skeinrep"
+PERFBENCH = TESTS.parent / "perfbench"
 
-# the root-of-unity-independent memos of the TL composition engine
-SHARED_CACHES = {("tl.py", "_COMPOSE_CACHE"), ("tl.py", "_hom_basis")}
+# the root-of-unity-independent memo of the TL composition engine
+SHARED_CACHES = {("tl.py", "_COMPOSE_CACHE")}
 # methods that a library calls: argparse.ArgumentParser reports a bad
 # command line through ``error``
 LIBRARY_HOOKS = {("cli.py", "error")}
@@ -39,8 +41,8 @@ def unused_imports(tree):
 
 
 def dead_definitions(tree, readers):
-    """Non-dunder functions and methods defined in tree whose name no tree
-    in readers loads, as a variable or an attribute."""
+    """Non-dunder functions, methods and classes defined in tree whose name
+    no tree in readers loads, as a variable or an attribute."""
     read = set()
     for reader in readers:
         for node in ast.walk(reader):
@@ -49,9 +51,27 @@ def dead_definitions(tree, readers):
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     return sorted((node.lineno, node.name) for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                   and not (node.name.startswith("__") and node.name.endswith("__"))
                   and node.name not in read)
+
+
+def imported_modules(tree):
+    """The package modules a module imports from, as '.name' strings (a bare
+    'from . import name' counts as '.name'), and the absolute module names
+    it imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                found.add("." + node.module.split(".")[0])
+            elif node.level:
+                found.update("." + alias.name for alias in node.names)
+            else:
+                found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+    return found
 
 
 def _called_name(node):
@@ -137,17 +157,46 @@ def test_checker_flags_dead_definitions():
            "    def method(self):\n"
            "        return used(self)\n"
            "    def dead(self):\n"
-           "        return K\n")
+           "        return K\n"
+           "class Unread:\n"
+           "    def method(self):\n"
+           "        return 1\n")
     reader = ast.parse("from m import K\nK().method()\n")
-    assert dead_definitions(ast.parse(src), [ast.parse(src), reader]) == [(3, "unused"), (10, "dead")]
+    assert dead_definitions(ast.parse(src), [ast.parse(src), reader]) == [
+        (3, "unused"), (10, "dead"), (12, "Unread")]
 
 
 def test_package_has_no_dead_definitions():
+    # readers are the package and the benchmark; a definition only tests
+    # read is a reference, and references live in tests/oracles.py
     trees = package_trees()
-    readers = list(trees.values()) + [ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))]
+    readers = list(trees.values()) + [ast.parse(path.read_text())
+                                      for path in sorted(PERFBENCH.glob("*.py"))]
     found = {(name, func) for name, tree in trees.items()
              for _, func in dead_definitions(tree, readers)}
     assert found - LIBRARY_HOOKS == set()
+
+
+def test_checker_lists_imported_modules():
+    src = ("from __future__ import annotations\n"
+           "import os.path\n"
+           "from . import skein as sk\n"
+           "from .tl import block_crossing\n"
+           "from .scalars.inner import x\n"
+           "from fractions import Fraction\n")
+    assert imported_modules(ast.parse(src)) == {
+        "__future__", "os", ".skein", ".tl", ".scalars", "fractions"}
+
+
+def test_closed_forms_do_not_import_their_checks():
+    # recoupling's closed forms need no TL diagram, tqft's bases no matrix
+    # algebra, and no package module reaches into the test references
+    trees = package_trees()
+    assert ".tl" not in imported_modules(trees["recoupling.py"])
+    assert ".linalg" not in imported_modules(trees["tqft.py"])
+    found = {name for name, tree in trees.items()
+             if imported_modules(tree) & {"oracles", "helpers", "tests", "conftest"}}
+    assert found == set()
 
 
 def scalar_field_uses(tree):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import poly_mul_raw, poly_sub
+from helpers import from_int, from_rational, poly_mul_raw, poly_sub
 from skeinrep.scalars import (QuantumParams, Scalar, _cyclotomic_coeffs, _poly_divmod,
                               _poly_trim, make_params)
 
@@ -130,8 +130,8 @@ def test_field_ops(r):
     parities; a product's parity is the sum of its factors'."""
     p = make_params(r)
     c = p.c_symbol()
-    x = p.a_pow(3) + p.from_rational(Fraction(2, 7))
-    y = p.a_pow(-1) + p.from_int(1)
+    x = p.a_pow(3) + from_rational(p, Fraction(2, 7))
+    y = p.a_pow(-1) + from_int(p, 1)
     for u, v in ((x, y), (c * x, y), (x, c * y), (c * x, c * y)):
         for w in (u, v, u * v):
             assert (w * w.inverse()).is_one() and (w / w).is_one()
@@ -145,7 +145,7 @@ def test_pow_product_count(monkeypatch):
     """x ** e costs floor(log2 e) + popcount(e) - 1 products, x ** 0 none,
     and equals the repeated product."""
     p = make_params(5)
-    x = p.a_pow(3) + p.from_rational(Fraction(2, 7))
+    x = p.a_pow(3) + from_rational(p, Fraction(2, 7))
     calls = []
     poly_mul = QuantumParams._poly_mul
 
@@ -218,8 +218,8 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
     from skeinrep import scalars
     p = make_params(7, 3)
     c = p.c_symbol()
-    x = p.a_pow(3) + p.from_rational(Fraction(-2, 7))
-    y = p.a_pow(-1) + p.from_rational(Fraction(5, 3))
+    x = p.a_pow(3) + from_rational(p, Fraction(-2, 7))
+    y = p.a_pow(-1) + from_rational(p, Fraction(5, 3))
     evens, odds = [x, y, p.one(), p.zero()], [c, c * x, c * y, p.zero()]
     built = []
 

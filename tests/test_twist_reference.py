@@ -10,10 +10,10 @@ from math import gcd
 
 import pytest
 
+from oracles import theta_spine
 from skeinrep import mcg, tqft
 from skeinrep.linalg import eye, mat_inv, mat_mul, zeros
-from skeinrep.recoupling import (encircle_eigenvalue, f_matrix,
-                                 f_matrix_channels, hopf_pairing, tet, theta,
+from skeinrep.recoupling import (encircle_eigenvalue, f_matrix, hopf_pairing, tet, theta,
                                  twist_coefficient)
 from skeinrep.scalars import make_params
 
@@ -85,7 +85,7 @@ def theta_parallel(params, tb):
 
 def theta_basis(params):
     """The theta spine's basis as (x, y, z) tuples."""
-    return [(b["x"], b["y"], b["z"]) for b in tqft.basis(params, tqft.theta_spine())]
+    return [(b["x"], b["y"], b["z"]) for b in tqft.basis(params, theta_spine())]
 
 
 def theta_change(params, model):
@@ -94,8 +94,7 @@ def theta_change(params, model):
     tb = theta_basis(params)
     k = zeros(params, len(tb), len(tup))
     for j, (x, m, y) in enumerate(tup):
-        es, fs = f_matrix_channels(params, x, x, y, y)
-        f = f_matrix(params, x, x, y, y)
+        es, fs, f = f_matrix(params, x, x, y, y)
         for fi, fv in enumerate(fs):
             k[tb.index((x, y, fv))][j] = f[es.index(m)][fi]
     return k
@@ -114,8 +113,7 @@ def reference_operator(params, model, curve):
         va = lagrange(params, reference_operator(params, model, "a"))
         return conjugate(params, va if curve == "c" else mat_inv(params, va), cb)
     if model.name == "four_punctured_sphere" and curve == "g23":
-        es, fs = f_matrix_channels(params, *model.labels)
-        f = f_matrix(params, *model.labels)
+        es, fs, f = f_matrix(params, *model.labels)
         k = [[f[ei][fi] for ei in range(len(es))] for fi in range(len(fs))]
         lam = diag(params, [encircle_eigenvalue(params, x) for x in fs])
         return conjugate(params, mat_inv(params, k), lam)
