@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 
 from . import tqft
-from .linalg import eye, mat_mul, scalar_of, zeros
+from .linalg import eye, scalar_of, zeros
 from .mcg import DetectionResult, RepMatrix, scan_levels
 from .recoupling import theta, theta_inverse
-from .scalars import QuantumParams
+from .scalars import PackedRing, QuantumParams, common_denominator
 from .skein import DomainError
 from .tl import block_crossing
 
@@ -114,20 +113,70 @@ def _sector_dim(params: QuantumParams, n: int, m: int) -> int:
 def _sector_generators(params: QuantumParams, braid: BraidWord, m: int):
     """The sector-m matrices of the braid's letters, leftmost first, each
     memoized in the level memo."""
-    return [params.cached(("braid_gen", braid.n, m, g),
-                          lambda: _generator_matrix(params, braid.n, m, g))
-            for g in braid.word]
+    return [_generator(params, braid.n, m, g) for g in braid.word]
+
+
+def _generator(params: QuantumParams, n: int, m: int, gen: int):
+    """The sector-m matrix of one letter, memoized in the level memo."""
+    return params.cached(("braid_gen", n, m, gen), lambda: _generator_matrix(params, n, m, gen))
+
+
+def _generator_columns(params: QuantumParams, n: int, m: int, gen: int):
+    """(L, c, cols) of the sector-m matrix of a letter: cols[j] lists the
+    nonzero entries (i, numerators) of column j over L, the lcm of the
+    entry denominators, and c is the largest l1 mass of a column of these
+    numerators.  Memoized in the level memo next to the matrix; cols is a
+    dict, which `QuantumParams.cached` shares between the roots of the
+    level instead of walking it."""
+    def build():
+        mat = _generator(params, n, m, gen)
+        live = [(i, j) for i, row in enumerate(mat) for j, x in enumerate(row) if not x.is_zero()]
+        den, nums = common_denominator(mat[i][j] for i, j in live)
+        cols = {j: [] for j in range(len(mat))}
+        for (i, j), v in zip(live, nums):
+            cols[j].append((i, v))
+        return den, max(sum(sum(map(abs, v)) for _, v in col) for col in cols.values()), cols
+    return params.cached(("braid_cols", n, m, gen), build)
 
 
 def jones_sector_rep(params: QuantumParams, braid: BraidWord, m: int) -> RepMatrix:
     """The sector-m representation matrix of a braid word: the dense product
-    of its generators, which detection probes by columns instead."""
+    of its generators, which detection probes by columns instead.
+
+    The product is a dense matrix of `PackedRing` residues times each
+    letter's sparse columns (`_generator_columns`; CONVENTIONS.md, residue
+    rule).  A letter multiplies the largest entry mass by at most its
+    column mass c, so a segment that starts at largest entry mass M0 has
+    B = mu * M0 * prod c and decodes over the product of the letters' L;
+    each segment ends with one decode per entry (`PackedRing.segment`)."""
     dim = _sector_dim(params, braid.n, m)
-    gens = _sector_generators(params, braid, m)
-    # the first factor is copied by rows: a memoized generator never leaves
-    # in a RepMatrix
-    out = (reduce(mat_mul, gens[1:], [list(row) for row in gens[0]]) if gens
-           else eye(params, dim))
+    gens = [_generator_columns(params, braid.n, m, g) for g in braid.word]
+    out = eye(params, dim)
+    pos = 0
+    while pos < len(gens):
+        live = [(i, j) for i in range(dim) for j in range(dim) if not out[i][j].is_zero()]
+        den, nums = common_denominator(out[i][j] for i, j in live)
+        k, ring = PackedRing.segment(params, max(sum(map(abs, v)) for v in nums),
+                                     (c for _, c, _ in gens[pos:]))
+        n = ring.n
+        # the matrix by columns: column j of M G is sum_(t, v) v * column t of M
+        state = [[0] * dim for _ in range(dim)]
+        for (i, j), v in zip(live, nums):
+            state[j][i] = ring.pack(v)
+        packed = {}
+        for g, (letter_den, _, cols) in zip(braid.word[pos:pos + k], gens[pos:pos + k]):
+            if g not in packed:
+                packed[g] = [[(t, ring.pack(v)) for t, v in col] for col in cols.values()]
+            new = []
+            for (t, v), *rest in packed[g]:
+                acc = [x * v for x in state[t]]
+                for t, v in rest:
+                    acc = [a + x * v for a, x in zip(acc, state[t])]
+                new.append([a % n for a in acc])
+            state = new
+            den *= letter_den
+        out = [[ring.decode(z, den) for z in row] for row in zip(*state)]
+        pos += k
     return RepMatrix(out, params.r, "braid_sector", (braid.n, m))
 
 

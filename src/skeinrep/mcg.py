@@ -279,9 +279,6 @@ class SurfaceModel:
         self.spine = spine(self.labels)
         self._curves = curves
 
-    def curves(self):
-        return tuple(self._curves)
-
     def basis(self, params):
         return tqft.basis(params, self.spine)
 

@@ -470,7 +470,7 @@ def _node_residues(params: QuantumParams, ring: PackedRing, kind):
     return params.cached(("sweep_residues", kind, ring.n), build)
 
 
-def _sweep(params: QuantumParams, kinds, pairing, loops_upfront) -> Scalar:
+def _sweep(params: QuantumParams, kinds, pairing, loops_upfront, twists=()) -> Scalar:
     """Resolve the nodes one at a time, keeping a linear combination of states.
 
     A state records the current partner of each frontier port: an
@@ -488,7 +488,9 @@ def _sweep(params: QuantumParams, kinds, pairing, loops_upfront) -> Scalar:
     nodes' masses (`_node_terms`); reduction modulo Phi_4r grows that by at
     most mu, and b is chosen so that this bound B is below 2^(b-2).  Every
     state's reduced coefficients are then at most B: the zero test on the
-    residue and the decode are exact.
+    residue and the decode are exact.  The framing monomials `twists`
+    (each +-A^e) scale the closed total before the decode; a monomial keeps
+    the l1 mass, so B holds for the product too.
     """
     mass, den = 1 << loops_upfront, 1
     for kind in kinds:
@@ -549,18 +551,19 @@ def _sweep(params: QuantumParams, kinds, pairing, loops_upfront) -> Scalar:
     if set(states) - {()}:
         raise AssertionError("sweep did not close all strands")
     total = states.get((), 0) * pow(_loop_residue(params, ring), loops_upfront, n)
+    for nums in common_denominator(twists)[1]:
+        total = total * ring.pack(nums) % n
     return ring.decode(total, den)
 
 
 def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels, walk):
     """Evaluate with every component's label an integer (omega expanded):
     the blackboard-framed sweep times mu_k^f for each k-labeled component
-    of framing f.  `walk` is ``link.validate()``."""
-    value = _sweep(params, *_cabled_diagram(params, link, labels, walk))
-    for k, comp in zip(labels, link.components):
-        if k and comp.framing:
-            value = value * twist_coefficient(params, k, comp.framing)
-    return value
+    of framing f, folded into its packed total.  `walk` is
+    ``link.validate()``."""
+    twists = [twist_coefficient(params, k, comp.framing)
+              for k, comp in zip(labels, link.components) if k and comp.framing]
+    return _sweep(params, *_cabled_diagram(params, link, labels, walk), twists)
 
 
 def evaluate(params: QuantumParams, link: LabeledLink, walk=None) -> Scalar:

@@ -23,7 +23,9 @@ live in the level memo of QuantumParams.cached, rebound to each root by
 """
 from __future__ import annotations
 
-from .scalars import QuantumParams, Scalar
+import itertools
+
+from .scalars import PackedRing, QuantumParams, Scalar, common_denominator
 from .unionfind import UnionFind
 
 
@@ -315,17 +317,50 @@ def resolve_braid(params: QuantumParams, word, n: int) -> TLElement:
 
     Generators are signed integers: +i is sigma_i (1-indexed), -i its inverse.
     sigma_i -> A * id + A^{-1} * e_i.
+
+    The coefficients are residues of a `PackedRing` (CONVENTIONS.md, residue
+    rule): a letter is an integer multiply-add per term.  Stacking e_i
+    closes at most one loop d, |d|_1 = 2, so a letter multiplies the total
+    l1 mass of the coefficients by at most 1 + 2 = 3, and a segment of k
+    letters that starts at total mass M0 has B = mu * M0 * 3^k.  Each
+    segment ends with one decode per term (`PackedRing.segment`).
     """
-    out = TLElement.identity(params, n)
     for g in word:
-        i = abs(g)
-        if not 1 <= i <= n - 1:
+        if not 1 <= abs(g) <= n - 1:
             raise ValueError(f"generator {g} out of range for {n} strands")
-        a = params.a_pow(1 if g > 0 else -1)
-        ainv = params.a_pow(-1 if g > 0 else 1)
-        gen = TLElement.identity(params, n).scale(a) + TLElement.e(params, n, i).scale(ainv)
-        out = out * gen
+    e_gens = {i: TLDiagram.e_gen(n, i) for i in range(1, n)}
+    out = TLElement.identity(params, n)
+    pos = 0
+    while pos < len(word):
+        den, nums = common_denominator(out.terms.values())
+        k, ring = PackedRing.segment(params, sum(sum(map(abs, v)) for v in nums),
+                                     itertools.repeat(3, len(word) - pos))
+        letters = _letter_residues(params, ring)
+        terms = dict(zip(out.terms, map(ring.pack, nums)))
+        for g in word[pos:pos + k]:
+            a, ainv, ainv_d = letters[g > 0]
+            e = e_gens[abs(g)]
+            new = {}
+            for diag, z in terms.items():
+                new[diag] = new.get(diag, 0) + z * a
+                stacked, loops = _compose_diagrams(diag, e)
+                new[stacked] = new.get(stacked, 0) + z * (ainv_d if loops else ainv)
+            terms = {diag: v for diag, w in new.items() if (v := w % ring.n)}
+        out = TLElement(params, n, n, {diag: ring.decode(z, den) for diag, z in terms.items()})
+        pos += k
     return out
+
+
+def _letter_residues(params: QuantumParams, ring: PackedRing):
+    """The residues (A^{+-1}, A^{-+1}, A^{-+1} d) of sigma^{+-1} in `ring`,
+    indexed by the sign of the letter (True for sigma, False for its
+    inverse), memoized in the level memo."""
+    def build():
+        values = [params.a_pow(1), params.a_pow(-1), params.a_pow(-1) * params.loop_d(),
+                  params.a_pow(1) * params.loop_d()]
+        a, ainv, ainv_d, a_d = map(ring.pack, common_denominator(values)[1])
+        return (ainv, a, a_d), (a, ainv, ainv_d)
+    return params.cached(("braid_letter", ring.n), build)
 
 
 def markov_trace(x: TLElement) -> Scalar:

@@ -1,11 +1,14 @@
 """Small helpers shared by the tests: raw polynomial arithmetic, rational
 constants as Scalars, projective comparison of matrices, union-find
-classes, and the reference product kernel of ``tests/test_scalar_kernel.py``.
+classes, the reference product kernel of ``tests/test_scalar_kernel.py``,
+seeded braid words, the l1 masses, coefficient bounds and segment record
+of the packed residue chains, and a surface model's curve names.
 The brute-force references of the paper's objects are in ``oracles.py``.
 Nothing in the package imports this module."""
+import math
 from fractions import Fraction
 
-from skeinrep.scalars import Scalar, _part
+from skeinrep.scalars import PackedRing, Scalar, _part
 
 
 def poly_sub(u, v):
@@ -115,3 +118,49 @@ def poly_mul_reference(self, u, v):
             for i, t in row:
                 out[i] += c * t
     return _part(out, ud * vd)
+
+
+def residue_mu(params):
+    """mu = max_e |A^e mod Phi|_inf, read off the parts of the powers of A."""
+    return max(abs(c) for e in range(params.order) for c in params.a_pow(e).part[0])
+
+
+def masses_over_lcm(values):
+    """(L, masses): L the lcm of the denominators of the nonzero values, and
+    the l1 mass of each one's numerators over L."""
+    parts = [v.part for v in values if not v.is_zero()]
+    den = math.lcm(*(d for _, d in parts))
+    return den, [sum(map(abs, nums)) * (den // d) for nums, d in parts]
+
+
+def coefficients_within(values, den, bound):
+    """Whether every nonzero value is an integer vector over den whose
+    coefficients are at most bound in absolute value."""
+    return all(den % d == 0 and max(map(abs, nums)) * (den // d) <= bound
+               for nums, d in (v.part for v in values if not v.is_zero()))
+
+
+def random_word(rng, n, length):
+    """A seeded braid word of `length` letters on n strands."""
+    gens = [i for i in range(-(n - 1), n) if i]
+    return tuple(rng.choice(gens) for _ in range(length))
+
+
+def record_segments(monkeypatch):
+    """The list that every later `PackedRing.segment` call appends its
+    (k, ring) to."""
+    seen = []
+    segment = PackedRing.segment.__func__
+
+    def recorded(cls, params, mass, growths):
+        k, ring = segment(cls, params, mass, growths)
+        seen.append((k, ring))
+        return k, ring
+
+    monkeypatch.setattr(PackedRing, "segment", classmethod(recorded))
+    return seen
+
+
+def curves(model):
+    """The curve names of a `mcg.SurfaceModel`, in its table's order."""
+    return tuple(model._curves)

@@ -11,8 +11,10 @@ calculus, and the tests compare the two exactly.
   curve, read off skein evaluations of torus links;
 - surgery: comparison of two surgery presentations up to the signature
   phase;
-- braids: the full twist, its sector scalar, and word-level permutation,
-  free reduction and writhe.
+- braids: the full twist, its sector scalar, word-level permutation,
+  free reduction and writhe, and the `Scalar` folds that the packed
+  residue chains of ``tl.resolve_braid`` and ``braids.jones_sector_rep``
+  replaced.
 
 Nothing in the package imports this module."""
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import gcd
 
 from skeinrep import skein as sk
 from skeinrep.braids import BraidWord, _sector_dim, _sector_generators
-from skeinrep.linalg import mat_vec, scalar_of
+from skeinrep.linalg import eye, mat_mul, mat_vec, scalar_of
 from skeinrep.recoupling import admissible, check_label, s_matrix
 from skeinrep.skein import DomainError
 from skeinrep.tl import TLDiagram, TLElement, block_crossing, jones_wenzl, resolve_braid
@@ -405,6 +407,46 @@ def free_reduce(braid: BraidWord) -> BraidWord:
         else:
             out.append(g)
     return BraidWord(braid.n, tuple(out))
+
+
+def resolve_braid_fold(params, word, n: int) -> TLElement:
+    """The image of a braid word in TL_n as a fold of `TLElement` products,
+    sigma_i -> A * id + A^{-1} * e_i letter by letter: the reference of
+    `tl.resolve_braid`."""
+    out = TLElement.identity(params, n)
+    for g in word:
+        i = abs(g)
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"generator {g} out of range for {n} strands")
+        a = params.a_pow(1 if g > 0 else -1)
+        ainv = params.a_pow(-1 if g > 0 else 1)
+        gen = TLElement.identity(params, n).scale(a) + TLElement.e(params, n, i).scale(ainv)
+        out = out * gen
+    return out
+
+
+def sector_rep_fold(params, braid: BraidWord, m: int):
+    """The sector-m matrix of a braid word as a fold of `linalg.mat_mul` over
+    its generator matrices: the reference of `braids.jones_sector_rep`."""
+    return reduce(mat_mul, _sector_generators(params, braid, m),
+                  eye(params, _sector_dim(params, braid.n, m)))
+
+
+def _inverse(word):
+    return [-g for g in reversed(word)]
+
+
+def bigelow_braid() -> BraidWord:
+    """Bigelow's 5-strand braid in the kernel of the Burau representation
+    (Bigelow, "The Burau representation is not faithful for n = 5",
+    Geom. Topol. 3, 1999), freely reduced: the commutator of two conjugates
+    of sigma_4 and of sigma_4 sigma_3 sigma_2 sigma_1^2 sigma_2 sigma_3
+    sigma_4, 118 letters."""
+    psi1 = [-3, 2, 1, 1, 2, 4, 4, 4, 3, 2]
+    psi2 = [-4, 3, 2, -1, -1, 2, 1, 1, 2, 2, 1, 4, 4, 4, 4, 4]
+    a = _inverse(psi1) + [4] + psi1
+    b = _inverse(psi2) + [4, 3, 2, 1, 1, 2, 3, 4] + psi2
+    return free_reduce(BraidWord(5, _inverse(a) + _inverse(b) + a + b))
 
 
 def full_twist_word(n: int) -> BraidWord:

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from helpers import from_int
-from oracles import (free_reduce, full_twist_scalar, full_twist_word, permutation,
-                     tl_basis, writhe)
+from helpers import (coefficients_within, from_int, masses_over_lcm, random_word,
+                     record_segments, residue_mu)
+from oracles import (bigelow_braid, free_reduce, full_twist_scalar, full_twist_word, permutation,
+                     sector_rep_fold, tl_basis, writhe)
 from skeinrep import braids, tl, tqft
 from skeinrep.braids import (BraidWord, Cabling, braid_detect, cable,
                              jones_sector_rep, path_basis, sector_labels)
@@ -17,11 +18,6 @@ from skeinrep.skein import DomainError
 @pytest.fixture(params=[3, 4, 5, 6])
 def params(request):
     return make_params(request.param)
-
-
-def random_word(rng, n, length):
-    gens = [i for i in range(-(n - 1), n) if i]
-    return tuple(rng.choice(gens) for _ in range(length))
 
 
 # ------------------------------------------------------------ word type
@@ -335,6 +331,94 @@ def test_detect_with_cabling():
     assert rep != eye(make_params(res.r0), len(rep))
 
 
+# ------------------------------------------- the packed residue chain
+
+def test_sector_rep_matches_the_fold():
+    """The packed residue chain against the `mat_mul` fold of the generator
+    matrices: seeded words on 2..6 strands at r = 3..8, every sector, cabled
+    words, and the Bigelow braid at r = 5..8, which takes several
+    segments."""
+    rng = random.Random(9)
+    for r in range(3, 9):
+        p = make_params(r, 4 * r - 1)
+        words = [BraidWord(n, random_word(rng, n, rng.randint(0, 14)))
+                 for n in range(2, 7) for _ in range(2)]
+        words += [cable(BraidWord(len(cab), random_word(rng, len(cab), 3)), Cabling(cab))
+                  for cab in ((2, 1), (1, 3), (2, 2, 1), (3, 3))]
+        if r >= 5:
+            words.append(bigelow_braid())
+        for b in words:
+            for m in sector_labels(p, b.n):
+                assert jones_sector_rep(p, b, m).matrix == sector_rep_fold(p, b, m), (r, b, m)
+
+
+def column_masses(matrix):
+    """(L, c) of a generator matrix: L the lcm of its entry denominators,
+    c the largest l1 mass of a column of its numerators over L."""
+    den = masses_over_lcm([x for row in matrix for x in row])[0]
+    return den, max(sum(sum(map(abs, x.part[0])) * (den // x.part[1])
+                        for x in col if not x.is_zero()) for col in zip(*matrix))
+
+
+def check_sector_width(params, braid, m, seen):
+    """Each segment of `jones_sector_rep` is as long as the bound allows:
+    the most letters (at least one) with B = mu * M0 * prod c < 2^62, for
+    M0 the largest entry mass of the fold's product where it starts and c
+    each letter's largest column mass (`column_masses`).  Its ring's bound
+    is that B, B < 2^62 unless it is one letter, every entry at its end has
+    numerators at most B over the start denominator times the letters' L,
+    and the value is the fold's."""
+    seen.clear()
+    value = jones_sector_rep(params, braid, m).matrix
+    mu = residue_mu(params)
+    gens = braids._sector_generators(params, braid, m)
+    dens, growths = zip(*map(column_masses, gens)) if gens else ((), ())
+    states = [eye(params, len(value))]
+    for g in gens:
+        states.append(mat_mul(states[-1], g))
+    pos = 0
+    for k, ring in seen:
+        den, masses = masses_over_lcm([x for row in states[pos] for x in row])
+        bound, want = mu * max(masses) * growths[pos], 1
+        while pos + want < len(gens) and bound * growths[pos + want] < 2 ** 62:
+            bound *= growths[pos + want]
+            want += 1
+        assert k == want
+        assert ring.bound == bound
+        assert bound < 2 ** 62 or k == 1
+        for d in dens[pos:pos + k]:
+            den *= d
+        assert coefficients_within([x for row in states[pos + k] for x in row], den, bound)
+        pos += k
+    assert pos == len(gens) and value == states[-1]
+    return [(k, ring.bound) for k, ring in seen]
+
+
+def test_sector_rep_segments_hold_their_bound(monkeypatch):
+    """Bigelow's braid at r = 5..8, a pseudo-Anosov word at r = 5, which
+    ends in wide single letters, cabled words, and seeded words at r = 105,
+    the least level with mu = 2."""
+    seen = record_segments(monkeypatch)
+    segments = []
+    for r in range(5, 9):
+        p = make_params(r)
+        for m in sector_labels(p, 5):
+            segments += check_sector_width(p, bigelow_braid(), m, seen)
+    segments += check_sector_width(make_params(5), BraidWord(3, (1, -2) * 60), 1, seen)
+    rng = random.Random(4)
+    cabled = cable(BraidWord(3, random_word(rng, 3, 6)), Cabling((2, 2, 1)))
+    for m in sector_labels(make_params(6), cabled.n):
+        segments += check_sector_width(make_params(6), cabled, m, seen)
+    p = make_params(105)
+    assert residue_mu(p) == 2
+    for n in (3, 4):
+        b = BraidWord(n, random_word(rng, n, 60))
+        for m in sector_labels(p, n):
+            segments += check_sector_width(p, b, m, seen)
+    assert max(k for k, _ in segments) > 30
+    assert any(k == 1 and bound >= 2 ** 62 for k, bound in segments)
+
+
 def test_one_generator_rep_does_not_alias_the_memo():
     """A one-letter sector matrix starts from the memoized generator; writing
     into it leaves the next call's result as it was."""
@@ -351,19 +435,8 @@ def test_one_generator_rep_does_not_alias_the_memo():
 # S. Bigelow, "The Burau representation is not faithful for n = 5",
 # Geom. Topol. 3 (1999): the commutator [a, b] = a^-1 b^-1 a b of
 # a = psi1^-1 s4 psi1 and b = psi2^-1 s4 s3 s2 s1^2 s2 s3 s4 psi2 is a
-# nontrivial braid that the Burau representation sends to the identity.
-
-def _inverse(word):
-    return [-g for g in reversed(word)]
-
-
-def bigelow_braid():
-    psi1 = [-3, 2, 1, 1, 2, 4, 4, 4, 3, 2]
-    psi2 = [-4, 3, 2, -1, -1, 2, 1, 1, 2, 2, 1, 4, 4, 4, 4, 4]
-    a = _inverse(psi1) + [4] + psi1
-    b = _inverse(psi2) + [4, 3, 2, 1, 1, 2, 3, 4] + psi2
-    return free_reduce(BraidWord(5, _inverse(a) + _inverse(b) + a + b))
-
+# nontrivial braid that the Burau representation sends to the identity
+# (the word is `oracles.bigelow_braid`).
 
 def _laurent_add(u, v):
     out = dict(u)

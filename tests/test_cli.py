@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,40 @@ def test_braid_rep(capsys):
                         "--word", "1", "--m", "2")
     assert code == 0
     assert out["sectors"][0]["dim"] == 1
+
+
+def braid_rep_runs():
+    """argv of ``braid-rep`` runs: n = 1..5, r = 3..7, two roots each,
+    every sector, on the empty word and on a seeded word of 4n letters; the
+    Bigelow braid at r = 5..8; then two empty sectors (exit 3)."""
+    rng = random.Random(2024)
+    runs = []
+    for n in range(1, 6):
+        for r in range(3, 8):
+            gens = [g for g in range(1 - n, n) if g]
+            words = [""]
+            if gens:
+                words.append(" ".join(str(rng.choice(gens)) for _ in range(4 * n)))
+            for s in (1, 4 * r - 1):
+                runs += [("braid-rep", "--r", str(r), "--s", str(s), "--n", str(n), "--word", w)
+                         for w in words]
+    runs += [("braid-rep", "--r", str(r), "--n", "5", "--word", BIGELOW) for r in range(5, 9)]
+    runs.append(("braid-rep", "--r", "5", "--n", "2", "--word", "1", "--m", "1"))
+    runs.append(("braid-rep", "--r", "4", "--n", "3", "--word", "1 2", "--m", "3"))
+    return runs
+
+
+def test_braid_rep_output_pinned(capsys):
+    """stdout and exit code of every run of `braid_rep_runs`, recorded while
+    the sector matrices were products of `Scalar` matrices: the packed
+    residue chain must print the same bytes."""
+    record = hashlib.sha256()
+    codes = []
+    for argv in braid_rep_runs():
+        codes.append(cli.run(list(argv)))
+        record.update(capsys.readouterr().out.encode())
+    assert codes[-2:] == [3, 3] and set(codes[:-2]) == {0}
+    assert record.hexdigest() == "ae3d10bd8b37396d2e57c937c7af4adc63859b4989baa06c691b028e7c98a26a"
 
 
 def test_braid_detect(capsys):

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from helpers import curves
 from oracles import full_twist_scalar, full_twist_word
 from skeinrep import braids, linalg, mcg
 from skeinrep.braids import BraidWord, jones_sector_rep, sector_labels
@@ -56,7 +57,7 @@ def test_seeded_words_on_every_block(name, r):
         model = mcg.surface_model(name, ctx)
         if model.dim(params) == 0:
             continue
-        for word in seeded_words(rng, model.curves(), 4):
+        for word in seeded_words(rng, curves(model), 4):
             check_surface_word(params, model, word)
 
 

@@ -42,18 +42,24 @@ def unused_imports(tree):
 
 def dead_definitions(tree, readers):
     """Non-dunder functions, methods and classes defined in tree whose name
-    no tree in readers loads, as a variable or an attribute."""
-    read = set()
+    no tree in readers loads: a method only as an attribute (``x.name``),
+    a function or class as a variable or an attribute.  A local variable
+    that shares a method's name does not read the method."""
+    names, attrs = set(), set()
     for reader in readers:
         for node in ast.walk(reader):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                attrs.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, defs[:2])}
     return sorted((node.lineno, node.name) for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  if isinstance(node, defs)
                   and not (node.name.startswith("__") and node.name.endswith("__"))
-                  and node.name not in read)
+                  and node.name not in attrs
+                  and (id(node) in methods or node.name not in names))
 
 
 def imported_modules(tree):
@@ -160,10 +166,16 @@ def test_checker_flags_dead_definitions():
            "        return K\n"
            "class Unread:\n"
            "    def method(self):\n"
-           "        return 1\n")
-    reader = ast.parse("from m import K\nK().method()\n")
+           "        return 1\n"
+           "class Shadowed:\n"
+           "    def curves(self):\n"
+           "        return 1\n"
+           "def local_reader():\n"
+           "    curves = [Shadowed]\n"
+           "    return curves\n")
+    reader = ast.parse("from m import K, local_reader\nK().method()\nlocal_reader()\n")
     assert dead_definitions(ast.parse(src), [ast.parse(src), reader]) == [
-        (3, "unused"), (10, "dead"), (12, "Unread")]
+        (3, "unused"), (10, "dead"), (12, "Unread"), (16, "curves")]
 
 
 def test_package_has_no_dead_definitions():

@@ -3,8 +3,12 @@ import random
 
 import pytest
 
-from oracles import (braid_absorption_check, encircle_element, flip, identity_coefficient,
-                     is_planar, rotate180, sector_projectors, tl_basis)
+from helpers import (coefficients_within, masses_over_lcm, random_word, record_segments,
+                     residue_mu)
+from oracles import (bigelow_braid, braid_absorption_check, encircle_element, flip,
+                     identity_coefficient, is_planar, resolve_braid_fold, rotate180,
+                     sector_projectors, tl_basis)
+from skeinrep.braids import BraidWord, Cabling, cable
 from skeinrep.recoupling import encircle_eigenvalue
 from skeinrep.scalars import make_params
 from skeinrep.tl import TLDiagram, TLElement, jones_wenzl, resolve_braid
@@ -99,6 +103,71 @@ def test_resolve_braid(r):
     assert (resolve_braid(p, [1, 3], 4) - resolve_braid(p, [3, 1], 4)).is_zero()
     with pytest.raises(ValueError):
         resolve_braid(p, [3], 3)
+
+
+def test_resolve_braid_matches_the_fold():
+    """The packed residue chain against the letter-by-letter `TLElement`
+    fold: seeded words on 2..6 strands at r = 3..8, cabled words, and the
+    Bigelow braid, whose 118 letters take several segments."""
+    rng = random.Random(5)
+    for r in range(3, 9):
+        p = make_params(r, 4 * r - 1)
+        for n in range(2, 7):
+            for _ in range(3):
+                word = random_word(rng, n, rng.randint(0, 12))
+                assert resolve_braid(p, word, n) == resolve_braid_fold(p, word, n), (r, n, word)
+        for cab in ((2, 1), (1, 3), (2, 2, 1)):
+            word = cable(BraidWord(len(cab), random_word(rng, len(cab), 3)), Cabling(cab))
+            assert resolve_braid(p, word.word, word.n) == \
+                resolve_braid_fold(p, word.word, word.n), (r, cab)
+    bigelow = bigelow_braid()
+    for r in range(5, 9):
+        p = make_params(r)
+        assert resolve_braid(p, bigelow.word, 5) == resolve_braid_fold(p, bigelow.word, 5)
+
+
+def check_resolve_width(params, word, n, seen):
+    """Each segment of `resolve_braid` is as long as the bound allows: the
+    most letters k (at least one) with B = mu * M0 * 3^k < 2^62, for M0
+    the total l1 mass of the fold's value where it starts.  Its ring's
+    bound is that B, B < 2^62 unless k = 1, every coefficient at its end is
+    at most B over the start denominator, and the value is the fold's."""
+    seen.clear()
+    value = resolve_braid(params, word, n)
+    mu = residue_mu(params)
+    states = [TLElement.identity(params, n)]
+    for g in word:
+        states.append(states[-1] * resolve_braid_fold(params, [g], n))
+    pos = 0
+    for k, ring in seen:
+        den, masses = masses_over_lcm(states[pos].terms.values())
+        want = 1
+        while pos + want < len(word) and mu * sum(masses) * 3 ** (want + 1) < 2 ** 62:
+            want += 1
+        assert k == want
+        assert ring.bound == mu * sum(masses) * 3 ** k
+        assert ring.bound < 2 ** 62 or k == 1
+        assert coefficients_within(states[pos + k].terms.values(), den, ring.bound)
+        pos += k
+    assert pos == len(word) and value == states[-1]
+    return [(k, ring.bound) for k, ring in seen]
+
+
+def test_resolve_braid_segments_hold_their_bound(monkeypatch):
+    """Bigelow's braid at r = 5..8 and a pseudo-Anosov word at r = 5 take
+    several segments, the latter down to wide single letters; r = 105 is
+    the least level with mu = 2."""
+    seen = record_segments(monkeypatch)
+    segments = []
+    for r in range(5, 9):
+        segments += check_resolve_width(make_params(r), bigelow_braid().word, 5, seen)
+    segments += check_resolve_width(make_params(5), (1, -2) * 60, 3, seen)
+    rng = random.Random(3)
+    for _ in range(3):
+        segments += check_resolve_width(make_params(105), random_word(rng, 3, 90), 3, seen)
+    assert residue_mu(make_params(105)) == 2
+    assert max(k for k, _ in segments) > 30
+    assert any(k == 1 and bound >= 2 ** 62 for k, bound in segments)
 
 
 @pytest.mark.parametrize("r", [4, 5, 6])

@@ -7,13 +7,14 @@ idempotents are also checked against the spectrum of the encircling loop,
 which fixes each of them independently of how it is computed."""
 import hashlib
 import json
+import random
 
 import pytest
 
 from oracles import encircle_element, hom_basis, sector_projectors
 from skeinrep.recoupling import encircle_eigenvalue
 from skeinrep.scalars import make_params
-from skeinrep.tl import TLDiagram, TLElement, _compose_diagrams, jones_wenzl
+from skeinrep.tl import TLDiagram, TLElement, _compose_diagrams, jones_wenzl, resolve_braid
 
 
 def compose_by_walk(lo: TLDiagram, hi: TLDiagram):
@@ -96,6 +97,28 @@ def test_sector_projectors_pinned():
 def test_jones_wenzl_pinned():
     out = [jones_wenzl(make_params(r), k).to_json() for r in range(3, 9) for k in range(r - 1)]
     assert digest(out) == "42768db49ea5cf9f533a9ecc8b7db969264c5a67e73c19aa285fd9def08899da"
+
+
+def seeded_braid_words():
+    """(r, n, word): at r = 3..7 and n = 1..6 the empty word and a seeded
+    word of 3n letters, and a 60-letter word on 4 strands."""
+    rng = random.Random(11)
+    out = []
+    for r in range(3, 8):
+        for n in range(1, 7):
+            gens = [g for g in range(1 - n, n) if g]
+            out.append((r, n, []))
+            if gens:
+                out.append((r, n, [rng.choice(gens) for _ in range(3 * n)]))
+        out.append((r, 4, [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(60)]))
+    return out
+
+
+def test_resolve_braid_pinned():
+    """Recorded while the coefficients were `Scalar` products letter by
+    letter."""
+    out = [resolve_braid(make_params(r), word, n).to_json() for r, n, word in seeded_braid_words()]
+    assert digest(out) == "50d60daf61357dd762254fecdc115bf5e9e6b6c30ee1da16c15fe8fa6217fc09"
 
 
 @pytest.mark.parametrize("r", [3, 4, 5, 6])

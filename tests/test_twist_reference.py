@@ -10,6 +10,7 @@ from math import gcd
 
 import pytest
 
+from helpers import curves
 from oracles import theta_spine
 from skeinrep import mcg, tqft
 from skeinrep.linalg import eye, mat_inv, mat_mul, zeros
@@ -153,7 +154,7 @@ def test_twists_and_operators_match_elimination_route(r, s, surface):
     checked = 0
     for ctx in mcg._boundary_contexts(surface, r):
         model = mcg.surface_model(surface, ctx)
-        for curve in model.curves():
+        for curve in curves(model):
             where = (ctx, curve)
             assert as_json(model.curve_operator(params, curve).matrix) == \
                 as_json(reference_operator(params, model, curve)), where
@@ -182,7 +183,7 @@ def twist_digest():
                 params = make_params(r, s)
                 for ctx in mcg._boundary_contexts(surface, r):
                     model = mcg.surface_model(surface, ctx)
-                    for curve in model.curves():
+                    for curve in curves(model):
                         mats = [model.twist_matrix(params, curve, 1).matrix,
                                 model.twist_matrix(params, curve, -1).matrix,
                                 model.curve_operator(params, curve).matrix]
