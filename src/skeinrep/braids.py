@@ -13,11 +13,10 @@ framing (no compensating framing twists); a braid detection search walks
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import tqft
-from .linalg import eye, scalar_of, zeros
+from .linalg import columns, eye, scalar_of, zeros
 from .mcg import DetectionResult, RepMatrix, scan_levels
 from .recoupling import theta, theta_inverse
 from .scalars import PackedRing, QuantumParams, common_denominator
@@ -110,41 +109,19 @@ def _sector_dim(params: QuantumParams, n: int, m: int) -> int:
     return len(paths)
 
 
-def _sector_generators(params: QuantumParams, braid: BraidWord, m: int):
-    """The sector-m matrices of the braid's letters, leftmost first, each
-    memoized in the level memo."""
-    return [_generator(params, braid.n, m, g) for g in braid.word]
-
-
-def _generator(params: QuantumParams, n: int, m: int, gen: int):
-    """The sector-m matrix of one letter, memoized in the level memo."""
-    return params.cached(("braid_gen", n, m, gen), lambda: _generator_matrix(params, n, m, gen))
-
-
 def _generator_columns(params: QuantumParams, n: int, m: int, gen: int):
-    """(L, c, cols) of the sector-m matrix of a letter: cols[j] lists the
-    nonzero entries (i, numerators) of column j over L, the lcm of the
-    entry denominators, and c is the largest l1 mass of a column of these
-    numerators.  Memoized in the level memo next to the matrix; cols is a
-    dict, which `QuantumParams.cached` shares between the roots of the
-    level instead of walking it."""
-    def build():
-        mat = _generator(params, n, m, gen)
-        live = [(i, j) for i, row in enumerate(mat) for j, x in enumerate(row) if not x.is_zero()]
-        den, nums = common_denominator(mat[i][j] for i, j in live)
-        cols = {j: [] for j in range(len(mat))}
-        for (i, j), v in zip(live, nums):
-            cols[j].append((i, v))
-        return den, max(sum(sum(map(abs, v)) for _, v in col) for col in cols.values()), cols
-    return params.cached(("braid_cols", n, m, gen), build)
+    """The column form (`linalg.columns`) of the sector-m matrix of a
+    letter, memoized in the level memo."""
+    return params.cached(("braid_cols", n, m, gen),
+                         lambda: columns(_generator_matrix(params, n, m, gen)))
 
 
 def jones_sector_rep(params: QuantumParams, braid: BraidWord, m: int) -> RepMatrix:
     """The sector-m representation matrix of a braid word: the dense product
-    of its generators, which detection probes by columns instead.
+    of its generators, whose column forms detection probes instead.
 
     The product is a dense matrix of `PackedRing` residues times each
-    letter's sparse columns (`_generator_columns`; CONVENTIONS.md, residue
+    letter's column form (`_generator_columns`; CONVENTIONS.md, residue
     rule).  A letter multiplies the largest entry mass by at most its
     column mass c, so a segment that starts at largest entry mass M0 has
     B = mu * M0 * prod c and decodes over the product of the letters' L;
@@ -215,10 +192,20 @@ def cable(braid: BraidWord, cabling: Cabling) -> BraidWord:
 
 
 def _cablings(n: int, bound: int):
-    """All cablings, ascending by total then lexicographic."""
-    out = [Cabling(c) for c in itertools.product(range(1, bound + 1), repeat=n)]
-    out.sort(key=lambda c: (c.total, c.multiplicities))
-    return out
+    """All cablings with multiplicities 1..bound, ascending by total then
+    lexicographic, each built when the scan reaches it."""
+    def parts(k, total):
+        # the k-tuples in 1..bound summing to total, lexicographic
+        if k == 0:
+            yield ()
+            return
+        for c in range(max(1, total - bound * (k - 1)), min(bound, total - k + 1) + 1):
+            for rest in parts(k - 1, total - c):
+                yield (c,) + rest
+
+    for total in range(n, n * bound + 1):
+        for mult in parts(n, total):
+            yield Cabling(mult)
 
 
 def braid_detect(braid: BraidWord, r_range, cabling_bound: int = 1,
@@ -226,21 +213,20 @@ def braid_detect(braid: BraidWord, r_range, cabling_bound: int = 1,
     """Search (r ascending, cabling ascending by total then lex, sector m
     ascending) for a sector matrix of a cabling of the braid that is not the
     identity matrix (exactly -- central elements separate by sector scalars),
-    probed column by column (`linalg.scalar_of`); the witness is
-    (cable multiplicities, m)."""
+    probed column by column on its letters' column forms
+    (`linalg.scalar_of`); the witness is (cable multiplicities, m)."""
     if cabling_bound < 1:
         raise DomainError(f"cabling bound must be at least 1, got {cabling_bound}")
-    cablings = _cablings(braid.n, cabling_bound)
     cabled = {}  # each cabled word is built when the scan first reaches it
 
     def probe(params):
-        for cab in cablings:
+        for cab in _cablings(braid.n, cabling_bound):
             if cab not in cabled:
                 cabled[cab] = cable(braid, cab)
             word = cabled[cab]
             for m in sector_labels(params, word.n):
-                dim = _sector_dim(params, word.n, m)
-                lam = scalar_of(params, _sector_generators(params, word, m), dim)
+                gens = [_generator_columns(params, word.n, m, g) for g in word.word]
+                lam = scalar_of(params, gens, _sector_dim(params, word.n, m))
                 if lam is None or not lam.is_one():
                     return (cab.multiplicities, m)
         return None

@@ -1,11 +1,12 @@
 """Small exact linear algebra over the cyclotomic Scalars.
 
-Matrices are lists of lists of Scalar.  Everything is exact; no pivoting
+Matrices are lists of lists of Scalar; the detection probe reads them in
+column form, as packed residues.  Everything is exact; no pivoting
 heuristics beyond picking the first nonzero entry.
 """
 from __future__ import annotations
 
-from .scalars import QuantumParams
+from .scalars import PackedRing, QuantumParams, common_denominator
 
 
 def zeros(params: QuantumParams, n: int, m: int):
@@ -43,39 +44,75 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    # as in mat_mul, zeros are skipped: of v once per call, of a per row
-    live = [j for j, x in enumerate(v) if not x.is_zero()]
-    zero = v[0].params.zero() if v else None
-    out = []
-    for row in a:
-        acc = None
-        for j in live:
-            x = row[j]
-            if x.is_zero():
-                continue
-            term = x * v[j]
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else zero)
-    return out
+def columns(matrix):
+    """The column form (L, c, cols) of a square matrix of c-free Scalars:
+    cols[j] lists the nonzero entries (i, numerators) of column j over L,
+    the lcm of the entry denominators, and c is the largest l1 mass of a
+    column of these numerators, the growth of a product by the matrix
+    (CONVENTIONS.md, residue rule).  cols is a dict, which
+    `QuantumParams.cached` shares between the roots of a level instead of
+    walking it."""
+    live = [(i, j) for i, row in enumerate(matrix) for j, x in enumerate(row) if not x.is_zero()]
+    den, nums = common_denominator(matrix[i][j] for i, j in live)
+    cols = {j: [] for j in range(len(matrix))}
+    for (i, j), v in zip(live, nums):
+        cols[j].append((i, v))
+    return den, max((sum(sum(map(abs, v)) for _, v in col) for col in cols.values()),
+                    default=0), cols
 
 
 def scalar_of(params: QuantumParams, factors, n: int):
-    """lambda when the product of the n x n factors (leftmost first) is
-    exactly lambda * I, else None.  Column j of the product is
-    F_1(F_2(...(F_L e_j))), one mat_vec per factor, and the scan stops at
-    the first column that is not lambda e_j for the lambda of column 0; so a
-    product that is not scalar is usually decided by its first column.  An
-    empty product is I, and n = 0 gives one, as an empty matrix is."""
+    """lambda when the product of the n x n factors (leftmost first, each in
+    column form, `columns`) is exactly lambda * I, else None.  Column j of
+    the product is F_1(F_2(...(F_L e_j))), and the scan stops at the first
+    column that is not lambda e_j for the lambda of column 0; so a product
+    that is not scalar is usually decided by its first column.  An empty
+    product is I, and n = 0 gives one, as an empty matrix is.
+
+    A column is a sparse {row: residue} map of `PackedRing` residues.  A
+    factor multiplies the total l1 mass of the column by at most its column
+    mass c, so a segment that starts at total mass M0 has
+    B = mu * M0 * prod c and decodes over the product of the factors' L
+    (`PackedRing.segment`); a factor costs one integer multiply-add per
+    nonzero entry it reads and one reduction per live row.  Under the bound
+    an entry is zero exactly when its residue is, so the off-diagonal test
+    reads residues, and only the diagonal entry is decoded at the end of the
+    chain (every live entry at the end of an earlier segment).  Each
+    factor's column is packed when the probe first reads it, once per ring
+    width."""
     lam = params.one()
+    if not factors:
+        return lam
+    chain = factors[::-1]
+    packed = {}
     for j in range(n):
-        col = [params.zero()] * n
-        col[j] = params.one()
-        for f in reversed(factors):
-            col = mat_vec(f, col)
+        vec, pos = {j: params.one()}, 0
+        while pos < len(chain):
+            den, nums = common_denominator(vec.values())
+            k, ring = PackedRing.segment(params, sum(sum(map(abs, v)) for v in nums),
+                                         (c for _, c, _ in chain[pos:]))
+            mod = ring.n
+            state = {i: ring.pack(v) for i, v in zip(vec, nums)}
+            for factor_den, _, cols in chain[pos:pos + k]:
+                seen = packed.setdefault((id(cols), mod), {})
+                out = [0] * n
+                for t, z in state.items():
+                    col = seen.get(t)
+                    if col is None:
+                        col = seen[t] = [(i, ring.pack(v)) for i, v in cols[t]]
+                    for i, v in col:
+                        out[i] += v * z
+                state = {i: y for i, x in enumerate(out) if x and (y := x % mod)}
+                den *= factor_den
+            pos += k
+            if pos < len(chain):
+                vec = {i: ring.decode(z, den) for i, z in state.items()}
+        if any(i != j for i in state):
+            return None
+        diag = ring.decode(state.get(j, 0), den)
         if j == 0:
-            lam = col[0]
-        if col[j] != lam or any(not x.is_zero() for i, x in enumerate(col) if i != j):
+            lam = diag
+        elif diag != lam:
             return None
     return lam
 

@@ -26,7 +26,7 @@ from itertools import product
 from operator import mul
 
 from . import tqft
-from .linalg import eye, mat_mul, mat_trace, scalar_of, zeros
+from .linalg import columns, eye, mat_mul, mat_trace, scalar_of, zeros
 from .recoupling import (encircle_eigenvalue, f_matrix, s_matrix, tet, theta,
                          theta_inverse, twist_coefficient)
 from .scalars import QuantumParams, Scalar, make_params
@@ -280,7 +280,10 @@ class SurfaceModel:
         self._curves = curves
 
     def basis(self, params):
-        return tqft.basis(params, self.spine)
+        """The spine basis, memoized in the level memo: a model is fixed by
+        its name and boundary labels."""
+        return params.cached(("basis", self.name, self.labels),
+                             lambda: tqft.basis(params, self.spine))
 
     def dim(self, params):
         return len(self.basis(params))
@@ -315,9 +318,12 @@ class SurfaceModel:
             core = _parallel_insertion(params, tuples, _cycle_vertices(names, vertices, target))
         return left, core, right
 
-    def curve_operator(self, params, curve) -> RepMatrix:
+    def _check_curve(self, curve):
         if curve not in self._curves:
             raise DomainError(f"unknown curve {curve!r} on {self.name}")
+
+    def curve_operator(self, params, curve) -> RepMatrix:
+        self._check_curve(curve)
         left, core, right = self._frame(params, curve)
         if _is_labels(core):
             core = _diag(params, [encircle_eigenvalue(params, k) for k in core])
@@ -340,9 +346,16 @@ class SurfaceModel:
         key = ("twist", self.name, self._label_context(), curve)
         return params.cached(key, lambda: self._twist_pair(params, curve))
 
+    def twist_columns(self, params, curve, sign):
+        """The column form (`linalg.columns`) of T_curve^sign, sign +-1,
+        memoized in the level memo beside the twist pair."""
+        self._check_curve(curve)
+        key = ("twist_cols", self.name, self._label_context(), curve, sign)
+        return params.cached(key, lambda: columns(
+            self._twists(params, curve)[0 if sign > 0 else 1]))
+
     def twist_matrix(self, params, curve, power=1) -> RepMatrix:
-        if curve not in self._curves:
-            raise DomainError(f"unknown curve {curve!r} on {self.name}")
+        self._check_curve(curve)
         m = self._twists(params, curve)[0 if power >= 0 else 1]
         if power == 0:
             out = eye(params, len(m))
@@ -353,19 +366,22 @@ class SurfaceModel:
                 out = mat_mul(out, m)
         return RepMatrix(out, params.r, self.name, self._label_context())
 
-    def factors(self, params, word):
+    def factors(self, params, word, as_columns=False):
         """The twist matrices whose product represents a word, a sequence of
         (curve name, exponent), leftmost first: twist_matrix(curve, +-1)
-        repeated |exponent| times.  Each term reads its twist, so an unknown
-        curve raises even under exponent 0."""
+        repeated |exponent| times, or with as_columns their column forms
+        (`twist_columns`), which detection probes.  Each term reads its
+        twist, so an unknown curve raises even under exponent 0."""
         out = []
         for curve, exp in word:
-            out += [self.twist_matrix(params, curve, -1 if exp < 0 else 1).matrix] * abs(exp)
+            sign = -1 if exp < 0 else 1
+            out += [self.twist_columns(params, curve, sign) if as_columns
+                    else self.twist_matrix(params, curve, sign).matrix] * abs(exp)
         return out
 
     def represent(self, params, word) -> RepMatrix:
-        """The dense product of the word's factors; detection probes them by
-        columns instead (`linalg.scalar_of`)."""
+        """The dense product of the word's factors; detection probes their
+        column forms instead (`linalg.scalar_of`)."""
         factors = self.factors(params, word)
         out = reduce(mat_mul, factors) if factors else eye(params, self.dim(params))
         return RepMatrix(out, params.r, self.name, self._label_context())
@@ -388,8 +404,9 @@ def detect(name, word, r_range, s=1) -> DetectionResult:
     """Scan r ascending; at each r, examine every boundary-label block of the
     surface and report 'nontrivial' when some block's matrix is not a nonzero
     Scalar multiple of the identity (the witness is that block's labels).
-    Each block is probed column by column (`linalg.scalar_of`), so a
-    nontrivial block is usually decided by its first column."""
+    Each block is probed column by column on the column forms of the
+    word's twists (`linalg.scalar_of`), so a nontrivial block is usually
+    decided by its first column."""
 
     def probe(params):
         for ctx in _boundary_contexts(name, params.r):
@@ -397,7 +414,7 @@ def detect(name, word, r_range, s=1) -> DetectionResult:
             n = model.dim(params)
             if n == 0:
                 continue
-            lam = scalar_of(params, model.factors(params, word), n)
+            lam = scalar_of(params, model.factors(params, word, as_columns=True), n)
             if lam is None or lam.is_zero():
                 return ctx
         return None

@@ -98,6 +98,9 @@ class TLDiagram:
 
 
 _COMPOSE_CACHE: dict = {}
+# the composition memo is emptied when it holds this many pairs, so that a
+# process resolving wide braids (TL_12 has 208012 diagrams) stays bounded
+_COMPOSE_CACHE_LIMIT = 1 << 16
 
 
 def _compose_diagrams(lo: TLDiagram, hi: TLDiagram):
@@ -124,6 +127,8 @@ def _compose_diagrams(lo: TLDiagram, hi: TLDiagram):
     for q in list(range(lo.nb)) + list(range(top, top + hi.nt)):
         ends.setdefault(uf.find(q), []).append(q if q < lo.nb else q - hi.nb)
     result = (TLDiagram(lo.nb, hi.nt, ends.values()), loops)
+    if len(_COMPOSE_CACHE) >= _COMPOSE_CACHE_LIMIT:
+        _COMPOSE_CACHE.clear()
     _COMPOSE_CACHE[key] = result
     return result
 

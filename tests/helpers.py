@@ -1,8 +1,9 @@
 """Small helpers shared by the tests: raw polynomial arithmetic, rational
 constants as Scalars, projective comparison of matrices, union-find
 classes, the reference product kernel of ``tests/test_scalar_kernel.py``,
-seeded braid words, the l1 masses, coefficient bounds and segment record
-of the packed residue chains, and a surface model's curve names.
+seeded braid words, the l1 masses, column masses, coefficient bounds and
+segment record of the packed residue chains, and a surface model's curve
+names.
 The brute-force references of the paper's objects are in ``oracles.py``.
 Nothing in the package imports this module."""
 import math
@@ -131,6 +132,14 @@ def masses_over_lcm(values):
     parts = [v.part for v in values if not v.is_zero()]
     den = math.lcm(*(d for _, d in parts))
     return den, [sum(map(abs, nums)) * (den // d) for nums, d in parts]
+
+
+def column_masses(matrix):
+    """(L, c) of a matrix: L the lcm of its entry denominators, c the
+    largest l1 mass of a column of its numerators over L."""
+    den = masses_over_lcm([x for row in matrix for x in row])[0]
+    return den, max(sum(sum(map(abs, x.part[0])) * (den // x.part[1])
+                        for x in col if not x.is_zero()) for col in zip(*matrix))
 
 
 def coefficients_within(values, den, bound):

@@ -14,7 +14,10 @@ calculus, and the tests compare the two exactly.
 - braids: the full twist, its sector scalar, word-level permutation,
   free reduction and writhe, and the `Scalar` folds that the packed
   residue chains of ``tl.resolve_braid`` and ``braids.jones_sector_rep``
-  replaced.
+  replaced;
+- detection: the dense `Scalar` mat-vec and the dense decision of whether a
+  matrix is `lambda * I`, the references of the packed column probe
+  ``linalg.scalar_of``.
 
 Nothing in the package imports this module."""
 from __future__ import annotations
@@ -23,8 +26,8 @@ from functools import lru_cache, reduce
 from math import gcd
 
 from skeinrep import skein as sk
-from skeinrep.braids import BraidWord, _sector_dim, _sector_generators
-from skeinrep.linalg import eye, mat_mul, mat_vec, scalar_of
+from skeinrep.braids import BraidWord, _generator_matrix, _sector_dim
+from skeinrep.linalg import columns, eye, mat_mul, scalar_of
 from skeinrep.recoupling import admissible, check_label, s_matrix
 from skeinrep.skein import DomainError
 from skeinrep.tl import TLDiagram, TLElement, block_crossing, jones_wenzl, resolve_braid
@@ -425,10 +428,15 @@ def resolve_braid_fold(params, word, n: int) -> TLElement:
     return out
 
 
+def sector_generators(params, braid: BraidWord, m: int):
+    """The dense sector-m matrices of the braid's letters, leftmost first."""
+    return [_generator_matrix(params, braid.n, m, g) for g in braid.word]
+
+
 def sector_rep_fold(params, braid: BraidWord, m: int):
     """The sector-m matrix of a braid word as a fold of `linalg.mat_mul` over
     its generator matrices: the reference of `braids.jones_sector_rep`."""
-    return reduce(mat_mul, _sector_generators(params, braid, m),
+    return reduce(mat_mul, sector_generators(params, braid, m),
                   eye(params, _sector_dim(params, braid.n, m)))
 
 
@@ -459,7 +467,8 @@ def full_twist_scalar(params, n: int, m: int):
     equals (-1)^(m+n) A^(m(m+2) - 3n) -- the twist coefficient of m corrected
     by one curl factor -A^(-3) per strand (the unframed convention)."""
     dim = _sector_dim(params, n, m)
-    lam = scalar_of(params, _sector_generators(params, full_twist_word(n), m), dim)
+    gens = sector_generators(params, full_twist_word(n), m)
+    lam = scalar_of(params, [columns(g) for g in gens], dim)
     if lam is None or lam.is_zero():
         raise DomainError("full twist did not act as a scalar")
     expect = params.a_pow(m * (m + 2) - 3 * n)
@@ -467,4 +476,38 @@ def full_twist_scalar(params, n: int, m: int):
         expect = -expect
     if lam != expect:
         raise DomainError("full twist scalar does not match its closed form")
+    return lam
+
+
+# ---------------------------------------------------------------------------
+# detection
+
+
+def mat_vec(a, v):
+    """The product of a dense Scalar matrix and a vector; zeros are skipped,
+    of v once per call, of a per row."""
+    live = [j for j, x in enumerate(v) if not x.is_zero()]
+    zero = v[0].params.zero() if v else None
+    out = []
+    for row in a:
+        acc = None
+        for j in live:
+            x = row[j]
+            if x.is_zero():
+                continue
+            term = x * v[j]
+            acc = term if acc is None else acc + term
+        out.append(acc if acc is not None else zero)
+    return out
+
+
+def dense_scalar(matrix):
+    """lambda when the nonempty matrix is exactly lambda * I (lambda may be
+    0), else None."""
+    n = len(matrix)
+    lam = matrix[0][0]
+    for i in range(n):
+        for j in range(n):
+            if matrix[i][j] != (lam if i == j else lam.params.zero()):
+                return None
     return lam

@@ -1,12 +1,13 @@
 """Braid sector representations, cabling, full twist, and detection."""
+import itertools
 import random
 
 import pytest
 
-from helpers import (coefficients_within, from_int, masses_over_lcm, random_word,
-                     record_segments, residue_mu)
+from helpers import (coefficients_within, column_masses, from_int, masses_over_lcm,
+                     random_word, record_segments, residue_mu)
 from oracles import (bigelow_braid, free_reduce, full_twist_scalar, full_twist_word, permutation,
-                     sector_rep_fold, tl_basis, writhe)
+                     sector_generators, sector_rep_fold, tl_basis, writhe)
 from skeinrep import braids, tl, tqft
 from skeinrep.braids import (BraidWord, Cabling, braid_detect, cable,
                              jones_sector_rep, path_basis, sector_labels)
@@ -302,6 +303,19 @@ def test_detect_needs_a_cabling():
         braid_detect(BraidWord(2, (1,)), range(3, 5), cabling_bound=0)
 
 
+def test_cablings_ascend_by_total_then_lex():
+    """The scan's cablings in the order of the sorted product, built one at
+    a time: the first of a vast grid comes at once."""
+    for n in range(1, 5):
+        for bound in range(1, 4):
+            grid = sorted(itertools.product(range(1, bound + 1), repeat=n),
+                          key=lambda c: (sum(c), c))
+            assert [c.multiplicities for c in braids._cablings(n, bound)] == grid
+    cablings = braids._cablings(6, 10 ** 6)
+    assert [next(cablings).multiplicities for _ in range(3)] == [
+        (1,) * 6, (1, 1, 1, 1, 1, 2), (1, 1, 1, 1, 2, 1)]
+
+
 def test_detect_cables_only_what_the_scan_reaches(monkeypatch):
     built = []
 
@@ -352,14 +366,6 @@ def test_sector_rep_matches_the_fold():
                 assert jones_sector_rep(p, b, m).matrix == sector_rep_fold(p, b, m), (r, b, m)
 
 
-def column_masses(matrix):
-    """(L, c) of a generator matrix: L the lcm of its entry denominators,
-    c the largest l1 mass of a column of its numerators over L."""
-    den = masses_over_lcm([x for row in matrix for x in row])[0]
-    return den, max(sum(sum(map(abs, x.part[0])) * (den // x.part[1])
-                        for x in col if not x.is_zero()) for col in zip(*matrix))
-
-
 def check_sector_width(params, braid, m, seen):
     """Each segment of `jones_sector_rep` is as long as the bound allows:
     the most letters (at least one) with B = mu * M0 * prod c < 2^62, for
@@ -371,7 +377,7 @@ def check_sector_width(params, braid, m, seen):
     seen.clear()
     value = jones_sector_rep(params, braid, m).matrix
     mu = residue_mu(params)
-    gens = braids._sector_generators(params, braid, m)
+    gens = sector_generators(params, braid, m)
     dens, growths = zip(*map(column_masses, gens)) if gens else ((), ())
     states = [eye(params, len(value))]
     for g in gens:

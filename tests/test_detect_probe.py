@@ -2,33 +2,30 @@
 dense route: the surface decision `is_projectively_identity(represent(..))`
 and the braid decision `is_identity(jones_sector_rep(..))`.  Wherever the
 dense product is `lambda * I` the probe must return that product's `[0][0]`,
-and `None` wherever it is not."""
+and `None` wherever it is not.  The probe reads the factors' column forms
+(`linalg.columns`) as packed residues; its segments are checked against
+their bound, computed here from its definition with the dense `Scalar`
+mat-vec (`oracles.mat_vec`)."""
 import random
 
 import pytest
 
-from helpers import curves
-from oracles import full_twist_scalar, full_twist_word
-from skeinrep import braids, linalg, mcg
+from helpers import (coefficients_within, column_masses, curves, from_int, masses_over_lcm,
+                     record_segments, residue_mu)
+from oracles import dense_scalar, full_twist_scalar, full_twist_word, mat_vec
+from skeinrep import braids, mcg
 from skeinrep.braids import BraidWord, jones_sector_rep, sector_labels
-from skeinrep.linalg import eye, is_identity, scalar_of, zeros
-from skeinrep.scalars import make_params
+from skeinrep.linalg import columns, eye, is_identity, scalar_of, zeros
+from skeinrep.scalars import Scalar, _part, make_params
 from skeinrep.skein import DomainError
 
 SURFACES = ("torus", "punctured_torus", "four_punctured_sphere", "genus2")
 GENUS2_CHAIN = ("b0", "b1", "b2", "b3", "b4")
 
 
-def dense_scalar(matrix):
-    """lambda when the nonempty matrix is exactly lambda * I (lambda may be
-    0), else None."""
-    n = len(matrix)
-    lam = matrix[0][0]
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j] != (lam if i == j else lam.params.zero()):
-                return None
-    return lam
+def probe(params, matrices, n):
+    """`scalar_of` over the column forms of dense factors."""
+    return scalar_of(params, [columns(m) for m in matrices], n)
 
 
 def check_surface_word(params, model, word):
@@ -36,7 +33,7 @@ def check_surface_word(params, model, word):
     the same lambda, or None for both, and the same detection verdict."""
     n = model.dim(params)
     dense = model.represent(params, word).matrix
-    lam = scalar_of(params, model.factors(params, word), n)
+    lam = scalar_of(params, model.factors(params, word, as_columns=True), n)
     assert lam == dense_scalar(dense), (model.name, model.labels, params.r, word)
     nontrivial = lam is None or lam.is_zero()
     assert nontrivial == (not mcg.is_projectively_identity(dense))
@@ -93,17 +90,19 @@ def test_exponent_zero_and_powers():
     for word in ([("b1", 0)], [("b2", 2), ("b2", -2)], [("b0", 3), ("b0", -1), ("b0", -2)],
                  [("b2", 2), ("b3", 0), ("b1", -2)]):
         check_surface_word(params, model, word)
-    assert model.factors(params, [("b1", 0)]) == []
-    assert len(model.factors(params, [("b1", -3), ("b2", 2)])) == 5
-    assert scalar_of(params, model.factors(params, [("b2", 2), ("b2", -2)]),
+    for as_columns in (False, True):
+        assert model.factors(params, [("b1", 0)], as_columns) == []
+        assert len(model.factors(params, [("b1", -3), ("b2", 2)], as_columns)) == 5
+        with pytest.raises(DomainError):
+            model.factors(params, [("zz", 0)], as_columns)
+    assert scalar_of(params, model.factors(params, [("b2", 2), ("b2", -2)], True),
                      model.dim(params)).is_one()
-    with pytest.raises(DomainError):
-        model.factors(params, [("zz", 0)])
 
 
 def check_sector(params, braid, m):
     dense = jones_sector_rep(params, braid, m).matrix
-    lam = scalar_of(params, braids._sector_generators(params, braid, m), len(dense))
+    gens = [braids._generator_columns(params, braid.n, m, g) for g in braid.word]
+    lam = scalar_of(params, gens, len(dense))
     assert lam == dense_scalar(dense), (params.r, braid, m)
     assert (lam is not None and lam.is_one()) == is_identity(params, dense)
     return lam
@@ -138,53 +137,42 @@ def diag(params, values):
     return out
 
 
-@pytest.fixture
-def mat_vec_calls(monkeypatch):
-    calls = []
-
-    def counted(a, v):
-        calls.append(1)
-        return original(a, v)
-
-    original = linalg.mat_vec
-    monkeypatch.setattr(linalg, "mat_vec", counted)
-    return calls
-
-
 def test_zero_and_singular_factors():
     params = make_params(4)
     lam = params.a_pow(3)
     # a zero factor makes the product 0 * I: lambda 0, which detection rejects
-    zero = scalar_of(params, [diag(params, [lam] * 3), zeros(params, 3, 3)], 3)
+    zero = probe(params, [diag(params, [lam] * 3), zeros(params, 3, 3)], 3)
     assert zero is not None and zero.is_zero()
     assert not mcg.is_projectively_identity(zeros(params, 3, 3))
     # a singular factor: column 0 reads 0, column 1 does not
-    assert scalar_of(params, [diag(params, [params.zero(), params.one()])], 2) is None
+    assert probe(params, [diag(params, [params.zero(), params.one()])], 2) is None
     # columns whose lambda differ
-    assert scalar_of(params, [diag(params, [lam, lam, params.one()])], 3) is None
-    assert scalar_of(params, [diag(params, [lam] * 3), diag(params, [lam] * 3)], 3) == lam * lam
+    assert probe(params, [diag(params, [lam, lam, params.one()])], 3) is None
+    assert probe(params, [diag(params, [lam] * 3), diag(params, [lam] * 3)], 3) == lam * lam
     # the factors multiply leftmost first: N P = 0, while P N = N is not scalar
     nil = diag(params, [params.zero(), params.zero()])
     nil[0][1] = params.one()
     proj = diag(params, [params.one(), params.zero()])
-    assert scalar_of(params, [nil, proj], 2).is_zero()
-    assert scalar_of(params, [proj, nil], 2) is None
+    assert probe(params, [nil, proj], 2).is_zero()
+    assert probe(params, [proj, nil], 2) is None
 
 
-def test_last_column_decides(mat_vec_calls):
+def test_last_column_decides(monkeypatch):
+    # one factor of small entries is one segment per column read
+    seen = record_segments(monkeypatch)
     params = make_params(5)
     n, lam = 4, params.a_pow(7)
     m = diag(params, [lam] * n)
     m[0][n - 1] = params.one()
-    assert scalar_of(params, [m], n) is None
+    assert probe(params, [m], n) is None
     # every column is read: the first n - 1 are lambda e_j
-    assert len(mat_vec_calls) == n
-    mat_vec_calls.clear()
+    assert len(seen) == n
+    seen.clear()
     m = diag(params, [lam] * n)
     m[1][0] = params.one()
-    assert scalar_of(params, [m, eye(params, n)], n) is None
-    # a product that is not scalar in column 0 stops there: one mat_vec per factor
-    assert len(mat_vec_calls) == 2
+    assert probe(params, [m, eye(params, n)], n) is None
+    # a product that is not scalar in column 0 stops there
+    assert len(seen) == 1
 
 
 def test_empty_cases():
@@ -192,15 +180,127 @@ def test_empty_cases():
     assert scalar_of(params, [], 0).is_one()
     assert mcg.is_projectively_identity([])
     assert scalar_of(params, [], 3).is_one()
-    assert linalg.mat_vec([], []) == []
+    assert probe(params, [eye(params, 2)], 0).is_one()
+    assert columns([]) == (1, 0, {})
+    assert mat_vec([], []) == []
 
 
 def test_detect_rejects_a_zero_scalar(monkeypatch):
     """0 * I is not projectively the identity: detection keeps the rejection
     of `is_projectively_identity`, though no product of twists is zero."""
-    def zero_factors(model, params, word):
+    def zero_factors(model, params, word, as_columns=False):
         n = model.dim(params)
-        return [zeros(params, n, n)]
+        return [columns(zeros(params, n, n))]
 
     monkeypatch.setattr(mcg.SurfaceModel, "factors", zero_factors)
     assert mcg.detect("torus", [], range(3, 5)).r0 == 3
+
+
+# ------------------------------------------ column forms and the residue bound
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_every_twist_packs_through_columns(r):
+    """Every twist of every surface row, both signs, on every boundary
+    block is c-even: its column form exists (`common_denominator` raises on
+    a c-odd entry) and holds the twist's entries."""
+    params = make_params(r)
+    for name in SURFACES:
+        for ctx in mcg._boundary_contexts(name, r):
+            model = mcg.surface_model(name, ctx)
+            if model.dim(params) == 0:
+                continue
+            for curve in curves(model):
+                for sign in (1, -1):
+                    den, growth, cols = model.twist_columns(params, curve, sign)
+                    matrix = model.twist_matrix(params, curve, sign).matrix
+                    rebuilt = zeros(params, len(matrix), len(matrix))
+                    for j, col in cols.items():
+                        for i, nums in col:
+                            rebuilt[i][j] = Scalar(params, _part(nums, den))
+                    assert rebuilt == matrix, (name, ctx, curve, sign)
+                    assert (den, growth) == column_masses(matrix)
+
+
+def check_probe_width(params, matrices, n, seen):
+    """Each segment of `scalar_of` over the dense factors is as long as the
+    bound allows: the most factors (at least one) with B = mu * M0 * prod c
+    < 2^62, for M0 the total l1 mass of the column where the segment starts
+    and c each factor's largest column mass (`column_masses`), the factors
+    read right to left.  Its ring's bound is that B, B < 2^62 unless it is
+    one factor, its digits of b bits hold it (B < 2^(b-2)), and every entry
+    of the column at its end has numerators at most B over the start
+    denominator times the factors' L.  The columns are the dense mat-vec's,
+    read up to the first that is not lambda e_j, as the probe reads them.
+    Returns (k, B, held) per segment, held telling whether the largest
+    entry mass in place of M0 would have bounded the segment's end too."""
+    seen.clear()
+    lam = probe(params, matrices, n)
+    mu = residue_mu(params)
+    chain = matrices[::-1]
+    dens, growths = zip(*map(column_masses, chain))
+    out, segments, lam0 = [], iter(seen), None
+    for j in range(n):
+        states = [[params.one() if i == j else params.zero() for i in range(n)]]
+        for f in chain:
+            states.append(mat_vec(f, states[-1]))
+        pos = 0
+        while pos < len(chain):
+            k, ring = next(segments)
+            den, masses = masses_over_lcm(states[pos])
+            bound, want = mu * sum(masses) * growths[pos], 1
+            while pos + want < len(chain) and bound * growths[pos + want] < 2 ** 62:
+                bound *= growths[pos + want]
+                want += 1
+            assert k == want
+            assert ring.bound == bound < 2 ** (8 * ring._kernel[0].size // params.phi - 2)
+            assert bound < 2 ** 62 or k == 1
+            for d in dens[pos:pos + k]:
+                den *= d
+            assert coefficients_within(states[pos + k], den, bound)
+            mix = bound // sum(masses) * max(masses) if masses else 0
+            out.append((k, bound, coefficients_within(states[pos + k], den, mix)))
+            pos += k
+        column = states[-1]
+        lam0 = column[0] if j == 0 else lam0
+        if column[j] != lam0 or any(not x.is_zero() for i, x in enumerate(column) if i != j):
+            assert lam is None
+            break
+    else:
+        assert lam == lam0
+    assert next(segments, None) is None
+    return out
+
+
+def test_probe_segments_hold_their_bound(monkeypatch):
+    """Scalar factors whose bound is one bit past a width, and a factor
+    with a heavy row (row mass 5, column mass 2) after a wide one that
+    spreads e_0 over every row: the largest entry mass times the
+    column mass does not bound it, the total mass does.  Then genus-2 and
+    torus relations, trivial, so the probe reads every column, and a
+    nontrivial genus-2 word."""
+    seen = record_segments(monkeypatch)
+    segments = []
+    for r in (3, 5):
+        params = make_params(r)
+        # bounds of 7, 15 and 31 bits, the first that need the next width
+        for bits in (7, 15, 31):
+            scale = from_int(params, -(-2 ** (bits - 1) // residue_mu(params)))
+            segments += check_probe_width(params, [diag(params, [scale] * 2)], 2, seen)
+            assert seen[-1][1].bound.bit_length() == bits
+        n, wide = 4, from_int(params, 2 ** 70)
+        heavy, spread = eye(params, n), eye(params, n)
+        for t in range(n):
+            heavy[0][t] = heavy[0][t] + params.one()
+            spread[t][0] = spread[t][0] + wide
+        segments += check_probe_width(params, [heavy, spread] * 3, n, seen)
+    assert not all(held for _, _, held in segments)
+    params = make_params(5)
+    genus2 = mcg.surface_model("genus2")
+    hyperelliptic = [(c, 1) for c in GENUS2_CHAIN + GENUS2_CHAIN[::-1]]
+    for model, word in ((genus2, hyperelliptic), (genus2, [(c, 1) for c in GENUS2_CHAIN] * 6),
+                        (genus2, [("b2", 3), ("b0", -1), ("b4", 2)]),
+                        (mcg.surface_model("torus"), [("a", 1), ("b", 1), ("a", 1)] * 4)):
+        segments += check_probe_width(params, model.factors(params, word),
+                                      model.dim(params), seen)
+    assert any(k == 1 and bound >= 2 ** 62 for k, bound, _ in segments)
+    assert max(k for k, _, _ in segments) > 5

@@ -6,10 +6,10 @@ import random
 import pytest
 
 from helpers import curves, from_int, scalar_multiple_of
-from oracles import expand_solid_torus, theta_spine
+from oracles import expand_solid_torus, mat_vec, theta_spine
 from skeinrep import mcg, skein, tqft
 from skeinrep.braids import BraidWord, jones_sector_rep, sector_labels
-from skeinrep.linalg import eye, mat_mul, mat_vec
+from skeinrep.linalg import eye, mat_mul
 from skeinrep.recoupling import encircle_eigenvalue, s_matrix, twist_coefficient
 from skeinrep.scalars import Scalar, make_params
 from skeinrep.skein import DomainError, closed_braid_link
@@ -341,6 +341,17 @@ def test_genus2_hyperelliptic_relation(small_params):
     word = [(c, 1) for c in ("b0", "b1", "b2", "b3", "b4")] * 6
     m = model.represent(params, word).matrix
     assert mcg.is_projectively_identity(m)
+
+
+@pytest.mark.parametrize("r", [5, 6, 7])
+def test_genus2_relations_trivial_at_paper_scale(r):
+    """The hyperelliptic involution b0 b1 b2 b3 b4 b4 b3 b2 b1 b0 and the
+    chain relation (b0 b1 b2 b3 b4)^6 act as scalars at every level, so the
+    probe reads every column: dimensions 20, 35 and 56."""
+    hyperelliptic = mcg.parse_word("b0 b1 b2 b3 b4 b4 b3 b2 b1 b0")
+    chain = mcg.parse_word("b0 b1 b2 b3 b4") * 6
+    for word in (hyperelliptic, chain):
+        assert mcg.detect("genus2", word, [r]).verdicts == {r: "trivial"}
 
 
 # ------------------------------------------------------------ detection

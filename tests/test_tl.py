@@ -8,6 +8,7 @@ from helpers import (coefficients_within, masses_over_lcm, random_word, record_s
 from oracles import (bigelow_braid, braid_absorption_check, encircle_element, flip,
                      identity_coefficient, is_planar, resolve_braid_fold, rotate180,
                      sector_projectors, tl_basis)
+from skeinrep import tl
 from skeinrep.braids import BraidWord, Cabling, cable
 from skeinrep.recoupling import encircle_eigenvalue
 from skeinrep.scalars import make_params
@@ -168,6 +169,35 @@ def test_resolve_braid_segments_hold_their_bound(monkeypatch):
     assert residue_mu(make_params(105)) == 2
     assert max(k for k, _ in segments) > 30
     assert any(k == 1 and bound >= 2 ** 62 for k, bound in segments)
+
+
+def test_compose_cache_stays_bounded(monkeypatch, fresh_contexts):
+    """With the composition memo's limit set small, `resolve_braid` gives
+    what it gives under the default limit, which these words do not reach,
+    and the memo never holds more than the limit: it is emptied when
+    full."""
+    rng = random.Random(8)
+    words = [(n, random_word(rng, n, 14)) for n in (3, 4, 5, 6) for _ in range(2)]
+    words.append((5, bigelow_braid().word))
+    p = make_params(6)
+    monkeypatch.setattr(tl, "_COMPOSE_CACHE", {})
+    expected = [resolve_braid(p, word, n).to_json() for n, word in words]
+    assert len(tl._COMPOSE_CACHE) > 50
+    sizes = []
+    compose = tl._compose_diagrams
+
+    def recorded(lo, hi):
+        out = compose(lo, hi)
+        sizes.append(len(tl._COMPOSE_CACHE))
+        return out
+
+    fresh_contexts()
+    p = make_params(6)
+    monkeypatch.setattr(tl, "_COMPOSE_CACHE", {})
+    monkeypatch.setattr(tl, "_COMPOSE_CACHE_LIMIT", 7)
+    monkeypatch.setattr(tl, "_compose_diagrams", recorded)
+    assert [resolve_braid(p, word, n).to_json() for n, word in words] == expected
+    assert max(sizes) == 7 and sizes.count(1) > 1
 
 
 @pytest.mark.parametrize("r", [4, 5, 6])

@@ -166,7 +166,8 @@ def test_twists_and_operators_match_elimination_route(r, s, surface):
 
 
 # sha256 of every twist matrix and curve operator, recorded before detection
-# moved to the column probe (`linalg.scalar_of`) and `represent` became a
+# moved from dense products to a column probe (`linalg.scalar_of`, since on
+# packed residues of the twists' column forms) and `represent` became a
 # fold over `SurfaceModel.factors`.  The serialization is `twist_digest`
 # below: one line per (surface, labels, r, s, curve), the json.dumps (sorted
 # keys) of [surface, labels, r, s, curve, T, T^-1, C], each matrix a list of
