@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tqft
-from .linalg import columns, eye, scalar_of, zeros
+from .linalg import columns, mat_product, scalar_of, zeros
 from .mcg import DetectionResult, RepMatrix, scan_levels
 from .recoupling import theta, theta_inverse
-from .scalars import PackedRing, QuantumParams, common_denominator
+from .scalars import QuantumParams
 from .skein import DomainError
 from .tl import block_crossing
 
@@ -117,44 +117,13 @@ def _generator_columns(params: QuantumParams, n: int, m: int, gen: int):
 
 
 def jones_sector_rep(params: QuantumParams, braid: BraidWord, m: int) -> RepMatrix:
-    """The sector-m representation matrix of a braid word: the dense product
-    of its generators, whose column forms detection probes instead.
-
-    The product is a dense matrix of `PackedRing` residues times each
-    letter's column form (`_generator_columns`; CONVENTIONS.md, residue
-    rule).  A letter multiplies the largest entry mass by at most its
-    column mass c, so a segment that starts at largest entry mass M0 has
-    B = mu * M0 * prod c and decodes over the product of the letters' L;
-    each segment ends with one decode per entry (`PackedRing.segment`)."""
+    """The sector-m representation matrix of a braid word: the product of
+    its letters' column forms (`_generator_columns`), decoded entry by entry
+    (`linalg.mat_product`); detection probes the same product column by
+    column."""
     dim = _sector_dim(params, braid.n, m)
     gens = [_generator_columns(params, braid.n, m, g) for g in braid.word]
-    out = eye(params, dim)
-    pos = 0
-    while pos < len(gens):
-        live = [(i, j) for i in range(dim) for j in range(dim) if not out[i][j].is_zero()]
-        den, nums = common_denominator(out[i][j] for i, j in live)
-        k, ring = PackedRing.segment(params, max(sum(map(abs, v)) for v in nums),
-                                     (c for _, c, _ in gens[pos:]))
-        n = ring.n
-        # the matrix by columns: column j of M G is sum_(t, v) v * column t of M
-        state = [[0] * dim for _ in range(dim)]
-        for (i, j), v in zip(live, nums):
-            state[j][i] = ring.pack(v)
-        packed = {}
-        for g, (letter_den, _, cols) in zip(braid.word[pos:pos + k], gens[pos:pos + k]):
-            if g not in packed:
-                packed[g] = [[(t, ring.pack(v)) for t, v in col] for col in cols.values()]
-            new = []
-            for (t, v), *rest in packed[g]:
-                acc = [x * v for x in state[t]]
-                for t, v in rest:
-                    acc = [a + x * v for a, x in zip(acc, state[t])]
-                new.append([a % n for a in acc])
-            state = new
-            den *= letter_den
-        out = [[ring.decode(z, den) for z in row] for row in zip(*state)]
-        pos += k
-    return RepMatrix(out, params.r, "braid_sector", (braid.n, m))
+    return RepMatrix(mat_product(params, gens, dim), params.r, "braid_sector", (braid.n, m))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Small exact linear algebra over the cyclotomic Scalars.
 
-Matrices are lists of lists of Scalar; the detection probe reads them in
-column form, as packed residues.  Everything is exact; no pivoting
-heuristics beyond picking the first nonzero entry.
+Matrices are lists of lists of Scalar.  A product of generator matrices
+reads them in column form and runs as packed residues, one column at a
+time (`product_columns`): the detection probe `scalar_of` stops at the
+first column that is not lambda e_j, and `mat_product` decodes every
+column.  Everything is exact; no pivoting heuristics beyond picking the
+first nonzero entry.
 """
 from __future__ import annotations
 
@@ -61,28 +64,23 @@ def columns(matrix):
                     default=0), cols
 
 
-def scalar_of(params: QuantumParams, factors, n: int):
-    """lambda when the product of the n x n factors (leftmost first, each in
-    column form, `columns`) is exactly lambda * I, else None.  Column j of
-    the product is F_1(F_2(...(F_L e_j))), and the scan stops at the first
-    column that is not lambda e_j for the lambda of column 0; so a product
-    that is not scalar is usually decided by its first column.  An empty
-    product is I, and n = 0 gives one, as an empty matrix is.
+def product_columns(params: QuantumParams, factors, n: int):
+    """The columns of the product F_1 ... F_L of n x n factors (leftmost
+    first, each in column form, `columns`; at least one), one at a time:
+    for each j, (col, ring, den) with col the sparse {row: residue} map of
+    column j, F_1(F_2(...(F_L e_j))), whose live entries decode as
+    ring.decode(residue, den).  A consumer that stops early reads no more
+    columns.
 
-    A column is a sparse {row: residue} map of `PackedRing` residues.  A
-    factor multiplies the total l1 mass of the column by at most its column
-    mass c, so a segment that starts at total mass M0 has
+    A factor multiplies the total l1 mass of the column by at most its
+    column mass c, so a segment that starts at total mass M0 has
     B = mu * M0 * prod c and decodes over the product of the factors' L
-    (`PackedRing.segment`); a factor costs one integer multiply-add per
-    nonzero entry it reads and one reduction per live row.  Under the bound
-    an entry is zero exactly when its residue is, so the off-diagonal test
-    reads residues, and only the diagonal entry is decoded at the end of the
-    chain (every live entry at the end of an earlier segment).  Each
-    factor's column is packed when the probe first reads it, once per ring
-    width."""
-    lam = params.one()
-    if not factors:
-        return lam
+    (`PackedRing.segment`; CONVENTIONS.md, the column rule); a factor costs
+    one integer multiply-add per nonzero entry it reads and one reduction
+    per live row.  Under the bound an entry is zero exactly when its residue
+    is, and every live entry is decoded at the end of each segment but the
+    last.  Each factor's column is packed when a column first reads it,
+    once per ring width."""
     chain = factors[::-1]
     packed = {}
     for j in range(n):
@@ -107,14 +105,42 @@ def scalar_of(params: QuantumParams, factors, n: int):
             pos += k
             if pos < len(chain):
                 vec = {i: ring.decode(z, den) for i, z in state.items()}
-        if any(i != j for i in state):
+        yield state, ring, den
+
+
+def scalar_of(params: QuantumParams, factors, n: int):
+    """lambda when the product of the n x n factors (leftmost first, each in
+    column form, `columns`) is exactly lambda * I, else None.  The scan of
+    `product_columns` stops at the first column that is not lambda e_j for
+    the lambda of column 0; so a product that is not scalar is usually
+    decided by its first column.  The off-diagonal test reads residues, and
+    only the diagonal entry is decoded.  An empty product is I, and n = 0
+    gives one, as an empty matrix is."""
+    lam = params.one()
+    if not factors:
+        return lam
+    for j, (col, ring, den) in enumerate(product_columns(params, factors, n)):
+        if any(i != j for i in col):
             return None
-        diag = ring.decode(state.get(j, 0), den)
+        diag = ring.decode(col.get(j, 0), den)
         if j == 0:
             lam = diag
         elif diag != lam:
             return None
     return lam
+
+
+def mat_product(params: QuantumParams, factors, n: int):
+    """The n x n product of factors in column form (leftmost first), every
+    live entry of each `product_columns` column decoded; an empty product
+    is I."""
+    if not factors:
+        return eye(params, n)
+    out = zeros(params, n, n)
+    for j, (col, ring, den) in enumerate(product_columns(params, factors, n)):
+        for i, z in col.items():
+            out[i][j] = ring.decode(z, den)
+    return out
 
 
 def sum_scalars(vals):

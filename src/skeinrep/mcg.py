@@ -26,7 +26,7 @@ from itertools import product
 from operator import mul
 
 from . import tqft
-from .linalg import columns, eye, mat_mul, mat_trace, scalar_of, zeros
+from .linalg import columns, mat_mul, mat_product, mat_trace, scalar_of, zeros
 from .recoupling import (encircle_eigenvalue, f_matrix, s_matrix, tet, theta,
                          theta_inverse, twist_coefficient)
 from .scalars import QuantumParams, Scalar, make_params
@@ -356,34 +356,26 @@ class SurfaceModel:
 
     def twist_matrix(self, params, curve, power=1) -> RepMatrix:
         self._check_curve(curve)
-        m = self._twists(params, curve)[0 if power >= 0 else 1]
-        if power == 0:
-            out = eye(params, len(m))
-        else:
-            # a row copy: the memoized twist never leaves in a RepMatrix
-            out = [list(row) for row in m]
-            for _ in range(abs(power) - 1):
-                out = mat_mul(out, m)
+        if abs(power) != 1:
+            return self.represent(params, [(curve, power)])
+        # a row copy: the memoized twist never leaves in a RepMatrix
+        out = [list(row) for row in self._twists(params, curve)[0 if power > 0 else 1]]
         return RepMatrix(out, params.r, self.name, self._label_context())
 
-    def factors(self, params, word, as_columns=False):
-        """The twist matrices whose product represents a word, a sequence of
-        (curve name, exponent), leftmost first: twist_matrix(curve, +-1)
-        repeated |exponent| times, or with as_columns their column forms
-        (`twist_columns`), which detection probes.  Each term reads its
+    def factors(self, params, word):
+        """The column forms (`twist_columns`) whose product represents a
+        word, a sequence of (curve name, exponent), leftmost first: the
+        twist of sign +-1 repeated |exponent| times.  Each term reads its
         twist, so an unknown curve raises even under exponent 0."""
         out = []
         for curve, exp in word:
-            sign = -1 if exp < 0 else 1
-            out += [self.twist_columns(params, curve, sign) if as_columns
-                    else self.twist_matrix(params, curve, sign).matrix] * abs(exp)
+            out += [self.twist_columns(params, curve, -1 if exp < 0 else 1)] * abs(exp)
         return out
 
     def represent(self, params, word) -> RepMatrix:
-        """The dense product of the word's factors; detection probes their
-        column forms instead (`linalg.scalar_of`)."""
-        factors = self.factors(params, word)
-        out = reduce(mat_mul, factors) if factors else eye(params, self.dim(params))
+        """The product of the word's factors (`linalg.mat_product`), the
+        chain that detection probes column by column."""
+        out = mat_product(params, self.factors(params, word), self.dim(params))
         return RepMatrix(out, params.r, self.name, self._label_context())
 
     def _label_context(self):
@@ -406,15 +398,16 @@ def detect(name, word, r_range, s=1) -> DetectionResult:
     Scalar multiple of the identity (the witness is that block's labels).
     Each block is probed column by column on the column forms of the
     word's twists (`linalg.scalar_of`), so a nontrivial block is usually
-    decided by its first column."""
+    decided by its first column.  A block's model holds no level state, so
+    it is read from the level memo, one per block."""
 
     def probe(params):
         for ctx in _boundary_contexts(name, params.r):
-            model = surface_model(name, ctx)
+            model = params.cached(("model", name, ctx), lambda: surface_model(name, ctx))
             n = model.dim(params)
             if n == 0:
                 continue
-            lam = scalar_of(params, model.factors(params, word, as_columns=True), n)
+            lam = scalar_of(params, model.factors(params, word), n)
             if lam is None or lam.is_zero():
                 return ctx
         return None

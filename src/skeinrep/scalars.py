@@ -29,9 +29,9 @@ integer sums and products modulo N, one decode at the end.  That is exact
 when a bound B on every reduced coefficient of every intermediate value
 satisfies B < 2^(b-2).  For images of Laurent polynomials P in x,
 B = mu |P|_1 holds, mu = max_e |A^e mod Phi|_inf, because x^(4r) = 1
-modulo Phi; the skein sweep runs this way, and the braid chains and the
-detection probe run in segments that each decode once
-(``PackedRing.segment``).
+modulo Phi; the skein sweep runs this way, and the braid resolution and
+the products of matrices in column form run in segments that each decode
+once (``PackedRing.segment``).
 
 The exact arithmetic depends on the level r alone: it is formal in A, with
 Phi = Phi_4r the minimal polynomial of every primitive 4r-th root, so a

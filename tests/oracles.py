@@ -15,9 +15,11 @@ calculus, and the tests compare the two exactly.
   free reduction and writhe, and the `Scalar` folds that the packed
   residue chains of ``tl.resolve_braid`` and ``braids.jones_sector_rep``
   replaced;
-- detection: the dense `Scalar` mat-vec and the dense decision of whether a
-  matrix is `lambda * I`, the references of the packed column probe
-  ``linalg.scalar_of``.
+- detection: the dense `Scalar` mat-vec, the dense decision of whether a
+  matrix is `lambda * I`, and the `mat_mul` fold of a surface word's
+  twists, the references of the packed column chain
+  ``linalg.product_columns`` behind ``linalg.scalar_of`` and
+  ``mcg.SurfaceModel.represent``.
 
 Nothing in the package imports this module."""
 from __future__ import annotations
@@ -438,6 +440,20 @@ def sector_rep_fold(params, braid: BraidWord, m: int):
     its generator matrices: the reference of `braids.jones_sector_rep`."""
     return reduce(mat_mul, sector_generators(params, braid, m),
                   eye(params, _sector_dim(params, braid.n, m)))
+
+
+def surface_twists(params, model, word):
+    """The dense twists `twist_matrix(curve, +-1)` of a word on a
+    `mcg.SurfaceModel`, each repeated |exp| times, leftmost first."""
+    return [model.twist_matrix(params, curve, -1 if exp < 0 else 1).matrix
+            for curve, exp in word for _ in range(abs(exp))]
+
+
+def represent_fold(params, model, word):
+    """The matrix of a twist word as a fold of `linalg.mat_mul` over its
+    `surface_twists`, or I for an empty word: the reference of
+    `mcg.SurfaceModel.represent` and `twist_matrix`'s other powers."""
+    return reduce(mat_mul, surface_twists(params, model, word), eye(params, model.dim(params)))
 
 
 def _inverse(word):

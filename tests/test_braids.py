@@ -6,8 +6,8 @@ import pytest
 
 from helpers import (coefficients_within, column_masses, from_int, masses_over_lcm,
                      random_word, record_segments, residue_mu)
-from oracles import (bigelow_braid, free_reduce, full_twist_scalar, full_twist_word, permutation,
-                     sector_generators, sector_rep_fold, tl_basis, writhe)
+from oracles import (bigelow_braid, free_reduce, full_twist_scalar, full_twist_word, mat_vec,
+                     permutation, sector_generators, sector_rep_fold, tl_basis, writhe)
 from skeinrep import braids, tl, tqft
 from skeinrep.braids import (BraidWord, Cabling, braid_detect, cable,
                              jones_sector_rep, path_basis, sector_labels)
@@ -367,43 +367,54 @@ def test_sector_rep_matches_the_fold():
 
 
 def check_sector_width(params, braid, m, seen):
-    """Each segment of `jones_sector_rep` is as long as the bound allows:
-    the most letters (at least one) with B = mu * M0 * prod c < 2^62, for
-    M0 the largest entry mass of the fold's product where it starts and c
-    each letter's largest column mass (`column_masses`).  Its ring's bound
-    is that B, B < 2^62 unless it is one letter, every entry at its end has
-    numerators at most B over the start denominator times the letters' L,
-    and the value is the fold's."""
+    """Each segment of `jones_sector_rep` is as long as the bound allows,
+    column by column: the most letters (at least one) with
+    B = mu * M0 * prod c < 2^62, for M0 the total l1 mass of the column
+    where the segment starts and c each letter's largest column mass
+    (`column_masses`), the letters read right to left.  Its ring's bound is
+    that B, B < 2^62 unless it is one letter, its digits of b bits hold it
+    (B < 2^(b-2)), and every entry of the column at its end has numerators
+    at most B over the start denominator times the letters' L.  The
+    columns are the dense mat-vec's, and the value is the fold's.
+    Returns (k, B) per segment."""
     seen.clear()
     value = jones_sector_rep(params, braid, m).matrix
     mu = residue_mu(params)
-    gens = sector_generators(params, braid, m)
-    dens, growths = zip(*map(column_masses, gens)) if gens else ((), ())
-    states = [eye(params, len(value))]
-    for g in gens:
-        states.append(mat_mul(states[-1], g))
-    pos = 0
-    for k, ring in seen:
-        den, masses = masses_over_lcm([x for row in states[pos] for x in row])
-        bound, want = mu * max(masses) * growths[pos], 1
-        while pos + want < len(gens) and bound * growths[pos + want] < 2 ** 62:
-            bound *= growths[pos + want]
-            want += 1
-        assert k == want
-        assert ring.bound == bound
-        assert bound < 2 ** 62 or k == 1
-        for d in dens[pos:pos + k]:
-            den *= d
-        assert coefficients_within([x for row in states[pos + k] for x in row], den, bound)
-        pos += k
-    assert pos == len(gens) and value == states[-1]
-    return [(k, ring.bound) for k, ring in seen]
+    chain = sector_generators(params, braid, m)[::-1]
+    dens, growths = zip(*map(column_masses, chain)) if chain else ((), ())
+    n, out, segments = len(value), [], iter(seen)
+    for j in range(n):
+        states = [[params.one() if i == j else params.zero() for i in range(n)]]
+        for g in chain:
+            states.append(mat_vec(g, states[-1]))
+        pos = 0
+        while pos < len(chain):
+            k, ring = next(segments)
+            den, masses = masses_over_lcm(states[pos])
+            bound, want = mu * sum(masses) * growths[pos], 1
+            while pos + want < len(chain) and bound * growths[pos + want] < 2 ** 62:
+                bound *= growths[pos + want]
+                want += 1
+            assert k == want
+            assert ring.bound == bound < 2 ** (8 * ring._kernel[0].size // params.phi - 2)
+            assert bound < 2 ** 62 or k == 1
+            for d in dens[pos:pos + k]:
+                den *= d
+            assert coefficients_within(states[pos + k], den, bound)
+            out.append((k, bound))
+            pos += k
+        assert [row[j] for row in value] == states[-1]
+    assert next(segments, None) is None
+    assert value == sector_rep_fold(params, braid, m)
+    return out
 
 
 def test_sector_rep_segments_hold_their_bound(monkeypatch):
     """Bigelow's braid at r = 5..8, a pseudo-Anosov word at r = 5, which
-    ends in wide single letters, cabled words, and seeded words at r = 105,
-    the least level with mu = 2."""
+    ends in wide single letters, cabled words, seeded words at r = 105,
+    the least level with mu = 2, and powers of sigma_2 at r = 4, whose
+    column mass is 4, with bounds of 7, 15 and 31 bits, the first that need
+    the next width."""
     seen = record_segments(monkeypatch)
     segments = []
     for r in range(5, 9):
@@ -423,6 +434,10 @@ def test_sector_rep_segments_hold_their_bound(monkeypatch):
             segments += check_sector_width(p, b, m, seen)
     assert max(k for k, _ in segments) > 30
     assert any(k == 1 and bound >= 2 ** 62 for k, bound in segments)
+    p = make_params(4)
+    for k, bits in ((3, 7), (7, 15), (15, 31)):
+        widths = check_sector_width(p, BraidWord(3, (2,) * k), 1, seen)
+        assert {bound.bit_length() for _, bound in widths} == {bits}
 
 
 def test_one_generator_rep_does_not_alias_the_memo():

@@ -1,9 +1,11 @@
 """Differential test of the detection probe `linalg.scalar_of` against the
-dense route: the surface decision `is_projectively_identity(represent(..))`
-and the braid decision `is_identity(jones_sector_rep(..))`.  Wherever the
-dense product is `lambda * I` the probe must return that product's `[0][0]`,
-and `None` wherever it is not.  The probe reads the factors' column forms
-(`linalg.columns`) as packed residues; its segments are checked against
+`mat_mul` folds of `tests/oracles.py`, which share no code with its packed
+column chain: the surface decision `is_projectively_identity` of a word's
+fold (`represent_fold`, also the reference of `represent`) and the braid
+decision `is_identity` of a sector's (`sector_rep_fold`).  Wherever the
+dense product is `lambda * I` the probe must return that product's
+`[0][0]`, and `None` wherever it is not.  The probe reads the factors'
+column forms (`linalg.columns`) as packed residues; its segments are checked against
 their bound, computed here from its definition with the dense `Scalar`
 mat-vec (`oracles.mat_vec`)."""
 import random
@@ -12,9 +14,10 @@ import pytest
 
 from helpers import (coefficients_within, column_masses, curves, from_int, masses_over_lcm,
                      record_segments, residue_mu)
-from oracles import dense_scalar, full_twist_scalar, full_twist_word, mat_vec
+from oracles import (dense_scalar, full_twist_scalar, full_twist_word, mat_vec,
+                     represent_fold, sector_rep_fold, surface_twists)
 from skeinrep import braids, mcg
-from skeinrep.braids import BraidWord, jones_sector_rep, sector_labels
+from skeinrep.braids import BraidWord, sector_labels
 from skeinrep.linalg import columns, eye, is_identity, scalar_of, zeros
 from skeinrep.scalars import Scalar, _part, make_params
 from skeinrep.skein import DomainError
@@ -29,11 +32,11 @@ def probe(params, matrices, n):
 
 
 def check_surface_word(params, model, word):
-    """The probe over the word's factors agrees with the dense product:
-    the same lambda, or None for both, and the same detection verdict."""
+    """The probe over the word's factors agrees with the dense fold: the
+    same lambda, or None for both, and the same detection verdict."""
     n = model.dim(params)
-    dense = model.represent(params, word).matrix
-    lam = scalar_of(params, model.factors(params, word, as_columns=True), n)
+    dense = represent_fold(params, model, word)
+    lam = scalar_of(params, model.factors(params, word), n)
     assert lam == dense_scalar(dense), (model.name, model.labels, params.r, word)
     nontrivial = lam is None or lam.is_zero()
     assert nontrivial == (not mcg.is_projectively_identity(dense))
@@ -56,6 +59,25 @@ def test_seeded_words_on_every_block(name, r):
             continue
         for word in seeded_words(rng, curves(model), 4):
             check_surface_word(params, model, word)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+@pytest.mark.parametrize("name", SURFACES)
+def test_represent_matches_the_fold(name, r):
+    """`represent`, and `twist_matrix` at powers other than +-1, run the
+    packed column chain of the probe; the `mat_mul` fold of the +-1 twists
+    is their reference on the empty word, seeded words and the powers
+    0, +-2, +-3 of every curve, on every boundary block."""
+    params = make_params(r)
+    rng = random.Random(2000 * r + SURFACES.index(name))
+    for ctx in mcg._boundary_contexts(name, r):
+        model = mcg.surface_model(name, ctx)
+        for word in [[]] + seeded_words(rng, curves(model), 3):
+            assert model.represent(params, word).matrix == represent_fold(params, model, word)
+        for curve in curves(model):
+            for k in (0, 2, -2, 3, -3):
+                assert model.twist_matrix(params, curve, k).matrix == \
+                    represent_fold(params, model, [(curve, k)]), (name, ctx, curve, k)
 
 
 def relation_words():
@@ -90,17 +112,16 @@ def test_exponent_zero_and_powers():
     for word in ([("b1", 0)], [("b2", 2), ("b2", -2)], [("b0", 3), ("b0", -1), ("b0", -2)],
                  [("b2", 2), ("b3", 0), ("b1", -2)]):
         check_surface_word(params, model, word)
-    for as_columns in (False, True):
-        assert model.factors(params, [("b1", 0)], as_columns) == []
-        assert len(model.factors(params, [("b1", -3), ("b2", 2)], as_columns)) == 5
-        with pytest.raises(DomainError):
-            model.factors(params, [("zz", 0)], as_columns)
-    assert scalar_of(params, model.factors(params, [("b2", 2), ("b2", -2)], True),
+    assert model.factors(params, [("b1", 0)]) == []
+    assert len(model.factors(params, [("b1", -3), ("b2", 2)])) == 5
+    with pytest.raises(DomainError):
+        model.factors(params, [("zz", 0)])
+    assert scalar_of(params, model.factors(params, [("b2", 2), ("b2", -2)]),
                      model.dim(params)).is_one()
 
 
 def check_sector(params, braid, m):
-    dense = jones_sector_rep(params, braid, m).matrix
+    dense = sector_rep_fold(params, braid, m)
     gens = [braids._generator_columns(params, braid.n, m, g) for g in braid.word]
     lam = scalar_of(params, gens, len(dense))
     assert lam == dense_scalar(dense), (params.r, braid, m)
@@ -188,7 +209,7 @@ def test_empty_cases():
 def test_detect_rejects_a_zero_scalar(monkeypatch):
     """0 * I is not projectively the identity: detection keeps the rejection
     of `is_projectively_identity`, though no product of twists is zero."""
-    def zero_factors(model, params, word, as_columns=False):
+    def zero_factors(model, params, word):
         n = model.dim(params)
         return [columns(zeros(params, n, n))]
 
@@ -300,7 +321,7 @@ def test_probe_segments_hold_their_bound(monkeypatch):
     for model, word in ((genus2, hyperelliptic), (genus2, [(c, 1) for c in GENUS2_CHAIN] * 6),
                         (genus2, [("b2", 3), ("b0", -1), ("b4", 2)]),
                         (mcg.surface_model("torus"), [("a", 1), ("b", 1), ("a", 1)] * 4)):
-        segments += check_probe_width(params, model.factors(params, word),
+        segments += check_probe_width(params, surface_twists(params, model, word),
                                       model.dim(params), seen)
     assert any(k == 1 and bound >= 2 ** 62 for k, bound, _ in segments)
     assert max(k for k, _, _ in segments) > 5
