@@ -23,13 +23,14 @@ class ParseFailure(ValueError):
     pass
 
 
-def _scalar_json(x: Scalar):
-    v = x.embed()
+def _scalar_json(x: Scalar, params: QuantumParams):
+    """The exact value and its embedding at the command's root."""
+    v = x.embed(params)
     return {"exact": x.to_json(), "approx": [v.real, v.imag]}
 
 
-def _matrix_json(m):
-    return [[_scalar_json(x) for x in row] for row in m]
+def _matrix_json(m, params):
+    return [[_scalar_json(x, params) for x in row] for row in m]
 
 
 def _load_json(path):
@@ -43,10 +44,12 @@ def _load_json(path):
 
 
 def _make_params(args) -> QuantumParams:
+    """The command's root; an invalid (r, s) is a domain error, as it is at
+    a level of a scan."""
     try:
-        return QuantumParams(args.r, getattr(args, "s", 1))
+        return QuantumParams(args.r, args.s)
     except ValueError as exc:
-        raise ParseFailure(str(exc)) from exc
+        raise DomainError(str(exc)) from exc
 
 
 def _load_link(path) -> LabeledLink:
@@ -92,7 +95,7 @@ def cmd_eval_link(args):
     params = _make_params(args)
     link = _load_link(args.link)
     value = skein.evaluate(params, link)
-    return {"r": params.r, "s": params.s, "value": _scalar_json(value)}
+    return {"r": params.r, "s": params.s, "value": _scalar_json(value, params)}
 
 
 def cmd_projector(args):
@@ -102,7 +105,7 @@ def cmd_projector(args):
     p = tl.jones_wenzl(params, args.k)
     terms = sorted(((diag.parens(), coeff) for diag, coeff in p.terms.items()))
     return {"r": params.r, "s": params.s, "k": args.k,
-            "terms": [{"diagram": d, "coeff": _scalar_json(c)} for d, c in terms]}
+            "terms": [{"diagram": d, "coeff": _scalar_json(c, params)} for d, c in terms]}
 
 
 def cmd_dump_recoupling(args):
@@ -131,7 +134,7 @@ def cmd_rep_matrix(args):
     rep = model.represent(params, word)
     return {"r": params.r, "s": params.s, "surface": rep.surface,
             "labels": list(rep.labels), "dim": rep.dim,
-            "matrix": _matrix_json(rep.matrix)}
+            "matrix": _matrix_json(rep.matrix, params)}
 
 
 def cmd_curve_op(args):
@@ -140,7 +143,7 @@ def cmd_curve_op(args):
     rep = model.curve_operator(params, args.curve)
     return {"r": params.r, "s": params.s, "surface": rep.surface,
             "labels": list(rep.labels), "curve": args.curve,
-            "matrix": _matrix_json(rep.matrix)}
+            "matrix": _matrix_json(rep.matrix, params)}
 
 
 def cmd_trace(args):
@@ -149,7 +152,7 @@ def cmd_trace(args):
     word = _parse_twist_word(args.word)
     value = mcg.mapping_torus_trace(model, params, word)
     return {"r": params.r, "s": params.s, "surface": model.name,
-            "trace": _scalar_json(value)}
+            "trace": _scalar_json(value, params)}
 
 
 def cmd_detect(args):
@@ -167,7 +170,7 @@ def cmd_braid_rep(args):
     out = []
     for m in sectors:
         rep = braids.jones_sector_rep(params, braid, m)
-        out.append({"m": m, "dim": rep.dim, "matrix": _matrix_json(rep.matrix)})
+        out.append({"m": m, "dim": rep.dim, "matrix": _matrix_json(rep.matrix, params)})
     return {"r": params.r, "s": params.s, "n": args.n, "sectors": out}
 
 

@@ -34,12 +34,13 @@ the products of matrices in column form run in segments that each decode
 once (``PackedRing.segment``).
 
 The exact arithmetic depends on the level r alone: it is formal in A, with
-Phi = Phi_4r the minimal polynomial of every primitive 4r-th root, so a
-value computed at one root has the same parts at every other root of its
-level.  The root selector s only picks the numeric embedding.  All equality
-decisions are exact.  Floating point appears only in ``Scalar.embed`` (the
-embedding A -> e^{2 pi i s/4r}, c -> positive real root of 1/D), which is
-never used on an equality-bearing path.
+Phi = Phi_4r the minimal polynomial of every primitive 4r-th root.  So the
+level, QuantumParams(r, 1), is the one arithmetic context: every Scalar is
+bound to it, whichever root built it, and the root selector s is an input
+of the numeric embedding alone.  All equality decisions are exact.  Floating
+point appears only in ``Scalar.embed(root)`` (the embedding
+A -> e^{2 pi i s/4r}, c -> positive real root of 1/D), which is never used
+on an equality-bearing path.
 """
 from __future__ import annotations
 
@@ -67,13 +68,14 @@ def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
 
 
 class QuantumParams:
-    """Root-of-unity context: A = e^{2 pi i s / 4r} with gcd(s, 4r) = 1, r >= 3.
+    """Root of unity A = e^{2 pi i s / 4r} with gcd(s, 4r) = 1, r >= 3.
 
-    Interned: QuantumParams(r, s) is the one context for that pair, built on
-    first use and kept for the process, so identity is equality.  Every root
-    of a level shares the cyclotomic tables and one level memo with
-    QuantumParams(r, 1); ``cached`` serves each root that memo's values bound
-    to itself, and s matters only to ``Scalar.embed``."""
+    Interned: QuantumParams(r, s) is the one object for that pair, built on
+    first use and kept for the process, so identity is equality.  ``level``
+    is QuantumParams(r, 1), the root itself at s = 1.  Every root of a level
+    shares its cyclotomic tables and its memo (``cached``), and every Scalar
+    a root builds is bound to the level; s matters only to ``Scalar.embed``
+    and to the float of c (``_c_float``)."""
 
     _interned: dict = {}
 
@@ -92,6 +94,7 @@ class QuantumParams:
         self.s = s
         self.order = 4 * r
         if s == 1:
+            self.level = self
             cyclo = _cyclotomic_coeffs(self.order)
             self.phi = len(cyclo) - 1
             self._cyclo = cyclo
@@ -102,28 +105,22 @@ class QuantumParams:
             self._apow = self._a_power_table()
             self._mu = max(max(map(abs, nums)) for nums, _ in self._apow)
             self._one = _const(self, 1)
-            self._level = {}
+            self._memo = {}
         else:
-            level = cls(r, 1)
+            self.level = level = cls(r, 1)
             (self.phi, self._cyclo, self._rho, self._kernels, self._apow, self._mu, self._one,
-             self._level) = (level.phi, level._cyclo, level._rho, level._kernels, level._apow,
-                             level._mu, level._one, level._level)
-        self._memo = {}
+             self._memo) = (level.phi, level._cyclo, level._rho, level._kernels, level._apow,
+                            level._mu, level._one, level._memo)
         self._c = None
         cls._interned[(r, s)] = self
         return self
 
     def cached(self, key, build):
-        """The value memoized under key at this root.  A value first built at
-        another root of the level is rebound to this one, sharing its exact
-        parts; build() runs only for a key new to the level."""
+        """The value memoized under key in the level memo; build() runs once
+        per key, at whichever root of the level reads it first."""
         memo = self._memo
         if key not in memo:
-            level = self._level
-            if key in level:
-                memo[key] = _rebind(level[key], self)
-            else:
-                memo[key] = level[key] = build()
+            memo[key] = build()
         return memo[key]
 
     def _times_x(self, u):
@@ -235,17 +232,17 @@ class QuantumParams:
     # ----- element constructors -----
 
     def zero(self) -> "Scalar":
-        return Scalar(self, None)
+        return Scalar(self.level, None)
 
     def one(self) -> "Scalar":
-        return Scalar(self, self._one)
+        return Scalar(self.level, self._one)
 
     def a_pow(self, e: int) -> "Scalar":
         """A^e, exponent taken modulo 4r."""
-        return Scalar(self, self._apow[e % self.order])
+        return Scalar(self.level, self._apow[e % self.order])
 
     def c_symbol(self) -> "Scalar":
-        return Scalar(self, self._one, 1)
+        return Scalar(self.level, self._one, 1)
 
     def loop_d(self) -> "Scalar":
         """d = -A^2 - A^{-2}."""
@@ -292,7 +289,7 @@ class QuantumParams:
         """c as a float, the positive real root of 1/D at this root; it
         depends on s, so it is kept on the root, not in the level memo."""
         if self._c is None:
-            D = self.total_d_squared().embed()
+            D = self.total_d_squared().embed(self)
             if abs(D.imag) > 1e-9 or D.real <= 0:
                 raise ArithmeticError(f"D is not a positive real at r={self.r}, s={self.s}: {D}")
             self._c = 1.0 / math.sqrt(D.real)
@@ -300,13 +297,6 @@ class QuantumParams:
 
     def __repr__(self):
         return f"QuantumParams(r={self.r}, s={self.s})"
-
-    def to_json(self):
-        return {"r": self.r, "s": self.s}
-
-    @staticmethod
-    def from_json(obj) -> "QuantumParams":
-        return QuantumParams(int(obj["r"]), int(obj.get("s", 1)))
 
 
 class _WideDigits:
@@ -351,7 +341,7 @@ class PackedRing:
     __slots__ = ("params", "bound", "n", "_kernel")
 
     def __init__(self, params: QuantumParams, mass: int):
-        self.params = params
+        self.params = params.level
         self.bound = params._mu * mass
         self._kernel = params._packing(self.bound)
         self.n = self._kernel[2]
@@ -460,8 +450,9 @@ class Scalar:
 
     Immutable.  ``part`` is canonical: a pair of phi(4r) integer numerators
     and one positive denominator with no common factor, or None for zero,
-    whose parity ``odd`` is 0.  Arithmetic demands a shared QuantumParams
-    context, and a sum demands one parity among its nonzero summands.
+    whose parity ``odd`` is 0.  ``params`` is the level, QuantumParams(r, 1),
+    at every root.  Arithmetic demands one level, and a sum demands one
+    parity among its nonzero summands.
     """
 
     __slots__ = ("params", "part", "odd")
@@ -475,7 +466,7 @@ class Scalar:
 
     def _check(self, other: "Scalar"):
         if self.params is not other.params:
-            raise ValueError("Scalars from different QuantumParams contexts")
+            raise ValueError("Scalars from different levels")
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
@@ -537,10 +528,6 @@ class Scalar:
                 acc = acc * b
         return acc
 
-    def rebind(self, params: QuantumParams) -> "Scalar":
-        """This value over params, another root of its level: the same part."""
-        return Scalar(params, self.part, self.odd)
-
     # ----- predicates and conversions -----
 
     def is_zero(self) -> bool:
@@ -558,19 +545,21 @@ class Scalar:
     def __hash__(self):
         return hash((self.part, self.odd))
 
-    def embed(self) -> complex:
-        """Numeric value at A = e^{2 pi i s/4r}, c = positive real root of 1/D."""
-        p = self.params
+    def embed(self, root: QuantumParams) -> complex:
+        """Numeric value at root, a root of this value's level:
+        A = e^{2 pi i s/4r}, c = positive real root of 1/D."""
+        if root.level is not self.params:
+            raise ValueError(f"{root} is not a root of level r={self.params.r}")
         if self.part is None:
             return 0j
-        a = complex(math.cos(2 * math.pi * p.s / p.order), math.sin(2 * math.pi * p.s / p.order))
-        val = _horner(self.part, a)
-        return val * p._c_float() if self.odd else val
+        angle = 2 * math.pi * root.s / root.order
+        val = _horner(self.part, complex(math.cos(angle), math.sin(angle)))
+        return val * root._c_float() if self.odd else val
 
     def __repr__(self):
         if self.is_zero():
             return "Scalar(0)"
-        v = self.embed()
+        v = self.embed(self.params)
         return f"Scalar(~{v.real:+.6f}{v.imag:+.6f}i)"
 
     def to_json(self):
@@ -586,7 +575,7 @@ class Scalar:
             raise ValueError(f"expected {params.phi} coefficients, got {len(coeffs)}")
         den = math.lcm(*(q.denominator for q in coeffs))
         part = _part([q.numerator * (den // q.denominator) for q in coeffs], den)
-        return Scalar(params, part, int(obj["cpow"]) % 2 if part else 0)
+        return Scalar(params.level, part, int(obj["cpow"]) % 2 if part else 0)
 
 
 def _tadd(u, v):
@@ -596,15 +585,6 @@ def _tadd(u, v):
     if ud == vd:
         return _part([a + b for a, b in zip(un, vn)], ud)
     return _part([a * vd + b * ud for a, b in zip(un, vn)], ud * vd)
-
-
-def _rebind(value, params):
-    """A memoized value bound to params, another root of the level it was
-    built at: lists and tuples are walked, anything with a ``rebind`` method
-    (a Scalar, a TLElement) is rebound, and the rest is shared."""
-    if isinstance(value, (list, tuple)):
-        return type(value)(_rebind(v, params) for v in value)
-    return value.rebind(params) if hasattr(value, "rebind") else value
 
 
 def _horner(part, x):

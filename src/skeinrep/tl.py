@@ -16,10 +16,10 @@ point i.  A group with two outer points is a pair of the result, and a
 union inside one group closes a loop, worth a factor d.
 
 The only global memo is the diagram-pair compositions: they do not depend
-on the level, so every parameter context shares them.  Jones-Wenzl
-projectors and the loop powers d^k (``loop_power``) do depend on it, and
-live in the level memo of QuantumParams.cached, rebound to each root by
-``TLElement.rebind``.
+on the level, so every level shares them.  Jones-Wenzl projectors and the
+loop powers d^k (``loop_power``) do depend on it, and live in the level
+memo of QuantumParams.cached; every root of the level reads the same
+object, since a TLElement, like its coefficients, is bound to the level.
 """
 from __future__ import annotations
 
@@ -151,7 +151,7 @@ class TLElement:
     __slots__ = ("params", "nb", "nt", "terms")
 
     def __init__(self, params: QuantumParams, nb: int, nt: int, terms=None):
-        self.params = params
+        self.params = params.level
         self.nb = nb
         self.nt = nt
         self.terms = {}
@@ -175,13 +175,6 @@ class TLElement:
     @staticmethod
     def e(params, n, i):
         return TLElement(params, n, n, {TLDiagram.e_gen(n, i): params.one()})
-
-    def rebind(self, params):
-        """This element over params, another root of its level: one new
-        Scalar per term over the same exact part."""
-        out = TLElement(params, self.nb, self.nt)
-        out.terms = {diag: c.rebind(params) for diag, c in self.terms.items()}
-        return out
 
     # ----- linear structure -----
 

@@ -347,7 +347,7 @@ def test_criterion_11_mapping_torus_trace():
                 if mcg.is_projectively_identity(model.represent(p, w).matrix):
                     continue
                 tr = mcg.mapping_torus_trace(model, p, w)
-                assert abs(tr.embed()) < dim - 1e-6, (model.name, r, w)
+                assert abs(tr.embed(p)) < dim - 1e-6, (model.name, r, w)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +379,7 @@ def test_criterion_12_braid_suite():
         for n in range(2, 5):
             for m in sector_labels(p, n):
                 lam = full_twist_scalar(p, n, m)
-                assert abs(abs(lam.embed()) - 1.0) < 1e-9, (r, n, m)
+                assert abs(abs(lam.embed(p)) - 1.0) < 1e-9, (r, n, m)
                 expect = p.a_pow(m * (m + 2)) * p.a_pow(-3 * n)
                 if (m + n) % 2:
                     expect = -expect

@@ -458,6 +458,29 @@ def test_exit_domain_bad_scan(capsys, argv):
     assert code == 3 and out["error"] == "domain"
 
 
+# every subcommand at a single level, with the arguments it needs besides --r
+SINGLE_LEVEL = [
+    ("eval-link", "--link", "-"),
+    ("projector", "--k", "1"),
+    ("dump-recoupling",),
+    ("dims", "--surface", "torus"),
+    ("rep-matrix", "--surface", "torus", "--word", "a"),
+    ("curve-op", "--surface", "torus", "--curve", "a"),
+    ("trace", "--surface", "torus", "--word", "a"),
+    ("braid-rep", "--n", "2", "--word", "1"),
+    ("verify-moves", "--link", "-", "--moves", "-"),
+]
+
+
+@pytest.mark.parametrize("level", [("--r", "2"), ("--r", "5", "--s", "2")])
+@pytest.mark.parametrize("argv", SINGLE_LEVEL, ids=lambda argv: argv[0])
+def test_exit_domain_bad_level(capsys, argv, level):
+    """An invalid (r, s) is a domain error, as at a level of a scan; it is
+    found before any input is read."""
+    code, out = run_cli(capsys, *argv, *level)
+    assert code == 3 and out["error"] == "domain"
+
+
 def test_exit_domain_bad_curve(capsys):
     code, out = run_cli(capsys, "curve-op", "--r", "4", "--surface", "torus",
                         "--curve", "zz")

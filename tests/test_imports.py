@@ -3,7 +3,8 @@ import is used, every function, method and class is read by the package or
 the benchmark (a test is not a reader), the closed forms do not import the
 diagram engines that check them, no module keeps a cache of its own (what
 depends on the level is memoized once per level by ``QuantumParams.cached``),
-and only ``scalars.py`` touches a Scalar's fields."""
+and only ``scalars.py`` touches a Scalar's fields or constructs a Scalar, so
+it alone binds a value to its level."""
 import ast
 from pathlib import Path
 
@@ -228,3 +229,25 @@ def test_only_scalars_uses_scalar_fields():
     found = {name: scalar_field_uses(tree) for name, tree in package_trees().items()
              if name != "scalars.py"}
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def scalar_constructions(tree):
+    """(line, name) of every call to Scalar or to an attribute named Scalar."""
+    return sorted((node.lineno, _called_name(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _called_name(node) == "Scalar")
+
+
+def test_checker_flags_scalar_constructions():
+    src = ("from skeinrep import scalars\n"
+           "from skeinrep.scalars import Scalar\n"
+           "def f(p, x):\n"
+           "    y = Scalar(p, None)\n"
+           "    z = scalars.Scalar(p, x.part, 1)\n"
+           "    return Scalar.from_json(p, {}), isinstance(y, Scalar), z\n")
+    assert scalar_constructions(ast.parse(src)) == [(4, "Scalar"), (5, "Scalar")]
+
+
+def test_only_scalars_constructs_scalars():
+    found = {name: scalar_constructions(tree) for name, tree in package_trees().items()
+             if name != "scalars.py"}
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -501,14 +501,14 @@ def level_objects(params):
 
 
 def digest(params, obj):
-    """The to_json and rounded embedding of every scalar in obj, which must
-    all be bound to params."""
+    """The to_json and the rounded embedding at params of every scalar in
+    obj, which must all be bound to the level of params, make_params(r, 1)."""
     if isinstance(obj, list):
         return [digest(params, x) for x in obj]
     if isinstance(obj, TLElement):
         return digest(params, [obj.terms[d] for d in sorted(obj.terms, key=TLDiagram.parens)])
-    assert obj.params is params
-    v = obj.embed()
+    assert obj.params is make_params(params.r, 1)
+    v = obj.embed(params)
     return [obj.to_json(), round(v.real, 9), round(v.imag, 9)]
 
 
@@ -528,8 +528,8 @@ def test_shared_level_memo_matches_per_root_builds(fresh_contexts):
 
 
 def test_level_memo_builds_twist_once(monkeypatch, fresh_contexts):
-    # one Newton table per level: the second root rebinds the first's, for
-    # a twist it shares and for one it builds itself
+    # one Newton table per level: the second root reads the first's, for a
+    # twist it shares and for one it builds itself
     tables = []
     build = mcg._newton_coefficients
     monkeypatch.setattr(mcg, "_newton_coefficients",
@@ -539,7 +539,7 @@ def test_level_memo_builds_twist_once(monkeypatch, fresh_contexts):
     last = make_params(4, 15)
     other = mcg.surface_model("genus2").twist_matrix(last, "b2").matrix
     assert calls == []
-    assert all(x.params is last for row in other for x in row)
+    assert all(x.params is make_params(4, 1) for row in other for x in row)
     assert [[(x.part, x.odd) for x in row] for row in other] == \
         [[(x.part, x.odd) for x in row] for row in first]
     mcg.surface_model("genus2").twist_matrix(last, "b0")

@@ -114,7 +114,7 @@ def test_loop_values(r):
             assert dk == d * prev1 - prev2  # Chebyshev recursion
         prev2, prev1 = prev1, dk
     if r == 5:
-        assert abs(rc.loop_value(p, 2).embed() - 1.618033988749895) < 1e-12
+        assert abs(rc.loop_value(p, 2).embed(p) - 1.618033988749895) < 1e-12
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -207,10 +207,10 @@ def test_f_matrix_unitarity_numeric():
     es, fs, F = rc.f_matrix(p, a, b, c, d)
 
     def norm(e, t1, t2):
-        return abs((rc.theta(p, *t1) * rc.theta(p, *t2) / rc.loop_value(p, e)).embed())
+        return abs((rc.theta(p, *t1) * rc.theta(p, *t2) / rc.loop_value(p, e)).embed(p))
 
     n = len(es)
-    U = [[F[i][j].embed() * math.sqrt(norm(fs[j], (b, c, fs[j]), (a, d, fs[j]))
+    U = [[F[i][j].embed(p) * math.sqrt(norm(fs[j], (b, c, fs[j]), (a, d, fs[j]))
                                       / norm(es[i], (a, b, es[i]), (c, d, es[i])))
           for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -226,7 +226,7 @@ def test_twist_coefficients(r):
     for k in range(r - 1):
         mu = rc.twist_coefficient(p, k)
         assert mu == oracles.twist_coefficient_oracle(p, k)
-        assert abs(abs(mu.embed()) - 1) < 1e-12
+        assert abs(abs(mu.embed(p)) - 1) < 1e-12
     assert rc.twist_coefficient(p, 1) == -p.a_pow(3)
 
 

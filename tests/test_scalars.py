@@ -25,7 +25,6 @@ def test_params_validation():
 def test_params_interned():
     p = QuantumParams(5, 1)
     assert make_params(5) is p
-    assert QuantumParams.from_json({"r": 5}) is p
     assert QuantumParams(5, 3) is not p
 
 
@@ -50,24 +49,40 @@ def test_cached_builds_once_per_key():
     assert len(builds) == 2
 
 
-def test_scalars_from_different_roots_do_not_mix():
+def test_scalars_from_different_levels_do_not_mix():
     a = make_params(5, 1).a_pow(1)
-    b = make_params(5, 3).a_pow(1)
+    b = make_params(6, 1).a_pow(1)
     with pytest.raises(ValueError):
         a + b
     with pytest.raises(ValueError):
         a * b
     with pytest.raises(ValueError):
         a == b
+    for root in (make_params(6, 1), make_params(6, 5)):
+        with pytest.raises(ValueError):
+            a.embed(root)
+    with pytest.raises(ValueError):
+        make_params(5).zero().embed(make_params(6))
+
+
+def test_every_root_builds_at_its_level():
+    level = make_params(5, 1)
+    for s in (1, 3, 7, 9):
+        p = make_params(5, s)
+        assert p.level is level
+        built = (p.zero(), p.one(), p.a_pow(3), p.c_symbol(), p.quantum_int(2),
+                 Scalar.from_json(p, p.a_pow(1).to_json()))
+        assert all(x.params is level for x in built)
+    assert make_params(5, 3).a_pow(1) == level.a_pow(1)
 
 
 def test_c_embeds_at_its_own_root(fresh_contexts):
     # (5, 3) shares the level memo of (5, 1), which has embedded a c-odd value
     # first; c is a float of its own root, not a memoized exact value
-    assert make_params(5, 1).c_symbol().embed().real > 0
-    p3 = make_params(5, 3)
-    D = p3.total_d_squared().embed()
-    assert p3.c_symbol().embed() == pytest.approx(1 / math.sqrt(D.real), rel=1e-12)
+    p1, p3 = make_params(5, 1), make_params(5, 3)
+    assert p1.c_symbol().embed(p1).real > 0
+    D = p3.total_d_squared().embed(p3)
+    assert p3.c_symbol().embed(p3) == pytest.approx(1 / math.sqrt(D.real), rel=1e-12)
 
 
 def test_poly_divmod_random():
@@ -100,7 +115,7 @@ def test_loop_value(r):
     d = p.loop_d()
     assert d == -(p.a_pow(2) + p.a_pow(-2))
     expected = -2 * math.cos(math.pi / r)
-    assert abs(d.embed() - expected) < 1e-12
+    assert abs(d.embed(p) - expected) < 1e-12
 
 
 @pytest.mark.parametrize("r", RS)
@@ -121,7 +136,7 @@ def test_c_symbol(r):
     D = p.total_d_squared()
     assert (c * c * D).is_one()
     # numerically c = 1/sqrt(D) > 0
-    assert abs(c.embed() - 1 / math.sqrt(D.embed().real)) < 1e-12
+    assert abs(c.embed(p) - 1 / math.sqrt(D.embed(p).real)) < 1e-12
 
 
 @pytest.mark.parametrize("r", RS)

@@ -238,4 +238,4 @@ def test_distinct_manifolds_detected(params):
 
 def test_c_constant_unit_modulus(params):
     C = oracles.unknot_value_plus(params)
-    assert abs(abs(C.embed()) - 1.0) < 1e-9
+    assert abs(abs(C.embed(params)) - 1.0) < 1e-9

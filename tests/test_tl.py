@@ -81,14 +81,15 @@ def test_jones_wenzl(r):
 
 def test_jones_wenzl_per_root():
     # P_2 = 1 - e_1/d has the same coefficients as a polynomial in A at every
-    # root, but d = -A^2 - A^{-2} takes a different value at s = 1 and s = 3
+    # root, so every root of the level reads one projector; d = -A^2 - A^{-2}
+    # takes a different value at s = 1 and s = 3, and so does its 1/d
     p1, p3 = make_params(5, 1), make_params(5, 3)
-    assert jones_wenzl(p1, 2) is jones_wenzl(p1, 2)
-    proj1, proj3 = jones_wenzl(p1, 2), jones_wenzl(p3, 2)
-    assert all(c.params is p1 for c in proj1.terms.values())
-    assert all(c.params is p3 for c in proj3.terms.values())
-    [diag] = TLElement.e(p1, 2, 1).terms
-    assert abs(proj1.terms[diag].embed() - proj3.terms[diag].embed()) > 0.1
+    proj = jones_wenzl(p1, 2)
+    assert jones_wenzl(p3, 2) is proj
+    assert proj.params is p1
+    assert all(c.params is p1 for c in proj.terms.values())
+    [diag] = TLElement.e(p3, 2, 1).terms
+    assert abs(proj.terms[diag].embed(p1) - proj.terms[diag].embed(p3)) > 0.1
 
 
 @pytest.mark.parametrize("r", RS)
