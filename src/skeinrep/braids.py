@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tqft
-from .linalg import columns, mat_product, scalar_of, zeros
+from .linalg import columns, mat_product, rows, scalar_of
 from .mcg import DetectionResult, RepMatrix, scan_levels
 from .recoupling import theta, theta_inverse
 from .scalars import QuantumParams
@@ -82,22 +82,23 @@ def _e_block(params: QuantumParams, a: int):
 
 
 def _generator_matrix(params: QuantumParams, n: int, m: int, gen: int):
-    """Sector matrix of sigma_|gen|^(sign gen) on the path basis."""
+    """Sector matrix of sigma_|gen|^(sign gen) on the path basis, as
+    {row: Scalar} columns."""
     paths = path_basis(params, n, m)
     idx = {p: k for k, p in enumerate(paths)}
     i = abs(gen)
     a_diag = params.a_pow(1 if gen > 0 else -1)
     a_off = params.a_pow(-1 if gen > 0 else 1)
-    out = zeros(params, len(paths), len(paths))
+    zero = params.zero()
+    out = [{k: a_diag} for k in range(len(paths))]
     for k, p in enumerate(paths):
-        out[k][k] = a_diag
         if p[i - 1] == p[i + 1]:
             bs, block = params.cached(("e_block", p[i - 1]), lambda: _e_block(params, p[i - 1]))
             bi = bs.index(p[i])
             for bj, b2 in enumerate(bs):
                 q = p[:i] + (b2,) + p[i + 1:]
                 if q in idx:
-                    out[idx[q]][k] = out[idx[q]][k] + a_off * block[bj][bi]
+                    out[k][idx[q]] = out[k].get(idx[q], zero) + a_off * block[bj][bi]
     return out
 
 
@@ -123,7 +124,8 @@ def jones_sector_rep(params: QuantumParams, braid: BraidWord, m: int) -> RepMatr
     column."""
     dim = _sector_dim(params, braid.n, m)
     gens = [_generator_columns(params, braid.n, m, g) for g in braid.word]
-    return RepMatrix(mat_product(params, gens, dim), params.r, "braid_sector", (braid.n, m))
+    return RepMatrix(rows(params, mat_product(params, gens, dim)), params.r, "braid_sector",
+                     (braid.n, m))
 
 
 @dataclass(frozen=True)

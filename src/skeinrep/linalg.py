@@ -1,11 +1,11 @@
 """Small exact linear algebra over the cyclotomic Scalars.
 
-Matrices are lists of lists of Scalar.  A product of generator matrices
-reads them in column form and runs as packed residues, one column at a
-time (`product_columns`): the detection probe `scalar_of` stops at the
-first column that is not lambda e_j, and `mat_product` decodes every
-column.  Everything is exact; no pivoting heuristics beyond picking the
-first nonzero entry.
+A matrix is the list of its columns, each a {row: Scalar} dict (a missing
+row is zero), packed by `columns`.  A product of matrices runs as packed
+residues, one column at a time (`product_columns`): the probe `scalar_of`
+stops at the first column that is not lambda e_j, and `mat_product`
+decodes every column.  `rows` writes the dense rows a `mcg.RepMatrix`
+leaves in, which `mat_trace` reads; the rest serve the benchmark's checker.
 """
 from __future__ import annotations
 
@@ -48,20 +48,17 @@ def mat_mul(a, b):
 
 
 def columns(matrix):
-    """The column form (L, c, cols) of a square matrix of c-free Scalars:
-    cols[j] lists the nonzero entries (i, numerators) of column j over L,
-    the lcm of the entry denominators, and c is the largest l1 mass of a
-    column of these numerators, the growth of a product by the matrix
-    (CONVENTIONS.md, residue rule).  cols is a dict, which
-    `QuantumParams.cached` shares between the roots of a level instead of
-    walking it."""
-    live = [(i, j) for i, row in enumerate(matrix) for j, x in enumerate(row) if not x.is_zero()]
-    den, nums = common_denominator(matrix[i][j] for i, j in live)
-    cols = {j: [] for j in range(len(matrix))}
-    for (i, j), v in zip(live, nums):
+    """The column form (L, c, cols) of a square matrix of c-free Scalars
+    (a list of {row: Scalar} columns): cols[j] lists the nonzero entries
+    (i, numerators) of column j over L, the lcm of the entry denominators,
+    and c is the largest l1 mass of a column of these numerators, the
+    growth of a product by the matrix (CONVENTIONS.md, residue rule)."""
+    live = [(i, j, x) for j, col in enumerate(matrix) for i, x in col.items() if not x.is_zero()]
+    den, nums = common_denominator(x for _, _, x in live)
+    cols = [[] for _ in matrix]
+    for (i, j, _), v in zip(live, nums):
         cols[j].append((i, v))
-    return den, max((sum(sum(map(abs, v)) for _, v in col) for col in cols.values()),
-                    default=0), cols
+    return den, max((sum(sum(map(abs, v)) for _, v in col) for col in cols), default=0), cols
 
 
 def product_columns(params: QuantumParams, factors, n: int):
@@ -131,15 +128,21 @@ def scalar_of(params: QuantumParams, factors, n: int):
 
 
 def mat_product(params: QuantumParams, factors, n: int):
-    """The n x n product of factors in column form (leftmost first), every
-    live entry of each `product_columns` column decoded; an empty product
-    is I."""
+    """The n x n product of factors in column form (leftmost first), as
+    {row: Scalar} columns, every live entry of each `product_columns`
+    column decoded; an empty product is I."""
     if not factors:
-        return eye(params, n)
-    out = zeros(params, n, n)
-    for j, (col, ring, den) in enumerate(product_columns(params, factors, n)):
-        for i, z in col.items():
-            out[i][j] = ring.decode(z, den)
+        return [{j: params.one()} for j in range(n)]
+    return [{i: ring.decode(z, den) for i, z in col.items()}
+            for col, ring, den in product_columns(params, factors, n)]
+
+
+def rows(params: QuantumParams, matrix):
+    """The dense rows of a matrix given as {row: Scalar} columns."""
+    out = zeros(params, len(matrix), len(matrix))
+    for j, col in enumerate(matrix):
+        for i, x in col.items():
+            out[i][j] = x
     return out
 
 

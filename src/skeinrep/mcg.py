@@ -6,8 +6,9 @@ target).  The target is the spine edge the curve encircles, whose labels are
 a diagonal core, or a cycle of spine edges, whose core is the curve's
 parallel insertion (a fusion operator with tetrahedral coefficients).  The
 moves, a word in the changes of spine basis (Moore-Seiberg), give the frame
-(left, core, right) around the core, each move a pair (K^{-1}, K) with
-left = K_1^{-1} K_2^{-1} ... and right = ... K_2 K_1:
+(left, core, right) around the core, each move a pair (K^{-1}, K) of column
+forms (`linalg.columns`) with left = [K_1^{-1}, K_2^{-1}, ...] and
+right = [..., K_2, K_1]:
 - a spine edge: the F-move `_f_move`, blockwise K = F(a,b,c,d)^T with
   K^{-1} = F(b,c,d,a)^T, read off the same F-matrix by 6j orthogonality;
 - "S": the Hopf S-matrix, K^{-1} = S and K = S/D;
@@ -16,7 +17,8 @@ left = K_1^{-1} K_2^{-1} ... and right = ... K_2 K_1:
 `SurfaceModel` turns a frame into the curve operator left . C(core) . right
 and the twist pair left . f(core) . right, where f(lambda_k) = mu_k^{+-1}:
 read off a label core, and one exact Newton prefix pass shared by both signs
-on a matrix core.  No matrix is inverted by elimination.
+on a matrix core, each the packed product of the frame (`linalg`'s matrix
+format).  No matrix is inverted by elimination.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from itertools import product
 from operator import mul
 
 from . import tqft
-from .linalg import columns, mat_mul, mat_product, mat_trace, scalar_of, zeros
+from .linalg import columns, mat_product, mat_trace, rows, scalar_of
 from .recoupling import (encircle_eigenvalue, f_matrix, s_matrix, tet, theta,
                          theta_inverse, twist_coefficient)
 from .scalars import QuantumParams, Scalar, make_params
@@ -107,44 +109,44 @@ def _newton_coefficients(params: QuantumParams):
 
 
 def _interp_pair(params: QuantumParams, cmat):
-    """The twist matrix of a curve and its inverse from its curve operator
-    C: the polynomials sending encircle_eigenvalue(k) to
-    twist_coefficient(k)^{+-1}, in Newton form
+    """The twist matrix of a curve and its inverse, as {row: Scalar}
+    columns, from its curve operator C: the polynomials sending
+    encircle_eigenvalue(k) to twist_coefficient(k)^{+-1}, in Newton form
     f(C) = sum_k c_k prod_{j<k} (C - lambda_j).  The coefficients come from
-    the level memo, and each prefix product is built once, by the
-    zero-skipping mat_mul, for both signs."""
+    the level memo.  Column j applies the prefix products to e_j as a
+    sparse vector, which stays in the block of C that holds j, and each
+    prefix serves both signs."""
     lams, coeffs = params.cached(("newton",), lambda: _newton_coefficients(params))
-    n = len(cmat)
-    pair = tuple(_diag(params, [c[0]] * n) for c in coeffs)
-    prefix = None
-    for k in range(1, len(lams)):
-        step = [list(row) for row in cmat]
-        for a in range(n):
-            step[a][a] = step[a][a] - lams[k - 1]
-        prefix = step if prefix is None else mat_mul(prefix, step)
-        for out, c in zip(pair, coeffs):
-            for a, row in enumerate(prefix):
-                for b, x in enumerate(row):
-                    if not x.is_zero():
-                        out[a][b] = out[a][b] + c[k] * x
+    zero = params.zero()
+    pair = ([], [])
+    for j in range(len(cmat)):
+        vec, outs = {j: params.one()}, [{j: c[0]} for c in coeffs]
+        for k in range(1, len(lams)):
+            step = {}
+            for t, x in vec.items():
+                for i, y in cmat[t].items():
+                    step[i] = step.get(i, zero) + y * x
+                step[t] = step.get(t, zero) - lams[k - 1] * x
+            vec = {i: x for i, x in step.items() if not x.is_zero()}
+            for out, c in zip(outs, coeffs):
+                for i, x in vec.items():
+                    out[i] = out.get(i, zero) + c[k] * x
+        for cols, out in zip(pair, outs):
+            cols.append(out)
     return pair
 
 
 def _is_labels(core):
-    """A frame core is a label list or a matrix (a list of rows)."""
+    """A frame core is a label list or a matrix (a list of columns)."""
     return all(isinstance(k, int) for k in core)
 
 
-def _conjugate(left, core, right):
-    return core if left is None else mat_mul(left, mat_mul(core, right))
-
-
-def _diag(params, values):
-    n = len(values)
-    m = zeros(params, n, n)
-    for i, v in enumerate(values):
-        m[i][i] = v
-    return m
+def _framed(params, left, core, right):
+    """left . core . right, as {row: Scalar} columns: the packed product of
+    the frame's column forms, or the core itself in a frame with no moves."""
+    if not left:
+        return core
+    return mat_product(params, left + [columns(core)] + right, len(core))
 
 
 def _parallel_insertion(params, tuples, vertices):
@@ -156,10 +158,10 @@ def _parallel_insertion(params, tuples, vertices):
     at each vertex by a tetrahedron, weighted
     tet(a, b, a', b', c, 1) / theta(a', b', c) (Kauffman-Lins).  Each weight
     is a product with a memoized theta inverse, and an entry the product of
-    its weights."""
+    its weights.  Returns {row: Scalar} columns."""
     idx = {t: i for i, t in enumerate(tuples)}
     cycle = sorted({p for a, b, _ in vertices for p in (a, b)})
-    out = zeros(params, len(tuples), len(tuples))
+    out = [{} for _ in tuples]
     for i, t in enumerate(tuples):
         for moved in product(*[(t[p] - 1, t[p] + 1) for p in cycle]):
             t2 = list(t)
@@ -172,7 +174,7 @@ def _parallel_insertion(params, tuples, vertices):
             corners = {(a, b, c): tet(params, t[a], t[b], t2[a], t2[b], t[c], 1)
                        * theta_inverse(params, t2[a], t2[b], t[c])
                        for a, b, c in set(vertices)}
-            out[j][i] = reduce(mul, [params.d_k(t2[p]) * theta_inverse(params, t[p], 1, t2[p])
+            out[i][j] = reduce(mul, [params.d_k(t2[p]) * theta_inverse(params, t[p], 1, t2[p])
                                      for p in cycle] + [corners[v] for v in vertices])
     return out
 
@@ -216,7 +218,8 @@ def _f_move(params, names, vertices, tuples, edge):
     Returns the new vertices (b, c, edge) and (d, a, edge), the new basis
     tuples (blocks of the labels the move keeps in first-seen order, the new
     edge label ascending in each), and K = F(a,b,c,d)^T, which takes old
-    coordinates to new, with K^{-1} = F(b,c,d,a)^T.  K^{-1} is read off the
+    coordinates to new, with K^{-1} = F(b,c,d,a)^T, both as {row: Scalar}
+    columns.  K^{-1} is read off the
     same F-matrix by 6j orthogonality (Kauffman-Lins):
       F(b,c,d,a)[f][e] = F(a,b,c,d)[e][f] d_e theta(b,c,f) theta(a,d,f)
                          / (d_f theta(a,b,e) theta(c,d,e)),
@@ -230,8 +233,7 @@ def _f_move(params, names, vertices, tuples, edge):
     for j, t in enumerate(tuples):
         blocks.setdefault(t[:pe] + t[pe + 1:], []).append(j)
     new = []
-    k = zeros(params, len(tuples), len(tuples))
-    k_inv = zeros(params, len(tuples), len(tuples))
+    k, k_inv = [{} for _ in tuples], [{} for _ in tuples]
     for js in blocks.values():
         t = tuples[js[0]]
         la, lb, lc, ld = (t[p] for p in pos)
@@ -248,8 +250,8 @@ def _f_move(params, names, vertices, tuples, edge):
             new.append(t[:pe] + (fv,) + t[pe + 1:])
             for j in js:
                 ei = es.index(tuples[j][pe])
-                k[i][j] = f[ei][fi]
-                k_inv[j][i] = f[ei][fi] * row[ei] * col[fi]
+                k[j][i] = f[ei][fi]
+                k_inv[i][j] = f[ei][fi] * row[ei] * col[fi]
     return moved, new, k, k_inv
 
 
@@ -290,27 +292,29 @@ class SurfaceModel:
 
     def _frame(self, params, curve):
         """(left, core, right) of a curve, as the module docstring describes:
-        the table's moves give left and right, and its target the core.  S
-        and the twists keep the basis; an F-move changes it."""
+        the table's moves give left and right, lists of column forms, and
+        its target the core.  S and the twists keep the basis; an F-move
+        changes it."""
         moves, target = self._curves[curve]
         names = list(self.spine.edges) + list(self.spine.boundary)
         vertices = self.spine.vertices
         tuples = [tuple(b[x] for x in self.spine.edges) + tuple(self.spine.boundary.values())
                   for b in self.basis(params)]
-        left = right = None
+        left, right = [], []
         for move in moves:
-            if move == "S":
-                k_inv = s_matrix(params)
-                inv_d = params.inverse_total_d_squared()
-                k = [[x * inv_d for x in row] for row in k_inv]
-            elif move[0] in "+-":
-                k_inv, k = self._twists(params, move[1:])
-                if move[0] == "-":
-                    k_inv, k = k, k_inv
+            if move[0] in "+-":
+                sign = 1 if move[0] == "+" else -1
+                k_inv, k = (self.twist_columns(params, move[1:], e) for e in (sign, -sign))
             else:
-                vertices, tuples, k, k_inv = _f_move(params, names, vertices, tuples, move)
-            left = k_inv if left is None else mat_mul(left, k_inv)
-            right = k if right is None else mat_mul(k, right)
+                if move == "S":
+                    k_inv = [dict(enumerate(col)) for col in zip(*s_matrix(params))]
+                    inv_d = params.inverse_total_d_squared()
+                    k = [{i: x * inv_d for i, x in col.items()} for col in k_inv]
+                else:
+                    vertices, tuples, k, k_inv = _f_move(params, names, vertices, tuples, move)
+                k_inv, k = columns(k_inv), columns(k)
+            left.append(k_inv)
+            right.insert(0, k)
         if isinstance(target, str):
             pos = names.index(target)
             core = [t[pos] for t in tuples]
@@ -326,41 +330,32 @@ class SurfaceModel:
         self._check_curve(curve)
         left, core, right = self._frame(params, curve)
         if _is_labels(core):
-            core = _diag(params, [encircle_eigenvalue(params, k) for k in core])
-        return RepMatrix(_conjugate(left, core, right), params.r, self.name,
-                         self._label_context())
+            core = [{i: encircle_eigenvalue(params, k)} for i, k in enumerate(core)]
+        return RepMatrix(rows(params, _framed(params, left, core, right)), params.r,
+                         self.name, self._label_context())
 
     def _twist_pair(self, params, curve):
-        """(T, T^{-1}) for a curve, both conjugated from its frame's core."""
+        """(T, T^{-1}) for a curve in column form, each framed from its
+        frame's core."""
         left, core, right = self._frame(params, curve)
         if _is_labels(core):
-            pair = [_diag(params, [twist_coefficient(params, k, e) for k in core])
+            pair = [[{i: twist_coefficient(params, k, e)} for i, k in enumerate(core)]
                     for e in (1, -1)]
         else:
             pair = _interp_pair(params, core)
-        return tuple(_conjugate(left, m, right) for m in pair)
-
-    def _twists(self, params, curve):
-        # a model is fixed by its name and boundary labels, so its twist
-        # pairs are shared by every model built alike at this level
-        key = ("twist", self.name, self._label_context(), curve)
-        return params.cached(key, lambda: self._twist_pair(params, curve))
+        return tuple(columns(_framed(params, left, m, right)) for m in pair)
 
     def twist_columns(self, params, curve, sign):
-        """The column form (`linalg.columns`) of T_curve^sign, sign +-1,
-        memoized in the level memo beside the twist pair."""
+        """The column form (`linalg.columns`) of T_curve^sign, sign +-1, from
+        the level memo's one entry per curve, the pair (T, T^{-1}), which
+        every model of the same name and boundary labels shares."""
         self._check_curve(curve)
-        key = ("twist_cols", self.name, self._label_context(), curve, sign)
-        return params.cached(key, lambda: columns(
-            self._twists(params, curve)[0 if sign > 0 else 1]))
+        key = ("twist", self.name, self._label_context(), curve)
+        return params.cached(key, lambda: self._twist_pair(params, curve))[0 if sign > 0 else 1]
 
     def twist_matrix(self, params, curve, power=1) -> RepMatrix:
-        self._check_curve(curve)
-        if abs(power) != 1:
-            return self.represent(params, [(curve, power)])
-        # a row copy: the memoized twist never leaves in a RepMatrix
-        out = [list(row) for row in self._twists(params, curve)[0 if power > 0 else 1]]
-        return RepMatrix(out, params.r, self.name, self._label_context())
+        """T_curve^power, the product of one word letter (`represent`)."""
+        return self.represent(params, [(curve, power)])
 
     def factors(self, params, word):
         """The column forms (`twist_columns`) whose product represents a
@@ -376,7 +371,7 @@ class SurfaceModel:
         """The product of the word's factors (`linalg.mat_product`), the
         chain that detection probes column by column."""
         out = mat_product(params, self.factors(params, word), self.dim(params))
-        return RepMatrix(out, params.r, self.name, self._label_context())
+        return RepMatrix(rows(params, out), params.r, self.name, self._label_context())
 
     def _label_context(self):
         return self.labels

@@ -2,8 +2,9 @@
 constants as Scalars, projective comparison of matrices, union-find
 classes, the reference product kernel of ``tests/test_scalar_kernel.py``,
 seeded braid words, the l1 masses, column masses, coefficient bounds and
-segment record of the packed residue chains, and a surface model's curve
-names.
+segment record of the packed residue chains, a surface model's curve
+names, and the conversion between the package's matrix format ({row: Scalar}
+columns) and the dense rows that the references multiply.
 The brute-force references of the paper's objects are in ``oracles.py``.
 Nothing in the package imports this module."""
 import math
@@ -173,3 +174,19 @@ def record_segments(monkeypatch):
 def curves(model):
     """The curve names of a `mcg.SurfaceModel`, in its table's order."""
     return tuple(model._curves)
+
+
+def dense_rows(params, matrix):
+    """The dense rows of a matrix given in the package's format, a list of
+    {row: Scalar} columns (a missing row is zero)."""
+    out = [[params.zero()] * len(matrix) for _ in matrix]
+    for j, col in enumerate(matrix):
+        for i, x in col.items():
+            out[i][j] = x
+    return out
+
+
+def sparse_columns(matrix):
+    """The package's format, a list of {row: Scalar} columns holding the
+    nonzero entries, of a matrix given as dense rows."""
+    return [{i: x for i, x in enumerate(col) if not x.is_zero()} for col in zip(*matrix)]

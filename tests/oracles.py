@@ -27,6 +27,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from math import gcd
 
+from helpers import dense_rows
 from skeinrep import skein as sk
 from skeinrep.braids import BraidWord, _generator_matrix, _sector_dim
 from skeinrep.linalg import columns, eye, mat_mul, scalar_of
@@ -432,7 +433,7 @@ def resolve_braid_fold(params, word, n: int) -> TLElement:
 
 def sector_generators(params, braid: BraidWord, m: int):
     """The dense sector-m matrices of the braid's letters, leftmost first."""
-    return [_generator_matrix(params, braid.n, m, g) for g in braid.word]
+    return [dense_rows(params, _generator_matrix(params, braid.n, m, g)) for g in braid.word]
 
 
 def sector_rep_fold(params, braid: BraidWord, m: int):
@@ -483,7 +484,7 @@ def full_twist_scalar(params, n: int, m: int):
     equals (-1)^(m+n) A^(m(m+2) - 3n) -- the twist coefficient of m corrected
     by one curl factor -A^(-3) per strand (the unframed convention)."""
     dim = _sector_dim(params, n, m)
-    gens = sector_generators(params, full_twist_word(n), m)
+    gens = [_generator_matrix(params, n, m, g) for g in full_twist_word(n).word]
     lam = scalar_of(params, [columns(g) for g in gens], dim)
     if lam is None or lam.is_zero():
         raise DomainError("full twist did not act as a scalar")

@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from helpers import (coefficients_within, column_masses, curves, from_int, masses_over_lcm,
-                     record_segments, residue_mu)
+from helpers import (coefficients_within, column_masses, curves, dense_rows, from_int,
+                     masses_over_lcm, record_segments, residue_mu, sparse_columns)
 from oracles import (dense_scalar, full_twist_scalar, full_twist_word, mat_vec,
                      represent_fold, sector_rep_fold, surface_twists)
 from skeinrep import braids, mcg
@@ -28,7 +28,7 @@ GENUS2_CHAIN = ("b0", "b1", "b2", "b3", "b4")
 
 def probe(params, matrices, n):
     """`scalar_of` over the column forms of dense factors."""
-    return scalar_of(params, [columns(m) for m in matrices], n)
+    return scalar_of(params, [columns(sparse_columns(m)) for m in matrices], n)
 
 
 def check_surface_word(params, model, word):
@@ -202,7 +202,7 @@ def test_empty_cases():
     assert mcg.is_projectively_identity([])
     assert scalar_of(params, [], 3).is_one()
     assert probe(params, [eye(params, 2)], 0).is_one()
-    assert columns([]) == (1, 0, {})
+    assert columns([]) == (1, 0, [])
     assert mat_vec([], []) == []
 
 
@@ -211,7 +211,7 @@ def test_detect_rejects_a_zero_scalar(monkeypatch):
     of `is_projectively_identity`, though no product of twists is zero."""
     def zero_factors(model, params, word):
         n = model.dim(params)
-        return [columns(zeros(params, n, n))]
+        return [columns(sparse_columns(zeros(params, n, n)))]
 
     monkeypatch.setattr(mcg.SurfaceModel, "factors", zero_factors)
     assert mcg.detect("torus", [], range(3, 5)).r0 == 3
@@ -234,10 +234,8 @@ def test_every_twist_packs_through_columns(r):
                 for sign in (1, -1):
                     den, growth, cols = model.twist_columns(params, curve, sign)
                     matrix = model.twist_matrix(params, curve, sign).matrix
-                    rebuilt = zeros(params, len(matrix), len(matrix))
-                    for j, col in cols.items():
-                        for i, nums in col:
-                            rebuilt[i][j] = Scalar(params, _part(nums, den))
+                    rebuilt = dense_rows(params, [{i: Scalar(params, _part(nums, den))
+                                                   for i, nums in col} for col in cols])
                     assert rebuilt == matrix, (name, ctx, curve, sign)
                     assert (den, growth) == column_masses(matrix)
 

@@ -3,8 +3,9 @@ import is used, every function, method and class is read by the package or
 the benchmark (a test is not a reader), the closed forms do not import the
 diagram engines that check them, no module keeps a cache of its own (what
 depends on the level is memoized once per level by ``QuantumParams.cached``),
-and only ``scalars.py`` touches a Scalar's fields or constructs a Scalar, so
-it alone binds a value to its level."""
+only ``scalars.py`` touches a Scalar's fields or constructs a Scalar, so
+it alone binds a value to its level, and only ``linalg.py`` reads its
+dense-row routines, so every other module builds matrices as columns."""
 import ast
 from pathlib import Path
 
@@ -21,6 +22,8 @@ CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter
 CACHE_DECORATORS = {"lru_cache", "cache"}
 # a Scalar is c^odd * part; scalars.py alone reads or writes these fields
 SCALAR_FIELDS = {"part", "odd"}
+# linalg's dense-row routines, which only the benchmark's checker reads
+DENSE_ROUTINES = {"zeros", "eye", "mat_mul", "mat_inv", "is_identity"}
 
 
 def package_trees():
@@ -251,3 +254,30 @@ def test_only_scalars_constructs_scalars():
     found = {name: scalar_constructions(tree) for name, tree in package_trees().items()
              if name != "scalars.py"}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def dense_routine_uses(tree):
+    """(line, name) of every dense-row routine of linalg a module imports
+    by name or reads as an attribute."""
+    found = [(node.lineno, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+             for alias in node.names if alias.name in DENSE_ROUTINES]
+    found += [(node.lineno, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in DENSE_ROUTINES]
+    return sorted(found)
+
+
+def test_checker_flags_dense_routine_uses():
+    src = ("from .linalg import columns, zeros\n"
+           "from . import linalg\n"
+           "def f(p, a):\n"
+           "    return linalg.mat_mul(a, linalg.eye(p, 2)), columns(a)\n")
+    assert dense_routine_uses(ast.parse(src)) == [(1, "zeros"), (4, "eye"), (4, "mat_mul")]
+
+
+def test_only_linalg_reads_dense_routines():
+    # a matrix is built as {row: Scalar} columns; dense rows are written
+    # once, by linalg.rows, for the RepMatrix that leaves the package
+    found = {name: dense_routine_uses(tree) for name, tree in package_trees().items()
+             if name != "linalg.py"}
+    assert {name: uses for name, uses in found.items() if uses} == {}

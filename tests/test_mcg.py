@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import curves, from_int, scalar_multiple_of
+from helpers import curves, dense_rows, from_int, scalar_multiple_of
 from oracles import expand_solid_torus, mat_vec, theta_spine
 from skeinrep import mcg, skein, tqft
 from skeinrep.braids import BraidWord, jones_sector_rep, sector_labels
@@ -247,8 +247,9 @@ def test_zero_dimensional_block():
 # -------------------------------------------------------------- genus 2
 
 def count_twist_pairs(monkeypatch, record):
-    """Calls of the builder of a curve's (T, T^{-1}) pair, as record(params,
-    curve, pair) values."""
+    """Calls of the builder of a curve's (T, T^{-1}) pair of column forms
+    (`linalg.columns`, each (L, c, cols)), as record(params, curve, pair)
+    values."""
     calls = []
     build = mcg.SurfaceModel._twist_pair
 
@@ -276,7 +277,8 @@ def test_inverse_twist_inverted_once(monkeypatch, fresh_contexts):
     # fresh contexts, so the level memo starts without the inverse; the
     # inverse comes with the forward twist from one pair build
     params = make_params(4, 5)
-    calls = count_twist_pairs(monkeypatch, lambda p, curve, pair: len(pair[1]))
+    # the inverse's dimension is its number of columns, 3 at r = 4
+    calls = count_twist_pairs(monkeypatch, lambda p, curve, pair: len(pair[1][2]))
     first = mcg.surface_model("torus").twist_matrix(params, "a", -1)
     assert mcg.surface_model("torus").twist_matrix(params, "a", -1).matrix == first.matrix
     cube = mcg.surface_model("torus").twist_matrix(params, "a", -3)
@@ -285,6 +287,32 @@ def test_inverse_twist_inverted_once(monkeypatch, fresh_contexts):
     forward = mcg.surface_model("torus").twist_matrix(params, "a", 1)
     assert calls == [3]  # the forward twist came with the inverse
     assert mat_mul(forward.matrix, first.matrix) == eye(params, 3)
+
+
+def test_level_memo_holds_one_twist_entry_per_curve(fresh_contexts):
+    # every genus-2 twist, both signs: one memo entry per curve, the pair of
+    # column forms, and no matrix kept as dense rows
+    params, model = make_params(5), mcg.surface_model("genus2")
+    for curve in curves(model):
+        for sign in (1, -1):
+            model.twist_matrix(params, curve, sign)
+    memo = params._memo
+    assert sorted(key for key in memo if key[0].startswith("twist")) == \
+        [("twist", "genus2", (), curve) for curve in curves(model)]
+    for curve in curves(model):
+        pair = memo[("twist", "genus2", (), curve)]
+        assert isinstance(pair, tuple) and [len(form) for form in pair] == [3, 3]
+        assert [len(form[2]) for form in pair] == [model.dim(params)] * 2
+
+    def dense(value):
+        # a square list of rows of Scalars, alone or inside a tuple
+        if isinstance(value, tuple):
+            return any(map(dense, value))
+        return isinstance(value, list) and bool(value) and all(
+            isinstance(row, list) and len(row) == len(value)
+            and all(isinstance(x, Scalar) for x in row) for row in value)
+
+    assert not any(dense(v) for v in memo.values())
 
 
 def test_genus2_nested_curve_on_handlebody_vector(small_params):
@@ -620,6 +648,7 @@ def check_f_move(params, spine, edge):
     """The new vertices, the new basis tuples and K K^{-1} = K^{-1} K = I."""
     names, vertices, tuples = spine_tuples(params, spine)
     moved, new, k, k_inv = mcg._f_move(params, names, vertices, tuples, edge)
+    k, k_inv = dense_rows(params, k), dense_rows(params, k_inv)
     identity = eye(params, len(tuples))
     assert mat_mul(k, k_inv) == identity
     assert mat_mul(k_inv, k) == identity

@@ -183,16 +183,35 @@ def twist_digest():
             for s in [s for s in range(1, 4 * r) if gcd(s, 4 * r) == 1][:2]:
                 params = make_params(r, s)
                 for ctx in mcg._boundary_contexts(surface, r):
-                    model = mcg.surface_model(surface, ctx)
-                    for curve in curves(model):
-                        mats = [model.twist_matrix(params, curve, 1).matrix,
-                                model.twist_matrix(params, curve, -1).matrix,
-                                model.curve_operator(params, curve).matrix]
-                        record = [surface, list(ctx), r, s, curve] + [
-                            [[x.to_json() for x in row] for row in m] for m in mats]
-                        h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+                    update_digest(h, params, mcg.surface_model(surface, ctx))
     return h.hexdigest()
+
+
+def update_digest(h, params, model):
+    """One line per curve of the model: the json.dumps (sorted keys) of
+    [surface, labels, r, s, curve, T, T^-1, C]."""
+    for curve in curves(model):
+        mats = [model.twist_matrix(params, curve, 1).matrix,
+                model.twist_matrix(params, curve, -1).matrix,
+                model.curve_operator(params, curve).matrix]
+        record = [model.name, list(model.labels), params.r, params.s, curve] + [
+            [[x.to_json() for x in row] for row in m] for m in mats]
+        h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
 
 
 def test_twist_digest_pinned():
     assert twist_digest() == TWIST_DIGEST
+
+
+# sha256 of the genus-2 twists and curve operators at r = 6, 7 and 8 (s = 1),
+# where the F-moved curve b2 and the blocks of the cycle cores are large:
+# `update_digest` over r ascending, recorded while the twists were still
+# built by dense conjugation.
+GENUS2_DIGEST = "947adac8c3fa44abbcdd01a28e3d213db06db6111226ecaa17baa2335511444a"
+
+
+def test_genus2_digest_pinned_at_larger_levels():
+    h = hashlib.sha256()
+    for r in (6, 7, 8):
+        update_digest(h, make_params(r), mcg.surface_model("genus2"))
+    assert h.hexdigest() == GENUS2_DIGEST
