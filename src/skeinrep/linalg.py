@@ -1,11 +1,13 @@
 """Small exact linear algebra over the cyclotomic Scalars.
 
 A matrix is the list of its columns, each a {row: Scalar} dict (a missing
-row is zero), packed by `columns`.  A product of matrices runs as packed
-residues, one column at a time (`product_columns`): the probe `scalar_of`
-stops at the first column that is not lambda e_j, and `mat_product`
-decodes every column.  `rows` writes the dense rows a `mcg.RepMatrix`
-leaves in, which `mat_trace` reads; the rest serve the benchmark's checker.
+row is zero), packed by `columns`.  `product_columns` runs a product of
+linear maps in column form on packed residues, one column at a time, on
+any hashable keys: matrix rows for the probe `scalar_of`, which stops at
+the first column that is not lambda e_j, and for `mat_product`, which
+decodes every column, and TL diagrams for `tl.resolve_braid`.  `rows`
+writes the dense rows a `mcg.RepMatrix` leaves in, which `mat_trace`
+reads; the rest serve the benchmark's checker.
 """
 from __future__ import annotations
 
@@ -61,28 +63,31 @@ def columns(matrix):
     return den, max((sum(sum(map(abs, v)) for _, v in col) for col in cols), default=0), cols
 
 
-def product_columns(params: QuantumParams, factors, n: int):
-    """The columns of the product F_1 ... F_L of n x n factors (leftmost
-    first, each in column form, `columns`; at least one), one at a time:
-    for each j, (col, ring, den) with col the sparse {row: residue} map of
-    column j, F_1(F_2(...(F_L e_j))), whose live entries decode as
-    ring.decode(residue, den).  A consumer that stops early reads no more
-    columns.
+def product_columns(params: QuantumParams, factors, starts):
+    """The columns of the product F_1 ... F_L of linear maps on hashable
+    keys (leftmost first), one per start: for each key j of starts,
+    (col, ring, den) with col the sparse {key: residue} map of
+    F_1(F_2(...(F_L e_j))), whose live entries decode as
+    ring.decode(residue, den); no factors give e_j.  A factor is a column
+    form (L, c, cols) as `columns` gives it: cols[t] lists the entries
+    (key, numerators) of column t over L, and c bounds their l1 mass.
+    cols[t] is read only at the keys t that a column reaches, so it may be
+    a lazy mapping.  A consumer that stops early reads no more columns.
 
     A factor multiplies the total l1 mass of the column by at most its
     column mass c, so a segment that starts at total mass M0 has
     B = mu * M0 * prod c and decodes over the product of the factors' L
     (`PackedRing.segment`; CONVENTIONS.md, the column rule); a factor costs
     one integer multiply-add per nonzero entry it reads and one reduction
-    per live row.  Under the bound an entry is zero exactly when its residue
+    per live key.  Under the bound an entry is zero exactly when its residue
     is, and every live entry is decoded at the end of each segment but the
     last.  Each factor's column is packed when a column first reads it,
     once per ring width."""
     chain = factors[::-1]
     packed = {}
-    for j in range(n):
+    for j in starts:
         vec, pos = {j: params.one()}, 0
-        while pos < len(chain):
+        while True:
             den, nums = common_denominator(vec.values())
             k, ring = PackedRing.segment(params, sum(sum(map(abs, v)) for v in nums),
                                          (c for _, c, _ in chain[pos:]))
@@ -90,18 +95,19 @@ def product_columns(params: QuantumParams, factors, n: int):
             state = {i: ring.pack(v) for i, v in zip(vec, nums)}
             for factor_den, _, cols in chain[pos:pos + k]:
                 seen = packed.setdefault((id(cols), mod), {})
-                out = [0] * n
+                out = {}
                 for t, z in state.items():
                     col = seen.get(t)
                     if col is None:
                         col = seen[t] = [(i, ring.pack(v)) for i, v in cols[t]]
                     for i, v in col:
-                        out[i] += v * z
-                state = {i: y for i, x in enumerate(out) if x and (y := x % mod)}
+                        out[i] = out.get(i, 0) + v * z
+                state = {i: y for i, x in out.items() if (y := x % mod)}
                 den *= factor_den
             pos += k
-            if pos < len(chain):
-                vec = {i: ring.decode(z, den) for i, z in state.items()}
+            if pos == len(chain):
+                break
+            vec = {i: ring.decode(z, den) for i, z in state.items()}
         yield state, ring, den
 
 
@@ -114,9 +120,7 @@ def scalar_of(params: QuantumParams, factors, n: int):
     only the diagonal entry is decoded.  An empty product is I, and n = 0
     gives one, as an empty matrix is."""
     lam = params.one()
-    if not factors:
-        return lam
-    for j, (col, ring, den) in enumerate(product_columns(params, factors, n)):
+    for j, (col, ring, den) in enumerate(product_columns(params, factors, range(n))):
         if any(i != j for i in col):
             return None
         diag = ring.decode(col.get(j, 0), den)
@@ -131,10 +135,8 @@ def mat_product(params: QuantumParams, factors, n: int):
     """The n x n product of factors in column form (leftmost first), as
     {row: Scalar} columns, every live entry of each `product_columns`
     column decoded; an empty product is I."""
-    if not factors:
-        return [{j: params.one()} for j in range(n)]
     return [{i: ring.decode(z, den) for i, z in col.items()}
-            for col, ring, den in product_columns(params, factors, n)]
+            for col, ring, den in product_columns(params, factors, range(n))]
 
 
 def rows(params: QuantumParams, matrix):

@@ -29,9 +29,10 @@ integer sums and products modulo N, one decode at the end.  That is exact
 when a bound B on every reduced coefficient of every intermediate value
 satisfies B < 2^(b-2).  For images of Laurent polynomials P in x,
 B = mu |P|_1 holds, mu = max_e |A^e mod Phi|_inf, because x^(4r) = 1
-modulo Phi; the skein sweep runs this way, and the braid resolution and
-the products of matrices in column form run in segments that each decode
-once (``PackedRing.segment``).
+modulo Phi; the skein sweep runs this way, and the products of linear
+maps in column form (``linalg.product_columns``: matrices and braid
+resolution alike) run in segments that each decode once
+(``PackedRing.segment``).
 
 The exact arithmetic depends on the level r alone: it is formal in A, with
 Phi = Phi_4r the minimal polynomial of every primitive 4r-th root.  So the
@@ -350,17 +351,16 @@ class PackedRing:
     def segment(cls, params: QuantumParams, mass: int, growths):
         """(k, ring) for the next segment of a chain of steps: the values
         start at l1 mass at most `mass`, and the steps multiply it by at most
-        growths[0], growths[1], ...  k >= 1 is the most steps whose bound
+        growths[0], growths[1], ...  k is the most steps whose bound
         mu * mass * prod growths[:k] stays below 2^62, the widest digit one
         Struct call packs (8 bytes), and the ring holds that bound; a first
-        step beyond it is a segment of its own, packed wider.  At the end of
-        a segment the caller decodes every value and starts the next one
-        from their actual mass, so the width does not grow with the chain."""
-        growths = iter(growths)
-        mass *= next(growths)
-        k = 1
+        step beyond it is a segment of its own, packed wider, and no steps
+        give k = 0 and a ring for the start values.  At the end of a
+        segment the caller decodes every value and starts the next one from
+        their actual mass, so the width does not grow with the chain."""
+        k = 0
         for g in growths:
-            if params._mu * mass * g >= 1 << 62:
+            if k and params._mu * mass * g >= 1 << 62:
                 break
             mass *= g
             k += 1

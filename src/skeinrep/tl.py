@@ -15,6 +15,9 @@ upper bottom points, and the Markov trace joins top point i to bottom
 point i.  A group with two outer points is a pair of the result, and a
 union inside one group closes a loop, worth a factor d.
 
+A braid word resolves as one packed column chain on diagram keys
+(``linalg.product_columns``).
+
 The only global memo is the diagram-pair compositions: they do not depend
 on the level, so every level shares them.  Jones-Wenzl projectors and the
 loop powers d^k (``loop_power``) do depend on it, and live in the level
@@ -23,9 +26,8 @@ object, since a TLElement, like its coefficients, is bound to the level.
 """
 from __future__ import annotations
 
-import itertools
-
-from .scalars import PackedRing, QuantumParams, Scalar, common_denominator
+from .linalg import product_columns
+from .scalars import QuantumParams, Scalar, common_denominator
 from .unionfind import UnionFind
 
 
@@ -237,18 +239,23 @@ class TLElement:
             for d1, c1 in self.terms.items() for d2, c2 in other.terms.items()})
 
     def markov_trace(self) -> Scalar:
-        """Close top point i to bottom point i; each closed loop contributes d."""
+        """Close top point i to bottom point i; each closed loop contributes d.
+        The coefficients are summed per loop count k before the one product
+        by d^k."""
         if self.nb != self.nt:
             raise ValueError("Markov trace requires an endomorphism")
-        p = self.params
-        total = p.zero()
         n = self.nb
+        by_loops = {}
         for diag, coeff in self.terms.items():
             # closing point p (top or bottom) lands on strand p mod n; a pair
             # joining two already-connected strands closes a loop
             uf = UnionFind()
             loops = sum(not uf.union(a % n, b % n) for a, b in diag.pairs)
-            total = total + (coeff * loop_power(p, loops) if loops else coeff)
+            acc = by_loops.get(loops)
+            by_loops[loops] = coeff if acc is None else acc + coeff
+        total = self.params.zero()
+        for loops, coeff in by_loops.items():
+            total = total + coeff * loop_power(self.params, loops)
         return total
 
     # ----- queries -----
@@ -316,49 +323,40 @@ def resolve_braid(params: QuantumParams, word, n: int) -> TLElement:
     Generators are signed integers: +i is sigma_i (1-indexed), -i its inverse.
     sigma_i -> A * id + A^{-1} * e_i.
 
-    The coefficients are residues of a `PackedRing` (CONVENTIONS.md, residue
-    rule): a letter is an integer multiply-add per term.  Stacking e_i
-    closes at most one loop d, |d|_1 = 2, so a letter multiplies the total
-    l1 mass of the coefficients by at most 1 + 2 = 3, and a segment of k
-    letters that starts at total mass M0 has B = mu * M0 * 3^k.  Each
-    segment ends with one decode per term (`PackedRing.segment`).
+    The word is one `linalg.product_columns` chain on diagram keys, started
+    at the identity diagram; each letter is a factor whose columns are a
+    `_Letter`, and the letters go in reversed order, since the chain applies
+    the rightmost factor first.
     """
     for g in word:
         if not 1 <= abs(g) <= n - 1:
             raise ValueError(f"generator {g} out of range for {n} strands")
-    e_gens = {i: TLDiagram.e_gen(n, i) for i in range(1, n)}
-    out = TLElement.identity(params, n)
-    pos = 0
-    while pos < len(word):
-        den, nums = common_denominator(out.terms.values())
-        k, ring = PackedRing.segment(params, sum(sum(map(abs, v)) for v in nums),
-                                     itertools.repeat(3, len(word) - pos))
-        letters = _letter_residues(params, ring)
-        terms = dict(zip(out.terms, map(ring.pack, nums)))
-        for g in word[pos:pos + k]:
-            a, ainv, ainv_d = letters[g > 0]
-            e = e_gens[abs(g)]
-            new = {}
-            for diag, z in terms.items():
-                new[diag] = new.get(diag, 0) + z * a
-                stacked, loops = _compose_diagrams(diag, e)
-                new[stacked] = new.get(stacked, 0) + z * (ainv_d if loops else ainv)
-            terms = {diag: v for diag, w in new.items() if (v := w % ring.n)}
-        out = TLElement(params, n, n, {diag: ring.decode(z, den) for diag, z in terms.items()})
-        pos += k
-    return out
+    a, ainv, d = params.a_pow(1), params.a_pow(-1), params.loop_d()
+    den, (a, ainv, a_d, ainv_d) = common_denominator([a, ainv, a * d, ainv * d])
+    letters = {g: (den, 3, _Letter(TLDiagram.e_gen(n, abs(g)),
+                                   *((a, ainv, ainv_d) if g > 0 else (ainv, a, a_d))))
+               for g in set(word)}
+    (col, ring, den), = product_columns(params, [letters[g] for g in reversed(word)],
+                                        [TLDiagram.identity(n)])
+    return TLElement(params, n, n, {diag: ring.decode(z, den) for diag, z in col.items()})
 
 
-def _letter_residues(params: QuantumParams, ring: PackedRing):
-    """The residues (A^{+-1}, A^{-+1}, A^{-+1} d) of sigma^{+-1} in `ring`,
-    indexed by the sign of the letter (True for sigma, False for its
-    inverse), memoized in the level memo."""
-    def build():
-        values = [params.a_pow(1), params.a_pow(-1), params.a_pow(-1) * params.loop_d(),
-                  params.a_pow(1) * params.loop_d()]
-        a, ainv, ainv_d, a_d = map(ring.pack, common_denominator(values)[1])
-        return (ainv, a, a_d), (a, ainv, ainv_d)
-    return params.cached(("braid_letter", ring.n), build)
+class _Letter:
+    """The columns of sigma^{+-1} = A^{+-1} 1 + A^{-+1} e_i on diagram keys,
+    as numerators over one denominator: column `diagram` is
+    (diagram, A^{+-1}) and (diagram e_i, A^{-+1}), times d when stacking e_i
+    closes a loop, read off ``_compose_diagrams`` when a chain first reaches
+    the diagram.  A loop is at most one d, |d|_1 = 2, so the column mass is
+    1 + 2 = 3 (CONVENTIONS.md, the column rule)."""
+
+    __slots__ = ("e", "a", "ainv", "ainv_d")
+
+    def __init__(self, e: TLDiagram, a, ainv, ainv_d):
+        self.e, self.a, self.ainv, self.ainv_d = e, a, ainv, ainv_d
+
+    def __getitem__(self, diag):
+        stacked, loops = _compose_diagrams(diag, self.e)
+        return (diag, self.a), (stacked, self.ainv_d if loops else self.ainv)
 
 
 def markov_trace(x: TLElement) -> Scalar:

@@ -14,7 +14,7 @@ calculus, and the tests compare the two exactly.
 - braids: the full twist, its sector scalar, word-level permutation,
   free reduction and writhe, and the `Scalar` folds that the packed
   residue chains of ``tl.resolve_braid`` and ``braids.jones_sector_rep``
-  replaced;
+  replaced, and the per-term Markov trace;
 - detection: the dense `Scalar` mat-vec, the dense decision of whether a
   matrix is `lambda * I`, and the `mat_mul` fold of a surface word's
   twists, the references of the packed column chain
@@ -35,6 +35,7 @@ from skeinrep.recoupling import admissible, check_label, s_matrix
 from skeinrep.skein import DomainError
 from skeinrep.tl import TLDiagram, TLElement, block_crossing, jones_wenzl, resolve_braid
 from skeinrep.tqft import Spine, SpineFormatError, basis
+from skeinrep.unionfind import UnionFind
 
 # ---------------------------------------------------------------------------
 # Temperley-Lieb diagrams
@@ -429,6 +430,19 @@ def resolve_braid_fold(params, word, n: int) -> TLElement:
         gen = TLElement.identity(params, n).scale(a) + TLElement.e(params, n, i).scale(ainv)
         out = out * gen
     return out
+
+
+def markov_trace_fold(x: TLElement):
+    """The Markov trace as a fold over the terms, one product by d^loops per
+    term: the reference of `TLElement.markov_trace`, which multiplies once
+    per distinct loop count."""
+    n, p = x.nb, x.params
+    total = p.zero()
+    for diag, coeff in x.terms.items():
+        uf = UnionFind()
+        loops = sum(not uf.union(a % n, b % n) for a, b in diag.pairs)
+        total = total + coeff * p.loop_d() ** loops
+    return total
 
 
 def sector_generators(params, braid: BraidWord, m: int):

@@ -9,17 +9,19 @@ column forms (`linalg.columns`) as packed residues; its segments are checked aga
 their bound, computed here from its definition with the dense `Scalar`
 mat-vec (`oracles.mat_vec`)."""
 import random
+from fractions import Fraction
 
 import pytest
 
 from helpers import (coefficients_within, column_masses, curves, dense_rows, from_int,
-                     masses_over_lcm, record_segments, residue_mu, sparse_columns)
+                     from_rational, masses_over_lcm, record_segments, residue_mu,
+                     sparse_columns)
 from oracles import (dense_scalar, full_twist_scalar, full_twist_word, mat_vec,
                      represent_fold, sector_rep_fold, surface_twists)
 from skeinrep import braids, mcg
 from skeinrep.braids import BraidWord, sector_labels
-from skeinrep.linalg import columns, eye, is_identity, scalar_of, zeros
-from skeinrep.scalars import Scalar, _part, make_params
+from skeinrep.linalg import columns, eye, is_identity, mat_product, product_columns, scalar_of, zeros
+from skeinrep.scalars import Scalar, _part, common_denominator, make_params
 from skeinrep.skein import DomainError
 
 SURFACES = ("torus", "punctured_torus", "four_punctured_sphere", "genus2")
@@ -204,6 +206,52 @@ def test_empty_cases():
     assert probe(params, [eye(params, 2)], 0).is_one()
     assert columns([]) == (1, 0, [])
     assert mat_vec([], []) == []
+
+
+class LazyWalk:
+    """Lazy columns on the keys ("v", k), k any integer: column ("v", k) is
+    `stay` at ("v", k) and `move` at ("v", k + shift), as numerators over
+    one denominator, built when a chain reads the key.  It has no length
+    and lists no keys."""
+
+    def __init__(self, stay, move, shift):
+        self.values, self.shift = (stay, move), shift
+        self.den, self.nums = common_denominator(self.values)
+
+    def factor(self):
+        """The column form (L, c, cols) of the walk."""
+        return self.den, sum(sum(map(abs, v)) for v in self.nums), self
+
+    def __getitem__(self, key):
+        _, k = key
+        return (key, self.nums[0]), (("v", k + self.shift), self.nums[1])
+
+
+def test_product_columns_on_lazy_keys(monkeypatch):
+    """`product_columns` is generic over hashable keys: two lazy walks
+    alternating over 80 factors from one start, which takes several
+    segments, give the `Scalar` fold that applies the rightmost factor
+    first; no factors give e_j."""
+    seen = record_segments(monkeypatch)
+    params = make_params(5)
+    third = from_rational(params, Fraction(1, 3))
+    walks = [LazyWalk(params.a_pow(1), params.a_pow(-1), 1),
+             LazyWalk(params.a_pow(2) * third, -params.a_pow(3), -2)]
+    chain = [walks[i % 2] for i in range(80)]
+    start = ("v", 0)
+    (col, ring, den), = product_columns(params, [w.factor() for w in chain], [start])
+    assert len(seen) > 1
+    vec = {start: params.one()}
+    for walk in reversed(chain):
+        out = {}
+        for (_, k), x in vec.items():
+            for key, y in zip((("v", k), ("v", k + walk.shift)), walk.values):
+                out[key] = out[key] + y * x if key in out else y * x
+        vec = {key: x for key, x in out.items() if not x.is_zero()}
+    assert {key: ring.decode(z, den) for key, z in col.items()} == vec
+    (col, ring, den), = product_columns(params, [], [start])
+    assert {key: ring.decode(z, den) for key, z in col.items()} == {start: params.one()}
+    assert mat_product(params, [], 0) == []
 
 
 def test_detect_rejects_a_zero_scalar(monkeypatch):

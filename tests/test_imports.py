@@ -4,8 +4,10 @@ the benchmark (a test is not a reader), the closed forms do not import the
 diagram engines that check them, no module keeps a cache of its own (what
 depends on the level is memoized once per level by ``QuantumParams.cached``),
 only ``scalars.py`` touches a Scalar's fields or constructs a Scalar, so
-it alone binds a value to its level, and only ``linalg.py`` reads its
-dense-row routines, so every other module builds matrices as columns."""
+it alone binds a value to its level, only ``linalg.py`` reads its
+dense-row routines, so every other module builds matrices as columns, and
+only ``linalg.py`` reads ``PackedRing.segment``, so the packed column chain
+is the one chain that cuts a product into segments."""
 import ast
 from pathlib import Path
 
@@ -279,5 +281,26 @@ def test_only_linalg_reads_dense_routines():
     # a matrix is built as {row: Scalar} columns; dense rows are written
     # once, by linalg.rows, for the RepMatrix that leaves the package
     found = {name: dense_routine_uses(tree) for name, tree in package_trees().items()
+             if name != "linalg.py"}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def segment_uses(tree):
+    """(line, name) of every attribute read named ``segment``."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "segment")
+
+
+def test_checker_flags_segment_uses():
+    src = ("from .scalars import PackedRing\n"
+           "def f(p, m, cs):\n"
+           "    segment = 1\n"
+           "    return PackedRing.segment(p, m, cs), segment\n")
+    assert segment_uses(ast.parse(src)) == [(4, "segment")]
+
+
+def test_only_linalg_reads_segment():
+    # the segment rule has one owner, the column chain linalg.product_columns
+    found = {name: segment_uses(tree) for name, tree in package_trees().items()
              if name != "linalg.py"}
     assert {name: uses for name, uses in found.items() if uses} == {}

@@ -6,8 +6,8 @@ import pytest
 from helpers import (coefficients_within, masses_over_lcm, random_word, record_segments,
                      residue_mu)
 from oracles import (bigelow_braid, braid_absorption_check, encircle_element, flip,
-                     identity_coefficient, is_planar, resolve_braid_fold, rotate180,
-                     sector_projectors, tl_basis)
+                     identity_coefficient, is_planar, markov_trace_fold, resolve_braid_fold,
+                     rotate180, sector_projectors, tl_basis)
 from skeinrep import tl
 from skeinrep.braids import BraidWord, Cabling, cable
 from skeinrep.recoupling import encircle_eigenvalue
@@ -270,6 +270,22 @@ def test_markov_trace(r):
         x = TLElement(p, 3, 3, {basis[rng.randrange(len(basis))]: p.a_pow(rng.randrange(8))})
         y = TLElement(p, 3, 3, {basis[rng.randrange(len(basis))]: p.a_pow(rng.randrange(8))})
         assert (x * y).markov_trace() == (y * x).markov_trace()
+
+
+def test_markov_trace_matches_the_fold():
+    """The trace summed per loop count against the per-term fold, as JSON:
+    seeded braid words on 2..6 strands at r = 3..8, Bigelow's braid and
+    the Jones-Wenzl projectors."""
+    rng = random.Random(12)
+    bigelow = bigelow_braid()
+    for r in range(3, 9):
+        p = make_params(r)
+        elements = [resolve_braid(p, random_word(rng, n, rng.randint(0, 15)), n)
+                    for n in range(2, 7) for _ in range(3)]
+        elements.append(resolve_braid(p, bigelow.word, bigelow.n))
+        elements += [jones_wenzl(p, k) for k in range(r - 1)]
+        for x in elements:
+            assert x.markov_trace().to_json() == markov_trace_fold(x).to_json(), (r, x)
 
 
 def test_serialization_roundtrip():
