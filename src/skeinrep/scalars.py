@@ -13,26 +13,25 @@ A part is a pair (nums, den): a tuple of phi integer numerators, constant
 first, over one positive integer denominator.  Parts are canonical -- the gcd
 of den and all nums is 1, and the zero part is None -- so equal elements have
 equal tuples and == and hash are plain tuple operations.  Phi is monic, so
-reduction modulo Phi and the powers of A stay integral.  A product packs each
-numerator vector into one integer with one struct call (Kronecker
-substitution, A -> 2^b), does one big-integer multiply and reduces it
-modulo Phi(2^b), which is reduction modulo Phi in packed form, so the phi
-coefficients of the reduced product come out of one unpack; the width b is
-picked per product from a bound on the reduced coefficients.  An inverse
-solves N w = 1 mod Phi by fraction-free (Bareiss) elimination.  Fraction
-is used only off the arithmetic path: to build Phi, and to convert from and
-to rationals, JSON and floats.
+reduction modulo Phi and the powers of A stay integral.  An inverse solves
+nums * w = 1 mod Phi by fraction-free (Bareiss) elimination.  Fraction is used
+only off the arithmetic path: to build Phi, and to convert from and to
+rationals, JSON and floats.
 
-The same map x -> 2^b is a ring homomorphism Z[x]/Phi -> Z/N, N = Phi(2^b),
-so a long computation can run on residues alone (``PackedRing``): plain
-integer sums and products modulo N, one decode at the end.  That is exact
-when a bound B on every reduced coefficient of every intermediate value
-satisfies B < 2^(b-2).  For images of Laurent polynomials P in x,
-B = mu |P|_1 holds, mu = max_e |A^e mod Phi|_inf, because x^(4r) = 1
-modulo Phi; the skein sweep runs this way, and the products of linear
-maps in column form (``linalg.product_columns``: matrices and braid
-resolution alike) run in segments that each decode once
-(``PackedRing.segment``).
+Products run on one map (Kronecker substitution): x -> 2^b is a ring
+homomorphism Z[x]/Phi -> Z/N, N = Phi(2^b), so a computation can run on
+residues alone (``PackedRing``): plain integer sums and products modulo N,
+one decode at the end.  That is exact when a bound B on every reduced
+coefficient of every intermediate value satisfies B < 2^(b-2).  For images
+of Laurent polynomials P in x, B = mu |P|_1 holds,
+mu = max_e |A^e mod Phi|_inf, because x^(4r) = 1 modulo Phi; this residue
+rule picks the width of every packed computation (``QuantumParams.ring``),
+and the level keeps one ring per width.  A product of two parts packs each
+numerator vector with one struct call, does one big-integer multiply and
+unpacks the symmetric residue, in the ring of mass |u|_1 |v|_1; the skein
+sweep runs on residues throughout, and the products of linear maps in
+column form (``linalg.product_columns``: matrices and braid resolution
+alike) run in segments that each decode once (``PackedRing.segment``).
 
 The exact arithmetic depends on the level r alone: it is formal in A, with
 Phi = Phi_4r the minimal polynomial of every primitive 4r-th root.  So the
@@ -99,19 +98,18 @@ class QuantumParams:
             cyclo = _cyclotomic_coeffs(self.order)
             self.phi = len(cyclo) - 1
             self._cyclo = cyclo
-            self._rho = self._growth_bound()
-            widths = {nb: self._kernel(nb, code) for nb, code in zip((1, 2, 4, 8), "bhiq")}
-            self._kernels = tuple(widths[next(nb for nb in widths if bits <= 8 * nb - 2)]
-                                  for bits in range(63))
+            widths = {nb: PackedRing(self, nb) for nb in (1, 2, 4, 8)}
+            self._rings = tuple(widths[next(nb for nb in widths if bits <= 8 * nb - 2)]
+                                for bits in range(63))
             self._apow = self._a_power_table()
             self._mu = max(max(map(abs, nums)) for nums, _ in self._apow)
             self._one = _const(self, 1)
             self._memo = {}
         else:
             self.level = level = cls(r, 1)
-            (self.phi, self._cyclo, self._rho, self._kernels, self._apow, self._mu, self._one,
-             self._memo) = (level.phi, level._cyclo, level._rho, level._kernels, level._apow,
-                            level._mu, level._one, level._memo)
+            (self.phi, self._cyclo, self._rings, self._apow, self._mu, self._one, self._memo) = (
+                level.phi, level._cyclo, level._rings, level._apow, level._mu, level._one,
+                level._memo)
         self._c = None
         cls._interned[(r, s)] = self
         return self
@@ -134,33 +132,6 @@ class QuantumParams:
                 out[i] -= top * c
         return out
 
-    def _growth_bound(self):
-        """rho = phi * max_i (1 + sum_k |R[k][i]|), R[k] = x^(phi+k) mod Phi
-        for k = 0 .. phi-2.  A product of numerator vectors u and v has
-        2*phi - 1 raw coefficients of absolute value at most
-        phi * max|u| * max|v|, and reducing row phi+k adds R[k] times it, so
-        every reduced coefficient is at most max|u| * max|v| * rho."""
-        weight = [1] * self.phi
-        cur = [0] * (self.phi - 1) + [1]
-        for _ in range(self.phi - 1):
-            cur = self._times_x(cur)
-            weight = [w + abs(t) for w, t in zip(weight, cur)]
-        return self.phi * max(weight)
-
-    def _kernel(self, nb, code=None):
-        """(packer, bias, N, N >> 1) for phi signed digits of b = 8 nb bits:
-        packer is the Struct of format code, or has its interface when nb > 8
-        and there is no code; bias sets the sign bit of every digit and
-        N = Phi(2^b).  Raises AssertionError unless N > bias; bias is twice
-        the largest |c(2^b)| with every |c_i| <= 2^(b-2)."""
-        b = 8 * nb
-        bias = sum(1 << (b * i + b - 1) for i in range(self.phi))
-        n = sum(c << (b * i) for i, c in enumerate(self._cyclo))
-        if n <= bias:
-            raise AssertionError(f"Phi_{self.order}(2^{b}) is too small for the packed product")
-        packer = struct.Struct(f"<{self.phi}{code}") if code else _WideDigits(nb, self.phi)
-        return packer, bias, n, n >> 1
-
     def _a_power_table(self):
         """Parts for A^e, e = 0 .. 4r-1."""
         table = []
@@ -170,32 +141,28 @@ class QuantumParams:
             cur = self._times_x(cur)
         return table
 
-    def _packing(self, bound):
-        """The kernel of the narrowest digits that hold bound: b = 8 nb with
-        bound < 2^(b-2), nb the smallest of 1, 2, 4, 8, else of the multiples
-        of 8.  A wider kernel is built once per width, in the level memo."""
-        bits = bound.bit_length()
+    def ring(self, mass: int) -> "PackedRing":
+        """The ring of the narrowest digits that hold values of l1 mass at
+        most mass (``PackedRing``): b = 8 nb with mu * mass < 2^(b-2), nb the
+        smallest of 1, 2, 4, 8, else of the multiples of 8.  The level holds
+        one ring per width: the four narrow ones from its construction, a
+        wider one in its memo from first use."""
+        bits = (self._mu * mass).bit_length()
         if bits < 63:
-            return self._kernels[bits]
+            return self._rings[bits]
         nb = (bits + 65) // 64 * 8
-        return self.cached(("kernel", nb), lambda: self._kernel(nb))
+        return self.cached(("ring", nb), lambda: PackedRing(self.level, nb))
 
     def _poly_mul(self, u, v):
         """Product of two nonzero parts by Kronecker substitution, reduced in
-        the packed integer.  x -> 2^b maps Z[x] onto Z and Z[x]/Phi into
-        Z/N, N = Phi(2^b): with X and Y the numerator vectors of u and v
-        packed as signed b-bit digits, their product reduced modulo Phi,
-        c(x), has c(2^b) = X * Y mod N.  The width holds
-        max|u| * max|v| * rho, so every |c_i| < 2^(b-2) (``_growth_bound``),
-        and N exceeds twice every such |c(2^b)| (``_kernel``): the symmetric
-        residue of X * Y is c(2^b) itself, and its b-bit digits are the c_i
-        (``_decode``)."""
+        the packed integer (``PackedRing``).  The product P = u v of the
+        numerator vectors has degree at most 2 phi - 2 < 4r and
+        |P|_1 <= |u|_1 |v|_1, so the residue rule holds in the ring of that
+        mass, and the symmetric residue of the product of the packed
+        vectors decodes to the reduced coefficients."""
         (un, ud), (vn, vd) = u, v
-        kernel = self._packing(max(map(abs, un)) * max(map(abs, vn)) * self._rho)
-        packer, bias = kernel[0], kernel[1]
-        # PackedRing.pack of each vector, inlined: the hot path of every product
-        return _decode(kernel, ((int.from_bytes(packer.pack(*un), "little") ^ bias) - bias) * (
-            (int.from_bytes(packer.pack(*vn), "little") ^ bias) - bias), ud * vd)
+        ring = self.ring(sum(map(abs, un)) * sum(map(abs, vn)))
+        return ring.part(ring.pack(un) * ring.pack(vn), ud * vd)
 
     def _poly_inv(self, u):
         """Inverse of the nonzero part u = N / den, as den * w with
@@ -315,37 +282,35 @@ class _WideDigits:
         return [int.from_bytes(data[i:i + nb], "little", signed=True) for i in range(0, self.size, nb)]
 
 
-def _decode(kernel, z, den):
-    """The part c / den whose packed value is congruent to z modulo N: the
-    symmetric residue of z in (-N/2, N/2], unpacked into its phi signed
-    digits.  Exact when every |c_i| < 2^(b-2)."""
-    packer, bias, n, half = kernel
-    z %= n
-    if z > half:
-        z -= n
-    return _part(packer.unpack(((z + bias) ^ bias).to_bytes(packer.size, "little")), den)
-
-
 class PackedRing:
-    """Z[x]/Phi inside Z/N, N = Phi(2^b): x -> 2^b is a ring homomorphism
-    Z[x]/Phi -> Z/N, so sums and products of packed values are plain integer
-    + and * reduced modulo N.
+    """Z[x]/Phi inside Z/N, N = Phi(2^b), for phi signed digits of b = 8 nb
+    bits: x -> 2^b is a ring homomorphism Z[x]/Phi -> Z/N, so sums and
+    products of packed values are plain integer + and * reduced modulo N.
 
-    The width is chosen for values that are images of Laurent polynomials
-    in x of total l1 mass at most ``mass``.  x^(4r) = 1 modulo Phi, so
-    reducing such a polynomial P sends each term x^e to A^e mod Phi, and its
-    reduced coefficients are at most mu * |P|_1 with
-    mu = max_e |A^e mod Phi|_inf.  b is the narrowest width with
-    bound = mu * mass < 2^(b-2); every such value then decodes exactly, and
-    is zero exactly when its residue is."""
+    A value whose reduced coefficients are all below 2^(b-2) decodes
+    exactly from its residue, and is zero exactly when its residue is.  For
+    images of Laurent polynomials P in x, x^(4r) = 1 modulo Phi sends each
+    term x^e to A^e mod Phi, so the reduced coefficients are at most
+    mu * |P|_1 with mu = max_e |A^e mod Phi|_inf; ``QuantumParams.ring``
+    picks the width from that bound, and holds the one ring of each width
+    of its level."""
 
-    __slots__ = ("params", "bound", "n", "_kernel")
+    __slots__ = ("params", "n", "_bias", "_half", "_packer")
 
-    def __init__(self, params: QuantumParams, mass: int):
-        self.params = params.level
-        self.bound = params._mu * mass
-        self._kernel = params._packing(self.bound)
-        self.n = self._kernel[2]
+    def __init__(self, level: QuantumParams, nb: int):
+        """The ring of nb bytes a digit.  Raises AssertionError unless
+        N > bias, the sign bit of every digit: bias is twice the largest
+        |c(2^b)| with every |c_i| <= 2^(b-2), so N then exceeds twice the
+        packed value of every vector the ring decodes."""
+        b = 8 * nb
+        self.params = level
+        self._bias = sum(1 << (b * i + b - 1) for i in range(level.phi))
+        self.n = sum(c << (b * i) for i, c in enumerate(level._cyclo))
+        if self.n <= self._bias:
+            raise AssertionError(f"Phi_{level.order}(2^{b}) is too small for the packed product")
+        self._half = self.n >> 1
+        code = {1: "b", 2: "h", 4: "i", 8: "q"}.get(nb)
+        self._packer = struct.Struct(f"<{level.phi}{code}") if code else _WideDigits(nb, level.phi)
 
     @classmethod
     def segment(cls, params: QuantumParams, mass: int, growths):
@@ -353,7 +318,7 @@ class PackedRing:
         start at l1 mass at most `mass`, and the steps multiply it by at most
         growths[0], growths[1], ...  k is the most steps whose bound
         mu * mass * prod growths[:k] stays below 2^62, the widest digit one
-        Struct call packs (8 bytes), and the ring holds that bound; a first
+        Struct call packs (8 bytes), and the ring holds that mass; a first
         step beyond it is a segment of its own, packed wider, and no steps
         give k = 0 and a ring for the start values.  At the end of a
         segment the caller decodes every value and starts the next one from
@@ -364,7 +329,7 @@ class PackedRing:
                 break
             mass *= g
             k += 1
-        return k, cls(params, mass)
+        return k, params.ring(mass)
 
     def pack(self, nums) -> int:
         """The residue of the element with numerator vector nums: the
@@ -374,12 +339,22 @@ class PackedRing:
         these to and from two's complement.  Up to 8 bytes a digit, one
         Struct call packs or unpacks a whole vector; wider digits, a
         multiple of 8 bytes, are converted one at a time (``_WideDigits``)."""
-        packer, bias = self._kernel[0], self._kernel[1]
-        return (int.from_bytes(packer.pack(*nums), "little") ^ bias) - bias
+        bias = self._bias
+        return (int.from_bytes(self._packer.pack(*nums), "little") ^ bias) - bias
+
+    def part(self, z: int, den: int):
+        """The part c / den whose packed value is congruent to z modulo N:
+        the symmetric residue of z in (-N/2, N/2], unpacked into its phi
+        signed digits."""
+        n, bias, packer = self.n, self._bias, self._packer
+        z %= n
+        if z > self._half:
+            z -= n
+        return _part(packer.unpack(((z + bias) ^ bias).to_bytes(packer.size, "little")), den)
 
     def decode(self, z: int, den: int) -> "Scalar":
         """The c-free element c / den with c the element packed as z mod N."""
-        return Scalar(self.params, _decode(self._kernel, z, den))
+        return Scalar(self.params, self.part(z, den))
 
 
 def common_denominator(values):

@@ -485,19 +485,19 @@ def _sweep(params: QuantumParams, kinds, pairing, loops_upfront, twists=()) -> S
     are scaled to its lcm denominator L, and the value is decoded once, over
     the product of the L.  Every state is a sum of Laurent products in A
     whose l1 mass is at most 2^loops_upfront times the product of the
-    nodes' masses (`_node_terms`); reduction modulo Phi_4r grows that by at
-    most mu, and b is chosen so that this bound B is below 2^(b-2).  Every
-    state's reduced coefficients are then at most B: the zero test on the
-    residue and the decode are exact.  The framing monomials `twists`
-    (each +-A^e) scale the closed total before the decode; a monomial keeps
-    the l1 mass, so B holds for the product too.
+    nodes' masses (`_node_terms`), so the sweep runs in the level's ring of
+    that mass (`QuantumParams.ring`, the residue rule): every state's
+    reduced coefficients are at most B = mu * mass < 2^(b-2), and the zero
+    test on the residue and the decode are exact.  The framing monomials
+    `twists` (each +-A^e) scale the closed total before the decode; a
+    monomial keeps the l1 mass, so B holds for the product too.
     """
     mass, den = 1 << loops_upfront, 1
     for kind in kinds:
         node_den, node_mass, _ = _node_terms(params, kind)
         mass *= node_mass
         den *= node_den
-    ring = PackedRing(params, mass)
+    ring = params.ring(mass)
     n = ring.n
 
     frontier = []

@@ -127,6 +127,23 @@ def residue_mu(params):
     return max(abs(c) for e in range(params.order) for c in params.a_pow(e).part[0])
 
 
+def ring_bits(params, ring):
+    """Bits per digit of a `PackedRing`."""
+    return 8 * ring._packer.size // params.phi
+
+
+def assert_narrowest_ring(params, ring, mass):
+    """ring is the level's ring for l1 mass `mass` (`QuantumParams.ring`),
+    and its width b is the narrowest with B = mu * mass < 2^(b-2): 1, 2, 4
+    or 8 bytes a digit, else a multiple of 8."""
+    bound, b = residue_mu(params) * mass, ring_bits(params, ring)
+    assert ring is params.ring(mass) and ring.params is params.level
+    assert bound < 2 ** (b - 2)
+    if b > 8:
+        narrower = b // 2 if b <= 128 else b - 64
+        assert bound >= 2 ** (narrower - 2)
+
+
 def masses_over_lcm(values):
     """(L, masses): L the lcm of the denominators of the nonzero values, and
     the l1 mass of each one's numerators over L."""

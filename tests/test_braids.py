@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from helpers import (coefficients_within, column_masses, from_int, masses_over_lcm,
-                     random_word, record_segments, residue_mu)
+from helpers import (assert_narrowest_ring, coefficients_within, column_masses, from_int,
+                     masses_over_lcm, random_word, record_segments, residue_mu)
 from oracles import (bigelow_braid, free_reduce, full_twist_scalar, full_twist_word, mat_vec,
                      permutation, sector_generators, sector_rep_fold, tl_basis, writhe)
 from skeinrep import braids, tl, tqft
@@ -371,11 +371,12 @@ def check_sector_width(params, braid, m, seen):
     column by column: the most letters (at least one) with
     B = mu * M0 * prod c < 2^62, for M0 the total l1 mass of the column
     where the segment starts and c each letter's largest column mass
-    (`column_masses`), the letters read right to left.  Its ring's bound is
-    that B, B < 2^62 unless it is one letter, its digits of b bits hold it
-    (B < 2^(b-2)), and every entry of the column at its end has numerators
-    at most B over the start denominator times the letters' L.  The
-    columns are the dense mat-vec's, and the value is the fold's.
+    (`column_masses`), the letters read right to left.  Its ring is the
+    level's ring for B / mu, the narrowest whose digits of b bits hold B
+    (B < 2^(b-2)), B < 2^62 unless it is one letter, and every entry of
+    the column at its end has numerators at most B over the start
+    denominator times the letters' L.  The columns are the dense
+    mat-vec's, and the value is the fold's.
     Returns (k, B) per segment."""
     seen.clear()
     value = jones_sector_rep(params, braid, m).matrix
@@ -396,7 +397,7 @@ def check_sector_width(params, braid, m, seen):
                 bound *= growths[pos + want]
                 want += 1
             assert k == want
-            assert ring.bound == bound < 2 ** (8 * ring._kernel[0].size // params.phi - 2)
+            assert_narrowest_ring(params, ring, bound // mu)
             assert bound < 2 ** 62 or k == 1
             for d in dens[pos:pos + k]:
                 den *= d

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (coefficients_within, column_masses, curves, dense_rows, from_int,
-                     from_rational, masses_over_lcm, record_segments, residue_mu,
-                     sparse_columns)
+from helpers import (assert_narrowest_ring, coefficients_within, column_masses, curves,
+                     dense_rows, from_int, from_rational, masses_over_lcm, record_segments,
+                     residue_mu, sparse_columns)
 from oracles import (dense_scalar, full_twist_scalar, full_twist_word, mat_vec,
                      represent_fold, sector_rep_fold, surface_twists)
 from skeinrep import braids, mcg
@@ -293,11 +293,12 @@ def check_probe_width(params, matrices, n, seen):
     bound allows: the most factors (at least one) with B = mu * M0 * prod c
     < 2^62, for M0 the total l1 mass of the column where the segment starts
     and c each factor's largest column mass (`column_masses`), the factors
-    read right to left.  Its ring's bound is that B, B < 2^62 unless it is
-    one factor, its digits of b bits hold it (B < 2^(b-2)), and every entry
-    of the column at its end has numerators at most B over the start
-    denominator times the factors' L.  The columns are the dense mat-vec's,
-    read up to the first that is not lambda e_j, as the probe reads them.
+    read right to left.  Its ring is the level's ring for B / mu, the
+    narrowest whose digits of b bits hold B (B < 2^(b-2)), B < 2^62 unless
+    it is one factor, and every entry of the column at its end has
+    numerators at most B over the start denominator times the factors' L.
+    The columns are the dense mat-vec's, read up to the first that is not
+    lambda e_j, as the probe reads them.
     Returns (k, B, held) per segment, held telling whether the largest
     entry mass in place of M0 would have bounded the segment's end too."""
     seen.clear()
@@ -319,7 +320,7 @@ def check_probe_width(params, matrices, n, seen):
                 bound *= growths[pos + want]
                 want += 1
             assert k == want
-            assert ring.bound == bound < 2 ** (8 * ring._kernel[0].size // params.phi - 2)
+            assert_narrowest_ring(params, ring, bound // mu)
             assert bound < 2 ** 62 or k == 1
             for d in dens[pos:pos + k]:
                 den *= d
@@ -353,7 +354,7 @@ def test_probe_segments_hold_their_bound(monkeypatch):
         for bits in (7, 15, 31):
             scale = from_int(params, -(-2 ** (bits - 1) // residue_mu(params)))
             segments += check_probe_width(params, [diag(params, [scale] * 2)], 2, seen)
-            assert seen[-1][1].bound.bit_length() == bits
+            assert segments[-1][1].bit_length() == bits
         n, wide = 4, from_int(params, 2 ** 70)
         heavy, spread = eye(params, n), eye(params, n)
         for t in range(n):

@@ -4,10 +4,12 @@ the benchmark (a test is not a reader), the closed forms do not import the
 diagram engines that check them, no module keeps a cache of its own (what
 depends on the level is memoized once per level by ``QuantumParams.cached``),
 only ``scalars.py`` touches a Scalar's fields or constructs a Scalar, so
-it alone binds a value to its level, only ``linalg.py`` reads its
-dense-row routines, so every other module builds matrices as columns, and
-only ``linalg.py`` reads ``PackedRing.segment``, so the packed column chain
-is the one chain that cuts a product into segments."""
+it alone binds a value to its level, only ``scalars.py`` constructs a
+``PackedRing``, so every ring is its level's one ring of its width, only
+``linalg.py`` reads its dense-row routines, so every other module builds
+matrices as columns, and only ``linalg.py`` reads ``PackedRing.segment``,
+so the packed column chain is the one chain that cuts a product into
+segments."""
 import ast
 from pathlib import Path
 
@@ -236,10 +238,10 @@ def test_only_scalars_uses_scalar_fields():
     assert {name: uses for name, uses in found.items() if uses} == {}
 
 
-def scalar_constructions(tree):
-    """(line, name) of every call to Scalar or to an attribute named Scalar."""
+def constructions(tree, cls):
+    """(line, name) of every call to cls or to an attribute named cls."""
     return sorted((node.lineno, _called_name(node)) for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and _called_name(node) == "Scalar")
+                  if isinstance(node, ast.Call) and _called_name(node) == cls)
 
 
 def test_checker_flags_scalar_constructions():
@@ -249,11 +251,29 @@ def test_checker_flags_scalar_constructions():
            "    y = Scalar(p, None)\n"
            "    z = scalars.Scalar(p, x.part, 1)\n"
            "    return Scalar.from_json(p, {}), isinstance(y, Scalar), z\n")
-    assert scalar_constructions(ast.parse(src)) == [(4, "Scalar"), (5, "Scalar")]
+    assert constructions(ast.parse(src), "Scalar") == [(4, "Scalar"), (5, "Scalar")]
 
 
 def test_only_scalars_constructs_scalars():
-    found = {name: scalar_constructions(tree) for name, tree in package_trees().items()
+    found = {name: constructions(tree, "Scalar") for name, tree in package_trees().items()
+             if name != "scalars.py"}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_checker_flags_ring_constructions():
+    src = ("from skeinrep import scalars\n"
+           "from skeinrep.scalars import PackedRing\n"
+           "def f(p, m):\n"
+           "    ring = PackedRing(p, 8)\n"
+           "    wide = scalars.PackedRing(p.level, 16)\n"
+           "    return PackedRing.segment(p, m, ()), p.ring(m), ring, wide\n")
+    assert constructions(ast.parse(src), "PackedRing") == [(4, "PackedRing"),
+                                                           (5, "PackedRing")]
+
+
+def test_only_scalars_constructs_rings():
+    # every ring comes from QuantumParams.ring, one per width and level
+    found = {name: constructions(tree, "PackedRing") for name, tree in package_trees().items()
              if name != "scalars.py"}
     assert {name: calls for name, calls in found.items() if calls} == {}
 

@@ -1,37 +1,42 @@
 """The packed product kernel ``QuantumParams._poly_mul`` against the kernel
 it replaced (kept in ``helpers.poly_mul_reference``): operands at both sides
-of every packed width's bound, wide operands, levels whose Phi_4r has
-coefficients of absolute value 2, and a property over random parts."""
+of every packed width's bound mu * |u|_1 * |v|_1 (the residue rule for the
+product u v), wide operands, levels whose Phi_4r has coefficients of
+absolute value 2, and a property over random parts."""
 import random
 
 import pytest
 
-from helpers import poly_mul_reference
+from helpers import poly_mul_reference, residue_mu
 from skeinrep import scalars
-from skeinrep.scalars import QuantumParams, _part
+from skeinrep.scalars import PackedRing, QuantumParams, _part
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-# r = 105: Phi_420(x) = Phi_105(-x^2), whose coefficients include -2
+# r = 105: Phi_420(x) = Phi_105(-x^2), whose coefficients include -2, and
+# mu = 2
 LEVELS = (3, 4, 5, 6, 7, 8, 105)
 
 
-def operands(params, top_u, top_v, rnd):
-    """Parts with max|numerator| exactly top_u and top_v, random signs and
-    some zero entries."""
-    def vec(top):
-        nums = [rnd.choice((-1, 1)) * rnd.randint(0, top) for _ in range(params.phi)]
-        nums[rnd.randrange(params.phi)] = rnd.choice((-1, 1)) * top
+def operands(params, mass_u, mass_v, rnd):
+    """Parts whose numerators have l1 mass exactly mass_u and mass_v, split
+    over random entries with random signs."""
+    def vec(mass):
+        slots = rnd.sample(range(params.phi), rnd.randint(1, min(params.phi, mass)))
+        cuts = sorted(rnd.randint(0, mass) for _ in slots[1:])
+        nums = [0] * params.phi
+        for i, lo, hi in zip(slots, [0] + cuts, cuts + [mass]):
+            nums[i] = rnd.choice((-1, 1)) * (hi - lo)
         return nums
-    return _part(vec(top_u), rnd.randint(1, 9)), _part(vec(top_v), rnd.randint(1, 9))
+    return _part(vec(mass_u), rnd.randint(1, 9)), _part(vec(mass_v), rnd.randint(1, 9))
 
 
-def packed_width(params, bound):
-    """Bytes per digit of the Struct packing the kernel picks for bound, or
-    None for digits wider than 8 bytes."""
-    bits = bound.bit_length()
-    return params._kernels[bits][0].size // params.phi if bits < 63 else None
+def packed_width(params, mass):
+    """Bytes per digit of the ring the level picks for mass, or None for
+    digits wider than 8 bytes."""
+    nb = params.ring(mass)._packer.size // params.phi
+    return nb if nb <= 8 else None
 
 
 def assert_matches_reference(params, u, v):
@@ -43,34 +48,40 @@ def assert_matches_reference(params, u, v):
 @pytest.mark.parametrize("r", LEVELS)
 @pytest.mark.parametrize("b", [8, 16, 32, 64])
 def test_products_at_each_width_bound(r, b):
-    """max|u| * max|v| * rho just below 2^(b-2) packs in b-bit digits, just
+    """mu * |u|_1 * |v|_1 just below 2^(b-2) packs in b-bit digits, just
     above in the next width; both agree with the reference."""
     params = QuantumParams(r)
-    rho, rnd = params._rho, random.Random(r * b)
-    below = (2 ** (b - 2) - 1) // rho
+    mu, rnd = residue_mu(params), random.Random(r * b)
+    below = (2 ** (b - 2) - 1) // mu
     above = below + 1
-    assert below * rho < 2 ** (b - 2) <= above * rho
+    assert mu * below < 2 ** (b - 2) <= mu * above
+    # the least e with a coefficient mu in A^e mod Phi; x^e is a product of
+    # two numerator monomials
+    top = next(e for e in range(params.order)
+               if max(map(abs, params.a_pow(e).part[0])) == mu)
+    assert top <= 2 * params.phi - 2
     for total, width in ((below, b // 8), (above, 2 * b // 8 if b < 64 else None)):
-        if not total:
-            continue  # rho >= 2^(b-2): no product packs in b bits at this level
-        assert packed_width(params, total * rho) == width
+        assert packed_width(params, total) == width
         split = (total, 1), (1, total), (total // 3, 3)
-        for top_u, top_v in (pair for pair in split if pair[0]):
+        for mass_u, mass_v in (pair for pair in split if pair[0]):
             for _ in range(4):
-                assert_matches_reference(params, *operands(params, top_u, top_v, rnd))
-        # every numerator at its extreme, one sign: the largest raw product
-        u, v = _part([total] * params.phi, 1), _part([-1] * params.phi, 1)
+                assert_matches_reference(params, *operands(params, mass_u, mass_v, rnd))
+        # the whole mass on one monomial: a reduced coefficient of mu * total
+        i = min(top, params.phi - 1)
+        u = _part([total if k == i else 0 for k in range(params.phi)], 1)
+        v = _part([-1 if k == top - i else 0 for k in range(params.phi)], 1)
+        assert max(map(abs, params._poly_mul(u, v)[0])) == mu * total
         assert_matches_reference(params, u, v)
 
 
 @pytest.mark.parametrize("r", LEVELS)
 def test_wide_products(r):
-    """200-bit numerators take the per-digit path."""
+    """Products of 200-bit l1 mass take the per-digit path."""
     params, rnd = QuantumParams(r), random.Random(r)
-    for top_u, top_v in ((2 ** 200, 2 ** 200), (2 ** 200 - 1, 1), (3, 2 ** 200 + 5)):
-        assert packed_width(params, top_u * top_v * params._rho) is None
+    for mass_u, mass_v in ((2 ** 200, 2 ** 200), (2 ** 200 - 1, 1), (3, 2 ** 200 + 5)):
+        assert packed_width(params, mass_u * mass_v) is None
         for _ in range(3):
-            assert_matches_reference(params, *operands(params, top_u, top_v, rnd))
+            assert_matches_reference(params, *operands(params, mass_u, mass_v, rnd))
 
 
 @st.composite
@@ -102,26 +113,41 @@ def test_margin_is_checked_at_construction(fresh_contexts, monkeypatch):
 
 def test_packed_constants():
     params = QuantumParams(3)  # Phi_12 = x^4 - x^2 + 1
-    packer, bias, n, half = params._kernels[0]
-    assert packer.size == 4 and bias == sum(1 << (8 * i + 7) for i in range(4))
-    assert n == 256 ** 4 - 256 ** 2 + 1 and half == n >> 1
-    assert QuantumParams(3, 5)._kernels is params._kernels
+    ring = params.ring(1)
+    assert ring._packer.size == 4 and ring._bias == sum(1 << (8 * i + 7) for i in range(4))
+    assert ring.n == 256 ** 4 - 256 ** 2 + 1 and ring._half == ring.n >> 1
+    assert QuantumParams(3, 5).ring(1) is ring and ring.params is params
 
 
 def test_wide_kernels_are_kept_per_width(fresh_contexts, monkeypatch):
-    """A kernel wider than 8-byte digits is built once per width and level:
-    two bounds of one width get the same kernel, another root of the level
-    shares its parts, and the next width builds another one."""
+    """A ring wider than 8-byte digits is built once per width and level:
+    two masses of one width get the same ring, another root of the level
+    reads it too, and the next width builds another one."""
     params = QuantumParams(5)
     builds = []
-    build = QuantumParams._kernel
-    monkeypatch.setattr(QuantumParams, "_kernel",
-                        lambda self, nb, code=None: builds.append(nb) or build(self, nb, code))
-    kernel = params._packing(2 ** 70)
-    assert kernel[0].size == 16 * params.phi
-    assert params._packing(2 ** 100) is kernel
-    other = QuantumParams(5, 3)._packing(2 ** 80)
-    assert other == kernel and other[0] is kernel[0]
-    wider = params._packing(2 ** 130)
-    assert wider[0].size == 24 * params.phi
+    build = PackedRing.__init__
+    monkeypatch.setattr(PackedRing, "__init__",
+                        lambda self, level, nb: builds.append(nb) or build(self, level, nb))
+    assert residue_mu(params) == 1
+    ring = params.ring(2 ** 70)
+    assert ring._packer.size == 16 * params.phi
+    assert params.ring(2 ** 100) is ring
+    assert QuantumParams(5, 3).ring(2 ** 80) is ring
+    wider = params.ring(2 ** 130)
+    assert wider._packer.size == 24 * params.phi
     assert builds == [16, 24]
+
+
+def test_wide_ring_first_reached_at_another_root_is_the_levels(fresh_contexts):
+    """A ring wider than 8 bytes that a root other than s = 1 reaches first
+    is built on the level: it decodes to Scalars of the level, which mix
+    with the level's own."""
+    root = QuantumParams(5, 3)
+    ring = root.ring(2 ** 70)
+    assert ring._packer.size > 8 * root.phi
+    level = QuantumParams(5)
+    assert ring.params is level and level.ring(2 ** 70) is ring
+    nums = [2 ** 69 * (-1) ** i for i in range(root.phi)]
+    value = ring.decode(ring.pack(nums), 1)
+    assert value.params is level
+    assert value * level.one() + root.one() == value + level.one()

@@ -20,8 +20,9 @@ import sys
 
 import pytest
 
+from helpers import assert_narrowest_ring, ring_bits
 from skeinrep import skein as sk
-from skeinrep.scalars import PackedRing, _decode, common_denominator, make_params
+from skeinrep.scalars import common_denominator, make_params
 from skeinrep.skein import (CircumcisionPair, HandleSlide, apply_move, closed_braid_link,
                             split_union, unknot_link)
 from skeinrep.tl import jones_wenzl
@@ -292,27 +293,20 @@ def traced_sweep(params, kinds, pairing, loops_upfront):
     return value, seen
 
 
-def digit_bits(params, ring):
-    return 8 * ring._kernel[0].size // params.phi
-
-
 def check_width(params, link, labels):
-    """The sweep's B is the defined bound, its width b the narrowest with
-    B < 2^(b-2), every decoded coefficient is at most B, and the value
-    matches the reference.  Returns b."""
+    """The sweep's ring is the level's ring for its mass, whose B = mu * mass
+    is the defined bound, its width b the narrowest with B < 2^(b-2), every
+    decoded coefficient is at most B, and the value matches the reference.
+    Returns b."""
     kinds, pairing, loops_upfront = sk._cabled_diagram(params, link, labels, link.validate())
     value, seen = traced_sweep(params, kinds, pairing, loops_upfront)
-    ring = seen["ring"]
-    b = digit_bits(params, ring)
-    assert ring.bound == expected_bound(params, kinds, loops_upfront)
-    assert ring.bound < 2 ** (b - 2)
-    if b > 8:
-        narrower = b // 2 if b <= 128 else b - 64
-        assert ring.bound >= 2 ** (narrower - 2)
-    part = _decode(ring._kernel, seen["total"], 1)
-    assert part is None or max(map(abs, part[0])) <= ring.bound
+    ring, bound = seen["ring"], expected_bound(params, kinds, loops_upfront)
+    assert params._mu * seen["mass"] == bound
+    assert_narrowest_ring(params, ring, seen["mass"])
+    part = ring.part(seen["total"], 1)
+    assert part is None or max(map(abs, part[0])) <= bound
     assert as_bytes(value) == as_bytes(reference_sweep(params, kinds, pairing, loops_upfront))
-    return b
+    return ring_bits(params, ring)
 
 
 def test_width_covers_every_decoded_coefficient():
@@ -337,10 +331,10 @@ def test_ring_width_at_each_bound(r):
     params = make_params(r)
     for b, wider in ((8, 16), (16, 32), (32, 64), (64, 128), (128, 192)):
         below = (2 ** (b - 2) - 1) // params._mu
-        assert digit_bits(params, PackedRing(params, below)) == b
-        assert digit_bits(params, PackedRing(params, below + 1)) == wider
-        ring = PackedRing(params, below)
-        nums = [ring.bound * (-1) ** i for i in range(params.phi)]
+        assert ring_bits(params, params.ring(below)) == b
+        assert ring_bits(params, params.ring(below + 1)) == wider
+        ring = params.ring(below)
+        nums = [params._mu * below * (-1) ** i for i in range(params.phi)]
         assert ring.decode(ring.pack(nums) + 3 * ring.n, 1).part == (tuple(nums), 1)
 
 

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from helpers import (coefficients_within, masses_over_lcm, random_word, record_segments,
-                     residue_mu)
+from helpers import (assert_narrowest_ring, coefficients_within, masses_over_lcm, random_word,
+                     record_segments, residue_mu)
 from oracles import (bigelow_braid, braid_absorption_check, encircle_element, flip,
                      identity_coefficient, is_planar, markov_trace_fold, resolve_braid_fold,
                      rotate180, sector_projectors, tl_basis)
@@ -131,28 +131,32 @@ def test_resolve_braid_matches_the_fold():
 def check_resolve_width(params, word, n, seen):
     """Each segment of `resolve_braid` is as long as the bound allows: the
     most letters k (at least one) with B = mu * M0 * 3^k < 2^62, for M0
-    the total l1 mass of the fold's value where it starts.  Its ring's
-    bound is that B, B < 2^62 unless k = 1, every coefficient at its end is
-    at most B over the start denominator, and the value is the fold's."""
+    the total l1 mass of the fold's value where it starts.  Its ring is
+    the level's ring for mass M0 * 3^k, the narrowest that holds B,
+    B < 2^62 unless k = 1, every coefficient at its end is at most B over
+    the start denominator, and the value is the fold's."""
     seen.clear()
     value = resolve_braid(params, word, n)
     mu = residue_mu(params)
     states = [TLElement.identity(params, n)]
     for g in word:
         states.append(states[-1] * resolve_braid_fold(params, [g], n))
-    pos = 0
+    pos, segments = 0, []
     for k, ring in seen:
         den, masses = masses_over_lcm(states[pos].terms.values())
         want = 1
         while pos + want < len(word) and mu * sum(masses) * 3 ** (want + 1) < 2 ** 62:
             want += 1
         assert k == want
-        assert ring.bound == mu * sum(masses) * 3 ** k
-        assert ring.bound < 2 ** 62 or k == 1
-        assert coefficients_within(states[pos + k].terms.values(), den, ring.bound)
+        mass = sum(masses) * 3 ** k
+        assert_narrowest_ring(params, ring, mass)
+        bound = mu * mass
+        assert bound < 2 ** 62 or k == 1
+        assert coefficients_within(states[pos + k].terms.values(), den, bound)
+        segments.append((k, bound))
         pos += k
     assert pos == len(word) and value == states[-1]
-    return [(k, ring.bound) for k, ring in seen]
+    return segments
 
 
 def test_resolve_braid_segments_hold_their_bound(monkeypatch):
