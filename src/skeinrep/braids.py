@@ -21,7 +21,6 @@ from .mcg import DetectionResult, RepMatrix, scan_levels
 from .recoupling import theta, theta_inverse
 from .scalars import QuantumParams
 from .skein import DomainError
-from .tl import block_crossing
 
 
 @dataclass(frozen=True)
@@ -142,6 +141,13 @@ class Cabling:
     @property
     def total(self):
         return sum(self.multiplicities)
+
+
+def block_crossing(offset: int, p: int, q: int, positive: bool):
+    """Word crossing a left block of p strands over/under a right block of q,
+    both starting after `offset` strands."""
+    word = [offset + p - a + b for a in range(p) for b in range(q)]
+    return word if positive else [-g for g in reversed(word)]
 
 
 def cable(braid: BraidWord, cabling: Cabling) -> BraidWord:

@@ -15,8 +15,10 @@ upper bottom points, and the Markov trace joins top point i to bottom
 point i.  A group with two outer points is a pair of the result, and a
 union inside one group closes a loop, worth a factor d.
 
-A braid word resolves as one packed column chain on diagram keys
-(``linalg.product_columns``).
+Every product is one packed column chain on diagram keys
+(``linalg.product_columns``) from the identity diagram, each factor a right
+multiplication (``_Times``): ``then`` chains its two operands, a braid
+word its letters, and the Jones-Wenzl projector P_k Wenzl's factors.
 
 The only global memo is the diagram-pair compositions: they do not depend
 on the level, so every level shares them.  Jones-Wenzl projectors and the
@@ -140,13 +142,6 @@ def loop_power(params: QuantumParams, k: int) -> Scalar:
     return params.cached(("loop_power", k), lambda: params.loop_d() ** k)
 
 
-def block_crossing(offset: int, p: int, q: int, positive: bool):
-    """Word crossing a left block of p strands over/under a right block of q,
-    both starting after `offset` strands."""
-    word = [offset + p - a + b for a in range(p) for b in range(q)]
-    return word if positive else [-g for g in reversed(word)]
-
-
 class TLElement:
     """Finite Scalar-linear combination of TL diagrams sharing (nb, nt)."""
 
@@ -174,10 +169,6 @@ class TLElement:
     def identity(params, n):
         return TLElement(params, n, n, {TLDiagram.identity(n): params.one()})
 
-    @staticmethod
-    def e(params, n, i):
-        return TLElement(params, n, n, {TLDiagram.e_gen(n, i): params.one()})
-
     # ----- linear structure -----
 
     def __add__(self, other):
@@ -196,47 +187,18 @@ class TLElement:
         return TLElement(self.params, self.nb, self.nt,
                          {diag: -coeff for diag, coeff in self.terms.items()})
 
-    def scale(self, scalar: Scalar):
-        return TLElement(self.params, self.nb, self.nt,
-                         {diag: scalar * coeff for diag, coeff in self.terms.items()})
-
     # ----- category structure -----
 
     def then(self, other: "TLElement") -> "TLElement":
-        """self followed upward by other: other stacked on top of self."""
+        """self followed upward by other: other stacked on top of self, the
+        chain of the two right multiplications (`_times`); c-free only."""
         if self.nt != other.nb:
             raise ValueError(f"strand-count mismatch: {self.nt} vs {other.nb}")
-        p = self.params
-        terms = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                diag, loops = _compose_diagrams(d1, d2)
-                coeff = c1 * c2
-                if loops:
-                    coeff = coeff * loop_power(p, loops)
-                acc = terms.get(diag)
-                terms[diag] = coeff if acc is None else acc + coeff
-        return TLElement(p, self.nb, other.nt, terms)
+        return _product(self.params, self.nb, other.nt, [_times(self), _times(other)])
 
     def __mul__(self, other):
         """Algebra product x * y = y stacked on top of x (apply x first)."""
         return self.then(other)
-
-    def tensor(self, other: "TLElement") -> "TLElement":
-        """other placed to the right of self.  Distinct diagram pairs give
-        distinct diagrams, so no two terms merge."""
-        nb, nt = self.nb + other.nb, self.nt + other.nt
-
-        def left(q):
-            return q if q < self.nb else q + other.nb
-
-        def right(q):
-            return self.nb + q if q < other.nb else nb + self.nt + q - other.nb
-
-        return TLElement(self.params, nb, nt, {
-            TLDiagram(nb, nt, [(left(a), left(b)) for a, b in d1.pairs]
-                      + [(right(a), right(b)) for a, b in d2.pairs]): c1 * c2
-            for d1, c1 in self.terms.items() for d2, c2 in other.terms.items()})
 
     def markov_trace(self) -> Scalar:
         """Close top point i to bottom point i; each closed loop contributes d.
@@ -291,30 +253,39 @@ class TLElement:
 
 
 def jones_wenzl(params: QuantumParams, k: int) -> TLElement:
-    """The Jones-Wenzl projector P_k via the Wenzl recursion.
+    """The Jones-Wenzl projector P_k = X_2 ... X_k on k strands, the Wenzl
+    recursion P_n = (P_{n-1} (x) 1) X_n as one product (Wenzl 1987;
+    Frenkel-Khovanov 1997), with each staircase one diagram (`_stair`):
 
-    P_n = P_{n-1} - (Delta_{n-2}/Delta_{n-1}) P_{n-1} e_{n-1} P_{n-1} with
-    Delta_k = (-1)^k [k+1]; valid for k <= r-2 (the recursion divides by
-    [n], which vanishes first at n = r).
+        X_j = 1 + sum_{i<j} (-1)^(j-i) (d_{i-1}/d_{j-1}) e_{j-1} ... e_i.
+
+    Valid for k <= r-2: d_{j-1} = (-1)^(j-1) [j] vanishes first at j = r.
     """
     if k < 0:
         raise ValueError("negative strand count")
     if k > params.r - 2:
         raise ValueError(f"P_{k} undefined at r={params.r}: labels stop at r-2={params.r - 2}")
-    proj = params.cached(("jw", 0), lambda: TLElement.identity(params, 0))
-    for n in range(1, k + 1):
-        proj = params.cached(("jw", n), lambda: _wenzl_step(params, proj, n))
-    return proj
+
+    def build():
+        factors = []
+        for j in range(2, k + 1):
+            inv = params.inverse_d_k(j - 1)
+            terms = {TLDiagram.identity(k): params.one()}
+            for i in range(1, j):
+                ratio = params.d_k(i - 1) * inv
+                terms[_stair(k, j, i)] = -ratio if (j - i) % 2 else ratio
+            factors.append(_times(TLElement(params, k, k, terms)))
+        return _product(params, k, k, factors)
+
+    return params.cached(("jw", k), build)
 
 
-def _wenzl_step(params, prev, n):
-    """P_n from P_{n-1}."""
-    wide = prev.tensor(TLElement.identity(params, 1))
-    if n == 1:
-        return wide
-    # Delta_{n-2}/Delta_{n-1} with Delta_k = (-1)^k [k+1] (loop d is negative)
-    ratio = params.d_k(n - 2) / params.d_k(n - 1)
-    return wide - (wide * TLElement.e(params, n, n - 1) * wide).scale(ratio)
+def _stair(n: int, j: int, i: int) -> TLDiagram:
+    """The diagram e_{j-1} e_{j-2} ... e_i of TL_n, e_{j-1} lowest."""
+    diag = TLDiagram.e_gen(n, j - 1)
+    for m in range(j - 2, i - 1, -1):
+        diag, _ = _compose_diagrams(diag, TLDiagram.e_gen(n, m))
+    return diag
 
 
 def resolve_braid(params: QuantumParams, word, n: int) -> TLElement:
@@ -323,40 +294,70 @@ def resolve_braid(params: QuantumParams, word, n: int) -> TLElement:
     Generators are signed integers: +i is sigma_i (1-indexed), -i its inverse.
     sigma_i -> A * id + A^{-1} * e_i.
 
-    The word is one `linalg.product_columns` chain on diagram keys, started
-    at the identity diagram; each letter is a factor whose columns are a
-    `_Letter`, and the letters go in reversed order, since the chain applies
-    the rightmost factor first.
+    The word is the chain of its letters.  A letter's column mass is 3,
+    whatever its reduced numerators: its column is the monomials A^{+-1}
+    and A^{-+1}, the latter times at most one loop d, |d|_1 = 2
+    (CONVENTIONS.md, the column rule).
     """
     for g in word:
         if not 1 <= abs(g) <= n - 1:
             raise ValueError(f"generator {g} out of range for {n} strands")
     a, ainv, d = params.a_pow(1), params.a_pow(-1), params.loop_d()
     den, (a, ainv, a_d, ainv_d) = common_denominator([a, ainv, a * d, ainv * d])
-    letters = {g: (den, 3, _Letter(TLDiagram.e_gen(n, abs(g)),
-                                   *((a, ainv, ainv_d) if g > 0 else (ainv, a, a_d))))
-               for g in set(word)}
-    (col, ring, den), = product_columns(params, [letters[g] for g in reversed(word)],
-                                        [TLDiagram.identity(n)])
-    return TLElement(params, n, n, {diag: ring.decode(z, den) for diag, z in col.items()})
+    letters = {}
+    for g in set(word):
+        e = TLDiagram.e_gen(n, abs(g))
+        terms = ((None, (a,)), (e, (ainv, ainv_d))) if g > 0 else ((None, (ainv,)), (e, (a, a_d)))
+        letters[g] = (den, 3, _Times(terms))
+    return _product(params, n, n, [letters[g] for g in word])
 
 
-class _Letter:
-    """The columns of sigma^{+-1} = A^{+-1} 1 + A^{-+1} e_i on diagram keys,
-    as numerators over one denominator: column `diagram` is
-    (diagram, A^{+-1}) and (diagram e_i, A^{-+1}), times d when stacking e_i
-    closes a loop, read off ``_compose_diagrams`` when a chain first reaches
-    the diagram.  A loop is at most one d, |d|_1 = 2, so the column mass is
-    1 + 2 = 3 (CONVENTIONS.md, the column rule)."""
+def _product(params: QuantumParams, n: int, nt: int, factors) -> TLElement:
+    """The (n, nt) element 1_n f_1 f_2 ...: the column forms (L, c, cols)
+    of right multiplications f_i applied in order from the identity
+    diagram, one `linalg.product_columns` chain (rightmost factor first)."""
+    (col, ring, den), = product_columns(params, factors[::-1], [TLDiagram.identity(n)])
+    return TLElement(params, n, nt, {diag: ring.decode(z, den) for diag, z in col.items()})
 
-    __slots__ = ("e", "a", "ainv", "ainv_d")
 
-    def __init__(self, e: TLDiagram, a, ainv, ainv_d):
-        self.e, self.a, self.ainv, self.ainv_d = e, a, ainv, ainv_d
+def _times(x: TLElement):
+    """The column form (L, c, `_Times`) of the right multiplication by x:
+    stacking D closes at most caps(D) loops, the pairs among D's bottom
+    points, so its terms hold c_D d^k for k = 0 .. caps(D) over L, the lcm
+    of x's denominators, and c = sum_D |c_D|_1 2^caps(D) (CONVENTIONS.md,
+    the column rule).  The identity diagram's term is keyed None."""
+    p, ident = x.params, TLDiagram.identity(x.nb).pairs
+    caps = [sum(b < x.nb for _, b in diag.pairs) for diag in x.terms]
+    den, nums = common_denominator(
+        coeff * loop_power(p, k) if k else coeff
+        for coeff, top in zip(x.terms.values(), caps) for k in range(top + 1))
+    terms, pos = [], 0
+    for diag, top in zip(x.terms, caps):
+        terms.append((None if diag.pairs == ident else diag, nums[pos:pos + top + 1]))
+        pos += top + 1
+    return den, sum(sum(map(abs, t[0])) << top for (_, t), top in zip(terms, caps)), _Times(terms)
+
+
+class _Times:
+    """The columns of a right multiplication on diagram keys: terms are
+    (D, numerators of c_D d^k by loop count k), and column `diagram` holds
+    (diagram D, c_D d^k), read off ``_compose_diagrams`` when a chain first
+    reaches the diagram, or (diagram, c_D) for the identity, D None."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
 
     def __getitem__(self, diag):
-        stacked, loops = _compose_diagrams(diag, self.e)
-        return (diag, self.a), (stacked, self.ainv_d if loops else self.ainv)
+        out = []
+        for e, nums in self.terms:
+            if e is None:
+                out.append((diag, nums[0]))
+            else:
+                stacked, loops = _compose_diagrams(diag, e)
+                out.append((stacked, nums[loops]))
+        return out
 
 
 def markov_trace(x: TLElement) -> Scalar:

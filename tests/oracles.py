@@ -3,8 +3,11 @@ form is rebuilt here by brute force, mostly in honest Temperley-Lieb diagram
 calculus, and the tests compare the two exactly.
 
 - diagram tools over ``TLDiagram`` / ``TLElement``: the Catalan basis,
-  planarity, flips and rotations, cups and caps, single crossings, the
-  encircling loop, and the sector idempotents of TL_n as polynomials in it;
+  planarity, flips and rotations, cups and caps, the generators e_i,
+  scaling and the tensor product, single crossings, the encircling loop,
+  and the sector idempotents of TL_n as polynomials in it;
+- TL products: the `Scalar` term loop and the Wenzl recursion that the
+  packed chains of ``TLElement.then`` and ``tl.jones_wenzl`` replaced;
 - recoupling: loop values, theta and tetrahedral networks, twist and
   encirclement eigenvalues and the Hopf pairing as composed diagrams;
 - TQFT: the handlebody vector and the solid-torus expansion of a (p, q)
@@ -29,11 +32,12 @@ from math import gcd
 
 from helpers import dense_rows
 from skeinrep import skein as sk
-from skeinrep.braids import BraidWord, _generator_matrix, _sector_dim
+from skeinrep.braids import BraidWord, _generator_matrix, _sector_dim, block_crossing
 from skeinrep.linalg import columns, eye, mat_mul, scalar_of
 from skeinrep.recoupling import admissible, check_label, s_matrix
 from skeinrep.skein import DomainError
-from skeinrep.tl import TLDiagram, TLElement, block_crossing, jones_wenzl, resolve_braid
+from skeinrep.tl import (TLDiagram, TLElement, _compose_diagrams, jones_wenzl, loop_power,
+                         resolve_braid)
 from skeinrep.tqft import Spine, SpineFormatError, basis
 from skeinrep.unionfind import UnionFind
 
@@ -98,6 +102,34 @@ def caps(params, k: int) -> TLElement:
     return from_diagram(params, TLDiagram(2 * k, 0, [(i, 2 * k - 1 - i) for i in range(k)]))
 
 
+def e_element(params, n: int, i: int) -> TLElement:
+    """The generator e_i of TL_n (1-indexed) with coefficient 1."""
+    return from_diagram(params, TLDiagram.e_gen(n, i))
+
+
+def scale(x: TLElement, scalar) -> TLElement:
+    """Every coefficient of x times scalar."""
+    return TLElement(x.params, x.nb, x.nt,
+                     {diag: scalar * coeff for diag, coeff in x.terms.items()})
+
+
+def tensor(x: TLElement, y: TLElement) -> TLElement:
+    """y placed to the right of x.  Distinct diagram pairs give distinct
+    diagrams, so no two terms merge."""
+    nb, nt = x.nb + y.nb, x.nt + y.nt
+
+    def left(q):
+        return q if q < x.nb else q + y.nb
+
+    def right(q):
+        return x.nb + q if q < y.nb else nb + x.nt + q - y.nb
+
+    return TLElement(x.params, nb, nt, {
+        TLDiagram(nb, nt, [(left(a), left(b)) for a, b in d1.pairs]
+                  + [(right(a), right(b)) for a, b in d2.pairs]): c1 * c2
+        for d1, c1 in x.terms.items() for d2, c2 in y.terms.items()})
+
+
 def _relabel(x: TLElement, nb: int, nt: int, move) -> TLElement:
     """Every diagram's points renamed by move into an (nb, nt) diagram.
     move is a bijection of the points, so no two terms merge."""
@@ -126,6 +158,42 @@ def identity_coefficient(x: TLElement):
     return coefficient(x, TLDiagram.identity(x.nb))
 
 
+def then_fold(x: TLElement, y: TLElement) -> TLElement:
+    """x followed upward by y as a `Scalar` loop over the term pairs, each
+    pair's diagrams stacked by ``tl._compose_diagrams`` with d per closed
+    loop: the reference of ``TLElement.then``, which takes any Scalar
+    coefficients."""
+    if x.nt != y.nb:
+        raise ValueError(f"strand-count mismatch: {x.nt} vs {y.nb}")
+    p = x.params
+    terms = {}
+    for d1, c1 in x.terms.items():
+        for d2, c2 in y.terms.items():
+            diag, loops = _compose_diagrams(d1, d2)
+            coeff = c1 * c2
+            if loops:
+                coeff = coeff * loop_power(p, loops)
+            acc = terms.get(diag)
+            terms[diag] = coeff if acc is None else acc + coeff
+    return TLElement(p, x.nb, y.nt, terms)
+
+
+def wenzl_fold(params, k: int):
+    """[P_0, ..., P_k] by the Wenzl recursion
+    P_n = P_{n-1} - (Delta_{n-2}/Delta_{n-1}) P_{n-1} e_{n-1} P_{n-1}, with
+    P_{n-1} widened by one strand and Delta_j = d_j, in `then_fold`
+    products: the reference of ``tl.jones_wenzl``."""
+    out = [TLElement.identity(params, 0)]
+    for n in range(1, k + 1):
+        wide = tensor(out[-1], TLElement.identity(params, 1))
+        if n > 1:
+            ratio = params.d_k(n - 2) / params.d_k(n - 1)
+            middle = then_fold(then_fold(wide, e_element(params, n, n - 1)), wide)
+            wide = wide - scale(middle, ratio)
+        out.append(wide)
+    return out
+
+
 def crossing_element(params, n: int, i: int, positive: bool = True) -> TLElement:
     return resolve_braid(params, [i if positive else -i], n)
 
@@ -139,7 +207,7 @@ def braid_absorption_check(params, word, k: int):
     pk = jones_wenzl(params, k)
     prod = resolve_braid(params, word, k) * pk
     lam = params.a_pow(sum(1 if g > 0 else -1 for g in word))
-    if not (prod - pk.scale(lam)).is_zero():
+    if not (prod - scale(pk, lam)).is_zero():
         raise AssertionError("braid absorption failed: product is not A^c(b) * P_k")
     return lam
 
@@ -157,19 +225,19 @@ def encircle_element(params, n: int, label: int = 1) -> TLElement:
         return TLElement.identity(params, n)
     ident_n = TLElement.identity(params, n)
     m = n + 2 * k
-    cur = ident_n.tensor(cups(params, k))
+    cur = tensor(ident_n, cups(params, k))
     for j in range(k):
         # strand currently at position n + j (0-indexed) must travel to position j
         for pos in range(n + j, j, -1):
             cur = cur * crossing_element(params, m, pos, positive=True)
     # insert P_k on the loop cable now sitting at positions 0..k-1
-    cur = cur * jones_wenzl(params, k).tensor(TLElement.identity(params, m - k))
+    cur = cur * tensor(jones_wenzl(params, k), TLElement.identity(params, m - k))
     # return pass uses the same crossing type: the loop goes over on one side
     # of the cable and under on the other, which is two like-signed crossings
     for j in range(k - 1, -1, -1):
         for pos in range(j + 1, n + j + 1):
             cur = cur * crossing_element(params, m, pos, positive=True)
-    return cur * ident_n.tensor(caps(params, k))
+    return cur * tensor(ident_n, caps(params, k))
 
 
 def _loop_eigenvalue(params, m: int):
@@ -221,7 +289,7 @@ def sector_projectors(params, n: int):
             acc = acc * x
         return acc
 
-    factors = {c: power(E - ident.scale(lams[c]), len(classes[c])) for c in labels}
+    factors = {c: power(E - scale(ident, lams[c]), len(classes[c])) for c in labels}
     if not reduce(TLElement.then, factors.values()).is_zero():
         raise AssertionError("prod_j (E - lambda_j)^{e_j} is not zero: E has a Jordan block "
                              "deeper than its class or an eigenvalue outside the classes")
@@ -232,7 +300,7 @@ def sector_projectors(params, n: int):
             if j != c:
                 p_c = p_c * factors[j]
                 denom = denom * (lams[c] - lams[j]) ** len(classes[j])
-        out.append(ident - power(ident - p_c.scale(denom.inverse()), len(classes[c])))
+        out.append(ident - power(ident - scale(p_c, denom.inverse()), len(classes[c])))
     return out
 
 
@@ -249,10 +317,9 @@ def vertex_morphism(params, a: int, b: int, c: int) -> TLElement:
     if not admissible(params, a, b, c):
         raise ValueError(f"inadmissible vertex ({a},{b},{c})")
     x = (a + b - c) // 2
-    bottom = jones_wenzl(params, a).tensor(jones_wenzl(params, b))
-    mid = TLElement.identity(params, a - x) \
-        .tensor(caps(params, x)) \
-        .tensor(TLElement.identity(params, b - x))
+    bottom = tensor(jones_wenzl(params, a), jones_wenzl(params, b))
+    mid = tensor(tensor(TLElement.identity(params, a - x), caps(params, x)),
+                 TLElement.identity(params, b - x))
     return bottom * mid * jones_wenzl(params, c)
 
 
@@ -275,27 +342,26 @@ def tet_oracle(params, a: int, b: int, c: int, d: int, e: int, f: int):
     v1bar = flip(vertex_morphism(params, a, b, e))           # e -> a(+)b
     v3 = vertex_morphism(params, a, f, c)                    # a(+)f -> c
     v4 = vertex_morphism(params, f, b, d)                    # f(+)b -> d
-    mid = TLElement.identity(params, a) \
-        .tensor(cups(params, f)) \
-        .tensor(TLElement.identity(params, b))
+    mid = tensor(tensor(TLElement.identity(params, a), cups(params, f)),
+                 TLElement.identity(params, b))
     v2 = vertex_morphism(params, c, d, e)                    # c(+)d -> e
-    return (v1bar * mid * v3.tensor(v4) * v2).markov_trace()
+    return (v1bar * mid * tensor(v3, v4) * v2).markov_trace()
 
 
 def curl_element(params, k: int, positive: bool = True) -> TLElement:
     """Endomorphism of a k-cable given by one kink of the whole cable."""
     m = 3 * k
-    cur = TLElement.identity(params, k).tensor(cups(params, k))
+    cur = tensor(TLElement.identity(params, k), cups(params, k))
     for g in block_crossing(0, k, k, True):
         cur = cur * crossing_element(params, m, g, positive=positive)
-    return cur * TLElement.identity(params, k).tensor(caps(params, k))
+    return cur * tensor(TLElement.identity(params, k), caps(params, k))
 
 
 def _proportional_to(x: TLElement, pk: TLElement, what: str):
     """The scalar mu with x = mu * pk, read at the identity diagram; raises
     when x is not such a multiple."""
     mu = identity_coefficient(x)
-    if not (x - pk.scale(mu)).is_zero():
+    if not (x - scale(pk, mu)).is_zero():
         raise AssertionError(f"{what} projector is not proportional to the projector")
     return mu
 
@@ -417,7 +483,7 @@ def free_reduce(braid: BraidWord) -> BraidWord:
 
 
 def resolve_braid_fold(params, word, n: int) -> TLElement:
-    """The image of a braid word in TL_n as a fold of `TLElement` products,
+    """The image of a braid word in TL_n as a fold of `then_fold` products,
     sigma_i -> A * id + A^{-1} * e_i letter by letter: the reference of
     `tl.resolve_braid`."""
     out = TLElement.identity(params, n)
@@ -427,8 +493,8 @@ def resolve_braid_fold(params, word, n: int) -> TLElement:
             raise ValueError(f"generator {g} out of range for {n} strands")
         a = params.a_pow(1 if g > 0 else -1)
         ainv = params.a_pow(-1 if g > 0 else 1)
-        gen = TLElement.identity(params, n).scale(a) + TLElement.e(params, n, i).scale(ainv)
-        out = out * gen
+        gen = scale(TLElement.identity(params, n), a) + scale(e_element(params, n, i), ainv)
+        out = then_fold(out, gen)
     return out
 
 

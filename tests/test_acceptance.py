@@ -10,8 +10,8 @@ import random
 
 import oracles
 from helpers import curves, from_int, scalar_multiple_of
-from oracles import (braid_absorption_check, caps, flip, full_twist_scalar,
-                     identity_coefficient, rotate180, sector_projectors, theta_spine)
+from oracles import (braid_absorption_check, caps, e_element, flip, full_twist_scalar,
+                     identity_coefficient, rotate180, sector_projectors, tensor, theta_spine)
 from skeinrep import linalg, mcg, recoupling as rc, skein as sk, tqft
 from skeinrep.braids import (BraidWord, Cabling, braid_detect, cable,
                              jones_sector_rep, sector_labels)
@@ -41,7 +41,7 @@ def test_criterion_01_projector_suite():
             assert identity_coefficient(pk).is_one(), (r, k)
             assert (rotate180(pk) - pk).is_zero(), (r, k)
             for i in range(1, k):
-                ei = TLElement.e(p, k, i)
+                ei = e_element(p, k, i)
                 assert (ei * pk).is_zero(), (r, k, i)
                 assert (pk * ei).is_zero(), (r, k, i)
 
@@ -112,10 +112,9 @@ def test_criterion_04_admissibility():
         rng.shuffle(bad)
         for a, b, c in bad[:4]:
             x = (a + b - c) // 2
-            bottom = jones_wenzl(p, a).tensor(jones_wenzl(p, b))
-            mid = TLElement.identity(p, a - x) \
-                .tensor(caps(p, x)) \
-                .tensor(TLElement.identity(p, b - x))
+            bottom = tensor(jones_wenzl(p, a), jones_wenzl(p, b))
+            mid = tensor(tensor(TLElement.identity(p, a - x), caps(p, x)),
+                         TLElement.identity(p, b - x))
             v = bottom * mid * jones_wenzl(p, c)
             assert (flip(v) * v).markov_trace().is_zero(), (r, a, b, c)
             total += 1

@@ -9,7 +9,8 @@ it alone binds a value to its level, only ``scalars.py`` constructs a
 ``linalg.py`` reads its dense-row routines, so every other module builds
 matrices as columns, and only ``linalg.py`` reads ``PackedRing.segment``,
 so the packed column chain is the one chain that cuts a product into
-segments."""
+segments, and only ``tl._Times`` and ``tl._stair`` read the diagram
+compositions, so every TL product is a column chain of ``_Times``."""
 import ast
 from pathlib import Path
 
@@ -201,7 +202,7 @@ def test_checker_lists_imported_modules():
     src = ("from __future__ import annotations\n"
            "import os.path\n"
            "from . import skein as sk\n"
-           "from .tl import block_crossing\n"
+           "from .tl import jones_wenzl\n"
            "from .scalars.inner import x\n"
            "from fractions import Fraction\n")
     assert imported_modules(ast.parse(src)) == {
@@ -324,3 +325,41 @@ def test_only_linalg_reads_segment():
     found = {name: segment_uses(tree) for name, tree in package_trees().items()
              if name != "linalg.py"}
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+# the readers of the diagram compositions: the column of a right
+# multiplication and the staircase diagrams of the Wenzl factors
+COMPOSE_READERS = {("tl.py", "_Times"), ("tl.py", "_stair")}
+
+
+def compose_readers(tree):
+    """The top-level statements of a module that load the name
+    ``_compose_diagrams``: a function or class by its name (a class with
+    its methods), any other statement as '<module>'."""
+    found = set()
+    for node in tree.body:
+        if any(isinstance(n, ast.Name) and n.id == "_compose_diagrams"
+               and isinstance(n.ctx, ast.Load) for n in ast.walk(node)):
+            found.add(getattr(node, "name", "<module>"))
+    return found
+
+
+def test_checker_flags_compose_readers():
+    src = ("from .tl import _compose_diagrams\n"
+           "def _compose_diagrams_doc():\n"
+           "    return '_compose_diagrams'\n"
+           "class TLElement:\n"
+           "    def then(self, other):\n"
+           "        return _compose_diagrams(self, other)\n"
+           "def _stair(n):\n"
+           "    compose = _compose_diagrams\n"
+           "    return compose\n"
+           "PAIR = _compose_diagrams(1, 2)\n")
+    assert compose_readers(ast.parse(src)) == {"TLElement", "_stair", "<module>"}
+
+
+def test_only_times_and_stair_compose_diagrams():
+    # every TL product is one packed chain of right multiplications
+    found = {(name, reader) for name, tree in package_trees().items()
+             for reader in compose_readers(tree)}
+    assert found == COMPOSE_READERS

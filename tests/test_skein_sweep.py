@@ -21,6 +21,7 @@ import sys
 import pytest
 
 from helpers import assert_narrowest_ring, ring_bits
+from oracles import scale
 from skeinrep import skein as sk
 from skeinrep.scalars import common_denominator, make_params
 from skeinrep.skein import (CircumcisionPair, HandleSlide, apply_move, closed_braid_link,
@@ -360,7 +361,7 @@ def test_odd_value_raises_in_common_denominator(fresh_contexts, monkeypatch):
             common_denominator(values)
     assert common_denominator([params.one(), params.zero() + params.a_pow(1)])[0] == 1
     projector = sk.jones_wenzl
-    monkeypatch.setattr(sk, "jones_wenzl", lambda p, k: projector(p, k).scale(p.c_symbol()))
+    monkeypatch.setattr(sk, "jones_wenzl", lambda p, k: scale(projector(p, k), p.c_symbol()))
     with pytest.raises(AssertionError, match="c-odd"):
         sk.evaluate(params, closed_braid_link([1, 1], 2, labels=[2, 1]))
 

@@ -1,13 +1,17 @@
+import itertools
 import json
 import random
+from fractions import Fraction
+from functools import reduce
 
 import pytest
 
-from helpers import (assert_narrowest_ring, coefficients_within, masses_over_lcm, random_word,
-                     record_segments, residue_mu)
-from oracles import (bigelow_braid, braid_absorption_check, encircle_element, flip,
-                     identity_coefficient, is_planar, markov_trace_fold, resolve_braid_fold,
-                     rotate180, sector_projectors, tl_basis)
+from helpers import (assert_narrowest_ring, coefficients_within, from_rational, masses_over_lcm,
+                     random_word, record_segments, residue_mu)
+from oracles import (bigelow_braid, braid_absorption_check, caps, cups, e_element,
+                     encircle_element, flip, hom_basis, identity_coefficient, is_planar,
+                     markov_trace_fold, resolve_braid_fold, rotate180, scale, sector_projectors,
+                     then_fold, tl_basis, wenzl_fold)
 from skeinrep import tl
 from skeinrep.braids import BraidWord, Cabling, cable
 from skeinrep.recoupling import encircle_eigenvalue
@@ -50,12 +54,64 @@ def test_nonplanar_detected():
 def test_tl_mul_relations(r):
     p = make_params(r)
     d = p.loop_d()
-    e1 = TLElement.e(p, 3, 1)
-    e2 = TLElement.e(p, 3, 2)
-    assert e1 * e1 == e1.scale(d)
+    e1 = e_element(p, 3, 1)
+    e2 = e_element(p, 3, 2)
+    assert e1 * e1 == scale(e1, d)
     assert e1 * e2 * e1 == e1
     ident = TLElement.identity(p, 3)
     assert ident * e1 == e1 and e1 * ident == e1
+
+
+def random_element(rng, params, nb, nt, size):
+    """A seeded element of Hom(nb, nt): up to `size` basis diagrams, each
+    with coefficient q A^e for a small rational q, a third of them over
+    some d_j as well."""
+    basis = hom_basis(nb, nt)
+    terms = {}
+    for diag in rng.sample(basis, min(size, len(basis))):
+        q = Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 4]), rng.randint(1, 4))
+        coeff = from_rational(params, q) * params.a_pow(rng.randrange(params.order))
+        if rng.random() < 0.3:
+            coeff = coeff * params.inverse_d_k(rng.randint(1, params.r - 2))
+        terms[diag] = coeff
+    return TLElement(params, nb, nt, terms)
+
+
+def product_shapes():
+    """(nb, m, nt) with nb, m, nt <= 5 and both factors' point counts
+    even: square, non-square and empty ends."""
+    return [s for s in itertools.product(range(6), repeat=3) if (s[0] + s[1]) % 2 == (s[1] + s[2]) % 2 == 0]
+
+
+def test_then_matches_the_fold():
+    """The packed chain of `then` against the `Scalar` term loop, as JSON,
+    at r = 3..8: seeded elements of every product shape, the zero element,
+    and cups then caps, which closes k loops at once, k = 2..4."""
+    rng = random.Random(29)
+    for r in range(3, 9):
+        p = make_params(r, 4 * r - 1 if r % 2 else 1)
+        for nb, m, nt in product_shapes():
+            x, y = random_element(rng, p, nb, m, 4), random_element(rng, p, m, nt, 4)
+            assert x.then(y).to_json() == then_fold(x, y).to_json(), (r, nb, m, nt)
+            zero = TLElement.zero(p, m, nt)
+            assert x.then(zero).to_json() == then_fold(x, zero).to_json() == \
+                TLElement.zero(p, nb, nt).to_json()
+        d = p.loop_d()
+        for k in range(2, 5):
+            closed = cups(p, k).then(caps(p, k))
+            assert closed.to_json() == then_fold(cups(p, k), caps(p, k)).to_json()
+            assert closed == scale(TLElement.identity(p, 0), d ** k)
+        with pytest.raises(ValueError):
+            TLElement.identity(p, 2).then(TLElement.identity(p, 3))
+
+
+def test_jones_wenzl_matches_the_fold(fresh_contexts):
+    """The chain X_2 ... X_k against the Wenzl recursion in `then_fold`
+    products, as JSON, for every projector at r = 3..9, built cold."""
+    for r in range(3, 10):
+        p = make_params(r)
+        for k, pk in enumerate(wenzl_fold(p, r - 2)):
+            assert jones_wenzl(p, k).to_json() == pk.to_json(), (r, k)
 
 
 @pytest.mark.parametrize("r", RS)
@@ -65,14 +121,14 @@ def test_jones_wenzl(r):
     assert jones_wenzl(p, 1) == TLElement.identity(p, 1)
     if r >= 4:
         p2 = jones_wenzl(p, 2)
-        assert p2 == TLElement.identity(p, 2) - TLElement.e(p, 2, 1).scale(d.inverse())
+        assert p2 == TLElement.identity(p, 2) - scale(e_element(p, 2, 1), d.inverse())
     for k in range(r - 1):
         pk = jones_wenzl(p, k)
         assert (pk * pk - pk).is_zero()
         assert identity_coefficient(pk).is_one() or k == 0
         for i in range(1, k):
-            assert (TLElement.e(p, k, i) * pk).is_zero()
-            assert (pk * TLElement.e(p, k, i)).is_zero()
+            assert (e_element(p, k, i) * pk).is_zero()
+            assert (pk * e_element(p, k, i)).is_zero()
         assert (rotate180(pk) - pk).is_zero()
         assert (flip(pk) - pk).is_zero()
     with pytest.raises(ValueError):
@@ -88,7 +144,7 @@ def test_jones_wenzl_per_root():
     assert jones_wenzl(p3, 2) is proj
     assert proj.params is p1
     assert all(c.params is p1 for c in proj.terms.values())
-    [diag] = TLElement.e(p3, 2, 1).terms
+    [diag] = e_element(p3, 2, 1).terms
     assert abs(proj.terms[diag].embed(p1) - proj.terms[diag].embed(p3)) > 0.1
 
 
@@ -96,7 +152,7 @@ def test_jones_wenzl_per_root():
 def test_resolve_braid(r):
     p = make_params(r)
     sigma = resolve_braid(p, [1], 2)
-    expect = TLElement.identity(p, 2).scale(p.a_pow(1)) + TLElement.e(p, 2, 1).scale(p.a_pow(-1))
+    expect = scale(TLElement.identity(p, 2), p.a_pow(1)) + scale(e_element(p, 2, 1), p.a_pow(-1))
     assert (sigma - expect).is_zero()
     assert resolve_braid(p, [], 3) == TLElement.identity(p, 3)
     assert (resolve_braid(p, [1, -1], 3) - TLElement.identity(p, 3)).is_zero()
@@ -140,7 +196,7 @@ def check_resolve_width(params, word, n, seen):
     mu = residue_mu(params)
     states = [TLElement.identity(params, n)]
     for g in word:
-        states.append(states[-1] * resolve_braid_fold(params, [g], n))
+        states.append(then_fold(states[-1], resolve_braid_fold(params, [g], n)))
     pos, segments = 0, []
     for k, ring in seen:
         den, masses = masses_over_lcm(states[pos].terms.values())
@@ -157,6 +213,91 @@ def check_resolve_width(params, word, n, seen):
         pos += k
     assert pos == len(word) and value == states[-1]
     return segments
+
+
+def wenzl_factors(params, k):
+    """The Wenzl factors X_2 .. X_k of TL_k,
+    X_j = 1 + sum_{i<j} (-1)^(j-i) (d_{i-1}/d_{j-1}) e_{j-1} ... e_i,
+    each staircase a `then_fold` product of generators."""
+    out = []
+    for j in range(2, k + 1):
+        x = TLElement.identity(params, k)
+        for i in range(1, j):
+            stair = reduce(then_fold, [e_element(params, k, m) for m in range(j - 1, i - 1, -1)])
+            ratio = params.d_k(i - 1) / params.d_k(j - 1)
+            x = x + scale(stair, -ratio if (j - i) % 2 else ratio)
+        out.append(x)
+    return out
+
+
+def factor_mass(x):
+    """(L, c) of a factor x: L the lcm of its denominators and c the sum
+    over its terms c_D D of |c_D|_1 2^caps(D) over L, caps(D) the pairs
+    among D's bottom points."""
+    den, masses = masses_over_lcm(x.terms.values())
+    caps = [sum(b < x.nb for _, b in diag.pairs) for diag in x.terms]
+    return den, sum(m << c for m, c in zip(masses, caps))
+
+
+HEAVY = (1, 3 ** 20, 3 ** 40)
+
+
+def check_product_width(params, factors, value, seen):
+    """Each segment of a chain of general factors (`TLElement.then`,
+    `jones_wenzl`) from the identity diagram is as long as the bound
+    allows: the most factors k (at least one, none for an empty chain)
+    with B = mu * M0 * prod c < 2^62, for M0 the total l1 mass of the fold
+    where it starts and c each factor's mass (`factor_mass`).  Its ring is
+    the level's ring for mass M0 * prod c, the narrowest that holds B,
+    every coefficient at its end is at most B over the start denominator
+    times the factors' L, and the value is the fold's."""
+    mu = residue_mu(params)
+    states = [TLElement.identity(params, factors[0].nb if factors else value.nb)]
+    for x in factors:
+        states.append(then_fold(states[-1], x))
+    forms = [factor_mass(x) for x in factors]
+    pos, segments = 0, []
+    for k, ring in seen:
+        den, masses = masses_over_lcm(states[pos].terms.values())
+        mass, want = sum(masses), 0
+        while pos + want < len(factors) and (
+                want == 0 or mu * mass * forms[pos + want][1] < 2 ** 62):
+            den, mass = den * forms[pos + want][0], mass * forms[pos + want][1]
+            want += 1
+        assert k == want
+        assert_narrowest_ring(params, ring, mass)
+        assert coefficients_within(states[pos + k].terms.values(), den, mu * mass)
+        segments.append((k, mu * mass))
+        pos += k
+    assert pos == len(factors) and value == states[-1]
+    return segments
+
+
+def test_projector_and_then_segments_hold_their_bound(monkeypatch, fresh_contexts):
+    """Every projector at r = 3..9, built cold, each one segment, and
+    seeded products of every shape at r = 5 and 8, their factors'
+    coefficients times 1, 3^20 or 3^40: the heavy products take one
+    segment a factor, and factors scaled by 3^40 take rings wider than
+    8 bytes a digit."""
+    seen = record_segments(monkeypatch)
+    segments = []
+    for r in range(3, 10):
+        p = make_params(r)
+        for k in range(r - 1):
+            seen.clear()
+            value = jones_wenzl(p, k)
+            segments += check_product_width(p, wenzl_factors(p, k), value, seen)
+    rng = random.Random(30)
+    for r in (5, 8):
+        p = make_params(r)
+        for nb, m, nt in product_shapes():
+            x, y = (scale(random_element(rng, p, *shape, 5), from_rational(p, rng.choice(HEAVY)))
+                    for shape in ((nb, m), (m, nt)))
+            seen.clear()
+            segments += check_product_width(p, [x, y], x.then(y), seen)
+    assert max(k for k, _ in segments) == 6
+    assert sum(k == 1 for k, _ in segments) > 20
+    assert any(k == 1 and bound >= 2 ** 62 for k, bound in segments)
 
 
 def test_resolve_braid_segments_hold_their_bound(monkeypatch):
@@ -243,7 +384,7 @@ def test_sector_projectors(r):
 def test_sector_projectors_n2_example():
     p = make_params(5)
     z0, z2 = sector_projectors(p, 2)
-    assert z0 == TLElement.e(p, 2, 1).scale(p.loop_d().inverse())
+    assert z0 == scale(e_element(p, 2, 1), p.loop_d().inverse())
     assert (z2 - jones_wenzl(p, 2)).is_zero()
 
 
@@ -254,7 +395,7 @@ def test_encircle_eigenvalues(r):
         pk = jones_wenzl(p, k)
         E = encircle_element(p, k, 1)
         lam = encircle_eigenvalue(p, k)
-        assert (pk * E * pk - pk.scale(lam)).is_zero()
+        assert (pk * E * pk - scale(pk, lam)).is_zero()
 
 
 @pytest.mark.parametrize("r", RS)

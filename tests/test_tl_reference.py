@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from oracles import encircle_element, hom_basis, sector_projectors
+from oracles import encircle_element, hom_basis, scale, sector_projectors
 from skeinrep.recoupling import encircle_eigenvalue
 from skeinrep.scalars import make_params
 from skeinrep.tl import TLDiagram, TLElement, _compose_diagrams, jones_wenzl, resolve_braid
@@ -135,4 +135,4 @@ def test_sector_projectors_are_loop_eigenspaces(r):
         for m, z in zip(range(n % 2, n + 1, 2), zs):
             lam = encircle_eigenvalue(p, m)
             assert not z.is_zero()
-            assert ((E - ident.scale(lam)) * z).is_zero(), (r, n, m)
+            assert ((E - scale(ident, lam)) * z).is_zero(), (r, n, m)
