@@ -1,13 +1,20 @@
 """Small exact linear algebra over the cyclotomic Scalars.
 
 A matrix is the list of its columns, each a {row: Scalar} dict (a missing
-row is zero), packed by `columns`.  `product_columns` runs a product of
-linear maps in column form on packed residues, one column at a time, on
-any hashable keys: matrix rows for the probe `scalar_of`, which stops at
-the first column that is not lambda e_j, and for `mat_product`, which
-decodes every column, and TL diagrams for `tl.resolve_braid`.  `rows`
-writes the dense rows a `mcg.RepMatrix` leaves in, which `mat_trace`
-reads; the rest serve the benchmark's checker.
+row is zero), put in column form by `columns`.  `product_columns` runs a
+product of linear maps in column form on packed residues, one column at a
+time, on any hashable keys: matrix rows for the probe `scalar_of`, which
+stops at the first column that is not lambda e_j, and for `mat_product`,
+which decodes every column, and TL diagrams for every `tl` product.
+`rows` writes the dense rows a `mcg.RepMatrix` leaves in, which
+`mat_trace` reads; the rest serve the benchmark's checker.
+
+A factor owns its packed columns and the product keeps none: a matrix
+form (`Columns`) packs a column the first time a product reads it in a
+ring and keeps it as long as the form lives, one copy per ring.  The forms
+the level memo holds (twist pairs, sector generators) therefore pack once
+per width for the life of the level, and a form made for one product dies
+with it.
 """
 from __future__ import annotations
 
@@ -51,16 +58,51 @@ def mat_mul(a, b):
 
 def columns(matrix):
     """The column form (L, c, cols) of a square matrix of c-free Scalars
-    (a list of {row: Scalar} columns): cols[j] lists the nonzero entries
-    (i, numerators) of column j over L, the lcm of the entry denominators,
-    and c is the largest l1 mass of a column of these numerators, the
-    growth of a product by the matrix (CONVENTIONS.md, residue rule)."""
+    (a list of {row: Scalar} columns): cols.cols[j] lists the nonzero
+    entries (i, numerators) of column j over L, the lcm of the entry
+    denominators, and c is the largest l1 mass of a column of these
+    numerators, the growth of a product by the matrix (CONVENTIONS.md,
+    residue rule)."""
     live = [(i, j, x) for j, col in enumerate(matrix) for i, x in col.items() if not x.is_zero()]
     den, nums = common_denominator(x for _, _, x in live)
     cols = [[] for _ in matrix]
     for (i, j, _), v in zip(live, nums):
         cols[j].append((i, v))
-    return den, max((sum(sum(map(abs, v)) for _, v in col) for col in cols), default=0), cols
+    return den, max((sum(sum(map(abs, v)) for _, v in col) for col in cols), default=0), Columns(cols)
+
+
+class Columns:
+    """The columns of a matrix column form, cols[j] the entries
+    (i, numerators) of column j.  ``packed(ring)`` is the mapping from j to
+    column j packed in ring, each column packed when a product first reads
+    it and kept as long as the form lives: one copy per ring, and the level
+    holds one ring per width."""
+
+    __slots__ = ("cols", "_rings")
+
+    def __init__(self, cols):
+        self.cols = cols
+        self._rings = {}
+
+    def packed(self, ring):
+        got = self._rings.get(ring)
+        if got is None:
+            got = self._rings[ring] = _Packed(self.cols, ring)
+        return got
+
+
+class _Packed(dict):
+    """Packed columns of one ring, filled as they are read."""
+
+    __slots__ = ("cols", "ring")
+
+    def __init__(self, cols, ring):
+        self.cols, self.ring = cols, ring
+
+    def __missing__(self, j):
+        pack = self.ring.pack
+        col = self[j] = [(i, pack(v)) for i, v in self.cols[j]]
+        return col
 
 
 def product_columns(params: QuantumParams, factors, starts):
@@ -69,10 +111,12 @@ def product_columns(params: QuantumParams, factors, starts):
     (col, ring, den) with col the sparse {key: residue} map of
     F_1(F_2(...(F_L e_j))), whose live entries decode as
     ring.decode(residue, den); no factors give e_j.  A factor is a column
-    form (L, c, cols) as `columns` gives it: cols[t] lists the entries
-    (key, numerators) of column t over L, and c bounds their l1 mass.
-    cols[t] is read only at the keys t that a column reaches, so it may be
-    a lazy mapping.  A consumer that stops early reads no more columns.
+    form (L, c, cols): cols.packed(ring)[t] lists the entries (key,
+    residue) of column t over L packed in ring (`Columns` for a matrix,
+    `tl._Times` on diagram keys), and c bounds the l1 mass of their
+    numerators.  Column t is read only at the keys t that a column
+    reaches, so it may be built lazily.  A consumer that stops early reads
+    no more columns.
 
     A factor multiplies the total l1 mass of the column by at most its
     column mass c, so a segment that starts at total mass M0 has
@@ -81,10 +125,8 @@ def product_columns(params: QuantumParams, factors, starts):
     one integer multiply-add per nonzero entry it reads and one reduction
     per live key.  Under the bound an entry is zero exactly when its residue
     is, and every live entry is decoded at the end of each segment but the
-    last.  Each factor's column is packed when a column first reads it,
-    once per ring width."""
+    last.  The factors own their packed columns: the product keeps none."""
     chain = factors[::-1]
-    packed = {}
     for j in starts:
         vec, pos = {j: params.one()}, 0
         while True:
@@ -94,13 +136,10 @@ def product_columns(params: QuantumParams, factors, starts):
             mod = ring.n
             state = {i: ring.pack(v) for i, v in zip(vec, nums)}
             for factor_den, _, cols in chain[pos:pos + k]:
-                seen = packed.setdefault((id(cols), mod), {})
+                col_at = cols.packed(ring)
                 out = {}
                 for t, z in state.items():
-                    col = seen.get(t)
-                    if col is None:
-                        col = seen[t] = [(i, ring.pack(v)) for i, v in cols[t]]
-                    for i, v in col:
+                    for i, v in col_at[t]:
                         out[i] = out.get(i, 0) + v * z
                 state = {i: y for i, x in out.items() if (y := x % mod)}
                 den *= factor_den

@@ -18,13 +18,19 @@ union inside one group closes a loop, worth a factor d.
 Every product is one packed column chain on diagram keys
 (``linalg.product_columns``) from the identity diagram, each factor a right
 multiplication (``_Times``): ``then`` chains its two operands, a braid
-word its letters, and the Jones-Wenzl projector P_k Wenzl's factors.
+word its letters, and the Jones-Wenzl projector P_k Wenzl's factors.  A
+factor packs its few values c_D d^k once per ring and keeps them as long
+as it lives; it reads each column's diagrams from the composition memo and
+keeps nothing per diagram.
 
 The only global memo is the diagram-pair compositions: they do not depend
-on the level, so every level shares them.  Jones-Wenzl projectors and the
-loop powers d^k (``loop_power``) do depend on it, and live in the level
-memo of QuantumParams.cached; every root of the level reads the same
-object, since a TLElement, like its coefficients, is bound to the level.
+on the level, so every level shares them.  Neither does the loop count of
+a diagram's Markov closure, which is kept on the diagram itself
+(``TLDiagram.closure_loops``).  Jones-Wenzl projectors, braid letters and
+the loop powers d^k (``loop_power``) do depend on the level, and live in
+the level memo of QuantumParams.cached, a letter with its packed values;
+every root of the level reads the same object, since a TLElement, like
+its coefficients, is bound to the level.
 """
 from __future__ import annotations
 
@@ -36,13 +42,14 @@ from .unionfind import UnionFind
 class TLDiagram:
     """A crossingless matching with nb bottom and nt top boundary points."""
 
-    __slots__ = ("nb", "nt", "pairs", "_hash")
+    __slots__ = ("nb", "nt", "pairs", "_hash", "_loops")
 
     def __init__(self, nb: int, nt: int, pairs):
         self.nb = nb
         self.nt = nt
         self.pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
         self._hash = hash((nb, nt, self.pairs))
+        self._loops = None
         if 2 * len(self.pairs) != nb + nt:
             raise ValueError("not a perfect matching")
 
@@ -67,6 +74,16 @@ class TLDiagram:
             partner[a] = b
             partner[b] = a
         return "".join("(" if pos[partner[p]] > pos[p] else ")" for p in order)
+
+    def closure_loops(self) -> int:
+        """The loops of the Markov closure, top point i joined to bottom
+        point i, counted once and kept on the diagram: closing point p (top
+        or bottom) lands on strand p mod n, and a pair joining two
+        already-connected strands closes a loop."""
+        if self._loops is None:
+            n, uf = self.nb, UnionFind()
+            self._loops = sum(not uf.union(a % n, b % n) for a, b in self.pairs)
+        return self._loops
 
     @staticmethod
     def from_parens(nb: int, nt: int, s: str) -> "TLDiagram":
@@ -202,17 +219,13 @@ class TLElement:
 
     def markov_trace(self) -> Scalar:
         """Close top point i to bottom point i; each closed loop contributes d.
-        The coefficients are summed per loop count k before the one product
-        by d^k."""
+        The coefficients are summed per loop count k
+        (`TLDiagram.closure_loops`) before the one product by d^k."""
         if self.nb != self.nt:
             raise ValueError("Markov trace requires an endomorphism")
-        n = self.nb
         by_loops = {}
         for diag, coeff in self.terms.items():
-            # closing point p (top or bottom) lands on strand p mod n; a pair
-            # joining two already-connected strands closes a loop
-            uf = UnionFind()
-            loops = sum(not uf.union(a % n, b % n) for a, b in diag.pairs)
+            loops = diag.closure_loops()
             acc = by_loops.get(loops)
             by_loops[loops] = coeff if acc is None else acc + coeff
         total = self.params.zero()
@@ -297,25 +310,33 @@ def resolve_braid(params: QuantumParams, word, n: int) -> TLElement:
     The word is the chain of its letters.  A letter's column mass is 3,
     whatever its reduced numerators: its column is the monomials A^{+-1}
     and A^{-+1}, the latter times at most one loop d, |d|_1 = 2
-    (CONVENTIONS.md, the column rule).
+    (CONVENTIONS.md, the column rule).  Each letter's factor lives in the
+    level memo, so its packed numerators outlive the call.
     """
     for g in word:
         if not 1 <= abs(g) <= n - 1:
             raise ValueError(f"generator {g} out of range for {n} strands")
-    a, ainv, d = params.a_pow(1), params.a_pow(-1), params.loop_d()
-    den, (a, ainv, a_d, ainv_d) = common_denominator([a, ainv, a * d, ainv * d])
-    letters = {}
-    for g in set(word):
+
+    def letter(g):
+        a, ainv, d = params.a_pow(1), params.a_pow(-1), params.loop_d()
+        den, (a, ainv, a_d, ainv_d) = common_denominator([a, ainv, a * d, ainv * d])
         e = TLDiagram.e_gen(n, abs(g))
         terms = ((None, (a,)), (e, (ainv, ainv_d))) if g > 0 else ((None, (ainv,)), (e, (a, a_d)))
-        letters[g] = (den, 3, _Times(terms))
+        return den, 3, _Times(terms)
+
+    letters = {g: params.cached(("letter", n, g), lambda: letter(g)) for g in set(word)}
     return _product(params, n, n, [letters[g] for g in word])
 
 
 def _product(params: QuantumParams, n: int, nt: int, factors) -> TLElement:
     """The (n, nt) element 1_n f_1 f_2 ...: the column forms (L, c, cols)
     of right multiplications f_i applied in order from the identity
-    diagram, one `linalg.product_columns` chain (rightmost factor first)."""
+    diagram, one `linalg.product_columns` chain (rightmost factor first).
+    A zero factor (c = 0) makes the product zero: a factor's values are
+    packed whole, and a segment's ring, sized by the growths it multiplies,
+    holds none of them when one growth is 0."""
+    if not all(c for _, c, _ in factors):
+        return TLElement(params, n, nt)
     (col, ring, den), = product_columns(params, factors[::-1], [TLDiagram.identity(n)])
     return TLElement(params, n, nt, {diag: ring.decode(z, den) for diag, z in col.items()})
 
@@ -340,14 +361,26 @@ def _times(x: TLElement):
 
 class _Times:
     """The columns of a right multiplication on diagram keys: terms are
-    (D, numerators of c_D d^k by loop count k), and column `diagram` holds
-    (diagram D, c_D d^k), read off ``_compose_diagrams`` when a chain first
-    reaches the diagram, or (diagram, c_D) for the identity, D None."""
+    (D, values of c_D d^k by loop count k), numerators over the factor's L,
+    and column `diagram` holds (diagram D, c_D d^k), read off
+    ``_compose_diagrams`` whenever a chain reaches the diagram, or
+    (diagram, c_D) for the identity, D None.  ``packed(ring)`` is the same
+    factor with its values packed in ring, built at the first read in that
+    ring and kept as long as the factor lives; nothing is kept per
+    diagram."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_rings")
 
     def __init__(self, terms):
         self.terms = terms
+        self._rings = {}
+
+    def packed(self, ring):
+        got = self._rings.get(ring)
+        if got is None:
+            got = self._rings[ring] = _Times([(e, [ring.pack(v) for v in nums])
+                                              for e, nums in self.terms])
+        return got
 
     def __getitem__(self, diag):
         out = []

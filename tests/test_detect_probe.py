@@ -204,15 +204,16 @@ def test_empty_cases():
     assert mcg.is_projectively_identity([])
     assert scalar_of(params, [], 3).is_one()
     assert probe(params, [eye(params, 2)], 0).is_one()
-    assert columns([]) == (1, 0, [])
+    den, growth, cols = columns([])
+    assert (den, growth, cols.cols) == (1, 0, [])
     assert mat_vec([], []) == []
 
 
 class LazyWalk:
     """Lazy columns on the keys ("v", k), k any integer: column ("v", k) is
     `stay` at ("v", k) and `move` at ("v", k + shift), as numerators over
-    one denominator, built when a chain reads the key.  It has no length
-    and lists no keys."""
+    one denominator, packed in a ring (`packed`) and built when a chain
+    reads the key.  It has no length and lists no keys."""
 
     def __init__(self, stay, move, shift):
         self.values, self.shift = (stay, move), shift
@@ -222,9 +223,19 @@ class LazyWalk:
         """The column form (L, c, cols) of the walk."""
         return self.den, sum(sum(map(abs, v)) for v in self.nums), self
 
+    def packed(self, ring):
+        return PackedWalk(self.shift, [ring.pack(v) for v in self.nums])
+
+
+class PackedWalk:
+    """A walk's columns in one ring, built as they are read."""
+
+    def __init__(self, shift, residues):
+        self.shift, self.residues = shift, residues
+
     def __getitem__(self, key):
         _, k = key
-        return (key, self.nums[0]), (("v", k + self.shift), self.nums[1])
+        return (key, self.residues[0]), (("v", k + self.shift), self.residues[1])
 
 
 def test_product_columns_on_lazy_keys(monkeypatch):
@@ -283,7 +294,7 @@ def test_every_twist_packs_through_columns(r):
                     den, growth, cols = model.twist_columns(params, curve, sign)
                     matrix = model.twist_matrix(params, curve, sign).matrix
                     rebuilt = dense_rows(params, [{i: Scalar(params, _part(nums, den))
-                                                   for i, nums in col} for col in cols])
+                                                   for i, nums in col} for col in cols.cols])
                     assert rebuilt == matrix, (name, ctx, curve, sign)
                     assert (den, growth) == column_masses(matrix)
 

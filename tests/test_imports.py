@@ -9,8 +9,10 @@ it alone binds a value to its level, only ``scalars.py`` constructs a
 ``linalg.py`` reads its dense-row routines, so every other module builds
 matrices as columns, and only ``linalg.py`` reads ``PackedRing.segment``,
 so the packed column chain is the one chain that cuts a product into
-segments, and only ``tl._Times`` and ``tl._stair`` read the diagram
-compositions, so every TL product is a column chain of ``_Times``."""
+segments, only ``tl._Times`` and ``tl._stair`` read the diagram
+compositions, so every TL product is a column chain of ``_Times``, and no
+module calls ``id``, since a memo keyed by an object's id outlives the
+object and hands its entry to whatever object reuses the id."""
 import ast
 from pathlib import Path
 
@@ -363,3 +365,26 @@ def test_only_times_and_stair_compose_diagrams():
     found = {(name, reader) for name, tree in package_trees().items()
              for reader in compose_readers(tree)}
     assert found == COMPOSE_READERS
+
+
+def id_calls(tree):
+    """(line, 'id') of every call of the builtin name ``id``."""
+    return sorted((node.lineno, node.func.id) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "id")
+
+
+def test_checker_flags_id_calls():
+    src = ("def f(memo, cols, node):\n"
+           "    key = (id(cols), 3)\n"
+           "    ident = node.id\n"
+           "    return memo.setdefault(key, {}), ident, node.id(1)\n"
+           "def g(x):\n"
+           "    return id(x)\n")
+    assert id_calls(ast.parse(src)) == [(2, "id"), (6, "id")]
+
+
+def test_package_calls_no_id():
+    # a factor owns its packed columns; nothing is keyed by an object's id
+    found = {name: id_calls(tree) for name, tree in package_trees().items()}
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -9,7 +9,7 @@ from helpers import curves, dense_rows, from_int, scalar_multiple_of
 from oracles import expand_solid_torus, mat_vec, theta_spine
 from skeinrep import mcg, skein, tqft
 from skeinrep.braids import BraidWord, jones_sector_rep, sector_labels
-from skeinrep.linalg import eye, mat_mul
+from skeinrep.linalg import Columns, eye, mat_mul
 from skeinrep.recoupling import encircle_eigenvalue, s_matrix, twist_coefficient
 from skeinrep.scalars import Scalar, make_params
 from skeinrep.skein import DomainError, closed_braid_link
@@ -248,7 +248,7 @@ def test_zero_dimensional_block():
 
 def count_twist_pairs(monkeypatch, record):
     """Calls of the builder of a curve's (T, T^{-1}) pair of column forms
-    (`linalg.columns`, each (L, c, cols)), as record(params, curve, pair)
+    (`linalg.columns`, each (L, c, cols), cols.cols the columns), as record(params, curve, pair)
     values."""
     calls = []
     build = mcg.SurfaceModel._twist_pair
@@ -278,7 +278,7 @@ def test_inverse_twist_inverted_once(monkeypatch, fresh_contexts):
     # inverse comes with the forward twist from one pair build
     params = make_params(4, 5)
     # the inverse's dimension is its number of columns, 3 at r = 4
-    calls = count_twist_pairs(monkeypatch, lambda p, curve, pair: len(pair[1][2]))
+    calls = count_twist_pairs(monkeypatch, lambda p, curve, pair: len(pair[1][2].cols))
     first = mcg.surface_model("torus").twist_matrix(params, "a", -1)
     assert mcg.surface_model("torus").twist_matrix(params, "a", -1).matrix == first.matrix
     cube = mcg.surface_model("torus").twist_matrix(params, "a", -3)
@@ -302,12 +302,15 @@ def test_level_memo_holds_one_twist_entry_per_curve(fresh_contexts):
     for curve in curves(model):
         pair = memo[("twist", "genus2", (), curve)]
         assert isinstance(pair, tuple) and [len(form) for form in pair] == [3, 3]
-        assert [len(form[2]) for form in pair] == [model.dim(params)] * 2
+        assert [len(form[2].cols) for form in pair] == [model.dim(params)] * 2
 
     def dense(value):
-        # a square list of rows of Scalars, alone or inside a tuple
+        # a square list of rows of Scalars, alone or inside a tuple or the
+        # columns of a column form
         if isinstance(value, tuple):
             return any(map(dense, value))
+        if isinstance(value, Columns):
+            return dense(value.cols)
         return isinstance(value, list) and bool(value) and all(
             isinstance(row, list) and len(row) == len(value)
             and all(isinstance(x, Scalar) for x in row) for row in value)
