@@ -194,13 +194,18 @@ def braid_detect(braid: BraidWord, r_range, cabling_bound: int = 1,
     (`linalg.scalar_of`); the witness is (cable multiplicities, m)."""
     if cabling_bound < 1:
         raise DomainError(f"cabling bound must be at least 1, got {cabling_bound}")
-    cabled = {}  # each cabled word is built when the scan first reaches it
+    # the (cabling, cabled word) pairs in scan order, each built when the
+    # scan first reaches it and read again at every later level
+    cabled, rest = [], _cablings(braid.n, cabling_bound)
+
+    def scan():
+        yield from cabled
+        for cab in rest:
+            cabled.append((cab, cable(braid, cab)))
+            yield cabled[-1]
 
     def probe(params):
-        for cab in _cablings(braid.n, cabling_bound):
-            if cab not in cabled:
-                cabled[cab] = cable(braid, cab)
-            word = cabled[cab]
+        for cab, word in scan():
             for m in sector_labels(params, word.n):
                 gens = [_generator_columns(params, word.n, m, g) for g in word.word]
                 lam = scalar_of(params, gens, _sector_dim(params, word.n, m))

@@ -9,12 +9,15 @@ which decodes every column, and TL diagrams for every `tl` product.
 `rows` writes the dense rows a `mcg.RepMatrix` leaves in, which
 `mat_trace` reads; the rest serve the benchmark's checker.
 
-A factor owns its packed columns and the product keeps none: a matrix
-form (`Columns`) packs a column the first time a product reads it in a
-ring and keeps it as long as the form lives, one copy per ring.  The forms
-the level memo holds (twist pairs, sector generators) therefore pack once
-per width for the life of the level, and a form made for one product dies
-with it.
+A factor owns its packed columns and the product keeps none: a factor
+hands out one holder per ring (`Packed`), which builds a column the first
+time a product reads it in that ring and keeps it as long as the factor
+lives (`Columns` for a matrix, `tl._Times` on diagram keys).  The forms
+the level memo holds (twist pairs, sector generators, braid letters)
+therefore pack each column once per width for the life of the level, and
+a form made for one product dies with it.  A product finds its first
+segment once for all its columns, since every column starts at a unit
+vector.
 """
 from __future__ import annotations
 
@@ -22,7 +25,10 @@ from .scalars import PackedRing, QuantumParams, common_denominator
 
 
 def zeros(params: QuantumParams, n: int, m: int):
-    return [[params.zero() for _ in range(m)] for _ in range(n)]
+    """An n x m matrix of zeros, every entry the one zero: a Scalar is
+    immutable."""
+    zero = params.zero()
+    return [[zero] * m for _ in range(n)]
 
 
 def eye(params: QuantumParams, n: int):
@@ -74,8 +80,7 @@ def columns(matrix):
 class Columns:
     """The columns of a matrix column form, cols[j] the entries
     (i, numerators) of column j.  ``packed(ring)`` is the mapping from j to
-    column j packed in ring, each column packed when a product first reads
-    it and kept as long as the form lives: one copy per ring, and the level
+    column j packed in ring (`Packed`): one copy per ring, and the level
     holds one ring per width."""
 
     __slots__ = ("cols", "_rings")
@@ -87,21 +92,27 @@ class Columns:
     def packed(self, ring):
         got = self._rings.get(ring)
         if got is None:
-            got = self._rings[ring] = _Packed(self.cols, ring)
+            cols, pack = self.cols, ring.pack
+            got = self._rings[ring] = Packed(lambda j: [(i, pack(v)) for i, v in cols[j]],
+                                             len(cols))
         return got
 
 
-class _Packed(dict):
-    """Packed columns of one ring, filled as they are read."""
+class Packed(dict):
+    """The packed columns of a factor in one ring: column t is built by
+    column(t) when a product first reads it and kept as long as the holder
+    lives.  A holder that reaches limit columns is emptied before it
+    builds the next, so a factor on an unbounded key set stays bounded."""
 
-    __slots__ = ("cols", "ring")
+    __slots__ = ("column", "limit")
 
-    def __init__(self, cols, ring):
-        self.cols, self.ring = cols, ring
+    def __init__(self, column, limit):
+        self.column, self.limit = column, limit
 
-    def __missing__(self, j):
-        pack = self.ring.pack
-        col = self[j] = [(i, pack(v)) for i, v in self.cols[j]]
+    def __missing__(self, t):
+        if len(self) >= self.limit:
+            self.clear()
+        col = self[t] = self.column(t)
         return col
 
 
@@ -125,28 +136,43 @@ def product_columns(params: QuantumParams, factors, starts):
     one integer multiply-add per nonzero entry it reads and one reduction
     per live key.  Under the bound an entry is zero exactly when its residue
     is, and every live entry is decoded at the end of each segment but the
-    last.  The factors own their packed columns: the product keeps none."""
+    last.  Every start is a unit vector of mass 1, so the first segment
+    (its ring, the packed unit and the factors' packed maps) is found once
+    for all starts.  The factors own their packed columns: the product
+    keeps none."""
     chain = factors[::-1]
+
+    def segment(pos, nums):
+        """(ring, packed factor maps, product of their L) of the segment
+        that starts at factor pos with numerators nums."""
+        k, ring = PackedRing.segment(params, sum(sum(map(abs, v)) for v in nums),
+                                     (c for _, c, _ in chain[pos:]))
+        den = 1
+        for factor_den, _, _ in chain[pos:pos + k]:
+            den *= factor_den
+        return ring, [cols.packed(ring) for _, _, cols in chain[pos:pos + k]], den
+
+    _, (one,) = common_denominator([params.one()])  # 1 over L = 1
+    ring0, first, den0 = segment(0, [one])
+    unit = ring0.pack(one)
     for j in starts:
-        vec, pos = {j: params.one()}, 0
+        state, ring, maps, den, pos = {j: unit}, ring0, first, den0, 0
         while True:
-            den, nums = common_denominator(vec.values())
-            k, ring = PackedRing.segment(params, sum(sum(map(abs, v)) for v in nums),
-                                         (c for _, c, _ in chain[pos:]))
             mod = ring.n
-            state = {i: ring.pack(v) for i, v in zip(vec, nums)}
-            for factor_den, _, cols in chain[pos:pos + k]:
-                col_at = cols.packed(ring)
+            for col_at in maps:
                 out = {}
                 for t, z in state.items():
                     for i, v in col_at[t]:
                         out[i] = out.get(i, 0) + v * z
                 state = {i: y for i, x in out.items() if (y := x % mod)}
-                den *= factor_den
-            pos += k
+            pos += len(maps)
             if pos == len(chain):
                 break
             vec = {i: ring.decode(z, den) for i, z in state.items()}
+            den, nums = common_denominator(vec.values())
+            ring, maps, factor_dens = segment(pos, nums)
+            den *= factor_dens
+            state = {i: ring.pack(v) for i, v in zip(vec, nums)}
         yield state, ring, den
 
 

@@ -19,45 +19,54 @@ Every product is one packed column chain on diagram keys
 (``linalg.product_columns``) from the identity diagram, each factor a right
 multiplication (``_Times``): ``then`` chains its two operands, a braid
 word its letters, and the Jones-Wenzl projector P_k Wenzl's factors.  A
-factor packs its few values c_D d^k once per ring and keeps them as long
-as it lives; it reads each column's diagrams from the composition memo and
-keeps nothing per diagram.
+factor keeps its packed columns (``linalg.Packed``): a column is composed
+and packed at its first read in a ring and kept as long as the factor
+lives, at most ``_COMPOSE_CACHE_LIMIT`` of them per ring.
 
-The only global memo is the diagram-pair compositions: they do not depend
-on the level, so every level shares them.  Neither does the loop count of
-a diagram's Markov closure, which is kept on the diagram itself
+Diagrams are interned, one live object per matching, so a dict keyed by
+diagrams hashes by identity.  The only global memos are the diagram-pair
+compositions, which do not depend on the level, so every level shares
+them, and the weak table of live diagrams.  Neither does the loop count
+of a diagram's Markov closure, which is kept on the diagram itself
 (``TLDiagram.closure_loops``).  Jones-Wenzl projectors, braid letters and
 the loop powers d^k (``loop_power``) do depend on the level, and live in
-the level memo of QuantumParams.cached, a letter with its packed values;
+the level memo of QuantumParams.cached, a letter with its packed columns;
 every root of the level reads the same object, since a TLElement, like
 its coefficients, is bound to the level.
 """
 from __future__ import annotations
 
-from .linalg import product_columns
+import weakref
+
+from .linalg import Packed, product_columns
 from .scalars import QuantumParams, Scalar, common_denominator
 from .unionfind import UnionFind
 
 
 class TLDiagram:
-    """A crossingless matching with nb bottom and nt top boundary points."""
+    """A crossingless matching with nb bottom and nt top boundary points.
 
-    __slots__ = ("nb", "nt", "pairs", "_hash", "_loops")
+    Interned: TLDiagram(nb, nt, pairs) is the one live object for that
+    matching, so identity is equality and a dict keyed by diagrams hashes
+    by identity.  The table is weak-valued: it holds a diagram only while
+    something else references it, and an equal matching built after the
+    last reference died is a new object, the only one alive."""
 
-    def __init__(self, nb: int, nt: int, pairs):
-        self.nb = nb
-        self.nt = nt
-        self.pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
-        self._hash = hash((nb, nt, self.pairs))
-        self._loops = None
-        if 2 * len(self.pairs) != nb + nt:
+    __slots__ = ("nb", "nt", "pairs", "_loops", "__weakref__")
+    _interned = weakref.WeakValueDictionary()
+
+    def __new__(cls, nb: int, nt: int, pairs):
+        pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
+        key = (nb, nt, pairs)
+        self = cls._interned.get(key)
+        if self is not None:
+            return self
+        if 2 * len(pairs) != nb + nt:
             raise ValueError("not a perfect matching")
-
-    def __eq__(self, other):
-        return (self.nb, self.nt, self.pairs) == (other.nb, other.nt, other.pairs)
-
-    def __hash__(self):
-        return self._hash
+        self = super().__new__(cls)
+        self.nb, self.nt, self.pairs, self._loops = nb, nt, pairs, None
+        cls._interned[key] = self
+        return self
 
     def __repr__(self):
         return f"TLDiagram({self.nb}->{self.nt}, '{self.parens()}')"
@@ -119,8 +128,9 @@ class TLDiagram:
 
 
 _COMPOSE_CACHE: dict = {}
-# the composition memo is emptied when it holds this many pairs, so that a
-# process resolving wide braids (TL_12 has 208012 diagrams) stays bounded
+# the composition memo is emptied when it holds this many pairs, and a
+# factor's packed columns in a ring when it holds this many columns, so that
+# a process resolving wide braids (TL_12 has 208012 diagrams) stays bounded
 _COMPOSE_CACHE_LIMIT = 1 << 16
 
 
@@ -311,7 +321,7 @@ def resolve_braid(params: QuantumParams, word, n: int) -> TLElement:
     whatever its reduced numerators: its column is the monomials A^{+-1}
     and A^{-+1}, the latter times at most one loop d, |d|_1 = 2
     (CONVENTIONS.md, the column rule).  Each letter's factor lives in the
-    level memo, so its packed numerators outlive the call.
+    level memo, so its packed columns outlive the call.
     """
     for g in word:
         if not 1 <= abs(g) <= n - 1:
@@ -347,14 +357,14 @@ def _times(x: TLElement):
     points, so its terms hold c_D d^k for k = 0 .. caps(D) over L, the lcm
     of x's denominators, and c = sum_D |c_D|_1 2^caps(D) (CONVENTIONS.md,
     the column rule).  The identity diagram's term is keyed None."""
-    p, ident = x.params, TLDiagram.identity(x.nb).pairs
+    p, ident = x.params, TLDiagram.identity(x.nb)
     caps = [sum(b < x.nb for _, b in diag.pairs) for diag in x.terms]
     den, nums = common_denominator(
         coeff * loop_power(p, k) if k else coeff
         for coeff, top in zip(x.terms.values(), caps) for k in range(top + 1))
     terms, pos = [], 0
     for diag, top in zip(x.terms, caps):
-        terms.append((None if diag.pairs == ident else diag, nums[pos:pos + top + 1]))
+        terms.append((None if diag is ident else diag, nums[pos:pos + top + 1]))
         pos += top + 1
     return den, sum(sum(map(abs, t[0])) << top for (_, t), top in zip(terms, caps)), _Times(terms)
 
@@ -363,11 +373,11 @@ class _Times:
     """The columns of a right multiplication on diagram keys: terms are
     (D, values of c_D d^k by loop count k), numerators over the factor's L,
     and column `diagram` holds (diagram D, c_D d^k), read off
-    ``_compose_diagrams`` whenever a chain reaches the diagram, or
-    (diagram, c_D) for the identity, D None.  ``packed(ring)`` is the same
-    factor with its values packed in ring, built at the first read in that
-    ring and kept as long as the factor lives; nothing is kept per
-    diagram."""
+    ``_compose_diagrams``, or (diagram, c_D) for the identity, D None.
+    ``packed(ring)`` is the mapping from a diagram to its column packed in
+    ring (`linalg.Packed`): the values are packed once per ring, and each
+    column is composed at its first read and kept as long as the factor
+    lives, at most ``_COMPOSE_CACHE_LIMIT`` of them per ring."""
 
     __slots__ = ("terms", "_rings")
 
@@ -378,19 +388,20 @@ class _Times:
     def packed(self, ring):
         got = self._rings.get(ring)
         if got is None:
-            got = self._rings[ring] = _Times([(e, [ring.pack(v) for v in nums])
-                                              for e, nums in self.terms])
-        return got
+            terms = [(e, [ring.pack(v) for v in nums]) for e, nums in self.terms]
 
-    def __getitem__(self, diag):
-        out = []
-        for e, nums in self.terms:
-            if e is None:
-                out.append((diag, nums[0]))
-            else:
-                stacked, loops = _compose_diagrams(diag, e)
-                out.append((stacked, nums[loops]))
-        return out
+            def column(diag):
+                out = []
+                for e, vals in terms:
+                    if e is None:
+                        out.append((diag, vals[0]))
+                    else:
+                        stacked, loops = _compose_diagrams(diag, e)
+                        out.append((stacked, vals[loops]))
+                return out
+
+            got = self._rings[ring] = Packed(column, _COMPOSE_CACHE_LIMIT)
+        return got
 
 
 def markov_trace(x: TLElement) -> Scalar:

@@ -376,21 +376,25 @@ def check_sector_width(params, braid, m, seen):
     (B < 2^(b-2)), B < 2^62 unless it is one letter, and every entry of
     the column at its end has numerators at most B over the start
     denominator times the letters' L.  The columns are the dense
-    mat-vec's, and the value is the fold's.
-    Returns (k, B) per segment."""
+    mat-vec's, and the value is the fold's.  Every column starts at e_j,
+    of mass 1, so the product finds the first segment once, for all
+    columns, and each column's first segment is that one.
+    Returns (k, B) per segment of each column."""
     seen.clear()
     value = jones_sector_rep(params, braid, m).matrix
     mu = residue_mu(params)
     chain = sector_generators(params, braid, m)[::-1]
     dens, growths = zip(*map(column_masses, chain)) if chain else ((), ())
-    n, out, segments = len(value), [], iter(seen)
+    n, out, segments = len(value), [], iter(seen[1:])
     for j in range(n):
         states = [[params.one() if i == j else params.zero() for i in range(n)]]
         for g in chain:
             states.append(mat_vec(g, states[-1]))
         pos = 0
         while pos < len(chain):
-            k, ring = next(segments)
+            # every column starts at e_j, of mass 1: its first segment is the
+            # one the product found once, for all columns
+            k, ring = seen[0] if pos == 0 else next(segments)
             den, masses = masses_over_lcm(states[pos])
             bound, want = mu * sum(masses) * growths[pos], 1
             while pos + want < len(chain) and bound * growths[pos + want] < 2 ** 62:

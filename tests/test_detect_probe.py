@@ -180,22 +180,48 @@ def test_zero_and_singular_factors():
     assert probe(params, [proj, nil], 2) is None
 
 
-def test_last_column_decides(monkeypatch):
-    # one factor of small entries is one segment per column read
-    seen = record_segments(monkeypatch)
+class ReadColumns:
+    """A factor's columns that record every column a product reads."""
+
+    def __init__(self, cols, read):
+        self.cols, self.read = cols, read
+
+    def packed(self, ring):
+        return ReadPacked(self.cols.packed(ring), self.read)
+
+
+class ReadPacked:
+    def __init__(self, col_at, read):
+        self.col_at, self.read = col_at, read
+
+    def __getitem__(self, t):
+        self.read.append(t)
+        return self.col_at[t]
+
+
+def traced(params, matrix, read):
+    """The column form of a dense factor, its column reads appended to read."""
+    den, growth, cols = columns(sparse_columns(matrix))
+    return den, growth, ReadColumns(cols, read)
+
+
+def test_last_column_decides():
+    # a column of a one-factor product reads that factor's column once
     params = make_params(5)
     n, lam = 4, params.a_pow(7)
     m = diag(params, [lam] * n)
     m[0][n - 1] = params.one()
-    assert probe(params, [m], n) is None
+    read = []
+    assert scalar_of(params, [traced(params, m, read)], n) is None
     # every column is read: the first n - 1 are lambda e_j
-    assert len(seen) == n
-    seen.clear()
+    assert read == list(range(n))
+    read.clear()
     m = diag(params, [lam] * n)
     m[1][0] = params.one()
-    assert probe(params, [m, eye(params, n)], n) is None
+    assert scalar_of(params, [traced(params, m, read), columns(sparse_columns(eye(params, n)))],
+                     n) is None
     # a product that is not scalar in column 0 stops there
-    assert len(seen) == 1
+    assert read == [0]
 
 
 def test_empty_cases():
@@ -309,22 +335,27 @@ def check_probe_width(params, matrices, n, seen):
     it is one factor, and every entry of the column at its end has
     numerators at most B over the start denominator times the factors' L.
     The columns are the dense mat-vec's, read up to the first that is not
-    lambda e_j, as the probe reads them.
-    Returns (k, B, held) per segment, held telling whether the largest
-    entry mass in place of M0 would have bounded the segment's end too."""
+    lambda e_j, as the probe reads them.  Every column starts at e_j, of
+    mass 1, so the probe finds the first segment once, for all columns,
+    and each column's first segment is that one.
+    Returns (k, B, held) per segment of each column, held telling whether
+    the largest entry mass in place of M0 would have bounded the segment's
+    end too."""
     seen.clear()
     lam = probe(params, matrices, n)
     mu = residue_mu(params)
     chain = matrices[::-1]
     dens, growths = zip(*map(column_masses, chain))
-    out, segments, lam0 = [], iter(seen), None
+    out, segments, lam0 = [], iter(seen[1:]), None
     for j in range(n):
         states = [[params.one() if i == j else params.zero() for i in range(n)]]
         for f in chain:
             states.append(mat_vec(f, states[-1]))
         pos = 0
         while pos < len(chain):
-            k, ring = next(segments)
+            # every column starts at e_j, of mass 1: its first segment is the
+            # one the product found once, for all columns
+            k, ring = seen[0] if pos == 0 else next(segments)
             den, masses = masses_over_lcm(states[pos])
             bound, want = mu * sum(masses) * growths[pos], 1
             while pos + want < len(chain) and bound * growths[pos + want] < 2 ** 62:

@@ -1,18 +1,20 @@
 """Package hygiene, checked on the source with the stdlib ``ast``: every
 import is used, every function, method and class is read by the package or
 the benchmark (a test is not a reader), the closed forms do not import the
-diagram engines that check them, no module keeps a cache of its own (what
-depends on the level is memoized once per level by ``QuantumParams.cached``),
-only ``scalars.py`` touches a Scalar's fields or constructs a Scalar, so
-it alone binds a value to its level, only ``scalars.py`` constructs a
-``PackedRing``, so every ring is its level's one ring of its width, only
-``linalg.py`` reads its dense-row routines, so every other module builds
-matrices as columns, and only ``linalg.py`` reads ``PackedRing.segment``,
-so the packed column chain is the one chain that cuts a product into
-segments, only ``tl._Times`` and ``tl._stair`` read the diagram
-compositions, so every TL product is a column chain of ``_Times``, and no
-module calls ``id``, since a memo keyed by an object's id outlives the
-object and hands its entry to whatever object reuses the id."""
+diagram engines that check them, no module keeps a table of its own, at
+module or class level, weak tables included (what depends on the level is
+memoized once per level by ``QuantumParams.cached``, and ``SHARED_CACHES``
+lists the few tables every level shares), only ``scalars.py`` touches a
+Scalar's fields or constructs a Scalar, so it alone binds a value to its
+level, only ``scalars.py`` constructs a ``PackedRing``, so every ring is
+its level's one ring of its width, only ``linalg.py`` reads its dense-row
+routines, so every other module builds matrices as columns, and only
+``linalg.py`` reads ``PackedRing.segment``, so the packed column chain is
+the one chain that cuts a product into segments, only ``tl._Times`` and
+``tl._stair`` read the diagram compositions, so every TL product is a
+column chain of ``_Times``, and no module calls ``id``, since a memo keyed
+by an object's id outlives the object and hands its entry to whatever
+object reuses the id."""
 import ast
 from pathlib import Path
 
@@ -20,12 +22,19 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "skeinrep"
 PERFBENCH = TESTS.parent / "perfbench"
 
-# the root-of-unity-independent memo of the TL composition engine
-SHARED_CACHES = {("tl.py", "_COMPOSE_CACHE")}
+SHARED_CACHES = {
+    # the diagram-pair compositions, which do not depend on the level
+    ("tl.py", "_COMPOSE_CACHE"),
+    # the one object per root of unity, which owns its level's memo
+    ("scalars.py", "QuantumParams._interned"),
+    # the one live object per matching, weak-valued, so identity is equality
+    ("tl.py", "TLDiagram._interned"),
+}
 # methods that a library calls: argparse.ArgumentParser reports a bad
 # command line through ``error``
 LIBRARY_HOOKS = {("cli.py", "error")}
-CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter",
+                   "WeakValueDictionary", "WeakKeyDictionary", "WeakSet"}
 CACHE_DECORATORS = {"lru_cache", "cache"}
 # a Scalar is c^odd * part; scalars.py alone reads or writes these fields
 SCALAR_FIELDS = {"part", "odd"}
@@ -100,11 +109,10 @@ def _called_name(node):
     return node.id if isinstance(node, ast.Name) else None
 
 
-def global_caches(tree):
-    """Module-level names bound to a dict, list or set, and functions under an
-    lru_cache or cache decorator."""
+def _table_assignments(body, prefix=""):
+    """(line, prefix + name) of every name in body bound to a container."""
     found = []
-    for node in tree.body:
+    for node in body:
         if isinstance(node, ast.Assign):
             targets, value = node.targets, node.value
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -113,7 +121,18 @@ def global_caches(tree):
             continue
         if (isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp))
                 or (isinstance(value, ast.Call) and _called_name(value) in CONTAINER_CALLS)):
-            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+            found += [(node.lineno, prefix + t.id) for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def global_caches(tree):
+    """Module-level names and class attributes of module-level classes
+    (as 'Class.name') bound to a dict, list or set, weak tables included,
+    and functions under an lru_cache or cache decorator."""
+    found = _table_assignments(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found += _table_assignments(node.body, node.name + ".")
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
                 _called_name(d) in CACHE_DECORATORS for d in node.decorator_list):
@@ -151,16 +170,25 @@ def test_checker_flags_global_caches():
            "class K:\n"
            "    @cache\n"
            "    def h(self):\n"
-           "        return self\n")
+           "        return self\n"
+           "import weakref\n"
+           "_F = weakref.WeakValueDictionary()\n"
+           "class T:\n"
+           "    __slots__ = ('a', 'b')\n"
+           "    _table: dict = {}\n"
+           "    _weak = weakref.WeakValueDictionary()\n"
+           "    def m(self):\n"
+           "        self.local = {}\n")
     assert global_caches(ast.parse(src)) == [
         (4, "_A"), (5, "_B"), (6, "_C"), (7, "_D"), (8, "_E"),
-        (10, "f"), (13, "g"), (18, "h")]
+        (10, "f"), (13, "g"), (18, "h"), (21, "_F"), (24, "T._table"), (25, "T._weak")]
 
 
 def test_package_keeps_no_global_caches():
     found = {(name, var) for name, tree in package_trees().items()
              for _, var in global_caches(tree)}
-    assert found - SHARED_CACHES == set()
+    # every shared table is listed, and every listed one still exists
+    assert found == SHARED_CACHES
 
 
 def test_checker_flags_dead_definitions():

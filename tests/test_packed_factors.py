@@ -84,10 +84,10 @@ def test_generator_columns_warm_in_two_ring_widths(fresh_contexts):
 
 
 def test_then_factors_die_with_the_call(monkeypatch):
-    """The right multiplications that `then` makes, and their packed twins,
-    are gone once it returns; 100 products leave the level memo as they
-    found it."""
-    made = []
+    """The right multiplications that `then` makes, and their packed-column
+    holders, are gone once it returns; 100 products leave the level memo
+    as they found it."""
+    made, holders = [], []
 
     class Traced(tl._Times):
         __slots__ = ("__weakref__",)
@@ -96,16 +96,25 @@ def test_then_factors_die_with_the_call(monkeypatch):
             super().__init__(terms)
             made.append(weakref.ref(self))
 
+    class TracedPacked(tl.Packed):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, column, limit):
+            super().__init__(column, limit)
+            holders.append(weakref.ref(self))
+
     monkeypatch.setattr(tl, "_Times", Traced)
+    monkeypatch.setattr(tl, "Packed", TracedPacked)
     p = make_params(6)
     x = resolve_braid(p, (1, -2, 3, 1), 4)
     y = resolve_braid(p, (-3, 2, 2), 4)
     made.clear()
+    holders.clear()
     first = x.then(y)
-    # two factors, each packed in at least one ring; no cycle holds them,
-    # so they are freed as the call returns
-    assert len(made) >= 4
-    assert all(ref() is None for ref in made)
+    # two factors, each with a holder of its columns in at least one ring;
+    # no cycle holds them, so they are freed as the call returns
+    assert len(made) >= 2 and len(holders) >= 2
+    assert all(ref() is None for ref in made + holders)
     size = len(p._memo)
     for _ in range(100):
         assert x.then(y) == first
