@@ -17,7 +17,9 @@ the level memo holds (twist pairs, sector generators, braid letters)
 therefore pack each column once per width for the life of the level, and
 a form made for one product dies with it.  A product finds its first
 segment once for all its columns, since every column starts at a unit
-vector.
+vector.  `next_segment` is the segment boundary of any other packed chain
+(the skein sweep): it decodes the values at the end of a segment and
+packs them again in the ring of the next.
 """
 from __future__ import annotations
 
@@ -174,6 +176,24 @@ def product_columns(params: QuantumParams, factors, starts):
             den *= factor_dens
             state = {i: ring.pack(v) for i, v in zip(vec, nums)}
         yield state, ring, den
+
+
+def next_segment(params: QuantumParams, growths, values=None):
+    """The next segment of a packed chain whose steps multiply the l1 mass
+    by at most growths[0], growths[1], ...: (k, ring, den, residues), the
+    segment's k steps run in ring (`PackedRing.segment`; CONVENTIONS.md,
+    the column rule) on the residues over den.  values is (ring, den,
+    residues) at the end of the previous segment: each residue is decoded
+    over den and packed again over their lcm denominator, and the segment
+    starts from their actual mass.  None starts at the unit 1, of mass 1,
+    whose residue is 1 in every ring, with no decode."""
+    if values is None:
+        k, ring = PackedRing.segment(params, 1, growths)
+        return k, ring, 1, [1]
+    ring, den, residues = values
+    den, nums = common_denominator([ring.decode(z, den) for z in residues])
+    k, ring = PackedRing.segment(params, sum(sum(map(abs, v)) for v in nums), growths)
+    return k, ring, den, [ring.pack(v) for v in nums]
 
 
 def scalar_of(params: QuantumParams, factors, n: int):

@@ -28,10 +28,10 @@ mu = max_e |A^e mod Phi|_inf, because x^(4r) = 1 modulo Phi; this residue
 rule picks the width of every packed computation (``QuantumParams.ring``),
 and the level keeps one ring per width.  A product of two parts packs each
 numerator vector with one struct call, does one big-integer multiply and
-unpacks the symmetric residue, in the ring of mass |u|_1 |v|_1; the skein
-sweep runs on residues throughout, and the products of linear maps in
-column form (``linalg.product_columns``: matrices and braid resolution
-alike) run in segments that each decode once (``PackedRing.segment``).
+unpacks the symmetric residue, in the ring of mass |u|_1 |v|_1; the
+products of linear maps in column form (``linalg.product_columns``:
+matrices and braid resolution alike) and the skein sweep run on residues
+in segments that each decode once (``PackedRing.segment``).
 
 The exact arithmetic depends on the level r alone: it is formal in A, with
 Phi = Phi_4r the minimal polynomial of every primitive 4r-th root.  So the

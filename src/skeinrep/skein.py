@@ -19,10 +19,14 @@ Evaluation cables k-labeled components into k parallel copies through one
 Jones-Wenzl box, read off each component's strand (``_cabled_diagram``),
 resolves crossings by the Kauffman relation (the A-smoothing of X[a,b,c,d]
 joins a-d and b-c), and replaces closed loops by d = -A^2 - A^{-2}.  The
-sweep over crossings keeps a linear combination of frontier pairings with
-like states merged: a state is keyed by the ports still open whose diagram
-partner has been resolved, and maps each to its current partner.  omega
-components expand as sum_k s_k (k-labeled), s_k = c d_k.
+sweep over the nodes keeps a linear combination of frontier pairings with
+like states merged: ports are integers, a state is the tuple, by frontier
+slot, of each open port's current partner, and a node resolves a state
+through the join table of its local pattern, one per pattern in the level
+memo.  Coefficients are packed residues in rings sized per segment under
+the column rule (``linalg.next_segment``).  omega components expand as
+sum_k s_k (k-labeled), s_k = c d_k; the strand data that does not depend
+on the labels is read once per evaluation (``_strand_data``).
 """
 from __future__ import annotations
 
@@ -30,7 +34,9 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
+from .linalg import next_segment
 from .recoupling import twist_coefficient
 from .scalars import PackedRing, QuantumParams, Scalar, common_denominator
 from .tl import jones_wenzl
@@ -330,10 +336,23 @@ def _braid_crossing(cur, g, fresh):
     return [q, q2, p2, p]
 
 
-def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels, walk):
+def _strand_data(link: LabeledLink, walk):
+    """What ``_cabled_diagram`` reads of `link` whatever its labels:
+    (ob, comp_of, head, strand_of), the orientations of ``_oriented(walk)``,
+    the component of each arc, the head occurrence of each arc
+    (``_head_occurrences``) and the strand of each component that has
+    one."""
+    strands, ob = _oriented(walk)
+    comp_of = link.arc_component()
+    return (ob, comp_of, _head_occurrences(link.crossings, ob),
+            {comp_of[arcs[0]]: arcs for arcs in strands})
+
+
+def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels, walk, strands=None):
     """The blackboard-framed cabled diagram of `link` with every component's
     label an integer, read off `walk` (the ``_walk`` that ``link.validate()``
-    returns).
+    returns); `strands`, when given, is ``_strand_data(link, walk)``,
+    already made for another labeling.
 
     Returns (kinds, pairing, loops_upfront).  kinds lists the nodes: "X"
     for each crossing of two cable strands, then k for the Jones-Wenzl box
@@ -355,8 +374,7 @@ def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels, walk):
     for k in labels:
         if not 0 <= k <= params.r - 2:
             raise DomainError(f"label {k} outside 0..{params.r - 2}")
-    strands, ob = _oriented(walk)
-    comp_of = link.arc_component()
+    ob, comp_of, head, strand_of = strands or _strand_data(link, walk)
     kinds, grid = [], {}  # grid[t] = (first node, m, n) of a kept crossing
     for t, (a, b, _, _) in enumerate(link.crossings):
         m, n = labels[comp_of[a]], labels[comp_of[b]]
@@ -376,8 +394,6 @@ def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels, walk):
             nodes = reversed(nodes) if s == 1 else nodes
         return [((x, s), (x, (s + 2) % 4)) for x in nodes]
 
-    head = _head_occurrences(link.crossings, ob)
-    strand_of = {comp_of[arcs[0]]: arcs for arcs in strands}
     pairing, loops_upfront = {}, 0
     for i, k in enumerate(labels):
         if not k:
@@ -409,9 +425,12 @@ def _greedy_order(kinds, pairing):
     placed nodes or to itself, the lowest index among equals.  Scores only
     grow, so a heap with stale entries skipped replaces a rescan per step."""
     score = [0] * len(kinds)
+    others = [[] for _ in kinds]  # the node across each port, when another
     for (idx, _), (other, _) in pairing.items():
         if idx == other:
             score[idx] += 1
+        else:
+            others[idx].append(other)
     heap = [(-sc, idx) for idx, sc in enumerate(score)]
     heapq.heapify(heap)
     placed = [False] * len(kinds)
@@ -422,8 +441,7 @@ def _greedy_order(kinds, pairing):
             continue
         placed[idx] = True
         order.append(idx)
-        for slot in range(_port_count(kinds[idx])):
-            nb = pairing[(idx, slot)][0]
+        for nb in others[idx]:
             if not placed[nb]:
                 score[nb] += 1
                 heapq.heappush(heap, (-score[nb], nb))
@@ -455,7 +473,7 @@ def _loop_residue(params: QuantumParams, ring: PackedRing) -> int:
 
 
 def _node_residues(params: QuantumParams, ring: PackedRing, kind):
-    """The terms of `_node_terms` in `ring`: (pairs, scaled) with scaled[j]
+    """The multipliers of `_node_terms` in `ring`, in order: scaled[j] is
     the residue of the multiplier times d^j, for j up to the number of
     joins."""
     def build():
@@ -465,105 +483,196 @@ def _node_residues(params: QuantumParams, ring: PackedRing, kind):
             scaled = [ring.pack(nums)]
             for _ in pairs:
                 scaled.append(scaled[-1] * dval % ring.n)
-            out.append((pairs, tuple(scaled)))
+            out.append(tuple(scaled))
         return out
     return params.cached(("sweep_residues", kind, ring.n), build)
+
+
+def _picker(slots):
+    """The function that reads the tuple (key[i] for i in slots) off a
+    tuple key in one call."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0))
+
+
+def _join_table(params: QuantumParams, kind, static, sig):
+    """The join table of a node of `kind` in one local pattern: static[j]
+    is where port j is joined off the node, to the node's own port
+    static[j] >= 0 (a static self-pairing), to an unplaced node's port
+    (-1) or through the frontier (-2), and sig lists, for the frontier
+    ports in order, the node's own port that a state joins each to, or
+    None for a port of another node.  The outside partners of a state are
+    its frontier ports' partners, then the ports of unplaced nodes, in
+    that order.  The table lists, for each resolution of `_node_terms` in
+    order, (loops, writes): the loops it closes, and (a, b) for each
+    outside partner a that it joins to the outside partner b.  The key
+    names no concrete port, so the level memo holds one table per
+    pattern."""
+    def build():
+        frontier = [j for j, s in enumerate(static) if s == -2]
+        outside = {j: t for t, j in enumerate(frontier + [j for j, s in enumerate(static)
+                                                          if s == -1])}
+        local = list(static)  # the node's own port joined to each, or -1
+        for j, own in zip(frontier, sig):
+            local[j] = -1 if own is None else own
+        table = []
+        for pairs, _ in _node_terms(params, kind)[2]:
+            join = {}
+            for x, y in pairs:
+                join[x], join[y] = y, x
+            seen, writes, loops = set(), [], 0
+            for j in outside:
+                if local[j] < 0 and j not in seen:
+                    i = join[j]
+                    while local[i] >= 0:
+                        seen.update((i, local[i]))
+                        i = join[local[i]]
+                    seen.update((j, i))
+                    writes += [(outside[j], outside[i]), (outside[i], outside[j])]
+            for j in range(len(local)):
+                if j not in seen:
+                    loops += 1
+                    while j not in seen:
+                        seen.update((j, join[j]))
+                        j = local[join[j]]
+            table.append((loops, tuple(writes)))
+        return table
+    return params.cached(("sweep_join", kind, static, sig), build)
 
 
 def _sweep(params: QuantumParams, kinds, pairing, loops_upfront, twists=()) -> Scalar:
     """Resolve the nodes one at a time, keeping a linear combination of states.
 
-    A state records the current partner of each frontier port: an
-    unprocessed port whose `pairing` partner is processed.  Every other port
-    still has its `pairing` partner, so it is left out; a state is the tuple
-    of partners in the order of `frontier`.  Like states are merged.
+    Ports are integers, port base[idx] + slot of node idx, and `pairing`
+    becomes the list `partner`.  A frontier port is an unprocessed port
+    whose `partner` is processed; every other port still has its
+    `partner`.  Each frontier port holds one slot while it is on the
+    frontier, and a state is the tuple, by slot, of the slot of each
+    frontier port's current partner, None at a free slot.  Like states are
+    merged.  The ports a node opens take the lowest free slots, then new
+    ones at the top; the node's slots left free are cleared, and free slots
+    at the top are cut.
+
+    A node resolves a state through the join table of its local pattern
+    (`_join_table`), which a step reads once per pattern: a resolution is
+    a copy of the state, two writes per pair of outside partners that it
+    joins, and one tuple.
 
     A state's coefficient is one integer modulo N = Phi_4r(2^b): x -> 2^b
     is a ring homomorphism Z[x]/Phi_4r -> Z/N (`scalars.PackedRing`), so the
     product with a resolution's multiplier, the merge of like states and
-    the drop of zero states are integer *, + and % N.  Each box's multipliers
-    are scaled to its lcm denominator L, and the value is decoded once, over
-    the product of the L.  Every state is a sum of Laurent products in A
-    whose l1 mass is at most 2^loops_upfront times the product of the
-    nodes' masses (`_node_terms`), so the sweep runs in the level's ring of
-    that mass (`QuantumParams.ring`, the residue rule): every state's
-    reduced coefficients are at most B = mu * mass < 2^(b-2), and the zero
-    test on the residue and the decode are exact.  The framing monomials
-    `twists` (each +-A^e) scale the closed total before the decode; a
-    monomial keeps the l1 mass, so B holds for the product too.
+    the drop of zero states are integer *, + and % N.  Each node's
+    multipliers are scaled to its lcm denominator L.  A node multiplies the
+    total l1 mass of the states by at most its mass (`_node_terms`), and
+    2^loops_upfront joins the last node's, so the sweep runs in segments
+    under the column rule (`linalg.next_segment`): every state's reduced
+    coefficients stay within B = mu * start mass * prod masses < 2^(b-2)
+    of the segment's ring, so the zero test on the residue is exact, and
+    at the end of a segment every state is decoded over the start
+    denominator times the product of the L and packed again from the
+    actual mass.  The first segment starts at the unit, with no decode.
+    The framing monomials `twists` (each +-A^e) scale the closed total
+    before the last decode; a monomial keeps the l1 mass, so B holds for
+    the product too.
     """
-    mass, den = 1 << loops_upfront, 1
-    for kind in kinds:
-        node_den, node_mass, _ = _node_terms(params, kind)
-        mass *= node_mass
-        den *= node_den
-    ring = params.ring(mass)
-    n = ring.n
-
-    frontier = []
-    placed = set()
-    states = {(): 1}
-    for idx in _greedy_order(kinds, pairing):
-        resolutions = [([((idx, p), (idx, q)) for p, q in pairs], scaled)
-                       for pairs, scaled in _node_residues(params, ring, kinds[idx])]
-        ports = [(idx, s) for s in range(_port_count(kinds[idx]))]
-        placed.add(idx)
-        old_slot = {p: i for i, p in enumerate(frontier)}
-        kept = [i for i, p in enumerate(frontier) if p[0] != idx]
-        frontier = [frontier[i] for i in kept] + [
-            q for q in (pairing[p] for p in ports) if q[0] not in placed]
-        new_slot = {p: i for i, p in enumerate(frontier)}
-        opened = [None] * (len(frontier) - len(kept))
-        # the node's ports off the frontier have their `pairing` partner in
-        # every state; those on it take their partner from the state
-        fixed = {p: pairing[p] for p in ports if p not in old_slot}
-        on_frontier = [(p, old_slot[p]) for p in ports if p in old_slot]
-        new_states = {}
+    order = _greedy_order(kinds, pairing)
+    base = list(itertools.accumulate(map(_port_count, kinds), initial=0))
+    partner = [0] * base[-1]
+    for (x, s), (y, t) in pairing.items():
+        partner[base[x] + s] = base[y] + t
+    node_of = [idx for idx, kind in enumerate(kinds) for _ in range(_port_count(kind))]
+    terms = [_node_terms(params, kinds[idx]) for idx in order]
+    growths = [mass for _, mass, _ in terms] or [1]
+    growths[-1] <<= loops_upfront
+    left, ring, den, (unit,) = next_segment(params, growths)
+    states = {(): unit}
+    placed = [False] * len(kinds)
+    slot = [0] * base[-1]  # the slot of each frontier port
+    holes = []  # the free slots below the width, in order
+    width = 0
+    for at, idx in enumerate(order):
+        if not left:
+            left, ring, den, coeffs = next_segment(params, growths[at:],
+                                                   (ring, den, states.values()))
+            states = dict(zip(states, coeffs))
+        left -= 1
+        kind, first = kinds[idx], base[idx]
+        den *= terms[at][0]
+        scaled = _node_residues(params, ring, kind)
+        # each port is joined off the node through the frontier (a state
+        # holds the partner's slot), to the node's own port, or to an
+        # unplaced node's port, which opens on the frontier
+        on, opened, static = {}, [], []
+        for j, q in enumerate(partner[first:base[idx + 1]]):
+            other = node_of[q]
+            if other == idx:
+                static.append(q - first)
+            elif placed[other]:
+                static.append(-2)
+                on[slot[first + j]] = j
+            else:
+                static.append(-1)
+                opened.append(q)
+        static = tuple(static)
+        placed[idx] = True
+        # the opened ports take the lowest free slots, then new ones at the
+        # top; the node's slots left free are cleared, the top ones cut
+        holes = sorted(holes + list(on))
+        reused = min(len(opened), len(holes))
+        old = width
+        width += len(opened) - reused
+        fresh = tuple(holes[:reused] + list(range(old, width)))
+        for q, i in zip(opened, fresh):
+            slot[q] = i
+        holes = holes[reused:]
+        while holes and holes[-1] == width - 1:
+            holes.pop()
+            width -= 1
+        clear = [i for i in on if i in holes]
+        pad = [None] * (width - old)
+        reshape = width != old or clear
+        take, own, apart = _picker(list(on)), on.keys(), (None,) * len(on)
+        ops_of, n, new_states = {}, ring.n, {}
         for key, coeff in states.items():
-            local = dict(fixed)
-            for p, i in on_frontier:
-                local[p] = key[i]
-            untouched = [key[i] for i in kept] + opened
-            for joins, scaled in resolutions:
-                p2 = dict(local)
-                loops = 0
-                for x, y in joins:
-                    px = p2.pop(x)
-                    if px == y:
-                        p2.pop(y)
-                        loops += 1
-                        continue
-                    py = p2.pop(y)
-                    p2.pop(px, None)
-                    p2.pop(py, None)
-                    p2[px] = py
-                    p2[py] = px
-                # every port left in p2 is a frontier port: a partner of the node
-                row = untouched.copy()
-                for p, q in p2.items():
-                    row[new_slot[p]] = q
+            partners = take(key)
+            sig = apart if own.isdisjoint(partners) else tuple(map(on.get, partners))
+            ops = ops_of.get(sig)
+            if ops is None:
+                ops = ops_of[sig] = [(s[loops], writes) for s, (loops, writes) in zip(
+                    scaled, _join_table(params, kind, static, sig))]
+            outside = partners + fresh
+            if reshape:
+                key = [*key[:width], *pad]
+                for i in clear:
+                    key[i] = None
+            for mult, writes in ops:
+                row = list(key)
+                for a, b in writes:
+                    row[outside[a]] = outside[b]
                 k2 = tuple(row)
-                new_states[k2] = new_states.get(k2, 0) + coeff * scaled[loops]
+                new_states[k2] = new_states.get(k2, 0) + coeff * mult
         states = {k: v for k, w in new_states.items() if (v := w % n)}
         if not states:
             break
 
     if set(states) - {()}:
         raise AssertionError("sweep did not close all strands")
+    n = ring.n
     total = states.get((), 0) * pow(_loop_residue(params, ring), loops_upfront, n)
     for nums in common_denominator(twists)[1]:
         total = total * ring.pack(nums) % n
     return ring.decode(total, den)
 
 
-def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels, walk):
+def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels, walk, strands):
     """Evaluate with every component's label an integer (omega expanded):
     the blackboard-framed sweep times mu_k^f for each k-labeled component
     of framing f, folded into its packed total.  `walk` is
-    ``link.validate()``."""
+    ``link.validate()`` and `strands` its ``_strand_data``."""
     twists = [twist_coefficient(params, k, comp.framing)
               for k, comp in zip(labels, link.components) if k and comp.framing]
-    return _sweep(params, *_cabled_diagram(params, link, labels, walk), twists)
+    return _sweep(params, *_cabled_diagram(params, link, labels, walk, strands), twists)
 
 
 def evaluate(params: QuantumParams, link: LabeledLink, walk=None) -> Scalar:
@@ -576,6 +685,7 @@ def evaluate(params: QuantumParams, link: LabeledLink, walk=None) -> Scalar:
         if c.label != OMEGA and not 0 <= c.label <= params.r - 2:
             raise DomainError(f"component {i} label {c.label} outside 0..{params.r - 2}")
     weights = omega_weights(params)
+    strands = _strand_data(link, walk)
     total = params.zero()
     given = [c.label for c in link.components]
     for combo in itertools.product(range(params.r - 1), repeat=len(omega_idx)):
@@ -584,7 +694,7 @@ def evaluate(params: QuantumParams, link: LabeledLink, walk=None) -> Scalar:
         for i, k in zip(omega_idx, combo):
             labels[i] = k
             w = w * weights[k]
-        total = total + w * _evaluate_labeled(params, link, labels, walk)
+        total = total + w * _evaluate_labeled(params, link, labels, walk, strands)
     return total
 
 

@@ -4,8 +4,9 @@ The reference below keys every state by the pairing of all unprocessed
 ports, picks the node order by rescanning every remaining node per step,
 and keeps every coefficient a `Scalar`.  Both sweeps run on the same nodes
 from `skein._cabled_diagram`; their values must have identical `to_json`
-bytes, and the node orders must agree.  The packed sweep's width is checked
-against its bound B, computed here from its definition.
+bytes, and the node orders must agree.  The width of each segment of the
+packed sweep is checked against its bound B, computed here from its
+definition.
 
 `skein.evaluate` draws no framing: it multiplies the blackboard value by
 mu_k^f.  The reference draws it, splicing |f| kinks into the diagram
@@ -22,6 +23,7 @@ import pytest
 
 from helpers import assert_narrowest_ring, ring_bits
 from oracles import scale
+from skeinrep import linalg
 from skeinrep import skein as sk
 from skeinrep.scalars import common_denominator, make_params
 from skeinrep.skein import (CircumcisionPair, HandleSlide, apply_move, closed_braid_link,
@@ -263,20 +265,16 @@ def test_move_outputs_match_reference(r, s):
 
 # ----- the packed residues: width, bound, zero drop and c-odd values -----
 
-def expected_bound(params, kinds, loops_upfront):
-    """B = mu 2^loops_upfront prod_nodes sum_j |m_j|_1 2^|joins_j|, with
-    mu = max_e |A^e mod Phi|_inf and m_j a node's multipliers over its lcm
-    denominator."""
-    mu = max(abs(c) for e in range(params.order) for c in params.a_pow(e).part[0])
-    bound = mu << loops_upfront
-    for kind in kinds:
-        if kind == "X":
-            coeffs, joins = [params.a_pow(1), params.a_pow(-1)], 2
-        else:
-            coeffs, joins = list(jones_wenzl(params, kind).terms.values()), kind
-        den = math.lcm(*(c.part[1] for c in coeffs))
-        bound *= sum(abs(n) * den // c.part[1] for c in coeffs for n in c.part[0]) << joins
-    return bound
+def node_mass(params, kind):
+    """sum_j |m_j|_1 2^|joins_j| over a node's resolutions, with m_j its
+    multipliers over their lcm denominator: the most the node multiplies
+    the total l1 mass of the states by."""
+    if kind == "X":
+        coeffs, joins = [params.a_pow(1), params.a_pow(-1)], 2
+    else:
+        coeffs, joins = list(jones_wenzl(params, kind).terms.values()), kind
+    den = math.lcm(*(c.part[1] for c in coeffs))
+    return sum(abs(n) * den // c.part[1] for c in coeffs for n in c.part[0]) << joins
 
 
 def traced_sweep(params, kinds, pairing, loops_upfront):
@@ -294,24 +292,68 @@ def traced_sweep(params, kinds, pairing, loops_upfront):
     return value, seen
 
 
+def traced_segments(params, kinds, pairing, loops_upfront):
+    """The value of `skein._sweep`, its local variables as it returns, and
+    one (values, segment) per `linalg.next_segment` call it made: the
+    (ring, den, residues) that the call decodes, None for the first, and
+    the (k, ring, den, residues) of the segment it starts."""
+    seen, segments = {}, []
+
+    def profile(frame, event, arg):
+        if event != "return":
+            return
+        if frame.f_code is sk._sweep.__code__:
+            seen.update(frame.f_locals)
+        elif frame.f_code is linalg.next_segment.__code__:
+            values = frame.f_locals["values"]
+            segments.append((values and (values[0], values[1], list(values[2])), arg))
+    sys.setprofile(profile)
+    try:
+        value = sk._sweep(params, kinds, pairing, loops_upfront)
+    finally:
+        sys.setprofile(None)
+    return value, seen, segments
+
+
 def check_width(params, link, labels):
-    """The sweep's ring is the level's ring for its mass, whose B = mu * mass
-    is the defined bound, its width b the narrowest with B < 2^(b-2), every
-    decoded coefficient is at most B, and the value matches the reference.
-    Returns b."""
+    """Each segment of the sweep runs in the level's narrowest ring for its
+    bound B = mu * start mass * prod of its nodes' masses, with
+    2^loops_upfront joining the last node's: the start mass is 1 for the
+    first segment and the l1 mass of the decoded states for a later one,
+    and a segment takes the most nodes, at least one, with B < 2^62.  Every
+    coefficient decoded at a segment's end, each state's at a boundary and
+    the total at the last, is at most B, and the value matches the
+    reference.  Returns the segments' widths b."""
     kinds, pairing, loops_upfront = sk._cabled_diagram(params, link, labels, link.validate())
-    value, seen = traced_sweep(params, kinds, pairing, loops_upfront)
-    ring, bound = seen["ring"], expected_bound(params, kinds, loops_upfront)
-    assert params._mu * seen["mass"] == bound
-    assert_narrowest_ring(params, ring, seen["mass"])
-    part = ring.part(seen["total"], 1)
-    assert part is None or max(map(abs, part[0])) <= bound
+    value, seen, segments = traced_segments(params, kinds, pairing, loops_upfront)
+    masses = [node_mass(params, kinds[idx]) for idx in reference_order(kinds, pairing)] or [1]
+    masses[-1] <<= loops_upfront
+    mu = max(abs(c) for e in range(params.order) for c in params.a_pow(e).part[0])
+    at, widths = 0, []
+    for i, (values, (k, ring, _, _)) in enumerate(segments):
+        start = 1
+        if values is not None:
+            assert i > 0 and values[0] is segments[i - 1][1][1]
+            _, nums = common_denominator(values[0].decode(z, values[1]) for z in values[2])
+            start = sum(sum(map(abs, v)) for v in nums)
+        mass = start * math.prod(masses[at:at + k])
+        assert_narrowest_ring(params, ring, mass)
+        assert k >= 1 and (k == 1 or mu * mass < 2 ** 62)
+        assert at + k == len(masses) or mu * mass * masses[at + k] >= 2 ** 62
+        ends = segments[i + 1][0][2] if i + 1 < len(segments) else [seen["total"]]
+        for z in ends:
+            part = ring.part(z, 1)
+            assert part is None or max(map(abs, part[0])) <= mu * mass
+        at += k
+        widths.append(ring_bits(params, ring))
+    assert seen["ring"] is segments[-1][1][1]
+    assert at == len(masses) or not seen["states"]
     assert as_bytes(value) == as_bytes(reference_sweep(params, kinds, pairing, loops_upfront))
-    return ring_bits(params, ring)
+    return widths
 
 
 def test_width_covers_every_decoded_coefficient():
-    widths = set()
+    widths, most = set(), 0
     for r, s in LEVELS:
         params = make_params(r, s)
         rng = random.Random(7 * r + s)
@@ -319,10 +361,15 @@ def test_width_covers_every_decoded_coefficient():
             link = random_closed_braid(rng, r)
             choices = [range(r - 1) if c.label == sk.OMEGA else [c.label] for c in link.components]
             for labels in itertools.product(*choices):
-                widths.add(check_width(params, link, list(labels)))
-    widths.add(check_width(make_params(4), unknot_link(1, 0), [1]))
-    widths.add(check_width(make_params(6), closed_braid_link([1, 1], 2), [4, 4]))
-    assert 8 in widths and max(widths) > 64
+                got = check_width(params, link, list(labels))
+                widths.update(got)
+                most = max(most, len(got))
+    for params, link, labels in ((make_params(4), unknot_link(1, 0), [1]),
+                                 (make_params(6), closed_braid_link([1, 1], 2), [4, 4])):
+        got = check_width(params, link, labels)
+        widths.update(got)
+        most = max(most, len(got))
+    assert 8 in widths and 64 in widths and most >= 2
 
 
 @pytest.mark.parametrize("r", [3, 4, 5, 6, 105])
