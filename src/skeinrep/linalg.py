@@ -17,11 +17,13 @@ the level memo holds (twist pairs, sector generators, braid letters)
 therefore pack each column once per width for the life of the level, and
 a form made for one product dies with it.  A product finds its first
 segment once for all its columns, since every column starts at a unit
-vector.  `next_segment` is the segment boundary of any other packed chain
-(the skein sweep): it decodes the values at the end of a segment and
-packs them again in the ring of the next.
+vector.  `next_segment` is the one segment boundary of every packed chain,
+these products and the skein sweep: it decodes the values at the end of a
+segment and packs them again in the ring of the next.
 """
 from __future__ import annotations
+
+from math import prod
 
 from .scalars import PackedRing, QuantumParams, common_denominator
 
@@ -134,29 +136,25 @@ def product_columns(params: QuantumParams, factors, starts):
     A factor multiplies the total l1 mass of the column by at most its
     column mass c, so a segment that starts at total mass M0 has
     B = mu * M0 * prod c and decodes over the product of the factors' L
-    (`PackedRing.segment`; CONVENTIONS.md, the column rule); a factor costs
-    one integer multiply-add per nonzero entry it reads and one reduction
-    per live key.  Under the bound an entry is zero exactly when its residue
+    (`next_segment`; CONVENTIONS.md, the column rule); a factor costs one
+    integer multiply-add per nonzero entry it reads and one reduction per
+    live key.  Under the bound an entry is zero exactly when its residue
     is, and every live entry is decoded at the end of each segment but the
     last.  Every start is a unit vector of mass 1, so the first segment
     (its ring, the packed unit and the factors' packed maps) is found once
     for all starts.  The factors own their packed columns: the product
     keeps none."""
     chain = factors[::-1]
+    growths = [c for _, c, _ in chain]
 
-    def segment(pos, nums):
-        """(ring, packed factor maps, product of their L) of the segment
-        that starts at factor pos with numerators nums."""
-        k, ring = PackedRing.segment(params, sum(sum(map(abs, v)) for v in nums),
-                                     (c for _, c, _ in chain[pos:]))
-        den = 1
-        for factor_den, _, _ in chain[pos:pos + k]:
-            den *= factor_den
-        return ring, [cols.packed(ring) for _, _, cols in chain[pos:pos + k]], den
+    def segment(pos, k, ring):
+        """(packed maps, product of the L) of the k factors from pos, a
+        segment run in ring."""
+        part = chain[pos:pos + k]
+        return [cols.packed(ring) for _, _, cols in part], prod(den for den, _, _ in part)
 
-    _, (one,) = common_denominator([params.one()])  # 1 over L = 1
-    ring0, first, den0 = segment(0, [one])
-    unit = ring0.pack(one)
+    k, ring0, _, (unit,) = next_segment(params, growths)
+    first, den0 = segment(0, k, ring0)
     for j in starts:
         state, ring, maps, den, pos = {j: unit}, ring0, first, den0, 0
         while True:
@@ -170,11 +168,11 @@ def product_columns(params: QuantumParams, factors, starts):
             pos += len(maps)
             if pos == len(chain):
                 break
-            vec = {i: ring.decode(z, den) for i, z in state.items()}
-            den, nums = common_denominator(vec.values())
-            ring, maps, factor_dens = segment(pos, nums)
+            k, ring, den, residues = next_segment(params, growths[pos:],
+                                                  (ring, den, state.values()))
+            maps, factor_dens = segment(pos, k, ring)
             den *= factor_dens
-            state = {i: ring.pack(v) for i, v in zip(vec, nums)}
+            state = dict(zip(state, residues))
         yield state, ring, den
 
 

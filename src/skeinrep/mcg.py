@@ -19,6 +19,10 @@ and the twist pair left . f(core) . right, where f(lambda_k) = mu_k^{+-1}:
 read off a label core, and one exact Newton prefix pass shared by both signs
 on a matrix core, each the packed product of the frame (`linalg`'s matrix
 format).  No matrix is inverted by elimination.
+
+`detect` finds the least level at which a word acts projectively
+nontrivially on some boundary-label block, reading only the blocks of
+dimension >= 2: on a block of dimension 1 every word is a nonzero scalar.
 """
 from __future__ import annotations
 
@@ -212,6 +216,12 @@ def _surface(name):
     return table[name]
 
 
+def _check_curve(name, curves, curve):
+    """Raise unless curve is one of a surface's curves (`_surface`)."""
+    if curve not in curves:
+        raise DomainError(f"unknown curve {curve!r} on {name}")
+
+
 def _f_move(params, names, vertices, tuples, edge):
     """One F-move on the internal edge that joins the vertices (a, b, edge)
     and (c, d, edge).  tuples are basis vectors as labels of `names`.
@@ -322,12 +332,8 @@ class SurfaceModel:
             core = _parallel_insertion(params, tuples, _cycle_vertices(names, vertices, target))
         return left, core, right
 
-    def _check_curve(self, curve):
-        if curve not in self._curves:
-            raise DomainError(f"unknown curve {curve!r} on {self.name}")
-
     def curve_operator(self, params, curve) -> RepMatrix:
-        self._check_curve(curve)
+        _check_curve(self.name, self._curves, curve)
         left, core, right = self._frame(params, curve)
         if _is_labels(core):
             core = [{i: encircle_eigenvalue(params, k)} for i, k in enumerate(core)]
@@ -349,7 +355,7 @@ class SurfaceModel:
         """The column form (`linalg.columns`) of T_curve^sign, sign +-1, from
         the level memo's one entry per curve, the pair (T, T^{-1}), which
         every model of the same name and boundary labels shares."""
-        self._check_curve(curve)
+        _check_curve(self.name, self._curves, curve)
         key = ("twist", self.name, self._label_context(), curve)
         return params.cached(key, lambda: self._twist_pair(params, curve))[0 if sign > 0 else 1]
 
@@ -387,21 +393,36 @@ def _boundary_contexts(name, r):
     return [ls for ls in product(range(r - 1), repeat=_surface(name)[0]) if sum(ls) % 2 == 0]
 
 
+def _live_blocks(params, name):
+    """The boundary-label blocks of a surface that can witness at a level,
+    in scan order, as (labels, model, dim): those of dimension >= 2.  A
+    twist is invertible, so on a block of dimension 1 every word is a
+    nonzero scalar."""
+    out = []
+    for ctx in _boundary_contexts(name, params.r):
+        model = surface_model(name, ctx)
+        n = model.dim(params)
+        if n >= 2:
+            out.append((ctx, model, n))
+    return out
+
+
 def detect(name, word, r_range, s=1) -> DetectionResult:
-    """Scan r ascending; at each r, examine every boundary-label block of the
-    surface and report 'nontrivial' when some block's matrix is not a nonzero
-    Scalar multiple of the identity (the witness is that block's labels).
-    Each block is probed column by column on the column forms of the
-    word's twists (`linalg.scalar_of`), so a nontrivial block is usually
-    decided by its first column.  A block's model holds no level state, so
-    it is read from the level memo, one per block."""
+    """Scan r ascending; at each r, examine the surface's boundary-label
+    blocks of dimension >= 2 (`_live_blocks`, one level-memo entry per
+    surface, so no other block has its twists built) and report
+    'nontrivial' when some block's matrix is not a nonzero Scalar multiple
+    of the identity (the witness is that block's labels).  The word's
+    curves are checked first, so an unknown curve raises even at a level
+    with no block left or under exponent 0.  Each block is probed column
+    by column on the column forms of the word's twists (`linalg.scalar_of`),
+    so a nontrivial block is usually decided by its first column."""
 
     def probe(params):
-        for ctx in _boundary_contexts(name, params.r):
-            model = params.cached(("model", name, ctx), lambda: surface_model(name, ctx))
-            n = model.dim(params)
-            if n == 0:
-                continue
+        curves = _surface(name)[2]
+        for curve, _ in word:
+            _check_curve(name, curves, curve)
+        for ctx, model, n in params.cached(("blocks", name), lambda: _live_blocks(params, name)):
             lam = scalar_of(params, model.factors(params, word), n)
             if lam is None or lam.is_zero():
                 return ctx

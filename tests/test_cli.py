@@ -487,6 +487,15 @@ def test_exit_domain_bad_curve(capsys):
     assert code == 3 and out["error"] == "domain"
 
 
+def test_exit_domain_bad_curve_where_no_block_is_left(capsys):
+    """No block of the four-punctured sphere can witness at r = 3, and the
+    word's curves are still checked there."""
+    code, out = run_cli(capsys, "detect", "--surface", "four_punctured_sphere", "--word", "zz",
+                        "--rmin", "3", "--rmax", "3")
+    assert code == 3 and out == {"error": "domain",
+                                 "message": "unknown curve 'zz' on four_punctured_sphere"}
+
+
 def test_exit_domain_bad_surface(capsys):
     code, out = run_cli(capsys, "rep-matrix", "--r", "4", "--surface", "plane",
                         "--word", "a")
