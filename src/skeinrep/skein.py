@@ -24,9 +24,16 @@ like states merged: ports are integers, a state is the tuple, by frontier
 slot, of each open port's current partner, and a node resolves a state
 through the join table of its local pattern, one per pattern in the level
 memo.  Coefficients are packed residues in rings sized per segment under
-the column rule (``linalg.next_segment``).  omega components expand as
-sum_k s_k (k-labeled), s_k = c d_k; the strand data that does not depend
-on the labels is read once per evaluation (``_strand_data``).
+the column rule (``linalg.next_segment``).
+
+omega components expand as sum_k s_k (k-labeled), s_k = c d_k.  J = r - 2
+is a simple current, so a component labelled J - k is the same link
+labelled k times a signed power of A (``_fold``; CONVENTIONS.md gives the
+identity): ``evaluate`` folds every labeling onto its canonical one, with
+no label above J/2, and sweeps each canonical labeling once.  The strand
+data that does not depend on the labels, and the linking matrix that the
+fold reads, are read once per evaluation off its one walk
+(``_strand_data``, ``linking_matrix``).
 """
 from __future__ import annotations
 
@@ -675,26 +682,54 @@ def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels, walk, st
     return _sweep(params, *_cabled_diagram(params, link, labels, walk, strands), twists)
 
 
+def _fold(labels, fixed, lk, r):
+    """(canonical, e): `labels` with each label k above J/2, J = r - 2,
+    turned to J - k, component by component, and the exponent e with
+    W(labels) <labels> = A^e W(canonical) <canonical>, where W is the
+    product of s_k over the omega components (those not `fixed`) and lk
+    the linking matrix.  Turning component i from l to J - l multiplies
+    by (-1)^(J + sum_m l_m lk(i, m)) A^(J(J+2) lk(i, i)), the labels l_m
+    being the current ones; on an omega component s_l = (-1)^J s_(J-l)
+    cancels the (-1)^J.  A^(2r) = -1 carries the sign."""
+    j = r - 2
+    labels, e = list(labels), 0
+    for i, k in enumerate(labels):
+        if 2 * k > j:
+            odd = sum(l * x for l, x in zip(labels, lk[i])) + (j if fixed[i] else 0)
+            e += j * (j + 2) * lk[i][i] + 2 * r * odd
+            labels[i] = j - k
+    return tuple(labels), e
+
+
 def evaluate(params: QuantumParams, link: LabeledLink, walk=None) -> Scalar:
     """Kauffman evaluation of a labeled framed link; omega components are
-    expanded as sum_k s_k (component labeled k).  `walk` is
-    ``link.validate()`` when the caller has already made it."""
+    expanded as sum_k s_k (component labeled k).  Every labeling is folded
+    onto its canonical one, with no label above (r-2)/2 (``_fold``), and
+    each canonical labeling whose summed coefficient is nonzero is swept
+    once.  `walk` is ``link.validate()`` when the caller has already made
+    it."""
     walk = walk or link.validate()
-    omega_idx = [i for i, c in enumerate(link.components) if c.label == OMEGA]
     for i, c in enumerate(link.components):
         if c.label != OMEGA and not 0 <= c.label <= params.r - 2:
             raise DomainError(f"component {i} label {c.label} outside 0..{params.r - 2}")
-    weights = omega_weights(params)
     strands = _strand_data(link, walk)
+    lk = linking_matrix(link, walk)
+    fixed = [c.label != OMEGA for c in link.components]
+    choices = [(c.label,) if f else range(params.r - 1) for c, f in zip(link.components, fixed)]
+    folded = {}  # canonical labeling -> the exponents of A folded onto it
+    for labels in itertools.product(*choices):
+        canonical, e = _fold(labels, fixed, lk, params.r)
+        folded.setdefault(canonical, []).append(e)
+    weights = omega_weights(params)
     total = params.zero()
-    given = [c.label for c in link.components]
-    for combo in itertools.product(range(params.r - 1), repeat=len(omega_idx)):
-        labels = list(given)
-        w = params.one()
-        for i, k in zip(omega_idx, combo):
-            labels[i] = k
-            w = w * weights[k]
-        total = total + w * _evaluate_labeled(params, link, labels, walk, strands)
+    for labels, powers in folded.items():
+        coeff = sum(map(params.a_pow, powers), params.zero())
+        if coeff.is_zero():
+            continue
+        for k, f in zip(labels, fixed):
+            if not f:
+                coeff = coeff * weights[k]
+        total = total + coeff * _evaluate_labeled(params, link, list(labels), walk, strands)
     return total
 
 

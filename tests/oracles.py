@@ -12,8 +12,9 @@ calculus, and the tests compare the two exactly.
   encirclement eigenvalues and the Hopf pairing as composed diagrams;
 - TQFT: the handlebody vector and the solid-torus expansion of a (p, q)
   curve, read off skein evaluations of torus links;
-- surgery: comparison of two surgery presentations up to the signature
-  phase;
+- surgery: ``skein.evaluate`` without its label fold, one sweep per
+  labeling, and comparison of two surgery presentations up to the
+  signature phase;
 - braids: the full twist, its sector scalar, word-level permutation,
   free reduction and writhe, and the `Scalar` folds that the packed
   residue chains of ``tl.resolve_braid`` and ``braids.jones_sector_rep``
@@ -27,6 +28,7 @@ calculus, and the tests compare the two exactly.
 Nothing in the package imports this module."""
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache, reduce
 from math import gcd
 
@@ -436,6 +438,24 @@ def expand_solid_torus(params, p: int, q: int):
 
 # ---------------------------------------------------------------------------
 # surgery presentations
+
+
+def unfolded_evaluate(params, link):
+    """``skein.evaluate`` without the label fold: one sweep for every
+    integer labeling, omega expanded over 0..r-2, summed with weights
+    s_k = c d_k."""
+    walk = link.validate()
+    strands = sk._strand_data(link, walk)
+    choices = [range(params.r - 1) if c.label == sk.OMEGA else [c.label]
+               for c in link.components]
+    c, total = params.c_symbol(), params.zero()
+    for labels in itertools.product(*choices):
+        weight = params.one()
+        for comp, k in zip(link.components, labels):
+            if comp.label == sk.OMEGA:
+                weight = weight * c * params.d_k(k)
+        total = total + weight * sk._evaluate_labeled(params, link, list(labels), walk, strands)
+    return total
 
 
 def unknot_value_plus(params):

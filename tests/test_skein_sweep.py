@@ -400,8 +400,10 @@ def test_exact_zero_is_dropped_and_decoded(s):
 
 def test_odd_value_raises_in_common_denominator(fresh_contexts, monkeypatch):
     """A c-odd value has no packed residue: common_denominator raises on it,
-    and a c-odd Jones-Wenzl coefficient raises instead of being dropped."""
-    params = make_params(5)
+    and a c-odd Jones-Wenzl coefficient raises instead of being dropped.
+    At r = 6 the label 2 is at most (r-2)/2, so the fold keeps it and the
+    sweep builds the P_2 box."""
+    params = make_params(6)
     c = params.c_symbol()
     for values in ([c], [params.one(), c * params.a_pow(3)]):
         with pytest.raises(AssertionError, match="c-odd"):
