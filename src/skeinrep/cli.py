@@ -214,15 +214,11 @@ def cmd_verify_moves(args):
     moves = _load_json(args.moves)
     if not isinstance(moves, list):
         raise ParseFailure("moves file must hold a JSON list")
-    results = []
-    all_ok = True
-    for obj in moves:
-        move = _move_from_json(obj)
-        ok = skein.verify_move(params, link, move)
-        all_ok = all_ok and ok
-        results.append({"move": obj, "preserved": ok})
-    return {"r": params.r, "s": params.s, "all_preserved": all_ok,
-            "results": results}
+    # each move is parsed just before it is checked, so a bad move raises
+    # after the checks of the moves ahead of it
+    oks = skein.verify_moves(params, link, map(_move_from_json, moves))
+    return {"r": params.r, "s": params.s, "all_preserved": all(oks),
+            "results": [{"move": obj, "preserved": ok} for obj, ok in zip(moves, oks)]}
 
 
 # ----------------------------------------------------------------- main

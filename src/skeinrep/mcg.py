@@ -2,22 +2,22 @@
 
 Each supported surface is one entry of a table (`_surface`): its number of
 boundary labels, a reference spine from `tqft`, and each curve as (moves,
-target).  The target is the spine edge the curve encircles, whose labels are
-a diagonal core, or a cycle of spine edges, whose core is the curve's
-parallel insertion (a fusion operator with tetrahedral coefficients).  The
-moves, a word in the changes of spine basis (Moore-Seiberg), give the frame
-(left, core, right) around the core, each move a pair (K^{-1}, K) of column
-forms (`linalg.columns`) with left = [K_1^{-1}, K_2^{-1}, ...] and
+target).  Every curve is a meridian: after its moves, a word in the changes
+of spine basis (Moore-Seiberg), it encircles the target spine edge, whose
+labels are a diagonal core.  The moves give the frame (left, core, right)
+around the core, each move a pair (K^{-1}, K) of column forms
+(`linalg.columns`) with left = [K_1^{-1}, K_2^{-1}, ...] and
 right = [..., K_2, K_1]:
 - a spine edge: the F-move `_f_move`, blockwise K = F(a,b,c,d)^T with
   K^{-1} = F(b,c,d,a)^T, read off the same F-matrix by 6j orthogonality;
-- "S": the Hopf S-matrix, K^{-1} = S and K = S/D;
+- "S" and a loop edge: the S-move `_s_move`, blockwise K^{-1} = S(c) and
+  K = S(c)/D, the one-holed torus S-matrix (`recoupling.punctured_s`) of the
+  third label c at the loop's vertex (0 on a free circle);
 - "+c" / "-c": the twist of curve c of the same surface, K^{-1} = T_c^{+-1},
   so the frame of a curve moved by a twist V is V . frame . V^{-1}.
 `SurfaceModel` turns a frame into the curve operator left . C(core) . right
-and the twist pair left . f(core) . right, where f(lambda_k) = mu_k^{+-1}:
-read off a label core, and one exact Newton prefix pass shared by both signs
-on a matrix core, each the packed product of the frame (`linalg`'s matrix
+and the twist pair left . f(core) . right, where C(k) = lambda_k and
+f(k) = mu_k^{+-1}, each the packed product of the frame (`linalg`'s matrix
 format).  No matrix is inverted by elimination.
 
 `detect` finds the least level at which a word acts projectively
@@ -27,14 +27,12 @@ dimension >= 2: on a block of dimension 1 every word is a nonzero scalar.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product
-from operator import mul
 
 from . import tqft
 from .linalg import columns, mat_product, mat_trace, rows, scalar_of
-from .recoupling import (encircle_eigenvalue, f_matrix, s_matrix, tet, theta,
-                         theta_inverse, twist_coefficient)
+from .recoupling import (encircle_eigenvalue, f_matrix, punctured_s, theta, theta_inverse,
+                         twist_coefficient)
 from .scalars import QuantumParams, Scalar, make_params
 from .skein import DomainError
 
@@ -96,120 +94,45 @@ def is_projectively_identity(matrix) -> bool:
     return not lam.is_zero()
 
 
-def _newton_coefficients(params: QuantumParams):
-    """The nodes lambda_k = encircle_eigenvalue(k) and, for each sign, the
-    divided differences of lambda_k -> twist_coefficient(k)^{+-1}, the
-    coefficients of the Newton form; each inverse of a node difference
-    serves both signs."""
-    n = params.r - 1
-    lams = [encircle_eigenvalue(params, k) for k in range(n)]
-    tables = [[twist_coefficient(params, k, e) for k in range(n)] for e in (1, -1)]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            inv = (lams[i] - lams[i - j]).inverse()
-            for d in tables:
-                d[i] = (d[i] - d[i - 1]) * inv
-    return lams, tables
-
-
-def _interp_pair(params: QuantumParams, cmat):
-    """The twist matrix of a curve and its inverse, as {row: Scalar}
-    columns, from its curve operator C: the polynomials sending
-    encircle_eigenvalue(k) to twist_coefficient(k)^{+-1}, in Newton form
-    f(C) = sum_k c_k prod_{j<k} (C - lambda_j).  The coefficients come from
-    the level memo.  Column j applies the prefix products to e_j as a
-    sparse vector, which stays in the block of C that holds j, and each
-    prefix serves both signs."""
-    lams, coeffs = params.cached(("newton",), lambda: _newton_coefficients(params))
-    zero = params.zero()
-    pair = ([], [])
-    for j in range(len(cmat)):
-        vec, outs = {j: params.one()}, [{j: c[0]} for c in coeffs]
-        for k in range(1, len(lams)):
-            step = {}
-            for t, x in vec.items():
-                for i, y in cmat[t].items():
-                    step[i] = step.get(i, zero) + y * x
-                step[t] = step.get(t, zero) - lams[k - 1] * x
-            vec = {i: x for i, x in step.items() if not x.is_zero()}
-            for out, c in zip(outs, coeffs):
-                for i, x in vec.items():
-                    out[i] = out.get(i, zero) + c[k] * x
-        for cols, out in zip(pair, outs):
-            cols.append(out)
-    return pair
-
-
-def _is_labels(core):
-    """A frame core is a label list or a matrix (a list of columns)."""
-    return all(isinstance(k, int) for k in core)
-
-
-def _framed(params, left, core, right):
-    """left . core . right, as {row: Scalar} columns: the packed product of
-    the frame's column forms, or the core itself in a frame with no moves."""
+def _framed(params, left, diagonal, right):
+    """left . diag(diagonal) . right, as {row: Scalar} columns: the packed
+    product of the frame's column forms, or the diagonal itself in a frame
+    with no moves."""
+    core = [{i: x} for i, x in enumerate(diagonal)]
     if not left:
         return core
     return mat_product(params, left + [columns(core)] + right, len(core))
-
-
-def _parallel_insertion(params, tuples, vertices):
-    """C of a 1-labeled curve parallel to a cycle of the spine, on basis
-    tuples of edge labels.  vertices lists each spine vertex the cycle
-    passes as the tuple positions (a, b, c) of its two cycle edges and its
-    third edge.  Fusing the curve into the cycle moves each cycle edge e to
-    e' = e +- 1, weighted d_{e'} / theta(e, 1, e'), and replaces the triangle
-    at each vertex by a tetrahedron, weighted
-    tet(a, b, a', b', c, 1) / theta(a', b', c) (Kauffman-Lins).  Each weight
-    is a product with a memoized theta inverse, and an entry the product of
-    its weights.  Returns {row: Scalar} columns."""
-    idx = {t: i for i, t in enumerate(tuples)}
-    cycle = sorted({p for a, b, _ in vertices for p in (a, b)})
-    out = [{} for _ in tuples]
-    for i, t in enumerate(tuples):
-        for moved in product(*[(t[p] - 1, t[p] + 1) for p in cycle]):
-            t2 = list(t)
-            for p, v in zip(cycle, moved):
-                t2[p] = v
-            j = idx.get(tuple(t2))
-            if j is None:
-                continue
-            # a vertex listed twice (the theta cycle's pair) is computed once
-            corners = {(a, b, c): tet(params, t[a], t[b], t2[a], t2[b], t[c], 1)
-                       * theta_inverse(params, t2[a], t2[b], t[c])
-                       for a, b, c in set(vertices)}
-            out[i][j] = reduce(mul, [params.d_k(t2[p]) * theta_inverse(params, t[p], 1, t2[p])
-                                     for p in cycle] + [corners[v] for v in vertices])
-    return out
 
 
 def _surface(name):
     """(boundary-label count, spine builder, curves) of a supported surface.
     The builder takes the boundary labels.  Each curve is (moves, target) as
     the module docstring describes: the moves applied in order, the target
-    an encircled edge name or a tuple of the cycle's edges."""
+    the edge name the curve encircles after them."""
     table = {
         # the meridian a bounds a disk in the solid torus; S takes it to the
         # longitude b, and the meridian twist V_a^{+-1} takes b to the
         # (1, +-1) curves c, d
         "torus": (0, lambda ls: tqft.torus_spine(),
-                  {"a": ((), "a"), "b": (("S",), "a"), "c": (("+a", "S"), "a"),
-                   "d": (("-a", "S"), "a")}),
-        # the meridian a encircles the loop x, the longitude b runs along it
+                  {"a": ((), "a"), "b": (("Sa",), "a"), "c": (("+a", "Sa"), "a"),
+                   "d": (("-a", "Sa"), "a")}),
+        # the meridian a encircles the loop x; S on the loop takes it to the
+        # longitude b, which runs along x
         "punctured_torus": (1, lambda ls: tqft.Spine(edges=["x"], vertices=[["x", "x", "p"]],
                                                      boundary={"p": ls[0]}),
-                            {"a": ((), "x"), "b": ((), ("x",))}),
+                            {"a": ((), "x"), "b": (("Sx",), "x")}),
         # g_ij surrounds punctures i, j: the comb's middle edge for g12 and
         # g34, and after its F-move (pairing legs (2,3)(4,1)) for g23
         "four_punctured_sphere": (4, tqft.comb_spine,
                                   {"g12": ((), "m1"), "g23": (("m1",), "m1"),
                                    "g34": ((), "m1")}),
-        # the chain: handle longitudes b0, b4 and meridians b1, b3 on the
-        # dumbbell; b2 runs through both handles, the x, y cycle of the
-        # theta spine that the bar's F-move reaches
+        # the chain: meridians b1, b3 of the loops x, y of the dumbbell, and
+        # handle longitudes b0, b4, meridians after S on their loop; b2 runs
+        # through both handles, and in the handlebody where b0 and b4 bound
+        # disks (S on both loops) it is the bar's meridian after its F-move
         "genus2": (0, lambda ls: tqft.dumbbell_spine(),
-                   {"b0": ((), ("x",)), "b1": ((), "x"), "b2": (("m",), ("x", "y")),
-                    "b3": ((), "y"), "b4": ((), ("y",))}),
+                   {"b0": (("Sx",), "x"), "b1": ((), "x"), "b2": (("Sx", "Sy", "m"), "m"),
+                    "b3": ((), "y"), "b4": (("Sy",), "y")}),
     }
     if name not in table:
         raise DomainError(f"unsupported surface {name!r}")
@@ -220,6 +143,16 @@ def _check_curve(name, curves, curve):
     """Raise unless curve is one of a surface's curves (`_surface`)."""
     if curve not in curves:
         raise DomainError(f"unknown curve {curve!r} on {name}")
+
+
+def _blocks(tuples, pos):
+    """The indices of the basis tuples that agree off position pos, one
+    list per block, in first-seen order: the blocks of a move on the edge
+    at pos."""
+    blocks = {}
+    for j, t in enumerate(tuples):
+        blocks.setdefault(t[:pos] + t[pos + 1:], []).append(j)
+    return blocks.values()
 
 
 def _f_move(params, names, vertices, tuples, edge):
@@ -239,12 +172,9 @@ def _f_move(params, names, vertices, tuples, edge):
     moved = [v for v in vertices if edge not in v] + [[b, c, edge], [d, a, edge]]
     pos = [names.index(x) for x in (a, b, c, d)]
     pe = names.index(edge)
-    blocks = {}
-    for j, t in enumerate(tuples):
-        blocks.setdefault(t[:pe] + t[pe + 1:], []).append(j)
     new = []
     k, k_inv = [{} for _ in tuples], [{} for _ in tuples]
-    for js in blocks.values():
+    for js in _blocks(tuples, pe):
         t = tuples[js[0]]
         la, lb, lc, ld = (t[p] for p in pos)
         # coordinates transform covariantly, w_f = sum_e six_j(.., e, f) v_e
@@ -265,16 +195,22 @@ def _f_move(params, names, vertices, tuples, edge):
     return moved, new, k, k_inv
 
 
-def _cycle_vertices(names, vertices, cycle):
-    """The (a, b, c) tuple positions `_parallel_insertion` takes for each
-    vertex a cycle of edges passes: a <= b its two cycle edges, c the third."""
-    out = []
-    for v in vertices:
-        ends = sorted(names.index(x) for x in v if x in cycle)
-        if len(ends) == 2:
-            (third,) = [names.index(x) for x in v if x not in cycle]
-            out.append((ends[0], ends[1], third))
-    return out
+def _s_move(params, names, vertices, tuples, edge):
+    """The S-move on a loop edge: blockwise K^{-1} = S(c) and K = S(c)/D
+    (`recoupling.punctured_s`), where c is the third label at the loop's
+    vertex, or 0 on a free circle.  The basis is kept.  Returns (K, K^{-1})
+    as {row: Scalar} columns."""
+    pe = names.index(edge)
+    third = [names.index(x) for v in vertices if v.count(edge) == 2 for x in v if x != edge]
+    inv_d = params.inverse_total_d_squared()
+    k, k_inv = [{} for _ in tuples], [{} for _ in tuples]
+    for js in _blocks(tuples, pe):
+        s = punctured_s(params, tuples[js[0]][third[0]] if third else 0)
+        for j in js:
+            for i in js:
+                x = s[tuples[i][pe], tuples[j][pe]]
+                k_inv[j][i], k[j][i] = x, x * inv_d
+    return k, k_inv
 
 
 class SurfaceModel:
@@ -303,8 +239,8 @@ class SurfaceModel:
     def _frame(self, params, curve):
         """(left, core, right) of a curve, as the module docstring describes:
         the table's moves give left and right, lists of column forms, and
-        its target the core.  S and the twists keep the basis; an F-move
-        changes it."""
+        its target's labels the core.  S and the twists keep the basis; an
+        F-move changes it."""
         moves, target = self._curves[curve]
         names = list(self.spine.edges) + list(self.spine.boundary)
         vertices = self.spine.vertices
@@ -316,40 +252,29 @@ class SurfaceModel:
                 sign = 1 if move[0] == "+" else -1
                 k_inv, k = (self.twist_columns(params, move[1:], e) for e in (sign, -sign))
             else:
-                if move == "S":
-                    k_inv = [dict(enumerate(col)) for col in zip(*s_matrix(params))]
-                    inv_d = params.inverse_total_d_squared()
-                    k = [{i: x * inv_d for i, x in col.items()} for col in k_inv]
+                if move[0] == "S":
+                    k, k_inv = _s_move(params, names, vertices, tuples, move[1:])
                 else:
                     vertices, tuples, k, k_inv = _f_move(params, names, vertices, tuples, move)
                 k_inv, k = columns(k_inv), columns(k)
             left.append(k_inv)
             right.insert(0, k)
-        if isinstance(target, str):
-            pos = names.index(target)
-            core = [t[pos] for t in tuples]
-        else:
-            core = _parallel_insertion(params, tuples, _cycle_vertices(names, vertices, target))
-        return left, core, right
+        pos = names.index(target)
+        return left, [t[pos] for t in tuples], right
 
     def curve_operator(self, params, curve) -> RepMatrix:
         _check_curve(self.name, self._curves, curve)
         left, core, right = self._frame(params, curve)
-        if _is_labels(core):
-            core = [{i: encircle_eigenvalue(params, k)} for i, k in enumerate(core)]
-        return RepMatrix(rows(params, _framed(params, left, core, right)), params.r,
+        diagonal = [encircle_eigenvalue(params, k) for k in core]
+        return RepMatrix(rows(params, _framed(params, left, diagonal, right)), params.r,
                          self.name, self._label_context())
 
     def _twist_pair(self, params, curve):
         """(T, T^{-1}) for a curve in column form, each framed from its
-        frame's core."""
+        frame's core: mu_k^{+-1} on each label k."""
         left, core, right = self._frame(params, curve)
-        if _is_labels(core):
-            pair = [[{i: twist_coefficient(params, k, e)} for i, k in enumerate(core)]
-                    for e in (1, -1)]
-        else:
-            pair = _interp_pair(params, core)
-        return tuple(columns(_framed(params, left, m, right)) for m in pair)
+        return tuple(columns(_framed(params, left, [twist_coefficient(params, k, e) for k in core],
+                                     right)) for e in (1, -1))
 
     def twist_columns(self, params, curve, sign):
         """The column form (`linalg.columns`) of T_curve^sign, sign +-1, from
@@ -397,13 +322,15 @@ def _live_blocks(params, name):
     """The boundary-label blocks of a surface that can witness at a level,
     in scan order, as (labels, model, dim): those of dimension >= 2.  A
     twist is invertible, so on a block of dimension 1 every word is a
-    nonzero scalar."""
+    nonzero scalar.  Each block's basis is built once, and only those of
+    the blocks kept enter the level memo (`SurfaceModel.basis`)."""
     out = []
     for ctx in _boundary_contexts(name, params.r):
         model = surface_model(name, ctx)
-        n = model.dim(params)
-        if n >= 2:
-            out.append((ctx, model, n))
+        basis = tqft.basis(params, model.spine)
+        if len(basis) >= 2:
+            params.cached(("basis", name, model.labels), lambda: basis)
+            out.append((ctx, model, len(basis)))
     return out
 
 

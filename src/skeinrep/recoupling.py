@@ -163,6 +163,34 @@ def s_matrix(params: QuantumParams):
     return [[hopf_pairing(params, j, k) for k in labels] for j in labels]
 
 
+def punctured_s(params: QuantumParams, c: int):
+    """The S-matrix of the one-holed torus with boundary label c (even), as
+    {(b, a): S(c)_ba} over the loop labels a, b with (a, a, c) and (b, b, c)
+    admissible.  With c = 2h (CONVENTIONS.md, S-move):
+      S(c)_ba = A^{hr + h(h+1)} d_b / theta(b,b,c)
+                * sum_k d_k A^{k(k+2) - a(a+2) - b(b+2)} tet(a,b,a,b,k,c) / theta(a,b,k)
+    normalized so that S(c) S(c) = D I.  At c = 0 it is the Hopf S-matrix,
+    read off `s_matrix`.  Built once per level and label."""
+    def build():
+        labels = [a for a in range(params.r - 1) if admissible(params, a, a, c)]
+        if c == 0:
+            return {(b, a): x for b, row in zip(labels, s_matrix(params)) for a, x in zip(labels, row)}
+        h = c // 2
+        phase = params.a_pow(h * params.r + h * (h + 1))
+        out = {}
+        for b in labels:
+            row_factor = phase * params.d_k(b) * theta_inverse(params, b, b, c)
+            for a in labels:
+                total = params.zero()
+                for k in range(abs(a - b), min(a + b, 2 * params.r - 4 - a - b) + 1, 2):
+                    total = total + (params.d_k(k) * params.a_pow(k * (k + 2))
+                                     * tet(params, a, b, a, b, k, c)
+                                     * theta_inverse(params, a, b, k))
+                out[b, a] = row_factor * params.a_pow(-a * (a + 2) - b * (b + 2)) * total
+        return out
+    return params.cached(("punctured_s", c), build)
+
+
 def dump_tables(params: QuantumParams):
     """All recoupling data for one (r, s), JSON-ready; used by the CLI."""
     r = params.r

@@ -923,13 +923,18 @@ def apply_move(link: LabeledLink, move) -> LabeledLink:
     raise DomainError(f"unknown move {move!r}")
 
 
-def verify_move(params: QuantumParams, link: LabeledLink, move) -> bool:
-    """Check invariance of the bracket under one move.  Balanced
-    stabilization multiplies the value by C * C^{-1} = 1, so plain equality
-    is the right check for every supported move."""
-    before = evaluate(params, link)
-    after = evaluate(params, apply_move(link, move))
-    return before == after
+def verify_moves(params: QuantumParams, link: LabeledLink, moves) -> list[bool]:
+    """Check invariance of the bracket under each move of an iterable,
+    evaluating link once, before the first move is applied (and not at all
+    for no move).  Balanced stabilization multiplies the value by
+    C * C^{-1} = 1, so plain equality is the right check for every
+    supported move."""
+    out, before = [], None
+    for move in moves:
+        if before is None:
+            before = evaluate(params, link)
+        out.append(evaluate(params, apply_move(link, move)) == before)
+    return out
 
 
 def unknot_link(label=1, framing=0) -> LabeledLink:

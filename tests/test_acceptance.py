@@ -131,7 +131,7 @@ def test_criterion_05_kirby_moves():
     for r, count in counts.items():
         p = make_params(r)
         for link, move in _random_move_cases(r, count, seed=5000 + r):
-            assert sk.verify_move(p, link, move), (r, move)
+            assert sk.verify_moves(p, link, [move]) == [True], (r, move)
             total += 1
     assert total >= 20
     for r in RS:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinrep import cli, tqft
+from skeinrep import cli, skein, tqft
 from skeinrep.skein import OMEGA, closed_braid_link, split_union, unknot_link
 
 
@@ -266,6 +266,28 @@ def test_verify_moves_integral_indices(capsys, tmp_path, slide_file):
         {"type": "circumcision_pair", "around": None},
     ])
     assert code == 0 and out["all_preserved"] is True
+
+
+def test_verify_moves_evaluates_the_input_once(capsys, tmp_path, monkeypatch):
+    """Each move's result is evaluated once and the unchanged input once,
+    not once per move."""
+    link = tmp_path / "trefoil.json"
+    link.write_text(json.dumps(split_union(closed_braid_link([1, 1, 1], 2, labels=[2]),
+                                           unknot_link(OMEGA, 1)).to_json()))
+    moves = [{"type": "handle_slide", "slide": 0, "over": 1},
+             {"type": "balanced_stabilization"},
+             {"type": "circumcision_pair", "around": None},
+             {"type": "circumcision_pair", "around": 0}]
+    path = tmp_path / "moves.json"
+    path.write_text(json.dumps(moves))
+    calls = []
+    evaluate = skein.evaluate
+    monkeypatch.setattr(skein, "evaluate", lambda p, lk: calls.append(lk) or evaluate(p, lk))
+    code, out = run_cli(capsys, "verify-moves", "--r", "5", "--link", str(link),
+                        "--moves", str(path))
+    assert code == 0 and out["all_preserved"] is True
+    assert [r["preserved"] for r in out["results"]] == [True] * 4
+    assert len(calls) == 1 + len(moves)
 
 
 @pytest.mark.parametrize("move", [

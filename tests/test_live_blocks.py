@@ -11,7 +11,7 @@ import random
 import pytest
 
 from oracles import represent_fold
-from skeinrep import mcg
+from skeinrep import mcg, tqft
 from skeinrep.scalars import make_params
 from skeinrep.skein import DomainError
 
@@ -103,6 +103,20 @@ def test_twists_are_built_only_for_live_blocks(fresh_contexts):
     assert all(n == model.dim(params) >= 2 for _, model, n in live)
     assert twist_blocks(params) == {ctx for ctx, _, _ in live}
     assert not any(key[0] == "model" for key in params._memo)
+
+
+def test_bases_are_built_once_and_kept_only_for_live_blocks(monkeypatch, fresh_contexts):
+    # a trivial word reads every live block: 96 of the sphere's 648 at r = 7
+    built = []
+    basis = tqft.basis
+    monkeypatch.setattr(tqft, "basis", lambda p, spine: built.append(spine) or basis(p, spine))
+    assert mcg.detect("four_punctured_sphere", TRIVIAL["four_punctured_sphere"], [7]).r0 is None
+    params = make_params(7)
+    live = {ctx for ctx, _, _ in params._memo[("blocks", "four_punctured_sphere")]}
+    blocks = mcg._boundary_contexts("four_punctured_sphere", 7)
+    assert len(live) == 96 and len(blocks) == 648
+    assert len(built) == len(blocks)
+    assert {key[2] for key in params._memo if key[0] == "basis"} == live
 
 
 @pytest.mark.parametrize("word", [[("zz", 1)], [("g12", 1), ("zz", 0)], [("zz", 0)]])

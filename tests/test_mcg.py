@@ -11,7 +11,7 @@ from skeinrep import mcg, skein, tqft
 from skeinrep.braids import BraidWord, jones_sector_rep, sector_labels
 from skeinrep.linalg import Columns, eye, mat_mul
 from skeinrep.recoupling import encircle_eigenvalue, s_matrix, twist_coefficient
-from skeinrep.scalars import Scalar, make_params
+from skeinrep.scalars import QuantumParams, Scalar, make_params
 from skeinrep.skein import DomainError, closed_braid_link
 from skeinrep.tl import TLDiagram, TLElement, jones_wenzl
 
@@ -178,9 +178,10 @@ def test_punctured_torus_zero_label_matches_torus():
 @pytest.mark.parametrize("r, s", [(r, 1) for r in range(3, 9)] + [(8, 3)])
 def test_torus_equals_punctured_torus_at_label_zero(r, s):
     """Capping the puncture labelled 0 gives the torus, in the same loop
-    basis.  The routes share no code: the torus frames b by the Hopf S, the
-    one-holed torus fuses b into its loop by parallel insertion.  The torus
-    c and d are b moved by the meridian twist V_a^{+-1}."""
+    basis.  Both frame b by the S-move, the torus on its free circle and the
+    one-holed torus on its loop at c = 0; the parallel-insertion route
+    checks the latter (test_punctured_s.py).  The torus c and d are b moved
+    by the meridian twist V_a^{+-1}."""
     params = make_params(r, s)
     torus = mcg.surface_model("torus")
     holed = mcg.surface_model("punctured_torus", (0,))
@@ -559,12 +560,12 @@ def test_shared_level_memo_matches_per_root_builds(fresh_contexts):
 
 
 def test_level_memo_builds_twist_once(monkeypatch, fresh_contexts):
-    # one Newton table per level: the second root reads the first's, for a
-    # twist it shares and for one it builds itself
-    tables = []
-    build = mcg._newton_coefficients
-    monkeypatch.setattr(mcg, "_newton_coefficients",
-                        lambda p: tables.append(p.s) or build(p))
+    # one S(c) table per level and label: the second root reads the first's,
+    # for a twist it shares and for one it builds itself
+    builds = []
+    cached = QuantumParams.cached
+    monkeypatch.setattr(QuantumParams, "cached", lambda p, key, build: cached(
+        p, key, lambda: builds.append((p.s, key)) or build()))
     first = mcg.surface_model("genus2").twist_matrix(make_params(4, 1), "b2").matrix
     calls = count_twist_pairs(monkeypatch, lambda p, curve, pair: (p.s, curve))
     last = make_params(4, 15)
@@ -575,20 +576,22 @@ def test_level_memo_builds_twist_once(monkeypatch, fresh_contexts):
         [[(x.part, x.odd) for x in row] for row in first]
     mcg.surface_model("genus2").twist_matrix(last, "b0")
     assert calls == [(15, "b0")]
-    assert tables == [1]
+    # the bar m carries the labels 0 and 2 at r = 4
+    assert [b for b in builds if b[1][0] == "punctured_s"] == \
+        [(1, ("punctured_s", 0)), (1, ("punctured_s", 2))]
 
 
 def test_cold_genus2_twists_invert_once_per_denominator(monkeypatch, fresh_contexts):
     # every recoupling value is a product of the level's tables, so a cold
     # build of the five genus-2 twist pairs at r = 5 inverts the factorials
-    # [0]! .. [4]! once each and the Newton node differences once each (6)
+    # [0]! .. [4]! once each and D once, for K = S(c)/D (6)
     calls = []
     inverse = Scalar.inverse
     monkeypatch.setattr(Scalar, "inverse", lambda x: calls.append(x) or inverse(x))
     params, model = make_params(5), mcg.surface_model("genus2")
     for curve in curves(model):
         model.twist_matrix(params, curve)
-    assert len(calls) == 11
+    assert len(calls) == 6
 
 
 HYPERELLIPTIC = "b0 b1 b2 b3 b4 b4 b3 b2 b1 b0"

@@ -143,21 +143,19 @@ def test_balanced_stabilization(params):
     Cm = sk.evaluate(params, unknot_link("omega", -1))
     assert (Cp * Cm).is_one()
     base = closed_braid_link([1, 1], 2, labels=["omega", "omega"], framings=[1, 0])
-    assert sk.verify_move(params, base, BalancedStabilization())
+    assert sk.verify_moves(params, base, [BalancedStabilization()]) == [True]
 
 
 def test_circumcision_pair(params):
     base = closed_braid_link([1, 1], 2, labels=["omega", "omega"], framings=[1, 0])
-    assert sk.verify_move(params, base, CircumcisionPair(None))
-    assert sk.verify_move(params, base, CircumcisionPair(0))
-    assert sk.verify_move(params, base, CircumcisionPair(1))
+    moves = [CircumcisionPair(None), CircumcisionPair(0), CircumcisionPair(1)]
+    assert sk.verify_moves(params, base, moves) == [True] * 3
 
 
 def test_handle_slide_basic(params):
     link = split_union(closed_braid_link([1, 1], 2, labels=[1, "omega"], framings=[0, 1]),
                        unknot_link("omega", 1))
-    assert sk.verify_move(params, link, HandleSlide(0, 2))
-    assert sk.verify_move(params, link, HandleSlide(1, 2))
+    assert sk.verify_moves(params, link, [HandleSlide(0, 2), HandleSlide(1, 2)]) == [True] * 2
 
 
 def test_handle_slide_applicability():
@@ -199,7 +197,7 @@ def random_move_cases(r, count, seed):
 
 def test_randomized_moves(params):
     for link, move in random_move_cases(params.r, 6, seed=1000 + params.r):
-        assert sk.verify_move(params, link, move), (params.r, move)
+        assert sk.verify_moves(params, link, [move]) == [True], (params.r, move)
 
 
 # ----- surgery invariant -----
