@@ -170,23 +170,27 @@ def punctured_s(params: QuantumParams, c: int):
       S(c)_ba = A^{hr + h(h+1)} d_b / theta(b,b,c)
                 * sum_k d_k A^{k(k+2) - a(a+2) - b(b+2)} tet(a,b,a,b,k,c) / theta(a,b,k)
     normalized so that S(c) S(c) = D I.  At c = 0 it is the Hopf S-matrix,
-    read off `s_matrix`.  Built once per level and label."""
+    read off `s_matrix`.  The k-sum is symmetric in a and b, as
+    tet(a,b,a,b,k,c) and tet(b,a,b,a,k,c) are one tetrahedron, so it runs
+    once per pair a <= b and only the row factor differs.  Built once per
+    level and label."""
     def build():
         labels = [a for a in range(params.r - 1) if admissible(params, a, a, c)]
         if c == 0:
             return {(b, a): x for b, row in zip(labels, s_matrix(params)) for a, x in zip(labels, row)}
         h = c // 2
         phase = params.a_pow(h * params.r + h * (h + 1))
+        row_factor = {b: phase * params.d_k(b) * theta_inverse(params, b, b, c) for b in labels}
         out = {}
-        for b in labels:
-            row_factor = phase * params.d_k(b) * theta_inverse(params, b, b, c)
-            for a in labels:
+        for i, a in enumerate(labels):
+            for b in labels[i:]:
                 total = params.zero()
-                for k in range(abs(a - b), min(a + b, 2 * params.r - 4 - a - b) + 1, 2):
+                for k in range(b - a, min(a + b, 2 * params.r - 4 - a - b) + 1, 2):
                     total = total + (params.d_k(k) * params.a_pow(k * (k + 2))
                                      * tet(params, a, b, a, b, k, c)
                                      * theta_inverse(params, a, b, k))
-                out[b, a] = row_factor * params.a_pow(-a * (a + 2) - b * (b + 2)) * total
+                total = params.a_pow(-a * (a + 2) - b * (b + 2)) * total
+                out[b, a], out[a, b] = row_factor[b] * total, row_factor[a] * total
         return out
     return params.cached(("punctured_s", c), build)
 

@@ -10,10 +10,11 @@ the blackboard value by mu_k^f and is never drawn.
 
 How strands run through the crossings is answered by one walk, ``_walk``: a
 strand entering a crossing at slot s leaves it at slot s + 2.  It gives the
-orientations, the check that each component's arcs are one strand
+orientations, the head occurrence of each arc (where its strand enters the
+next crossing), the check that each component's arcs are one strand
 (``validate`` returns the walk, or checks one already made), the components
-of a braid closure, the arcs of a clasp splice and the cabled diagram; no
-diagram is walked twice.
+of a braid closure, the site and arcs of a clasp splice and the cabled
+diagram; no diagram is walked twice.
 
 Evaluation cables k-labeled components into k parallel copies through one
 Jones-Wenzl box, read off each component's strand (``_cabled_diagram``),
@@ -23,8 +24,9 @@ sweep over the nodes keeps a linear combination of frontier pairings with
 like states merged: ports are integers, a state is the tuple, by frontier
 slot, of each open port's current partner, and a node resolves a state
 through the join table of its local pattern, one per pattern in the level
-memo.  Coefficients are packed residues in rings sized per segment under
-the column rule (``linalg.next_segment``).
+memo, glued on the package's ``UnionFind`` by the rule of TL composition.
+Coefficients are packed residues in rings sized per segment under the
+column rule (``linalg.next_segment``).
 
 omega components expand as sum_k s_k (k-labeled), s_k = c d_k.  J = r - 2
 is a simple current, so a component labelled J - k is the same link
@@ -47,6 +49,7 @@ from .linalg import next_segment
 from .recoupling import twist_coefficient
 from .scalars import PackedRing, QuantumParams, Scalar, common_denominator
 from .tl import jones_wenzl
+from .unionfind import UnionFind
 
 
 class LinkFormatError(ValueError):
@@ -115,10 +118,12 @@ def _walk(crossings):
 
     A strand that passes under somewhere is oriented to enter its first
     under-pass, in crossing order, at slot a; a strand that passes only over
-    enters its lowest-index crossing at slot b.  Returns (strands, ob,
+    enters its lowest-index crossing at slot b.  Returns (strands, ob, head,
     consistent): strands[j] lists a strand's arcs in running order from the
     arc it enters that crossing by, ob[t] is True when the over strand enters
-    crossing t at slot b, and consistent is False when some strand enters an
+    crossing t at slot b, head[arc] is the (crossing, slot) where the strand
+    enters a crossing by that arc (slot 0 for the under strand, 1 or 3 for
+    the over strand), and consistent is False when some strand enters an
     under-pass at slot c.
     """
     occ = {}
@@ -127,14 +132,15 @@ def _walk(crossings):
             occ.setdefault(a, []).append((t, s))
     n = len(crossings)
     ob = [None] * n
-    strands, seen, consistent = [], set(), True
+    strands, head, consistent = [], {}, True
     # under-passes in crossing order, then the over-passes left
     for s0, t0 in itertools.product((0, 1), range(n)):
-        if crossings[t0][s0] in seen:
+        if crossings[t0][s0] in head:
             continue
         arcs, t, s = [], t0, s0
         while not arcs or (t, s) != (t0, s0):
             arcs.append(crossings[t][s])
+            head[crossings[t][s]] = (t, s)
             if s % 2:
                 ob[t] = s == 1
             elif s == 2:
@@ -142,18 +148,16 @@ def _walk(crossings):
             out = (t, (s + 2) % 4)
             p, q = occ[crossings[t][out[1]]]
             t, s = q if p == out else p
-        seen.update(arcs)
         strands.append(arcs)
-    return strands, ob, consistent
+    return strands, ob, head, consistent
 
 
 def _oriented(walk):
-    """The strands and orientations of a ``_walk``; LinkFormatError when
-    some strand enters an under-pass at c."""
-    strands, ob, consistent = walk
-    if not consistent:
+    """The strands, orientations and head occurrences of a ``_walk``;
+    LinkFormatError when some strand enters an under-pass at c."""
+    if not walk[3]:
         raise LinkFormatError("a strand enters an under-pass at c: inconsistent orientations")
-    return strands, ob
+    return walk[:3]
 
 
 @dataclass
@@ -317,17 +321,6 @@ def omega_weights(params: QuantumParams):
         params.c_symbol() * params.d_k(k) for k in range(params.r - 1)])
 
 
-def _head_occurrences(crossings, ob):
-    """Arc -> (t, s): the crossing t and slot s where the arc is incoming
-    (slot 0 for the under strand, 1 or 3 for the over strand)."""
-    occ_head = {}
-    for t, x in enumerate(crossings):
-        occ_head[x[0]] = (t, 0)
-        over_in = 1 if ob[t] else 3
-        occ_head[x[over_in]] = (t, over_in)
-    return occ_head
-
-
 def _braid_crossing(cur, g, fresh):
     """The crossing of braid generator g (signed, 1-indexed) between the arcs
     cur[|g|-1] (left) and cur[|g|] (right); both positions move on to fresh
@@ -345,21 +338,20 @@ def _braid_crossing(cur, g, fresh):
 
 def _strand_data(link: LabeledLink, walk):
     """What ``_cabled_diagram`` reads of `link` whatever its labels:
-    (ob, comp_of, head, strand_of), the orientations of ``_oriented(walk)``,
-    the component of each arc, the head occurrence of each arc
-    (``_head_occurrences``) and the strand of each component that has
-    one."""
-    strands, ob = _oriented(walk)
+    (ob, comp_of, head, strand_of), the orientations and head occurrences
+    of ``_oriented(walk)``, the component of each arc and the strand of
+    each component that has one."""
+    strands, ob, head = _oriented(walk)
     comp_of = link.arc_component()
-    return (ob, comp_of, _head_occurrences(link.crossings, ob),
-            {comp_of[arcs[0]]: arcs for arcs in strands})
+    return ob, comp_of, head, {comp_of[arcs[0]]: arcs for arcs in strands}
 
 
 def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels, walk, strands=None):
     """The blackboard-framed cabled diagram of `link` with every component's
-    label an integer, read off `walk` (the ``_walk`` that ``link.validate()``
-    returns); `strands`, when given, is ``_strand_data(link, walk)``,
-    already made for another labeling.
+    label an integer in 0..r-2 (``evaluate`` checks the range), read off
+    `walk` (the ``_walk`` that ``link.validate()`` returns); `strands`, when
+    given, is ``_strand_data(link, walk)``, already made for another
+    labeling.
 
     Returns (kinds, pairing, loops_upfront).  kinds lists the nodes: "X"
     for each crossing of two cable strands, then k for the Jones-Wenzl box
@@ -378,9 +370,6 @@ def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels, walk, stra
     through.  A component with no kept pass is its box closed on itself
     (k >= 2) or one loop (k = 1).
     """
-    for k in labels:
-        if not 0 <= k <= params.r - 2:
-            raise DomainError(f"label {k} outside 0..{params.r - 2}")
     ob, comp_of, head, strand_of = strands or _strand_data(link, walk)
     kinds, grid = [], {}  # grid[t] = (first node, m, n) of a kept crossing
     for t, (a, b, _, _) in enumerate(link.crossings):
@@ -515,7 +504,12 @@ def _join_table(params: QuantumParams, kind, static, sig):
     order, (loops, writes): the loops it closes, and (a, b) for each
     outside partner a that it joins to the outside partner b.  The key
     names no concrete port, so the level memo holds one table per
-    pattern."""
+    pattern.
+
+    A resolution glues by the rule of composition (``tl._compose_diagrams``):
+    the pattern's own-port joins and the resolution's pairs are unions over
+    the node's ports, each union inside one class closes a loop, and each
+    class holds two ports joined outside, which it joins, or none."""
     def build():
         frontier = [j for j, s in enumerate(static) if s == -2]
         outside = {j: t for t, j in enumerate(frontier + [j for j, s in enumerate(static)
@@ -523,26 +517,20 @@ def _join_table(params: QuantumParams, kind, static, sig):
         local = list(static)  # the node's own port joined to each, or -1
         for j, own in zip(frontier, sig):
             local[j] = -1 if own is None else own
+        ends = [j for j in outside if local[j] < 0]
         table = []
         for pairs, _ in _node_terms(params, kind)[2]:
-            join = {}
-            for x, y in pairs:
-                join[x], join[y] = y, x
-            seen, writes, loops = set(), [], 0
-            for j in outside:
-                if local[j] < 0 and j not in seen:
-                    i = join[j]
-                    while local[i] >= 0:
-                        seen.update((i, local[i]))
-                        i = join[local[i]]
-                    seen.update((j, i))
-                    writes += [(outside[j], outside[i]), (outside[i], outside[j])]
-            for j in range(len(local)):
-                if j not in seen:
-                    loops += 1
-                    while j not in seen:
-                        seen.update((j, join[j]))
-                        j = local[join[j]]
+            uf = UnionFind()
+            for j, own in enumerate(local):
+                if j < own:
+                    uf.union(j, own)
+            loops = sum(not uf.union(x, y) for x, y in pairs)
+            classes = {}
+            for j in ends:
+                classes.setdefault(uf.find(j), []).append(outside[j])
+            writes = []
+            for a, b in classes.values():
+                writes += [(a, b), (b, a)]
             table.append((loops, tuple(writes)))
         return table
     return params.cached(("sweep_join", kind, static, sig), build)
@@ -811,7 +799,10 @@ def _clasp_after(link: LabeledLink, comp_idx: int, word, new_comps):
     """Rebuild `link` with the braid `word` on 1 + len(new_comps) strands
     spliced into one arc of component `comp_idx`: strand 1 of the tangle is
     that arc, and the remaining strands close up into the fresh components
-    `new_comps` (Component prototypes; arcs filled in here).
+    `new_comps` (Component prototypes; arcs filled in here).  The splice
+    goes where the target's first arc u enters its next crossing, u's head
+    occurrence in the one walk of `link` (``_oriented``: an input with no
+    consistent orientation raises LinkFormatError).
 
     The target keeps its old arcs first, so its first arc, where the next
     splice goes, is unchanged, then gains its strand's new arcs sorted (a
@@ -826,7 +817,7 @@ def _clasp_after(link: LabeledLink, comp_idx: int, word, new_comps):
     target = comps[comp_idx]
     if target.arcs:
         u = target.arcs[0]
-        head = _head_occurrences(link.crossings, link.orientations())[u]
+        head = _oriented(_walk(link.crossings))[2][u]
     else:
         u, head = next(fresh), None
     cur = [u] + [next(fresh) for _ in new_comps]

@@ -15,6 +15,10 @@ calculus, and the tests compare the two exactly.
 - surgery: ``skein.evaluate`` without its label fold, one sweep per
   labeling, and comparison of two surgery presentations up to the
   signature phase;
+- the skein sweep's gluing: the port-by-port chase that
+  ``skein._join_table``'s union-find replaced, and the head occurrences of
+  a diagram's arcs read off its orientations, which ``skein._walk`` now
+  records;
 - braids: the full twist, its sector scalar, word-level permutation,
   free reduction and writhe, and the `Scalar` folds that the packed
   residue chains of ``tl.resolve_braid`` and ``braids.jones_sector_rep``
@@ -470,6 +474,53 @@ def same_manifold_invariant(params, link1, link2) -> bool:
     v2, n2 = sk.z_invariant(params, link2)
     c = unknot_value_plus(params)
     return v1 * c ** n2 == v2 * c ** n1
+
+
+def join_table_chase(params, kind, static, sig):
+    """``skein._join_table`` by a chase along the joins: from each port
+    joined outside, through the resolution's pairs and the pattern's
+    own-port joins to the other port joined outside, then around each
+    loop that is left."""
+    frontier = [j for j, s in enumerate(static) if s == -2]
+    outside = {j: t for t, j in enumerate(frontier + [j for j, s in enumerate(static)
+                                                      if s == -1])}
+    local = list(static)
+    for j, own in zip(frontier, sig):
+        local[j] = -1 if own is None else own
+    table = []
+    for pairs, _ in sk._node_terms(params, kind)[2]:
+        join = {}
+        for x, y in pairs:
+            join[x], join[y] = y, x
+        seen, writes, loops = set(), [], 0
+        for j in outside:
+            if local[j] < 0 and j not in seen:
+                i = join[j]
+                while local[i] >= 0:
+                    seen.update((i, local[i]))
+                    i = join[local[i]]
+                seen.update((j, i))
+                writes += [(outside[j], outside[i]), (outside[i], outside[j])]
+        for j in range(len(local)):
+            if j not in seen:
+                loops += 1
+                while j not in seen:
+                    seen.update((j, join[j]))
+                    j = local[join[j]]
+        table.append((loops, tuple(writes)))
+    return table
+
+
+def head_occurrences(crossings, ob):
+    """Arc -> (t, s): the crossing t and slot s where the arc is incoming
+    (slot 0 for the under strand, 1 or 3 for the over strand), read off
+    the orientations `ob`."""
+    occ_head = {}
+    for t, x in enumerate(crossings):
+        occ_head[x[0]] = (t, 0)
+        over_in = 1 if ob[t] else 3
+        occ_head[x[over_in]] = (t, over_in)
+    return occ_head
 
 
 # ---------------------------------------------------------------------------

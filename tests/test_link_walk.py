@@ -122,7 +122,7 @@ def over_only(link):
 
 def check_orientations(link):
     want = reference_orientations(link.crossings)
-    strands, ob, consistent = sk._walk(link.crossings)
+    strands, ob, _, consistent = sk._walk(link.crossings)
     assert consistent and ob == want, link.to_json()
     assert link.orientations() == want
     assert link.crossing_signs() == [1 if o else -1 for o in want]
@@ -194,7 +194,7 @@ def test_inconsistent_diagram_validates_but_has_no_orientation(capsys, tmp_path)
     link.validate()
     with pytest.raises(LinkFormatError):
         reference_orientations(link.crossings)
-    assert not sk._walk(link.crossings)[2]
+    assert not sk._walk(link.crossings)[3]
     with pytest.raises(LinkFormatError):
         link.orientations()
     path = tmp_path / "trefoil.json"

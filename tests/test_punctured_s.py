@@ -1,5 +1,6 @@
 """The S-matrix of the one-holed torus, `recoupling.punctured_s`: its
-normalization S(c) S(c) = D I, its c = 0 case, the Hopf S-matrix, and the
+normalization S(c) S(c) = D I, its c = 0 case, the Hopf S-matrix, the
+one tetrahedral sum a cold build runs per unordered pair of labels, and the
 eigen-relation C_b S(c) = S(c) diag(lambda) that makes a longitude b the
 meridian of its loop after the S-move.  The curve operators C_b are the
 parallel insertions of the reference route in ``test_twist_reference.py``,
@@ -8,7 +9,7 @@ import pytest
 
 from skeinrep import mcg
 from skeinrep.linalg import eye, mat_inv, mat_mul, zeros
-from skeinrep.recoupling import encircle_eigenvalue, punctured_s, s_matrix
+from skeinrep.recoupling import admissible, encircle_eigenvalue, punctured_s, s_matrix
 from skeinrep.scalars import make_params
 from test_twist_reference import diag, loop_insertion, reference_operator, theta_basis, \
     theta_change
@@ -34,6 +35,20 @@ def test_s_squares_to_d(r):
 def test_s_at_zero_is_the_hopf_s_matrix(r):
     params = make_params(r)
     assert as_rows(params, punctured_s(params, 0)) == s_matrix(params)
+
+
+@pytest.mark.parametrize("r", range(5, 11))
+def test_cold_build_sums_once_per_unordered_pair(fresh_contexts, r):
+    # tet(a,b,a,b,k,c) and tet(b,a,b,a,k,c) are one tetrahedron: a cold
+    # S(c) adds one tet entry per pair a <= b and k, none for b < a
+    params = make_params(r)
+    for c in range(2, r - 1, 2):
+        labels = [a for a in range(r - 1) if admissible(params, a, a, c)]
+        want = {("tet", a, b, a, b, k, c) for i, a in enumerate(labels) for b in labels[i:]
+                for k in range(b - a, min(a + b, 2 * r - 4 - a - b) + 1, 2)}
+        before = set(params._memo)
+        punctured_s(params, c)
+        assert {key for key in params._memo.keys() - before if key[0] == "tet"} == want, c
 
 
 def loop_s(params, tuples, pos, third):

@@ -138,7 +138,7 @@ def kinked_link(link, labels):
     for k, comp, out in zip(labels, link.components, comps):
         if k == 0:
             continue
-        extra, extra_ob = insert_kinks(crossings, sk._head_occurrences(crossings, ob),
+        extra, extra_ob = insert_kinks(crossings, sk._walk(crossings)[2],
                                        comp.arcs, comp.framing, fresh)
         crossings += extra
         ob += extra_ob
