@@ -5,7 +5,9 @@ the through-label m (the label at infinity).  Each sector acts on the path
 basis: admissible label sequences 0 = m_0, m_1, ..., m_n = m with
 |m_i - m_{i-1}| = 1.  The generator sigma_i acts by A*id + A^{-1}*E_i where
 E_i only touches position i and mixes the two channels over a repeated
-neighbour value.
+neighbour value a; the level memo holds the local table of sigma^{+-1}
+over each a (`_letter_block`), so a letter's matrix only places its
+entries.
 
 Cabling replaces strand i by c_i parallel strands under the blackboard
 framing (no compensating framing twists); a braid detection search walks
@@ -69,35 +71,44 @@ def sector_labels(params: QuantumParams, n: int):
             if path_basis(params, n, m)]
 
 
-def _e_block(params: QuantumParams, a: int):
-    """Matrix of the cup-cap e over neighbour value a: channels b in {a-1,a+1}
-    (clipped to valid labels), entries theta(a,1,b) d_{b'} / (d_a theta(a,1,b')),
-    products with 1/d_a and the memoized 1/theta(a,1,b')."""
+def _letter_block(params: QuantumParams, a: int):
+    """The local tables of sigma^sign over neighbour value a, sign = +-1,
+    the level's one memo of cup-cap entries:
+    {sign: {(b, b2): A^sign [b = b2] + A^-sign E[b2][b]}} on channels
+    b, b2 in {a-1, a+1} clipped to valid labels, with
+    E[b2][b] = theta(a,1,b) d_b2 / (d_a theta(a,1,b2)) (CONVENTIONS.md,
+    braid sectors), products with 1/d_a and the memoized 1/theta(a,1,b2)."""
     bs = [b for b in (a - 1, a + 1) if 0 <= b <= params.r - 2]
     inv_da = params.inverse_d_k(a)
-    col = [theta(params, a, 1, b) * inv_da for b in bs]
-    row = [params.d_k(b) * theta_inverse(params, a, 1, b) for b in bs]
-    return bs, [[row[i] * col[j] for j in range(len(bs))] for i in range(len(bs))]
+    col = {b: theta(params, a, 1, b) * inv_da for b in bs}
+    row = {b: params.d_k(b) * theta_inverse(params, a, 1, b) for b in bs}
+    e, zero = {(b, b2): row[b2] * col[b] for b in bs for b2 in bs}, params.zero()
+    return {sign: {(b, b2): params.a_pow(-sign) * v + (params.a_pow(sign) if b == b2 else zero)
+                   for (b, b2), v in e.items()} for sign in (1, -1)}
 
 
 def _generator_matrix(params: QuantumParams, n: int, m: int, gen: int):
     """Sector matrix of sigma_|gen|^(sign gen) on the path basis, as
-    {row: Scalar} columns."""
+    {row: Scalar} columns: A^sign on the diagonal, and over a repeated
+    neighbour value the entries of the level's local table
+    (`_letter_block`), the diagonal entry first."""
     paths = path_basis(params, n, m)
     idx = {p: k for k, p in enumerate(paths)}
-    i = abs(gen)
-    a_diag = params.a_pow(1 if gen > 0 else -1)
-    a_off = params.a_pow(-1 if gen > 0 else 1)
-    zero = params.zero()
-    out = [{k: a_diag} for k in range(len(paths))]
+    i, sign = abs(gen), 1 if gen > 0 else -1
+    a_diag = params.a_pow(sign)
+    out = []
     for k, p in enumerate(paths):
-        if p[i - 1] == p[i + 1]:
-            bs, block = params.cached(("e_block", p[i - 1]), lambda: _e_block(params, p[i - 1]))
-            bi = bs.index(p[i])
-            for bj, b2 in enumerate(bs):
-                q = p[:i] + (b2,) + p[i + 1:]
-                if q in idx:
-                    out[k][idx[q]] = out[k].get(idx[q], zero) + a_off * block[bj][bi]
+        a, b = p[i - 1], p[i]
+        if a != p[i + 1]:
+            out.append({k: a_diag})
+            continue
+        block = params.cached(("letter_block", a), lambda: _letter_block(params, a))[sign]
+        col = {k: block[b, b]}
+        for b2 in (a - 1, a + 1):
+            q = p[:i] + (b2,) + p[i + 1:]
+            if b2 != b and q in idx:
+                col[idx[q]] = block[b, b2]
+        out.append(col)
     return out
 
 
@@ -151,9 +162,12 @@ def block_crossing(offset: int, p: int, q: int, positive: bool):
 
 
 def cable(braid: BraidWord, cabling: Cabling) -> BraidWord:
-    """Replace strand i by c_i parallel strands (blackboard framing)."""
+    """Replace strand i by c_i parallel strands (blackboard framing); with
+    every c_i = 1 the braid itself."""
     if len(cabling.multiplicities) != braid.n:
         raise DomainError("cabling length must match strand count")
+    if cabling.total == braid.n:
+        return braid
     widths = list(cabling.multiplicities)
     out = []
     for g in braid.word:

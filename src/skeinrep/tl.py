@@ -18,8 +18,12 @@ union inside one group closes a loop, worth a factor d.
 Every product is one packed column chain on diagram keys
 (``linalg.product_columns``) from the identity diagram, each factor a right
 multiplication (``_Times``): ``then`` chains its two operands, a braid
-word its letters, and the Jones-Wenzl projector P_k Wenzl's factors.  A
-factor keeps its packed columns (``linalg.Packed``): a column is composed
+word its letters, and the Jones-Wenzl projector P_k Wenzl's factors.  The
+element keeps the chain's packed column and decodes its terms when they
+are first read; the Markov trace sums the column's residues per
+closure-loop count and decodes once per count, so between a chain and its
+trace no Scalar arithmetic happens but those decodes and the d^k products.
+A factor keeps its packed columns (``linalg.Packed``): a column is composed
 and packed at its first read in a ring and kept as long as the factor
 lives, at most ``_COMPOSE_CACHE_LIMIT`` of them per ring.
 
@@ -170,21 +174,46 @@ def loop_power(params: QuantumParams, k: int) -> Scalar:
 
 
 class TLElement:
-    """Finite Scalar-linear combination of TL diagrams sharing (nb, nt)."""
+    """Finite Scalar-linear combination of TL diagrams sharing (nb, nt).
 
-    __slots__ = ("params", "nb", "nt", "terms")
+    An element is held as its terms {diagram: Scalar}, or, when a chain
+    made it (`_product`), as the chain's packed column (col, ring, den):
+    {diagram: residue} with every live entry ring.decode(residue, den).
+    ``terms`` decodes such a column at its first read; ``column`` packs
+    terms once over their lcm denominator."""
 
-    def __init__(self, params: QuantumParams, nb: int, nt: int, terms=None):
+    __slots__ = ("params", "nb", "nt", "_terms", "_column")
+
+    def __init__(self, params: QuantumParams, nb: int, nt: int, terms=None, column=None):
         self.params = params.level
         self.nb = nb
         self.nt = nt
-        self.terms = {}
+        self._column = column
+        self._terms = None if column is not None else {}
         if terms:
             for diag, coeff in terms.items():
                 if (diag.nb, diag.nt) != (nb, nt):
                     raise ValueError("diagram shape mismatch")
                 if not coeff.is_zero():
-                    self.terms[diag] = coeff
+                    self._terms[diag] = coeff
+
+    @property
+    def terms(self):
+        """{diagram: Scalar}, the nonzero coefficients."""
+        if self._terms is None:
+            col, ring, den = self._column
+            self._terms = {diag: ring.decode(z, den) for diag, z in col.items()}
+        return self._terms
+
+    def column(self):
+        """(col, ring, den), the element as one packed column: the chain's,
+        or the c-free terms packed once over their lcm denominator in the
+        ring of their total l1 mass (CONVENTIONS.md, the residue rule)."""
+        if self._column is None:
+            den, nums = common_denominator(self._terms.values())
+            ring = self.params.ring(sum(sum(map(abs, v)) for v in nums))
+            self._column = (dict(zip(self._terms, map(ring.pack, nums))), ring, den)
+        return self._column
 
     # ----- constructors -----
 
@@ -229,24 +258,28 @@ class TLElement:
 
     def markov_trace(self) -> Scalar:
         """Close top point i to bottom point i; each closed loop contributes d.
-        The coefficients are summed per loop count k
-        (`TLDiagram.closure_loops`) before the one product by d^k."""
+        The residues of the packed column (`column`) are summed per loop
+        count k (`TLDiagram.closure_loops`), and each sum is decoded once
+        and multiplied by d^k (`loop_power`).  Exact: a sum of some of the
+        column's entries has at most the column's total l1 mass, so it stays
+        under the ring's bound B (CONVENTIONS.md, the column rule); c-free
+        only."""
         if self.nb != self.nt:
             raise ValueError("Markov trace requires an endomorphism")
+        col, ring, den = self.column()
         by_loops = {}
-        for diag, coeff in self.terms.items():
+        for diag, z in col.items():
             loops = diag.closure_loops()
-            acc = by_loops.get(loops)
-            by_loops[loops] = coeff if acc is None else acc + coeff
+            by_loops[loops] = by_loops.get(loops, 0) + z
         total = self.params.zero()
-        for loops, coeff in by_loops.items():
-            total = total + coeff * loop_power(self.params, loops)
+        for loops, z in by_loops.items():
+            total = total + ring.decode(z, den) * loop_power(self.params, loops)
         return total
 
     # ----- queries -----
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._terms if self._column is None else self._column[0])
 
     def __eq__(self, other):
         if not isinstance(other, TLElement):
@@ -341,14 +374,15 @@ def resolve_braid(params: QuantumParams, word, n: int) -> TLElement:
 def _product(params: QuantumParams, n: int, nt: int, factors) -> TLElement:
     """The (n, nt) element 1_n f_1 f_2 ...: the column forms (L, c, cols)
     of right multiplications f_i applied in order from the identity
-    diagram, one `linalg.product_columns` chain (rightmost factor first).
-    A zero factor (c = 0) makes the product zero: a factor's values are
-    packed whole, and a segment's ring, sized by the growths it multiplies,
-    holds none of them when one growth is 0."""
+    diagram, one `linalg.product_columns` chain (rightmost factor first),
+    whose packed column the element keeps undecoded.  A zero factor (c = 0)
+    makes the product zero: a factor's values are packed whole, and a
+    segment's ring, sized by the growths it multiplies, holds none of them
+    when one growth is 0."""
     if not all(c for _, c, _ in factors):
         return TLElement(params, n, nt)
-    (col, ring, den), = product_columns(params, factors[::-1], [TLDiagram.identity(n)])
-    return TLElement(params, n, nt, {diag: ring.decode(z, den) for diag, z in col.items()})
+    column, = product_columns(params, factors[::-1], [TLDiagram.identity(n)])
+    return TLElement(params, n, nt, column=column)
 
 
 def _times(x: TLElement):

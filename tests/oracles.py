@@ -22,7 +22,9 @@ calculus, and the tests compare the two exactly.
 - braids: the full twist, its sector scalar, word-level permutation,
   free reduction and writhe, and the `Scalar` folds that the packed
   residue chains of ``tl.resolve_braid`` and ``braids.jones_sector_rep``
-  replaced, and the per-term Markov trace;
+  replaced, the per-term Markov trace, and the sector letters built path
+  by path from the cup-cap block, which ``braids._generator_matrix`` now
+  reads off the level's local table;
 - detection: the dense `Scalar` mat-vec, the dense decision of whether a
   matrix is `lambda * I`, and the `mat_mul` fold of a surface word's
   twists, the references of the packed column chain
@@ -38,9 +40,9 @@ from math import gcd
 
 from helpers import dense_rows
 from skeinrep import skein as sk
-from skeinrep.braids import BraidWord, _generator_matrix, _sector_dim, block_crossing
+from skeinrep.braids import BraidWord, _generator_matrix, _sector_dim, block_crossing, path_basis
 from skeinrep.linalg import columns, eye, mat_mul, scalar_of
-from skeinrep.recoupling import admissible, check_label, s_matrix
+from skeinrep.recoupling import admissible, check_label, s_matrix, theta, theta_inverse
 from skeinrep.skein import DomainError
 from skeinrep.tl import (TLDiagram, TLElement, _compose_diagrams, jones_wenzl, loop_power,
                          resolve_braid)
@@ -580,6 +582,39 @@ def markov_trace_fold(x: TLElement):
         loops = sum(not uf.union(a % n, b % n) for a, b in diag.pairs)
         total = total + coeff * p.loop_d() ** loops
     return total
+
+
+def e_block_reference(params, a: int):
+    """Matrix of the cup-cap e over neighbour value a: channels b in {a-1,a+1}
+    (clipped to valid labels), entries theta(a,1,b) d_{b'} / (d_a theta(a,1,b'))."""
+    bs = [b for b in (a - 1, a + 1) if 0 <= b <= params.r - 2]
+    inv_da = params.inverse_d_k(a)
+    col = [theta(params, a, 1, b) * inv_da for b in bs]
+    row = [params.d_k(b) * theta_inverse(params, a, 1, b) for b in bs]
+    return bs, [[row[i] * col[j] for j in range(len(bs))] for i in range(len(bs))]
+
+
+def generator_matrix_reference(params, n: int, m: int, gen: int):
+    """Sector matrix of sigma_|gen|^(sign gen) on the path basis, as
+    {row: Scalar} columns, built path by path from the cup-cap block with
+    one `Scalar` product and sum per entry: the reference of
+    `braids._generator_matrix`, which reads the level's local table."""
+    paths = path_basis(params, n, m)
+    idx = {p: k for k, p in enumerate(paths)}
+    i = abs(gen)
+    a_diag = params.a_pow(1 if gen > 0 else -1)
+    a_off = params.a_pow(-1 if gen > 0 else 1)
+    zero = params.zero()
+    out = [{k: a_diag} for k in range(len(paths))]
+    for k, p in enumerate(paths):
+        if p[i - 1] == p[i + 1]:
+            bs, block = e_block_reference(params, p[i - 1])
+            bi = bs.index(p[i])
+            for bj, b2 in enumerate(bs):
+                q = p[:i] + (b2,) + p[i + 1:]
+                if q in idx:
+                    out[k][idx[q]] = out[k].get(idx[q], zero) + a_off * block[bj][bi]
+    return out
 
 
 def sector_generators(params, braid: BraidWord, m: int):
