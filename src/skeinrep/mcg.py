@@ -12,13 +12,15 @@ right = [..., K_2, K_1]:
   K^{-1} = F(b,c,d,a)^T, read off the same F-matrix by 6j orthogonality;
 - "S" and a loop edge: the S-move `_s_move`, blockwise K^{-1} = S(c) and
   K = S(c)/D, the one-holed torus S-matrix (`recoupling.punctured_s`) of the
-  third label c at the loop's vertex (0 on a free circle);
+  third label c at the loop's vertex (0 on a free circle): the frame holds
+  the one column form S(c) on both sides, and its core carries the factor
+  D^-n for the frame's n S-moves;
 - "+c" / "-c": the twist of curve c of the same surface, K^{-1} = T_c^{+-1},
   so the frame of a curve moved by a twist V is V . frame . V^{-1}.
 `SurfaceModel` turns a frame into the curve operator left . C(core) . right
-and the twist pair left . f(core) . right, where C(k) = lambda_k and
-f(k) = mu_k^{+-1}, each the packed product of the frame (`linalg`'s matrix
-format).  No matrix is inverted by elimination.
+and the twist pair left . f(core) . right, where C(k) = lambda_k D^-n and
+f(k) = mu_k^{+-1} D^-n, each the packed product of the frame (`linalg`'s
+matrix format).  No matrix is inverted by elimination.
 
 `detect` finds the least level at which a word acts projectively
 nontrivially on some boundary-label block, reading only the blocks of
@@ -195,22 +197,25 @@ def _f_move(params, names, vertices, tuples, edge):
     return moved, new, k, k_inv
 
 
+def _f_columns(moved, new, k, k_inv):
+    """An F-move (`_f_move`) with K and K^{-1} in column form."""
+    return moved, new, columns(k), columns(k_inv)
+
+
 def _s_move(params, names, vertices, tuples, edge):
-    """The S-move on a loop edge: blockwise K^{-1} = S(c) and K = S(c)/D
-    (`recoupling.punctured_s`), where c is the third label at the loop's
-    vertex, or 0 on a free circle.  The basis is kept.  Returns (K, K^{-1})
-    as {row: Scalar} columns."""
+    """The S-move on a loop edge: blockwise S(c) (`recoupling.punctured_s`),
+    where c is the third label at the loop's vertex, or 0 on a free circle,
+    as {row: Scalar} columns.  It is K^{-1}, and K = S/D: the frame uses S
+    on both sides and carries the 1/D into its core.  The basis is kept."""
     pe = names.index(edge)
     third = [names.index(x) for v in vertices if v.count(edge) == 2 for x in v if x != edge]
-    inv_d = params.inverse_total_d_squared()
-    k, k_inv = [{} for _ in tuples], [{} for _ in tuples]
+    out = [{} for _ in tuples]
     for js in _blocks(tuples, pe):
         s = punctured_s(params, tuples[js[0]][third[0]] if third else 0)
         for j in js:
             for i in js:
-                x = s[tuples[i][pe], tuples[j][pe]]
-                k_inv[j][i], k[j][i] = x, x * inv_d
-    return k, k_inv
+                out[j][i] = s[tuples[i][pe], tuples[j][pe]]
+    return out
 
 
 class SurfaceModel:
@@ -237,44 +242,53 @@ class SurfaceModel:
         return len(self.basis(params))
 
     def _frame(self, params, curve):
-        """(left, core, right) of a curve, as the module docstring describes:
-        the table's moves give left and right, lists of column forms, and
-        its target's labels the core.  S and the twists keep the basis; an
-        F-move changes it."""
+        """(left, core, factor, right) of a curve, as the module docstring
+        describes: the table's moves give left and right, lists of column
+        forms, its target's labels the core, and its n S-moves the core
+        factor D^-n.  S and the twists keep the basis; an F-move changes
+        it.  Each F- and S-move's column forms are built once per level and
+        block, in the level memo under the surface, its labels, the F-moves
+        before the move and the move, so every curve whose frame reads a
+        move shares its forms and their packed columns."""
         moves, target = self._curves[curve]
         names = list(self.spine.edges) + list(self.spine.boundary)
         vertices = self.spine.vertices
         tuples = [tuple(b[x] for x in self.spine.edges) + tuple(self.spine.boundary.values())
                   for b in self.basis(params)]
-        left, right = [], []
+        left, right, f_moves, s_moves = [], [], (), 0
         for move in moves:
+            key = ("move", self.name, self.labels, f_moves, move)
             if move[0] in "+-":
                 sign = 1 if move[0] == "+" else -1
                 k_inv, k = (self.twist_columns(params, move[1:], e) for e in (sign, -sign))
+            elif move[0] == "S":
+                k_inv = k = params.cached(key, lambda: columns(
+                    _s_move(params, names, vertices, tuples, move[1:])))
+                s_moves += 1
             else:
-                if move[0] == "S":
-                    k, k_inv = _s_move(params, names, vertices, tuples, move[1:])
-                else:
-                    vertices, tuples, k, k_inv = _f_move(params, names, vertices, tuples, move)
-                k_inv, k = columns(k_inv), columns(k)
+                vertices, tuples, k, k_inv = params.cached(key, lambda: _f_columns(
+                    *_f_move(params, names, vertices, tuples, move)))
+                f_moves += (move,)
             left.append(k_inv)
             right.insert(0, k)
         pos = names.index(target)
-        return left, [t[pos] for t in tuples], right
+        factor = params.inverse_total_d_squared() ** s_moves if s_moves else params.one()
+        return left, [t[pos] for t in tuples], factor, right
 
     def curve_operator(self, params, curve) -> RepMatrix:
         _check_curve(self.name, self._curves, curve)
-        left, core, right = self._frame(params, curve)
-        diagonal = [encircle_eigenvalue(params, k) for k in core]
+        left, core, factor, right = self._frame(params, curve)
+        diagonal = [encircle_eigenvalue(params, k) * factor for k in core]
         return RepMatrix(rows(params, _framed(params, left, diagonal, right)), params.r,
                          self.name, self._label_context())
 
     def _twist_pair(self, params, curve):
         """(T, T^{-1}) for a curve in column form, each framed from its
-        frame's core: mu_k^{+-1} on each label k."""
-        left, core, right = self._frame(params, curve)
-        return tuple(columns(_framed(params, left, [twist_coefficient(params, k, e) for k in core],
-                                     right)) for e in (1, -1))
+        frame's core: mu_k^{+-1} times the frame's factor D^-n on each
+        label k."""
+        left, core, factor, right = self._frame(params, curve)
+        return tuple(columns(_framed(params, left, [twist_coefficient(params, k, e) * factor
+                                                    for k in core], right)) for e in (1, -1))
 
     def twist_columns(self, params, curve, sign):
         """The column form (`linalg.columns`) of T_curve^sign, sign +-1, from
@@ -322,16 +336,14 @@ def _live_blocks(params, name):
     """The boundary-label blocks of a surface that can witness at a level,
     in scan order, as (labels, model, dim): those of dimension >= 2.  A
     twist is invertible, so on a block of dimension 1 every word is a
-    nonzero scalar.  Each block's basis is built once, and only those of
-    the blocks kept enter the level memo (`SurfaceModel.basis`)."""
-    out = []
-    for ctx in _boundary_contexts(name, params.r):
-        model = surface_model(name, ctx)
-        basis = tqft.basis(params, model.spine)
-        if len(basis) >= 2:
-            params.cached(("basis", name, model.labels), lambda: basis)
-            out.append((ctx, model, len(basis)))
-    return out
+    nonzero scalar.  Every block's dimension is counted in one pass over
+    the reference spine with its legs free (`tqft.block_dims`); a model is
+    made only for the blocks kept, and a block's basis is built when its
+    twists are (`SurfaceModel.basis`)."""
+    count, spine, _ = _surface(name)
+    dims = tqft.block_dims(params, spine((0,) * count))
+    return [(ctx, SurfaceModel(name, ctx), dims[ctx])
+            for ctx in _boundary_contexts(name, params.r) if dims[ctx] >= 2]
 
 
 def detect(name, word, r_range, s=1) -> DetectionResult:

@@ -464,10 +464,16 @@ class Scalar:
         return Scalar(self.params, (tuple(-n for n in nums), den), self.odd)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        """The product; a c-even one as either operand returns the other
+        operand itself, with no product (a Scalar is immutable)."""
         self._check(other)
         p = self.params
         if self.part is None or other.part is None:
             return Scalar(p, None)
+        if not self.odd and self.part == p._one:
+            return other
+        if not other.odd and other.part == p._one:
+            return self
         part = p._poly_mul(self.part, other.part)
         if self.odd and other.odd:
             part = p._poly_mul(part, p.inverse_total_d_squared().part)  # c^2 = 1/D

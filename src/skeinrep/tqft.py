@@ -5,9 +5,13 @@ boundary surface Y = dH has a basis indexed by labelings of the internal
 edges of S by 0..r-2 that are admissible at every trivalent vertex (boundary
 legs carry fixed labels).  The solid torus is the special case of a circle
 spine, whose basis vector b_k is the core curve carrying the k-th projector.
+A dimension is a count of the same enumeration with no basis built: `dim`
+for one block, `block_dims` for every block of a spine at once, in one
+pass with its legs free.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import skein as sk
@@ -99,27 +103,52 @@ def comb_spine(labels) -> Spine:
     return Spine(edges=edges, vertices=verts, boundary=dict(zip(legs, labels)))
 
 
-def basis(params: QuantumParams, spine: Spine):
-    """All admissible edge labelings, lexicographic in the order of
-    spine.edges; each is a dict edge name -> label, keyed in that order.
-    Each vertex is checked once its last edge is labeled (legs only: on the
-    empty labeling), and a labeling that fails is never extended."""
-    for lab in spine.boundary.values():
-        if not valid_label(params, lab):
-            raise sk.DomainError(f"boundary label {lab} outside 0..{params.r - 2}")
-    names = list(spine.edges)
+def _labelings(params: QuantumParams, names, spine: Spine):
+    """Every labeling of names by 0..r-2 that is admissible at each vertex
+    of the spine, as tuples in the order of names, lexicographic; a vertex
+    name not in names reads its boundary label.  Each vertex is checked
+    once its last name is labeled (on the empty labeling when none is), and
+    a labeling that fails is never extended."""
+    index = {x: i for i, x in enumerate(names)}
     checks = [[] for _ in range(len(names) + 1)]
     for tri in spine.vertices:
-        checks[max((names.index(x) + 1 for x in tri if x in names), default=0)].append(tri)
-    out = [{}]
+        checks[max((index[x] + 1 for x in tri if x in index), default=0)].append(tri)
+    out = [()]
     for depth, tris in enumerate(checks):
         if depth:
-            out = [{**lab, names[depth - 1]: k} for lab in out for k in range(params.r - 1)]
+            out = [lab + (k,) for lab in out for k in range(params.r - 1)]
         for tri in tris:
-            out = [lab for lab in out
-                   if admissible(params, *[lab.get(x, spine.boundary.get(x)) for x in tri])]
+            out = [lab for lab in out if admissible(
+                params, *[lab[index[x]] if x in index else spine.boundary[x] for x in tri])]
     return out
 
 
+def _check_boundary(params: QuantumParams, spine: Spine):
+    for lab in spine.boundary.values():
+        if not valid_label(params, lab):
+            raise sk.DomainError(f"boundary label {lab} outside 0..{params.r - 2}")
+
+
+def basis(params: QuantumParams, spine: Spine):
+    """All admissible edge labelings, lexicographic in the order of
+    spine.edges (`_labelings`); each is a dict edge name -> label, keyed in
+    that order."""
+    _check_boundary(params, spine)
+    return [dict(zip(spine.edges, lab)) for lab in _labelings(params, spine.edges, spine)]
+
+
 def dim(params: QuantumParams, spine: Spine) -> int:
-    return len(basis(params, spine))
+    """The number of admissible edge labelings (`_labelings`), counted
+    with no basis built."""
+    _check_boundary(params, spine)
+    return len(_labelings(params, spine.edges, spine))
+
+
+def block_dims(params: QuantumParams, spine: Spine):
+    """The dimension of every boundary-label block of the spine, as
+    {leg labels: dim} with the legs in spine.boundary order: one pass of
+    `_labelings` over the edges and the legs, with the legs free (their
+    labels in spine.boundary are not read), counted per leg labeling.  A
+    block of dimension 0 is absent."""
+    legs = len(spine.edges)
+    return Counter(lab[legs:] for lab in _labelings(params, [*spine.edges, *spine.boundary], spine))

@@ -106,7 +106,9 @@ def test_twists_are_built_only_for_live_blocks(fresh_contexts):
 
 
 def test_bases_are_built_once_and_kept_only_for_live_blocks(monkeypatch, fresh_contexts):
-    # a trivial word reads every live block: 96 of the sphere's 648 at r = 7
+    # a trivial word reads every live block: 96 of the sphere's 648 at r = 7;
+    # the dimensions come from one count, so only the live blocks' bases
+    # are built, once each
     built = []
     basis = tqft.basis
     monkeypatch.setattr(tqft, "basis", lambda p, spine: built.append(spine) or basis(p, spine))
@@ -115,8 +117,21 @@ def test_bases_are_built_once_and_kept_only_for_live_blocks(monkeypatch, fresh_c
     live = {ctx for ctx, _, _ in params._memo[("blocks", "four_punctured_sphere")]}
     blocks = mcg._boundary_contexts("four_punctured_sphere", 7)
     assert len(live) == 96 and len(blocks) == 648
-    assert len(built) == len(blocks)
+    assert sorted(tuple(spine.boundary.values()) for spine in built) == sorted(live)
     assert {key[2] for key in params._memo if key[0] == "basis"} == live
+
+
+@pytest.mark.parametrize("r", range(3, 10))
+@pytest.mark.parametrize("name", SURFACES)
+def test_counted_dimensions_match_the_bases(name, r):
+    # the one pass with the legs free against the basis of every block
+    params = make_params(r)
+    count, spine, _ = mcg._surface(name)
+    dims = tqft.block_dims(params, spine((0,) * count))
+    for ctx in mcg._boundary_contexts(name, r):
+        spine_ctx = mcg.surface_model(name, ctx).spine
+        assert dims[ctx] == tqft.dim(params, spine_ctx) == len(tqft.basis(params, spine_ctx)), ctx
+    assert set(dims) <= set(mcg._boundary_contexts(name, r))
 
 
 @pytest.mark.parametrize("word", [[("zz", 1)], [("g12", 1), ("zz", 0)], [("zz", 0)]])

@@ -319,6 +319,63 @@ def test_level_memo_holds_one_twist_entry_per_curve(fresh_contexts):
     assert not any(dense(v) for v in memo.values())
 
 
+SURFACES = ("torus", "punctured_torus", "four_punctured_sphere", "genus2")
+
+
+def build_every_frame(params):
+    """Every twist pair and curve operator on every nonempty block of every
+    surface at a level."""
+    for name in SURFACES:
+        for ctx in mcg._boundary_contexts(name, params.r):
+            model = mcg.surface_model(name, ctx)
+            if model.dim(params):
+                for curve in curves(model):
+                    model.twist_columns(params, curve, 1)
+                    model.curve_operator(params, curve)
+
+
+def test_cold_frames_multiply_by_no_unit(monkeypatch, fresh_contexts):
+    # a product with the c-even one is the other operand: the [0]!, [1]!
+    # and d_0 factors of the recoupling values, and a core with no S-move,
+    # cost no polynomial product
+    units = []
+    poly_mul = QuantumParams._poly_mul
+
+    def counting(self, u, v):
+        units.append(u == self._one or v == self._one)
+        return poly_mul(self, u, v)
+
+    monkeypatch.setattr(QuantumParams, "_poly_mul", counting)
+    for r in range(3, 8):
+        build_every_frame(make_params(r))
+    assert units and not any(units)
+
+
+def test_each_move_is_built_once_per_level_and_block(monkeypatch, fresh_contexts):
+    # torus b, c, d share one S-move, genus-2 b2 shares b0's and b4's; each
+    # move is one level-memo entry, S a single column form for both sides
+    built = []
+    for move in ("_s_move", "_f_move"):
+        fn = getattr(mcg, move)
+        monkeypatch.setattr(mcg, move, lambda p, names, vertices, tuples, edge, fn=fn:
+                            built.append(edge) or fn(p, names, vertices, tuples, edge))
+    params = make_params(5)
+    build_every_frame(params)
+    moves = {key[1:] for key in params._memo if key[0] == "move"}
+    sphere = {("four_punctured_sphere", key[2], (), "m1") for key, basis in params._memo.items()
+              if key[:2] == ("basis", "four_punctured_sphere") and basis}
+    assert moves == sphere | {("torus", (), (), "Sa"), ("punctured_torus", (0,), (), "Sx"),
+                              ("punctured_torus", (2,), (), "Sx"), ("genus2", (), (), "Sx"),
+                              ("genus2", (), (), "Sy"), ("genus2", (), (), "m")}
+    assert len(built) == len(moves)
+    s_form = params._memo[("move", "torus", (), (), "Sa")]
+    assert isinstance(s_form[2], Columns)
+    for curve in ("b", "c", "d"):
+        left, _, factor, right = mcg.surface_model("torus")._frame(params, curve)
+        assert left[-1] is s_form is right[0]
+        assert factor == params.total_d_squared().inverse()
+
+
 def test_genus2_nested_curve_on_handlebody_vector(small_params):
     # C(b2) applied to the empty-handlebody vector is the fused expansion of
     # a single curve through both handles: support {(1,0,1), (1,2,1)} with
