@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tqft
+from .errors import DomainError
 from .linalg import columns, mat_product, rows, scalar_of
 from .mcg import DetectionResult, RepMatrix, scan_levels
 from .recoupling import theta, theta_inverse
 from .scalars import QuantumParams
-from .skein import DomainError
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 parse/format errors, 3 domain errors,
 4 internal failures.
+
+Each subcommand imports the modules it runs when it runs, so a process
+loads only its own command's modules.
 """
 from __future__ import annotations
 
@@ -9,10 +12,9 @@ import argparse
 import json
 import sys
 
-from . import braids, mcg, recoupling, skein, tl, tqft
+from .errors import (DomainError, LinkFormatError, SpineFormatError, json_int, json_object,
+                     json_str)
 from .scalars import QuantumParams, Scalar
-from .skein import DomainError, LabeledLink, LinkFormatError
-from .tqft import Spine, SpineFormatError
 
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
@@ -52,7 +54,8 @@ def _make_params(args) -> QuantumParams:
         raise DomainError(str(exc)) from exc
 
 
-def _load_link(path) -> LabeledLink:
+def _load_link(path):
+    from .skein import LabeledLink
     try:
         return LabeledLink.from_json(_load_json(path))
     except LinkFormatError as exc:
@@ -67,6 +70,7 @@ def _parse_braid_word(text) -> tuple:
 
 
 def _parse_twist_word(text) -> list:
+    from . import mcg
     try:
         return mcg.parse_word(text)
     except ValueError as exc:
@@ -92,6 +96,7 @@ def _parse_labels(text):
 # ----------------------------------------------------------- subcommands
 
 def cmd_eval_link(args):
+    from . import skein
     params = _make_params(args)
     link = _load_link(args.link)
     value = skein.evaluate(params, link)
@@ -99,6 +104,7 @@ def cmd_eval_link(args):
 
 
 def cmd_projector(args):
+    from . import tl
     params = _make_params(args)
     if not 0 <= args.k <= params.r - 2:
         raise DomainError(f"projector label {args.k} out of range 0..{params.r - 2}")
@@ -109,6 +115,7 @@ def cmd_projector(args):
 
 
 def cmd_dump_recoupling(args):
+    from . import recoupling
     params = _make_params(args)
     return recoupling.dump_tables(params)
 
@@ -118,16 +125,19 @@ def cmd_dims(args):
     if bool(args.spine) == bool(args.surface):
         raise ParseFailure("dims needs exactly one of --spine or --surface")
     if args.spine:
+        from . import tqft
         try:
-            spine = Spine.from_json(_load_json(args.spine))
+            spine = tqft.Spine.from_json(_load_json(args.spine))
         except SpineFormatError as exc:
             raise ParseFailure(str(exc)) from exc
         return {"dim": tqft.dim(params, spine)}
+    from . import mcg
     model = mcg.surface_model(args.surface, _parse_labels(args.labels))
     return {"dim": model.dim(params)}
 
 
 def cmd_rep_matrix(args):
+    from . import mcg
     params = _make_params(args)
     model = mcg.surface_model(args.surface, _parse_labels(args.labels))
     word = _parse_twist_word(args.word)
@@ -138,6 +148,7 @@ def cmd_rep_matrix(args):
 
 
 def cmd_curve_op(args):
+    from . import mcg
     params = _make_params(args)
     model = mcg.surface_model(args.surface, _parse_labels(args.labels))
     rep = model.curve_operator(params, args.curve)
@@ -147,6 +158,7 @@ def cmd_curve_op(args):
 
 
 def cmd_trace(args):
+    from . import mcg
     params = _make_params(args)
     model = mcg.surface_model(args.surface, _parse_labels(args.labels))
     word = _parse_twist_word(args.word)
@@ -156,6 +168,7 @@ def cmd_trace(args):
 
 
 def cmd_detect(args):
+    from . import mcg
     word = _parse_twist_word(args.word)
     res = mcg.detect(args.surface, word, _level_range(args), s=args.s)
     return {"r0": res.r0,
@@ -164,6 +177,7 @@ def cmd_detect(args):
 
 
 def cmd_braid_rep(args):
+    from . import braids
     params = _make_params(args)
     braid = braids.BraidWord(args.n, _parse_braid_word(args.word))
     sectors = [args.m] if args.m is not None else braids.sector_labels(params, args.n)
@@ -175,6 +189,7 @@ def cmd_braid_rep(args):
 
 
 def cmd_braid_detect(args):
+    from . import braids
     braid = braids.BraidWord(args.n, _parse_braid_word(args.word))
     res = braids.braid_detect(braid, _level_range(args),
                               cabling_bound=args.cable_max, s=args.s)
@@ -188,20 +203,21 @@ def cmd_braid_detect(args):
 def _move_from_json(obj):
     """One entry of a moves list: an object holding only its type's keys,
     with component indices JSON integers ('around' may be null or absent)."""
+    from . import skein
     try:
-        t = skein.json_str(skein.json_object(obj).get("type"))
+        t = json_str(json_object(obj).get("type"))
         keys = {"handle_slide": ("type", "slide", "over"),
                 "balanced_stabilization": ("type",),
                 "circumcision_pair": ("type", "around")}.get(t)
         if keys is None:
             raise ValueError(f"unknown move type {t!r}")
-        skein.json_object(obj, keys)
+        json_object(obj, keys)
         if t == "handle_slide":
-            return skein.HandleSlide(skein.json_int(obj["slide"]), skein.json_int(obj["over"]))
+            return skein.HandleSlide(json_int(obj["slide"]), json_int(obj["over"]))
         if t == "balanced_stabilization":
             return skein.BalancedStabilization()
         around = obj.get("around")
-        return skein.CircumcisionPair(None if around is None else skein.json_int(around))
+        return skein.CircumcisionPair(None if around is None else json_int(around))
     except KeyError as exc:
         raise ParseFailure(f"move {obj!r} lacks the key {exc}") from exc
     except ValueError as exc:
@@ -209,6 +225,7 @@ def _move_from_json(obj):
 
 
 def cmd_verify_moves(args):
+    from . import skein
     params = _make_params(args)
     link = _load_link(args.link)
     moves = _load_json(args.moves)

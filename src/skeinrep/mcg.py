@@ -28,34 +28,37 @@ dimension >= 2: on a block of dimension 1 every word is a nonzero scalar.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from . import tqft
+from .errors import DomainError
 from .linalg import columns, mat_product, mat_trace, rows, scalar_of
 from .recoupling import (encircle_eigenvalue, f_matrix, punctured_s, theta, theta_inverse,
                          twist_coefficient)
 from .scalars import QuantumParams, Scalar, make_params
-from .skein import DomainError
 
 
-@dataclass
 class RepMatrix:
-    matrix: list
-    r: int
-    surface: str
-    labels: tuple = ()
+    """A representation matrix as dense rows, with its level r, the surface
+    it acts on and that surface's boundary labels."""
+    __slots__ = ("matrix", "r", "surface", "labels")
+
+    def __init__(self, matrix, r, surface, labels=()):
+        self.matrix, self.r, self.surface, self.labels = matrix, r, surface, labels
 
     @property
     def dim(self):
         return len(self.matrix)
 
 
-@dataclass
 class DetectionResult:
-    r0: object  # least r where projectively nontrivial, or None
-    verdicts: dict = field(default_factory=dict)  # r -> "nontrivial"|"trivial"
-    witness: dict = field(default_factory=dict)  # r -> probe witness, e.g. block labels
+    """The outcome of a level scan (`scan_levels`)."""
+    __slots__ = ("r0", "verdicts", "witness")
+
+    def __init__(self, r0, verdicts=None, witness=None):
+        self.r0 = r0  # least r where projectively nontrivial, or None
+        self.verdicts = {} if verdicts is None else verdicts  # r -> "nontrivial"|"trivial"
+        self.witness = {} if witness is None else witness  # r -> probe witness, e.g. block labels
 
 
 def scan_levels(r_range, s, probe) -> DetectionResult:
@@ -231,6 +234,7 @@ class SurfaceModel:
         self.name, self.labels = name, tuple(labels)
         self.spine = spine(self.labels)
         self._curves = curves
+        self._first_curve = {row: c for c, row in reversed(curves.items())}
 
     def basis(self, params):
         """The spine basis, memoized in the level memo: a model is fixed by
@@ -292,11 +296,14 @@ class SurfaceModel:
 
     def twist_columns(self, params, curve, sign):
         """The column form (`linalg.columns`) of T_curve^sign, sign +-1, from
-        the level memo's one entry per curve, the pair (T, T^{-1}), which
-        every model of the same name and boundary labels shares."""
+        the level memo's one entry per row of the surface's table, the pair
+        (T, T^{-1}), keyed by the first curve with that row (curves with the
+        same row, the sphere's g12 and g34, are the same twist) and shared
+        by every model of the same name and boundary labels."""
         _check_curve(self.name, self._curves, curve)
-        key = ("twist", self.name, self._label_context(), curve)
-        return params.cached(key, lambda: self._twist_pair(params, curve))[0 if sign > 0 else 1]
+        first = self._first_curve[self._curves[curve]]
+        key = ("twist", self.name, self._label_context(), first)
+        return params.cached(key, lambda: self._twist_pair(params, first))[0 if sign > 0 else 1]
 
     def twist_matrix(self, params, curve, power=1) -> RepMatrix:
         """T_curve^power, the product of one word letter (`represent`)."""

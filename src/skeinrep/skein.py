@@ -45,59 +45,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
+from .errors import DomainError, LinkFormatError, json_int, json_object
 from .linalg import next_segment
 from .recoupling import twist_coefficient
 from .scalars import PackedRing, QuantumParams, Scalar, common_denominator
 from .tl import jones_wenzl
 from .unionfind import UnionFind
 
-
-class LinkFormatError(ValueError):
-    """Malformed diagram code."""
-
-
-class DomainError(ValueError):
-    """Structurally valid input outside the supported domain."""
-
-
 OMEGA = "omega"
-
-
-def json_int(value) -> int:
-    """value as a JSON Schema ``integer``: an int, or a float with no
-    fractional part; bools, strings and fractions raise ValueError."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if type(value) is not int:
-        raise ValueError(f"{value!r} is not an integer")
-    return value
-
-
-def json_str(value) -> str:
-    """value as a JSON Schema ``string``; anything else raises ValueError."""
-    if type(value) is not str:
-        raise ValueError(f"{value!r} is not a string")
-    return value
-
-
-def json_list(value) -> list:
-    """value as a JSON Schema ``array``; anything else raises ValueError."""
-    if not isinstance(value, list):
-        raise ValueError(f"{value!r} is not an array")
-    return value
-
-
-def json_object(value, keys=None) -> dict:
-    """value as a JSON object; with keys given, the object may hold no other
-    key (the schema's ``"additionalProperties": false``).  Anything else
-    raises ValueError."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{value!r} is not an object")
-    extra = [k for k in value if keys is not None and k not in keys]
-    if extra:
-        raise ValueError(f"unknown keys {extra}; allowed are {list(keys)}")
-    return value
-
 
 LINK_SCHEMA_VERSION = 1
 LINK_KEYS = ("version", "components", "crossings")

@@ -12,9 +12,8 @@ pass with its legs free.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
-from . import skein as sk
+from .errors import DomainError, SpineFormatError, json_int, json_list, json_object, json_str
 from .recoupling import admissible, valid_label
 from .scalars import QuantumParams
 
@@ -22,23 +21,18 @@ SPINE_SCHEMA_VERSION = 1
 SPINE_KEYS = ("version", "edges", "vertices", "boundary")
 
 
-class SpineFormatError(ValueError):
-    """Malformed spine description."""
-
-
-@dataclass
 class Spine:
     """Trivalent spine: vertices are triples of edge/leg names; every
     internal edge name appears exactly twice in vertex triples (possibly both
     at one vertex, a loop), every leg name exactly once.  Edge names listed
     in `edges` but absent from all vertices are free circles (the torus
     spine is one free circle and no vertices).  `boundary` assigns labels to
-    legs."""
-    edges: list
-    vertices: list
-    boundary: dict = field(default_factory=dict)
+    legs.  A spine that breaks these rules raises SpineFormatError."""
+    __slots__ = ("edges", "vertices", "boundary")
 
-    def __post_init__(self):
+    def __init__(self, edges, vertices, boundary=None):
+        self.edges, self.vertices = edges, vertices
+        self.boundary = {} if boundary is None else boundary
         counts = {}
         for tri in self.vertices:
             if len(tri) != 3:
@@ -66,14 +60,14 @@ class Spine:
     @staticmethod
     def from_json(obj) -> "Spine":
         try:
-            if sk.json_object(obj, SPINE_KEYS).get("version") != SPINE_SCHEMA_VERSION:
+            if json_object(obj, SPINE_KEYS).get("version") != SPINE_SCHEMA_VERSION:
                 raise SpineFormatError(f"spine schema version must be {SPINE_SCHEMA_VERSION}, "
                                        f"got {obj.get('version', 'none')!r}")
-            return Spine([sk.json_str(e) for e in sk.json_list(obj["edges"])],
-                         [[sk.json_str(x) for x in sk.json_list(t)]
-                          for t in sk.json_list(obj["vertices"])],
-                         {sk.json_str(k): sk.json_int(v)
-                          for k, v in sk.json_object(obj.get("boundary", {})).items()})
+            return Spine([json_str(e) for e in json_list(obj["edges"])],
+                         [[json_str(x) for x in json_list(t)]
+                          for t in json_list(obj["vertices"])],
+                         {json_str(k): json_int(v)
+                          for k, v in json_object(obj.get("boundary", {})).items()})
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, SpineFormatError):
                 raise
@@ -126,7 +120,7 @@ def _labelings(params: QuantumParams, names, spine: Spine):
 def _check_boundary(params: QuantumParams, spine: Spine):
     for lab in spine.boundary.values():
         if not valid_label(params, lab):
-            raise sk.DomainError(f"boundary label {lab} outside 0..{params.r - 2}")
+            raise DomainError(f"boundary label {lab} outside 0..{params.r - 2}")
 
 
 def basis(params: QuantumParams, spine: Spine):

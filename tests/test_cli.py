@@ -93,6 +93,34 @@ def test_python_m_skeinrep_runs_the_cli():
     assert json.loads(done.stdout) == {"dim": 2}
 
 
+# the package's engines off the dims path, and the stdlib module whose
+# import would pull inspect, ast, dis and tokenize into every launch
+OFF_THE_DIMS_PATH = {"skeinrep.skein", "skeinrep.tl", "skeinrep.braids", "skeinrep.unionfind",
+                     "dataclasses"}
+
+
+def test_dims_launch_loads_only_its_modules():
+    # the modules a dims launch adds to those of a bare interpreter in the
+    # same environment: the surface's own, none of the other commands'
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def modules(code):
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        return set(done.stderr.split())
+
+    report = "print(*sys.modules, file=sys.stderr)"
+    bare = modules(f"import sys; {report}")
+    launch = modules("import sys; from skeinrep import cli; "
+                     f"code = cli.run(['dims', '--r', '3', '--surface', 'torus']); {report}; "
+                     "sys.exit(code)")
+    added = launch - bare
+    assert added & OFF_THE_DIMS_PATH == set()
+    assert {"skeinrep.cli", "skeinrep.errors", "skeinrep.mcg", "skeinrep.tqft"} <= added
+
+
 def test_dims_spine_file(capsys, tmp_path):
     path = tmp_path / "torus.json"
     path.write_text(json.dumps(tqft.torus_spine().to_json()))

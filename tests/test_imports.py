@@ -1,10 +1,12 @@
 """Package hygiene, checked on the source with the stdlib ``ast``: every
 import is used, every function, method and class is read by the package or
 the benchmark (a test is not a reader), the closed forms do not import the
-diagram engines that check them, no module keeps a table of its own, at
-module or class level, weak tables included (what depends on the level is
-memoized once per level by ``QuantumParams.cached``, and ``SHARED_CACHES``
-lists the few tables every level shares), only ``scalars.py`` touches a
+diagram engines that check them, the spines and the surface and braid
+representations load neither the skein sweep nor the TL engine, no module
+keeps a table of its own, at module or class level, weak tables included
+(what depends on the level is memoized once per level by
+``QuantumParams.cached``, and ``SHARED_CACHES`` lists the few tables every
+level shares), only ``scalars.py`` touches a
 Scalar's fields or constructs a Scalar, so it alone binds a value to its
 level, only ``scalars.py`` constructs a ``PackedRing``, so every ring is
 its level's one ring of its width, only ``linalg.py`` reads its dense-row
@@ -234,9 +236,35 @@ def test_checker_lists_imported_modules():
            "from . import skein as sk\n"
            "from .tl import jones_wenzl\n"
            "from .scalars.inner import x\n"
-           "from fractions import Fraction\n")
+           "from fractions import Fraction\n"
+           "def command():\n"
+           "    from . import mcg\n"
+           "    from .errors import DomainError\n"
+           "    return mcg, DomainError\n")
     assert imported_modules(ast.parse(src)) == {
-        "__future__", "os", ".skein", ".tl", ".scalars", "fractions"}
+        "__future__", "os", ".skein", ".tl", ".scalars", "fractions", ".mcg", ".errors"}
+
+
+def loaded_modules(trees, name):
+    """The package modules that importing the module name loads, itself
+    included, as file names: the closure of `imported_modules` over the
+    package."""
+    seen, todo = set(), [name]
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            todo += [m[1:] + ".py" for m in imported_modules(trees[module]) if m[0] == "."]
+    return seen
+
+
+def test_checker_lists_loaded_modules():
+    trees = {"a.py": ast.parse("from . import b\n"),
+             "b.py": ast.parse("def f():\n    from .c import x\n    return x\n"),
+             "c.py": ast.parse("import os\n"),
+             "d.py": ast.parse("from .a import y\n")}
+    assert loaded_modules(trees, "a.py") == {"a.py", "b.py", "c.py"}
+    assert loaded_modules(trees, "c.py") == {"c.py"}
 
 
 def test_closed_forms_do_not_import_their_checks():
@@ -247,6 +275,17 @@ def test_closed_forms_do_not_import_their_checks():
     assert ".linalg" not in imported_modules(trees["tqft.py"])
     found = {name for name, tree in trees.items()
              if imported_modules(tree) & {"oracles", "helpers", "tests", "conftest"}}
+    assert found == set()
+
+
+def test_layers_below_the_sweep_do_not_load_it():
+    # the closed forms, the spines and the surface and braid representations
+    # take their errors from the leaf module errors, so none of them loads
+    # the skein sweep or the TL engine, and the CLI commands that run them
+    # start without either
+    trees = package_trees()
+    found = {(name, engine) for name in ("tqft.py", "mcg.py", "braids.py", "recoupling.py")
+             for engine in loaded_modules(trees, name) & {"skein.py", "tl.py"}}
     assert found == set()
 
 

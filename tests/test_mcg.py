@@ -319,6 +319,18 @@ def test_level_memo_holds_one_twist_entry_per_curve(fresh_contexts):
     assert not any(dense(v) for v in memo.values())
 
 
+def test_curves_with_one_row_share_one_twist_entry(monkeypatch, fresh_contexts):
+    # the sphere's g12 and g34 both encircle the comb's middle edge with no
+    # move: one pair is built for the two, under the first curve's name
+    params, model = make_params(6), mcg.surface_model("four_punctured_sphere", (2, 2, 2, 2))
+    calls = count_twist_pairs(monkeypatch, lambda p, curve, pair: curve)
+    for sign in (1, -1):
+        assert model.twist_columns(params, "g12", sign) is model.twist_columns(params, "g34", sign)
+    assert calls == ["g12"]
+    assert sorted(key for key in params._memo if key[0] == "twist") == \
+        [("twist", "four_punctured_sphere", (2, 2, 2, 2), "g12")]
+
+
 SURFACES = ("torus", "punctured_torus", "four_punctured_sphere", "genus2")
 
 
