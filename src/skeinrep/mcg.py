@@ -297,9 +297,9 @@ class SurfaceModel:
     def twist_columns(self, params, curve, sign):
         """The column form (`linalg.columns`) of T_curve^sign, sign +-1, from
         the level memo's one entry per row of the surface's table, the pair
-        (T, T^{-1}), keyed by the first curve with that row (curves with the
-        same row, the sphere's g12 and g34, are the same twist) and shared
-        by every model of the same name and boundary labels."""
+        (T, T^{-1}), which every model of the same name and boundary labels
+        shares.  Curves with the same row (the sphere's g12 and g34) are the
+        same twist, so the entry is keyed by the first curve with the row."""
         _check_curve(self.name, self._curves, curve)
         first = self._first_curve[self._curves[curve]]
         key = ("twist", self.name, self._label_context(), first)
