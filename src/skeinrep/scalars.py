@@ -14,9 +14,10 @@ first, over one positive integer denominator.  Parts are canonical -- the gcd
 of den and all nums is 1, and the zero part is None -- so equal elements have
 equal tuples and == and hash are plain tuple operations.  Phi is monic, so
 reduction modulo Phi and the powers of A stay integral.  An inverse solves
-nums * w = 1 mod Phi by fraction-free (Bareiss) elimination.  Fraction is used
-only off the arithmetic path: to build Phi, and to convert from and to
-rationals, JSON and floats.
+nums * w = 1 mod Phi by fraction-free (Bareiss) elimination.  No other number
+type enters: Phi is built by exact integer division, the JSON coefficients
+are written and read as reduced integer ratios, and the float embedding
+divides each numerator by den.
 
 Products run on one map (Kronecker substitution): x -> 2^b is a ring
 homomorphism Z[x]/Phi -> Z/N, N = Phi(2^b), so a computation can run on
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import math
 import struct
-from fractions import Fraction
 from math import gcd
 
 
@@ -54,17 +54,27 @@ def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients (constant first) of the n-th cyclotomic
     polynomial, built from Phi_1 = x - 1 one prime factor p of n at a time:
     Phi_{mp}(x) = Phi_m(x^p) when p divides m, else the exact quotient
-    Phi_m(x^p) / Phi_m(x)."""
-    poly, m, p = (Fraction(-1), Fraction(1)), 1, 2
+    Phi_m(x^p) / Phi_m(x), which synthetic division by the monic Phi_m
+    keeps integral."""
+    poly, m, p = (-1, 1), 1, 2
     while m < n:
         if (n // m) % p:
             p += 1
             continue
-        spread = [Fraction(0)] * ((len(poly) - 1) * p + 1)
+        spread = [0] * ((len(poly) - 1) * p + 1)
         spread[::p] = poly
-        poly = tuple(spread) if m % p == 0 else _poly_divmod(spread, poly)[0]
+        if m % p:
+            # each step fixes the quotient coefficient at deg + top and
+            # clears it from the lower ones; the remainder below top is zero
+            top = len(poly) - 1
+            for deg in range(len(spread) - 1 - top, -1, -1):
+                q = spread[deg + top]
+                for i in range(top):
+                    spread[deg + i] -= q * poly[i]
+            spread = spread[top:]
+        poly = tuple(spread)
         m *= p
-    return tuple(int(v) for v in poly)
+    return poly
 
 
 class QuantumParams:
@@ -392,34 +402,6 @@ def _part(nums, den):
     return tuple(nums), den
 
 
-# ----- raw polynomial helpers over Fraction sequences (no modular reduction),
-# used to build Phi, off the arithmetic path -----
-
-def _poly_trim(u):
-    u = list(u)
-    while u and not u[-1]:
-        u.pop()
-    return tuple(u)
-
-
-def _poly_divmod(u, v):
-    u = list(_poly_trim(u))
-    v = _poly_trim(v)
-    if not v:
-        raise ZeroDivisionError("polynomial division by zero")
-    top = len(v) - 1
-    q = [Fraction(0)] * max(len(u) - top, 1)
-    # each step clears u[deg + top] exactly, so u is reduced in place and
-    # the remainder is what is left below degree top
-    for deg in range(len(u) - len(v), -1, -1):
-        coef = u[deg + top] / v[top]
-        if coef:
-            q[deg] = coef
-            for i in range(top):
-                u[deg + i] -= coef * v[i]
-    return tuple(q), _poly_trim(u[:top])
-
-
 class Scalar:
     """An element c^odd * part of the extended cyclotomic ring.
 
@@ -547,16 +529,35 @@ class Scalar:
         if self.part is None:
             return {"cpow": 0, "coeffs": ["0"] * self.params.phi}
         nums, den = self.part
-        return {"cpow": self.odd, "coeffs": [str(Fraction(n, den)) for n in nums]}
+        return {"cpow": self.odd, "coeffs": [_ratio_text(n, den) for n in nums]}
 
     @staticmethod
     def from_json(params: QuantumParams, obj) -> "Scalar":
-        coeffs = [Fraction(t) for t in obj["coeffs"]]
-        if len(coeffs) != params.phi:
-            raise ValueError(f"expected {params.phi} coefficients, got {len(coeffs)}")
-        den = math.lcm(*(q.denominator for q in coeffs))
-        part = _part([q.numerator * (den // q.denominator) for q in coeffs], den)
+        """The Scalar of ``to_json``'s form: each coefficient is the text p
+        or p/q of a rational, q > 0, not necessarily in lowest terms."""
+        ratios = [_text_ratio(t) for t in obj["coeffs"]]
+        if len(ratios) != params.phi:
+            raise ValueError(f"expected {params.phi} coefficients, got {len(ratios)}")
+        den = math.lcm(*(q for _, q in ratios))
+        part = _part([p * (den // q) for p, q in ratios], den)
         return Scalar(params.level, part, int(obj["cpow"]) % 2 if part else 0)
+
+
+def _ratio_text(n: int, den: int) -> str:
+    """The rational n / den (den > 0) in lowest terms, as p or p/q."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+def _text_ratio(text: str):
+    """(p, q) of the text p or p/q, q > 0; anything else raises ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"coefficient {text!r} is not a string")
+    num, slash, den = text.partition("/")
+    p, q = int(num), int(den) if slash else 1
+    if q <= 0:
+        raise ValueError(f"coefficient {text!r} has a denominator below 1")
+    return p, q
 
 
 def _tadd(u, v):
@@ -569,8 +570,9 @@ def _tadd(u, v):
 
 
 def _horner(part, x):
+    """The part at the complex x; n / den is the correctly rounded float."""
     nums, den = part
     acc = 0j
     for n in reversed(nums):
-        acc = acc * x + complex(Fraction(n, den))
+        acc = acc * x + complex(n / den)
     return acc

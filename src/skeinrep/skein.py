@@ -42,7 +42,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import itemgetter
 
 from .errors import DomainError, LinkFormatError, json_int, json_object
@@ -231,11 +230,16 @@ def linking_matrix(link: LabeledLink, walk=None):
 
 
 def signature(matrix) -> int:
-    """Signature of a symmetric integer matrix, exactly, by congruence
-    diagonalization over the rationals."""
-    m = [[Fraction(x) for x in row] for row in matrix]
+    """Signature of a symmetric integer matrix, exactly, by fraction-free
+    (Bareiss) congruence diagonalization.  The block left to diagonalize
+    is held as d * S, d the last pivot (first 1) and S congruent to that
+    block over the rationals.  A pivot p adds the sign of S's pivot p / d,
+    and the next block, p times the Schur complement of S, is
+    (p m_ij - m_ip m_pj) / d: a minor of the matrix, so the division is
+    exact and entries stay as small as minors."""
+    m = [list(row) for row in matrix]
     n = len(m)
-    sig = 0
+    sig, d = 0, 1
     rows = list(range(n))
     while rows:
         # find a nonzero diagonal entry
@@ -253,15 +257,13 @@ def signature(matrix) -> int:
             for k in range(n):
                 m[k][i] += m[k][j]
             continue
-        sig += 1 if m[piv][piv] > 0 else -1
+        p = m[piv][piv]
+        sig += 1 if (p > 0) == (d > 0) else -1
         rows.remove(piv)
         for i in rows:
-            if m[i][piv] != 0:
-                f = m[i][piv] / m[piv][piv]
-                for k in range(n):
-                    m[i][k] -= f * m[piv][k]
-                for k in range(n):
-                    m[k][i] -= f * m[k][piv]
+            for j in rows:
+                m[i][j] = (p * m[i][j] - m[i][piv] * m[piv][j]) // d
+        d = p
     return sig
 
 

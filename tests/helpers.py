@@ -1,5 +1,7 @@
-"""Small helpers shared by the tests: raw polynomial arithmetic, rational
-constants as Scalars, projective comparison of matrices, union-find
+"""Small helpers shared by the tests: raw polynomial arithmetic over
+Fraction sequences (the division that the reference inverse of
+``tests/test_scalar_reference.py`` runs, and the cyclotomic polynomials
+built from it), rational constants as Scalars, projective comparison of matrices, union-find
 classes, the reference product kernel of ``tests/test_scalar_kernel.py``,
 seeded braid words, the l1 masses, column masses, coefficient bounds and
 segment record of the packed residue chains, a surface model's curve
@@ -33,6 +35,49 @@ def poly_mul_raw(u, v):
                 if vj:
                     out[i + j] += ui * vj
     return tuple(out)
+
+
+def poly_trim(u):
+    """u without its trailing zero coefficients."""
+    u = list(u)
+    while u and not u[-1]:
+        u.pop()
+    return tuple(u)
+
+
+def poly_divmod(u, v):
+    """(quotient, remainder) of u by v for raw Fraction coefficient
+    sequences, both trimmed; raises ZeroDivisionError when v is zero."""
+    u = list(poly_trim(u))
+    v = poly_trim(v)
+    if not v:
+        raise ZeroDivisionError("polynomial division by zero")
+    top = len(v) - 1
+    q = [Fraction(0)] * max(len(u) - top, 1)
+    # each step clears u[deg + top] exactly, so u is reduced in place and
+    # the remainder is what is left below degree top
+    for deg in range(len(u) - len(v), -1, -1):
+        coef = u[deg + top] / v[top]
+        if coef:
+            q[deg] = coef
+            for i in range(top):
+                u[deg + i] -= coef * v[i]
+    return tuple(q), poly_trim(u[:top])
+
+
+def cyclotomic_table(limit: int):
+    """{n: Phi_n} for n = 1 .. limit as Fraction coefficients, constant
+    first: Phi_n is x^n - 1 divided by Phi_d for every proper divisor d of
+    n, the largest first, each read off the table itself."""
+    table = {}
+    for n in range(1, limit + 1):
+        poly = (Fraction(-1),) + (Fraction(0),) * (n - 1) + (Fraction(1),)
+        for d in range(n // 2, 0, -1):
+            if n % d == 0:
+                poly, rem = poly_divmod(poly, table[d])
+                assert rem == (), (n, d)
+        table[n] = poly
+    return table
 
 
 def from_rational(params, q):

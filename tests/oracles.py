@@ -13,8 +13,9 @@ calculus, and the tests compare the two exactly.
 - TQFT: the handlebody vector and the solid-torus expansion of a (p, q)
   curve, read off skein evaluations of torus links;
 - surgery: ``skein.evaluate`` without its label fold, one sweep per
-  labeling, and comparison of two surgery presentations up to the
-  signature phase;
+  labeling, comparison of two surgery presentations up to the
+  signature phase, and the signature by congruence over the rationals
+  that ``skein.signature``'s fraction-free congruence replaced;
 - the skein sweep's gluing: the port-by-port chase that
   ``skein._join_table``'s union-find replaced, and the head occurrences of
   a diagram's arcs read off its orientations, which ``skein._walk`` now
@@ -35,6 +36,7 @@ Nothing in the package imports this module."""
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 
@@ -476,6 +478,41 @@ def same_manifold_invariant(params, link1, link2) -> bool:
     v2, n2 = sk.z_invariant(params, link2)
     c = unknot_value_plus(params)
     return v1 * c ** n2 == v2 * c ** n1
+
+
+def signature_fraction(matrix) -> int:
+    """Signature of a symmetric integer matrix by congruence
+    diagonalization over the rationals."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    n = len(m)
+    sig = 0
+    rows = list(range(n))
+    while rows:
+        # find a nonzero diagonal entry
+        piv = next((i for i in rows if m[i][i] != 0), None)
+        if piv is None:
+            # find a nonzero off-diagonal pair; it contributes (+1, -1)
+            pair = next(((i, j) for i in rows for j in rows
+                         if i != j and m[i][j] != 0), None)
+            if pair is None:
+                break  # all-zero block: contributes nothing
+            i, j = pair
+            # congruence by adding row/col j to i creates a nonzero diagonal
+            for k in range(n):
+                m[i][k] += m[j][k]
+            for k in range(n):
+                m[k][i] += m[k][j]
+            continue
+        sig += 1 if m[piv][piv] > 0 else -1
+        rows.remove(piv)
+        for i in rows:
+            if m[i][piv] != 0:
+                f = m[i][piv] / m[piv][piv]
+                for k in range(n):
+                    m[i][k] -= f * m[piv][k]
+                for k in range(n):
+                    m[k][i] -= f * m[k][piv]
+    return sig
 
 
 def join_table_chase(params, kind, static, sig):

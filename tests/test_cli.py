@@ -93,10 +93,11 @@ def test_python_m_skeinrep_runs_the_cli():
     assert json.loads(done.stdout) == {"dim": 2}
 
 
-# the package's engines off the dims path, and the stdlib module whose
-# import would pull inspect, ast, dis and tokenize into every launch
+# the package's engines off the dims path, the stdlib module whose import
+# would pull inspect, ast, dis and tokenize into every launch, and the
+# rational and decimal number types, which the integer core never builds
 OFF_THE_DIMS_PATH = {"skeinrep.skein", "skeinrep.tl", "skeinrep.braids", "skeinrep.unionfind",
-                     "dataclasses"}
+                     "dataclasses", "fractions", "decimal"}
 
 
 def test_dims_launch_loads_only_its_modules():

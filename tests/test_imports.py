@@ -14,9 +14,10 @@ routines, so every other module builds matrices as columns, and only
 ``linalg.py`` reads ``PackedRing.segment``, so the packed column chain is
 the one chain that cuts a product into segments, only ``tl._Times`` and
 ``tl._stair`` read the diagram compositions, so every TL product is a
-column chain of ``_Times``, and no module calls ``id``, since a memo keyed
-by an object's id outlives the object and hands its entry to whatever
-object reuses the id."""
+column chain of ``_Times``, no module imports ``fractions`` or ``decimal``,
+so the exact core computes on integers alone, and no module calls ``id``,
+since a memo keyed by an object's id outlives the object and hands its
+entry to whatever object reuses the id."""
 import ast
 from pathlib import Path
 
@@ -243,6 +244,19 @@ def test_checker_lists_imported_modules():
            "    return mcg, DomainError\n")
     assert imported_modules(ast.parse(src)) == {
         "__future__", "os", ".skein", ".tl", ".scalars", "fractions", ".mcg", ".errors"}
+
+
+# the exact core computes on integers alone: a part is integer numerators
+# over one integer denominator, and no other number type enters
+FORBIDDEN_NUMBER_TYPES = {"fractions", "decimal"}
+
+
+def test_package_imports_no_rational_or_decimal_type():
+    # imported_modules reads imports inside functions as well, and its
+    # checker above shows that `from fractions import Fraction` is seen
+    found = {(name, module) for name, tree in package_trees().items()
+             for module in imported_modules(tree) & FORBIDDEN_NUMBER_TYPES}
+    assert found == set()
 
 
 def loaded_modules(trees, name):

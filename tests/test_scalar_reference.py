@@ -8,8 +8,8 @@ from math import gcd
 
 import pytest
 
-from helpers import poly_mul_raw, poly_sub
-from skeinrep.scalars import Scalar, _poly_divmod, _poly_trim, make_params
+from helpers import poly_divmod, poly_mul_raw, poly_sub, poly_trim
+from skeinrep.scalars import Scalar, make_params
 
 
 class Reference:
@@ -34,10 +34,10 @@ class Reference:
 
     def inv(self, u):
         r0, r1, t0, t1 = self.mod, u, (Fraction(0),), (Fraction(1),)
-        while _poly_trim(r1):
-            q, rem = _poly_divmod(r0, r1)
+        while poly_trim(r1):
+            q, rem = poly_divmod(r0, r1)
             r0, r1, t0, t1 = r1, rem, t1, poly_sub(t0, poly_mul_raw(q, t1))
-        full = _poly_divmod(tuple(t / _poly_trim(r0)[0] for t in t0), self.mod)[1]
+        full = poly_divmod(tuple(t / poly_trim(r0)[0] for t in t0), self.mod)[1]
         return full + (Fraction(0),) * (self.phi - len(full))
 
     def times(self, x, y):

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import from_int, from_rational, poly_mul_raw, poly_sub
-from skeinrep.scalars import (QuantumParams, Scalar, _cyclotomic_coeffs, _poly_divmod,
-                              _poly_trim, make_params)
+from helpers import (cyclotomic_table, from_int, from_rational, poly_divmod, poly_mul_raw,
+                     poly_sub, poly_trim)
+from skeinrep.scalars import QuantumParams, Scalar, _cyclotomic_coeffs, _part, make_params
 
 
 RS = [3, 4, 5, 6]
@@ -95,9 +95,9 @@ def test_poly_divmod_random():
     for _ in range(200):
         u = poly(rng.randint(0, 12))
         v = poly(rng.randint(0, 6))
-        q, rem = _poly_divmod(u, v)
+        q, rem = poly_divmod(u, v)
         assert len(rem) < len(v) and (not rem or rem[-1])  # deg rem < deg v
-        assert _poly_trim(poly_sub(u, poly_mul_raw(q, v))) == rem  # u = q*v + rem
+        assert poly_trim(poly_sub(u, poly_mul_raw(q, v))) == rem  # u = q*v + rem
 
 
 @pytest.mark.parametrize("r", RS)
@@ -135,6 +135,8 @@ def test_c_symbol(r):
     c = p.c_symbol()
     D = p.total_d_squared()
     assert (c * c * D).is_one()
+    # c and c^2 = 1/D are not one: is_one reads the parity and the part
+    assert p.one().is_one() and not c.is_one() and not (c * c).is_one()
     # numerically c = 1/sqrt(D) > 0
     assert abs(c.embed(p) - 1 / math.sqrt(D.embed(p).real)) < 1e-12
 
@@ -229,31 +231,84 @@ def test_cyclotomic_coeffs_match_sympy():
         assert _cyclotomic_coeffs(n) == tuple(int(v) for v in reversed(poly.all_coeffs())), n
 
 
-def test_arithmetic_builds_no_fraction(monkeypatch):
-    from skeinrep import scalars
-    p = make_params(7, 3)
-    c = p.c_symbol()
-    x = p.a_pow(3) + from_rational(p, Fraction(-2, 7))
-    y = p.a_pow(-1) + from_rational(p, Fraction(5, 3))
-    evens, odds = [x, y, p.one(), p.zero()], [c, c * x, c * y, p.zero()]
-    built = []
+def test_cyclotomic_coeffs_match_divisor_oracle():
+    # no sympy needed: x^n - 1 divided by Phi_d over the proper divisors d
+    table = cyclotomic_table(400)
+    for n, want in table.items():
+        got = _cyclotomic_coeffs(n)
+        assert got == tuple(int(v) for v in want), n
+        totient = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+        assert len(got) == totient + 1 and got[-1] == 1, n
 
-    class CountingFraction(Fraction):
-        def __new__(cls, *args, **kw):
-            built.append(args)
-            return super().__new__(cls, *args, **kw)
 
-    monkeypatch.setattr(scalars, "Fraction", CountingFraction)
-    for same in (evens, odds):
-        for u in same:
-            for v in same:
-                u + v, u - v
-    for u in evens + odds:
-        for v in evens + odds:
-            u * v
-        if not u.is_zero():
-            assert (u * u.inverse()).is_one()
-        u.is_one()
-    assert built == []
-    assert p.one().is_one() and not c.is_one() and not (c * c).is_one()
-    assert x.to_json() and built  # the wrapper does count conversions
+def seeded_scalars(rng, p):
+    """Scalars of the level of p: zero, small, sparse with negative
+    numerators, and 90-bit numerators over up to 40-bit denominators, each
+    kind at both c-parities."""
+    phi = p.phi
+    out = [p.zero()]
+    for odd in (0, 1):
+        small = [rng.randint(-3, 3) for _ in range(phi)]
+        sparse = [0] * phi
+        for i in rng.sample(range(phi), min(3, phi)):
+            sparse[i] = -rng.randint(1, 9)
+        wide = [rng.randint(-2 ** 90, 2 ** 90) for _ in range(phi)]
+        for nums, den in ((small, rng.choice([1, 2, 6])), (sparse, rng.randint(1, 50)),
+                          (wide, rng.randint(1, 2 ** 40)), ([-n for n in wide], 1)):
+            part = _part(nums, den)
+            out.append(Scalar(p.level, part, odd if part else 0))
+    return out
+
+
+def fraction_horner(x: Scalar, root):
+    """The float embedding of x at root computed through Fraction, c as
+    the positive real root of 1/D."""
+    if x.is_zero():
+        return 0j
+    nums, den = x.part
+    angle = 2 * math.pi * root.s / root.order
+    z, acc = complex(math.cos(angle), math.sin(angle)), 0j
+    for n in reversed(nums):
+        acc = acc * z + complex(Fraction(n, den))
+    if not x.odd:
+        return acc
+    D = fraction_horner(root.total_d_squared(), root)
+    return acc * (1.0 / math.sqrt(D.real))
+
+
+@pytest.mark.parametrize("r", range(3, 13))
+def test_text_and_float_forms_match_fraction(r):
+    rng = random.Random(4000 + r)
+    p = make_params(r)
+    roots = [p] + [make_params(r, s) for s in (2 * r - 1, 4 * r - 1) if math.gcd(s, 4 * r) == 1]
+    for x in seeded_scalars(rng, p):
+        obj = x.to_json()
+        nums, den = x.part or ((0,) * p.phi, 1)
+        assert obj["coeffs"] == [str(Fraction(n, den)) for n in nums]
+        assert obj["cpow"] == x.odd
+        assert Scalar.from_json(p, json.loads(json.dumps(obj))) == x
+        for root in roots:
+            # repr tells the signs of zeros apart
+            assert repr(x.embed(root)) == repr(fraction_horner(x, root))
+
+
+def test_from_json_reads_unreduced_ratios():
+    p = make_params(3)
+    coeffs = ["6/4", "-0/7", "-10/5", "3"][:p.phi]
+    x = Scalar.from_json(p, {"cpow": 1, "coeffs": coeffs})
+    assert x.to_json() == {"cpow": 1, "coeffs": ["3/2", "0", "-2", "3"][:p.phi]}
+    assert Scalar.from_json(p, {"cpow": 1, "coeffs": ["0/3"] * p.phi}) == p.zero()
+
+
+@pytest.mark.parametrize("bad", ["1/0", "1/-2", "x", "", "1/", "/2", "1.5", "1/2/3", 3])
+def test_from_json_rejects_bad_coefficients(bad):
+    p = make_params(3)
+    with pytest.raises(ValueError):
+        Scalar.from_json(p, {"cpow": 0, "coeffs": [bad] + ["0"] * (p.phi - 1)})
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 5])
+def test_from_json_rejects_a_wrong_coefficient_count(count):
+    p = make_params(3)  # phi = 4
+    with pytest.raises(ValueError):
+        Scalar.from_json(p, {"cpow": 0, "coeffs": ["1"] * count})

@@ -58,6 +58,74 @@ def test_linking_matrix_and_signature():
     assert sk.linking_matrix(neg) == [[0, -1], [-1, 0]]
 
 
+def symmetric_matrix(rng, n, zero_diagonal=False, rank=None):
+    """A seeded symmetric n x n integer matrix with entries -3..3; with a
+    rank below n, a sum of `rank` signed rank-one squares v v^T, which is
+    singular."""
+    if rank is not None:
+        m = [[0] * n for _ in range(n)]
+        for _ in range(rank):
+            v, sign = [rng.randint(-1, 1) for _ in range(n)], rng.choice([-1, 1])
+            for i in range(n):
+                for j in range(n):
+                    m[i][j] += sign * v[i] * v[j]
+        return m
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = 0 if zero_diagonal and i == j else rng.randint(-3, 3)
+    return m
+
+
+def unimodular(rng, n):
+    """A seeded integer n x n matrix of determinant +-1: a product of
+    elementary row additions, swaps and sign changes."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            t = rng.choice([-2, -1, 1, 2])
+            p[i] = [a + t * b for a, b in zip(p[i], p[j])]
+            p[i], p[j] = p[j], p[i]
+        else:
+            p[i] = [-a for a in p[i]]
+    return p
+
+
+def congruent(m, p):
+    """p^T m p."""
+    n = len(m)
+    mp = [[sum(m[i][k] * p[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(p[k][i] * mp[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def test_signature_matches_the_fraction_congruence():
+    rng = random.Random(3105)
+    singular = [symmetric_matrix(rng, n, rank=rng.randrange(n))
+                for n in range(1, 9) for _ in range(25)]
+    # 16 x 16 ones too: entries stay minors, a few dozen bits, where the
+    # congruence without the division by the last pivot grows them 3-fold
+    # in bits per pivot
+    cases = singular + [symmetric_matrix(rng, n, zero_diagonal=zero)
+                        for n in (*range(1, 9), 16) for zero in (False, True)
+                        for _ in range(25 if n < 9 else 2)]
+    for m in cases:
+        before = [row[:] for row in m]
+        assert sk.signature(m) == oracles.signature_fraction(m), m
+        assert m == before  # the input is not modified
+    # the singular cases are not all zero blocks
+    assert sum(oracles.signature_fraction(m) != 0 for m in singular) > len(singular) // 2
+
+
+def test_signature_is_a_congruence_invariant():
+    rng = random.Random(3106)
+    for n in range(1, 9):
+        for kind in range(12):
+            m = symmetric_matrix(rng, n, zero_diagonal=kind % 2 == 1,
+                                 rank=rng.randrange(n) if kind % 3 == 2 else None)
+            assert sk.signature(congruent(m, unimodular(rng, n))) == sk.signature(m), m
+
+
 @pytest.mark.parametrize("kwargs", [{"labels": [2]}, {"framings": [0, 1]},
                                     {"labels": [1, 1, 1, 1]}, {"framings": [0] * 4},
                                     {"labels": []}])
