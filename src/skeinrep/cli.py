@@ -312,9 +312,22 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _bind_words(argv):
+    """`argv` with each `--word X` as `--word=X`: argparse takes a value
+    that starts with '-' and is not a number for an option, and a twist
+    word may start with an inverse letter ('-a')."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--word":
+            out[-1] = f"--word={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_bind_words(argv))
         out, code = args.fn(args), 0
     except ParseFailure as exc:
         out, code = {"error": "parse", "message": str(exc)}, EXIT_PARSE

@@ -231,15 +231,11 @@ def rows(params: QuantumParams, matrix):
     return out
 
 
-def sum_scalars(vals):
-    acc = vals[0]
-    for v in vals[1:]:
-        acc = acc + v
-    return acc
-
-
 def mat_trace(a):
-    return sum_scalars([a[i][i] for i in range(len(a))])
+    acc = a[0][0]
+    for i in range(1, len(a)):
+        acc = acc + a[i][i]
+    return acc
 
 
 def mat_inv(params: QuantumParams, a):

@@ -200,11 +200,6 @@ def _f_move(params, names, vertices, tuples, edge):
     return moved, new, k, k_inv
 
 
-def _f_columns(moved, new, k, k_inv):
-    """An F-move (`_f_move`) with K and K^{-1} in column form."""
-    return moved, new, columns(k), columns(k_inv)
-
-
 def _s_move(params, names, vertices, tuples, edge):
     """The S-move on a loop edge: blockwise S(c) (`recoupling.punctured_s`),
     where c is the third label at the loop's vertex, or 0 on a free circle,
@@ -270,8 +265,10 @@ class SurfaceModel:
                     _s_move(params, names, vertices, tuples, move[1:])))
                 s_moves += 1
             else:
-                vertices, tuples, k, k_inv = params.cached(key, lambda: _f_columns(
-                    *_f_move(params, names, vertices, tuples, move)))
+                def f_columns():
+                    moved, new, k, k_inv = _f_move(params, names, vertices, tuples, move)
+                    return moved, new, columns(k), columns(k_inv)
+                vertices, tuples, k, k_inv = params.cached(key, f_columns)
                 f_moves += (move,)
             left.append(k_inv)
             right.insert(0, k)

@@ -9,12 +9,15 @@ mu_k = (-1)^k A^{k(k+2)}, so framing f on a k-labeled component multiplies
 the blackboard value by mu_k^f and is never drawn.
 
 How strands run through the crossings is answered by one walk, ``_walk``: a
-strand entering a crossing at slot s leaves it at slot s + 2.  It gives the
-orientations, the head occurrence of each arc (where its strand enters the
-next crossing), the check that each component's arcs are one strand
-(``validate`` returns the walk, or checks one already made), the components
-of a braid closure, the site and arcs of a clasp splice and the cabled
-diagram; no diagram is walked twice.
+strand entering a crossing at slot s leaves it at slot s + 2.  A
+``LabeledLink`` is an immutable value, checked and walked once, when it is
+built: the walk checks that each component's arcs are one strand, and the
+link keeps it.  A braid closure or a clasp splice reads its components off
+the walk of its new crossings and hands that walk to the link it builds.
+The kept walk gives the orientations, the head occurrence of each arc
+(where its strand enters the next crossing), the site of a clasp splice and
+the cabled diagram; no diagram is walked twice, and evaluation walks
+nothing.
 
 Evaluation cables k-labeled components into k parallel copies through one
 Jones-Wenzl box, read off each component's strand (``_cabled_diagram``),
@@ -32,16 +35,15 @@ omega components expand as sum_k s_k (k-labeled), s_k = c d_k.  J = r - 2
 is a simple current, so a component labelled J - k is the same link
 labelled k times a signed power of A (``_fold``; CONVENTIONS.md gives the
 identity): ``evaluate`` folds every labeling onto its canonical one, with
-no label above J/2, and sweeps each canonical labeling once.  The strand
-data that does not depend on the labels, and the linking matrix that the
-fold reads, are read once per evaluation off its one walk
-(``_strand_data``, ``linking_matrix``).
+no label above J/2, and sweeps each canonical labeling once.  The linking
+matrix that the fold reads is made once per evaluation, off the link's
+walk (``linking_matrix``).
 """
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 from .errors import DomainError, LinkFormatError, json_int, json_object
@@ -58,11 +60,14 @@ LINK_KEYS = ("version", "components", "crossings")
 COMPONENT_KEYS = ("label", "framing", "arcs")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Component:
     label: object  # int label or the string "omega"
     framing: int = 0
-    arcs: list = field(default_factory=list)  # arc ids; empty = crossingless loop
+    arcs: tuple = ()  # arc ids; empty = crossingless loop
+
+    def __post_init__(self):
+        object.__setattr__(self, "arcs", tuple(self.arcs))
 
 
 def _walk(crossings):
@@ -106,18 +111,37 @@ def _walk(crossings):
     return strands, ob, head, consistent
 
 
-def _oriented(walk):
-    """The strands, orientations and head occurrences of a ``_walk``;
+def _oriented(link):
+    """The strands, orientations and head occurrences of `link`'s walk;
     LinkFormatError when some strand enters an under-pass at c."""
-    if not walk[3]:
+    if not link.walk[3]:
         raise LinkFormatError("a strand enters an under-pass at c: inconsistent orientations")
-    return walk[:3]
+    return link.walk[:3]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledLink:
-    components: list
-    crossings: list  # list of [a, b, c, d]
+    """A labeled framed link diagram, checked when it is built: every
+    crossing lists four arcs, every arc appears twice, and each component's
+    arcs are exactly one strand's.  `walk` is the one ``_walk`` of the
+    crossings that the check read.  A diagram with no consistent
+    orientation still builds; ``orientations`` raises on it."""
+    components: tuple
+    crossings: tuple  # tuples (a, b, c, d)
+    walk: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for x in self.crossings:
+            if len(x) != 4:
+                raise LinkFormatError(f"crossing {list(x)} must have 4 arcs")
+        counts = {}
+        for x in self.crossings:
+            for a in x:
+                counts[a] = counts.get(a, 0) + 1
+        for a, n in counts.items():
+            if n != 2:
+                raise LinkFormatError(f"arc {a} appears {n} times; every arc appears exactly twice")
+        _settle(self, self.components, self.crossings, _walk(self.crossings))
 
     # ----- serialization -----
 
@@ -147,38 +171,9 @@ class LabeledLink:
             if isinstance(exc, LinkFormatError):
                 raise
             raise LinkFormatError(f"malformed link JSON: {exc}") from exc
-        link = LabeledLink(comps, crossings)
-        link.validate()
-        return link
+        return LabeledLink(comps, crossings)
 
     # ----- structure -----
-
-    def validate(self, walk=None):
-        """Check the diagram code and return its ``_walk``: every crossing
-        lists four arcs, every arc appears twice, and each component's arcs
-        are exactly one strand's.  `walk`, when given, is the ``_walk`` of
-        these crossings, already made."""
-        for x in self.crossings:
-            if len(x) != 4:
-                raise LinkFormatError(f"crossing {x} must have 4 arcs")
-        counts = {}
-        for x in self.crossings:
-            for a in x:
-                counts[a] = counts.get(a, 0) + 1
-        for a, n in counts.items():
-            if n != 2:
-                raise LinkFormatError(f"arc {a} appears {n} times; every arc appears exactly twice")
-        declared = [a for c in self.components for a in c.arcs]
-        if sorted(declared) != sorted(counts):
-            raise LinkFormatError("component arc lists do not partition the crossing arcs")
-        # each strand's arcs must be one component's complete arc list
-        comp_of = self.arc_component()
-        walk = walk or _walk(self.crossings)
-        for arcs in walk[0]:
-            i = comp_of[arcs[0]]
-            if len(arcs) != len(self.components[i].arcs) or any(comp_of[a] != i for a in arcs):
-                raise LinkFormatError(f"component {i} arcs do not match strand-following")
-        return walk
 
     def arc_component(self):
         out = {}
@@ -187,31 +182,60 @@ class LabeledLink:
                 out[a] = i
         return out
 
-    def orientations(self, walk=None):
+    def orientations(self):
         """For each crossing t, whether the over strand enters at slot b
         (True) or slot d (False), under the orientation rule of ``_walk``.
 
         The under strand always runs a -> c; LinkFormatError is raised when
         no orientation of some strand makes it do so at every under-pass.
+        The list is a new one; the link's walk is not handed out.
         """
-        return _oriented(walk or _walk(self.crossings))[1]
+        return list(_oriented(self)[1])
 
-    def crossing_signs(self, walk=None):
+    def crossing_signs(self):
         """Sign of each crossing: +1 when the over strand enters at slot b."""
-        return [1 if o else -1 for o in self.orientations(walk)]
+        return [1 if o else -1 for o in self.orientations()]
+
+
+def _settle(link, components, crossings, made):
+    """Give `link` its fields, once: `components`, `crossings` as tuples,
+    and `made`, their ``_walk``; then check that the components' arcs
+    partition the arcs `made` entered and that each strand of `made` is
+    one component's complete arc list."""
+    for name, value in (("components", tuple(components)),
+                        ("crossings", tuple(map(tuple, crossings))), ("walk", made)):
+        object.__setattr__(link, name, value)
+    declared = [a for c in link.components for a in c.arcs]
+    if sorted(declared) != sorted(made[2]):
+        raise LinkFormatError("component arc lists do not partition the crossing arcs")
+    comp_of = link.arc_component()
+    for arcs in made[0]:
+        i = comp_of[arcs[0]]
+        if len(arcs) != len(link.components[i].arcs) or any(comp_of[a] != i for a in arcs):
+            raise LinkFormatError(f"component {i} arcs do not match strand-following")
+
+
+def _built(components, crossings, made) -> LabeledLink:
+    """The link of `components` over `crossings`, which a builder read off
+    `made`, the ``_walk`` of `crossings`: checked against `made` and keeping
+    it, with no second walk.  This is the one path that hands a link a walk
+    made outside it."""
+    link = object.__new__(LabeledLink)
+    _settle(link, components, crossings, made)
+    return link
 
 
 # ----------------------------------------------------------------------------
 # linking matrix and signature
 
 
-def linking_matrix(link: LabeledLink, walk=None):
+def linking_matrix(link: LabeledLink):
     """Integer linking matrix: off-diagonal lk(i,j), diagonal = framing field
-    plus diagram self-writhe; `walk` as in ``LabeledLink.validate``."""
+    plus diagram self-writhe."""
     comp_of = link.arc_component()
     n = len(link.components)
     raw = [[0] * n for _ in range(n)]
-    signs = link.crossing_signs(walk)
+    signs = link.crossing_signs()
     for t, (a, b, c, d) in enumerate(link.crossings):
         i, j = comp_of[a], comp_of[b]
         raw[i][j] += signs[t]
@@ -293,22 +317,11 @@ def _braid_crossing(cur, g, fresh):
     return [q, q2, p2, p]
 
 
-def _strand_data(link: LabeledLink, walk):
-    """What ``_cabled_diagram`` reads of `link` whatever its labels:
-    (ob, comp_of, head, strand_of), the orientations and head occurrences
-    of ``_oriented(walk)``, the component of each arc and the strand of
-    each component that has one."""
-    strands, ob, head = _oriented(walk)
-    comp_of = link.arc_component()
-    return ob, comp_of, head, {comp_of[arcs[0]]: arcs for arcs in strands}
-
-
-def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels, walk, strands=None):
+def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels):
     """The blackboard-framed cabled diagram of `link` with every component's
     label an integer in 0..r-2 (``evaluate`` checks the range), read off
-    `walk` (the ``_walk`` that ``link.validate()`` returns); `strands`, when
-    given, is ``_strand_data(link, walk)``, already made for another
-    labeling.
+    the link's walk: its orientations, the head occurrence of each arc and
+    each component's strand.
 
     Returns (kinds, pairing, loops_upfront).  kinds lists the nodes: "X"
     for each crossing of two cable strands, then k for the Jones-Wenzl box
@@ -327,7 +340,9 @@ def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels, walk, stra
     through.  A component with no kept pass is its box closed on itself
     (k >= 2) or one loop (k = 1).
     """
-    ob, comp_of, head, strand_of = strands or _strand_data(link, walk)
+    strands, ob, head = _oriented(link)
+    comp_of = link.arc_component()
+    strand_of = {comp_of[arcs[0]]: arcs for arcs in strands}
     kinds, grid = [], {}  # grid[t] = (first node, m, n) of a kept crossing
     for t, (a, b, _, _) in enumerate(link.crossings):
         m, n = labels[comp_of[a]], labels[comp_of[b]]
@@ -617,14 +632,13 @@ def _sweep(params: QuantumParams, kinds, pairing, loops_upfront, twists=()) -> S
     return ring.decode(total, den)
 
 
-def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels, walk, strands):
+def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):
     """Evaluate with every component's label an integer (omega expanded):
     the blackboard-framed sweep times mu_k^f for each k-labeled component
-    of framing f, folded into its packed total.  `walk` is
-    ``link.validate()`` and `strands` its ``_strand_data``."""
+    of framing f, folded into its packed total."""
     twists = [twist_coefficient(params, k, comp.framing)
               for k, comp in zip(labels, link.components) if k and comp.framing]
-    return _sweep(params, *_cabled_diagram(params, link, labels, walk, strands), twists)
+    return _sweep(params, *_cabled_diagram(params, link, labels), twists)
 
 
 def _fold(labels, fixed, lk, r):
@@ -646,19 +660,16 @@ def _fold(labels, fixed, lk, r):
     return tuple(labels), e
 
 
-def evaluate(params: QuantumParams, link: LabeledLink, walk=None) -> Scalar:
+def evaluate(params: QuantumParams, link: LabeledLink) -> Scalar:
     """Kauffman evaluation of a labeled framed link; omega components are
     expanded as sum_k s_k (component labeled k).  Every labeling is folded
     onto its canonical one, with no label above (r-2)/2 (``_fold``), and
     each canonical labeling whose summed coefficient is nonzero is swept
-    once.  `walk` is ``link.validate()`` when the caller has already made
-    it."""
-    walk = walk or link.validate()
+    once."""
     for i, c in enumerate(link.components):
         if c.label != OMEGA and not 0 <= c.label <= params.r - 2:
             raise DomainError(f"component {i} label {c.label} outside 0..{params.r - 2}")
-    strands = _strand_data(link, walk)
-    lk = linking_matrix(link, walk)
+    lk = linking_matrix(link)
     fixed = [c.label != OMEGA for c in link.components]
     choices = [(c.label,) if f else range(params.r - 1) for c, f in zip(link.components, fixed)]
     folded = {}  # canonical labeling -> the exponents of A folded onto it
@@ -674,7 +685,7 @@ def evaluate(params: QuantumParams, link: LabeledLink, walk=None) -> Scalar:
         for k, f in zip(labels, fixed):
             if not f:
                 coeff = coeff * weights[k]
-        total = total + coeff * _evaluate_labeled(params, link, list(labels), walk, strands)
+        total = total + coeff * _evaluate_labeled(params, link, list(labels))
     return total
 
 
@@ -703,12 +714,12 @@ def closed_braid_link(word, n, labels=None, framings=None) -> LabeledLink:
     # close up: the final arc at each position merges with the start arc there
     rename = {a: p for p, a in enumerate(cur, start=1) if a != p}
     crossings = [[rename.get(a, a) for a in x] for x in crossings]
-    walk = _walk(crossings)
-    strand_of = {a: j for j, arcs in enumerate(walk[0]) for a in arcs}
+    made = _walk(crossings)
+    strand_of = {a: j for j, arcs in enumerate(made[0]) for a in arcs}
     # one component per strand, at its first start arc; a start arc that
     # crosses nothing (key -p) is a bare circle
     order = dict.fromkeys(strand_of.get(p, -p) for p in range(1, n + 1))
-    arc_lists = [sorted(walk[0][j]) if j >= 0 else [] for j in order]
+    arc_lists = [sorted(made[0][j]) if j >= 0 else [] for j in order]
     count = len(arc_lists)
     for name, given in (("labels", labels), ("framings", framings)):
         if given is not None and len(given) != count:
@@ -717,9 +728,7 @@ def closed_braid_link(word, n, labels=None, framings=None) -> LabeledLink:
     comps = [Component(1 if labels is None else labels[j],
                        0 if framings is None else framings[j], arcs)
              for j, arcs in enumerate(arc_lists)]
-    link = LabeledLink(comps, crossings)
-    link.validate(walk)
-    return link
+    return _built(comps, crossings, made)
 
 
 # ----------------------------------------------------------------------------
@@ -727,9 +736,9 @@ def closed_braid_link(word, n, labels=None, framings=None) -> LabeledLink:
 
 
 def kirby_color_link(link: LabeledLink) -> LabeledLink:
-    """Copy of the link with every component labeled omega."""
-    return LabeledLink([Component(OMEGA, c.framing, list(c.arcs)) for c in link.components],
-                       [list(x) for x in link.crossings])
+    """The link with every component labeled omega, over the same diagram
+    and its walk."""
+    return _built([replace(c, label=OMEGA) for c in link.components], link.crossings, link.walk)
 
 
 def z_invariant(params: QuantumParams, link: LabeledLink):
@@ -741,10 +750,8 @@ def z_invariant(params: QuantumParams, link: LabeledLink):
     value_1 * C^{m} == value_2 * C^{n}  for C the value of a +1-framed
     omega-labeled unknot.
     """
-    colored = kirby_color_link(link)
-    walk = colored.validate()
-    sig = signature(linking_matrix(link, walk))
-    return evaluate(params, colored, walk), sig
+    sig = signature(linking_matrix(link))
+    return evaluate(params, kirby_color_link(link)), sig
 
 
 def _fresh_counter(link: LabeledLink):
@@ -758,23 +765,23 @@ def _clasp_after(link: LabeledLink, comp_idx: int, word, new_comps):
     that arc, and the remaining strands close up into the fresh components
     `new_comps` (Component prototypes; arcs filled in here).  The splice
     goes where the target's first arc u enters its next crossing, u's head
-    occurrence in the one walk of `link` (``_oriented``: an input with no
+    occurrence in the walk of `link` (``_oriented``: an input with no
     consistent orientation raises LinkFormatError).
 
     The target keeps its old arcs first, so its first arc, where the next
     splice goes, is unchanged, then gains its strand's new arcs sorted (a
     bare-circle target starts at its fresh arc u); each new component gets
-    its strand's sorted arcs.  A word that does not return strands 2.. to
-    their own positions puts an arc in two components, and the final
-    validate() raises LinkFormatError.
+    its strand's sorted arcs, all read off the one walk of the new
+    crossings.  A word that does not return strands 2.. to their own
+    positions puts an arc in two components, and the output's check raises
+    LinkFormatError.
     """
     fresh = _fresh_counter(link)
     crossings = [list(x) for x in link.crossings]
-    comps = [Component(c.label, c.framing, list(c.arcs)) for c in link.components]
-    target = comps[comp_idx]
+    target = link.components[comp_idx]
     if target.arcs:
         u = target.arcs[0]
-        head = _oriented(_walk(link.crossings))[2][u]
+        head = _oriented(link)[2][u]
     else:
         u, head = next(fresh), None
     cur = [u] + [next(fresh) for _ in new_comps]
@@ -790,14 +797,14 @@ def _clasp_after(link: LabeledLink, comp_idx: int, word, new_comps):
         t, s = head
         crossings[t][s] = cur[0]
     crossings = [[rename.get(a, a) for a in x] for x in crossings]
-    walk = _walk(crossings)
-    strand_of = {a: arcs for arcs in walk[0] for a in arcs}
-    target.arcs += sorted(set(strand_of.get(u, [])) - set(target.arcs))
-    for a, proto in zip(start[1:], new_comps):
-        comps.append(Component(proto.label, proto.framing, sorted(strand_of.get(a, []))))
-    out = LabeledLink(comps, crossings)
-    out.validate(walk)
-    return out
+    made = _walk(crossings)
+    strand_of = {a: arcs for arcs in made[0] for a in arcs}
+    comps = list(link.components)
+    comps[comp_idx] = replace(target, arcs=target.arcs + tuple(
+        sorted(set(strand_of.get(u, [])) - set(target.arcs))))
+    comps += [Component(proto.label, proto.framing, sorted(strand_of.get(a, [])))
+              for a, proto in zip(start[1:], new_comps)]
+    return _built(comps, crossings, made)
 
 
 @dataclass
@@ -852,22 +859,16 @@ def apply_move(link: LabeledLink, move) -> LabeledLink:
         f2 = over.framing
         # sliding adds the framed pushoff of `over` to `slide`: the slide
         # component picks up framing f2 + 2 lk = f2 (lk = 0, split) and winds
-        # f2 times through `over`
-        comps = [Component(c.label, c.framing, list(c.arcs)) for c in link.components]
-        comps[i].framing += f2
-        slid = LabeledLink(comps, [list(x) for x in link.crossings])
+        # f2 times through `over`, which is re-created clasped to it in its
+        # own place
         if f2 == 0:
-            slid.validate()
-            return slid
-        # remove the crossingless `over` and re-create it clasped to `slide`
-        over_proto = Component(over.label, over.framing)
-        del slid.components[j]
-        i2 = i if i < j else i - 1
+            return link
         word = [1] * (2 * f2) if f2 > 0 else [-1] * (-2 * f2)
-        out = _clasp_after(slid, i2, word, [over_proto])
-        # restore original component order; no arc list changes
-        out.components.insert(j, out.components.pop())
-        return out
+        out = _clasp_after(link, i, word, [Component(over.label, over.framing)])
+        comps = list(out.components)
+        comps[j] = comps.pop()
+        comps[i] = replace(comps[i], framing=comps[i].framing + f2)
+        return _built(comps, out.crossings, out.walk)
     raise DomainError(f"unknown move {move!r}")
 
 
@@ -886,7 +887,7 @@ def verify_moves(params: QuantumParams, link: LabeledLink, moves) -> list[bool]:
 
 
 def unknot_link(label=1, framing=0) -> LabeledLink:
-    return LabeledLink([Component(label, framing, [])], [])
+    return LabeledLink([Component(label, framing)], [])
 
 
 def split_union(*links) -> LabeledLink:
@@ -902,6 +903,4 @@ def split_union(*links) -> LabeledLink:
             crossings.append([a + shift for a in x])
         if arcs:
             offset = max(a + shift for a in arcs)
-    link = LabeledLink(comps, crossings)
-    link.validate()
-    return link
+    return LabeledLink(comps, crossings)

@@ -452,8 +452,6 @@ def unfolded_evaluate(params, link):
     """``skein.evaluate`` without the label fold: one sweep for every
     integer labeling, omega expanded over 0..r-2, summed with weights
     s_k = c d_k."""
-    walk = link.validate()
-    strands = sk._strand_data(link, walk)
     choices = [range(params.r - 1) if c.label == sk.OMEGA else [c.label]
                for c in link.components]
     c, total = params.c_symbol(), params.zero()
@@ -462,7 +460,7 @@ def unfolded_evaluate(params, link):
         for comp, k in zip(link.components, labels):
             if comp.label == sk.OMEGA:
                 weight = weight * c * params.d_k(k)
-        total = total + weight * sk._evaluate_labeled(params, link, list(labels), walk, strands)
+        total = total + weight * sk._evaluate_labeled(params, link, list(labels))
     return total
 
 

@@ -370,6 +370,50 @@ def test_exit_parse_bare_sign_in_twist_word(capsys, word):
     assert code == 2 and out["error"] == "parse"
 
 
+def leading_inverse(rng, letters):
+    """A word of one to four letters, the first inverse."""
+    return " ".join(["-" + rng.choice(letters)]
+                    + [rng.choice(("", "-")) + rng.choice(letters) for _ in range(rng.randint(0, 3))])
+
+
+def test_word_leading_with_an_inverse_letter(capsys):
+    """`--word X` reads X as the word whatever it starts with.  Seeded
+    twist and braid words that lead with an inverse letter, with unknown
+    curves and out-of-range generators among the letters, give one JSON
+    object, exit 0, 2 or 3, never an internal failure, and the same output
+    as `--word=X`, with the word before or after the other options."""
+    rng = random.Random(42)
+    runs = [("rep-matrix", "--r", "4", "--surface", "torus", "--word", "-a"),
+            ("detect", "--surface", "genus2", "--word", "-b0", "--rmax", "3"),
+            ("trace", "--r", "3", "--surface", "torus", "--word", "- a")]
+    for _ in range(8):
+        surface, letters = rng.choice((("torus", ["a", "b", "c", "d", "zz"]),
+                                       ("genus2", ["b0", "b1", "b2", "b3", "b4", "zz"])))
+        word, r = leading_inverse(rng, letters), str(rng.randint(3, 4))
+        runs += [("rep-matrix", "--r", r, "--surface", surface, "--word", word),
+                 ("trace", "--word", word, "--r", r, "--surface", surface),
+                 ("detect", "--surface", surface, "--word", word, "--rmax", "4")]
+        n = rng.randint(2, 4)
+        word = leading_inverse(rng, [str(g) for g in range(1, n + 1)])
+        runs += [("braid-rep", "--r", r, "--n", str(n), "--word", word),
+                 ("braid-detect", "--word", word, "--n", str(n), "--rmax", "4")]
+    codes = set()
+    for argv in runs:
+        at = argv.index("--word")
+        bound = argv[:at] + (f"--word={argv[at + 1]}",) + argv[at + 2:]
+        outs = []
+        for args in (argv, bound):
+            code = cli.run(list(args))
+            text = capsys.readouterr().out
+            assert code in (0, 2, 3) and text.count("\n") == 1, (args, text)
+            obj = json.loads(text)
+            assert isinstance(obj, dict) and obj.get("error") != "internal", (args, text)
+            outs.append((code, text))
+        assert outs[0] == outs[1], argv
+        codes.add(outs[0][0])
+    assert codes == {0, 2, 3}
+
+
 @pytest.mark.parametrize("labels", ["1,,1,1,1", "2,", ",2", "1,1,1,1,", "1 1,1 1", "1,x,1,1"])
 def test_exit_parse_empty_or_bad_label_field(capsys, labels):
     """An empty field between commas is not skipped: "1,,1,1,1" would

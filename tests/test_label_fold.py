@@ -73,8 +73,7 @@ def test_mirror_identity_on_closed_braids(r):
         comps = len(closed_braid_link(word, n).components)
         base = [rng.randint(0, j) for _ in range(comps)]
         link = closed_braid_link(word, n, base, [rng.randint(-2, 2) for _ in range(comps)])
-        walk = link.validate()
-        strands, lk = sk._strand_data(link, walk), sk.linking_matrix(link, walk)
+        lk = sk.linking_matrix(link)
         i = rng.randrange(comps)
         if any(cabled_weight(link, base[:i] + [k] + base[i + 1:]) > 36 for k in range(j + 1)):
             continue
@@ -83,7 +82,7 @@ def test_mirror_identity_on_closed_braids(r):
         def value(k):
             if k not in swept:
                 labels = base[:i] + [k] + base[i + 1:]
-                swept[k] = sk._evaluate_labeled(params, link, labels, walk, strands)
+                swept[k] = sk._evaluate_labeled(params, link, labels)
             return swept[k]
 
         for k in range(j + 1):
@@ -158,9 +157,9 @@ def test_sweeps_only_canonical_labelings(monkeypatch):
     swept = []
     sweep = sk._evaluate_labeled
 
-    def counting(params, link, labels, walk, strands):
+    def counting(params, link, labels):
         swept.append(tuple(labels))
-        return sweep(params, link, labels, walk, strands)
+        return sweep(params, link, labels)
 
     monkeypatch.setattr(sk, "_evaluate_labeled", counting)
     params = make_params(8)

@@ -14,6 +14,7 @@ node kinds, port pairing and upfront loops must agree with them, on
 closures that have components passing only over, on every move's output
 and on diagrams with drawn kinks.
 """
+import dataclasses
 import itertools
 import json
 import random
@@ -138,8 +139,8 @@ def test_closures_match_reference():
         word = random_word(rng, n, rng.randint(0, 10)) if n > 1 else []
         link = closed_braid_link(word, n)
         crossings, arc_lists = reference_closure(word, n)
-        assert link.crossings == crossings
-        assert [c.arcs for c in link.components] == arc_lists
+        assert [list(x) for x in link.crossings] == crossings
+        assert [list(c.arcs) for c in link.components] == arc_lists
         check_orientations(link)
         passing_over += over_only(link)
     assert passing_over >= 20
@@ -163,9 +164,9 @@ def test_clasp_keeps_first_arc_and_sorts_new_components():
     link = closed_braid_link([1, -2, 1], 3)
     out = apply_move(link, CircumcisionPair(0))
     assert out.components[0].arcs[:len(link.components[0].arcs)] == link.components[0].arcs
-    assert all(c.arcs == sorted(c.arcs) for c in out.components[1:])
+    assert all(list(c.arcs) == sorted(c.arcs) for c in out.components[1:])
     bare = apply_move(unknot_link(), CircumcisionPair(0))
-    assert bare.components[0].arcs == sorted(bare.components[0].arcs)
+    assert list(bare.components[0].arcs) == sorted(bare.components[0].arcs)
 
 
 @pytest.mark.parametrize("r", [4, 5])
@@ -184,14 +185,12 @@ def rotated_trefoil():
     """A trefoil closure with its first crossing listed from slot c: the
     strand through its under-pass runs c -> a, against the other two."""
     link = closed_braid_link([1, 1, 1], 2)
-    a, b, c, d = link.crossings[0]
-    link.crossings[0] = [c, d, a, b]
-    return link
+    (a, b, c, d), *rest = link.crossings
+    return LabeledLink(link.components, [(c, d, a, b), *rest])
 
 
 def test_inconsistent_diagram_validates_but_has_no_orientation(capsys, tmp_path):
     link = rotated_trefoil()
-    link.validate()
     with pytest.raises(LinkFormatError):
         reference_orientations(link.crossings)
     assert not sk._walk(link.crossings)[3]
@@ -205,11 +204,10 @@ def test_inconsistent_diagram_validates_but_has_no_orientation(capsys, tmp_path)
 
 def test_component_of_two_strands_rejected():
     hopf = closed_braid_link([1, 1], 2)
-    merged = LabeledLink([sk.Component(1, 0, sorted(hopf.components[0].arcs
-                                                    + hopf.components[1].arcs))],
-                         hopf.crossings)
     with pytest.raises(LinkFormatError):
-        merged.validate()
+        LabeledLink([sk.Component(1, 0, sorted(hopf.components[0].arcs
+                                               + hopf.components[1].arcs))],
+                    hopf.crossings)
 
 
 def test_clasp_word_that_permutes_side_strands_rejected():
@@ -368,11 +366,11 @@ def reference_diagram_nodes(params, link, labels, strands):
 def check_cabled(params, link, labelings):
     """`skein._cabled_diagram` equals the reference's (kinds, pairing,
     loops_upfront) for each labelling.  Returns the number checked."""
-    walk, strands = link.validate(), reference_strands(link)
+    strands = reference_strands(link)
     for labels in labelings:
         nodes, pairing, loops = reference_diagram_nodes(params, link, labels, strands)
         kinds = [node[0] if node[0] == "X" else node[1] for node in nodes]
-        assert sk._cabled_diagram(params, link, labels, walk) == (kinds, pairing, loops), \
+        assert sk._cabled_diagram(params, link, labels) == (kinds, pairing, loops), \
             (link.to_json(), labels)
     return len(labelings)
 
@@ -410,22 +408,50 @@ def test_cabled_diagram_matches_reference():
 
 
 def test_walk_counts(monkeypatch):
-    """Each diagram is walked once: a braid closure (the walk it reads its
-    components from is the one it validates), `evaluate`, `z_invariant` (one
-    walk for the linking matrix's signs and the evaluation); a framed handle
-    slide and a circumcision pair walk twice (their input's orientations, and
-    the spliced strands that the output's validation reuses)."""
-    walks = []
+    """Every link is walked once, when it is built, and keeps that walk: a
+    builder walks each diagram it makes once (a braid closure, a union, a
+    move's output and the links a move is made of), a link over the
+    crossings of one already built (the omega coloring, a slide over a
+    0-framed circle) is not walked again, and evaluation walks nothing."""
+    walked = []
     walk = sk._walk
-    monkeypatch.setattr(sk, "_walk", lambda crossings: walks.append(1) or walk(crossings))
+    monkeypatch.setattr(sk, "_walk", lambda crossings: walked.append(1) or walk(crossings))
     params = make_params(4)
     link = closed_braid_link([1, 1, 1, 2], 3, labels=[1], framings=[1])
-    slid = split_union(link, unknot_link(sk.OMEGA, 2))
-    for count, run in ((1, lambda: closed_braid_link([1, 1, 1, 2], 3)),
-                       (1, lambda: sk.evaluate(params, link)),
-                       (1, lambda: sk.z_invariant(params, link)),
-                       (2, lambda: apply_move(slid, HandleSlide(0, 1))),
-                       (2, lambda: apply_move(link, CircumcisionPair(0)))):
-        walks.clear()
+    circle = unknot_link(sk.OMEGA, 2)
+    slid, flat = split_union(link, circle), split_union(link, unknot_link(sk.OMEGA, 0))
+    blob = link.to_json()
+    for count, build in ((1, lambda: closed_braid_link([1, 1, 1, 2], 3)),
+                         (1, lambda: LabeledLink(link.components, link.crossings)),
+                         (1, lambda: LabeledLink.from_json(blob)),
+                         (1, lambda: split_union(link, circle)),
+                         (0, lambda: sk.kirby_color_link(link)),
+                         (1, lambda: apply_move(slid, HandleSlide(0, 1))),
+                         (0, lambda: apply_move(flat, HandleSlide(0, 1))),
+                         (1, lambda: apply_move(link, CircumcisionPair(0))),
+                         (2, lambda: apply_move(link, CircumcisionPair(None))),
+                         (3, lambda: apply_move(link, BalancedStabilization()))):
+        walked.clear()
+        out = build()
+        assert len(walked) == count
+        assert out.walk == walk(out.crossings)
+    for run in (lambda: sk.evaluate(params, link), lambda: sk.z_invariant(params, link),
+                lambda: sk.linking_matrix(link), link.orientations, link.crossing_signs):
+        walked.clear()
         run()
-        assert len(walks) == count
+        assert walked == []
+
+
+def test_links_are_immutable():
+    """A link and its components are frozen, their arc lists and crossings
+    tuples, and the orientations handed out are a copy of the kept walk's."""
+    link = closed_braid_link([1, 1], 2, labels=[sk.OMEGA, 2])
+    comp = link.components[0]
+    for obj, name in ((link, "components"), (link, "crossings"), (link, "walk"),
+                      (comp, "label"), (comp, "framing"), (comp, "arcs")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+    assert all(type(x) is tuple for x in (link.components, link.crossings, *link.crossings,
+                                          comp.arcs))
+    link.orientations().append(None)
+    assert link.orientations() == [True, True]

@@ -30,16 +30,14 @@ def test_json_roundtrip():
 
 def test_bad_arc_counts_rejected():
     with pytest.raises(LinkFormatError):
-        LabeledLink([sk.Component(1, 0, [1, 2, 3])],
-                    [[1, 2, 3, 1]]).validate()
+        LabeledLink([sk.Component(1, 0, [1, 2, 3])], [[1, 2, 3, 1]])
 
 
 def test_component_partition_checked():
     link = closed_braid_link([1, 1], 2)
-    bad = LabeledLink([sk.Component(1, 0, link.components[0].arcs + link.components[1].arcs),
-                       sk.Component(1, 0, [])], link.crossings)
     with pytest.raises(LinkFormatError):
-        bad.validate()
+        LabeledLink([sk.Component(1, 0, link.components[0].arcs + link.components[1].arcs),
+                     sk.Component(1, 0, [])], link.crossings)
 
 
 def test_crossing_signs_braid():

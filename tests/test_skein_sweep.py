@@ -133,18 +133,18 @@ def kinked_link(link, labels):
     component of nonzero label drawn as |f| kinks and every framing then 0."""
     crossings = [list(x) for x in link.crossings]
     ob = link.orientations()
-    comps = [sk.Component(k, 0, list(c.arcs)) for k, c in zip(labels, link.components)]
+    arc_lists = [c.arcs for c in link.components]
     fresh = itertools.count(max([0] + [a for x in crossings for a in x]) + 1)
-    for k, comp, out in zip(labels, link.components, comps):
+    for i, (k, comp) in enumerate(zip(labels, link.components)):
         if k == 0:
             continue
         extra, extra_ob = insert_kinks(crossings, sk._walk(crossings)[2],
                                        comp.arcs, comp.framing, fresh)
         crossings += extra
         ob += extra_ob
-        out.arcs = sorted(set(out.arcs).union(*extra))
-    kinked = sk.LabeledLink(comps, crossings)
-    kinked.validate()
+        arc_lists[i] = sorted(set(arc_lists[i]).union(*extra))
+    kinked = sk.LabeledLink([sk.Component(k, 0, arcs) for k, arcs in zip(labels, arc_lists)],
+                            crossings)
     assert kinked.orientations() == ob
     return kinked
 
@@ -166,7 +166,7 @@ def kinked_value(params, link):
             if comp.label == sk.OMEGA:
                 weight = weight * c * params.d_k(k)
         kinked = kinked_link(link, labels)
-        diagram = sk._cabled_diagram(params, kinked, labels, kinked.validate())
+        diagram = sk._cabled_diagram(params, kinked, labels)
         total = total + weight * reference_sweep(params, *diagram)
     return total
 
@@ -174,9 +174,8 @@ def kinked_value(params, link):
 def check_link(params, link):
     """Both sweeps on the blackboard diagram of every integer labeling of
     `link`, and `skein.evaluate` against the kinked reference."""
-    walk = link.validate()
     for labels in labelings(params, link):
-        kinds, pairing, loops_upfront = sk._cabled_diagram(params, link, labels, walk)
+        kinds, pairing, loops_upfront = sk._cabled_diagram(params, link, labels)
         assert sk._greedy_order(kinds, pairing) == reference_order(kinds, pairing)
         got = sk._sweep(params, kinds, pairing, loops_upfront)
         want = reference_sweep(params, kinds, pairing, loops_upfront)
@@ -247,7 +246,7 @@ def test_cable_crossings_do_not_depend_on_framing():
         comp_of = link.arc_component()
         cabled = sum(labels[comp_of[a]] * labels[comp_of[b]] for a, b, _, _ in link.crossings)
         for framed in (link, closed_braid_link(word, n, labels=labels)):
-            kinds = sk._cabled_diagram(params, framed, labels, framed.validate())[0]
+            kinds = sk._cabled_diagram(params, framed, labels)[0]
             assert kinds.count("X") == cabled
 
 
@@ -324,7 +323,7 @@ def check_width(params, link, labels):
     coefficient decoded at a segment's end, each state's at a boundary and
     the total at the last, is at most B, and the value matches the
     reference.  Returns the segments' widths b."""
-    kinds, pairing, loops_upfront = sk._cabled_diagram(params, link, labels, link.validate())
+    kinds, pairing, loops_upfront = sk._cabled_diagram(params, link, labels)
     value, seen, segments = traced_segments(params, kinds, pairing, loops_upfront)
     masses = [node_mass(params, kinds[idx]) for idx in reference_order(kinds, pairing)] or [1]
     masses[-1] <<= loops_upfront
@@ -392,7 +391,7 @@ def test_exact_zero_is_dropped_and_decoded(s):
     state is dropped, and the decode reads the zero residue."""
     params = make_params(6, s)
     hopf = closed_braid_link([1, 1], 2)
-    kinds, pairing, loops_upfront = sk._cabled_diagram(params, hopf, [1, 2], hopf.validate())
+    kinds, pairing, loops_upfront = sk._cabled_diagram(params, hopf, [1, 2])
     value, seen = traced_sweep(params, kinds, pairing, loops_upfront)
     assert value.is_zero() and reference_sweep(params, kinds, pairing, loops_upfront).is_zero()
     assert seen["states"] == {} and seen["total"] == 0
