@@ -49,26 +49,31 @@ class BraidWord:
         return BraidWord(self.n, tuple(-g for g in reversed(self.word)))
 
 
-def path_basis(params: QuantumParams, n: int, m: int):
-    """Admissible paths 0 = m_0, ..., m_n = m with steps +-1, labels 0..r-2:
-    the basis of the comb spine with legs (0, 1, ..., 1, m), whose internal
-    edges are m_1..m_{n-1}.  Memoized in the level memo."""
+def _paths(params: QuantumParams, n: int, m: int):
+    """The level memo's tuple of the paths of ``path_basis``, read in place:
+    callers never change it."""
     if n < 1:
         raise DomainError("strand count must be positive")
     if not 0 <= m <= params.r - 2:
-        return []
+        return ()
 
     def build():
         spine = tqft.comb_spine((0,) + (1,) * n + (m,))
         return tuple((0, *b.values(), m) for b in tqft.basis(params, spine))
 
-    return list(params.cached(("paths", n, m), build))
+    return params.cached(("paths", n, m), build)
+
+
+def path_basis(params: QuantumParams, n: int, m: int):
+    """Admissible paths 0 = m_0, ..., m_n = m with steps +-1, labels 0..r-2:
+    the basis of the comb spine with legs (0, 1, ..., 1, m), whose internal
+    edges are m_1..m_{n-1}, as a new list.  Memoized in the level memo."""
+    return list(_paths(params, n, m))
 
 
 def sector_labels(params: QuantumParams, n: int):
     """Through-labels m with a nonempty path basis, ascending."""
-    return [m for m in range(n % 2, min(n, params.r - 2) + 1, 2)
-            if path_basis(params, n, m)]
+    return [m for m in range(n % 2, min(n, params.r - 2) + 1, 2) if _paths(params, n, m)]
 
 
 def _letter_block(params: QuantumParams, a: int):
@@ -114,10 +119,10 @@ def _generator_matrix(params: QuantumParams, n: int, m: int, gen: int):
 
 def _sector_dim(params: QuantumParams, n: int, m: int) -> int:
     """The dimension of sector m of B_n; an empty sector raises."""
-    paths = path_basis(params, n, m)
-    if not paths:
+    dim = len(_paths(params, n, m))
+    if not dim:
         raise DomainError(f"sector m={m} is empty for {n} strands at r={params.r}")
-    return len(paths)
+    return dim
 
 
 def _generator_columns(params: QuantumParams, n: int, m: int, gen: int):

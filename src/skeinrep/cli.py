@@ -315,10 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _bind_words(argv):
     """`argv` with each `--word X` as `--word=X`: argparse takes a value
     that starts with '-' and is not a number for an option, and a twist
-    word may start with an inverse letter ('-a')."""
+    word may start with an inverse letter ('-a').  The abbreviations that
+    argparse accepts for `--word` (`--w`, `--wo`, `--wor`) are bound too."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--word":
+        if out and len(out[-1]) > 2 and "--word".startswith(out[-1]):
             out[-1] = f"--word={arg}"
         else:
             out.append(arg)

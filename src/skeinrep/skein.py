@@ -31,6 +31,13 @@ memo, glued on the package's ``UnionFind`` by the rule of TL composition.
 Coefficients are packed residues in rings sized per segment under the
 column rule (``linalg.next_segment``).
 
+Before any labeling is swept, ``evaluate`` finds the diagram's Reidemeister
+I kinks and II bigons once (``_reduction``), repeating as removals expose
+new ones, and every cabled diagram runs their crossings straight through;
+a kink's sign moves into its component's framing.  Each removal is a local
+identity of the state sum, cable by cable (CONVENTIONS.md).  A diagram
+with neither, such as an alternating one without kinks, costs one scan.
+
 omega components expand as sum_k s_k (k-labeled), s_k = c d_k.  J = r - 2
 is a simple current, so a component labelled J - k is the same link
 labelled k times a signed power of A (``_fold``; CONVENTIONS.md gives the
@@ -50,7 +57,7 @@ from .errors import DomainError, LinkFormatError, json_int, json_object
 from .linalg import next_segment
 from .recoupling import twist_coefficient
 from .scalars import PackedRing, QuantumParams, Scalar, common_denominator
-from .tl import jones_wenzl
+from .tl import jones_wenzl, loop_power
 from .unionfind import UnionFind
 
 OMEGA = "omega"
@@ -234,22 +241,20 @@ def linking_matrix(link: LabeledLink):
     plus diagram self-writhe."""
     comp_of = link.arc_component()
     n = len(link.components)
-    raw = [[0] * n for _ in range(n)]
-    signs = link.crossing_signs()
-    for t, (a, b, c, d) in enumerate(link.crossings):
-        i, j = comp_of[a], comp_of[b]
-        raw[i][j] += signs[t]
-        if i != j:
-            raw[j][i] += signs[t]
     out = [[0] * n for _ in range(n)]
-    for i in range(n):
+    for sign, (a, b, _, _) in zip(link.crossing_signs(), link.crossings):
+        i, j = comp_of[a], comp_of[b]
+        out[i][j] += sign
+        if i != j:
+            out[j][i] += sign
+    for i, row in enumerate(out):
         for j in range(n):
             if i == j:
-                out[i][i] = link.components[i].framing + raw[i][i]
+                row[i] += link.components[i].framing
+            elif row[j] % 2:
+                raise LinkFormatError("odd crossing count between two components")
             else:
-                if raw[i][j] % 2:
-                    raise LinkFormatError("odd crossing count between two components")
-                out[i][j] = raw[i][j] // 2
+                row[j] //= 2
     return out
 
 
@@ -317,11 +322,76 @@ def _braid_crossing(cur, g, fresh):
     return [q, q2, p2, p]
 
 
-def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels):
+def _removal(partner, t):
+    """The Reidemeister I or II move at crossing t of the diagram whose slot
+    4u + s (slot s of crossing u) has its arc's other end at partner[4u + s]:
+    ((t,), e) when one arc runs between adjacent slots s, s + 1 of t, a kink
+    of sign e, +1 for s odd ((1, 2) or (3, 0)) and -1 for s even; ((t, u), 0)
+    when the arcs at adjacent slots s, s + 1 of t run to slots j + 1, j of
+    one crossing u != t with s = j + 1 (mod 2), a bigon whose one strand is
+    under at both ends; None when neither holds."""
+    base = 4 * t
+    q = partner[base]
+    for s in (3, 2, 1, 0):
+        # the arcs at slots s, s + 1 of t end at slots j + 1, j of one crossing
+        p = partner[base + s]
+        if p >> 2 == q >> 2 and (p - q) % 4 == 1:
+            if p == base + (s + 1) % 4:
+                return (t,), 1 if s % 2 else -1
+            if p >> 2 != t and (p - s) % 2 == 0:
+                return (t, p >> 2), 0
+        q = p
+    return None
+
+
+def _reduction(link: LabeledLink):
+    """(dropped, framings): the crossings of `link` that evaluation runs
+    straight through, and each component's framing with the sign of each
+    of its dropped kinks added.  A crossing is dropped by a Reidemeister I
+    or II move (``_removal``), read on the diagram left by the moves before
+    it, until no move is left; each is an identity of the state sum, cable
+    by cable (CONVENTIONS.md).  A kink repeats an arc at its crossing, and
+    a bigon's under strand runs under at both ends, so a diagram with
+    neither (an alternating one without kinks) is read no further.
+    LinkFormatError when `link` has no consistent orientation."""
+    _oriented(link)
+    crossings = link.crossings
+    framings = [c.framing for c in link.components]
+    unders = [a for x in crossings for a in x[::2]]
+    if len(set(unders)) == len(unders) and sum(map(len, map(set, crossings))) == len(unders) * 2:
+        return set(), framings
+    partner, seen = [0] * (4 * len(crossings)), {}
+    for p, a in enumerate(itertools.chain.from_iterable(crossings)):
+        q = seen.setdefault(a, p)
+        partner[p] = q
+        partner[q] = p
+    dropped, work, comp_of = set(), list(range(len(crossings))), None
+    while work:
+        t = work.pop()
+        if t in dropped or (move := _removal(partner, t)) is None:
+            continue
+        gone, sign = move
+        if sign:
+            comp_of = comp_of or link.arc_component()
+            framings[comp_of[crossings[t][0]]] += sign
+        for u in gone:
+            dropped.add(u)
+            # run each pass of u straight through: the ends of its two
+            # arcs are joined, unless they are one arc closed into a loop
+            for a in (4 * u, 4 * u + 1):
+                pa, pb = partner[a], partner[a + 2]
+                if pa != a + 2:
+                    partner[pa], partner[pb] = pb, pa
+                    work += (pa >> 2, pb >> 2)
+    return dropped, framings
+
+
+def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels, dropped):
     """The blackboard-framed cabled diagram of `link` with every component's
     label an integer in 0..r-2 (``evaluate`` checks the range), read off
     the link's walk: its orientations, the head occurrence of each arc and
-    each component's strand.
+    each component's strand.  The crossings in `dropped` are run straight
+    through.
 
     Returns (kinds, pairing, loops_upfront).  kinds lists the nodes: "X"
     for each crossing of two cable strands, then k for the Jones-Wenzl box
@@ -330,15 +400,15 @@ def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels):
     a box's slots are its k bottoms, then its k tops.  loops_upfront counts
     the closed loops that touch no node.
 
-    A crossing whose under and over labels m, n are both nonzero is an
-    m x n grid of "X" nodes, in crossing order; node (i, j), at offset
-    i n + j, crosses under copy i with over copy j.  Each component of
-    nonzero label k is wired copy by copy through its kept passes in
-    running order, from its box site: the arc entering the lowest-index
-    crossing it passes, its under-pass first.  Its box (k >= 2) sits on
-    that arc, and a pass whose partner is labelled 0 is run straight
-    through.  A component with no kept pass is its box closed on itself
-    (k >= 2) or one loop (k = 1).
+    A crossing not dropped whose under and over labels m, n are both
+    nonzero is an m x n grid of "X" nodes, in crossing order; node (i, j),
+    at offset i n + j, crosses under copy i with over copy j.  Each
+    component of nonzero label k is wired copy by copy through its kept
+    passes in running order, from its box site: the arc entering the
+    lowest-index crossing it passes, its under-pass first.  Its box
+    (k >= 2) sits on that arc, and a dropped pass or one whose partner is
+    labelled 0 is run straight through.  A component with no kept pass is
+    its box closed on itself (k >= 2) or one loop (k = 1).
     """
     strands, ob, head = _oriented(link)
     comp_of = link.arc_component()
@@ -346,7 +416,7 @@ def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels):
     kinds, grid = [], {}  # grid[t] = (first node, m, n) of a kept crossing
     for t, (a, b, _, _) in enumerate(link.crossings):
         m, n = labels[comp_of[a]], labels[comp_of[b]]
-        if m and n:
+        if m and n and t not in dropped:
             grid[t] = (len(kinds), m, n)
             kinds += ["X"] * (m * n)
 
@@ -541,8 +611,14 @@ def _sweep(params: QuantumParams, kinds, pairing, loops_upfront, twists=()) -> S
     actual mass.  The first segment starts at the unit, with no decode.
     The framing monomials `twists` (each +-A^e) scale the closed total
     before the last decode; a monomial keeps the l1 mass, so B holds for
-    the product too.
+    the product too.  With no node the value is d^loops_upfront times the
+    monomials, and no ring is set up.
     """
+    if not kinds:
+        total = loop_power(params, loops_upfront)
+        for twist in twists:
+            total = total * twist
+        return total
     order = _greedy_order(kinds, pairing)
     base = list(itertools.accumulate(map(_port_count, kinds), initial=0))
     partner = [0] * base[-1]
@@ -627,18 +703,19 @@ def _sweep(params: QuantumParams, kinds, pairing, loops_upfront, twists=()) -> S
         raise AssertionError("sweep did not close all strands")
     n = ring.n
     total = states.get((), 0) * pow(_loop_residue(params, ring), loops_upfront, n)
-    for nums in common_denominator(twists)[1]:
-        total = total * ring.pack(nums) % n
+    if twists:
+        for nums in common_denominator(twists)[1]:
+            total = total * ring.pack(nums) % n
     return ring.decode(total, den)
 
 
-def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels):
+def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels, dropped, framings):
     """Evaluate with every component's label an integer (omega expanded):
-    the blackboard-framed sweep times mu_k^f for each k-labeled component
-    of framing f, folded into its packed total."""
-    twists = [twist_coefficient(params, k, comp.framing)
-              for k, comp in zip(labels, link.components) if k and comp.framing]
-    return _sweep(params, *_cabled_diagram(params, link, labels), twists)
+    the blackboard-framed sweep of `link` with the crossings in `dropped`
+    run straight through, times mu_k^f for each k-labeled component whose
+    entry in `framings` is f, folded into its packed total."""
+    twists = [twist_coefficient(params, k, f) for k, f in zip(labels, framings) if k and f]
+    return _sweep(params, *_cabled_diagram(params, link, labels, dropped), twists)
 
 
 def _fold(labels, fixed, lk, r):
@@ -665,11 +742,13 @@ def evaluate(params: QuantumParams, link: LabeledLink) -> Scalar:
     expanded as sum_k s_k (component labeled k).  Every labeling is folded
     onto its canonical one, with no label above (r-2)/2 (``_fold``), and
     each canonical labeling whose summed coefficient is nonzero is swept
-    once."""
+    once, on the diagram left by the link's Reidemeister I and II moves
+    (``_reduction``), which are found once for all labelings."""
     for i, c in enumerate(link.components):
         if c.label != OMEGA and not 0 <= c.label <= params.r - 2:
             raise DomainError(f"component {i} label {c.label} outside 0..{params.r - 2}")
     lk = linking_matrix(link)
+    dropped, framings = _reduction(link)
     fixed = [c.label != OMEGA for c in link.components]
     choices = [(c.label,) if f else range(params.r - 1) for c, f in zip(link.components, fixed)]
     folded = {}  # canonical labeling -> the exponents of A folded onto it
@@ -685,7 +764,7 @@ def evaluate(params: QuantumParams, link: LabeledLink) -> Scalar:
         for k, f in zip(labels, fixed):
             if not f:
                 coeff = coeff * weights[k]
-        total = total + coeff * _evaluate_labeled(params, link, list(labels))
+        total = total + coeff * _evaluate_labeled(params, link, labels, dropped, framings)
     return total
 
 

@@ -12,8 +12,9 @@ calculus, and the tests compare the two exactly.
   encirclement eigenvalues and the Hopf pairing as composed diagrams;
 - TQFT: the handlebody vector and the solid-torus expansion of a (p, q)
   curve, read off skein evaluations of torus links;
-- surgery: ``skein.evaluate`` without its label fold, one sweep per
-  labeling, comparison of two surgery presentations up to the
+- surgery: ``skein.evaluate`` without its label fold and without its
+  Reidemeister reduction, one sweep of the whole diagram per labeling,
+  comparison of two surgery presentations up to the
   signature phase, and the signature by congruence over the rationals
   that ``skein.signature``'s fraction-free congruence replaced;
 - the skein sweep's gluing: the port-by-port chase that
@@ -448,8 +449,16 @@ def expand_solid_torus(params, p: int, q: int):
 # surgery presentations
 
 
+def unreduced_labeled(params, link, labels):
+    """``skein._evaluate_labeled`` on the whole diagram: no crossing run
+    straight through and every framing as the link gives it, the route
+    before ``skein._reduction``."""
+    return sk._evaluate_labeled(params, link, labels, (), [c.framing for c in link.components])
+
+
 def unfolded_evaluate(params, link):
-    """``skein.evaluate`` without the label fold: one sweep for every
+    """``skein.evaluate`` without the label fold and without the reduction:
+    one sweep of the whole diagram (``unreduced_labeled``) for every
     integer labeling, omega expanded over 0..r-2, summed with weights
     s_k = c d_k."""
     choices = [range(params.r - 1) if c.label == sk.OMEGA else [c.label]
@@ -460,7 +469,7 @@ def unfolded_evaluate(params, link):
         for comp, k in zip(link.components, labels):
             if comp.label == sk.OMEGA:
                 weight = weight * c * params.d_k(k)
-        total = total + weight * sk._evaluate_labeled(params, link, list(labels))
+        total = total + weight * unreduced_labeled(params, link, list(labels))
     return total
 
 

@@ -381,7 +381,9 @@ def test_word_leading_with_an_inverse_letter(capsys):
     twist and braid words that lead with an inverse letter, with unknown
     curves and out-of-range generators among the letters, give one JSON
     object, exit 0, 2 or 3, never an internal failure, and the same output
-    as `--word=X`, with the word before or after the other options."""
+    as `--word=X`, with the word before or after the other options.  The
+    abbreviations `--w X`, `--wo X` and `--wor X`, which argparse accepts
+    for `--word`, give that output too."""
     rng = random.Random(42)
     runs = [("rep-matrix", "--r", "4", "--surface", "torus", "--word", "-a"),
             ("detect", "--surface", "genus2", "--word", "-b0", "--rmax", "3"),
@@ -401,8 +403,9 @@ def test_word_leading_with_an_inverse_letter(capsys):
     for argv in runs:
         at = argv.index("--word")
         bound = argv[:at] + (f"--word={argv[at + 1]}",) + argv[at + 2:]
+        short = [argv[:at] + (prefix,) + argv[at + 1:] for prefix in ("--w", "--wo", "--wor")]
         outs = []
-        for args in (argv, bound):
+        for args in (argv, bound, *short):
             code = cli.run(list(args))
             text = capsys.readouterr().out
             assert code in (0, 2, 3) and text.count("\n") == 1, (args, text)
@@ -410,6 +413,7 @@ def test_word_leading_with_an_inverse_letter(capsys):
             assert isinstance(obj, dict) and obj.get("error") != "internal", (args, text)
             outs.append((code, text))
         assert outs[0] == outs[1], argv
+        assert outs[2:] == [outs[0]] * len(short), argv
         codes.add(outs[0][0])
     assert codes == {0, 2, 3}
 

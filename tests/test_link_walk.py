@@ -370,7 +370,7 @@ def check_cabled(params, link, labelings):
     for labels in labelings:
         nodes, pairing, loops = reference_diagram_nodes(params, link, labels, strands)
         kinds = [node[0] if node[0] == "X" else node[1] for node in nodes]
-        assert sk._cabled_diagram(params, link, labels) == (kinds, pairing, loops), \
+        assert sk._cabled_diagram(params, link, labels, ()) == (kinds, pairing, loops), \
             (link.to_json(), labels)
     return len(labelings)
 
@@ -412,7 +412,8 @@ def test_walk_counts(monkeypatch):
     builder walks each diagram it makes once (a braid closure, a union, a
     move's output and the links a move is made of), a link over the
     crossings of one already built (the omega coloring, a slide over a
-    0-framed circle) is not walked again, and evaluation walks nothing."""
+    0-framed circle) is not walked again, and evaluation walks nothing,
+    also on a link whose kinks and bigons it runs straight through."""
     walked = []
     walk = sk._walk
     monkeypatch.setattr(sk, "_walk", lambda crossings: walked.append(1) or walk(crossings))
@@ -435,7 +436,10 @@ def test_walk_counts(monkeypatch):
         out = build()
         assert len(walked) == count
         assert out.walk == walk(out.crossings)
+    reducible = closed_braid_link([1, -1, 1, 2], 3, labels=[1], framings=[-1])
+    assert sk._reduction(reducible)[0]
     for run in (lambda: sk.evaluate(params, link), lambda: sk.z_invariant(params, link),
+                lambda: sk.evaluate(params, reducible), lambda: sk.z_invariant(params, reducible),
                 lambda: sk.linking_matrix(link), link.orientations, link.crossing_signs):
         walked.clear()
         run()

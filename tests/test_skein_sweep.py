@@ -166,7 +166,7 @@ def kinked_value(params, link):
             if comp.label == sk.OMEGA:
                 weight = weight * c * params.d_k(k)
         kinked = kinked_link(link, labels)
-        diagram = sk._cabled_diagram(params, kinked, labels)
+        diagram = sk._cabled_diagram(params, kinked, labels, ())
         total = total + weight * reference_sweep(params, *diagram)
     return total
 
@@ -175,7 +175,7 @@ def check_link(params, link):
     """Both sweeps on the blackboard diagram of every integer labeling of
     `link`, and `skein.evaluate` against the kinked reference."""
     for labels in labelings(params, link):
-        kinds, pairing, loops_upfront = sk._cabled_diagram(params, link, labels)
+        kinds, pairing, loops_upfront = sk._cabled_diagram(params, link, labels, ())
         assert sk._greedy_order(kinds, pairing) == reference_order(kinds, pairing)
         got = sk._sweep(params, kinds, pairing, loops_upfront)
         want = reference_sweep(params, kinds, pairing, loops_upfront)
@@ -246,7 +246,7 @@ def test_cable_crossings_do_not_depend_on_framing():
         comp_of = link.arc_component()
         cabled = sum(labels[comp_of[a]] * labels[comp_of[b]] for a, b, _, _ in link.crossings)
         for framed in (link, closed_braid_link(word, n, labels=labels)):
-            kinds = sk._cabled_diagram(params, framed, labels)[0]
+            kinds = sk._cabled_diagram(params, framed, labels, ())[0]
             assert kinds.count("X") == cabled
 
 
@@ -322,10 +322,15 @@ def check_width(params, link, labels):
     and a segment takes the most nodes, at least one, with B < 2^62.  Every
     coefficient decoded at a segment's end, each state's at a boundary and
     the total at the last, is at most B, and the value matches the
-    reference.  Returns the segments' widths b."""
-    kinds, pairing, loops_upfront = sk._cabled_diagram(params, link, labels)
+    reference.  A diagram with no node sets up no segment and no ring.
+    Returns the segments' widths b."""
+    kinds, pairing, loops_upfront = sk._cabled_diagram(params, link, labels, ())
     value, seen, segments = traced_segments(params, kinds, pairing, loops_upfront)
-    masses = [node_mass(params, kinds[idx]) for idx in reference_order(kinds, pairing)] or [1]
+    assert as_bytes(value) == as_bytes(reference_sweep(params, kinds, pairing, loops_upfront))
+    if not kinds:
+        assert segments == [] and "ring" not in seen
+        return []
+    masses = [node_mass(params, kinds[idx]) for idx in reference_order(kinds, pairing)]
     masses[-1] <<= loops_upfront
     mu = max(abs(c) for e in range(params.order) for c in params.a_pow(e).part[0])
     at, widths = 0, []
@@ -347,7 +352,6 @@ def check_width(params, link, labels):
         widths.append(ring_bits(params, ring))
     assert seen["ring"] is segments[-1][1][1]
     assert at == len(masses) or not seen["states"]
-    assert as_bytes(value) == as_bytes(reference_sweep(params, kinds, pairing, loops_upfront))
     return widths
 
 
@@ -391,7 +395,7 @@ def test_exact_zero_is_dropped_and_decoded(s):
     state is dropped, and the decode reads the zero residue."""
     params = make_params(6, s)
     hopf = closed_braid_link([1, 1], 2)
-    kinds, pairing, loops_upfront = sk._cabled_diagram(params, hopf, [1, 2])
+    kinds, pairing, loops_upfront = sk._cabled_diagram(params, hopf, [1, 2], ())
     value, seen = traced_sweep(params, kinds, pairing, loops_upfront)
     assert value.is_zero() and reference_sweep(params, kinds, pairing, loops_upfront).is_zero()
     assert seen["states"] == {} and seen["total"] == 0

@@ -47,9 +47,9 @@ def diagrams(params, link):
     labeling of `link`, blackboard-framed and with the framings drawn as
     kinks."""
     for labels in labelings(params, link):
-        yield sk._cabled_diagram(params, link, labels)
+        yield sk._cabled_diagram(params, link, labels, ())
         kinked = kinked_link(link, labels)
-        yield sk._cabled_diagram(params, kinked, labels)
+        yield sk._cabled_diagram(params, kinked, labels, ())
 
 
 def join_tables(params):
@@ -104,7 +104,7 @@ def test_sweep_across_three_segments(monkeypatch, s):
         calls.append(args)
         return segment(*args)
     monkeypatch.setattr(sk, "next_segment", recorded)
-    kinds, pairing, loops_upfront = sk._cabled_diagram(params, hopf, [4, 4])
+    kinds, pairing, loops_upfront = sk._cabled_diagram(params, hopf, [4, 4], ())
     got = sk._sweep(params, kinds, pairing, loops_upfront)
     assert len(calls) >= 3
     assert as_bytes(got) == as_bytes(reference_sweep(params, kinds, pairing, loops_upfront))
