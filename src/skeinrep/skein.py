@@ -12,8 +12,10 @@ How strands run through the crossings is answered by one walk, ``_walk``: a
 strand entering a crossing at slot s leaves it at slot s + 2.  A
 ``LabeledLink`` is an immutable value, checked and walked once, when it is
 built: the walk checks that each component's arcs are one strand, and the
-link keeps it.  A braid closure or a clasp splice reads its components off
-the walk of its new crossings and hands that walk to the link it builds.
+link keeps it, with the map from each arc to its component that the check
+read (``comp_of``).  A braid closure or a clasp splice reads its components
+off the walk of its new crossings and hands that walk to the link it
+builds.
 The kept walk gives the orientations, the head occurrence of each arc
 (where its strand enters the next crossing), the site of a clasp splice and
 the cabled diagram; no diagram is walked twice, and evaluation walks
@@ -38,13 +40,21 @@ a kink's sign moves into its component's framing.  Each removal is a local
 identity of the state sum, cable by cable (CONVENTIONS.md).  A diagram
 with neither, such as an alternating one without kinks, costs one scan.
 
+The reduced diagram then splits (``_pieces``; CONVENTIONS.md gives the
+rule).  A component with no kept crossing is a split unknot, valued in
+closed form from the level memo (``_circle``): it is never cabled or
+swept.  Components joined by kept crossings form a linked piece, swept
+over its own labelings with every other component at label 0, and the
+values of the circles and pieces multiply.
+
 omega components expand as sum_k s_k (k-labeled), s_k = c d_k.  J = r - 2
 is a simple current, so a component labelled J - k is the same link
 labelled k times a signed power of A (``_fold``; CONVENTIONS.md gives the
-identity): ``evaluate`` folds every labeling onto its canonical one, with
-no label above J/2, and sweeps each canonical labeling once.  The linking
-matrix that the fold reads is made once per evaluation, off the link's
-walk (``linking_matrix``).
+identity): ``evaluate`` folds every labeling of a piece onto its canonical
+one, with no label above J/2, and sweeps each canonical labeling once.
+The linking matrix that the fold reads is made once per evaluation, off
+the link's walk (``linking_matrix``); ``z_invariant`` reads the one it
+takes the signature of.
 """
 from __future__ import annotations
 
@@ -131,11 +141,14 @@ class LabeledLink:
     """A labeled framed link diagram, checked when it is built: every
     crossing lists four arcs, every arc appears twice, and each component's
     arcs are exactly one strand's.  `walk` is the one ``_walk`` of the
-    crossings that the check read.  A diagram with no consistent
+    crossings that the check read, and `comp_of` maps each arc to the
+    index of its component, as the check read it; evaluation reads both
+    and changes neither.  A diagram with no consistent
     orientation still builds; ``orientations`` raises on it."""
     components: tuple
     crossings: tuple  # tuples (a, b, c, d)
     walk: tuple = field(init=False, repr=False, compare=False)
+    comp_of: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for x in self.crossings:
@@ -206,9 +219,9 @@ class LabeledLink:
 
 def _settle(link, components, crossings, made):
     """Give `link` its fields, once: `components`, `crossings` as tuples,
-    and `made`, their ``_walk``; then check that the components' arcs
-    partition the arcs `made` entered and that each strand of `made` is
-    one component's complete arc list."""
+    `made`, their ``_walk``, and `comp_of`; then check that the
+    components' arcs partition the arcs `made` entered and that each
+    strand of `made` is one component's complete arc list."""
     for name, value in (("components", tuple(components)),
                         ("crossings", tuple(map(tuple, crossings))), ("walk", made)):
         object.__setattr__(link, name, value)
@@ -216,6 +229,7 @@ def _settle(link, components, crossings, made):
     if sorted(declared) != sorted(made[2]):
         raise LinkFormatError("component arc lists do not partition the crossing arcs")
     comp_of = link.arc_component()
+    object.__setattr__(link, "comp_of", comp_of)
     for arcs in made[0]:
         i = comp_of[arcs[0]]
         if len(arcs) != len(link.components[i].arcs) or any(comp_of[a] != i for a in arcs):
@@ -239,7 +253,7 @@ def _built(components, crossings, made) -> LabeledLink:
 def linking_matrix(link: LabeledLink):
     """Integer linking matrix: off-diagonal lk(i,j), diagonal = framing field
     plus diagram self-writhe."""
-    comp_of = link.arc_component()
+    comp_of = link.comp_of
     n = len(link.components)
     out = [[0] * n for _ in range(n)]
     for sign, (a, b, _, _) in zip(link.crossing_signs(), link.crossings):
@@ -365,15 +379,14 @@ def _reduction(link: LabeledLink):
         q = seen.setdefault(a, p)
         partner[p] = q
         partner[q] = p
-    dropped, work, comp_of = set(), list(range(len(crossings))), None
+    dropped, work = set(), list(range(len(crossings)))
     while work:
         t = work.pop()
         if t in dropped or (move := _removal(partner, t)) is None:
             continue
         gone, sign = move
         if sign:
-            comp_of = comp_of or link.arc_component()
-            framings[comp_of[crossings[t][0]]] += sign
+            framings[link.comp_of[crossings[t][0]]] += sign
         for u in gone:
             dropped.add(u)
             # run each pass of u straight through: the ends of its two
@@ -411,7 +424,7 @@ def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels, dropped):
     its box closed on itself (k >= 2) or one loop (k = 1).
     """
     strands, ob, head = _oriented(link)
-    comp_of = link.arc_component()
+    comp_of = link.comp_of
     strand_of = {comp_of[arcs[0]]: arcs for arcs in strands}
     kinds, grid = [], {}  # grid[t] = (first node, m, n) of a kept crossing
     for t, (a, b, _, _) in enumerate(link.crossings):
@@ -737,35 +750,103 @@ def _fold(labels, fixed, lk, r):
     return tuple(labels), e
 
 
-def evaluate(params: QuantumParams, link: LabeledLink) -> Scalar:
-    """Kauffman evaluation of a labeled framed link; omega components are
-    expanded as sum_k s_k (component labeled k).  Every labeling is folded
-    onto its canonical one, with no label above (r-2)/2 (``_fold``), and
-    each canonical labeling whose summed coefficient is nonzero is swept
-    once, on the diagram left by the link's Reidemeister I and II moves
-    (``_reduction``), which are found once for all labelings."""
-    for i, c in enumerate(link.components):
-        if c.label != OMEGA and not 0 <= c.label <= params.r - 2:
-            raise DomainError(f"component {i} label {c.label} outside 0..{params.r - 2}")
-    lk = linking_matrix(link)
-    dropped, framings = _reduction(link)
-    fixed = [c.label != OMEGA for c in link.components]
-    choices = [(c.label,) if f else range(params.r - 1) for c, f in zip(link.components, fixed)]
+def _pieces(link: LabeledLink, dropped):
+    """(pieces, circles): the components of `link` joined by the crossings
+    not in `dropped`, one sorted index list per linked piece, and the
+    indices of the components with no such crossing, the crossingless
+    ones.  The pieces are grouped on the package's ``UnionFind`` only when
+    two or more components have a kept crossing, and the grouping stops
+    once its merges have joined them all."""
+    comp_of = link.comp_of
+    pairs = {(comp_of[a], comp_of[b])
+             for t, (a, b, _, _) in enumerate(link.crossings) if t not in dropped}
+    touched = set().union(*pairs)
+    linked = sorted(touched)
+    circles = [i for i in range(len(link.components)) if i not in touched]
+    if len(linked) <= 1:
+        return ([linked] if linked else []), circles
+    uf, spare = UnionFind(), len(linked) - 1
+    for i, j in pairs:
+        if i != j and uf.union(i, j):
+            spare -= 1
+            if not spare:
+                return [linked], circles
+    pieces = {}
+    for i in linked:
+        pieces.setdefault(uf.find(i), []).append(i)
+    return list(pieces.values()), circles
+
+
+def _circle(params: QuantumParams, label, framing) -> Scalar:
+    """The value of a split unknot labelled `label` with framing f, from
+    the level memo: d_k mu_k^f for an integer label k, and
+    sum_k s_k d_k mu_k^f for omega."""
+    def build():
+        if label != OMEGA:
+            return params.d_k(label) * twist_coefficient(params, label, framing)
+        weights = omega_weights(params)
+        return sum((weights[k] * params.d_k(k) * twist_coefficient(params, k, framing)
+                    for k in range(params.r - 1)), params.zero())
+    return params.cached(("circle", label, framing), build)
+
+
+def _linked_value(params: QuantumParams, link: LabeledLink, lk, piece, dropped, framings):
+    """The value of the linked piece of `link` whose components are
+    `piece`, every other component held at label 0: each labeling of the
+    piece is folded onto its canonical one (``_fold``), and each canonical
+    labeling whose summed coefficient is nonzero is swept once, with the
+    crossings in `dropped` run straight through."""
+    comps = link.components
+    fixed = [c.label != OMEGA for c in comps]
+    choices = [(0,)] * len(comps)
+    for i in piece:
+        choices[i] = (comps[i].label,) if fixed[i] else range(params.r - 1)
     folded = {}  # canonical labeling -> the exponents of A folded onto it
     for labels in itertools.product(*choices):
         canonical, e = _fold(labels, fixed, lk, params.r)
         folded.setdefault(canonical, []).append(e)
     weights = omega_weights(params)
+    omegas = [i for i in piece if not fixed[i]]
     total = params.zero()
     for labels, powers in folded.items():
         coeff = sum(map(params.a_pow, powers), params.zero())
         if coeff.is_zero():
             continue
-        for k, f in zip(labels, fixed):
-            if not f:
-                coeff = coeff * weights[k]
+        for i in omegas:
+            coeff = coeff * weights[labels[i]]
         total = total + coeff * _evaluate_labeled(params, link, labels, dropped, framings)
     return total
+
+
+def _evaluate(params: QuantumParams, link: LabeledLink, lk) -> Scalar:
+    """``evaluate`` of a link whose labels are checked and whose linking
+    matrix is `lk`: the product of its crossingless components'
+    closed forms (``_circle``) and its linked pieces' values
+    (``_linked_value``), on the diagram left by its Reidemeister I and II
+    moves (``_reduction``)."""
+    dropped, framings = _reduction(link)
+    pieces, circles = _pieces(link, dropped)
+    total = params.one()
+    for i in circles:
+        total = total * _circle(params, link.components[i].label, framings[i])
+    for piece in pieces:
+        total = total * _linked_value(params, link, lk, piece, dropped, framings)
+    return total
+
+
+def evaluate(params: QuantumParams, link: LabeledLink) -> Scalar:
+    """Kauffman evaluation of a labeled framed link; omega components are
+    expanded as sum_k s_k (component labeled k).  The diagram left by the
+    link's Reidemeister I and II moves (``_reduction``), found once, splits
+    into crossingless components, each a split unknot valued in closed
+    form, and linked pieces, whose values multiply (CONVENTIONS.md).  Each
+    piece's labelings are folded onto canonical ones, with no label above
+    (r-2)/2 (``_fold``), and each canonical labeling whose summed
+    coefficient is nonzero is swept once."""
+    for i, c in enumerate(link.components):
+        if c.label != OMEGA and not 0 <= c.label <= params.r - 2:
+            raise DomainError(f"component {i} label {c.label} outside 0..{params.r - 2}")
+    return _evaluate(params, link, linking_matrix(link))
 
 
 # ----------------------------------------------------------------------------
@@ -829,8 +910,8 @@ def z_invariant(params: QuantumParams, link: LabeledLink):
     value_1 * C^{m} == value_2 * C^{n}  for C the value of a +1-framed
     omega-labeled unknot.
     """
-    sig = signature(linking_matrix(link))
-    return evaluate(params, kirby_color_link(link)), sig
+    lk = linking_matrix(link)
+    return _evaluate(params, kirby_color_link(link), lk), signature(lk)
 
 
 def _fresh_counter(link: LabeledLink):

@@ -435,7 +435,7 @@ def test_walk_counts(monkeypatch):
         walked.clear()
         out = build()
         assert len(walked) == count
-        assert out.walk == walk(out.crossings)
+        assert out.walk == walk(out.crossings) and out.comp_of == out.arc_component()
     reducible = closed_braid_link([1, -1, 1, 2], 3, labels=[1], framings=[-1])
     assert sk._reduction(reducible)[0]
     for run in (lambda: sk.evaluate(params, link), lambda: sk.z_invariant(params, link),
@@ -452,7 +452,7 @@ def test_links_are_immutable():
     link = closed_braid_link([1, 1], 2, labels=[sk.OMEGA, 2])
     comp = link.components[0]
     for obj, name in ((link, "components"), (link, "crossings"), (link, "walk"),
-                      (comp, "label"), (comp, "framing"), (comp, "arcs")):
+                      (link, "comp_of"), (comp, "label"), (comp, "framing"), (comp, "arcs")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, getattr(obj, name))
     assert all(type(x) is tuple for x in (link.components, link.crossings, *link.crossings,

@@ -295,7 +295,10 @@ def traced_segments(params, kinds, pairing, loops_upfront):
     """The value of `skein._sweep`, its local variables as it returns, and
     one (values, segment) per `linalg.next_segment` call it made: the
     (ring, den, residues) that the call decodes, None for the first, and
-    the (k, ring, den, residues) of the segment it starts."""
+    the (k, ring, den, residues) of the segment it starts.  Only the calls
+    made by `_sweep` itself count: a cold level memo builds a box's
+    Jones-Wenzl terms inside the sweep, on chains with segments of their
+    own."""
     seen, segments = {}, []
 
     def profile(frame, event, arg):
@@ -303,7 +306,8 @@ def traced_segments(params, kinds, pairing, loops_upfront):
             return
         if frame.f_code is sk._sweep.__code__:
             seen.update(frame.f_locals)
-        elif frame.f_code is linalg.next_segment.__code__:
+        elif (frame.f_code is linalg.next_segment.__code__
+              and frame.f_back.f_code is sk._sweep.__code__):
             values = frame.f_locals["values"]
             segments.append((values and (values[0], values[1], list(values[2])), arg))
     sys.setprofile(profile)

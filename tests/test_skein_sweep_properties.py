@@ -1,34 +1,54 @@
 """A property of the packed skein sweep: on random small labelled, framed
-closed braids with omega components, at r = 4..6 and two roots each, its
-value has the same `to_json` bytes as the plain `Scalar` reference sweep."""
+closed braids with omega components, alone or split from an unknot or from
+a second closure, at r = 4..6 and two roots each, its value has the same
+`to_json` bytes as the plain `Scalar` reference sweep."""
 import pytest
 
 from skeinrep import skein as sk
 from skeinrep.scalars import make_params
-from skeinrep.skein import closed_braid_link
+from skeinrep.skein import closed_braid_link, split_union, unknot_link
 from test_skein_sweep import check_link
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 
+def labels_of(r):
+    return st.integers(0, r - 2) | st.just(sk.OMEGA)
+
+
 @st.composite
-def level_and_braid(draw):
-    """A level r = 4..6 with one of two roots, and a framed closed braid on
-    2-4 strands labelled 0..r-2 or omega, small enough for the reference."""
-    r = draw(st.integers(4, 6))
-    params = make_params(r, draw(st.sampled_from((1, 3) if r < 6 else (1, 5))))
+def framed_closure(draw, r):
+    """(word, link): a framed closed braid on 2-4 strands of at most four
+    letters, labelled 0..r-2 or omega."""
     n = draw(st.integers(2, 4))
     gens = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
     word = draw(st.lists(gens, max_size=4))
     count = len(closed_braid_link(word, n).components)
-    labels = draw(st.lists(st.integers(0, r - 2) | st.just(sk.OMEGA),
-                           min_size=count, max_size=count))
+    labels = draw(st.lists(labels_of(r), min_size=count, max_size=count))
+    framings = draw(st.lists(st.integers(-2, 2), min_size=count, max_size=count))
+    return word, closed_braid_link(word, n, labels=labels, framings=framings)
+
+
+@st.composite
+def level_and_braid(draw):
+    """A level r = 4..6 with one of two roots, and a framed closed braid,
+    alone or split from an unknot or from a second closure (``split_union``),
+    small enough for the reference."""
+    r = draw(st.integers(4, 6))
+    params = make_params(r, draw(st.sampled_from((1, 3) if r < 6 else (1, 5))))
+    word, link = draw(framed_closure(r))
+    beside = draw(st.sampled_from(("alone", "unknot", "closure")))
+    if beside == "unknot":
+        link = split_union(link, unknot_link(draw(labels_of(r)), draw(st.integers(-2, 2))))
+    elif beside == "closure":
+        more, other = draw(framed_closure(r))
+        word, link = word + more, split_union(link, other)
+    labels = [c.label for c in link.components]
     top = [r - 2 if l == sk.OMEGA else l for l in labels]
     hypothesis.assume(labels.count(sk.OMEGA) <= 1
                       and sum(k * k for k in top) * max(1, len(word)) <= 40)
-    framings = draw(st.lists(st.integers(-2, 2), min_size=count, max_size=count))
-    return params, closed_braid_link(word, n, labels=labels, framings=framings)
+    return params, link
 
 
 @hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True)
