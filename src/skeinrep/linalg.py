@@ -10,12 +10,12 @@ which decodes every column, and TL diagrams for every `tl` product.
 `mat_trace` reads; the rest serve the benchmark's checker.
 
 A factor owns its packed columns and the product keeps none: a factor
-hands out one holder per ring (`Packed`), which builds a column the first
-time a product reads it in that ring and keeps it as long as the factor
-lives (`Columns` for a matrix, `tl._Times` on diagram keys).  The forms
-the level memo holds (twist pairs, sector generators, braid letters)
-therefore pack each column once per width for the life of the level, and
-a form made for one product dies with it.  A product finds its first
+hands out one holder per ring (`BoundedMemo`), which builds a column the
+first time a product reads it in that ring and keeps it as long as the
+factor lives (`Columns` for a matrix, `tl._Times` on diagram keys).  The
+forms the level memo holds (twist pairs, sector generators, braid
+letters) therefore pack each column once per width for the life of the
+level, and a form made for one product dies with it.  A product finds its first
 segment once for all its columns, since every column starts at a unit
 vector.  `next_segment` is the one segment boundary of every packed chain,
 these products and the skein sweep: it decodes the values at the end of a
@@ -84,8 +84,8 @@ def columns(matrix):
 class Columns:
     """The columns of a matrix column form, cols[j] the entries
     (i, numerators) of column j.  ``packed(ring)`` is the mapping from j to
-    column j packed in ring (`Packed`): one copy per ring, and the level
-    holds one ring per width."""
+    column j packed in ring (`BoundedMemo`): one copy per ring, and the
+    level holds one ring per width."""
 
     __slots__ = ("cols", "_rings")
 
@@ -97,27 +97,34 @@ class Columns:
         got = self._rings.get(ring)
         if got is None:
             cols, pack = self.cols, ring.pack
-            got = self._rings[ring] = Packed(lambda j: [(i, pack(v)) for i, v in cols[j]],
-                                             len(cols))
+            got = self._rings[ring] = BoundedMemo(lambda j: [(i, pack(v)) for i, v in cols[j]],
+                                                  len(cols))
         return got
 
 
-class Packed(dict):
-    """The packed columns of a factor in one ring: column t is built by
-    column(t) when a product first reads it and kept as long as the holder
-    lives.  A holder that reaches limit columns is emptied before it
-    builds the next, so a factor on an unbounded key set stays bounded."""
+class BoundedMemo(dict):
+    """A memo that is emptied when it holds limit entries, before it keeps
+    the next (``keep``), so a memo on an unbounded key set stays bounded.
+    A missing key that is read is built by build(t) and kept: a factor's
+    packed columns in one ring.  The level's sweep values
+    (``skein._sweeps``) have no build, since their key only encodes a
+    diagram: their reader sweeps the diagram it holds and keeps the
+    value."""
 
-    __slots__ = ("column", "limit")
+    __slots__ = ("build", "limit")
 
-    def __init__(self, column, limit):
-        self.column, self.limit = column, limit
+    def __init__(self, build, limit):
+        self.build, self.limit = build, limit
 
     def __missing__(self, t):
+        return self.keep(t, self.build(t))
+
+    def keep(self, t, value):
+        """value, kept under t."""
         if len(self) >= self.limit:
             self.clear()
-        col = self[t] = self.column(t)
-        return col
+        self[t] = value
+        return value
 
 
 def product_columns(params: QuantumParams, factors, starts):

@@ -531,33 +531,11 @@ class Scalar:
         nums, den = self.part
         return {"cpow": self.odd, "coeffs": [_ratio_text(n, den) for n in nums]}
 
-    @staticmethod
-    def from_json(params: QuantumParams, obj) -> "Scalar":
-        """The Scalar of ``to_json``'s form: each coefficient is the text p
-        or p/q of a rational, q > 0, not necessarily in lowest terms."""
-        ratios = [_text_ratio(t) for t in obj["coeffs"]]
-        if len(ratios) != params.phi:
-            raise ValueError(f"expected {params.phi} coefficients, got {len(ratios)}")
-        den = math.lcm(*(q for _, q in ratios))
-        part = _part([p * (den // q) for p, q in ratios], den)
-        return Scalar(params.level, part, int(obj["cpow"]) % 2 if part else 0)
-
 
 def _ratio_text(n: int, den: int) -> str:
     """The rational n / den (den > 0) in lowest terms, as p or p/q."""
     g = gcd(n, den)
     return str(n // g) if g == den else f"{n // g}/{den // g}"
-
-
-def _text_ratio(text: str):
-    """(p, q) of the text p or p/q, q > 0; anything else raises ValueError."""
-    if not isinstance(text, str):
-        raise ValueError(f"coefficient {text!r} is not a string")
-    num, slash, den = text.partition("/")
-    p, q = int(num), int(den) if slash else 1
-    if q <= 0:
-        raise ValueError(f"coefficient {text!r} has a denominator below 1")
-    return p, q
 
 
 def _tadd(u, v):

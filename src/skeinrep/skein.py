@@ -51,10 +51,17 @@ omega components expand as sum_k s_k (k-labeled), s_k = c d_k.  J = r - 2
 is a simple current, so a component labelled J - k is the same link
 labelled k times a signed power of A (``_fold``; CONVENTIONS.md gives the
 identity): ``evaluate`` folds every labeling of a piece onto its canonical
-one, with no label above J/2, and sweeps each canonical labeling once.
-The linking matrix that the fold reads is made once per evaluation, off
-the link's walk (``linking_matrix``); ``z_invariant`` reads the one it
-takes the signature of.
+one, with no label above J/2, and evaluates each canonical labeling once
+(``_evaluate_labeled``).  The linking matrix that the fold reads is made
+once per evaluation, off the link's walk (``linking_matrix``);
+``z_invariant`` reads the one it takes the signature of.
+
+In a labeling, a nonzero component that no kept crossing joins to a
+nonzero strand is a split unknot too, valued by ``_circle``.  A sweep is a
+function of the level and the cabled diagram alone, whose nodes are
+numbered by crossing and component, never by arc, so each distinct
+diagram is swept once per level, at most ``_SWEEP_MEMO_LIMIT`` kept
+(``_sweeps``), and the framing monomials multiply the value read.
 """
 from __future__ import annotations
 
@@ -64,7 +71,7 @@ from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 from .errors import DomainError, LinkFormatError, json_int, json_object
-from .linalg import next_segment
+from .linalg import BoundedMemo, next_segment
 from .recoupling import twist_coefficient
 from .scalars import PackedRing, QuantumParams, Scalar, common_denominator
 from .tl import jones_wenzl, loop_power
@@ -471,6 +478,16 @@ def _port_count(kind):
     return 4 if kind == "X" else 2 * kind
 
 
+def _ports(kinds, pairing):
+    """(base, partner): port base[x] + s is slot s of node x, and
+    partner[p] is the port at the other end of port p's strand."""
+    base = list(itertools.accumulate(map(_port_count, kinds), initial=0))
+    partner = [0] * base[-1]
+    for (x, s), (y, t) in pairing.items():
+        partner[base[x] + s] = base[y] + t
+    return base, partner
+
+
 def _greedy_order(kinds, pairing):
     """Sweep order: each step places the node with the most ports paired to
     placed nodes or to itself, the lowest index among equals.  Scores only
@@ -633,10 +650,7 @@ def _sweep(params: QuantumParams, kinds, pairing, loops_upfront, twists=()) -> S
             total = total * twist
         return total
     order = _greedy_order(kinds, pairing)
-    base = list(itertools.accumulate(map(_port_count, kinds), initial=0))
-    partner = [0] * base[-1]
-    for (x, s), (y, t) in pairing.items():
-        partner[base[x] + s] = base[y] + t
+    base, partner = _ports(kinds, pairing)
     node_of = [idx for idx, kind in enumerate(kinds) for _ in range(_port_count(kind))]
     terms = [_node_terms(params, kinds[idx]) for idx in order]
     growths = [mass for _, mass, _ in terms] or [1]
@@ -722,13 +736,49 @@ def _sweep(params: QuantumParams, kinds, pairing, loops_upfront, twists=()) -> S
     return ring.decode(total, den)
 
 
+# a level's sweep values are emptied when they hold this many diagrams
+_SWEEP_MEMO_LIMIT = 1 << 10
+
+
+def _sweeps(params: QuantumParams):
+    """The level's sweep values (``linalg.BoundedMemo``), shared by its
+    roots: the key (kinds, partner) of a cabled diagram, partner its
+    pairing on integer ports (``_ports``), maps to ``_sweep`` of the
+    diagram with no loop upfront."""
+    return params.cached(("sweeps",), lambda: BoundedMemo(None, _SWEEP_MEMO_LIMIT))
+
+
 def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels, dropped, framings):
-    """Evaluate with every component's label an integer (omega expanded):
-    the blackboard-framed sweep of `link` with the crossings in `dropped`
-    run straight through, times mu_k^f for each k-labeled component whose
-    entry in `framings` is f, folded into its packed total."""
-    twists = [twist_coefficient(params, k, f) for k, f in zip(labels, framings) if k and f]
-    return _sweep(params, *_cabled_diagram(params, link, labels, dropped), twists)
+    """Evaluate with every component's label an integer (omega expanded),
+    the crossings in `dropped` run straight through and component i framed
+    framings[i].  A component of nonzero label that no kept crossing joins
+    to a nonzero strand, its own included, is a split unknot, valued in
+    closed form (``_circle``).  The others, each with a kept pass, are
+    cabled with no loop upfront (``_cabled_diagram``); their sweep is read
+    from the level's sweep values (``_sweeps``), swept and kept there when
+    missing, and multiplied by mu_k^f for each of them."""
+    comp_of, linked = link.comp_of, set()
+    for t, (a, b, _, _) in enumerate(link.crossings):
+        i, j = comp_of[a], comp_of[b]
+        if labels[i] and labels[j] and t not in dropped:
+            linked.add(i)
+            linked.add(j)
+    value, e = params.one(), 0
+    for i, (k, f) in enumerate(zip(labels, framings)):
+        if i in linked:
+            # mu_k^f = (-1)^(kf) A^(k(k+2)f), and -1 = A^(2r)
+            e += f * k * (k + 2 + 2 * params.r)
+        elif k:
+            value = value * _circle(params, k, f)
+    if linked:
+        kinds, pairing, _ = _cabled_diagram(
+            params, link, [k if i in linked else 0 for i, k in enumerate(labels)], dropped)
+        memo, key = _sweeps(params), (tuple(kinds), tuple(_ports(kinds, pairing)[1]))
+        swept = memo.get(key)
+        if swept is None:
+            swept = memo.keep(key, _sweep(params, kinds, pairing, 0))
+        value = value * swept * params.a_pow(e)
+    return value
 
 
 def _fold(labels, fixed, lk, r):
@@ -794,8 +844,9 @@ def _linked_value(params: QuantumParams, link: LabeledLink, lk, piece, dropped, 
     """The value of the linked piece of `link` whose components are
     `piece`, every other component held at label 0: each labeling of the
     piece is folded onto its canonical one (``_fold``), and each canonical
-    labeling whose summed coefficient is nonzero is swept once, with the
-    crossings in `dropped` run straight through."""
+    labeling whose summed coefficient is nonzero is evaluated once
+    (``_evaluate_labeled``), with the crossings in `dropped` run straight
+    through."""
     comps = link.components
     fixed = [c.label != OMEGA for c in comps]
     choices = [(0,)] * len(comps)
@@ -842,7 +893,7 @@ def evaluate(params: QuantumParams, link: LabeledLink) -> Scalar:
     form, and linked pieces, whose values multiply (CONVENTIONS.md).  Each
     piece's labelings are folded onto canonical ones, with no label above
     (r-2)/2 (``_fold``), and each canonical labeling whose summed
-    coefficient is nonzero is swept once."""
+    coefficient is nonzero is evaluated once (``_evaluate_labeled``)."""
     for i, c in enumerate(link.components):
         if c.label != OMEGA and not 0 <= c.label <= params.r - 2:
             raise DomainError(f"component {i} label {c.label} outside 0..{params.r - 2}")

@@ -23,9 +23,9 @@ element keeps the chain's packed column and decodes its terms when they
 are first read; the Markov trace sums the column's residues per
 closure-loop count and decodes once per count, so between a chain and its
 trace no Scalar arithmetic happens but those decodes and the d^k products.
-A factor keeps its packed columns (``linalg.Packed``): a column is composed
-and packed at its first read in a ring and kept as long as the factor
-lives, at most ``_COMPOSE_CACHE_LIMIT`` of them per ring.
+A factor keeps its packed columns (``linalg.BoundedMemo``): a column is
+composed and packed at its first read in a ring and kept as long as the
+factor lives, at most ``_COMPOSE_CACHE_LIMIT`` of them per ring.
 
 Diagrams are interned, one live object per matching, so a dict keyed by
 diagrams hashes by identity.  The only global memos are the diagram-pair
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import weakref
 
-from .linalg import Packed, product_columns
+from .linalg import BoundedMemo, product_columns
 from .scalars import QuantumParams, Scalar, common_denominator
 from .unionfind import UnionFind
 
@@ -97,25 +97,6 @@ class TLDiagram:
             n, uf = self.nb, UnionFind()
             self._loops = sum(not uf.union(a % n, b % n) for a, b in self.pairs)
         return self._loops
-
-    @staticmethod
-    def from_parens(nb: int, nt: int, s: str) -> "TLDiagram":
-        order = list(range(nb)) + list(range(nb + nt - 1, nb - 1, -1))
-        if len(s) != len(order):
-            raise ValueError("parenthesis string has wrong length")
-        stack, pairs = [], []
-        for p, ch in zip(order, s):
-            if ch == "(":
-                stack.append(p)
-            elif ch == ")":
-                if not stack:
-                    raise ValueError("unbalanced parenthesis string")
-                pairs.append((stack.pop(), p))
-            else:
-                raise ValueError(f"bad character {ch!r} in matching string")
-        if stack:
-            raise ValueError("unbalanced parenthesis string")
-        return TLDiagram(nb, nt, pairs)
 
     @staticmethod
     def identity(n: int) -> "TLDiagram":
@@ -221,10 +202,6 @@ class TLElement:
     def zero(params, nb, nt=None):
         return TLElement(params, nb, nb if nt is None else nt)
 
-    @staticmethod
-    def identity(params, n):
-        return TLElement(params, n, n, {TLDiagram.identity(n): params.one()})
-
     # ----- linear structure -----
 
     def __add__(self, other):
@@ -293,16 +270,6 @@ class TLElement:
         return {"n": self.nb, "n_top": self.nt,
                 "terms": [{"matching": diag.parens(), "coeff": coeff.to_json()}
                           for diag, coeff in sorted(self.terms.items(), key=lambda kv: kv[0].parens())]}
-
-    @staticmethod
-    def from_json(params, obj):
-        nb = int(obj["n"])
-        nt = int(obj.get("n_top", nb))
-        terms = {}
-        for t in obj["terms"]:
-            diag = TLDiagram.from_parens(nb, nt, t["matching"])
-            terms[diag] = Scalar.from_json(params, t["coeff"])
-        return TLElement(params, nb, nt, terms)
 
 
 # ----- named operations -----
@@ -409,7 +376,7 @@ class _Times:
     and column `diagram` holds (diagram D, c_D d^k), read off
     ``_compose_diagrams``, or (diagram, c_D) for the identity, D None.
     ``packed(ring)`` is the mapping from a diagram to its column packed in
-    ring (`linalg.Packed`): the values are packed once per ring, and each
+    ring (`linalg.BoundedMemo`): the values are packed once per ring, and each
     column is composed at its first read and kept as long as the factor
     lives, at most ``_COMPOSE_CACHE_LIMIT`` of them per ring."""
 
@@ -434,7 +401,7 @@ class _Times:
                         out.append((stacked, vals[loops]))
                 return out
 
-            got = self._rings[ring] = Packed(column, _COMPOSE_CACHE_LIMIT)
+            got = self._rings[ring] = BoundedMemo(column, _COMPOSE_CACHE_LIMIT)
         return got
 
 

@@ -5,7 +5,9 @@ built from it), rational constants as Scalars, projective comparison of matrices
 classes, the reference product kernel of ``tests/test_scalar_kernel.py``,
 seeded braid words, the l1 masses, column masses, coefficient bounds and
 segment record of the packed residue chains, a surface model's curve
-names, and the conversion between the package's matrix format ({row: Scalar}
+names, the JSON readers of a Scalar and a TL element and the TL identity
+element, which no package code reads, a link with its arcs renamed, and
+the conversion between the package's matrix format ({row: Scalar}
 columns) and the dense rows that the references multiply.
 The brute-force references of the paper's objects are in ``oracles.py``.
 Nothing in the package imports this module."""
@@ -13,6 +15,8 @@ import math
 from fractions import Fraction
 
 from skeinrep.scalars import PackedRing, Scalar, _part
+from skeinrep.skein import Component, LabeledLink
+from skeinrep.tl import TLDiagram, TLElement
 
 
 def poly_sub(u, v):
@@ -84,12 +88,69 @@ def from_rational(params, q):
     """The rational constant q as a Scalar of params, read from its JSON
     form (coefficient q on A^0)."""
     coeffs = [str(Fraction(q))] + ["0"] * (params.phi - 1)
-    return Scalar.from_json(params, {"cpow": 0, "coeffs": coeffs})
+    return scalar_from_json(params, {"cpow": 0, "coeffs": coeffs})
 
 
 def from_int(params, n: int):
     """The integer constant n as a Scalar of params."""
     return from_rational(params, n)
+
+
+def text_ratio(text: str):
+    """(p, q) of the text p or p/q, q > 0; anything else raises ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"coefficient {text!r} is not a string")
+    num, slash, den = text.partition("/")
+    p, q = int(num), int(den) if slash else 1
+    if q <= 0:
+        raise ValueError(f"coefficient {text!r} has a denominator below 1")
+    return p, q
+
+
+def scalar_from_json(params, obj):
+    """The Scalar of ``Scalar.to_json``'s form: each coefficient is the
+    text p or p/q of a rational, q > 0, not necessarily in lowest terms."""
+    ratios = [text_ratio(t) for t in obj["coeffs"]]
+    if len(ratios) != params.phi:
+        raise ValueError(f"expected {params.phi} coefficients, got {len(ratios)}")
+    den = math.lcm(*(q for _, q in ratios))
+    part = _part([p * (den // q) for p, q in ratios], den)
+    return Scalar(params.level, part, int(obj["cpow"]) % 2 if part else 0)
+
+
+def diagram_from_parens(nb: int, nt: int, s: str):
+    """The TL diagram of ``TLDiagram.parens``'s encoding along the circular
+    boundary order."""
+    order = list(range(nb)) + list(range(nb + nt - 1, nb - 1, -1))
+    if len(s) != len(order):
+        raise ValueError("parenthesis string has wrong length")
+    stack, pairs = [], []
+    for p, ch in zip(order, s):
+        if ch == "(":
+            stack.append(p)
+        elif ch == ")":
+            if not stack:
+                raise ValueError("unbalanced parenthesis string")
+            pairs.append((stack.pop(), p))
+        else:
+            raise ValueError(f"bad character {ch!r} in matching string")
+    if stack:
+        raise ValueError("unbalanced parenthesis string")
+    return TLDiagram(nb, nt, pairs)
+
+
+def tl_element_from_json(params, obj):
+    """The TL element of ``TLElement.to_json``'s form."""
+    nb = int(obj["n"])
+    nt = int(obj.get("n_top", nb))
+    terms = {diagram_from_parens(nb, nt, t["matching"]): scalar_from_json(params, t["coeff"])
+             for t in obj["terms"]}
+    return TLElement(params, nb, nt, terms)
+
+
+def tl_identity(params, n: int):
+    """The identity element of TL_n."""
+    return TLElement(params, n, n, {TLDiagram.identity(n): params.one()})
 
 
 def scalar_multiple_of(a, b):
@@ -252,3 +313,14 @@ def sparse_columns(matrix):
     """The package's format, a list of {row: Scalar} columns holding the
     nonzero entries, of a matrix given as dense rows."""
     return [{i: x for i, x in enumerate(col) if not x.is_zero()} for col in zip(*matrix)]
+
+
+def renamed_arcs(link, rng):
+    """`link` with its arcs renamed by a seeded permutation onto as many
+    ids drawn from 1..10 n, n the number of arcs: the same diagram, its
+    crossings and components in the same order."""
+    arcs = sorted({a for x in link.crossings for a in x})
+    name = dict(zip(arcs, rng.sample(range(1, 10 * len(arcs) + 1), len(arcs))))
+    return LabeledLink([Component(c.label, c.framing, [name[a] for a in c.arcs])
+                        for c in link.components],
+                       [[name[a] for a in x] for x in link.crossings])

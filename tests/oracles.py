@@ -12,8 +12,9 @@ calculus, and the tests compare the two exactly.
   encirclement eigenvalues and the Hopf pairing as composed diagrams;
 - TQFT: the handlebody vector and the solid-torus expansion of a (p, q)
   curve, read off skein evaluations of torus links;
-- surgery: ``skein.evaluate`` without its label fold and without its
-  Reidemeister reduction, one sweep of the whole diagram per labeling,
+- surgery: ``skein.evaluate`` without its label fold, its Reidemeister
+  reduction, its closed forms and its memo of sweep values, one fresh
+  sweep of the whole diagram per labeling,
   comparison of two surgery presentations up to the
   signature phase, and the signature by congruence over the rationals
   that ``skein.signature``'s fraction-free congruence replaced;
@@ -41,11 +42,12 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 
-from helpers import dense_rows
+from helpers import dense_rows, tl_identity
 from skeinrep import skein as sk
 from skeinrep.braids import BraidWord, _generator_matrix, _sector_dim, block_crossing, path_basis
 from skeinrep.linalg import columns, eye, mat_mul, scalar_of
-from skeinrep.recoupling import admissible, check_label, s_matrix, theta, theta_inverse
+from skeinrep.recoupling import (admissible, check_label, s_matrix, theta, theta_inverse,
+                                 twist_coefficient)
 from skeinrep.skein import DomainError
 from skeinrep.tl import (TLDiagram, TLElement, _compose_diagrams, jones_wenzl, loop_power,
                          resolve_braid)
@@ -194,9 +196,9 @@ def wenzl_fold(params, k: int):
     P_n = P_{n-1} - (Delta_{n-2}/Delta_{n-1}) P_{n-1} e_{n-1} P_{n-1}, with
     P_{n-1} widened by one strand and Delta_j = d_j, in `then_fold`
     products: the reference of ``tl.jones_wenzl``."""
-    out = [TLElement.identity(params, 0)]
+    out = [tl_identity(params, 0)]
     for n in range(1, k + 1):
-        wide = tensor(out[-1], TLElement.identity(params, 1))
+        wide = tensor(out[-1], tl_identity(params, 1))
         if n > 1:
             ratio = params.d_k(n - 2) / params.d_k(n - 1)
             middle = then_fold(then_fold(wide, e_element(params, n, n - 1)), wide)
@@ -233,8 +235,8 @@ def encircle_element(params, n: int, label: int = 1) -> TLElement:
     """
     k = label
     if k == 0:
-        return TLElement.identity(params, n)
-    ident_n = TLElement.identity(params, n)
+        return tl_identity(params, n)
+    ident_n = tl_identity(params, n)
     m = n + 2 * k
     cur = tensor(ident_n, cups(params, k))
     for j in range(k):
@@ -242,7 +244,7 @@ def encircle_element(params, n: int, label: int = 1) -> TLElement:
         for pos in range(n + j, j, -1):
             cur = cur * crossing_element(params, m, pos, positive=True)
     # insert P_k on the loop cable now sitting at positions 0..k-1
-    cur = cur * tensor(jones_wenzl(params, k), TLElement.identity(params, m - k))
+    cur = cur * tensor(jones_wenzl(params, k), tl_identity(params, m - k))
     # return pass uses the same crossing type: the loop goes over on one side
     # of the cable and under on the other, which is two like-signed crossings
     for j in range(k - 1, -1, -1):
@@ -275,7 +277,7 @@ def sector_projectors(params, n: int):
     when lambda_c is not an eigenvalue).
     """
     if n == 0:
-        return [TLElement.identity(params, 0)]
+        return [tl_identity(params, 0)]
     # Group generic through-labels m = n%2, n%2+2, ..., n into eigenvalue
     # classes: lambda_m depends only on +/-(m+1) mod 4r (via A^{2(m+1)}), so
     # fold m+1 into c in 0..2r and group.  The first classes are the honest
@@ -291,7 +293,7 @@ def sector_projectors(params, n: int):
         for b in labels[i + 1:]:
             if lams[a] == lams[b]:
                 raise ValueError(f"loop eigenvalues collide for classes {a},{b} at r={params.r}, s={params.s}")
-    ident = TLElement.identity(params, n)
+    ident = tl_identity(params, n)
     E = encircle_element(params, n, 1)
 
     def power(x, e):
@@ -329,8 +331,8 @@ def vertex_morphism(params, a: int, b: int, c: int) -> TLElement:
         raise ValueError(f"inadmissible vertex ({a},{b},{c})")
     x = (a + b - c) // 2
     bottom = tensor(jones_wenzl(params, a), jones_wenzl(params, b))
-    mid = tensor(tensor(TLElement.identity(params, a - x), caps(params, x)),
-                 TLElement.identity(params, b - x))
+    mid = tensor(tensor(tl_identity(params, a - x), caps(params, x)),
+                 tl_identity(params, b - x))
     return bottom * mid * jones_wenzl(params, c)
 
 
@@ -353,8 +355,8 @@ def tet_oracle(params, a: int, b: int, c: int, d: int, e: int, f: int):
     v1bar = flip(vertex_morphism(params, a, b, e))           # e -> a(+)b
     v3 = vertex_morphism(params, a, f, c)                    # a(+)f -> c
     v4 = vertex_morphism(params, f, b, d)                    # f(+)b -> d
-    mid = tensor(tensor(TLElement.identity(params, a), cups(params, f)),
-                 TLElement.identity(params, b))
+    mid = tensor(tensor(tl_identity(params, a), cups(params, f)),
+                 tl_identity(params, b))
     v2 = vertex_morphism(params, c, d, e)                    # c(+)d -> e
     return (v1bar * mid * tensor(v3, v4) * v2).markov_trace()
 
@@ -362,10 +364,10 @@ def tet_oracle(params, a: int, b: int, c: int, d: int, e: int, f: int):
 def curl_element(params, k: int, positive: bool = True) -> TLElement:
     """Endomorphism of a k-cable given by one kink of the whole cable."""
     m = 3 * k
-    cur = tensor(TLElement.identity(params, k), cups(params, k))
+    cur = tensor(tl_identity(params, k), cups(params, k))
     for g in block_crossing(0, k, k, True):
         cur = cur * crossing_element(params, m, g, positive=positive)
-    return cur * tensor(TLElement.identity(params, k), caps(params, k))
+    return cur * tensor(tl_identity(params, k), caps(params, k))
 
 
 def _proportional_to(x: TLElement, pk: TLElement, what: str):
@@ -449,11 +451,21 @@ def expand_solid_torus(params, p: int, q: int):
 # surgery presentations
 
 
+def swept_labeled(params, link, labels, dropped, framings):
+    """``skein._evaluate_labeled`` as one fresh sweep of the whole cabled
+    diagram, with no closed form and no level memo of sweep values:
+    ``skein._sweep`` of ``skein._cabled_diagram`` with the crossings in
+    `dropped` run straight through, its loops and the framing monomials
+    mu_k^f folded into the packed total."""
+    twists = [twist_coefficient(params, k, f) for k, f in zip(labels, framings) if k and f]
+    return sk._sweep(params, *sk._cabled_diagram(params, link, labels, dropped), twists)
+
+
 def unreduced_labeled(params, link, labels):
-    """``skein._evaluate_labeled`` on the whole diagram: no crossing run
-    straight through and every framing as the link gives it, the route
-    before ``skein._reduction``."""
-    return sk._evaluate_labeled(params, link, labels, (), [c.framing for c in link.components])
+    """``swept_labeled`` on the whole diagram: no crossing run straight
+    through and every framing as the link gives it, the route before
+    ``skein._reduction``."""
+    return swept_labeled(params, link, labels, (), [c.framing for c in link.components])
 
 
 def unfolded_evaluate(params, link):
@@ -603,14 +615,14 @@ def resolve_braid_fold(params, word, n: int) -> TLElement:
     """The image of a braid word in TL_n as a fold of `then_fold` products,
     sigma_i -> A * id + A^{-1} * e_i letter by letter: the reference of
     `tl.resolve_braid`."""
-    out = TLElement.identity(params, n)
+    out = tl_identity(params, n)
     for g in word:
         i = abs(g)
         if not 1 <= i <= n - 1:
             raise ValueError(f"generator {g} out of range for {n} strands")
         a = params.a_pow(1 if g > 0 else -1)
         ainv = params.a_pow(-1 if g > 0 else 1)
-        gen = scale(TLElement.identity(params, n), a) + scale(e_element(params, n, i), ainv)
+        gen = scale(tl_identity(params, n), a) + scale(e_element(params, n, i), ainv)
         out = then_fold(out, gen)
     return out
 

@@ -9,7 +9,7 @@ import itertools
 import random
 
 import oracles
-from helpers import curves, from_int, scalar_multiple_of
+from helpers import curves, from_int, scalar_multiple_of, tl_identity
 from oracles import (braid_absorption_check, caps, e_element, flip, full_twist_scalar,
                      identity_coefficient, rotate180, sector_projectors, tensor, theta_spine)
 from skeinrep import linalg, mcg, recoupling as rc, skein as sk, tqft
@@ -78,7 +78,7 @@ def test_criterion_03_identity_decomposition():
             total = TLElement.zero(p, n)
             for z in zs:
                 total = total + z
-            assert (total - TLElement.identity(p, n)).is_zero(), (r, n)
+            assert (total - tl_identity(p, n)).is_zero(), (r, n)
             for i, zi in enumerate(zs):
                 for zj in zs[i + 1:]:
                     assert (zi * zj).is_zero(), (r, n)
@@ -113,8 +113,8 @@ def test_criterion_04_admissibility():
         for a, b, c in bad[:4]:
             x = (a + b - c) // 2
             bottom = tensor(jones_wenzl(p, a), jones_wenzl(p, b))
-            mid = tensor(tensor(TLElement.identity(p, a - x), caps(p, x)),
-                         TLElement.identity(p, b - x))
+            mid = tensor(tensor(tl_identity(p, a - x), caps(p, x)),
+                         tl_identity(p, b - x))
             v = bottom * mid * jones_wenzl(p, c)
             assert (flip(v) * v).markov_trace().is_zero(), (r, a, b, c)
             total += 1

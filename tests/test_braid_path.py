@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from helpers import random_word
+from helpers import random_word, tl_element_from_json, tl_identity
 from oracles import (e_element, generator_matrix_reference, markov_trace_fold,
                      resolve_braid_fold)
 from skeinrep.braids import BraidWord, Cabling, _generator_columns, cable, sector_labels
@@ -66,8 +66,8 @@ def test_trace_of_terms_matches_the_fold(r):
     for p in roots(r):
         for n in range(1, 7):
             x, y = (resolve_braid(p, list(w), n) for w in seeded_words(rng, n)[1:] or [(), ()])
-            built = [x + y, x - y, -x, x - x, TLElement.identity(p, n),
-                     TLElement.from_json(p, y.to_json())]
+            built = [x + y, x - y, -x, x - x, tl_identity(p, n),
+                     tl_element_from_json(p, y.to_json())]
             for z in built:
                 assert z.markov_trace().to_json() == markov_trace_fold(z).to_json(), (r, p.s, n, z)
         for k in range(r - 1):

@@ -63,26 +63,42 @@ def unused_imports(tree):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+def _class_named(node, classes):
+    """The class that `node` names, the last name of C or m.C for C in
+    classes, else None."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name if name in classes else None
+
+
 def dead_definitions(tree, readers):
     """Non-dunder functions, methods and classes defined in tree whose name
-    no tree in readers loads: a method only as an attribute (``x.name``),
-    a function or class as a variable or an attribute.  A local variable
-    that shares a method's name does not read the method."""
-    names, attrs = set(), set()
+    no tree in readers loads: a function or class as a variable or an
+    attribute, a method as an attribute.  ``C.name``, with C the name of a
+    class defined in tree or readers, reads only class C's method name;
+    ``x.name`` on any other expression reads every method so named.  A
+    local variable that shares a method's name does not read the method."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    classes = {node.name for t in [tree, *readers] for node in ast.walk(t)
+               if isinstance(node, ast.ClassDef)}
+    names, attrs, qualified = set(), set(), set()
     for reader in readers:
         for node in ast.walk(reader):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                attrs.add(node.attr)
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-               for node in cls.body if isinstance(node, defs[:2])}
+                owner = _class_named(node.value, classes)
+                if owner is None:
+                    attrs.add(node.attr)
+                else:
+                    qualified.add((owner, node.attr))
+    owner_of = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                for node in cls.body if isinstance(node, defs[:2])}
     return sorted((node.lineno, node.name) for node in ast.walk(tree)
                   if isinstance(node, defs)
                   and not (node.name.startswith("__") and node.name.endswith("__"))
                   and node.name not in attrs
-                  and (id(node) in methods or node.name not in names))
+                  and ((owner_of[id(node)], node.name) not in qualified if id(node) in owner_of
+                       else node.name not in names))
 
 
 def imported_modules(tree):
@@ -218,6 +234,32 @@ def test_checker_flags_dead_definitions():
     reader = ast.parse("from m import K, local_reader\nK().method()\nlocal_reader()\n")
     assert dead_definitions(ast.parse(src), [ast.parse(src), reader]) == [
         (3, "unused"), (10, "dead"), (12, "Unread"), (16, "curves")]
+
+
+def test_checker_matches_methods_by_class():
+    # Spine.from_json and skein.Element.to_json read one class's method
+    # only; a read through any other expression, here an instance, reads
+    # every method of its name
+    src = ("class Spine:\n"
+           "    @staticmethod\n"
+           "    def from_json(obj):\n"
+           "        return obj\n"
+           "class Element:\n"
+           "    @staticmethod\n"
+           "    def from_json(obj):\n"
+           "        return obj\n"
+           "    def to_json(self):\n"
+           "        return 1\n"
+           "    def trace(self):\n"
+           "        return 2\n"
+           "class Diagram:\n"
+           "    def trace(self):\n"
+           "        return 3\n")
+    reader = ast.parse("from m import Diagram, Spine, skein\n"
+                       "Spine.from_json({})\n"
+                       "skein.Element.to_json(None)\n"
+                       "Diagram().trace()\n")
+    assert dead_definitions(ast.parse(src), [reader]) == [(7, "from_json")]
 
 
 def test_package_has_no_dead_definitions():

@@ -8,7 +8,7 @@ import gc
 import random
 import weakref
 
-from helpers import random_word
+from helpers import diagram_from_parens, random_word
 from oracles import hom_basis, resolve_braid_fold, then_fold, tl_basis, wenzl_fold
 from skeinrep import tl
 from skeinrep.scalars import make_params
@@ -18,12 +18,12 @@ from skeinrep.tl import TLDiagram, _compose_diagrams, jones_wenzl, resolve_braid
 def test_equal_matchings_are_one_object():
     for n in range(1, 6):
         for d in tl_basis(n):
-            assert TLDiagram.from_parens(n, n, d.parens()) is d
+            assert diagram_from_parens(n, n, d.parens()) is d
             # pairs in any order, each pair either way round
             assert TLDiagram(n, n, [(b, a) for a, b in reversed(d.pairs)]) is d
     for nb, nt in ((0, 4), (4, 0), (3, 1), (2, 4)):
         for d in hom_basis(nb, nt):
-            assert TLDiagram.from_parens(nb, nt, d.parens()) is d
+            assert diagram_from_parens(nb, nt, d.parens()) is d
     assert TLDiagram.identity(4) is TLDiagram(4, 4, [(i, 4 + i) for i in range(4)])
     assert TLDiagram.e_gen(4, 2) is TLDiagram.e_gen(4, 2)
 
@@ -97,14 +97,14 @@ def test_letter_holders_stay_within_the_limit(monkeypatch, fresh_contexts):
     more than the limit, and the product equals the fold."""
     sizes = []
 
-    class Recorded(tl.Packed):
+    class Recorded(tl.BoundedMemo):
         __slots__ = ()
 
         def __setitem__(self, t, col):
             super().__setitem__(t, col)
             sizes.append(len(self))
 
-    monkeypatch.setattr(tl, "Packed", Recorded)
+    monkeypatch.setattr(tl, "BoundedMemo", Recorded)
     monkeypatch.setattr(tl, "_COMPOSE_CACHE_LIMIT", 7)
     word = random_word(random.Random(8), 8, 16)
     p = make_params(5)

@@ -96,7 +96,7 @@ def test_then_factors_die_with_the_call(monkeypatch):
             super().__init__(terms)
             made.append(weakref.ref(self))
 
-    class TracedPacked(tl.Packed):
+    class TracedPacked(tl.BoundedMemo):
         __slots__ = ("__weakref__",)
 
         def __init__(self, column, limit):
@@ -104,7 +104,7 @@ def test_then_factors_die_with_the_call(monkeypatch):
             holders.append(weakref.ref(self))
 
     monkeypatch.setattr(tl, "_Times", Traced)
-    monkeypatch.setattr(tl, "Packed", TracedPacked)
+    monkeypatch.setattr(tl, "BoundedMemo", TracedPacked)
     p = make_params(6)
     x = resolve_braid(p, (1, -2, 3, 1), 4)
     y = resolve_braid(p, (-3, 2, 2), 4)

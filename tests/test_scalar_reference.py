@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from helpers import poly_divmod, poly_mul_raw, poly_sub, poly_trim
+from helpers import poly_divmod, poly_mul_raw, poly_sub, poly_trim, scalar_from_json
 from skeinrep.scalars import Scalar, make_params
 
 
@@ -73,7 +73,7 @@ def as_pair(x: Scalar):
 
 def from_pair(params, pair):
     odd, v = pair
-    return Scalar.from_json(params, {"cpow": odd, "coeffs": [str(q) for q in v]})
+    return scalar_from_json(params, {"cpow": odd, "coeffs": [str(q) for q in v]})
 
 
 def assert_canonical(x: Scalar):

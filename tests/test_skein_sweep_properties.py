@@ -1,13 +1,19 @@
 """A property of the packed skein sweep: on random small labelled, framed
 closed braids with omega components, alone or split from an unknot or from
 a second closure, at r = 4..6 and two roots each, its value has the same
-`to_json` bytes as the plain `Scalar` reference sweep."""
+`to_json` bytes as the plain `Scalar` reference sweep, and `evaluate` gives
+the same bytes on the link with its arcs renamed by a permutation seeded
+from the link's JSON."""
+import json
+import random
+
 import pytest
 
+from helpers import renamed_arcs
 from skeinrep import skein as sk
 from skeinrep.scalars import make_params
 from skeinrep.skein import closed_braid_link, split_union, unknot_link
-from test_skein_sweep import check_link
+from test_skein_sweep import as_bytes, check_link
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -54,4 +60,7 @@ def level_and_braid(draw):
 @hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @hypothesis.given(level_and_braid())
 def test_packed_sweep_matches_reference(case):
-    check_link(*case)
+    params, link = case
+    check_link(params, link)
+    renamed = renamed_arcs(link, random.Random(json.dumps(link.to_json())))
+    assert as_bytes(sk.evaluate(params, renamed)) == as_bytes(sk.evaluate(params, link))

@@ -11,10 +11,11 @@ import random
 
 import pytest
 
+from helpers import tl_identity
 from oracles import encircle_element, hom_basis, scale, sector_projectors
 from skeinrep.recoupling import encircle_eigenvalue
 from skeinrep.scalars import make_params
-from skeinrep.tl import TLDiagram, TLElement, _compose_diagrams, jones_wenzl, resolve_braid
+from skeinrep.tl import TLDiagram, _compose_diagrams, jones_wenzl, resolve_braid
 
 
 def compose_by_walk(lo: TLDiagram, hi: TLDiagram):
@@ -129,7 +130,7 @@ def test_sector_projectors_are_loop_eigenspaces(r):
     p = make_params(r)
     for n in range(r - 1):
         E = encircle_element(p, n, 1)
-        ident = TLElement.identity(p, n)
+        ident = tl_identity(p, n)
         zs = sector_projectors(p, n)
         assert len(zs) == n // 2 + 1
         for m, z in zip(range(n % 2, n + 1, 2), zs):
