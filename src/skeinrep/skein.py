@@ -18,29 +18,30 @@ off the walk of its new crossings and hands that walk to the link it
 builds.
 The kept walk gives the orientations, the head occurrence of each arc
 (where its strand enters the next crossing), the site of a clasp splice and
-the cabled diagram; no diagram is walked twice, and evaluation walks
-nothing.
-
-Evaluation cables k-labeled components into k parallel copies through one
-Jones-Wenzl box, read off each component's strand (``_cabled_diagram``),
-resolves crossings by the Kauffman relation (the A-smoothing of X[a,b,c,d]
-joins a-d and b-c), and replaces closed loops by d = -A^2 - A^{-2}.  The
-sweep over the nodes keeps a linear combination of frontier pairings with
-like states merged: ports are integers, a state is the tuple, by frontier
-slot, of each open port's current partner, and a node resolves a state
-through the join table of its local pattern, one per pattern in the level
-memo, glued on the package's ``UnionFind`` by the rule of TL composition.
-Coefficients are packed residues in rings sized per segment under the
-column rule (``linalg.next_segment``).
+each component's passes in running order; no diagram is walked twice, and
+evaluation walks nothing.
 
 Before any labeling is swept, ``evaluate`` finds the diagram's Reidemeister
 I kinks and II bigons once (``_reduction``), repeating as removals expose
-new ones, and every cabled diagram runs their crossings straight through;
-a kink's sign moves into its component's framing.  Each removal is a local
-identity of the state sum, cable by cable (CONVENTIONS.md).  A diagram
-with neither, such as an alternating one without kinks, costs one scan.
+new ones; a kink's sign moves into its component's framing.  Each removal
+is a local identity of the state sum, cable by cable (CONVENTIONS.md).  A
+diagram with neither, such as an alternating one without kinks, costs one
+scan.  Every later step reads the one reduced diagram (``_Reduced``), not
+the link: its framings, kept crossings and each component's kept passes.
 
-The reduced diagram then splits (``_pieces``; CONVENTIONS.md gives the
+Evaluation cables k-labeled components into k parallel copies through one
+Jones-Wenzl box, wired along their kept passes straight onto integer ports
+(``_cabled_diagram``), resolves crossings by the Kauffman relation (the
+A-smoothing of X[a,b,c,d] joins a-d and b-c), and replaces closed loops by
+d = -A^2 - A^{-2}.  The sweep over the nodes keeps a linear combination of
+frontier pairings with like states merged: a state is the tuple, by
+frontier slot, of each open port's current partner, and a node resolves a
+state through the join table of its local pattern, one per pattern in the
+level memo, glued on the package's ``UnionFind`` by the rule of TL
+composition.  Coefficients are packed residues in rings sized per segment
+under the column rule (``linalg.next_segment``).
+
+The reduced diagram splits (``_pieces``; CONVENTIONS.md gives the
 rule).  A component with no kept crossing is a split unknot, valued in
 closed form from the level memo (``_circle``): it is never cabled or
 swept.  Components joined by kept crossings form a linked piece, swept
@@ -57,24 +58,27 @@ once per evaluation, off the link's walk (``linking_matrix``);
 ``z_invariant`` reads the one it takes the signature of.
 
 In a labeling, a nonzero component that no kept crossing joins to a
-nonzero strand is a split unknot too, valued by ``_circle``.  A sweep is a
-function of the level and the cabled diagram alone, whose nodes are
+nonzero strand is a split unknot too, valued by ``_circle``, so every
+cabled component has a kept pass and no loop touches no node.  A sweep is
+a function of the level and the cabled diagram alone, whose nodes are
 numbered by crossing and component, never by arc, so each distinct
 diagram is swept once per level, at most ``_SWEEP_MEMO_LIMIT`` kept
-(``_sweeps``), and the framing monomials multiply the value read.
+(``_sweeps``, keyed by the kinds and partner list as the cabler writes
+them), and the framing monomials multiply the value read.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import DomainError, LinkFormatError, json_int, json_object
 from .linalg import BoundedMemo, next_segment
 from .recoupling import twist_coefficient
 from .scalars import PackedRing, QuantumParams, Scalar, common_denominator
-from .tl import jones_wenzl, loop_power
+from .tl import jones_wenzl
 from .unionfind import UnionFind
 
 OMEGA = "omega"
@@ -365,136 +369,150 @@ def _removal(partner, t):
     return None
 
 
-def _reduction(link: LabeledLink):
-    """(dropped, framings): the crossings of `link` that evaluation runs
-    straight through, and each component's framing with the sign of each
-    of its dropped kinks added.  A crossing is dropped by a Reidemeister I
-    or II move (``_removal``), read on the diagram left by the moves before
-    it, until no move is left; each is an identity of the state sum, cable
-    by cable (CONVENTIONS.md).  A kink repeats an arc at its crossing, and
-    a bigon's under strand runs under at both ends, so a diagram with
-    neither (an alternating one without kinks) is read no further.
-    LinkFormatError when `link` has no consistent orientation."""
-    _oriented(link)
-    crossings = link.crossings
-    framings = [c.framing for c in link.components]
+@dataclass
+class _Reduced:
+    """The diagram that evaluation reads, made once per link by
+    ``_reduction``: `dropped`, the crossings of `link` run straight
+    through; `framings`, each component's framing with the sign of each of
+    its dropped kinks added; and `kept`, the other crossings in crossing
+    order, each as (under component, over component, whether the over
+    strand enters at slot b)."""
+    link: LabeledLink = field(repr=False)
+    dropped: set
+    framings: list
+    kept: list
+
+    @cached_property
+    def passes(self):
+        """Each component's passes through kept crossings, (kept index,
+        slot entered), in running order from its box site: the arc entering
+        the lowest-index crossing it passes, dropped ones counted, its
+        under-pass first.  Derived at the first read: a link reduced to
+        circles only never derives them."""
+        strands, _, head = self.link.walk[:3]
+        kept = [t for t in range(len(self.link.crossings)) if t not in self.dropped]
+        index = {t: x for x, t in enumerate(kept)}
+        out = [[] for _ in self.framings]
+        for arcs in strands:
+            at = [head[a] for a in arcs]
+            site = at.index(min(at))
+            out[self.link.comp_of[arcs[0]]] = [(index[t], s) for t, s in at[site:] + at[:site]
+                                               if t in index]
+        return out
+
+
+def _reduction(link: LabeledLink) -> _Reduced:
+    """The reduced diagram of `link` (``_Reduced``).  A crossing is dropped
+    by a Reidemeister I or II move (``_removal``), read on the diagram left
+    by the moves before it, until no move is left; each is an identity of
+    the state sum, cable by cable (CONVENTIONS.md).  A kink repeats an arc
+    at its crossing, and a bigon's under strand runs under at both ends,
+    so a diagram with neither (an alternating one without kinks) is read
+    no further.  LinkFormatError when `link` has no consistent
+    orientation."""
+    ob = _oriented(link)[1]
+    crossings, comp_of = link.crossings, link.comp_of
+    dropped, framings = set(), [c.framing for c in link.components]
     unders = [a for x in crossings for a in x[::2]]
-    if len(set(unders)) == len(unders) and sum(map(len, map(set, crossings))) == len(unders) * 2:
-        return set(), framings
-    partner, seen = [0] * (4 * len(crossings)), {}
-    for p, a in enumerate(itertools.chain.from_iterable(crossings)):
-        q = seen.setdefault(a, p)
-        partner[p] = q
-        partner[q] = p
-    dropped, work = set(), list(range(len(crossings)))
-    while work:
-        t = work.pop()
-        if t in dropped or (move := _removal(partner, t)) is None:
-            continue
-        gone, sign = move
-        if sign:
-            framings[link.comp_of[crossings[t][0]]] += sign
-        for u in gone:
-            dropped.add(u)
-            # run each pass of u straight through: the ends of its two
-            # arcs are joined, unless they are one arc closed into a loop
-            for a in (4 * u, 4 * u + 1):
-                pa, pb = partner[a], partner[a + 2]
-                if pa != a + 2:
-                    partner[pa], partner[pb] = pb, pa
-                    work += (pa >> 2, pb >> 2)
-    return dropped, framings
+    if len(set(unders)) != len(unders) or sum(map(len, map(set, crossings))) != len(unders) * 2:
+        partner, seen = [0] * (4 * len(crossings)), {}
+        for p, a in enumerate(itertools.chain.from_iterable(crossings)):
+            q = seen.setdefault(a, p)
+            partner[p] = q
+            partner[q] = p
+        work = list(range(len(crossings)))
+        while work:
+            t = work.pop()
+            if t in dropped or (move := _removal(partner, t)) is None:
+                continue
+            gone, sign = move
+            if sign:
+                framings[comp_of[crossings[t][0]]] += sign
+            for u in gone:
+                dropped.add(u)
+                # run each pass of u straight through: the ends of its two
+                # arcs are joined, unless they are one arc closed into a loop
+                for a in (4 * u, 4 * u + 1):
+                    pa, pb = partner[a], partner[a + 2]
+                    if pa != a + 2:
+                        partner[pa], partner[pb] = pb, pa
+                        work += (pa >> 2, pb >> 2)
+    kept = [(comp_of[a], comp_of[b], ob[t])
+            for t, (a, b, _, _) in enumerate(crossings) if t not in dropped]
+    return _Reduced(link, dropped, framings, kept)
 
 
-def _cabled_diagram(params: QuantumParams, link: LabeledLink, labels, dropped):
-    """The blackboard-framed cabled diagram of `link` with every component's
-    label an integer in 0..r-2 (``evaluate`` checks the range), read off
-    the link's walk: its orientations, the head occurrence of each arc and
-    each component's strand.  The crossings in `dropped` are run straight
-    through.
+def _cabled_diagram(reduced: _Reduced, labels):
+    """The blackboard-framed cabled diagram of `reduced`, every label an
+    integer in 0..r-2 and each nonzero component joined by a kept crossing
+    to a nonzero strand (``_evaluate_labeled`` cables only those), as
+    (kinds, partner) on integer ports.  kinds lists the nodes: "X" for each
+    crossing of two cable strands, then k for the Jones-Wenzl box of each
+    component labelled k >= 2, in component order.  Port base[x] + s is
+    slot s of node x (4 per crossing; a box's k bottoms, then its k tops),
+    and partner[p] is the port at the other end of port p's strand.
 
-    Returns (kinds, pairing, loops_upfront).  kinds lists the nodes: "X"
-    for each crossing of two cable strands, then k for the Jones-Wenzl box
-    of each component labelled k >= 2, in component order.  `pairing` maps
-    each port (node index, slot) to the port at the other end of its strand;
-    a box's slots are its k bottoms, then its k tops.  loops_upfront counts
-    the closed loops that touch no node.
-
-    A crossing not dropped whose under and over labels m, n are both
-    nonzero is an m x n grid of "X" nodes, in crossing order; node (i, j),
-    at offset i n + j, crosses under copy i with over copy j.  Each
-    component of nonzero label k is wired copy by copy through its kept
-    passes in running order, from its box site: the arc entering the
-    lowest-index crossing it passes, its under-pass first.  Its box
-    (k >= 2) sits on that arc, and a dropped pass or one whose partner is
-    labelled 0 is run straight through.  A component with no kept pass is
-    its box closed on itself (k >= 2) or one loop (k = 1).
+    A kept crossing of nonzero labels m, n is an m x n grid of "X" nodes,
+    in crossing order; node (i, j), at offset i n + j, crosses under copy i
+    with over copy j.  Each nonzero component is wired copy by copy through
+    its kept passes from its box site (``_Reduced.passes``), its box on the
+    site's arc; a pass whose partner is labelled 0 runs straight through.
     """
-    strands, ob, head = _oriented(link)
-    comp_of = link.comp_of
-    strand_of = {comp_of[arcs[0]]: arcs for arcs in strands}
-    kinds, grid = [], {}  # grid[t] = (first node, m, n) of a kept crossing
-    for t, (a, b, _, _) in enumerate(link.crossings):
-        m, n = labels[comp_of[a]], labels[comp_of[b]]
-        if m and n and t not in dropped:
-            grid[t] = (len(kinds), m, n)
+    kinds, grid = [], {}  # grid[x] = (first node, m, n, ob) of kept crossing x
+    for x, (i, j, ob) in enumerate(reduced.kept):
+        m, n = labels[i], labels[j]
+        if m and n:
+            grid[x] = (len(kinds), m, n, ob)
             kinds += ["X"] * (m * n)
+    partner = [0] * (4 * len(kinds))
 
-    def through(t, s, copy):
+    def through(x, s, copy):
         """The (in, out) ports, in running order, of cable copy `copy` on
-        its pass through crossing t entered at slot s."""
-        first, m, n = grid[t]
+        its pass through kept crossing x entered at slot s."""
+        first, m, n, ob = grid[x]
         if s == 0:
             nodes = range(first + copy * n, first + (copy + 1) * n)
-            nodes = nodes if ob[t] else reversed(nodes)
+            nodes = nodes if ob else reversed(nodes)
         else:
             nodes = range(first + copy, first + m * n, n)
             nodes = reversed(nodes) if s == 1 else nodes
-        return [((x, s), (x, (s + 2) % 4)) for x in nodes]
+        return [(4 * y + s, 4 * y + (s + 2) % 4) for y in nodes]
 
-    pairing, loops_upfront = {}, 0
     for i, k in enumerate(labels):
         if not k:
             continue
-        passes = [head[a] for a in strand_of.get(i, ())]
-        site = passes.index(min(passes)) if passes else 0
-        kept = [(t, s) for t, s in passes[site:] + passes[:site] if t in grid]
-        if k == 1 and not kept:
-            loops_upfront += 1
-            continue
-        box = len(kinds)
+        kept = [(x, s) for x, s in reduced.passes[i] if x in grid]
+        box = len(partner)
         if k >= 2:
             kinds.append(k)
+            partner += [0] * (2 * k)
         for copy in range(k):
-            chain = [((box, copy), (box, k + copy))] if k >= 2 else []
-            for t, s in kept:
-                chain += through(t, s, copy)
+            chain = [(box + copy, box + k + copy)] if k >= 2 else []
+            for x, s in kept:
+                chain += through(x, s, copy)
             for (_, out), (inp, _) in zip(chain, chain[1:] + chain[:1]):
-                pairing[out], pairing[inp] = inp, out
-    return kinds, pairing, loops_upfront
+                partner[out], partner[inp] = inp, out
+    return kinds, partner
 
 
 def _port_count(kind):
     return 4 if kind == "X" else 2 * kind
 
 
-def _ports(kinds, pairing):
-    """(base, partner): port base[x] + s is slot s of node x, and
-    partner[p] is the port at the other end of port p's strand."""
-    base = list(itertools.accumulate(map(_port_count, kinds), initial=0))
-    partner = [0] * base[-1]
-    for (x, s), (y, t) in pairing.items():
-        partner[base[x] + s] = base[y] + t
-    return base, partner
+def _port_nodes(kinds):
+    """The node of each port: port base[x] + s is slot s of node x."""
+    return [x for x, kind in enumerate(kinds) for _ in range(_port_count(kind))]
 
 
-def _greedy_order(kinds, pairing):
+def _greedy_order(kinds, partner):
     """Sweep order: each step places the node with the most ports paired to
     placed nodes or to itself, the lowest index among equals.  Scores only
     grow, so a heap with stale entries skipped replaces a rescan per step."""
+    node_of = _port_nodes(kinds)
     score = [0] * len(kinds)
     others = [[] for _ in kinds]  # the node across each port, when another
-    for (idx, _), (other, _) in pairing.items():
+    for idx, q in zip(node_of, partner):
+        other = node_of[q]
         if idx == other:
             score[idx] += 1
         else:
@@ -608,18 +626,18 @@ def _join_table(params: QuantumParams, kind, static, sig):
     return params.cached(("sweep_join", kind, static, sig), build)
 
 
-def _sweep(params: QuantumParams, kinds, pairing, loops_upfront, twists=()) -> Scalar:
-    """Resolve the nodes one at a time, keeping a linear combination of states.
+def _sweep(params: QuantumParams, kinds, partner) -> Scalar:
+    """Resolve the nodes of a cabled diagram, at least one, on the integer
+    ports of ``_cabled_diagram``, one at a time, keeping a linear
+    combination of states.
 
-    Ports are integers, port base[idx] + slot of node idx, and `pairing`
-    becomes the list `partner`.  A frontier port is an unprocessed port
-    whose `partner` is processed; every other port still has its
-    `partner`.  Each frontier port holds one slot while it is on the
-    frontier, and a state is the tuple, by slot, of the slot of each
-    frontier port's current partner, None at a free slot.  Like states are
-    merged.  The ports a node opens take the lowest free slots, then new
-    ones at the top; the node's slots left free are cleared, and free slots
-    at the top are cut.
+    A frontier port is an unprocessed port whose `partner` is processed;
+    every other port still has its `partner`.  Each frontier port holds
+    one slot while it is on the frontier, and a state is the tuple, by
+    slot, of the slot of each frontier port's current partner, None at a
+    free slot.  Like states are merged.  The ports a node opens take the
+    lowest free slots, then new ones at the top; the node's slots left
+    free are cleared, and free slots at the top are cut.
 
     A node resolves a state through the join table of its local pattern
     (`_join_table`), which a step reads once per pattern: a resolution is
@@ -631,30 +649,20 @@ def _sweep(params: QuantumParams, kinds, pairing, loops_upfront, twists=()) -> S
     product with a resolution's multiplier, the merge of like states and
     the drop of zero states are integer *, + and % N.  Each node's
     multipliers are scaled to its lcm denominator L.  A node multiplies the
-    total l1 mass of the states by at most its mass (`_node_terms`), and
-    2^loops_upfront joins the last node's, so the sweep runs in segments
-    under the column rule (`linalg.next_segment`): every state's reduced
-    coefficients stay within B = mu * start mass * prod masses < 2^(b-2)
-    of the segment's ring, so the zero test on the residue is exact, and
-    at the end of a segment every state is decoded over the start
-    denominator times the product of the L and packed again from the
-    actual mass.  The first segment starts at the unit, with no decode.
-    The framing monomials `twists` (each +-A^e) scale the closed total
-    before the last decode; a monomial keeps the l1 mass, so B holds for
-    the product too.  With no node the value is d^loops_upfront times the
-    monomials, and no ring is set up.
+    total l1 mass of the states by at most its mass (`_node_terms`), so the
+    sweep runs in segments under the column rule (`linalg.next_segment`):
+    every state's reduced coefficients stay within
+    B = mu * start mass * prod masses < 2^(b-2) of the segment's ring, so
+    the zero test on the residue is exact, and at the end of a segment
+    every state is decoded over the start denominator times the product of
+    the L and packed again from the actual mass.  The first segment starts
+    at the unit, with no decode.
     """
-    if not kinds:
-        total = loop_power(params, loops_upfront)
-        for twist in twists:
-            total = total * twist
-        return total
-    order = _greedy_order(kinds, pairing)
-    base, partner = _ports(kinds, pairing)
-    node_of = [idx for idx, kind in enumerate(kinds) for _ in range(_port_count(kind))]
+    order = _greedy_order(kinds, partner)
+    base = list(itertools.accumulate(map(_port_count, kinds), initial=0))
+    node_of = _port_nodes(kinds)
     terms = [_node_terms(params, kinds[idx]) for idx in order]
-    growths = [mass for _, mass, _ in terms] or [1]
-    growths[-1] <<= loops_upfront
+    growths = [mass for _, mass, _ in terms]
     left, ring, den, (unit,) = next_segment(params, growths)
     states = {(): unit}
     placed = [False] * len(kinds)
@@ -728,11 +736,7 @@ def _sweep(params: QuantumParams, kinds, pairing, loops_upfront, twists=()) -> S
 
     if set(states) - {()}:
         raise AssertionError("sweep did not close all strands")
-    n = ring.n
-    total = states.get((), 0) * pow(_loop_residue(params, ring), loops_upfront, n)
-    if twists:
-        for nums in common_denominator(twists)[1]:
-            total = total * ring.pack(nums) % n
+    total = states.get((), 0)
     return ring.decode(total, den)
 
 
@@ -742,41 +746,38 @@ _SWEEP_MEMO_LIMIT = 1 << 10
 
 def _sweeps(params: QuantumParams):
     """The level's sweep values (``linalg.BoundedMemo``), shared by its
-    roots: the key (kinds, partner) of a cabled diagram, partner its
-    pairing on integer ports (``_ports``), maps to ``_sweep`` of the
-    diagram with no loop upfront."""
+    roots: the key (kinds, partner), the tuples of a cabled diagram as
+    ``_cabled_diagram`` writes it, maps to its ``_sweep``."""
     return params.cached(("sweeps",), lambda: BoundedMemo(None, _SWEEP_MEMO_LIMIT))
 
 
-def _evaluate_labeled(params: QuantumParams, link: LabeledLink, labels, dropped, framings):
-    """Evaluate with every component's label an integer (omega expanded),
-    the crossings in `dropped` run straight through and component i framed
-    framings[i].  A component of nonzero label that no kept crossing joins
-    to a nonzero strand, its own included, is a split unknot, valued in
-    closed form (``_circle``).  The others, each with a kept pass, are
-    cabled with no loop upfront (``_cabled_diagram``); their sweep is read
-    from the level's sweep values (``_sweeps``), swept and kept there when
+def _evaluate_labeled(params: QuantumParams, reduced: _Reduced, labels):
+    """Evaluate the reduced diagram `reduced` with every component's label
+    an integer (omega expanded).  A component of nonzero label that no
+    kept crossing joins to a nonzero strand, its own included, is a split
+    unknot, valued in closed form (``_circle``).  The others, each with a
+    kept pass, are cabled (``_cabled_diagram``); their sweep is read from
+    the level's sweep values (``_sweeps``), swept and kept there when
     missing, and multiplied by mu_k^f for each of them."""
-    comp_of, linked = link.comp_of, set()
-    for t, (a, b, _, _) in enumerate(link.crossings):
-        i, j = comp_of[a], comp_of[b]
-        if labels[i] and labels[j] and t not in dropped:
+    linked = set()
+    for i, j, _ in reduced.kept:
+        if labels[i] and labels[j]:
             linked.add(i)
             linked.add(j)
     value, e = params.one(), 0
-    for i, (k, f) in enumerate(zip(labels, framings)):
+    for i, (k, f) in enumerate(zip(labels, reduced.framings)):
         if i in linked:
             # mu_k^f = (-1)^(kf) A^(k(k+2)f), and -1 = A^(2r)
             e += f * k * (k + 2 + 2 * params.r)
         elif k:
             value = value * _circle(params, k, f)
     if linked:
-        kinds, pairing, _ = _cabled_diagram(
-            params, link, [k if i in linked else 0 for i, k in enumerate(labels)], dropped)
-        memo, key = _sweeps(params), (tuple(kinds), tuple(_ports(kinds, pairing)[1]))
+        kinds, partner = _cabled_diagram(
+            reduced, [k if i in linked else 0 for i, k in enumerate(labels)])
+        memo, key = _sweeps(params), (tuple(kinds), tuple(partner))
         swept = memo.get(key)
         if swept is None:
-            swept = memo.keep(key, _sweep(params, kinds, pairing, 0))
+            swept = memo.keep(key, _sweep(params, kinds, partner))
         value = value * swept * params.a_pow(e)
     return value
 
@@ -800,19 +801,17 @@ def _fold(labels, fixed, lk, r):
     return tuple(labels), e
 
 
-def _pieces(link: LabeledLink, dropped):
-    """(pieces, circles): the components of `link` joined by the crossings
-    not in `dropped`, one sorted index list per linked piece, and the
-    indices of the components with no such crossing, the crossingless
-    ones.  The pieces are grouped on the package's ``UnionFind`` only when
-    two or more components have a kept crossing, and the grouping stops
-    once its merges have joined them all."""
-    comp_of = link.comp_of
-    pairs = {(comp_of[a], comp_of[b])
-             for t, (a, b, _, _) in enumerate(link.crossings) if t not in dropped}
+def _pieces(reduced: _Reduced):
+    """(pieces, circles): the components joined by the kept crossings of
+    `reduced`, one sorted index list per linked piece, and the indices of
+    the components with no kept crossing, the crossingless ones.  The
+    pieces are grouped on the package's ``UnionFind`` only when two or
+    more components have a kept crossing, and the grouping stops once its
+    merges have joined them all."""
+    pairs = {(i, j) for i, j, _ in reduced.kept}
     touched = set().union(*pairs)
     linked = sorted(touched)
-    circles = [i for i in range(len(link.components)) if i not in touched]
+    circles = [i for i in range(len(reduced.framings)) if i not in touched]
     if len(linked) <= 1:
         return ([linked] if linked else []), circles
     uf, spare = UnionFind(), len(linked) - 1
@@ -840,14 +839,13 @@ def _circle(params: QuantumParams, label, framing) -> Scalar:
     return params.cached(("circle", label, framing), build)
 
 
-def _linked_value(params: QuantumParams, link: LabeledLink, lk, piece, dropped, framings):
-    """The value of the linked piece of `link` whose components are
+def _linked_value(params: QuantumParams, reduced: _Reduced, lk, piece):
+    """The value of the linked piece of `reduced` whose components are
     `piece`, every other component held at label 0: each labeling of the
     piece is folded onto its canonical one (``_fold``), and each canonical
     labeling whose summed coefficient is nonzero is evaluated once
-    (``_evaluate_labeled``), with the crossings in `dropped` run straight
-    through."""
-    comps = link.components
+    (``_evaluate_labeled``)."""
+    comps = reduced.link.components
     fixed = [c.label != OMEGA for c in comps]
     choices = [(0,)] * len(comps)
     for i in piece:
@@ -865,23 +863,23 @@ def _linked_value(params: QuantumParams, link: LabeledLink, lk, piece, dropped, 
             continue
         for i in omegas:
             coeff = coeff * weights[labels[i]]
-        total = total + coeff * _evaluate_labeled(params, link, labels, dropped, framings)
+        total = total + coeff * _evaluate_labeled(params, reduced, labels)
     return total
 
 
 def _evaluate(params: QuantumParams, link: LabeledLink, lk) -> Scalar:
     """``evaluate`` of a link whose labels are checked and whose linking
-    matrix is `lk`: the product of its crossingless components'
-    closed forms (``_circle``) and its linked pieces' values
-    (``_linked_value``), on the diagram left by its Reidemeister I and II
-    moves (``_reduction``)."""
-    dropped, framings = _reduction(link)
-    pieces, circles = _pieces(link, dropped)
+    matrix is `lk`, on the diagram left by its Reidemeister I and II moves
+    (``_reduction``): the product of its crossingless components' closed
+    forms (``_circle``) and its linked pieces' values
+    (``_linked_value``)."""
+    reduced = _reduction(link)
+    pieces, circles = _pieces(reduced)
     total = params.one()
     for i in circles:
-        total = total * _circle(params, link.components[i].label, framings[i])
+        total = total * _circle(params, link.components[i].label, reduced.framings[i])
     for piece in pieces:
-        total = total * _linked_value(params, link, lk, piece, dropped, framings)
+        total = total * _linked_value(params, reduced, lk, piece)
     return total
 
 

@@ -12,6 +12,11 @@ calculus, and the tests compare the two exactly.
   encirclement eigenvalues and the Hopf pairing as composed diagrams;
 - TQFT: the handlebody vector and the solid-torus expansion of a (p, q)
   curve, read off skein evaluations of torus links;
+- the cabled diagram: the builder that aliases cable sub-arcs, which
+  ``skein._cabled_diagram`` replaced, kept for every labeling (loops that
+  touch no node, boxes closed on themselves) and with any crossings run
+  straight through, and the sweep of its diagram on integer ports with
+  those loops and the framing monomials multiplied after;
 - surgery: ``skein.evaluate`` without its label fold, its Reidemeister
   reduction, its closed forms and its memo of sweep values, one fresh
   sweep of the whole diagram per labeling,
@@ -42,13 +47,13 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 
-from helpers import dense_rows, tl_identity
+from helpers import dense_rows, groups, tl_identity
 from skeinrep import skein as sk
 from skeinrep.braids import BraidWord, _generator_matrix, _sector_dim, block_crossing, path_basis
 from skeinrep.linalg import columns, eye, mat_mul, scalar_of
 from skeinrep.recoupling import (admissible, check_label, s_matrix, theta, theta_inverse,
                                  twist_coefficient)
-from skeinrep.skein import DomainError
+from skeinrep.skein import DomainError, LinkFormatError
 from skeinrep.tl import (TLDiagram, TLElement, _compose_diagrams, jones_wenzl, loop_power,
                          resolve_braid)
 from skeinrep.tqft import Spine, SpineFormatError, basis
@@ -448,17 +453,203 @@ def expand_solid_torus(params, p: int, q: int):
 
 
 # ---------------------------------------------------------------------------
+# the cabled diagram and its sweep
+
+
+def reference_strands(link):
+    """The label-free data of the cabled diagram, shared by every labelling:
+    (ob, cross_comp, arcs_of) with ob the orientations, cross_comp[t] the
+    (under, over) components of crossing t, and arcs_of[i] the incoming
+    arcs of component i, one per crossing it passes."""
+    ob = link.orientations()
+    comp_of = link.arc_component()
+    cross_comp = [(comp_of[a], comp_of[b]) for a, b, c, d in link.crossings]
+    arcs_of = {i: [] for i in range(len(link.components))}
+    for t, x in enumerate(link.crossings):
+        cu, co = cross_comp[t]
+        arcs_of[cu].append(x[0])
+        arcs_of[co].append(x[1 if ob[t] else 3])
+    return ob, cross_comp, arcs_of
+
+
+def reference_diagram_nodes(params, link, labels, strands, dropped=()):
+    """The cabled diagram of `link` with every component's label an integer,
+    over its label-free data `strands` (``reference_strands(link)``), and
+    the crossings in `dropped` run straight through.
+
+    Returns (nodes, pairing, loops_upfront): nodes are ("X", ports) crossings
+    of cable strands and ("B", k, bottoms, tops) Jones-Wenzl boxes; `pairing`
+    maps each port (node index, slot) to the port at the other end of its
+    arc; loops_upfront counts the closed loops that touch no node.
+    """
+    r = params.r
+    for k in labels:
+        if not 0 <= k <= r - 2:
+            raise DomainError(f"label {k} outside 0..{r - 2}")
+    ob, cross_comp, arcs_of = strands
+    crossings = link.crossings
+
+    # choose box sites: one arc per component with multiplicity >= 2
+    box_site = {}
+    virtual_boxes = []  # crossingless loops of multiplicity >= 2
+    for i, k in enumerate(labels):
+        if k >= 2:
+            if arcs_of[i]:
+                box_site[i] = arcs_of[i][0]
+            else:
+                virtual_boxes.append(i)
+
+    cut_arcs = set(box_site.values())
+
+    # ----- build nodes over cable sub-arcs -----
+    # arc-name aliasing for straight-throughs past dropped components
+    alias, aliased = UnionFind(), []
+
+    def join(u, v):
+        aliased.extend((u, v))
+        alias.union(u, v)
+
+    def arcname(u, i, head_side):
+        if head_side and u in cut_arcs:
+            return ("arcH", u, i)
+        return ("arc", u, i)
+
+    nodes = []  # ("X", (pa, pb, pc, pd)) or ("B", k, bottoms, tops)
+    for t, x in enumerate(crossings):
+        a, b, c, d = x
+        cu, co = cross_comp[t]
+        m, n = labels[cu], labels[co]
+        bin_, dout = (b, d) if ob[t] else (d, b)
+        if t in dropped or n == 0:
+            for i in range(1, m + 1):
+                join(arcname(a, i, True), arcname(c, i, False))
+        if t in dropped or m == 0:
+            for j in range(1, n + 1):
+                join(arcname(bin_, j, True), arcname(dout, j, False))
+        if t in dropped or m == 0 or n == 0:
+            continue
+
+        def useg(i, step):
+            if step == 0:
+                return arcname(a, i, True)
+            if step == n:
+                return arcname(c, i, False)
+            return ("useg", t, i, step)
+
+        def oseg(j, step):
+            if step == 0:
+                return arcname(bin_, j, True)
+            if step == m:
+                return arcname(dout, j, False)
+            return ("oseg", t, j, step)
+
+        for i in range(1, m + 1):
+            for j in range(1, n + 1):
+                if ob[t]:
+                    pa = useg(i, j - 1)
+                    pb = oseg(j, m - i)
+                    pc = useg(i, j)
+                    pd = oseg(j, m - i + 1)
+                else:
+                    pa = useg(i, n - j)
+                    pb = oseg(j, i)
+                    pc = useg(i, n - j + 1)
+                    pd = oseg(j, i - 1)
+                nodes.append(("X", (pa, pb, pc, pd)))
+
+    free_loop_count = 0
+    for i, k in enumerate(labels):
+        if k == 0:
+            continue
+        if i in box_site:
+            u = box_site[i]
+            bottoms = [("arc", u, j) for j in range(1, k + 1)]
+            tops = [("arcH", u, j) for j in range(1, k + 1)]
+            nodes.append(("B", k, bottoms, tops))
+        elif i in virtual_boxes:
+            # crossingless loop of multiplicity k: close the box on itself,
+            # giving the closed-loop value d_k of the projector
+            vb = [("vbox", i, j) for j in range(1, k + 1)]
+            nodes.append(("B", k, vb, vb))
+        elif not arcs_of[i]:
+            # crossingless loop of multiplicity 1: a bare circle
+            free_loop_count += 1
+
+    # ----- pair up port occurrences -----
+    occurrences = {}
+    for idx, node in enumerate(nodes):
+        ports = node[1] if node[0] == "X" else node[2] + node[3]
+        for slot, name in enumerate(ports):
+            root = alias.find(name)
+            occurrences.setdefault(root, []).append((idx, slot))
+    for root, occs in occurrences.items():
+        if len(occs) != 2:
+            raise LinkFormatError(f"internal: arc {root} has {len(occs)} ends")
+
+    # aliased classes never touched by a node are closed loops
+    alias_loops = sum(alias.find(g[0]) not in occurrences for g in groups(alias, aliased))
+    # components of multiplicity 1 whose every crossing partner was dropped
+    # or labeled 0 close into alias loops; crossingless ones were counted in
+    # free_loop_count
+    loops_upfront = free_loop_count + alias_loops
+
+    pairing = {}
+    for root, ((n1, s1), (n2, s2)) in occurrences.items():
+        pairing[(n1, s1)] = (n2, s2)
+        pairing[(n2, s2)] = (n1, s1)
+    return nodes, pairing, loops_upfront
+
+
+def cabled_reference(params, link, labels, dropped=()):
+    """(kinds, pairing, loops_upfront): the cabled diagram of `link` with
+    the crossings in `dropped` run straight through, built by aliasing
+    cable sub-arcs (``reference_diagram_nodes``).  kinds lists the nodes
+    as ``skein._cabled_diagram`` does, `pairing` maps each port (node,
+    slot) to the port at the other end of its strand, and loops_upfront
+    counts the closed loops that touch no node.  Unlike the package's
+    cabler it takes every labeling: a component of nonzero label with no
+    pass through a kept crossing of nonzero partner is its box closed on
+    itself, or one loop upfront for label 1."""
+    nodes, pairing, loops = reference_diagram_nodes(params, link, labels,
+                                                    reference_strands(link), dropped)
+    return [node[0] if node[0] == "X" else node[1] for node in nodes], pairing, loops
+
+
+def ports(kinds, pairing):
+    """The list `partner` of a (node, slot) pairing on integer ports, the
+    form ``skein._cabled_diagram`` writes: port base[x] + s is slot s of
+    node x, and partner[p] is the port at the other end of port p's
+    strand."""
+    base = list(itertools.accumulate(map(sk._port_count, kinds), initial=0))
+    partner = [0] * base[-1]
+    for (x, s), (y, t) in pairing.items():
+        partner[base[x] + s] = base[y] + t
+    return partner
+
+
+def swept(params, kinds, pairing, loops_upfront=0, twists=()):
+    """The value of a cabled diagram with `loops_upfront` closed loops that
+    touch no node, times the framing monomials `twists`: ``skein._sweep``
+    on its integer ports when it has a node (the package sweeps no other),
+    then d^loops_upfront and the monomials multiply the value."""
+    total = sk._sweep(params, kinds, ports(kinds, pairing)) if kinds else params.one()
+    total = total * loop_power(params, loops_upfront)
+    for twist in twists:
+        total = total * twist
+    return total
+
+
+# ---------------------------------------------------------------------------
 # surgery presentations
 
 
 def swept_labeled(params, link, labels, dropped, framings):
     """``skein._evaluate_labeled`` as one fresh sweep of the whole cabled
     diagram, with no closed form and no level memo of sweep values:
-    ``skein._sweep`` of ``skein._cabled_diagram`` with the crossings in
-    `dropped` run straight through, its loops and the framing monomials
-    mu_k^f folded into the packed total."""
+    ``swept`` of ``cabled_reference`` with the crossings in `dropped` run
+    straight through, times its loops and the framing monomials mu_k^f."""
     twists = [twist_coefficient(params, k, f) for k, f in zip(labels, framings) if k and f]
-    return sk._sweep(params, *sk._cabled_diagram(params, link, labels, dropped), twists)
+    return swept(params, *cabled_reference(params, link, labels, dropped), twists)
 
 
 def unreduced_labeled(params, link, labels):

@@ -82,7 +82,7 @@ def test_mirror_identity_on_closed_braids(r):
         def value(k):
             if k not in swept:
                 labels = base[:i] + [k] + base[i + 1:]
-                swept[k] = sk._evaluate_labeled(params, link, labels, *sk._reduction(link))
+                swept[k] = sk._evaluate_labeled(params, sk._reduction(link), labels)
             return swept[k]
 
         for k in range(j + 1):
@@ -157,9 +157,9 @@ def test_sweeps_only_canonical_labelings(monkeypatch):
     swept = []
     sweep = sk._evaluate_labeled
 
-    def counting(params, link, labels, dropped, framings):
+    def counting(params, reduced, labels):
         swept.append(tuple(labels))
-        return sweep(params, link, labels, dropped, framings)
+        return sweep(params, reduced, labels)
 
     monkeypatch.setattr(sk, "_evaluate_labeled", counting)
     params = make_params(8)

@@ -6,13 +6,15 @@ changes, and gives a crossing left undecided (its over strand never passes
 under) the over strand entering at b.  `reference_closure` finds a closed
 braid's components as the cycles of its permutation, ordered by smallest
 position, with a union-find over a-c and b-d for their arcs.
-`reference_diagram_nodes` names every cable sub-arc, joins the names across
-crossings with a label-0 partner in a union-find, and pairs ports through an
-occurrence table.  All three are kept as they stood before the walk;
-orientations, crossing signs, closure arc lists and the cabled diagram's
-node kinds, port pairing and upfront loops must agree with them, on
-closures that have components passing only over, on every move's output
-and on diagrams with drawn kinks.
+`oracles.cabled_reference` names every cable sub-arc, joins the names
+across crossings with a label-0 partner or dropped by `skein._reduction`
+in a union-find, and pairs ports through an occurrence table.  All three
+are kept as they stood before the walk; orientations, crossing signs and
+closure arc lists must agree with them, and the cabled diagram of the
+reduced diagram must have the reference's node kinds and port pairing, on
+integer ports, with no upfront loop, on closures that have components
+passing only over, on every move's output, on diagrams with drawn kinks
+and on closures with bigons and kinks that the reduction drops.
 """
 import dataclasses
 import itertools
@@ -22,12 +24,13 @@ import random
 import pytest
 
 from helpers import groups
+from oracles import cabled_reference, ports
 from skeinrep import cli
 from skeinrep import skein as sk
 from skeinrep.scalars import make_params
-from skeinrep.skein import (BalancedStabilization, CircumcisionPair, DomainError, HandleSlide,
-                            LabeledLink, LinkFormatError, apply_move, closed_braid_link,
-                            split_union, unknot_link)
+from skeinrep.skein import (BalancedStabilization, CircumcisionPair, HandleSlide, LabeledLink,
+                            LinkFormatError, apply_move, closed_braid_link, split_union,
+                            unknot_link)
 from skeinrep.unionfind import UnionFind
 from test_skein_sweep import kinked_link, random_closed_braid
 
@@ -218,159 +221,21 @@ def test_clasp_word_that_permutes_side_strands_rejected():
 
 # ----- the cabled diagram against the aliasing builder it replaced -----
 
-def reference_strands(link):
-    """The label-free data of the cabled diagram, shared by every labelling:
-    (ob, cross_comp, arcs_of) with ob the orientations, cross_comp[t] the
-    (under, over) components of crossing t, and arcs_of[i] the incoming
-    arcs of component i, one per crossing it passes."""
-    ob = link.orientations()
-    comp_of = link.arc_component()
-    cross_comp = [(comp_of[a], comp_of[b]) for a, b, c, d in link.crossings]
-    arcs_of = {i: [] for i in range(len(link.components))}
-    for t, x in enumerate(link.crossings):
-        cu, co = cross_comp[t]
-        arcs_of[cu].append(x[0])
-        arcs_of[co].append(x[1 if ob[t] else 3])
-    return ob, cross_comp, arcs_of
-
-
-def reference_diagram_nodes(params, link, labels, strands):
-    """The cabled diagram of `link` with every component's label an integer,
-    over its label-free data `strands` (``reference_strands(link)``).
-
-    Returns (nodes, pairing, loops_upfront): nodes are ("X", ports) crossings
-    of cable strands and ("B", k, bottoms, tops) Jones-Wenzl boxes; `pairing`
-    maps each port (node index, slot) to the port at the other end of its
-    arc; loops_upfront counts the closed loops that touch no node.
-    """
-    r = params.r
-    for k in labels:
-        if not 0 <= k <= r - 2:
-            raise DomainError(f"label {k} outside 0..{r - 2}")
-    ob, cross_comp, arcs_of = strands
-    crossings = link.crossings
-
-    # choose box sites: one arc per component with multiplicity >= 2
-    box_site = {}
-    virtual_boxes = []  # crossingless loops of multiplicity >= 2
-    for i, k in enumerate(labels):
-        if k >= 2:
-            if arcs_of[i]:
-                box_site[i] = arcs_of[i][0]
-            else:
-                virtual_boxes.append(i)
-
-    cut_arcs = set(box_site.values())
-
-    # ----- build nodes over cable sub-arcs -----
-    # arc-name aliasing for straight-throughs past dropped components
-    alias, aliased = UnionFind(), []
-
-    def join(u, v):
-        aliased.extend((u, v))
-        alias.union(u, v)
-
-    def arcname(u, i, head_side):
-        if head_side and u in cut_arcs:
-            return ("arcH", u, i)
-        return ("arc", u, i)
-
-    nodes = []  # ("X", (pa, pb, pc, pd)) or ("B", k, bottoms, tops)
-    for t, x in enumerate(crossings):
-        a, b, c, d = x
-        cu, co = cross_comp[t]
-        m, n = labels[cu], labels[co]
-        bin_, dout = (b, d) if ob[t] else (d, b)
-        if m == 0 and n == 0:
-            continue
-        if n == 0:
-            for i in range(1, m + 1):
-                join(arcname(a, i, True), arcname(c, i, False))
-            continue
-        if m == 0:
-            for j in range(1, n + 1):
-                join(arcname(bin_, j, True), arcname(dout, j, False))
-            continue
-
-        def useg(i, step):
-            if step == 0:
-                return arcname(a, i, True)
-            if step == n:
-                return arcname(c, i, False)
-            return ("useg", t, i, step)
-
-        def oseg(j, step):
-            if step == 0:
-                return arcname(bin_, j, True)
-            if step == m:
-                return arcname(dout, j, False)
-            return ("oseg", t, j, step)
-
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                if ob[t]:
-                    pa = useg(i, j - 1)
-                    pb = oseg(j, m - i)
-                    pc = useg(i, j)
-                    pd = oseg(j, m - i + 1)
-                else:
-                    pa = useg(i, n - j)
-                    pb = oseg(j, i)
-                    pc = useg(i, n - j + 1)
-                    pd = oseg(j, i - 1)
-                nodes.append(("X", (pa, pb, pc, pd)))
-
-    free_loop_count = 0
-    for i, k in enumerate(labels):
-        if k == 0:
-            continue
-        if i in box_site:
-            u = box_site[i]
-            bottoms = [("arc", u, j) for j in range(1, k + 1)]
-            tops = [("arcH", u, j) for j in range(1, k + 1)]
-            nodes.append(("B", k, bottoms, tops))
-        elif i in virtual_boxes:
-            # crossingless loop of multiplicity k: close the box on itself,
-            # giving the closed-loop value d_k of the projector
-            vb = [("vbox", i, j) for j in range(1, k + 1)]
-            nodes.append(("B", k, vb, vb))
-        elif not arcs_of[i]:
-            # crossingless loop of multiplicity 1: a bare circle
-            free_loop_count += 1
-
-    # ----- pair up port occurrences -----
-    occurrences = {}
-    for idx, node in enumerate(nodes):
-        ports = node[1] if node[0] == "X" else node[2] + node[3]
-        for slot, name in enumerate(ports):
-            root = alias.find(name)
-            occurrences.setdefault(root, []).append((idx, slot))
-    for root, occs in occurrences.items():
-        if len(occs) != 2:
-            raise LinkFormatError(f"internal: arc {root} has {len(occs)} ends")
-
-    # aliased classes never touched by a node are closed loops
-    alias_loops = sum(alias.find(g[0]) not in occurrences for g in groups(alias, aliased))
-    # components of multiplicity 1 whose every crossing partner was dropped
-    # close into alias loops; crossingless ones were counted in
-    # free_loop_count
-    loops_upfront = free_loop_count + alias_loops
-
-    pairing = {}
-    for root, ((n1, s1), (n2, s2)) in occurrences.items():
-        pairing[(n1, s1)] = (n2, s2)
-        pairing[(n2, s2)] = (n1, s1)
-    return nodes, pairing, loops_upfront
-
-
 def check_cabled(params, link, labelings):
-    """`skein._cabled_diagram` equals the reference's (kinds, pairing,
-    loops_upfront) for each labelling.  Returns the number checked."""
-    strands = reference_strands(link)
+    """`skein._cabled_diagram` of the reduced diagram equals the
+    reference's (``oracles.cabled_reference``, the crossings that
+    `skein._reduction` drops run straight through), compared on integer
+    ports, for each labelling with every component that no kept crossing
+    joins to a nonzero strand at label 0, as `skein._evaluate_labeled`
+    cables it; no loop then touches no node.  Returns the number
+    checked."""
+    reduced = sk._reduction(link)
     for labels in labelings:
-        nodes, pairing, loops = reference_diagram_nodes(params, link, labels, strands)
-        kinds = [node[0] if node[0] == "X" else node[1] for node in nodes]
-        assert sk._cabled_diagram(params, link, labels, ()) == (kinds, pairing, loops), \
+        linked = {x for i, j, _ in reduced.kept if labels[i] and labels[j] for x in (i, j)}
+        cabled = [k if i in linked else 0 for i, k in enumerate(labels)]
+        kinds, pairing, loops = cabled_reference(params, link, cabled, reduced.dropped)
+        assert loops == 0, (link.to_json(), labels)
+        assert sk._cabled_diagram(reduced, cabled) == (kinds, ports(kinds, pairing)), \
             (link.to_json(), labels)
     return len(labelings)
 
@@ -379,9 +244,30 @@ def every_labelling(params, link):
     return [list(ls) for ls in itertools.product(range(params.r - 1), repeat=len(link.components))]
 
 
+def reduced_closure(rng, params):
+    """A closed braid on 2-6 strands with sigma sigma^-1 pairs inserted
+    and kinks from end generators (a new last strand crossed once by the
+    end generator), framings -2..2, with at most 25 labellings at the
+    level of `params`."""
+    while True:
+        n = rng.randint(2, 4)
+        word = random_word(rng, n, rng.randint(0, 5))
+        for _ in range(rng.randint(0, 2)):
+            g, at = rng.choice((1, -1)) * rng.randint(1, n - 1), rng.randint(0, len(word))
+            word[at:at] = [g, -g]
+        for _ in range(rng.randint(0, 2)):
+            word.insert(rng.randint(0, len(word)), rng.choice((1, -1)) * n)
+            n += 1
+        count = len(closed_braid_link(word, n).components)
+        if (params.r - 1) ** count <= 25:
+            return closed_braid_link(word, n, framings=[rng.randint(-2, 2) for _ in range(count)])
+
+
 def test_cabled_diagram_matches_reference():
     """Every integer labelling, label 0 included, of 400 seeded closures at
-    r = 4..6, of their drawn-kink diagrams and of every move's output."""
+    r = 4..6, of their drawn-kink diagrams and of every move's output; and
+    of 200 seeded closures with bigons and kinks that `skein._reduction`
+    drops, in part or all of them."""
     rng = random.Random(15)
     checked = 0
     for case in range(400):
@@ -405,6 +291,15 @@ def test_cabled_diagram_matches_reference():
             for out in outs:
                 checked += check_cabled(params, out, every_labelling(params, out))
     assert checked >= 13000
+    rng, shapes = random.Random(16), set()
+    for _ in range(200):
+        params = make_params(rng.randint(4, 6))
+        link = reduced_closure(rng, params)
+        dropped = sk._reduction(link).dropped
+        shapes.add((bool(dropped), len(dropped) == len(link.crossings)))
+        checked += check_cabled(params, link, every_labelling(params, link))
+    # diagrams reduced in part and reduced to circles
+    assert {(True, False), (True, True)} <= shapes and checked >= 15000
 
 
 def test_walk_counts(monkeypatch):
@@ -437,7 +332,7 @@ def test_walk_counts(monkeypatch):
         assert len(walked) == count
         assert out.walk == walk(out.crossings) and out.comp_of == out.arc_component()
     reducible = closed_braid_link([1, -1, 1, 2], 3, labels=[1], framings=[-1])
-    assert sk._reduction(reducible)[0]
+    assert sk._reduction(reducible).dropped
     for run in (lambda: sk.evaluate(params, link), lambda: sk.z_invariant(params, link),
                 lambda: sk.evaluate(params, reducible), lambda: sk.z_invariant(params, reducible),
                 lambda: sk.linking_matrix(link), link.orientations, link.crossing_signs):

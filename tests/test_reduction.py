@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from oracles import unfolded_evaluate, unreduced_labeled
+from oracles import swept, unfolded_evaluate, unreduced_labeled
 from skeinrep import skein as sk
 from skeinrep.recoupling import twist_coefficient
 from skeinrep.scalars import make_params
@@ -65,7 +65,7 @@ def run_through(pairing, gone):
 
 
 def sweep(params, pairing, loops=0):
-    return sk._sweep(params, ["X"] * len({x for x, _ in pairing}), pairing, loops)
+    return swept(params, ["X"] * len({x for x, _ in pairing}), pairing, loops)
 
 
 def drop_holds(params, pairing, gone, sign):
@@ -195,11 +195,11 @@ def test_evaluate_matches_the_whole_diagram(r, s):
     dropped = []
     for _ in range(10):
         link = reducible_closure(rng, r)
-        dropped.append((len(sk._reduction(link)[0]), len(link.crossings)))
+        dropped.append((len(sk._reduction(link).dropped), len(link.crossings)))
         assert as_bytes(sk.evaluate(params, link)) == as_bytes(unfolded_evaluate(params, link)), \
             link.to_json()
         for labels in labelings(params, link):
-            got = sk._evaluate_labeled(params, link, labels, *sk._reduction(link))
+            got = sk._evaluate_labeled(params, sk._reduction(link), labels)
             assert as_bytes(got) == as_bytes(unreduced_labeled(params, link, labels)), \
                 (link.to_json(), labels)
     # diagrams reduced in part, and reduced to circles
@@ -220,7 +220,7 @@ def test_move_outputs_match_the_whole_diagram(r, s):
             choices = [range((r - 2) // 2 + 1) if c.label == sk.OMEGA else [c.label]
                        for c in out.components]
             for labels in itertools.product(*choices):
-                got = sk._evaluate_labeled(params, out, labels, *reduced)
+                got = sk._evaluate_labeled(params, reduced, labels)
                 assert as_bytes(got) == as_bytes(unreduced_labeled(params, out, labels)), \
                     (out.to_json(), labels)
             if r <= 6:
@@ -233,8 +233,8 @@ def test_kink_signs_become_framings():
     signs of the kinks move into the framing, so framing plus self-writhe
     is unchanged."""
     link = closed_braid_link([1, 1, 2, 1, -3], 4, framings=[2])
-    dropped, framings = sk._reduction(link)
-    assert dropped == {2, 4} and framings == [2 + 1 - 1]
+    reduced = sk._reduction(link)
+    assert reduced.dropped == {2, 4} and reduced.framings == [2 + 1 - 1]
     unkinked = closed_braid_link([1, 1, 1], 2, framings=[2])
     assert sk.linking_matrix(link) == sk.linking_matrix(unkinked)
     for r in (4, 6):
@@ -251,7 +251,8 @@ def test_removals_expose_further_moves():
     flat = [a for x in link.crossings for a in x]
     partner = [next(q for q, b in enumerate(flat) if b == a and q != p) for p, a in enumerate(flat)]
     assert [sk._removal(partner, t) is not None for t in range(4)] == [False, True, False, True]
-    assert sk._reduction(link) == ({0, 1, 2, 3}, [2])
+    reduced = sk._reduction(link)
+    assert (reduced.dropped, reduced.framings) == ({0, 1, 2, 3}, [2])
     for r in (4, 7):
         params = make_params(r)
         assert sk.evaluate(params, link) == sk.evaluate(params, unknot_link(2, 2))
@@ -268,16 +269,17 @@ def test_irreducible_diagrams_drop_nothing():
                  closed_braid_link([1, 1], 2, labels=[5, 5]),
                  apply_move(trefoil, CircumcisionPair(0)),
                  apply_move(trefoil, CircumcisionPair(None))):
-        dropped, framings = sk._reduction(link)
-        assert not dropped and framings == [c.framing for c in link.components], link.to_json()
+        reduced = sk._reduction(link)
+        assert not reduced.dropped and reduced.framings == [c.framing for c in link.components], \
+            link.to_json()
 
 
 def test_arc_in_opposite_slots_is_left_alone():
     """An arc in opposite slots of a crossing (non-planar input) is not a
     kink."""
     link = sk.LabeledLink([sk.Component(1, 0, [1]), sk.Component(1, 0, [2])], [[1, 2, 1, 2]])
-    dropped, framings = sk._reduction(link)
-    assert not dropped and framings == [0, 0]
+    reduced = sk._reduction(link)
+    assert not reduced.dropped and reduced.framings == [0, 0]
 
 
 def test_inconsistent_diagram_raises_before_any_reduction(monkeypatch):

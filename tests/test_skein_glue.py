@@ -20,7 +20,7 @@ import pytest
 
 import test_label_fold
 import test_sweep_kernel
-from oracles import head_occurrences, join_table_chase
+from oracles import head_occurrences, join_table_chase, swept
 from skeinrep import skein as sk
 from skeinrep.scalars import make_params
 from skeinrep.skein import (CircumcisionPair, HandleSlide, apply_move, closed_braid_link,
@@ -35,7 +35,7 @@ def test_join_tables_match_chase(fresh_contexts, r):
     for _ in range(12):
         link = test_sweep_kernel.random_link(rng, r)
         for diagram in test_sweep_kernel.diagrams(params, link):
-            sk._sweep(params, *diagram)
+            swept(params, *diagram)
     rng = random.Random(f"fold:{r}")
     for _ in range(10):
         sk.evaluate(params, test_label_fold.random_link(rng, r))

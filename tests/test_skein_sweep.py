@@ -2,11 +2,12 @@
 
 The reference below keys every state by the pairing of all unprocessed
 ports, picks the node order by rescanning every remaining node per step,
-and keeps every coefficient a `Scalar`.  Both sweeps run on the same nodes
-from `skein._cabled_diagram`; their values must have identical `to_json`
-bytes, and the node orders must agree.  The width of each segment of the
-packed sweep is checked against its bound B, computed here from its
-definition.
+and keeps every coefficient a `Scalar`.  Both sweeps run on the same nodes,
+the whole cabled diagram of `oracles.cabled_reference`, with its loops
+that touch no node multiplied after the packed sweep (`oracles.swept`);
+their values must have identical `to_json` bytes, and the node orders must
+agree.  The width of each segment of the packed sweep is checked against
+its bound B, computed here from its definition.
 
 `skein.evaluate` draws no framing: it multiplies the blackboard value by
 mu_k^f.  The reference draws it, splicing |f| kinks into the diagram
@@ -22,7 +23,7 @@ import sys
 import pytest
 
 from helpers import assert_narrowest_ring, ring_bits
-from oracles import scale
+from oracles import cabled_reference, ports, scale, swept
 from skeinrep import linalg
 from skeinrep import skein as sk
 from skeinrep.scalars import common_denominator, make_params
@@ -166,7 +167,7 @@ def kinked_value(params, link):
             if comp.label == sk.OMEGA:
                 weight = weight * c * params.d_k(k)
         kinked = kinked_link(link, labels)
-        diagram = sk._cabled_diagram(params, kinked, labels, ())
+        diagram = cabled_reference(params, kinked, labels)
         total = total + weight * reference_sweep(params, *diagram)
     return total
 
@@ -175,9 +176,9 @@ def check_link(params, link):
     """Both sweeps on the blackboard diagram of every integer labeling of
     `link`, and `skein.evaluate` against the kinked reference."""
     for labels in labelings(params, link):
-        kinds, pairing, loops_upfront = sk._cabled_diagram(params, link, labels, ())
-        assert sk._greedy_order(kinds, pairing) == reference_order(kinds, pairing)
-        got = sk._sweep(params, kinds, pairing, loops_upfront)
+        kinds, pairing, loops_upfront = cabled_reference(params, link, labels)
+        assert sk._greedy_order(kinds, ports(kinds, pairing)) == reference_order(kinds, pairing)
+        got = swept(params, kinds, pairing, loops_upfront)
         want = reference_sweep(params, kinds, pairing, loops_upfront)
         assert as_bytes(got) == as_bytes(want), (link.to_json(), labels)
     assert as_bytes(sk.evaluate(params, link)) == as_bytes(kinked_value(params, link)), \
@@ -231,9 +232,10 @@ def test_framed_unknots_match_kinked_reference(r, s):
 
 
 def test_cable_crossings_do_not_depend_on_framing():
-    """The cabled diagram is the blackboard one: a crossing of a k-labelled
-    under strand and an l-labelled over strand gives k l crossing nodes,
-    whatever the framings, and a framed crossingless loop gives none."""
+    """The cabled diagram is the blackboard one: a kept crossing of a
+    k-labelled under strand and an l-labelled over strand gives k l
+    crossing nodes, whatever the framings, and a framed crossingless loop
+    gives none."""
     rng = random.Random(11)
     params = make_params(6)
     for _ in range(20):
@@ -243,10 +245,11 @@ def test_cable_crossings_do_not_depend_on_framing():
         labels = [rng.randint(0, 4) for _ in range(count)]
         framings = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(count)]
         link = closed_braid_link(word, n, labels=labels, framings=framings)
-        comp_of = link.arc_component()
-        cabled = sum(labels[comp_of[a]] * labels[comp_of[b]] for a, b, _, _ in link.crossings)
+        comp_of, dropped = link.arc_component(), sk._reduction(link).dropped
+        cabled = sum(labels[comp_of[a]] * labels[comp_of[b]]
+                     for t, (a, b, _, _) in enumerate(link.crossings) if t not in dropped)
         for framed in (link, closed_braid_link(word, n, labels=labels)):
-            kinds = sk._cabled_diagram(params, framed, labels, ())[0]
+            kinds = sk._cabled_diagram(sk._reduction(framed), labels)[0]
             assert kinds.count("X") == cabled
 
 
@@ -277,7 +280,8 @@ def node_mass(params, kind):
 
 
 def traced_sweep(params, kinds, pairing, loops_upfront):
-    """The value of `skein._sweep` and its local variables as it returns."""
+    """The value of the diagram (``oracles.swept``) and the local variables
+    of its `skein._sweep` as it returns."""
     seen = {}
 
     def profile(frame, event, arg):
@@ -285,15 +289,16 @@ def traced_sweep(params, kinds, pairing, loops_upfront):
             seen.update(frame.f_locals)
     sys.setprofile(profile)
     try:
-        value = sk._sweep(params, kinds, pairing, loops_upfront)
+        value = swept(params, kinds, pairing, loops_upfront)
     finally:
         sys.setprofile(None)
     return value, seen
 
 
 def traced_segments(params, kinds, pairing, loops_upfront):
-    """The value of `skein._sweep`, its local variables as it returns, and
-    one (values, segment) per `linalg.next_segment` call it made: the
+    """The value of the diagram (``oracles.swept``), the local variables of
+    its `skein._sweep` as it returns, and one (values, segment) per
+    `linalg.next_segment` call the sweep made: the
     (ring, den, residues) that the call decodes, None for the first, and
     the (k, ring, den, residues) of the segment it starts.  Only the calls
     made by `_sweep` itself count: a cold level memo builds a box's
@@ -312,7 +317,7 @@ def traced_segments(params, kinds, pairing, loops_upfront):
             segments.append((values and (values[0], values[1], list(values[2])), arg))
     sys.setprofile(profile)
     try:
-        value = sk._sweep(params, kinds, pairing, loops_upfront)
+        value = swept(params, kinds, pairing, loops_upfront)
     finally:
         sys.setprofile(None)
     return value, seen, segments
@@ -320,22 +325,21 @@ def traced_segments(params, kinds, pairing, loops_upfront):
 
 def check_width(params, link, labels):
     """Each segment of the sweep runs in the level's narrowest ring for its
-    bound B = mu * start mass * prod of its nodes' masses, with
-    2^loops_upfront joining the last node's: the start mass is 1 for the
+    bound B = mu * start mass * prod of its nodes' masses (the loops that
+    touch no node multiply after the sweep): the start mass is 1 for the
     first segment and the l1 mass of the decoded states for a later one,
     and a segment takes the most nodes, at least one, with B < 2^62.  Every
     coefficient decoded at a segment's end, each state's at a boundary and
     the total at the last, is at most B, and the value matches the
     reference.  A diagram with no node sets up no segment and no ring.
     Returns the segments' widths b."""
-    kinds, pairing, loops_upfront = sk._cabled_diagram(params, link, labels, ())
+    kinds, pairing, loops_upfront = cabled_reference(params, link, labels)
     value, seen, segments = traced_segments(params, kinds, pairing, loops_upfront)
     assert as_bytes(value) == as_bytes(reference_sweep(params, kinds, pairing, loops_upfront))
     if not kinds:
         assert segments == [] and "ring" not in seen
         return []
     masses = [node_mass(params, kinds[idx]) for idx in reference_order(kinds, pairing)]
-    masses[-1] <<= loops_upfront
     mu = max(abs(c) for e in range(params.order) for c in params.a_pow(e).part[0])
     at, widths = 0, []
     for i, (values, (k, ring, _, _)) in enumerate(segments):
@@ -399,7 +403,7 @@ def test_exact_zero_is_dropped_and_decoded(s):
     state is dropped, and the decode reads the zero residue."""
     params = make_params(6, s)
     hopf = closed_braid_link([1, 1], 2)
-    kinds, pairing, loops_upfront = sk._cabled_diagram(params, hopf, [1, 2], ())
+    kinds, pairing, loops_upfront = cabled_reference(params, hopf, [1, 2])
     value, seen = traced_sweep(params, kinds, pairing, loops_upfront)
     assert value.is_zero() and reference_sweep(params, kinds, pairing, loops_upfront).is_zero()
     assert seen["states"] == {} and seen["total"] == 0

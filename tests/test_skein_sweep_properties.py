@@ -2,8 +2,9 @@
 closed braids with omega components, alone or split from an unknot or from
 a second closure, at r = 4..6 and two roots each, its value has the same
 `to_json` bytes as the plain `Scalar` reference sweep, and `evaluate` gives
-the same bytes on the link with its arcs renamed by a permutation seeded
-from the link's JSON."""
+the same bytes on the link with its arcs renamed, and on the link with its
+components listed in another order, each by a permutation from one rng
+seeded from the link's JSON."""
 import json
 import random
 
@@ -62,5 +63,9 @@ def level_and_braid(draw):
 def test_packed_sweep_matches_reference(case):
     params, link = case
     check_link(params, link)
-    renamed = renamed_arcs(link, random.Random(json.dumps(link.to_json())))
-    assert as_bytes(sk.evaluate(params, renamed)) == as_bytes(sk.evaluate(params, link))
+    rng = random.Random(json.dumps(link.to_json()))
+    renamed = renamed_arcs(link, rng)
+    permuted = sk.LabeledLink(rng.sample(link.components, len(link.components)), link.crossings)
+    value = as_bytes(sk.evaluate(params, link))
+    assert as_bytes(sk.evaluate(params, renamed)) == value
+    assert as_bytes(sk.evaluate(params, permuted)) == value

@@ -77,7 +77,7 @@ def split_cases(rng, r):
 def graph_pieces(link):
     """(pieces, circles) of `link`'s reduced diagram by search over its
     kept crossings."""
-    dropped, _ = sk._reduction(link)
+    dropped = sk._reduction(link).dropped
     comp_of = link.arc_component()
     near = {i: set() for i in range(len(link.components))}
     for t, (a, b, _, _) in enumerate(link.crossings):
@@ -105,7 +105,7 @@ def test_pieces_are_the_kept_crossing_graph():
     for r in (4, 7):
         for _ in range(30):
             for link, _ in split_cases(rng, r):
-                got = sk._pieces(link, sk._reduction(link)[0])
+                got = sk._pieces(sk._reduction(link))
                 assert got == graph_pieces(link), link.to_json()
                 shapes.add((len(got[0]), bool(got[1])))
                 # the linking number of two components in different pieces is 0
@@ -118,7 +118,7 @@ def test_pieces_are_the_kept_crossing_graph():
     trefoil = closed_braid_link([1, 1, 1], 2)
     link = split_union(trefoil, unknot_link(2), closed_braid_link([1, 1], 2),
                        closed_braid_link([1, -1], 2))
-    assert sk._pieces(link, sk._reduction(link)[0]) == ([[0], [2, 3]], [1, 4, 5])
+    assert sk._pieces(sk._reduction(link)) == ([[0], [2, 3]], [1, 4, 5])
 
 
 @pytest.mark.parametrize("r,s", LEVELS)
@@ -138,9 +138,9 @@ def counting(monkeypatch):
     swept = []
     sweep = sk._evaluate_labeled
 
-    def count(params, link, labels, dropped, framings):
+    def count(params, reduced, labels):
         swept.append(tuple(labels))
-        return sweep(params, link, labels, dropped, framings)
+        return sweep(params, reduced, labels)
 
     monkeypatch.setattr(sk, "_evaluate_labeled", count)
     return swept
@@ -154,7 +154,7 @@ def test_crossingless_components_are_not_swept(monkeypatch):
         params = make_params(r)
         for _ in range(5):
             for link, _ in split_cases(rng, r):
-                pieces, circles = sk._pieces(link, sk._reduction(link)[0])
+                pieces, circles = sk._pieces(sk._reduction(link))
                 swept.clear()
                 sk.evaluate(params, link)
                 assert all(labels[i] == 0 for labels in swept for i in circles)
@@ -164,7 +164,7 @@ def test_crossingless_components_are_not_swept(monkeypatch):
     assert circled
     swept.clear()
     link = closed_braid_link([1, -1, 2, -2, 3], 4, [sk.OMEGA, 4, 5], [1, -2, 3])
-    assert sk._pieces(link, sk._reduction(link)[0]) == ([], [0, 1, 2])
+    assert sk._pieces(sk._reduction(link)) == ([], [0, 1, 2])
     sk.evaluate(make_params(8), link)
     assert swept == []
 

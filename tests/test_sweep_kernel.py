@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from oracles import cabled_reference, swept
 from skeinrep import skein as sk
 from skeinrep.scalars import make_params
 from skeinrep.skein import closed_braid_link
@@ -43,13 +44,12 @@ def random_link(rng, r):
 
 
 def diagrams(params, link):
-    """The cabled diagram (kinds, pairing, loops_upfront) of every integer
-    labeling of `link`, blackboard-framed and with the framings drawn as
-    kinks."""
+    """The whole cabled diagram (kinds, pairing, loops_upfront) of every
+    integer labeling of `link` (``oracles.cabled_reference``),
+    blackboard-framed and with the framings drawn as kinks."""
     for labels in labelings(params, link):
-        yield sk._cabled_diagram(params, link, labels, ())
-        kinked = kinked_link(link, labels)
-        yield sk._cabled_diagram(params, kinked, labels, ())
+        yield cabled_reference(params, link, labels)
+        yield cabled_reference(params, kinked_link(link, labels), labels)
 
 
 def join_tables(params):
@@ -65,7 +65,7 @@ def sweep_all(params, links, want):
         for j, diagram in enumerate(diagrams(params, link)):
             if (i, j) not in want:
                 want[i, j] = as_bytes(reference_sweep(params, *diagram))
-            assert as_bytes(sk._sweep(params, *diagram)) == want[i, j], (link.to_json(), j)
+            assert as_bytes(swept(params, *diagram)) == want[i, j], (link.to_json(), j)
 
 
 @pytest.mark.parametrize("r", sorted(ROOTS))
@@ -104,7 +104,7 @@ def test_sweep_across_three_segments(monkeypatch, s):
         calls.append(args)
         return segment(*args)
     monkeypatch.setattr(sk, "next_segment", recorded)
-    kinds, pairing, loops_upfront = sk._cabled_diagram(params, hopf, [4, 4], ())
-    got = sk._sweep(params, kinds, pairing, loops_upfront)
+    kinds, pairing, loops_upfront = cabled_reference(params, hopf, [4, 4])
+    got = swept(params, kinds, pairing, loops_upfront)
     assert len(calls) >= 3
     assert as_bytes(got) == as_bytes(reference_sweep(params, kinds, pairing, loops_upfront))

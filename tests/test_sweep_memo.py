@@ -14,7 +14,10 @@ its closed form `skein._circle`, and is not cabled.
   the same node kinds; every link is evaluated twice, in two orders, from
   an emptied map.
 - Counts: a link and the same link with its arcs renamed are swept once
-  per level, at both roots.
+  per level, at both roots; so are a link and the same link with its
+  components listed in the opposite order, since the key is the cabled
+  diagram, which does not see the component order of label-1
+  components.
 - Bound: a map that holds its limit empties before it builds the next
   entry, and values read after it empties are unchanged.
 - Closed form: `_evaluate_labeled` against one sweep of the whole cabled
@@ -96,9 +99,9 @@ def counted_sweeps(monkeypatch):
     calls = []
     sweep = sk._sweep
 
-    def counted(params, kinds, pairing, loops_upfront, twists=()):
-        calls.append((params.r, tuple(kinds), tuple(sorted(pairing.items()))))
-        return sweep(params, kinds, pairing, loops_upfront, twists)
+    def counted(params, kinds, partner):
+        calls.append((params.r, tuple(kinds), tuple(partner)))
+        return sweep(params, kinds, partner)
 
     monkeypatch.setattr(sk, "_sweep", counted)
     return calls
@@ -126,6 +129,22 @@ def test_renamed_arcs_share_one_sweep_per_level(monkeypatch, r, word, n, labels)
     sk._sweeps(make_params(r)).clear()
     assert as_bytes(sk.evaluate(make_params(r), link)) == got[0]
     assert len(calls) == 2 * first
+
+
+@pytest.mark.parametrize("r", [4, 5, 7])
+def test_component_order_shares_one_sweep_per_level(monkeypatch, r):
+    """The closure of sigma1^4 has two label-1 components; listed in
+    opposite orders, its two links cable to one diagram, swept once for
+    both links and both roots of the level.  A key that saw the component
+    order, or the orientation of a crossing of label-1 strands, would
+    sweep it twice."""
+    calls = counted_sweeps(monkeypatch)
+    link = closed_braid_link([1, 1, 1, 1], 2, [1, 1], [1, -1])
+    reverse = sk.LabeledLink(link.components[::-1], link.crossings)
+    sk._sweeps(make_params(r)).clear()
+    got = [as_bytes(sk.evaluate(make_params(r, s), x))
+           for s in (1, second_root(r)) for x in (link, reverse)]
+    assert len(set(got)) == 1 and len(calls) == 1
 
 
 def test_sweep_values_empty_at_their_limit(monkeypatch):
@@ -167,14 +186,14 @@ def test_unlinked_components_match_the_sweep(r):
         comps = len(closed_braid_link(word, n).components)
         labels = [rng.choice((0, 0, 1, rng.randint(2, r - 2))) for _ in range(comps)]
         link = closed_braid_link(word, n, labels, [rng.randint(-3, 3) for _ in range(comps)])
-        dropped, framings = sk._reduction(link)
-        comp_of = link.comp_of
+        reduced = sk._reduction(link)
+        dropped, framings, comp_of = reduced.dropped, reduced.framings, link.comp_of
         linked = {comp_of[x] for t, (a, b, _, _) in enumerate(link.crossings) for x in (a, b)
                   if t not in dropped and labels[comp_of[a]] and labels[comp_of[b]]}
         boxes = [i for i, k in enumerate(labels) if k >= 2 and i not in linked]
         if not boxes or cabled_weight(link, labels, r) > 40:
             continue
         seen[bool(linked)] += 1
-        got = sk._evaluate_labeled(params, link, labels, dropped, framings)
+        got = sk._evaluate_labeled(params, reduced, labels)
         assert as_bytes(got) == as_bytes(swept_labeled(params, link, labels, dropped, framings)), \
             (link.to_json(), labels)
