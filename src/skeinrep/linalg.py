@@ -17,15 +17,15 @@ forms the level memo holds (twist pairs, sector generators, braid
 letters) therefore pack each column once per width for the life of the
 level, and a form made for one product dies with it.  A product finds its first
 segment once for all its columns, since every column starts at a unit
-vector.  `next_segment` is the one segment boundary of every packed chain,
-these products and the skein sweep: it decodes the values at the end of a
-segment and packs them again in the ring of the next.
+vector.  `next_segment` alone cuts every packed chain, these products and
+the skein sweep, into segments and picks each one's ring: it decodes the
+values at the end of a segment and packs them again in the ring of the next.
 """
 from __future__ import annotations
 
 from math import prod
 
-from .scalars import PackedRing, QuantumParams, common_denominator
+from .scalars import QuantumParams, common_denominator
 
 
 def zeros(params: QuantumParams, n: int, m: int):
@@ -186,19 +186,29 @@ def product_columns(params: QuantumParams, factors, starts):
 def next_segment(params: QuantumParams, growths, values=None):
     """The next segment of a packed chain whose steps multiply the l1 mass
     by at most growths[0], growths[1], ...: (k, ring, den, residues), the
-    segment's k steps run in ring (`PackedRing.segment`; CONVENTIONS.md,
-    the column rule) on the residues over den.  values is (ring, den,
-    residues) at the end of the previous segment: each residue is decoded
-    over den and packed again over their lcm denominator, and the segment
-    starts from their actual mass.  None starts at the unit 1, of mass 1,
-    whose residue is 1 in every ring, with no decode."""
-    if values is None:
-        k, ring = PackedRing.segment(params, 1, growths)
-        return k, ring, 1, [1]
-    ring, den, residues = values
-    den, nums = common_denominator([ring.decode(z, den) for z in residues])
-    k, ring = PackedRing.segment(params, sum(sum(map(abs, v)) for v in nums), growths)
-    return k, ring, den, [ring.pack(v) for v in nums]
+    segment's k steps run in ring on the residues over den (CONVENTIONS.md,
+    the column rule).  k is the most steps whose bound
+    mu * mass * prod growths[:k] stays below 2^62, the widest digit one
+    Struct call packs, and the ring holds that mass; a first step beyond it
+    is a segment of its own, packed wider, and no steps give k = 0.  values
+    is (ring, den, residues) at the end of the previous segment: each
+    residue is decoded over den and packed again over their lcm
+    denominator, and the segment starts from their actual mass, so the
+    width does not grow with the chain.  None starts at the unit 1, of
+    mass 1, whose residue is 1 in every ring, with no decode."""
+    mass, den, nums = 1, 1, None
+    if values is not None:
+        ring, den, residues = values
+        den, nums = common_denominator([ring.decode(z, den) for z in residues])
+        mass = sum(sum(map(abs, v)) for v in nums)
+    k = 0
+    for g in growths:
+        if k and params._mu * mass * g >= 1 << 62:
+            break
+        mass *= g
+        k += 1
+    ring = params.ring(mass)
+    return k, ring, den, [1] if nums is None else [ring.pack(v) for v in nums]
 
 
 def scalar_of(params: QuantumParams, factors, n: int):

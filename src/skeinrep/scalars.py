@@ -32,7 +32,7 @@ numerator vector with one struct call, does one big-integer multiply and
 unpacks the symmetric residue, in the ring of mass |u|_1 |v|_1; the
 products of linear maps in column form (``linalg.product_columns``:
 matrices and braid resolution alike) and the skein sweep run on residues
-in segments that each decode once (``PackedRing.segment``).
+in segments that each decode once (``linalg.next_segment``).
 
 The exact arithmetic depends on the level r alone: it is formal in A, with
 Phi = Phi_4r the minimal polynomial of every primitive 4r-th root.  So the
@@ -321,25 +321,6 @@ class PackedRing:
         self._half = self.n >> 1
         code = {1: "b", 2: "h", 4: "i", 8: "q"}.get(nb)
         self._packer = struct.Struct(f"<{level.phi}{code}") if code else _WideDigits(nb, level.phi)
-
-    @classmethod
-    def segment(cls, params: QuantumParams, mass: int, growths):
-        """(k, ring) for the next segment of a chain of steps: the values
-        start at l1 mass at most `mass`, and the steps multiply it by at most
-        growths[0], growths[1], ...  k is the most steps whose bound
-        mu * mass * prod growths[:k] stays below 2^62, the widest digit one
-        Struct call packs (8 bytes), and the ring holds that mass; a first
-        step beyond it is a segment of its own, packed wider, and no steps
-        give k = 0 and a ring for the start values.  At the end of a
-        segment the caller decodes every value and starts the next one from
-        their actual mass, so the width does not grow with the chain."""
-        k = 0
-        for g in growths:
-            if k and params._mu * mass * g >= 1 << 62:
-                break
-            mass *= g
-            k += 1
-        return k, params.ring(mass)
 
     def pack(self, nums) -> int:
         """The residue of the element with numerator vector nums: the

@@ -68,7 +68,6 @@ them), and the framing monomials multiply the value read.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -506,8 +505,8 @@ def _port_nodes(kinds):
 
 def _greedy_order(kinds, partner):
     """Sweep order: each step places the node with the most ports paired to
-    placed nodes or to itself, the lowest index among equals.  Scores only
-    grow, so a heap with stale entries skipped replaces a rescan per step."""
+    placed nodes or to itself, the lowest index among equals, found by a
+    scan of the scores; a placed node's score is -1."""
     node_of = _port_nodes(kinds)
     score = [0] * len(kinds)
     others = [[] for _ in kinds]  # the node across each port, when another
@@ -517,20 +516,14 @@ def _greedy_order(kinds, partner):
             score[idx] += 1
         else:
             others[idx].append(other)
-    heap = [(-sc, idx) for idx, sc in enumerate(score)]
-    heapq.heapify(heap)
-    placed = [False] * len(kinds)
     order = []
-    while heap:
-        neg, idx = heapq.heappop(heap)
-        if placed[idx] or -neg != score[idx]:
-            continue
-        placed[idx] = True
+    for _ in kinds:
+        idx = score.index(max(score))
+        score[idx] = -1
         order.append(idx)
         for nb in others[idx]:
-            if not placed[nb]:
+            if score[nb] >= 0:
                 score[nb] += 1
-                heapq.heappush(heap, (-score[nb], nb))
     return order
 
 
@@ -552,18 +545,12 @@ def _node_terms(params: QuantumParams, kind):
     return params.cached(("sweep_terms", kind), build)
 
 
-def _loop_residue(params: QuantumParams, ring: PackedRing) -> int:
-    """The residue of d = -A^2 - A^{-2} in `ring`."""
-    return params.cached(("sweep_loop", ring.n),
-                         lambda: ring.pack(common_denominator([params.loop_d()])[1][0]))
-
-
 def _node_residues(params: QuantumParams, ring: PackedRing, kind):
     """The multipliers of `_node_terms` in `ring`, in order: scaled[j] is
     the residue of the multiplier times d^j, for j up to the number of
     joins."""
     def build():
-        dval = _loop_residue(params, ring)
+        dval = ring.pack(common_denominator([params.loop_d()])[1][0])
         out = []
         for pairs, nums in _node_terms(params, kind)[2]:
             scaled = [ring.pack(nums)]

@@ -14,7 +14,8 @@ Nothing in the package imports this module."""
 import math
 from fractions import Fraction
 
-from skeinrep.scalars import PackedRing, Scalar, _part
+from skeinrep import linalg, skein
+from skeinrep.scalars import Scalar, _part
 from skeinrep.skein import Component, LabeledLink
 from skeinrep.tl import TLDiagram, TLElement
 
@@ -280,17 +281,18 @@ def random_word(rng, n, length):
 
 
 def record_segments(monkeypatch):
-    """The list that every later `PackedRing.segment` call appends its
-    (k, ring) to."""
+    """The list that every later `linalg.next_segment` call, from the
+    column chain or the skein sweep, appends its (k, ring) to."""
     seen = []
-    segment = PackedRing.segment.__func__
+    segment = linalg.next_segment
 
-    def recorded(cls, params, mass, growths):
-        k, ring = segment(cls, params, mass, growths)
-        seen.append((k, ring))
-        return k, ring
+    def recorded(params, growths, values=None):
+        out = segment(params, growths, values)
+        seen.append(out[:2])
+        return out
 
-    monkeypatch.setattr(PackedRing, "segment", classmethod(recorded))
+    monkeypatch.setattr(linalg, "next_segment", recorded)
+    monkeypatch.setattr(skein, "next_segment", recorded)
     return seen
 
 

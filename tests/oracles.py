@@ -404,6 +404,23 @@ def hopf_pairing_oracle(params, j: int, k: int):
     return (jones_wenzl(params, j) * encircle_element(params, j, k)).markov_trace()
 
 
+def half_twist_eigenvalue(params, j: int, k: int, c: int, sign: int = 1):
+    """lambda^{jk}_c = (-1)^{(j+k-c)/2} A^{+-(c(c+2) - j(j+2) - k(k+2))/2}
+    (Kauffman-Lins): a crossing of two strands labelled j and k, fused
+    into channel c, is lambda^{jk}_c times the fusion; sign is that of the
+    braid generator (CONVENTIONS.md, Braid sectors)."""
+    v = params.a_pow(sign * (c * (c + 2) - j * (j + 2) - k * (k + 2)) // 2)
+    return -v if (j + k - c) // 2 % 2 else v
+
+
+def closed_two_braid_value(params, q: int, j: int, k: int, sign: int = 1):
+    """The Kauffman value of the closure of (sigma_1^sign)^q with strands
+    labelled j and k: sum of d_c (lambda^{jk}_c)^q over admissible c."""
+    return sum((params.d_k(c) * half_twist_eigenvalue(params, j, k, c, sign) ** q
+                for c in range(abs(j - k), min(j + k, 2 * params.r - 4 - j - k) + 1, 2)),
+               params.zero())
+
+
 # ---------------------------------------------------------------------------
 # TQFT vectors
 

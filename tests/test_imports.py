@@ -10,9 +10,10 @@ level shares), only ``scalars.py`` touches a
 Scalar's fields or constructs a Scalar, so it alone binds a value to its
 level, only ``scalars.py`` constructs a ``PackedRing``, so every ring is
 its level's one ring of its width, only ``linalg.py`` reads its dense-row
-routines, so every other module builds matrices as columns, and only
-``linalg.py`` reads ``PackedRing.segment``, so the packed column chain is
-the one chain that cuts a product into segments, only ``tl._Times`` and
+routines, so every other module builds matrices as columns, and no
+module outside ``linalg.py`` reads a ``segment`` attribute, so
+``linalg.next_segment`` is the one owner of the segment rule that cuts
+every packed chain into segments, only ``tl._Times`` and
 ``tl._stair`` read the diagram compositions, so every TL product is a
 column chain of ``_Times``, no module imports ``fractions`` or ``decimal``,
 so the exact core computes on integers alone, and no module calls ``id``,
@@ -446,7 +447,7 @@ def test_checker_flags_segment_uses():
 
 
 def test_only_linalg_reads_segment():
-    # the segment rule has one owner, the column chain linalg.product_columns
+    # the segment rule has one owner, linalg.next_segment
     found = {name: segment_uses(tree) for name, tree in package_trees().items()
              if name != "linalg.py"}
     assert {name: uses for name, uses in found.items() if uses} == {}

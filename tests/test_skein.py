@@ -169,6 +169,22 @@ def test_hopf_link_matches_s_matrix(params):
             assert sk.evaluate(params, link) == hopf_pairing(params, j, k)
 
 
+@pytest.mark.parametrize("r", range(4, 9))
+def test_closed_two_braids_match_half_twist_eigenvalues(r):
+    # an oracle independent of the sweep: every label up to r - 2, so the
+    # labelings cross the fold above (r - 2)/2, knots and two-component
+    # links, both crossing signs
+    params = make_params(r)
+    labels = range(1, r - 1)
+    cases = [(q, (k,)) for q in (3, 5) for k in labels]
+    cases += [(q, (j, k)) for q in (2, 4) for j in labels for k in labels]
+    for sign in (1, -1):
+        for q, lab in cases:
+            got = sk.evaluate(params, closed_braid_link([sign] * q, 2, labels=lab))
+            assert got == oracles.closed_two_braid_value(params, q, lab[0], lab[-1], sign), \
+                (q, lab, sign)
+
+
 def test_omega_circle_annihilates(params):
     c = params.c_symbol()
     for k in range(params.r - 1):

@@ -144,3 +144,29 @@ def test_equal_residues_give_equal_verdicts(r):
         assert mcg.detect("torus", other, [r]).verdicts == verdict, (word, other)
         verdicts.add(verdict[r])
     assert "nontrivial" in verdicts
+
+
+# the central words (ab)^3, (aba)^2 and (ab)^6, whose matrices are -I, -I, I
+CENTRAL = ((("a", 1), ("b", 1)) * 3, (("a", 1), ("b", 1), ("a", 1)) * 2,
+           (("a", 1), ("b", 1)) * 6)
+
+
+def random_torus_word(rng, most):
+    return [(rng.choice("ab"), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, most))]
+
+
+def test_detection_is_trivial_exactly_on_the_center():
+    # the torus side of the theorem in both directions: a word goes
+    # undetected at every r in 3..8 exactly when its matrix is +-I
+    rng = random.Random("center")
+    words = [random_torus_word(rng, 8) for _ in range(150)]
+    for _ in range(30):
+        g = random_torus_word(rng, 4)
+        words.append(g + list(rng.choice(CENTRAL)) + [(c, -e) for c, e in reversed(g)])
+    central = 0
+    for word in words:
+        m = word_matrix(word)
+        on_center = m in (((1, 0), (0, 1)), ((-1, 0), (0, -1)))
+        central += on_center
+        assert (mcg.detect("torus", word, range(3, 9)).r0 is None) == on_center, word
+    assert central >= 30
