@@ -15,11 +15,14 @@ first time a product reads it in that ring and keeps it as long as the
 factor lives (`Columns` for a matrix, `tl._Times` on diagram keys).  The
 forms the level memo holds (twist pairs, sector generators, braid
 letters) therefore pack each column once per width for the life of the
-level, and a form made for one product dies with it.  A product finds its first
-segment once for all its columns, since every column starts at a unit
-vector.  `next_segment` alone cuts every packed chain, these products and
-the skein sweep, into segments and picks each one's ring: it decodes the
-values at the end of a segment and packs them again in the ring of the next.
+level, and a form made for one product dies with it.  The holder has one
+mode: it builds a missing value from its key and keeps it, bounded; the
+level's skein sweep values are such a holder too, each value swept from
+its key, the diagram.  A product finds its first segment once for all its
+columns, since every column starts at a unit vector.  `next_segment`
+alone cuts every packed chain, these products and the skein sweep, into
+segments and picks each one's ring: it decodes the values at the end of a
+segment and packs them again in the ring of the next.
 """
 from __future__ import annotations
 
@@ -103,13 +106,11 @@ class Columns:
 
 
 class BoundedMemo(dict):
-    """A memo that is emptied when it holds limit entries, before it keeps
-    the next (``keep``), so a memo on an unbounded key set stays bounded.
-    A missing key that is read is built by build(t) and kept: a factor's
-    packed columns in one ring.  The level's sweep values
-    (``skein._sweeps``) have no build, since their key only encodes a
-    diagram: their reader sweeps the diagram it holds and keeps the
-    value."""
+    """A memo that builds a missing key's value by build(t) and keeps it,
+    emptied when it holds limit entries, before it keeps the next, so a
+    memo on an unbounded key set stays bounded: a factor's packed columns
+    in one ring, and the level's sweep values (``skein._sweeps``), whose
+    key is the diagram swept."""
 
     __slots__ = ("build", "limit")
 
@@ -117,10 +118,7 @@ class BoundedMemo(dict):
         self.build, self.limit = build, limit
 
     def __missing__(self, t):
-        return self.keep(t, self.build(t))
-
-    def keep(self, t, value):
-        """value, kept under t."""
+        value = self.build(t)
         if len(self) >= self.limit:
             self.clear()
         self[t] = value

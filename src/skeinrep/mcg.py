@@ -28,8 +28,6 @@ dimension >= 2: on a block of dimension 1 every word is a nonzero scalar.
 """
 from __future__ import annotations
 
-from itertools import product
-
 from . import tqft
 from .errors import DomainError
 from .linalg import columns, mat_product, mat_trace, rows, scalar_of
@@ -330,24 +328,18 @@ def surface_model(name, labels=()) -> SurfaceModel:
     return SurfaceModel(name, labels)
 
 
-def _boundary_contexts(name, r):
-    """All boundary-label choices of a surface at level r, lexicographic:
-    labels 0..r-2 with even sum, the parity every admissible basis needs."""
-    return [ls for ls in product(range(r - 1), repeat=_surface(name)[0]) if sum(ls) % 2 == 0]
-
-
 def _live_blocks(params, name):
     """The boundary-label blocks of a surface that can witness at a level,
-    in scan order, as (labels, model, dim): those of dimension >= 2.  A
-    twist is invertible, so on a block of dimension 1 every word is a
-    nonzero scalar.  Every block's dimension is counted in one pass over
-    the reference spine with its legs free (`tqft.block_dims`); a model is
-    made only for the blocks kept, and a block's basis is built when its
-    twists are (`SurfaceModel.basis`)."""
+    in scan order, as (labels, model, dim): those of dimension >= 2, their
+    labels sorted lexicographically.  A twist is invertible, so on a block
+    of dimension 1 every word is a nonzero scalar.  Every block's
+    dimension is counted in one pass over the reference spine with its
+    legs free (`tqft.block_dims`, which lists no block of dimension 0); a
+    model is made only for the blocks kept, and a block's basis is built
+    when its twists are (`SurfaceModel.basis`)."""
     count, spine, _ = _surface(name)
     dims = tqft.block_dims(params, spine((0,) * count))
-    return [(ctx, SurfaceModel(name, ctx), dims[ctx])
-            for ctx in _boundary_contexts(name, params.r) if dims[ctx] >= 2]
+    return [(ctx, SurfaceModel(name, ctx), n) for ctx, n in sorted(dims.items()) if n >= 2]
 
 
 def detect(name, word, r_range, s=1) -> DetectionResult:

@@ -8,12 +8,15 @@ kink slides onto a component's Jones-Wenzl box and acts there as the scalar
 mu_k = (-1)^k A^{k(k+2)}, so framing f on a k-labeled component multiplies
 the blackboard value by mu_k^f and is never drawn.
 
-How strands run through the crossings is answered by one walk, ``_walk``: a
-strand entering a crossing at slot s leaves it at slot s + 2.  A
-``LabeledLink`` is an immutable value, checked and walked once, when it is
-built: the walk checks that each component's arcs are one strand, and the
-link keeps it, with the map from each arc to its component that the check
-read (``comp_of``).  A braid closure or a clasp splice reads its components
+How strands run through the crossings is answered by one walk, ``_walk``:
+it pairs the two ends of each arc once (``partner``, slot 4t + s to the
+slot at the other end of its arc), checking that every arc appears twice,
+and follows each strand on that pairing: a strand entering a crossing at
+slot s leaves it at slot s + 2.  A ``LabeledLink`` is an immutable value,
+checked and walked once, when it is built: the walk checks that each
+component's arcs are one strand, and the link keeps it, pairing included,
+with the map from each arc to its component that the check read
+(``comp_of``).  A braid closure or a clasp splice reads its components
 off the walk of its new crossings and hands that walk to the link it
 builds.
 The kept walk gives the orientations, the head occurrence of each arc
@@ -23,11 +26,12 @@ evaluation walks nothing.
 
 Before any labeling is swept, ``evaluate`` finds the diagram's Reidemeister
 I kinks and II bigons once (``_reduction``), repeating as removals expose
-new ones; a kink's sign moves into its component's framing.  Each removal
-is a local identity of the state sum, cable by cable (CONVENTIONS.md).  A
-diagram with neither, such as an alternating one without kinks, costs one
-scan.  Every later step reads the one reduced diagram (``_Reduced``), not
-the link: its framings, kept crossings and each component's kept passes.
+new ones, on a copy of the kept pairing; a kink's sign moves into its
+component's framing.  Each removal is a local identity of the state sum,
+cable by cable (CONVENTIONS.md).  A diagram with neither, such as an
+alternating one without kinks, costs one scan.  Every later step reads
+the one reduced diagram (``_Reduced``), not the link: its framings, kept
+crossings and each component's kept passes.
 
 Evaluation cables k-labeled components into k parallel copies through one
 Jones-Wenzl box, wired along their kept passes straight onto integer ports
@@ -98,44 +102,51 @@ class Component:
 
 
 def _walk(crossings):
-    """Follow each strand of the diagram once: a strand that enters a
-    crossing at slot s leaves it at slot s + 2 (mod 4).  Every arc must
+    """Pair the two ends of each arc, then follow each strand of the
+    diagram once on that pairing: a strand that enters a crossing at slot s
+    leaves it at slot s + 2 (mod 4).  LinkFormatError when an arc does not
     appear exactly twice.
 
     A strand that passes under somewhere is oriented to enter its first
     under-pass, in crossing order, at slot a; a strand that passes only over
     enters its lowest-index crossing at slot b.  Returns (strands, ob, head,
-    consistent): strands[j] lists a strand's arcs in running order from the
-    arc it enters that crossing by, ob[t] is True when the over strand enters
-    crossing t at slot b, head[arc] is the (crossing, slot) where the strand
-    enters a crossing by that arc (slot 0 for the under strand, 1 or 3 for
-    the over strand), and consistent is False when some strand enters an
-    under-pass at slot c.
+    consistent, partner): strands[j] lists a strand's arcs in running order
+    from the arc it enters that crossing by, ob[t] is True when the over
+    strand enters crossing t at slot b, head[arc] is the (crossing, slot)
+    where the strand enters a crossing by that arc (slot 0 for the under
+    strand, 1 or 3 for the over strand), consistent is False when some
+    strand enters an under-pass at slot c, and partner[4t + s] is the slot
+    at the other end of the arc at slot s of crossing t.
     """
-    occ = {}
-    for t, x in enumerate(crossings):
-        for s, a in enumerate(x):
-            occ.setdefault(a, []).append((t, s))
-    n = len(crossings)
-    ob = [None] * n
+    flat = list(itertools.chain.from_iterable(crossings))
+    ends = {}
+    for p, a in enumerate(flat):
+        ends.setdefault(a, []).append(p)
+    partner = [0] * len(flat)
+    for a, at in ends.items():
+        if len(at) != 2:
+            raise LinkFormatError(f"arc {a} appears {len(at)} times; "
+                                  "every arc appears exactly twice")
+        p, q = at
+        partner[p], partner[q] = q, p
+    ob = [None] * len(crossings)
     strands, head, consistent = [], {}, True
     # under-passes in crossing order, then the over-passes left
-    for s0, t0 in itertools.product((0, 1), range(n)):
-        if crossings[t0][s0] in head:
+    for p0 in [*range(0, len(flat), 4), *range(1, len(flat), 4)]:
+        if flat[p0] in head:
             continue
-        arcs, t, s = [], t0, s0
-        while not arcs or (t, s) != (t0, s0):
-            arcs.append(crossings[t][s])
-            head[crossings[t][s]] = (t, s)
+        arcs, p = [], p0
+        while not arcs or p != p0:
+            t, s = p >> 2, p & 3
+            arcs.append(flat[p])
+            head[flat[p]] = (t, s)
             if s % 2:
                 ob[t] = s == 1
             elif s == 2:
                 consistent = False
-            out = (t, (s + 2) % 4)
-            p, q = occ[crossings[t][out[1]]]
-            t, s = q if p == out else p
+            p = partner[p ^ 2]
         strands.append(arcs)
-    return strands, ob, head, consistent
+    return strands, ob, head, consistent, tuple(partner)
 
 
 def _oriented(link):
@@ -149,12 +160,13 @@ def _oriented(link):
 @dataclass(frozen=True)
 class LabeledLink:
     """A labeled framed link diagram, checked when it is built: every
-    crossing lists four arcs, every arc appears twice, and each component's
-    arcs are exactly one strand's.  `walk` is the one ``_walk`` of the
-    crossings that the check read, and `comp_of` maps each arc to the
-    index of its component, as the check read it; evaluation reads both
-    and changes neither.  A diagram with no consistent
-    orientation still builds; ``orientations`` raises on it."""
+    crossing lists four arcs, every arc appears twice (``_walk`` pairs the
+    ends), and each component's arcs are exactly one strand's.  `walk` is
+    the one ``_walk`` of the crossings that the check read, with its
+    pairing of arc ends, and `comp_of` maps each arc to the index of its
+    component, as the check read it; evaluation reads both and changes
+    neither.  A diagram with no consistent orientation still builds;
+    ``orientations`` raises on it."""
     components: tuple
     crossings: tuple  # tuples (a, b, c, d)
     walk: tuple = field(init=False, repr=False, compare=False)
@@ -164,13 +176,6 @@ class LabeledLink:
         for x in self.crossings:
             if len(x) != 4:
                 raise LinkFormatError(f"crossing {list(x)} must have 4 arcs")
-        counts = {}
-        for x in self.crossings:
-            for a in x:
-                counts[a] = counts.get(a, 0) + 1
-        for a, n in counts.items():
-            if n != 2:
-                raise LinkFormatError(f"arc {a} appears {n} times; every arc appears exactly twice")
         _settle(self, self.components, self.crossings, _walk(self.crossings))
 
     # ----- serialization -----
@@ -205,13 +210,6 @@ class LabeledLink:
 
     # ----- structure -----
 
-    def arc_component(self):
-        out = {}
-        for i, c in enumerate(self.components):
-            for a in c.arcs:
-                out[a] = i
-        return out
-
     def orientations(self):
         """For each crossing t, whether the over strand enters at slot b
         (True) or slot d (False), under the orientation rule of ``_walk``.
@@ -238,7 +236,7 @@ def _settle(link, components, crossings, made):
     declared = [a for c in link.components for a in c.arcs]
     if sorted(declared) != sorted(made[2]):
         raise LinkFormatError("component arc lists do not partition the crossing arcs")
-    comp_of = link.arc_component()
+    comp_of = {a: i for i, c in enumerate(link.components) for a in c.arcs}
     object.__setattr__(link, "comp_of", comp_of)
     for arcs in made[0]:
         i = comp_of[arcs[0]]
@@ -403,7 +401,8 @@ class _Reduced:
 def _reduction(link: LabeledLink) -> _Reduced:
     """The reduced diagram of `link` (``_Reduced``).  A crossing is dropped
     by a Reidemeister I or II move (``_removal``), read on the diagram left
-    by the moves before it, until no move is left; each is an identity of
+    by the moves before it, a copy of the pairing of arc ends that the
+    link's walk keeps, until no move is left; each is an identity of
     the state sum, cable by cable (CONVENTIONS.md).  A kink repeats an arc
     at its crossing, and a bigon's under strand runs under at both ends,
     so a diagram with neither (an alternating one without kinks) is read
@@ -414,11 +413,7 @@ def _reduction(link: LabeledLink) -> _Reduced:
     dropped, framings = set(), [c.framing for c in link.components]
     unders = [a for x in crossings for a in x[::2]]
     if len(set(unders)) != len(unders) or sum(map(len, map(set, crossings))) != len(unders) * 2:
-        partner, seen = [0] * (4 * len(crossings)), {}
-        for p, a in enumerate(itertools.chain.from_iterable(crossings)):
-            q = seen.setdefault(a, p)
-            partner[p] = q
-            partner[q] = p
+        partner = list(link.walk[4])
         work = list(range(len(crossings)))
         while work:
             t = work.pop()
@@ -734,8 +729,10 @@ _SWEEP_MEMO_LIMIT = 1 << 10
 def _sweeps(params: QuantumParams):
     """The level's sweep values (``linalg.BoundedMemo``), shared by its
     roots: the key (kinds, partner), the tuples of a cabled diagram as
-    ``_cabled_diagram`` writes it, maps to its ``_sweep``."""
-    return params.cached(("sweeps",), lambda: BoundedMemo(None, _SWEEP_MEMO_LIMIT))
+    ``_cabled_diagram`` writes it, maps to its ``_sweep``, swept from the
+    key the first time it is read."""
+    return params.cached(("sweeps",), lambda: BoundedMemo(lambda key: _sweep(params, *key),
+                                                          _SWEEP_MEMO_LIMIT))
 
 
 def _evaluate_labeled(params: QuantumParams, reduced: _Reduced, labels):
@@ -744,8 +741,8 @@ def _evaluate_labeled(params: QuantumParams, reduced: _Reduced, labels):
     kept crossing joins to a nonzero strand, its own included, is a split
     unknot, valued in closed form (``_circle``).  The others, each with a
     kept pass, are cabled (``_cabled_diagram``); their sweep is read from
-    the level's sweep values (``_sweeps``), swept and kept there when
-    missing, and multiplied by mu_k^f for each of them."""
+    the level's sweep values (``_sweeps``), which sweep a missing diagram,
+    and multiplied by mu_k^f for each of them."""
     linked = set()
     for i, j, _ in reduced.kept:
         if labels[i] and labels[j]:
@@ -761,11 +758,7 @@ def _evaluate_labeled(params: QuantumParams, reduced: _Reduced, labels):
     if linked:
         kinds, partner = _cabled_diagram(
             reduced, [k if i in linked else 0 for i, k in enumerate(labels)])
-        memo, key = _sweeps(params), (tuple(kinds), tuple(partner))
-        swept = memo.get(key)
-        if swept is None:
-            swept = memo.keep(key, _sweep(params, kinds, partner))
-        value = value * swept * params.a_pow(e)
+        value = value * _sweeps(params)[tuple(kinds), tuple(partner)] * params.a_pow(e)
     return value
 
 

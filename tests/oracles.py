@@ -37,7 +37,9 @@ calculus, and the tests compare the two exactly.
   matrix is `lambda * I`, and the `mat_mul` fold of a surface word's
   twists, the references of the packed column chain
   ``linalg.product_columns`` behind ``linalg.scalar_of`` and
-  ``mcg.SurfaceModel.represent``.
+  ``mcg.SurfaceModel.represent``; every boundary-label choice of a
+  surface, the enumeration that ``tqft.block_dims``'s one count replaced
+  in ``mcg._live_blocks``.
 
 Nothing in the package imports this module."""
 from __future__ import annotations
@@ -48,6 +50,7 @@ from functools import lru_cache, reduce
 from math import gcd
 
 from helpers import dense_rows, groups, tl_identity
+from skeinrep import mcg
 from skeinrep import skein as sk
 from skeinrep.braids import BraidWord, _generator_matrix, _sector_dim, block_crossing, path_basis
 from skeinrep.linalg import columns, eye, mat_mul, scalar_of
@@ -479,7 +482,7 @@ def reference_strands(link):
     (under, over) components of crossing t, and arcs_of[i] the incoming
     arcs of component i, one per crossing it passes."""
     ob = link.orientations()
-    comp_of = link.arc_component()
+    comp_of = link.comp_of
     cross_comp = [(comp_of[a], comp_of[b]) for a, b, c, d in link.crossings]
     arcs_of = {i: [] for i in range(len(link.components))}
     for t, x in enumerate(link.crossings):
@@ -948,6 +951,13 @@ def full_twist_scalar(params, n: int, m: int):
 
 # ---------------------------------------------------------------------------
 # detection
+
+
+def boundary_contexts(name, r):
+    """All boundary-label choices of a surface at level r, lexicographic:
+    labels 0..r-2 with even sum, the parity every admissible basis needs."""
+    return [ls for ls in itertools.product(range(r - 1), repeat=mcg._surface(name)[0])
+            if sum(ls) % 2 == 0]
 
 
 def mat_vec(a, v):

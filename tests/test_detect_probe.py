@@ -16,8 +16,8 @@ import pytest
 from helpers import (assert_narrowest_ring, coefficients_within, column_masses, curves,
                      dense_rows, from_int, from_rational, masses_over_lcm, record_segments,
                      residue_mu, sparse_columns)
-from oracles import (dense_scalar, full_twist_scalar, full_twist_word, mat_vec,
-                     represent_fold, sector_rep_fold, surface_twists)
+from oracles import (boundary_contexts, dense_scalar, full_twist_scalar, full_twist_word,
+                     mat_vec, represent_fold, sector_rep_fold, surface_twists)
 from skeinrep import braids, mcg
 from skeinrep.braids import BraidWord, sector_labels
 from skeinrep.linalg import columns, eye, is_identity, mat_product, product_columns, scalar_of, zeros
@@ -55,7 +55,7 @@ def seeded_words(rng, curves, count):
 def test_seeded_words_on_every_block(name, r):
     params = make_params(r)
     rng = random.Random(1000 * r + SURFACES.index(name))
-    for ctx in mcg._boundary_contexts(name, r):
+    for ctx in boundary_contexts(name, r):
         model = mcg.surface_model(name, ctx)
         if model.dim(params) == 0:
             continue
@@ -72,7 +72,7 @@ def test_represent_matches_the_fold(name, r):
     0, +-2, +-3 of every curve, on every boundary block."""
     params = make_params(r)
     rng = random.Random(2000 * r + SURFACES.index(name))
-    for ctx in mcg._boundary_contexts(name, r):
+    for ctx in boundary_contexts(name, r):
         model = mcg.surface_model(name, ctx)
         for word in [[]] + seeded_words(rng, curves(model), 3):
             assert model.represent(params, word).matrix == represent_fold(params, model, word)
@@ -311,7 +311,7 @@ def test_every_twist_packs_through_columns(r):
     a c-odd entry) and holds the twist's entries."""
     params = make_params(r)
     for name in SURFACES:
-        for ctx in mcg._boundary_contexts(name, r):
+        for ctx in boundary_contexts(name, r):
             model = mcg.surface_model(name, ctx)
             if model.dim(params) == 0:
                 continue

@@ -10,11 +10,11 @@ level shares), only ``scalars.py`` touches a
 Scalar's fields or constructs a Scalar, so it alone binds a value to its
 level, only ``scalars.py`` constructs a ``PackedRing``, so every ring is
 its level's one ring of its width, only ``linalg.py`` reads its dense-row
-routines, so every other module builds matrices as columns, and no
-module outside ``linalg.py`` reads a ``segment`` attribute, so
-``linalg.next_segment`` is the one owner of the segment rule that cuts
-every packed chain into segments, only ``tl._Times`` and
-``tl._stair`` read the diagram compositions, so every TL product is a
+routines, so every other module builds matrices as columns, only
+``linalg.py`` defines ``next_segment`` and only ``linalg.py`` and
+``skein.py`` read it, so ``linalg.next_segment`` is the one owner of the
+segment rule that cuts every packed chain into segments, only
+``tl._Times`` and ``tl._stair`` read the diagram compositions, so every TL product is a
 column chain of ``_Times``, no module imports ``fractions`` or ``decimal``,
 so the exact core computes on integers alone, and no module calls ``id``,
 since a memo keyed by an object's id outlives the object and hands its
@@ -432,25 +432,46 @@ def test_only_linalg_reads_dense_routines():
     assert {name: uses for name, uses in found.items() if uses} == {}
 
 
-def segment_uses(tree):
-    """(line, name) of every attribute read named ``segment``."""
-    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "segment")
+def next_segment_uses(tree):
+    """(line, 'def') of every definition of the name ``next_segment``, a
+    function or method or an assignment, and (line, 'read') of every read:
+    an import by name, a name loaded or an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "next_segment":
+            found.append((node.lineno, "def"))
+        elif isinstance(node, ast.Name) and node.id == "next_segment":
+            found.append((node.lineno, "read" if isinstance(node.ctx, ast.Load) else "def"))
+        elif isinstance(node, ast.Attribute) and node.attr == "next_segment":
+            found.append((node.lineno, "read"))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, "read") for alias in node.names
+                      if alias.name == "next_segment"]
+    return sorted(found)
 
 
-def test_checker_flags_segment_uses():
-    src = ("from .scalars import PackedRing\n"
-           "def f(p, m, cs):\n"
+def test_checker_flags_next_segment_uses():
+    src = ("from .linalg import next_segment\n"
+           "from . import linalg\n"
+           "def next_segment(p, gs):\n"
            "    segment = 1\n"
-           "    return PackedRing.segment(p, m, cs), segment\n")
-    assert segment_uses(ast.parse(src)) == [(4, "segment")]
+           "    return linalg.next_segment(p, gs), segment\n"
+           "class Ring:\n"
+           "    def next_segment(self):\n"
+           "        return 0\n"
+           "rule = next_segment\n"
+           "next_segment = rule\n")
+    assert next_segment_uses(ast.parse(src)) == [
+        (1, "read"), (3, "def"), (5, "read"), (7, "def"), (9, "read"), (10, "def")]
 
 
-def test_only_linalg_reads_segment():
-    # the segment rule has one owner, linalg.next_segment
-    found = {name: segment_uses(tree) for name, tree in package_trees().items()
-             if name != "linalg.py"}
-    assert {name: uses for name, uses in found.items() if uses} == {}
+def test_only_linalg_defines_next_segment():
+    # the segment rule has one owner, linalg.next_segment, read by the
+    # packed products and the skein sweep
+    found = {name: {kind for _, kind in next_segment_uses(tree)}
+             for name, tree in package_trees().items()}
+    assert {name: kinds for name, kinds in found.items() if kinds} == {
+        "linalg.py": {"def", "read"}, "skein.py": {"read"}}
 
 
 # the readers of the diagram compositions: the column of a right

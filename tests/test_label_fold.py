@@ -40,7 +40,7 @@ def digest(value):
 
 def cabled_weight(link, labels):
     """The X nodes of the cabled diagram: m n for a crossing of labels m, n."""
-    comp_of = link.arc_component()
+    comp_of = link.comp_of
     return sum(labels[comp_of[a]] * labels[comp_of[b]] for a, b, _, _ in link.crossings)
 
 

@@ -10,11 +10,13 @@ position, with a union-find over a-c and b-d for their arcs.
 across crossings with a label-0 partner or dropped by `skein._reduction`
 in a union-find, and pairs ports through an occurrence table.  All three
 are kept as they stood before the walk; orientations, crossing signs and
-closure arc lists must agree with them, and the cabled diagram of the
-reduced diagram must have the reference's node kinds and port pairing, on
-integer ports, with no upfront loop, on closures that have components
-passing only over, on every move's output, on diagrams with drawn kinks
-and on closures with bigons and kinks that the reduction drops.
+closure arc lists must agree with them, the pairing of arc ends that a
+link keeps must be the one `reference_pairing` finds by search over its
+crossings, and the cabled diagram of the reduced diagram must have the
+reference's node kinds and port pairing, on integer ports, with no
+upfront loop, on closures that have components passing only over, on
+every move's output, on diagrams with drawn kinks and on closures with
+bigons and kinks that the reduction drops.
 """
 import dataclasses
 import itertools
@@ -120,14 +122,23 @@ def random_word(rng, n, length):
 
 def over_only(link):
     """Whether some component of `link` passes only over."""
-    comp_of = link.arc_component()
+    comp_of = link.comp_of
     return bool({comp_of[x[1]] for x in link.crossings} - {comp_of[x[0]] for x in link.crossings})
+
+
+def reference_pairing(crossings):
+    """The slot 4u + s at the other end of the arc at each slot, found by
+    searching the crossings for the arc's other occurrence."""
+    flat = [a for x in crossings for a in x]
+    return tuple(next(q for q, b in enumerate(flat) if b == a and q != p)
+                 for p, a in enumerate(flat))
 
 
 def check_orientations(link):
     want = reference_orientations(link.crossings)
-    strands, ob, _, consistent = sk._walk(link.crossings)
+    strands, ob, _, consistent = sk._walk(link.crossings)[:4]
     assert consistent and ob == want, link.to_json()
+    assert link.walk[4] == reference_pairing(link.crossings)
     assert link.orientations() == want
     assert link.crossing_signs() == [1 if o else -1 for o in want]
     assert sorted(sorted(arcs) for arcs in strands) == \
@@ -330,7 +341,8 @@ def test_walk_counts(monkeypatch):
         walked.clear()
         out = build()
         assert len(walked) == count
-        assert out.walk == walk(out.crossings) and out.comp_of == out.arc_component()
+        assert out.walk == walk(out.crossings)
+        assert out.comp_of == {a: i for i, c in enumerate(out.components) for a in c.arcs}
     reducible = closed_braid_link([1, -1, 1, 2], 3, labels=[1], framings=[-1])
     assert sk._reduction(reducible).dropped
     for run in (lambda: sk.evaluate(params, link), lambda: sk.z_invariant(params, link),

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from oracles import represent_fold
+from oracles import boundary_contexts, represent_fold
 from skeinrep import mcg, tqft
 from skeinrep.scalars import make_params
 from skeinrep.skein import DomainError
@@ -37,12 +37,12 @@ def seeded_words(rng, curves, count):
 
 def reference_detect(name, word, levels, s):
     """(verdicts, r0, witness) of a scan that folds the word densely on every
-    nonempty block, in `_boundary_contexts` order, up to the first that is
-    not projectively the identity."""
+    nonempty block, in `oracles.boundary_contexts` order, up to the first
+    that is not projectively the identity."""
     verdicts, witness = {}, {}
     for r in levels:
         params = make_params(r, s)
-        for ctx in mcg._boundary_contexts(name, r):
+        for ctx in boundary_contexts(name, r):
             model = mcg.surface_model(name, ctx)
             if model.dim(params) and not mcg.is_projectively_identity(
                     represent_fold(params, model, word)):
@@ -69,7 +69,7 @@ def test_detect_matches_the_dense_scan_of_every_block(name, s):
 def test_words_are_nonzero_scalars_on_blocks_of_dimension_one(name, r):
     params = make_params(r)
     rng = random.Random(f"dimension-one:{name}:{r}")
-    lines = [ctx for ctx in mcg._boundary_contexts(name, r)
+    lines = [ctx for ctx in boundary_contexts(name, r)
              if mcg.surface_model(name, ctx).dim(params) == 1]
     if name == "four_punctured_sphere" or r % 2 == 0:
         assert lines
@@ -99,7 +99,7 @@ def test_twists_are_built_only_for_live_blocks(fresh_contexts):
     assert mcg.detect("four_punctured_sphere", TRIVIAL["four_punctured_sphere"], [5]).r0 is None
     params = make_params(5)
     live = params._memo[("blocks", "four_punctured_sphere")]
-    assert len(live) == 8 and len(mcg._boundary_contexts("four_punctured_sphere", 5)) == 128
+    assert len(live) == 8 and len(boundary_contexts("four_punctured_sphere", 5)) == 128
     assert all(n == model.dim(params) >= 2 for _, model, n in live)
     assert twist_blocks(params) == {ctx for ctx, _, _ in live}
     assert not any(key[0] == "model" for key in params._memo)
@@ -115,7 +115,7 @@ def test_bases_are_built_once_and_kept_only_for_live_blocks(monkeypatch, fresh_c
     assert mcg.detect("four_punctured_sphere", TRIVIAL["four_punctured_sphere"], [7]).r0 is None
     params = make_params(7)
     live = {ctx for ctx, _, _ in params._memo[("blocks", "four_punctured_sphere")]}
-    blocks = mcg._boundary_contexts("four_punctured_sphere", 7)
+    blocks = boundary_contexts("four_punctured_sphere", 7)
     assert len(live) == 96 and len(blocks) == 648
     assert sorted(tuple(spine.boundary.values()) for spine in built) == sorted(live)
     assert {key[2] for key in params._memo if key[0] == "basis"} == live
@@ -128,10 +128,10 @@ def test_counted_dimensions_match_the_bases(name, r):
     params = make_params(r)
     count, spine, _ = mcg._surface(name)
     dims = tqft.block_dims(params, spine((0,) * count))
-    for ctx in mcg._boundary_contexts(name, r):
+    for ctx in boundary_contexts(name, r):
         spine_ctx = mcg.surface_model(name, ctx).spine
         assert dims[ctx] == tqft.dim(params, spine_ctx) == len(tqft.basis(params, spine_ctx)), ctx
-    assert set(dims) <= set(mcg._boundary_contexts(name, r))
+    assert set(dims) <= set(boundary_contexts(name, r))
 
 
 @pytest.mark.parametrize("word", [[("zz", 1)], [("g12", 1), ("zz", 0)], [("zz", 0)]])

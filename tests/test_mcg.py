@@ -6,7 +6,7 @@ import random
 import pytest
 
 from helpers import curves, dense_rows, from_int, scalar_multiple_of
-from oracles import expand_solid_torus, mat_vec, theta_spine
+from oracles import boundary_contexts, expand_solid_torus, mat_vec, theta_spine
 from skeinrep import mcg, skein, tqft
 from skeinrep.braids import BraidWord, jones_sector_rep, sector_labels
 from skeinrep.linalg import Columns, eye, mat_mul
@@ -338,7 +338,7 @@ def build_every_frame(params):
     """Every twist pair and curve operator on every nonempty block of every
     surface at a level."""
     for name in SURFACES:
-        for ctx in mcg._boundary_contexts(name, params.r):
+        for ctx in boundary_contexts(name, params.r):
             model = mcg.surface_model(name, ctx)
             if model.dim(params):
                 for curve in curves(model):
@@ -733,7 +733,7 @@ def check_f_move(params, spine, edge):
 @pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
 def test_f_move_on_the_h_spine_gives_the_v_channel(r):
     params = make_params(r)
-    for labels in mcg._boundary_contexts("four_punctured_sphere", r):
+    for labels in boundary_contexts("four_punctured_sphere", r):
         # the v channel pairs legs (2,3)(4,1)
         v_spine = tqft.Spine(edges=["m1"], vertices=[["p2", "p3", "m1"], ["p4", "p1", "m1"]],
                              boundary=dict(zip(("p1", "p2", "p3", "p4"), labels)))

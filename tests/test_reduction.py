@@ -150,7 +150,7 @@ def test_bigons_are_dropped_exactly_when_they_run_through(r, s):
 def cabled_weight(link, labels, r):
     """Nodes of the unreduced cabled diagram at the top of the omega range."""
     top = [r - 2 if k == sk.OMEGA else k for k in labels]
-    comp_of = link.arc_component()
+    comp_of = link.comp_of
     return sum(top[comp_of[a]] * top[comp_of[b]] for a, b, _, _ in link.crossings) + max(top)
 
 

@@ -1,10 +1,12 @@
 """Labeled-link evaluation, Kirby moves, and the surgery invariant."""
+import json
 import random
 
 import pytest
 
 import oracles
 from helpers import from_int
+from skeinrep import cli
 from skeinrep import skein as sk
 from skeinrep.recoupling import hopf_pairing, twist_coefficient
 from skeinrep.scalars import make_params
@@ -28,9 +30,22 @@ def test_json_roundtrip():
     assert back.to_json() == blob
 
 
-def test_bad_arc_counts_rejected():
-    with pytest.raises(LinkFormatError):
-        LabeledLink([sk.Component(1, 0, [1, 2, 3])], [[1, 2, 3, 1]])
+def test_bad_arc_counts_rejected(capsys, tmp_path):
+    """Arcs seen once, three times and four times, the last at one crossing
+    [1, 1, 1, 1] that a pairing matching ends two at a time would accept:
+    each link raises LinkFormatError, and eval-link on its JSON exits 2."""
+    cases = [([[1, 2, 3, 1]], [1, 2, 3]),
+             ([[1, 2, 2, 3], [3, 4, 4, 5]], [1, 2, 3, 4, 5]),
+             ([[1, 2, 1, 3], [3, 2, 1, 2]], [1, 2, 3]),
+             ([[1, 1, 1, 1]], [1])]
+    path = tmp_path / "link.json"
+    for crossings, arcs in cases:
+        with pytest.raises(LinkFormatError, match="appears [134] times"):
+            LabeledLink([sk.Component(1, 0, arcs)], crossings)
+        path.write_text(json.dumps({"version": 1, "crossings": crossings,
+                                    "components": [{"label": 1, "framing": 0, "arcs": arcs}]}))
+        assert cli.run(["eval-link", "--r", "4", "--link", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "parse"
 
 
 def test_component_partition_checked():

@@ -245,7 +245,7 @@ def test_cable_crossings_do_not_depend_on_framing():
         labels = [rng.randint(0, 4) for _ in range(count)]
         framings = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(count)]
         link = closed_braid_link(word, n, labels=labels, framings=framings)
-        comp_of, dropped = link.arc_component(), sk._reduction(link).dropped
+        comp_of, dropped = link.comp_of, sk._reduction(link).dropped
         cabled = sum(labels[comp_of[a]] * labels[comp_of[b]]
                      for t, (a, b, _, _) in enumerate(link.crossings) if t not in dropped)
         for framed in (link, closed_braid_link(word, n, labels=labels)):

@@ -78,7 +78,7 @@ def graph_pieces(link):
     """(pieces, circles) of `link`'s reduced diagram by search over its
     kept crossings."""
     dropped = sk._reduction(link).dropped
-    comp_of = link.arc_component()
+    comp_of = link.comp_of
     near = {i: set() for i in range(len(link.components))}
     for t, (a, b, _, _) in enumerate(link.crossings):
         if t not in dropped:

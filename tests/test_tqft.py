@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import expand_solid_torus, handlebody_vector, theta_spine
+from oracles import boundary_contexts, expand_solid_torus, handlebody_vector, theta_spine
 from skeinrep import mcg, tqft
 from skeinrep.recoupling import admissible, valid_label
 from skeinrep.scalars import make_params
@@ -119,7 +119,7 @@ def check_basis(params, spine):
 def test_basis_matches_product_on_table_surfaces(r):
     params = make_params(r)
     for name in ("torus", "punctured_torus", "four_punctured_sphere", "genus2"):
-        for ctx in mcg._boundary_contexts(name, r):
+        for ctx in boundary_contexts(name, r):
             check_basis(params, mcg.surface_model(name, ctx).spine)
     check_basis(params, theta_spine())
 

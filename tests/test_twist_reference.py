@@ -11,7 +11,7 @@ from math import gcd
 import pytest
 
 from helpers import curves
-from oracles import theta_spine
+from oracles import boundary_contexts, theta_spine
 from skeinrep import mcg, tqft
 from skeinrep.linalg import eye, mat_inv, mat_mul, zeros
 from skeinrep.recoupling import (encircle_eigenvalue, f_matrix, hopf_pairing, tet, theta,
@@ -152,7 +152,7 @@ CASES = [(r, s, surface) for r, s in ((3, 1), (4, 1), (5, 1), (6, 1), (5, 3))
 def test_twists_and_operators_match_elimination_route(r, s, surface):
     params = make_params(r, s)
     checked = 0
-    for ctx in mcg._boundary_contexts(surface, r):
+    for ctx in boundary_contexts(surface, r):
         model = mcg.surface_model(surface, ctx)
         for curve in curves(model):
             where = (ctx, curve)
@@ -182,7 +182,7 @@ def twist_digest():
             # the two least roots of the level
             for s in [s for s in range(1, 4 * r) if gcd(s, 4 * r) == 1][:2]:
                 params = make_params(r, s)
-                for ctx in mcg._boundary_contexts(surface, r):
+                for ctx in boundary_contexts(surface, r):
                     update_digest(h, params, mcg.surface_model(surface, ctx))
     return h.hexdigest()
 

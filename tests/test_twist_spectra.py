@@ -7,6 +7,7 @@ the dense curve operator C of the reference route in
 not zero.  Only blocks of dimension >= 2 can witness."""
 import pytest
 
+from oracles import boundary_contexts
 from skeinrep import mcg
 from skeinrep.linalg import eye, mat_mul
 from skeinrep.recoupling import encircle_eigenvalue, twist_coefficient
@@ -42,7 +43,7 @@ def colours(params, cmat):
 @pytest.mark.parametrize("surface, r", CASES)
 def test_detect_one_twist_power_matches_its_spectrum(surface, r):
     params = make_params(r)
-    blocks = [mcg.surface_model(surface, ctx) for ctx in mcg._boundary_contexts(surface, r)]
+    blocks = [mcg.surface_model(surface, ctx) for ctx in boundary_contexts(surface, r)]
     blocks = [model for model in blocks if model.dim(params) >= 2]
     for curve in mcg._surface(surface)[2]:
         spectra = [colours(params, reference_operator(params, model, curve)) for model in blocks]
